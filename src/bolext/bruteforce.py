@@ -7,11 +7,14 @@ are deterministic and ranges can be partitioned.
 """
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .errors import UnsupportedEnumerationError
 
 _CHUNK = 1 << 16
+_INT64_LIMIT = 1 << 63
 
 
 def _dtype(p: int):
@@ -278,3 +281,67 @@ def semidirect_arrays(bil, tri, mu, theta, dd, p):
     triE[:, :n, n:, :n, n:] = (-theta).transpose(0, 4, 1, 2, 3).transpose(0, 2, 1, 3, 4) % p
     triE[:, :n, :n, n:, n:] = dd.transpose(0, 1, 2, 4, 3)
     return bilE, triE
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra on residue arrays (delayed reduction: each contraction
+# sums its products in int64 and reduces once, after a headroom check)
+
+def require_int64_headroom(terms: int, degree: int, p: int):
+    """Raise unless a sum of `terms` products of `degree` residues fits int64."""
+    if max(terms, 1) * (p - 1) ** degree >= _INT64_LIMIT:
+        raise UnsupportedEnumerationError(
+            f"{terms} products of {degree} residues mod {p} overflow int64")
+
+
+def contract_mod(spec: str, p: int, *operands) -> np.ndarray:
+    """`np.einsum(spec, *operands) % p` on residue arrays (no ellipsis)."""
+    inputs, output = spec.split("->")
+    sizes = {}
+    for term, op in zip(inputs.split(","), operands):
+        sizes.update(zip(term, op.shape))
+    summed = set(sizes) - set(output)
+    require_int64_headroom(prod(sizes[ch] for ch in summed), len(operands), p)
+    return np.einsum(spec, *(np.asarray(op, dtype=np.int64) for op in operands)) % p
+
+
+def rref_transform(a: np.ndarray, p: int):
+    """Row-reduce a residue matrix mod p.
+
+    Returns (T, rank, pivots) with T invertible and T a the reduced row
+    echelon form; pivots are chosen as in `Matrix.rref`.
+    """
+    require_int64_headroom(1, 2, p)
+    rows, cols = a.shape
+    aug = np.concatenate([np.asarray(a, dtype=np.int64) % p,
+                          np.eye(rows, dtype=np.int64)], axis=1)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(aug[r:, c])
+        if nz.size == 0:
+            continue
+        aug[[r, r + nz[0]]] = aug[[r + nz[0], r]]
+        aug[r] = aug[r] * pow(int(aug[r, c]), p - 2, p) % p
+        f = aug[:, c].copy()
+        f[r] = 0
+        aug = (aug - f[:, None] * aug[r][None, :]) % p
+        pivots.append(c)
+        r += 1
+    return aug[:, cols:], r, tuple(pivots)
+
+
+def canonical_solutions(t: np.ndarray, rank: int, pivots: tuple, cols: int,
+                        b: np.ndarray, p: int):
+    """Solve a x = b for each row of b, given `rref_transform(a, p)`.
+
+    Returns (consistent mask, x): x has the free variables at zero, as
+    `Matrix.solve` returns it, and is meaningful only where consistent.
+    """
+    tb = contract_mod("ij,kj->ki", p, t, b)
+    consistent = ~np.any(tb[:, rank:], axis=1)
+    x = np.zeros((b.shape[0], cols), dtype=np.int64)
+    x[:, list(pivots)] = tb[:, :rank]
+    return consistent, x

@@ -59,15 +59,15 @@ def _parse_map_spec(spec, field, rows, cols):
         parts = [t.strip() for t in spec[5:-1].split(",")]
         if len(parts) != rows or rows != cols:
             raise UsageError(f"diag(...) needs {rows} entries")
-        entries = [[field.parse_scalar(_as_token(field, parts[i])) if i == j
+        entries = [[_parse_scalar(field, parts[i]) if i == j
                     else field.zero for j in range(cols)] for i in range(rows)]
         return Matrix(field, entries)
     if spec.startswith("["):
         doc = json.loads(spec)
         return docs.matrix_from_doc(field, doc, rows, cols, "<inline>", "$")
     try:
-        scalar = field.parse_scalar(_as_token(field, spec))
-    except ValueError:
+        scalar = _parse_scalar(field, spec)
+    except UsageError:
         with open(spec, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return docs.matrix_from_doc(field, doc, rows, cols, spec, "$")
@@ -76,8 +76,17 @@ def _parse_map_spec(spec, field, rows, cols):
     return Matrix.identity(field, rows).scale(scalar)
 
 
-def _as_token(field, text):
-    return text if not field.is_prime_field else int(text)
+def _parse_scalar(field, text):
+    try:
+        return field.parse_scalar(text if not field.is_prime_field else int(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad scalar {text!r} over {field}: {exc}") from exc
+
+
+def _require_options(args, *names):
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"--kind {args.kind} needs {' and '.join(missing)}")
 
 
 def _load_phi(args, field, m, n):
@@ -276,6 +285,7 @@ def _cmd_exactness(args):
 
 def _cmd_enumerate(args):
     if args.kind == "algebras":
+        _require_options(args, "field", "dim")
         field = _parse_field(args.field)
         count = 0
         for a in enumerate_bol_algebras(field, args.dim, args.tri_zero, args.bound):
@@ -285,6 +295,7 @@ def _cmd_enumerate(args):
         print(f"count: {count}")
         return 0
     if args.kind == "automorphisms":
+        _require_options(args, "algebra")
         a = docs.parse_document(args.algebra, "algebra")
         auts = enumerate_automorphisms(a, args.bound)
         if not args.count_only:
@@ -293,6 +304,7 @@ def _cmd_enumerate(args):
         print(f"count: {len(auts)}")
         return 0
     if args.kind == "vectors":
+        _require_options(args, "field", "dim")
         field = _parse_field(args.field)
         count = 0
         for vec in enumerate_vectors(field, args.dim):

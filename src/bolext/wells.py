@@ -16,10 +16,11 @@ unknown map there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import bruteforce
 from .bol import (BolAlgebra, automorphism_int_arrays, int_matrix, is_morphism,
                   zero_algebra)
 from .cohomology import Cochain2, Cochain3
@@ -31,7 +32,8 @@ from .exactlin import (Matrix, Subspace, enumerate_vectors, vec_add,
                        vec_is_zero, vec_sub, zero_vec)
 from .extensions import (Extension, Section, canonical_section, extract_cocycle,
                          theta_map, validate_extension)
-from .nonabelian import (NonAbelianCocycle, solve_equivalence,
+from .nonabelian import (NonAbelianCocycle, _equivalence_linear_residual,
+                         _phi_param_order, solve_equivalence,
                          validate_nab_cocycle)
 from .representation import Representation
 
@@ -53,10 +55,13 @@ def validate_aut_pair(base: BolAlgebra, fiber: BolAlgebra, pair: AutPair):
     if pair.alpha.rows != base.dim or pair.alpha.cols != base.dim \
             or pair.beta.rows != fiber.dim or pair.beta.cols != fiber.dim:
         raise UsageError("automorphism pair has wrong shape")
-    if not pair.alpha.is_invertible() or not is_morphism(pair.alpha, base, base):
-        raise UsageError("first component is not an automorphism of the base")
-    if not pair.beta.is_invertible() or not is_morphism(pair.beta, fiber, fiber):
-        raise UsageError("second component is not an automorphism of the fiber")
+    _require_automorphism(pair.alpha, base, "first", "base")
+    _require_automorphism(pair.beta, fiber, "second", "fiber")
+
+
+def _require_automorphism(f: Matrix, a: BolAlgebra, component, role):
+    if not f.is_invertible() or not is_morphism(f, a, a):
+        raise UsageError(f"{component} component is not an automorphism of the {role}")
 
 
 def act_on_cocycle(c: NonAbelianCocycle, pair: AutPair) -> NonAbelianCocycle:
@@ -305,11 +310,6 @@ class WellsReport:
     witness: Optional[Matrix] = None
     reason: str = ""
 
-    @property
-    def difference_class_zero(self):
-        return {"zero": Status.FOUND, "nonzero": Status.NONE}.get(
-            self.status, Status.UNDECIDED)
-
 
 def _wells_verdict(c: NonAbelianCocycle, pair: AutPair,
                    bound: int) -> WellsReport:
@@ -526,6 +526,187 @@ def compatible_pairs(b: BolAlgebra, r: Representation,
 
 
 # ---------------------------------------------------------------------------
+# class verdicts of every pair at once
+
+_VERDICT_STATUS = ("incompatible", "nonzero", "zero", "undecided")
+_INCOMPATIBLE, _NONZERO, _ZERO, _UNDECIDED = range(4)
+_VERDICT_CHUNK = 1 << 12
+
+
+class _CocycleArrays(NamedTuple):
+    """Cocycle data as residue arrays: nu[x,y,s], om[x,y,z,s] and the action
+    matrices mu[x,s,t], theta[x,y,s,t], dd[x,y,s,t] (row s, column t), each
+    with a leading pair axis when it belongs to an acted cocycle."""
+
+    nu: np.ndarray
+    om: np.ndarray
+    mu: np.ndarray
+    theta: np.ndarray
+    dd: np.ndarray
+
+    def take(self, mask) -> "_CocycleArrays":
+        return _CocycleArrays(*(a[mask] for a in self))
+
+
+def _residues(nested) -> np.ndarray:
+    def values(x):
+        return [values(v) for v in x] if isinstance(x, tuple) else int(x.value)
+    return np.array(values(nested), dtype=np.int64)
+
+
+def _cocycle_arrays(c: NonAbelianCocycle) -> _CocycleArrays:
+    return _CocycleArrays(
+        _residues(c.nu.grid), _residues(c.omega.grid),
+        _residues(tuple(a.entries for a in c.mu)),
+        _residues(tuple(tuple(a.entries for a in row) for row in c.theta)),
+        _residues(tuple(tuple(a.entries for a in row) for row in c.dd)))
+
+
+def _checked_automorphisms(auts: np.ndarray, a: BolAlgebra, component, role):
+    """(automorphisms, inverses) as residue arrays; each matrix is checked
+    once, as `validate_aut_pair` checks a component of every pair."""
+    invs = []
+    for g in auts:
+        mat = int_matrix(a.field, g)
+        _require_automorphism(mat, a, component, role)
+        invs.append(_int_array(mat.inverse()))
+    return (np.asarray(auts, dtype=np.int64),
+            np.array(invs, dtype=np.int64).reshape(auts.shape))
+
+
+def _transport_grid(ainv, grid, p):
+    """g'(x,y) = g(a^-1 x, a^-1 y) for a grid of matrices, per pair."""
+    f = bruteforce.contract_mod
+    return f("kry,kxrst->kxyst", p, ainv, f("kqx,qrst->kxrst", p, ainv, grid))
+
+
+def _conjugate(beta, mats, binv, p):
+    """beta M beta^-1 for a stack of matrices M[k, ..., s, t] per pair."""
+    k, m = beta.shape[0], beta.shape[1]
+    flat = mats.reshape(k, -1, m, m)
+    f = bruteforce.contract_mod
+    out = f("kasu,kut->kast", p, f("ksu,kaut->kast", p, beta, flat), binv)
+    return out.reshape(mats.shape)
+
+
+def _act(c: _CocycleArrays, ainv, beta, binv, p) -> _CocycleArrays:
+    """`act_on_cocycle` on residue arrays, one pair per leading index."""
+    f = bruteforce.contract_mod
+    nu = f("kry,kxrs->kxys", p, ainv, f("kqx,qrs->kxrs", p, ainv, c.nu))
+    om = f("kqx,qrus->kxrus", p, ainv, c.om)
+    om = f("kuz,kxyus->kxyzs", p, ainv, f("kry,kxrus->kxyus", p, ainv, om))
+    return _CocycleArrays(
+        f("kst,kxyt->kxys", p, beta, nu),
+        f("kst,kxyzt->kxyzs", p, beta, om),
+        _conjugate(beta, f("kqx,qst->kxst", p, ainv, c.mu), binv, p),
+        _conjugate(beta, _transport_grid(ainv, c.theta, p), binv, p),
+        _conjugate(beta, _transport_grid(ainv, c.dd, p), binv, p))
+
+
+def _intertwines(c: _CocycleArrays, alpha, beta, binv, p) -> np.ndarray:
+    """`_pair_compatible_with_cocycle` per pair: beta mu(x) beta^-1 =
+    mu(alpha x) and beta theta(x,y) beta^-1 = theta(alpha x, alpha y)."""
+    k = beta.shape[0]
+    mu = _conjugate(beta, np.broadcast_to(c.mu, (k,) + c.mu.shape), binv, p)
+    theta = _conjugate(beta, np.broadcast_to(c.theta, (k,) + c.theta.shape),
+                       binv, p)
+    moved_mu = bruteforce.contract_mod("kqx,qst->kxst", p, alpha, c.mu)
+    return ((mu == moved_mu).all(axis=(1, 2, 3))
+            & (theta == _transport_grid(alpha, c.theta, p)).all(axis=(1, 2, 3, 4)))
+
+
+def _same_actions(acted: _CocycleArrays, c: _CocycleArrays) -> np.ndarray:
+    """The phi-free gates eqv-mu, eqv-theta, eqv-d (abelian fiber)."""
+    return ((acted.mu == c.mu).all(axis=(1, 2, 3))
+            & (acted.theta == c.theta).all(axis=(1, 2, 3, 4))
+            & (acted.dd == c.dd).all(axis=(1, 2, 3, 4)))
+
+
+def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
+                    p) -> np.ndarray:
+    """`cocycles_equivalent_via(c1[k], c2, phi[k]).valid` per k, for an
+    abelian fiber (its product terms vanish); phi[k, t, q] is the t-th
+    coordinate of phi(e_q)."""
+    f = bruteforce.contract_mod
+    om = (c1.om - c2.om
+          - f("xzst,kty->kxyzs", p, c2.theta, phi)
+          + f("xyst,ktz->kxyzs", p, c2.dd, phi)
+          + f("yzst,ktx->kxyzs", p, c2.theta, phi)
+          - f("ksq,xyzq->kxyzs", p, phi, tri)) % p
+    nu = (c1.nu - c2.nu
+          - f("ksq,xyq->kxys", p, phi, bil)
+          + f("xst,kty->kxys", p, c2.mu, phi)
+          - f("yst,ktx->kxys", p, c2.mu, phi)) % p
+    residuals = (om, nu, c1.mu - c2.mu, c1.theta - c2.theta, c1.dd - c2.dd)
+    ok = np.ones(phi.shape[0], dtype=bool)
+    for r in residuals:
+        ok &= ~np.any(r % p, axis=tuple(range(1, r.ndim)))
+    return ok
+
+
+def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
+    """Matrix of the omega/nu equivalence system of any cocycle against c:
+    rows as in `_equivalence_linear_residual`, columns in `_phi_param_order`.
+    Only the right-hand side depends on the other cocycle."""
+    field = c.field
+    cols = []
+    for q, t in _phi_param_order(c.n, c.m):
+        unit = Matrix(field, [[field.one if (ri == t and ci == q) else field.zero
+                               for ci in range(c.n)] for ri in range(c.m)])
+        cols.append(_equivalence_linear_residual(c, c, unit))
+    return _residues(tuple(cols)).T
+
+
+def _abelian_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts,
+                            chunk: int = _VERDICT_CHUNK):
+    """Class verdicts of every pair in base_auts x fiber_auts, alpha-major,
+    against a cocycle over a prime field with an abelian fiber.
+
+    Decides what `_wells_verdict` decides pair by pair, but eliminates the
+    equivalence system once: each pair only contributes a right-hand side.
+    Yields (first pair index, status codes into `_VERDICT_STATUS`, witness
+    maps phi[k, t, q], zero unless the class vanishes) per chunk of pairs.
+    """
+    p = c.field.p
+    n, m = c.n, c.m
+    alphas, alpha_invs = _checked_automorphisms(base_auts, c.base, "first", "base")
+    betas, beta_invs = _checked_automorphisms(fiber_auts, c.fiber, "second", "fiber")
+    arr = _cocycle_arrays(c)
+    bil, tri = c.base.int_arrays()
+    t, rank, pivots = bruteforce.rref_transform(_equivalence_matrix(c), p)
+    nb = len(betas)
+    total = len(alphas) * nb
+    for start in range(0, total, chunk):
+        ia, ib = np.divmod(np.arange(start, min(start + chunk, total)), nb)
+        beta, binv = betas[ib], beta_invs[ib]
+        acted = _act(arr, alpha_invs[ia], beta, binv, p)
+        rhs = np.concatenate([(arr.om - acted.om).reshape(len(ia), -1),
+                              (arr.nu - acted.nu).reshape(len(ia), -1)], axis=1) % p
+        solvable, x = bruteforce.canonical_solutions(t, rank, pivots, n * m, rhs, p)
+        compatible = _intertwines(arr, alphas[ia], beta, binv, p)
+        status = np.where(~compatible, _INCOMPATIBLE,
+                          np.where(_same_actions(acted, arr) & solvable,
+                                   _ZERO, _NONZERO))
+        zero = status == _ZERO
+        phi = x.reshape(-1, n, m).transpose(0, 2, 1) * zero[:, None, None]
+        if not _equivalent_via(acted.take(zero), arr, phi[zero], bil, tri, p).all():
+            raise InternalConsistencyError("batched class witness failed verification")
+        yield start, status, phi
+
+
+def _pairwise_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts, bound):
+    """The same stream as `_abelian_class_verdicts` (witnesses omitted),
+    decided pair by pair; any fiber."""
+    field = c.field
+    for ia, ga in enumerate(base_auts):
+        alpha = int_matrix(field, ga)
+        status = [_VERDICT_STATUS.index(
+            _wells_verdict(c, AutPair(alpha, int_matrix(field, gb)), bound).status)
+            for gb in fiber_auts]
+        yield ia * len(fiber_auts), np.array(status, dtype=np.int64), None
+
+
+# ---------------------------------------------------------------------------
 # exactness verification
 
 @dataclass
@@ -645,29 +826,29 @@ def verify_wells_exactness(e: Extension,
         incl_keys.add(g.entries)
     ker_eq_incl = incl_ok and incl_keys == ker_keys
 
-    # kernel of the class map over all pairs
+    # kernel of the class map over all pairs, alpha-major
     base_auts = automorphism_int_arrays(e.base, bound)
     fiber_auts = automorphism_int_arrays(e.fiber, bound)
+    akeys = [a.tobytes() for a in base_auts.astype(np.int64)]
+    bkeys = [b.tobytes() for b in fiber_auts.astype(np.int64)]
+    nb = len(fiber_auts)
+    if c.fiber.is_abelian():
+        verdicts = _abelian_class_verdicts(c, base_auts, fiber_auts)
+    else:
+        verdicts = _pairwise_class_verdicts(c, base_auts, fiber_auts, bound)
     ker_wells = 0
     incompatible = 0
     ker_wells_eq_image = True
-    for ga in base_auts:
-        alpha = int_matrix(field, ga)
-        for gb in fiber_auts:
-            pair = AutPair(alpha, int_matrix(field, gb))
-            verdict = _wells_verdict(c, pair, bound)
-            if verdict.status == "undecided":
-                raise UnsupportedEnumerationError("class verdict undecided at bound")
-            if verdict.status == "incompatible":
-                incompatible += 1
-            key = (np.asarray(ga, dtype=np.int64).tobytes(),
-                   np.asarray(gb, dtype=np.int64).tobytes())
-            in_image = key in image_kappa
-            is_zero = verdict.status == "zero"
-            if is_zero:
-                ker_wells += 1
-            if is_zero != in_image:
-                ker_wells_eq_image = False
+    for start, status, _ in verdicts:
+        if (status == _UNDECIDED).any():
+            raise UnsupportedEnumerationError("class verdict undecided at bound")
+        incompatible += int((status == _INCOMPATIBLE).sum())
+        is_zero = status == _ZERO
+        ker_wells += int(is_zero.sum())
+        in_image = np.array([(akeys[i // nb], bkeys[i % nb]) in image_kappa
+                             for i in range(start, start + len(status))])
+        if (is_zero != in_image).any():
+            ker_wells_eq_image = False
 
     closed = True
     for f1 in z1.maps:

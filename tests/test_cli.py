@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from bolext.cli import main
 
 from conftest import corpus_dir
@@ -166,3 +168,21 @@ def test_determinism_double_run():
         c1, o1 = run_cli(*cmd)
         c2, o2 = run_cli(*cmd)
         assert (c1, o1) == (c2, o2), cmd
+
+
+@pytest.mark.parametrize("argv", [
+    ["inducible", "--extension", "{c}/e_h3.ext", "--alpha", "diag(7,1)",
+     "--beta", "1"],
+    ["inducible", "--extension", "{c}/e_h3.ext", "--alpha", "diag(x,1)",
+     "--beta", "1"],
+    ["wells", "--extension", "{c}/e_h3_q.ext", "--alpha", "diag(1/0,1)",
+     "--beta", "1"],
+    ["enumerate", "--kind", "automorphisms"],
+    ["enumerate", "--kind", "algebras", "--dim", "2"],
+    ["enumerate", "--kind", "vectors", "--field", "5"],
+])
+def test_bad_map_spec_or_missing_option_exit_2(capsys, argv):
+    code, out = run_cli(*[a.format(c=corpus_dir()) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

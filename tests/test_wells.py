@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from bolext.bol import s2, z1, z2, zero_algebra
@@ -166,12 +167,8 @@ def test_wells_incompatible_pair_reported_distinctly(F5):
     # abelian fiber with mu = (1, 0) over the two-dimensional zero algebra:
     # pairs that fail to intertwine mu are gated out before acting
     from bolext.exactlin import Matrix as M
-    from bolext.extensions import semidirect_extension
-    from bolext.representation import Representation
-    one = M.identity(F5, 1)
-    z = M.zeros(F5, 1, 1)
-    r = Representation(F5, 2, 1, (one, z), ((z, z), (z, z)), ((z, z), (z, z)))
-    e = semidirect_extension(z2(F5), r)
+    r = _mu_first_representation(F5)
+    e = _extension(F5, "z2_mu_first")
     bad = AutPair(M.from_int_rows(F5, [[2, 0], [0, 2]]), M.identity(F5, 1))
     rep = wells_map(e, bad)
     assert rep.status == "incompatible"
@@ -204,3 +201,160 @@ def test_wells_verdicts_section_independent(F5, ext_h3_f5):
         v1 = _wells_verdict(c1, pair, DEFAULT_ENUMERATION_BOUND)
         v2 = _wells_verdict(c2, pair, DEFAULT_ENUMERATION_BOUND)
         assert v1.status == v2.status
+
+
+def _mu_first_representation(F5):
+    from bolext.representation import Representation
+    one = Matrix.identity(F5, 1)
+    z = Matrix.zeros(F5, 1, 1)
+    return Representation(F5, 2, 1, (one, z), ((z, z), (z, z)), ((z, z), (z, z)))
+
+
+def _theta_omega_cocycle(F5, mu2):
+    # mu(e2) = mu2, theta(e2,e2) = 1 and omega(e1,e2,e2) = 1 over z2 x z1: a
+    # non-split extension; with mu2 = 1 its pairs cover all three class
+    # statuses, with mu2 = 0 the theta gate alone rejects some pairs
+    from bolext.cohomology import Cochain2, Cochain3
+
+    def one_by_one(v):
+        return Matrix.from_int_rows(F5, [[v]])
+    zero = one_by_one(0)
+    c = NonAbelianCocycle(
+        z2(F5), z1(F5), Cochain2.zero(2, 1, F5),
+        Cochain3.from_triples(2, 1, F5, {(0, 1, 1): (F5.one,)}),
+        (zero, one_by_one(mu2)), ((zero, zero), (zero, one_by_one(1))),
+        ((zero, zero), (zero, zero)))
+    assert validate_nab_cocycle(c).valid
+    return c
+
+
+def _bracket_base(F5):
+    # [e1,e2,e2] = e1, product zero: a base with a nonzero bracket
+    from bolext.bol import BolAlgebra, validate_bol
+    z, e1 = (F5.zero, F5.zero), (F5.one, F5.zero)
+    tri = (((z, z), (z, e1)), ((z, tuple(-x for x in e1)), (z, z)))
+    a = BolAlgebra(F5, 2, z2(F5).bil, tri)
+    assert validate_bol(a).valid
+    return a
+
+
+def _extension(F5, name):
+    from bolext.extensions import e_h3, semidirect_extension
+    if name == "e_h3":
+        return e_h3(F5)
+    if name == "z2_mu_first":
+        return semidirect_extension(z2(F5), _mu_first_representation(F5))
+    if name == "z2_theta_omega":
+        return as_extension(_theta_omega_cocycle(F5, 1))
+    if name == "z2_theta_omega_mu0":
+        return as_extension(_theta_omega_cocycle(F5, 0))
+    if name == "s2_trivial":
+        return semidirect_extension(s2(F5), trivial_representation(F5, 2))
+    if name == "bracket_base":
+        return semidirect_extension(_bracket_base(F5),
+                                    trivial_representation(F5, 2))
+    return semidirect_extension(s2(F5), r_s2(F5))
+
+
+@pytest.mark.parametrize("name", ["e_h3", "z2_mu_first", "s2_r_s2",
+                                  "z2_theta_omega", "bracket_base"])
+def test_batched_class_verdicts_match_per_pair(F5, name):
+    # every pair of the exactness scan: the batched pass against the
+    # per-pair route (status, and the witness map when the class vanishes)
+    from bolext.bol import automorphism_int_arrays, int_matrix
+    from bolext.core import DEFAULT_ENUMERATION_BOUND
+    from bolext.wells import (_VERDICT_STATUS, _abelian_class_verdicts,
+                              _wells_verdict)
+
+    e = _extension(F5, name)
+    c = theta_map(e)
+    base_auts = automorphism_int_arrays(e.base)
+    fiber_auts = automorphism_int_arrays(e.fiber)
+    nb = len(fiber_auts)
+    seen = 0
+    # a chunk size that does not divide the pair count
+    for start, status, phi in _abelian_class_verdicts(c, base_auts, fiber_auts,
+                                                      chunk=700):
+        assert start == seen
+        for k in range(len(status)):
+            i = start + k
+            pair = AutPair(int_matrix(F5, base_auts[i // nb]),
+                           int_matrix(F5, fiber_auts[i % nb]))
+            want = _wells_verdict(c, pair, DEFAULT_ENUMERATION_BOUND)
+            assert _VERDICT_STATUS[status[k]] == want.status
+            if want.status == "zero":
+                assert want.witness == int_matrix(F5, phi[k])
+            else:
+                assert not phi[k].any()
+        seen += len(status)
+    assert seen == len(base_auts) * nb
+
+
+@pytest.mark.parametrize("name,pairs,incompatible", [
+    ("z2_mu_first", 1920, 1840), ("s2_r_s2", 80, 0)])
+def test_exactness_on_semidirect_extensions(F5, name, pairs, incompatible):
+    rep = verify_wells_exactness(_extension(F5, name))
+    assert rep.all_verdicts
+    assert rep.aut_v_total == 400
+    assert rep.aut_fixing_both == 5 == rep.z1_count
+    assert rep.image_kappa == 80 == rep.kernel_wells
+    assert rep.pairs_total == pairs
+    assert rep.incompatible_pairs == incompatible
+
+
+def test_exactness_with_nonabelian_fiber(F5):
+    # fiber s2 is not abelian, so the class verdicts take the per-pair route
+    e = as_extension(NonAbelianCocycle.zero(z1(F5), s2(F5)))
+    rep = verify_wells_exactness(e)
+    assert rep.all_verdicts
+    assert (rep.aut_v_total, rep.aut_fixing_both, rep.z1_count) == (80, 1, 1)
+    assert rep.pairs_total == rep.image_kappa == rep.kernel_wells == 80
+    assert rep.incompatible_pairs == 0
+
+
+@pytest.mark.parametrize("name", ["e_h3", "s2_trivial", "z2_theta_omega",
+                                  "z2_theta_omega_mu0", "bracket_base"])
+def test_residue_pair_steps_match_scalar_route(F5, name):
+    # the steps of the batched pass on sampled pairs, incompatible ones
+    # included, against the scalar functions they stand for; the witness
+    # check runs over every map base -> fiber
+    from bolext.bol import automorphism_int_arrays, int_matrix
+    from bolext.exactlin import enumerate_vectors
+    from bolext.nonabelian import cocycles_equivalent_via, solve_equivalence
+    from bolext.wells import (_act, _cocycle_arrays, _equivalent_via,
+                              _intertwines, _pair_compatible_with_cocycle,
+                              _same_actions)
+
+    e = _extension(F5, name)
+    c = theta_map(e)
+    arr = _cocycle_arrays(c)
+    bil, tri = c.base.int_arrays()
+    maps = [Matrix(F5, [[v[q * c.m + t] for q in range(c.n)] for t in range(c.m)])
+            for v in enumerate_vectors(F5, c.n * c.m)]
+    phis = np.array([[[int(x.value) for x in row] for row in f.entries]
+                     for f in maps])
+    base_auts = automorphism_int_arrays(e.base)
+    fiber_auts = automorphism_int_arrays(e.fiber)
+    nb = len(fiber_auts)
+
+    def batch_of_one(g):
+        return np.asarray(g, dtype=np.int64)[None]
+
+    def inverse(g):
+        return batch_of_one([[int(x.value) for x in row]
+                             for row in int_matrix(F5, g).inverse().entries])
+
+    for i in range(0, len(base_auts) * nb, 13):
+        ga, gb = base_auts[i // nb], fiber_auts[i % nb]
+        pair = AutPair(int_matrix(F5, ga), int_matrix(F5, gb))
+        acted = act_on_cocycle(c, pair)
+        got = _act(arr, inverse(ga), batch_of_one(gb), inverse(gb), 5)
+        assert all((a[0] == b).all() for a, b in zip(got, _cocycle_arrays(acted)))
+        assert _intertwines(arr, batch_of_one(ga), batch_of_one(gb),
+                            inverse(gb), 5)[0] == \
+            _pair_compatible_with_cocycle(c, pair)
+        gated = solve_equivalence(acted, c).reason in ("eqv-mu", "eqv-theta", "eqv-d")
+        assert _same_actions(got, arr)[0] == (not gated)
+        many = got.take(np.zeros(len(maps), dtype=np.int64))
+        assert _equivalent_via(many, arr, phis, bil, tri, 5).tolist() == \
+            [cocycles_equivalent_via(acted, c, f).valid for f in maps]
