@@ -56,12 +56,6 @@ class BolAlgebra:
             raise UsageError("trilinear tensor has wrong shape")
 
     # -- evaluation ----------------------------------------------------------
-    def star_basis(self, i, j) -> tuple:
-        return self.bil[i][j]
-
-    def bracket_basis(self, i, j, k) -> tuple:
-        return self.tri[i][j][k]
-
     def star(self, x, y) -> tuple:
         n = self.dim
         if len(x) != n or len(y) != n:

@@ -7,19 +7,29 @@ are deterministic and ranges can be partitioned.
 """
 from __future__ import annotations
 
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 
 from .errors import UnsupportedEnumerationError
 
 _CHUNK = 1 << 16
-_INT64_LIMIT = 1 << 63
 
 
 def _dtype(p: int):
-    # intermediate sums stay below 2^15 only for tiny p
+    # storage for residues and their sums in the small identity suites
     return np.int16 if p <= 7 else np.int64
+
+
+def _headroom_dtype(terms: int, degree: int, p: int):
+    """The narrowest integer type that holds a sum of `terms` products of
+    `degree` residues mod p; raises where even int64 does not."""
+    worst = max(terms, 1) * (p - 1) ** degree
+    for dt in (np.int16, np.int32, np.int64):
+        if worst <= np.iinfo(dt).max:
+            return dt
+    raise UnsupportedEnumerationError(
+        f"{terms} products of {degree} residues mod {p} overflow int64")
 
 
 def digit_block(start: int, stop: int, p: int, width: int, dtype) -> np.ndarray:
@@ -122,6 +132,7 @@ def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int, chunk=_
 def det_mask(M: np.ndarray, p: int) -> np.ndarray:
     """Nonzero-determinant mask; supports n <= 3."""
     n = M.shape[1]
+    M = M.astype(_headroom_dtype(factorial(n), n, p), copy=False)
     if n == 1:
         d = M[:, 0, 0]
     elif n == 2:
@@ -163,15 +174,26 @@ def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int,
 
 def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """Mask of matrices (columns = basis images) commuting with both products
-    of one fixed structure."""
-    lhs2 = np.einsum("bai,bcj,acl->bijl", M, M, bil, optimize=True) % p
-    rhs2 = np.einsum("blq,ijq->bijl", M, bil) % p
+    of one fixed structure.
+
+    Each contraction runs in the narrowest integer type its worst-case sum
+    fits (`_headroom_dtype`); residues are nonnegative, so no partial sum of
+    any contraction order exceeds it."""
+    n = M.shape[1]
+
+    def contract(spec, terms, *ops):
+        dt = _headroom_dtype(terms, len(ops), p)
+        return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops),
+                         optimize=len(ops) > 2) % p
+
+    lhs2 = contract("bai,bcj,acl->bijl", n ** 2, M, M, bil)
+    rhs2 = contract("blq,ijq->bijl", n, M, bil)
     ok = ~np.any((lhs2 - rhs2) % p, axis=(1, 2, 3))
     if ok.any():
         idx = np.flatnonzero(ok)
         sub = M[idx]
-        lhs3 = np.einsum("bai,bcj,bdk,acdl->bijkl", sub, sub, sub, tri, optimize=True) % p
-        rhs3 = np.einsum("blq,ijkq->bijkl", sub, tri) % p
+        lhs3 = contract("bai,bcj,bdk,acdl->bijkl", n ** 3, sub, sub, sub, tri)
+        rhs3 = contract("blq,ijkq->bijkl", n, sub, tri)
         ok[idx] = ~np.any((lhs3 - rhs3) % p, axis=(1, 2, 3, 4))
     return ok
 
@@ -289,9 +311,7 @@ def semidirect_arrays(bil, tri, mu, theta, dd, p):
 
 def require_int64_headroom(terms: int, degree: int, p: int):
     """Raise unless a sum of `terms` products of `degree` residues fits int64."""
-    if max(terms, 1) * (p - 1) ** degree >= _INT64_LIMIT:
-        raise UnsupportedEnumerationError(
-            f"{terms} products of {degree} residues mod {p} overflow int64")
+    _headroom_dtype(terms, degree, p)
 
 
 def contract_mod(spec: str, p: int, *operands) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 = the computation succeeded / the property holds, 1 = the
 property fails (invalid structure, inequivalent objects, non-inducible pair,
-inexact sequence), 2 = usage, parse, or enumeration-bound errors.  Reports
-are deterministic byte-for-byte for identical inputs and options.
+inexact sequence), 2 = usage, parse, or enumeration-bound errors, and a
+failed internal consistency check (no verdict is given).  Reports are
+deterministic byte-for-byte for identical inputs and options.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from . import documents as docs
 from .bol import enumerate_automorphisms, enumerate_bol_algebras, validate_bol
 from .cohomology import cohomology23
 from .core import DEFAULT_ENUMERATION_BOUND, Status, Variant
-from .errors import ParseError, UnsupportedEnumerationError, UsageError
+from .errors import (InternalConsistencyError, ParseError,
+                     UnsupportedEnumerationError, UsageError)
 from .exactlin import Matrix, PrimeField, RATIONALS, enumerate_vectors
 from .extensions import (as_extension, canonical_section, classify_corpus,
                          extensions_equivalent, extract_cocycle, make_section,
@@ -25,10 +27,6 @@ from .nonabelian import (cocycles_equivalent_via, solve_equivalence,
 from .representation import semidirect_product, validate_representation
 from .wells import (AutPair, inducible_via, lift_automorphism, solve_inducibility,
                     verify_wells_exactness, wells_map)
-
-
-def _field_of(obj):
-    return obj.field
 
 
 def _print_report(kind, report, field):
@@ -436,6 +434,9 @@ def main(argv=None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
+        return 2
+    except InternalConsistencyError as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
         return 2
 
 

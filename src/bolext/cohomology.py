@@ -491,7 +491,7 @@ def cohomology23(a: BolAlgebra, r: Representation,
                  variant: Variant = Variant.CORRECTED) -> CohomologyResult:
     """Cocycle space, coboundary space and quotient dimension over the free
     coordinates, with deterministic quotient representatives."""
-    rep = validate_precondition(a, r)
+    validate_precondition(a, r)
     coords = CochainCoords(a.dim, r.module_dim, a.field)
     constraint = cocycle_constraint_matrix(a, r, variant)
     z_basis = constraint.kernel()

@@ -33,7 +33,7 @@ from .representation import Representation
 from .wells import AutPair
 
 __all__ = [
-    "parse_document", "load_document", "canonical_json",
+    "parse_document", "canonical_json",
     "algebra_from_doc", "algebra_to_doc", "representation_from_doc",
     "representation_to_doc", "cochain_pair_from_doc", "cochain_pair_to_doc",
     "nab_from_doc", "nab_to_doc", "extension_from_doc", "extension_to_doc",
@@ -383,7 +383,3 @@ def parse_document(path: str, kind: str, **ctx):
 
 def load_algebra(path) -> BolAlgebra:
     return parse_document(path, "algebra")
-
-
-def load_document(path: str, kind: str, **ctx):
-    return parse_document(path, kind, **ctx)

@@ -4,7 +4,8 @@ Exit-code mapping used by the CLI: UsageError, ParseError and
 UnsupportedEnumerationError are operator mistakes or out-of-bounds requests
 (exit 2); a failed property is reported through return values, never through
 exceptions (exit 1); InternalConsistencyError signals a broken invariant that
-should be unreachable on well-formed inputs.
+should be unreachable on well-formed inputs (exit 2, since no verdict can be
+trusted).
 """
 
 

@@ -25,10 +25,13 @@ __all__ = [
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of _MR_BASES (Jiang and Deng, 2014)
+MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin (exact for n < MR_EXACT_BELOW, about 3.2e23;
+    that modulus itself is composite yet passes)."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -174,6 +177,9 @@ class PrimeField:
     is_prime_field = True
 
     def __init__(self, p: int):
+        if p >= MR_EXACT_BELOW:
+            raise UsageError(f"modulus {p} is too large: primality is only "
+                             f"proven below {MR_EXACT_BELOW}")
         if not is_prime(p):
             raise UsageError(f"modulus {p} is not prime")
         if p in (2, 3):

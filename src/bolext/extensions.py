@@ -9,6 +9,11 @@ exactness, dims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
+
+from . import bruteforce
 from .bol import BolAlgebra, h3, is_morphism, z2, zero_algebra
 from .cohomology import Cochain2, Cochain3, CochainCoords
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
@@ -17,8 +22,10 @@ from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
 from .exactlin import (Matrix, Subspace, enumerate_vectors, kernel_basis,
                        vec_is_zero, zero_vec)
-from .nonabelian import (NonAbelianCocycle, build_extension_algebra,
-                         solve_equivalence, validate_nab_cocycle)
+from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
+                         _equivalence_matrix, _equivalent_via, _residues,
+                         build_extension_algebra, solve_equivalence,
+                         validate_nab_cocycle)
 from .representation import Representation
 
 __all__ = [
@@ -287,6 +294,11 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     """Enumerate all valid cocycles with the given fixed action maps over a
     prime field and partition them into equivalence classes.
 
+    An abelian fiber is classed by coset key in one elimination
+    (`_coset_classes`); any other fiber by pairwise search
+    (`_pairwise_classes`).  Either way the first valid cocycle of each class,
+    in candidate order, represents it.
+
     Returns (class count, list of one representative per class, valid count).
     """
     field = base.field
@@ -297,7 +309,6 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
         z = Matrix.zeros(field, m, m)
         actions = ((z,) * n, tuple((z,) * n for _ in range(n)),
                    tuple((z,) * n for _ in range(n)))
-    mu, theta, dd = actions
     coords = CochainCoords(n, m, field)
     total = field.p ** coords.total
     if total > bound:
@@ -306,21 +317,107 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     if field.p ** (n * m) > bound:
         raise UnsupportedEnumerationError(
             "equivalence search space exceeds the bound")
-    reps = []
-    valid_count = 0
-    for vec in enumerate_vectors(field, coords.total):
+    cocycles = _valid_cocycles(base, fiber, actions, coords, variant)
+    if fiber.is_abelian():
+        reps, valid_count = _coset_classes(cocycles)
+    else:
+        reps, valid_count = _pairwise_classes(cocycles, bound)
+    return len(reps), reps, valid_count
+
+
+def _valid_cocycles(base, fiber, actions, coords, variant):
+    """The candidates with the fixed actions that pass `validate_nab_cocycle`,
+    in `enumerate_vectors` order."""
+    mu, theta, dd = actions
+    for vec in enumerate_vectors(base.field, coords.total):
         nu, om = coords.decode(vec)
         cand = NonAbelianCocycle(base, fiber, nu, om, mu, theta, dd)
-        if not validate_nab_cocycle(cand, variant).valid:
-            continue
-        valid_count += 1
-        for rep_c, members in reps:
+        if validate_nab_cocycle(cand, variant).valid:
+            yield cand
+
+
+def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):
+    """(representatives, count) of cocycles over one base, fiber and action
+    set: each is compared with every earlier representative."""
+    reps = []
+    count = 0
+    for cand in cocycles:
+        count += 1
+        for rep_c in reps:
             dec = solve_equivalence(cand, rep_c, bound)
             if dec.status is Status.UNDECIDED:
                 raise UnsupportedEnumerationError("equivalence undecided at bound")
             if dec.found:
-                members.append(cand)
                 break
         else:
-            reps.append((cand, [cand]))
-    return len(reps), [r for r, _ in reps], valid_count
+            reps.append(cand)
+    return reps, count
+
+
+_CLASS_CHUNK = 1 << 12
+
+
+def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
+    """`_pairwise_classes` for cocycles over a prime field with an abelian
+    fiber and one action set, decided from one elimination.
+
+    c1 ~ c2 iff c2 - c1 = L phi for some phi, where L is the omega/nu
+    equivalence matrix (`_equivalence_matrix`); it depends only on the base
+    and the actions.  With T L in reduced echelon form of rank r, that holds
+    iff (T c1)[r:] = (T c2)[r:], so this key names the class.  Each member
+    that joins an earlier class gets its canonical witness phi, and every
+    witness is checked against the member's representative.
+    """
+    reps, count = [], 0
+    classes = {}
+    rep_nu, rep_om = [], []
+    stream = iter(cocycles)
+    while batch := list(islice(stream, chunk)):
+        if not count:
+            first = batch[0]
+            p = first.field.p
+            actions = _cocycle_arrays(first)
+            system = bruteforce.rref_transform(_equivalence_matrix(first), p)
+            t, rank, _ = system
+            bil, tri = first.base.int_arrays()
+        count += len(batch)
+        nu = np.array([_residues(c.nu.grid) for c in batch])
+        om = np.array([_residues(c.omega.grid) for c in batch])
+        keys = bruteforce.contract_mod("ij,kj->ki", p, t[rank:],
+                                       _stacked_rhs(om, nu))
+        joins, joined = [], []
+        for k, key in enumerate(keys):
+            cls = classes.setdefault(key.tobytes(), len(reps))
+            if cls == len(reps):
+                reps.append(batch[k])
+                rep_nu.append(nu[k])
+                rep_om.append(om[k])
+            else:
+                joins.append(k)
+                joined.append(cls)
+        if joins:
+            members = _CocycleArrays(nu[joins], om[joins], *(
+                np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
+            targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
+                                       om=np.array([rep_om[c] for c in joined]))
+            _verify_class_witnesses(members, targets, system, bil, tri, p)
+    return reps, count
+
+
+def _stacked_rhs(om, nu):
+    """(omega, nu) residues per leading index, in the row order of
+    `_equivalence_linear_residual`."""
+    k = len(om)
+    return np.concatenate([om.reshape(k, -1), nu.reshape(k, -1)], axis=1)
+
+
+def _verify_class_witnesses(members, reps, system, bil, tri, p):
+    """Solve members[k] ~ reps[k] for the canonical witness phi of each k
+    and check it with the equivalence identities."""
+    t, rank, pivots = system
+    k, n, _, m = members.nu.shape
+    rhs = (_stacked_rhs(reps.om, reps.nu) - _stacked_rhs(members.om, members.nu)) % p
+    solvable, x = bruteforce.canonical_solutions(t, rank, pivots, n * m, rhs, p)
+    phi = x.reshape(k, n, m).transpose(0, 2, 1)
+    if not (solvable.all() and _equivalent_via(members, reps, phi, bil, tri, p).all()):
+        raise InternalConsistencyError("class witness failed verification")

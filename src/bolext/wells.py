@@ -16,7 +16,7 @@ unknown map there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .exactlin import (Matrix, Subspace, enumerate_vectors, vec_add,
                        vec_is_zero, vec_sub, zero_vec)
 from .extensions import (Extension, Section, canonical_section, extract_cocycle,
                          theta_map, validate_extension)
-from .nonabelian import (NonAbelianCocycle, _equivalence_linear_residual,
-                         _phi_param_order, solve_equivalence,
-                         validate_nab_cocycle)
+from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
+                         _equivalence_matrix, _equivalent_via,
+                         solve_equivalence, validate_nab_cocycle)
 from .representation import Representation
 
 __all__ = [
@@ -533,35 +533,6 @@ _INCOMPATIBLE, _NONZERO, _ZERO, _UNDECIDED = range(4)
 _VERDICT_CHUNK = 1 << 12
 
 
-class _CocycleArrays(NamedTuple):
-    """Cocycle data as residue arrays: nu[x,y,s], om[x,y,z,s] and the action
-    matrices mu[x,s,t], theta[x,y,s,t], dd[x,y,s,t] (row s, column t), each
-    with a leading pair axis when it belongs to an acted cocycle."""
-
-    nu: np.ndarray
-    om: np.ndarray
-    mu: np.ndarray
-    theta: np.ndarray
-    dd: np.ndarray
-
-    def take(self, mask) -> "_CocycleArrays":
-        return _CocycleArrays(*(a[mask] for a in self))
-
-
-def _residues(nested) -> np.ndarray:
-    def values(x):
-        return [values(v) for v in x] if isinstance(x, tuple) else int(x.value)
-    return np.array(values(nested), dtype=np.int64)
-
-
-def _cocycle_arrays(c: NonAbelianCocycle) -> _CocycleArrays:
-    return _CocycleArrays(
-        _residues(c.nu.grid), _residues(c.omega.grid),
-        _residues(tuple(a.entries for a in c.mu)),
-        _residues(tuple(tuple(a.entries for a in row) for row in c.theta)),
-        _residues(tuple(tuple(a.entries for a in row) for row in c.dd)))
-
-
 def _checked_automorphisms(auts: np.ndarray, a: BolAlgebra, component, role):
     """(automorphisms, inverses) as residue arrays; each matrix is checked
     once, as `validate_aut_pair` checks a component of every pair."""
@@ -620,41 +591,6 @@ def _same_actions(acted: _CocycleArrays, c: _CocycleArrays) -> np.ndarray:
     return ((acted.mu == c.mu).all(axis=(1, 2, 3))
             & (acted.theta == c.theta).all(axis=(1, 2, 3, 4))
             & (acted.dd == c.dd).all(axis=(1, 2, 3, 4)))
-
-
-def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
-                    p) -> np.ndarray:
-    """`cocycles_equivalent_via(c1[k], c2, phi[k]).valid` per k, for an
-    abelian fiber (its product terms vanish); phi[k, t, q] is the t-th
-    coordinate of phi(e_q)."""
-    f = bruteforce.contract_mod
-    om = (c1.om - c2.om
-          - f("xzst,kty->kxyzs", p, c2.theta, phi)
-          + f("xyst,ktz->kxyzs", p, c2.dd, phi)
-          + f("yzst,ktx->kxyzs", p, c2.theta, phi)
-          - f("ksq,xyzq->kxyzs", p, phi, tri)) % p
-    nu = (c1.nu - c2.nu
-          - f("ksq,xyq->kxys", p, phi, bil)
-          + f("xst,kty->kxys", p, c2.mu, phi)
-          - f("yst,ktx->kxys", p, c2.mu, phi)) % p
-    residuals = (om, nu, c1.mu - c2.mu, c1.theta - c2.theta, c1.dd - c2.dd)
-    ok = np.ones(phi.shape[0], dtype=bool)
-    for r in residuals:
-        ok &= ~np.any(r % p, axis=tuple(range(1, r.ndim)))
-    return ok
-
-
-def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
-    """Matrix of the omega/nu equivalence system of any cocycle against c:
-    rows as in `_equivalence_linear_residual`, columns in `_phi_param_order`.
-    Only the right-hand side depends on the other cocycle."""
-    field = c.field
-    cols = []
-    for q, t in _phi_param_order(c.n, c.m):
-        unit = Matrix(field, [[field.one if (ri == t and ci == q) else field.zero
-                               for ci in range(c.n)] for ri in range(c.m)])
-        cols.append(_equivalence_linear_residual(c, c, unit))
-    return _residues(tuple(cols)).T
 
 
 def _abelian_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts,

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bolext.bruteforce import (canonical_solutions, contract_mod,
+from bolext.bruteforce import (_headroom_dtype, _morphism_fixed,
+                               canonical_solutions, contract_mod,
                                require_int64_headroom, rref_transform)
 from bolext.errors import UnsupportedEnumerationError
 from bolext.exactlin import Matrix, PrimeField
@@ -73,3 +74,66 @@ def test_int64_headroom_guard():
     assert contract_mod("ij,jk->ik", 5, x, x.T).tolist() == [[3, 3], [3, 3]]
     with pytest.raises(UnsupportedEnumerationError):
         contract_mod("ij,jk,kl->il", 2 ** 31 - 1, x, x.T, x)
+
+
+def test_headroom_dtype():
+    # the four-factor contraction of the automorphism scan at n = 3
+    assert _headroom_dtype(27, 4, 5) is np.int16      # 27 * 4^4 = 6912
+    assert _headroom_dtype(27, 4, 7) is np.int32      # 27 * 6^4 = 34992
+    assert _headroom_dtype(9, 3, 1_000_003) is np.int64
+    with pytest.raises(UnsupportedEnumerationError):
+        _headroom_dtype(27, 4, 2 ** 31 - 1)
+    for terms in (1, 3, 9, 27, 1000):
+        for degree in (1, 2, 3, 4):
+            for p in (5, 7, 11, 101, 65_537, 1_000_003):
+                worst = terms * (p - 1) ** degree
+                if worst >= 2 ** 63:
+                    continue
+                dt = _headroom_dtype(terms, degree, p)
+                assert worst <= np.iinfo(dt).max
+                if dt is not np.int16:
+                    narrower = np.int16 if dt is np.int32 else np.int32
+                    assert worst > np.iinfo(narrower).max
+
+
+def _morphism_oracle(bil, tri, M, p):
+    """`_morphism_fixed` on Python integers, one matrix at a time."""
+    out = []
+    for g in M.tolist():
+        n = len(g)
+
+        def image(v):
+            return [sum(g[r][q] * v[q] for q in range(n)) % p for r in range(n)]
+
+        cols = [[g[r][i] for r in range(n)] for i in range(n)]
+        ok = True
+        for i in range(n):
+            for j in range(n):
+                lhs = [sum(cols[i][a] * cols[j][c] * int(bil[a][c][l])
+                           for a in range(n) for c in range(n)) % p
+                       for l in range(n)]
+                ok &= lhs == image([int(v) for v in bil[i][j]])
+                for k in range(n):
+                    lhs = [sum(cols[i][a] * cols[j][c] * cols[k][d] * int(tri[a][c][d][l])
+                               for a in range(n) for c in range(n) for d in range(n)) % p
+                           for l in range(n)]
+                    ok &= lhs == image([int(v) for v in tri[i][j][k]])
+        out.append(ok)
+    return out
+
+
+def test_morphism_mask_at_p7_has_headroom():
+    # tri(x, y, z) = s(x) s(y) s(z) w with s the coordinate sum; every column
+    # of g sums to 4 = 18 mod 7 and g w = w = 4^3 w, so g commutes with tri,
+    # while the lhs entry at (0, 0, 0, 0) sums 27 * 6^4 = 34992 > 2^15 - 1
+    p = 7
+    g = np.array([[6, 0, 1], [6, 0, 6], [6, 4, 4]])
+    w = np.array([6, 3, 5])
+    tri = np.broadcast_to(w, (3, 3, 3, 3))
+    bil = np.zeros((3, 3, 3), dtype=np.int64)
+    batch = np.stack([g, np.full((3, 3), 6), (g + np.eye(3, dtype=np.int64)) % p])
+    want = _morphism_oracle(bil, tri, batch, p)
+    assert want == [True, False, False]
+    for dt in (np.int16, np.int64):
+        got = _morphism_fixed(bil.astype(dt), tri.astype(dt), batch.astype(dt), p)
+        assert got.tolist() == want

@@ -186,3 +186,27 @@ def test_bad_map_spec_or_missing_option_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_internal_consistency_error_exit_2(capsys, monkeypatch):
+    import bolext.cli as cli
+    from bolext.errors import InternalConsistencyError
+
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("class witness failed verification")
+
+    monkeypatch.setattr(cli, "classify_corpus", broken)
+    code, out = run_cli("classify", "--base", C("z1_gf5.bol"),
+                        "--fiber", C("z1_gf5.bol"))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == ("error: internal consistency check failed: "
+                   "class witness failed verification\n")
+
+
+def test_unprovable_modulus_exit_2(capsys):
+    code, out = run_cli("enumerate", "--kind", "algebras",
+                        "--field", "318665857834031151167461", "--dim", "1")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "too large" in err

@@ -21,6 +21,16 @@ def test_prime_field_restrictions():
         PrimeField(3)
 
 
+def test_prime_field_rejects_unprovable_moduli():
+    # the least strong pseudoprime to every Miller-Rabin base in use
+    # (399165290221 * 798330580441), which the test alone would accept
+    psi12 = 318_665_857_834_031_151_167_461
+    assert PrimeField(psi12 - 20).p == psi12 - 20  # the largest prime below
+    for p in (psi12, 2 ** 89 - 1):
+        with pytest.raises(UsageError, match="too large"):
+            PrimeField(p)
+
+
 def test_modp_arithmetic():
     a, b = ModP(3, 5), ModP(4, 5)
     assert a + b == 2

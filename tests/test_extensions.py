@@ -1,11 +1,17 @@
+from functools import lru_cache
+
 import pytest
 
+from bolext import bruteforce
+from bolext import documents as docs
+from bolext import extensions
 from bolext.bol import s2, z1, z2, zero_algebra
-from bolext.cohomology import Cochain2
-from bolext.core import Status
-from bolext.errors import UsageError
-from bolext.exactlin import Matrix
-from bolext.extensions import (Extension, as_extension, canonical_section,
+from bolext.cohomology import Cochain2, CochainCoords
+from bolext.core import Status, Variant
+from bolext.errors import InternalConsistencyError, UsageError
+from bolext.exactlin import Matrix, PrimeField
+from bolext.extensions import (Extension, _coset_classes, _pairwise_classes,
+                               _valid_cocycles, as_extension, canonical_section,
                                classify_corpus, extensions_equivalent,
                                extract_cocycle, make_section,
                                semidirect_extension, theta_map,
@@ -13,6 +19,8 @@ from bolext.extensions import (Extension, as_extension, canonical_section,
 from bolext.nonabelian import (NonAbelianCocycle, cocycles_equivalent_via,
                                solve_equivalence)
 from bolext.representation import r_s2
+
+from conftest import corpus_dir
 
 
 def test_validate_extension(F5, ext_h3_f5):
@@ -105,3 +113,80 @@ def test_classify_corpus_small(F5):
     # representatives round-trip through their built extensions
     for c in reps[:5]:
         assert solve_equivalence(theta_map(as_extension(c)), c).found
+
+
+_BASES = {"z1": z1, "s2": s2, "z2": z2}
+
+
+def _zero_actions(field, n, m):
+    z = Matrix.zeros(field, m, m)
+    return ((z,) * n, tuple((z,) * n for _ in range(n)),
+            tuple((z,) * n for _ in range(n)))
+
+
+@lru_cache(maxsize=None)
+def _classify_input(base_name, actions_doc, variant):
+    """(base, fiber, actions, valid candidates) over GF(5), fiber z1."""
+    field = PrimeField(5)
+    base, fiber = _BASES[base_name](field), zero_algebra(field, 1)
+    if actions_doc is None:
+        actions = _zero_actions(field, base.dim, 1)
+    else:
+        r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
+        actions = (r.mu, r.theta, r.dd)
+    coords = CochainCoords(base.dim, 1, field)
+    cands = tuple(_valid_cocycles(base, fiber, actions, coords, variant))
+    return base, fiber, actions, cands
+
+
+def _pairs(reps):
+    return [(c.nu, c.omega) for c in reps]
+
+
+@pytest.mark.parametrize("base_name, actions_doc, variant, want", [
+    ("z1", None, Variant.CORRECTED, (1, 1)),
+    ("s2", None, Variant.CORRECTED, (25, 125)),
+    ("z2", None, Variant.CORRECTED, (125, 125)),
+    ("s2", "r_s2_gf5.rep", Variant.CORRECTED, (5, 25)),
+    ("s2", "r_s2_gf5.rep", Variant.STRICT, (5, 25)),
+])
+def test_coset_classes_match_pairwise(base_name, actions_doc, variant, want):
+    base, fiber, actions, cands = _classify_input(base_name, actions_doc, variant)
+    count, reps, valid = classify_corpus(base, fiber, actions, variant=variant)
+    assert (count, valid) == want
+    oracle_reps, oracle_valid = _pairwise_classes(cands)
+    assert (len(oracle_reps), oracle_valid) == want
+    assert _pairs(reps) == _pairs(oracle_reps)
+    coset_reps, coset_valid = _coset_classes(cands, chunk=7)
+    assert coset_valid == valid and _pairs(coset_reps) == _pairs(reps)
+
+
+def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):
+    seen = []
+
+    def no_cosets(cocycles, chunk=0):
+        raise AssertionError("coset route taken for a non-abelian fiber")
+
+    def spy(cocycles, bound):
+        out = _pairwise_classes(cocycles, bound)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(extensions, "_coset_classes", no_cosets)
+    monkeypatch.setattr(extensions, "_pairwise_classes", spy)
+    count, reps, valid = classify_corpus(z1(F5), s2(F5))
+    assert (count, valid) == (1, 1)
+    assert seen == [(reps, valid)]
+
+
+def test_corrupted_class_witness_raises(monkeypatch):
+    *_, cands = _classify_input("s2", None, Variant.CORRECTED)
+    solve = bruteforce.canonical_solutions
+
+    def corrupted(t, rank, pivots, cols, b, p):
+        consistent, x = solve(t, rank, pivots, cols, b, p)
+        return consistent, (x + 1) % p
+
+    monkeypatch.setattr(bruteforce, "canonical_solutions", corrupted)
+    with pytest.raises(InternalConsistencyError):
+        _coset_classes(cands)

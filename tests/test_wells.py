@@ -320,9 +320,9 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
     # check runs over every map base -> fiber
     from bolext.bol import automorphism_int_arrays, int_matrix
     from bolext.exactlin import enumerate_vectors
-    from bolext.nonabelian import cocycles_equivalent_via, solve_equivalence
-    from bolext.wells import (_act, _cocycle_arrays, _equivalent_via,
-                              _intertwines, _pair_compatible_with_cocycle,
+    from bolext.nonabelian import (_cocycle_arrays, _equivalent_via,
+                                   cocycles_equivalent_via, solve_equivalence)
+    from bolext.wells import (_act, _intertwines, _pair_compatible_with_cocycle,
                               _same_actions)
 
     e = _extension(F5, name)
