@@ -33,7 +33,9 @@ def _headroom_dtype(terms: int, degree: int, p: int):
 
 
 def digit_block(start: int, stop: int, p: int, width: int, dtype) -> np.ndarray:
-    """Rows start..stop-1 written base p, most significant digit first."""
+    """Rows start..stop-1 written base p, most significant digit first;
+    raises unless p^width - 1 (and p itself) fits int64."""
+    require_int64_headroom(1, 1, p ** max(width, 1))
     idx = np.arange(start, stop, dtype=np.int64)
     weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] // weights[None, :]) % p).astype(dtype)

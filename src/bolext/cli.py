@@ -87,6 +87,13 @@ def _require_options(args, *names):
         raise UsageError(f"--kind {args.kind} needs {' and '.join(missing)}")
 
 
+def _field_and_dim(args):
+    _require_options(args, "field", "dim")
+    if args.dim < 0:
+        raise UsageError(f"--dim must be nonnegative, got {args.dim}")
+    return _parse_field(args.field)
+
+
 def _load_phi(args, field, m, n):
     if args.phi is None:
         return None
@@ -283,8 +290,7 @@ def _cmd_exactness(args):
 
 def _cmd_enumerate(args):
     if args.kind == "algebras":
-        _require_options(args, "field", "dim")
-        field = _parse_field(args.field)
+        field = _field_and_dim(args)
         count = 0
         for a in enumerate_bol_algebras(field, args.dim, args.tri_zero, args.bound):
             count += 1
@@ -302,8 +308,10 @@ def _cmd_enumerate(args):
         print(f"count: {len(auts)}")
         return 0
     if args.kind == "vectors":
-        _require_options(args, "field", "dim")
-        field = _parse_field(args.field)
+        field = _field_and_dim(args)
+        if field.is_prime_field and field.p ** args.dim > args.bound:
+            raise UnsupportedEnumerationError(
+                f"{field.p ** args.dim} vectors exceed the bound {args.bound}")
         count = 0
         for vec in enumerate_vectors(field, args.dim):
             count += 1

@@ -25,8 +25,8 @@ from typing import Optional
 from .bol import BolAlgebra
 from .core import ValidationReport, Variant
 from .errors import UsageError
-from .exactlin import (Matrix, Subspace, vec_add, vec_is_zero, vec_neg,
-                       vec_scale, vec_sub, zero_vec)
+from .exactlin import (Matrix, Subspace, basis_vec, vec_add, vec_is_zero,
+                       vec_neg, vec_scale, vec_sub, zero_vec)
 from .representation import Representation
 
 __all__ = [
@@ -139,6 +139,21 @@ class Cochain3:
         return all(vec_is_zero(vec_add(self.grid[i][j][k], self.grid[j][i][k]))
                    for i in range(self.n) for j in range(i, self.n)
                    for k in range(self.n))
+
+
+# ---------------------------------------------------------------------------
+# maps B -> V by parameters
+
+def _phi_from_params(field, n, m, vec) -> Matrix:
+    """The m x n matrix of a map B -> V from its parameters in column-major
+    order: vec[q*m + t] is coordinate t of phi(e_q).  Extra entries of vec
+    are ignored."""
+    return Matrix(field, [[vec[q * m + t] for q in range(n)] for t in range(m)])
+
+
+def _unit_phi(field, n, m, k) -> Matrix:
+    """The map whose k-th parameter is one and every other zero."""
+    return _phi_from_params(field, n, m, basis_vec(field, n * m, k))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +477,12 @@ def coboundary_matrix(a: BolAlgebra, r: Representation):
     coords = CochainCoords(a.dim, r.module_dim, a.field)
     n, m = a.dim, r.module_dim
     cols = []
-    for q in range(n):
-        for t in range(m):
-            f = Matrix(a.field, [[a.field.one if (ri == t and ci == q) else a.field.zero
-                                  for ci in range(n)] for ri in range(m)])
-            nu, om = coboundary(f, zero_vec(a.field, m), a, r)
-            cols.append(coords.encode(nu, om))
+    for k in range(n * m):
+        nu, om = coboundary(_unit_phi(a.field, n, m, k), zero_vec(a.field, m), a, r)
+        cols.append(coords.encode(nu, om))
     zf = Matrix.zeros(a.field, m, n)
     for t in range(m):
-        chi = tuple(a.field.one if s == t else a.field.zero for s in range(m))
-        nu, om = coboundary(zf, chi, a, r)
+        nu, om = coboundary(zf, basis_vec(a.field, m, t), a, r)
         cols.append(coords.encode(nu, om))
     return Matrix.from_cols(a.field, cols, rows=coords.total), coords
 
@@ -532,6 +543,6 @@ def cocycles_cohomologous(a: BolAlgebra, r: Representation, c1, c2,
     if sol is None:
         return None
     n, m = a.dim, r.module_dim
-    f = Matrix(a.field, [[sol[q * m + t] for q in range(n)] for t in range(m)])
+    f = _phi_from_params(a.field, n, m, sol)
     chi = tuple(sol[n * m + t] for t in range(m))
     return f, chi

@@ -168,6 +168,13 @@ def representation_from_doc(doc, path) -> Representation:
     n, m = doc["algebra_dim"], doc["module_dim"]
     if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
         _fail(path, "algebra_dim", "dimensions must be positive integers")
+    mu, theta, dd = _actions_from_doc(doc, field, n, m, path)
+    return Representation(field, n, m, mu, theta, dd)
+
+
+def _actions_from_doc(doc, field, n, m, path):
+    """(mu, theta, D) of a representation or cocycle document; D must be
+    alternating."""
     if not isinstance(doc["mu"], list) or len(doc["mu"]) != n:
         _fail(path, "mu", f"expected {n} matrices")
     mu = tuple(matrix_from_doc(field, doc["mu"][i], m, m, path, f"mu[{i}]")
@@ -187,7 +194,7 @@ def representation_from_doc(doc, path) -> Representation:
         for j in range(i, n):
             if not (dd[i][j] + dd[j][i]).is_zero():
                 _fail(path, f"D[{i}][{j}]", "D must be alternating")
-    return Representation(field, n, m, mu, theta, dd)
+    return mu, theta, dd
 
 
 def representation_to_doc(r: Representation):
@@ -272,25 +279,7 @@ def nab_from_doc(doc, path, base_dir=".") -> NonAbelianCocycle:
     field = base.field
     nu, om = cochain_pair_from_doc({"nu": doc["nu"], "omega": doc["omega"]},
                                    field, n, m, path)
-    if not isinstance(doc["mu"], list) or len(doc["mu"]) != n:
-        _fail(path, "mu", f"expected {n} matrices")
-    mu = tuple(matrix_from_doc(field, doc["mu"][i], m, m, path, f"mu[{i}]")
-               for i in range(n))
-
-    def grid(key):
-        g = doc[key]
-        if not isinstance(g, list) or len(g) != n or any(
-                not isinstance(r, list) or len(r) != n for r in g):
-            _fail(path, key, f"expected an {n}x{n} grid of matrices")
-        return tuple(tuple(matrix_from_doc(field, g[i][j], m, m, path,
-                                           f"{key}[{i}][{j}]")
-                           for j in range(n)) for i in range(n))
-
-    theta, dd = grid("theta"), grid("D")
-    for i in range(n):
-        for j in range(i, n):
-            if not (dd[i][j] + dd[j][i]).is_zero():
-                _fail(path, f"D[{i}][{j}]", "D must be alternating")
+    mu, theta, dd = _actions_from_doc(doc, field, n, m, path)
     return NonAbelianCocycle(base, fiber, nu, om, mu, theta, dd)
 
 

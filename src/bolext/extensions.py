@@ -209,17 +209,7 @@ def as_extension(c: NonAbelianCocycle) -> Extension:
 
 def semidirect_extension(a: BolAlgebra, r: Representation) -> Extension:
     """The split extension of a by its module (fiber taken abelian)."""
-    from .representation import semidirect_product
-    total = semidirect_product(a, r)
-    fiber = zero_algebra(a.field, r.module_dim)
-    n, m = a.dim, r.module_dim
-    inj = Matrix.from_cols(a.field, [zero_vec(a.field, n) +
-                                     tuple(a.field.one if t == v else a.field.zero
-                                           for t in range(m))
-                                     for v in range(m)], rows=n + m)
-    proj = Matrix(a.field, [[a.field.one if c == rr else a.field.zero
-                             for c in range(n + m)] for rr in range(n)])
-    return Extension(fiber, total, a, inj, proj)
+    return as_extension(NonAbelianCocycle.split(a, r))
 
 
 def e_h3(field) -> Extension:
@@ -406,7 +396,7 @@ def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
 
 def _stacked_rhs(om, nu):
     """(omega, nu) residues per leading index, in the row order of
-    `_equivalence_linear_residual`."""
+    `_equivalence_residuals`."""
     k = len(om)
     return np.concatenate([om.reshape(k, -1), nu.reshape(k, -1)], axis=1)
 

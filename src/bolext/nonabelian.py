@@ -29,6 +29,15 @@ and the corrected extras:
   theta-mu-star, mu-bracket, mu-bracket-leibniz,
   omega-central-1/2/3, theta-central-1/2/3,
   d-bracket-comm, theta-bracket-comm
+
+Decisions about an unknown map phi: B -> V (equivalence here; inducibility
+and degree-one cocycles in `wells`) share one path.  Each identity suite is
+written once, as a generator of (tag, where, residual) in report order: its
+nonzero residuals form the `ValidationReport`, and the concatenated rows of
+the tags that are affine in phi (abelian fiber) form the linear system.
+`_affine_system` probes that system at the zero map and at each unit map,
+`_solve_for_phi` solves it with free parameters at zero, and `_search_phi`
+searches GF(p) maps exhaustively when the fiber is not abelian.
 """
 from __future__ import annotations
 
@@ -38,13 +47,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bruteforce
-from .bol import BolAlgebra
-from .cohomology import Cochain2, Cochain3
+from .bol import BolAlgebra, zero_algebra
+from .cohomology import Cochain2, Cochain3, _phi_from_params, _unit_phi
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport, Variant)
 from .errors import UsageError
-from .exactlin import (Matrix, enumerate_vectors, vec_add, vec_is_zero,
-                       vec_scale, vec_sub, zero_vec)
+from .exactlin import (Matrix, basis_vec, enumerate_vectors, vec_add,
+                       vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec)
+from .representation import ActionOps, Representation
 
 __all__ = [
     "NonAbelianCocycle", "validate_nab_cocycle", "build_extension_algebra",
@@ -53,7 +63,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NonAbelianCocycle:
+class NonAbelianCocycle(ActionOps):
     """Cocycle data: nu, omega are fiber-valued cochains on the base; mu[i],
     theta[i][j], dd[i][j] are fiber endomorphism matrices."""
 
@@ -71,21 +81,7 @@ class NonAbelianCocycle:
             raise UsageError("base and fiber must share a field")
         if self.nu.n != n or self.nu.m != m or self.omega.n != n or self.omega.m != m:
             raise UsageError("cochain shapes do not match base and fiber")
-        if len(self.mu) != n:
-            raise UsageError("mu needs one matrix per base basis vector")
-        for mat in self.mu:
-            self._check(mat, m)
-        for grid in (self.theta, self.dd):
-            if len(grid) != n or any(len(r) != n for r in grid):
-                raise UsageError("action grid has wrong shape")
-            for r in grid:
-                for mat in r:
-                    self._check(mat, m)
-
-    def _check(self, mat, m):
-        if not isinstance(mat, Matrix) or mat.rows != m or mat.cols != m \
-                or mat.field != self.base.field:
-            raise UsageError("action matrix has wrong shape or field")
+        self._check_actions(n, "base")
 
     @property
     def n(self):
@@ -108,37 +104,18 @@ class NonAbelianCocycle:
                    (z,) * n, tuple((z,) * n for _ in range(n)),
                    tuple((z,) * n for _ in range(n)))
 
+    @classmethod
+    def split(cls, base: BolAlgebra, r: Representation) -> "NonAbelianCocycle":
+        """The zero cocycle over base whose actions on an abelian fiber are
+        r's: its glued algebra is the semidirect sum."""
+        n, m = base.dim, r.module_dim
+        return cls(base, zero_algebra(base.field, m),
+                   Cochain2.zero(n, m, base.field), Cochain3.zero(n, m, base.field),
+                   r.mu, r.theta, r.dd)
+
     def same_shape(self, other: "NonAbelianCocycle") -> bool:
         """Equivalence only makes sense over one base and one fiber."""
         return self.base == other.base and self.fiber == other.fiber
-
-    # linear extensions
-    def mu_op(self, x) -> Matrix:
-        out = Matrix.zeros(self.field, self.m, self.m)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.mu[i].scale(c)
-        return out
-
-    def theta_op(self, x, y) -> Matrix:
-        out = Matrix.zeros(self.field, self.m, self.m)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    out = out + self.theta[i][j].scale(ci * cj)
-        return out
-
-    def dd_op(self, x, y) -> Matrix:
-        out = Matrix.zeros(self.field, self.m, self.m)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    out = out + self.dd[i][j].scale(ci * cj)
-        return out
 
 
 def validate_nab_cocycle(c: NonAbelianCocycle,
@@ -186,8 +163,8 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
                 out = vec_add(out, vec_scale(s, om.at(i, j, q)))
         return out
 
-    ev = [  # fiber basis vectors
-        tuple(field.one if t == s else field.zero for s in range(m)) for t in range(m)]
+    eb = [basis_vec(field, n, i) for i in range(n)]
+    ev = [basis_vec(field, m, a) for a in range(m)]
 
     for i in range(n):
         for j in range(i, n):
@@ -244,7 +221,7 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
                 for a in range(m):
                     b = ev[a]
                     r = c.dd[x][y].apply(c.mu[z].apply(b))
-                    r = vec_add(r, c.theta_op(_basis(field, n, z), B.bil[x][y]).apply(b))
+                    r = vec_add(r, c.theta_op(eb[z], B.bil[x][y]).apply(b))
                     r = vec_sub(r, c.mu_op(B.tri[x][y][z]).apply(b))
                     r = vec_sub(r, V.star(om.at(x, y, z), b))
                     r = vec_sub(r, c.mu[z].apply(c.dd[x][y].apply(b)))
@@ -294,7 +271,7 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
                 for w in range(n):
                     for a in range(m):
                         b = ev[a]
-                        r = c.theta_op(_basis(field, n, x), B.tri[y][z][w]).apply(b)
+                        r = c.theta_op(eb[x], B.tri[y][z][w]).apply(b)
                         r = vec_sub(r, c.theta[z][w].apply(c.theta[x][y].apply(b)))
                         r = vec_add(r, c.theta[y][w].apply(c.theta[x][z].apply(b)))
                         r = vec_sub(r, c.dd[y][z].apply(c.theta[x][w].apply(b)))
@@ -305,7 +282,7 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
             for z in range(n):
                 for a in range(m):
                     b = ev[a]
-                    r = c.theta_op(_basis(field, n, x), B.bil[y][z]).apply(b)
+                    r = c.theta_op(eb[x], B.bil[y][z]).apply(b)
                     r = vec_sub(r, c.mu[y].apply(c.theta[x][z].apply(b)))
                     r = vec_add(r, c.mu[z].apply(c.theta[x][y].apply(b)))
                     r = vec_add(r, c.dd[y][z].apply(c.mu[x].apply(b)))
@@ -324,14 +301,14 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
                         b = ev[a]
                         r = c.dd[x][y].apply(c.theta[z][w].apply(b))
                         r = vec_sub(r, c.theta[z][w].apply(c.dd[x][y].apply(b)))
-                        r = vec_sub(r, c.theta_op(B.tri[x][y][z], _basis(field, n, w)).apply(b))
-                        r = vec_sub(r, c.theta_op(_basis(field, n, z), B.tri[x][y][w]).apply(b))
+                        r = vec_sub(r, c.theta_op(B.tri[x][y][z], eb[w]).apply(b))
+                        r = vec_sub(r, c.theta_op(eb[z], B.tri[x][y][w]).apply(b))
                         if not vec_is_zero(r):
                             rep.add("d-theta-comm", (x, y, z, w, a), r)
                         r = c.dd[x][y].apply(c.dd[z][w].apply(b))
                         r = vec_sub(r, c.dd[z][w].apply(c.dd[x][y].apply(b)))
-                        r = vec_sub(r, c.dd_op(B.tri[x][y][z], _basis(field, n, w)).apply(b))
-                        r = vec_sub(r, c.dd_op(_basis(field, n, z), B.tri[x][y][w]).apply(b))
+                        r = vec_sub(r, c.dd_op(B.tri[x][y][z], eb[w]).apply(b))
+                        r = vec_sub(r, c.dd_op(eb[z], B.tri[x][y][w]).apply(b))
                         if not vec_is_zero(r):
                             rep.add("d-d-comm", (x, y, z, w, a), r)
 
@@ -368,10 +345,6 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
     if corrected:
         _corrected_extras(c, rep, ev)
     return rep
-
-
-def _basis(field, n, i):
-    return tuple(field.one if k == i else field.zero for k in range(n))
 
 
 def _corrected_extras(c: NonAbelianCocycle, rep: ValidationReport, ev):
@@ -467,7 +440,7 @@ def build_extension_algebra(c: NonAbelianCocycle) -> BolAlgebra:
     for i in range(n):
         for v in range(m):
             bil[i][n + v] = emb_v(c.mu[i].col(v))
-            bil[n + v][i] = emb_v(vec_neg_t(c.mu[i].col(v)))
+            bil[n + v][i] = emb_v(vec_neg(c.mu[i].col(v)))
     for u in range(m):
         for v in range(m):
             bil[n + u][n + v] = emb_v(V.bil[u][v])
@@ -478,14 +451,10 @@ def build_extension_algebra(c: NonAbelianCocycle) -> BolAlgebra:
             for w in range(m):
                 tri[i][j][n + w] = emb_v(c.dd[i][j].col(w))
                 tri[n + w][i][j] = emb_v(c.theta[i][j].col(w))
-                tri[i][n + w][j] = emb_v(vec_neg_t(c.theta[i][j].col(w)))
+                tri[i][n + w][j] = emb_v(vec_neg(c.theta[i][j].col(w)))
     return BolAlgebra(field, d,
                       tuple(tuple(row) for row in bil),
                       tuple(tuple(tuple(k) for k in row) for row in tri))
-
-
-def vec_neg_t(v):
-    return tuple(-x for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -504,80 +473,106 @@ def cocycles_equivalent_via(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
     n, m = c1.n, c1.m
     if phi.rows != m or phi.cols != n or phi.field != c1.field:
         raise UsageError("comparison map has wrong shape")
+    return ValidationReport.from_residuals(_equivalence_residuals(c1, c2, phi))
+
+
+_EQV_TAGS = ("eqv-omega", "eqv-nu", "eqv-mu", "eqv-theta", "eqv-d")
+_EQV_LINEAR = _EQV_TAGS[:2]
+
+
+def _equivalence_residuals(c1, c2, phi, tags=_EQV_TAGS):
+    """(tag, where, residual) of the equivalence identities named in tags,
+    in report order: omega (x,y,z), nu (x,y), mu (x,a), then theta and D
+    per (x,y,a).  Over an abelian fiber the omega/nu residuals are affine in
+    phi and the rest do not depend on it."""
+    n, m = c1.n, c1.m
     B, V = c1.base, c1.fiber
-    field = c1.field
-    rep = ValidationReport()
     pe = [phi.col(i) for i in range(n)]
-    ev = [tuple(field.one if t == s else field.zero for s in range(m)) for t in range(m)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                r = vec_sub(c1.omega.at(x, y, z), c2.omega.at(x, y, z))
-                r = vec_sub(r, c2.theta[x][z].apply(pe[y]))
-                r = vec_add(r, c2.dd[x][y].apply(pe[z]))
-                r = vec_add(r, c2.theta[y][z].apply(pe[x]))
-                r = vec_add(r, V.bracket(pe[x], pe[y], pe[z]))
-                r = vec_sub(r, phi.apply(B.tri[x][y][z]))
-                if not vec_is_zero(r):
-                    rep.add("eqv-omega", (x, y, z), r)
-    for x in range(n):
-        for y in range(n):
-            r = vec_sub(c1.nu.at(x, y), c2.nu.at(x, y))
-            r = vec_sub(r, V.star(pe[x], pe[y]))
-            r = vec_sub(r, phi.apply(B.bil[x][y]))
-            r = vec_add(r, c2.mu[x].apply(pe[y]))
-            r = vec_sub(r, c2.mu[y].apply(pe[x]))
-            if not vec_is_zero(r):
-                rep.add("eqv-nu", (x, y), r)
-    for x in range(n):
-        for a in range(m):
-            r = vec_sub(c1.mu[x].apply(ev[a]), c2.mu[x].apply(ev[a]))
-            r = vec_sub(r, V.star(ev[a], pe[x]))
-            if not vec_is_zero(r):
-                rep.add("eqv-mu", (x, a), r)
+    ev = [basis_vec(c1.field, m, a) for a in range(m)]
+    if "eqv-omega" in tags:
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    r = vec_sub(c1.omega.at(x, y, z), c2.omega.at(x, y, z))
+                    r = vec_sub(r, c2.theta[x][z].apply(pe[y]))
+                    r = vec_add(r, c2.dd[x][y].apply(pe[z]))
+                    r = vec_add(r, c2.theta[y][z].apply(pe[x]))
+                    r = vec_add(r, V.bracket(pe[x], pe[y], pe[z]))
+                    r = vec_sub(r, phi.apply(B.tri[x][y][z]))
+                    yield "eqv-omega", (x, y, z), r
+    if "eqv-nu" in tags:
+        for x in range(n):
+            for y in range(n):
+                r = vec_sub(c1.nu.at(x, y), c2.nu.at(x, y))
+                r = vec_sub(r, V.star(pe[x], pe[y]))
+                r = vec_sub(r, phi.apply(B.bil[x][y]))
+                r = vec_add(r, c2.mu[x].apply(pe[y]))
+                r = vec_sub(r, c2.mu[y].apply(pe[x]))
+                yield "eqv-nu", (x, y), r
+    if "eqv-mu" in tags:
+        for x in range(n):
+            for a in range(m):
+                r = vec_sub(c1.mu[x].apply(ev[a]), c2.mu[x].apply(ev[a]))
+                r = vec_sub(r, V.star(ev[a], pe[x]))
+                yield "eqv-mu", (x, a), r
     for x in range(n):
         for y in range(n):
             for a in range(m):
-                r = vec_sub(c1.theta[x][y].apply(ev[a]), c2.theta[x][y].apply(ev[a]))
-                r = vec_sub(r, V.bracket(ev[a], pe[x], pe[y]))
-                if not vec_is_zero(r):
-                    rep.add("eqv-theta", (x, y, a), r)
-                r = vec_sub(c1.dd[x][y].apply(ev[a]), c2.dd[x][y].apply(ev[a]))
-                r = vec_sub(r, V.bracket(pe[x], pe[y], ev[a]))
-                if not vec_is_zero(r):
-                    rep.add("eqv-d", (x, y, a), r)
-    return rep
+                if "eqv-theta" in tags:
+                    r = vec_sub(c1.theta[x][y].apply(ev[a]), c2.theta[x][y].apply(ev[a]))
+                    r = vec_sub(r, V.bracket(ev[a], pe[x], pe[y]))
+                    yield "eqv-theta", (x, y, a), r
+                if "eqv-d" in tags:
+                    r = vec_sub(c1.dd[x][y].apply(ev[a]), c2.dd[x][y].apply(ev[a]))
+                    r = vec_sub(r, V.bracket(pe[x], pe[y], ev[a]))
+                    yield "eqv-d", (x, y, a), r
 
 
-def _phi_param_order(n, m):
-    # column-major: phi(e1) coordinates first
-    return [(q, t) for q in range(n) for t in range(m)]
+# ---------------------------------------------------------------------------
+# decisions affine in the unknown map phi: B -> V
+
+def _rows(items) -> tuple:
+    """The residuals of a (tag, where, residual) stream, concatenated."""
+    return tuple(x for _, _, r in items for x in r)
 
 
-def _solve_affine_by_probing(residual_fn, n, m, field):
-    """Solve residual(phi) = 0 for maps phi that enter affinely.
+def _affine_system(rows_of, field, n, m):
+    """(A, b) with rows_of(phi) = A x + b, x the parameters of phi in
+    `_phi_from_params` order, for rows affine in phi: probes the zero map
+    and each unit map."""
+    b = rows_of(Matrix.zeros(field, m, n))
+    cols = [vec_sub(rows_of(_unit_phi(field, n, m, k)), b) for k in range(n * m)]
+    return Matrix.from_cols(field, cols, rows=len(b)), b
 
-    residual_fn maps a phi matrix to a flat residual tuple.  Probes the zero
-    map plus each unit parameter; returns the canonical solution (free
-    parameters zero) or None.
-    """
-    zero_phi = Matrix.zeros(field, m, n)
-    base = residual_fn(zero_phi)
-    params = _phi_param_order(n, m)
-    cols = []
-    for (q, t) in params:
-        unit = Matrix(field, [[field.one if (ri == t and ci == q) else field.zero
-                               for ci in range(n)] for ri in range(m)])
-        probe = residual_fn(unit)
-        cols.append(vec_sub(probe, base))
-    a = Matrix.from_cols(field, cols, rows=len(base))
-    sol = a.solve(vec_neg_t(base))
-    if sol is None:
-        return None
-    entries = [[field.zero] * n for _ in range(m)]
-    for (q, t), v in zip(params, sol):
-        entries[t][q] = v
-    return Matrix(field, entries)
+
+def _solve_for_phi(rows_of, field, n, m):
+    """The phi with rows_of(phi) = 0 and its free parameters zero, or None."""
+    a, b = _affine_system(rows_of, field, n, m)
+    x = a.solve(vec_neg(b))
+    return None if x is None else _phi_from_params(field, n, m, x)
+
+
+def _phi_candidates(field, n, m, bound: int):
+    """(every GF(p) map phi in `enumerate_vectors` order, "") or, where they
+    are not enumerated, (None, the reason); for non-abelian fibers."""
+    if not field.is_prime_field:
+        return None, "non-abelian fiber over an infinite field"
+    total = field.p ** (n * m)
+    if total > bound:
+        return None, f"{total} candidate maps exceed the bound {bound}"
+    return (_phi_from_params(field, n, m, vec)
+            for vec in enumerate_vectors(field, n * m)), ""
+
+
+def _search_phi(field, n, m, bound: int, accepts) -> Decision:
+    """The first candidate phi that `accepts`, by exhaustive search."""
+    phis, reason = _phi_candidates(field, n, m, bound)
+    if phis is None:
+        return Decision(Status.UNDECIDED, reason=reason)
+    phi = next(filter(accepts, phis), None)
+    if phi is None:
+        return Decision(Status.NONE, reason="exhausted")
+    return Decision(Status.FOUND, witness=phi)
 
 
 def solve_equivalence(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
@@ -591,63 +586,25 @@ def solve_equivalence(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
         raise UsageError("cocycles live over different shapes")
     n, m = c1.n, c1.m
     field = c1.field
-    if c1.fiber.is_abelian() and c2.fiber.is_abelian():
-        # phi-free gates
-        for x in range(n):
-            if c1.mu[x] != c2.mu[x]:
-                return Decision(Status.NONE, reason="eqv-mu")
-        for x in range(n):
-            for y in range(n):
-                if c1.theta[x][y] != c2.theta[x][y]:
-                    return Decision(Status.NONE, reason="eqv-theta")
-                if c1.dd[x][y] != c2.dd[x][y]:
-                    return Decision(Status.NONE, reason="eqv-d")
-
-        def residual(phi):
-            return _equivalence_linear_residual(c1, c2, phi)
-
-        phi = _solve_affine_by_probing(residual, n, m, field)
-        if phi is None:
-            return Decision(Status.NONE, reason="eqv-omega+eqv-nu")
-        assert cocycles_equivalent_via(c1, c2, phi).valid
-        return Decision(Status.FOUND, witness=phi)
-    if field.is_prime_field:
-        total = field.p ** (n * m)
-        if total <= bound:
-            for vec in enumerate_vectors(field, n * m):
-                phi = Matrix(field, [[vec[q * m + t] for q in range(n)]
-                                     for t in range(m)])
-                if cocycles_equivalent_via(c1, c2, phi).valid:
-                    return Decision(Status.FOUND, witness=phi)
-            return Decision(Status.NONE, reason="exhausted")
-        return Decision(Status.UNDECIDED,
-                        reason=f"{total} candidate maps exceed the bound {bound}")
-    return Decision(Status.UNDECIDED, reason="non-abelian fiber over an infinite field")
-
-
-def _equivalence_linear_residual(c1, c2, phi):
-    """Flat residual of the omega/nu equivalence identities (abelian fiber)."""
-    n = c1.n
-    B = c1.base
-    pe = [phi.col(i) for i in range(n)]
-    out = []
+    if not c1.fiber.is_abelian():
+        return _search_phi(field, n, m, bound,
+                           lambda phi: cocycles_equivalent_via(c1, c2, phi).valid)
+    # phi-free gates
+    for x in range(n):
+        if c1.mu[x] != c2.mu[x]:
+            return Decision(Status.NONE, reason="eqv-mu")
     for x in range(n):
         for y in range(n):
-            for z in range(n):
-                r = vec_sub(c1.omega.at(x, y, z), c2.omega.at(x, y, z))
-                r = vec_sub(r, c2.theta[x][z].apply(pe[y]))
-                r = vec_add(r, c2.dd[x][y].apply(pe[z]))
-                r = vec_add(r, c2.theta[y][z].apply(pe[x]))
-                r = vec_sub(r, phi.apply(B.tri[x][y][z]))
-                out.extend(r)
-    for x in range(n):
-        for y in range(n):
-            r = vec_sub(c1.nu.at(x, y), c2.nu.at(x, y))
-            r = vec_sub(r, phi.apply(B.bil[x][y]))
-            r = vec_add(r, c2.mu[x].apply(pe[y]))
-            r = vec_sub(r, c2.mu[y].apply(pe[x]))
-            out.extend(r)
-    return tuple(out)
+            if c1.theta[x][y] != c2.theta[x][y]:
+                return Decision(Status.NONE, reason="eqv-theta")
+            if c1.dd[x][y] != c2.dd[x][y]:
+                return Decision(Status.NONE, reason="eqv-d")
+    phi = _solve_for_phi(
+        lambda f: _rows(_equivalence_residuals(c1, c2, f, _EQV_LINEAR)), field, n, m)
+    if phi is None:
+        return Decision(Status.NONE, reason="eqv-omega+eqv-nu")
+    assert cocycles_equivalent_via(c1, c2, phi).valid
+    return Decision(Status.FOUND, witness=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +664,9 @@ def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
 
 def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
     """Matrix of the omega/nu equivalence system of any cocycle against c:
-    rows as in `_equivalence_linear_residual`, columns in `_phi_param_order`.
-    Only the right-hand side depends on the other cocycle."""
-    field = c.field
-    cols = []
-    for q, t in _phi_param_order(c.n, c.m):
-        unit = Matrix(field, [[field.one if (ri == t and ci == q) else field.zero
-                               for ci in range(c.n)] for ri in range(c.m)])
-        cols.append(_equivalence_linear_residual(c, c, unit))
-    return _residues(tuple(cols)).T
+    rows in `_equivalence_residuals` order, columns in `_phi_from_params`
+    order.  Only the right-hand side depends on the other cocycle."""
+    a, _ = _affine_system(
+        lambda phi: _rows(_equivalence_residuals(c, c, phi, _EQV_LINEAR)),
+        c.field, c.n, c.m)
+    return _residues(a.entries)

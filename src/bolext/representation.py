@@ -27,7 +27,7 @@ from . import bruteforce
 from .bol import BolAlgebra
 from .core import DEFAULT_ENUMERATION_BOUND, ValidationReport
 from .errors import UnsupportedEnumerationError, UsageError
-from .exactlin import Matrix, vec_add, vec_sub, zero_vec
+from .exactlin import Matrix, basis_vec, vec_add, vec_sub
 
 __all__ = [
     "Representation", "validate_representation", "semidirect_product",
@@ -36,8 +36,56 @@ __all__ = [
 ]
 
 
+class ActionOps:
+    """The action matrices extended linearly (mu) and bilinearly (theta, D)
+    to arbitrary coordinates.  The host supplies `field`, `m` (the module
+    dimension) and the basis images `mu`, `theta`, `dd`."""
+
+    def _check_actions(self, n, role):
+        """mu holds n matrices, theta and dd n x n grids, all m x m over
+        the host's field."""
+        if len(self.mu) != n:
+            raise UsageError(f"mu needs one matrix per {role} basis vector")
+        for mat in self.mu:
+            self._check_matrix(mat)
+        for grid in (self.theta, self.dd):
+            if len(grid) != n or any(len(r) != n for r in grid):
+                raise UsageError("action grid has wrong shape")
+            for r in grid:
+                for mat in r:
+                    self._check_matrix(mat)
+
+    def _check_matrix(self, mat):
+        if not isinstance(mat, Matrix) or mat.rows != self.m or mat.cols != self.m \
+                or mat.field != self.field:
+            raise UsageError("action matrix has wrong shape or field")
+
+    def mu_op(self, x) -> Matrix:
+        out = Matrix.zeros(self.field, self.m, self.m)
+        for i, c in enumerate(x):
+            if c:
+                out = out + self.mu[i].scale(c)
+        return out
+
+    def theta_op(self, x, y) -> Matrix:
+        return self._bilinear_op(self.theta, x, y)
+
+    def dd_op(self, x, y) -> Matrix:
+        return self._bilinear_op(self.dd, x, y)
+
+    def _bilinear_op(self, grid, x, y) -> Matrix:
+        out = Matrix.zeros(self.field, self.m, self.m)
+        for i, ci in enumerate(x):
+            if not ci:
+                continue
+            for j, cj in enumerate(y):
+                if cj:
+                    out = out + grid[i][j].scale(ci * cj)
+        return out
+
+
 @dataclass(frozen=True)
-class Representation:
+class Representation(ActionOps):
     """Action data on field^module_dim: mu[i], theta[i][j], dd[i][j] are
     module_dim x module_dim matrices (images of basis tuples)."""
 
@@ -49,54 +97,16 @@ class Representation:
     dd: tuple
 
     def __post_init__(self):
-        n, m = self.algebra_dim, self.module_dim
-        if len(self.mu) != n:
-            raise UsageError("mu needs one matrix per algebra basis vector")
-        for mat in self.mu:
-            self._check(mat, m)
-        for grid in (self.theta, self.dd):
-            if len(grid) != n or any(len(r) != n for r in grid):
-                raise UsageError("action grid has wrong shape")
-            for r in grid:
-                for mat in r:
-                    self._check(mat, m)
+        n = self.algebra_dim
+        self._check_actions(n, "algebra")
         for i in range(n):
             for j in range(n):
                 if not (self.dd[i][j] + self.dd[j][i]).is_zero():
                     raise UsageError("D must be alternating")
 
-    def _check(self, mat, m):
-        if not isinstance(mat, Matrix) or mat.rows != m or mat.cols != m \
-                or mat.field != self.field:
-            raise UsageError("action matrix has wrong shape or field")
-
-    # linear/bilinear extensions to arbitrary coordinates
-    def mu_op(self, x) -> Matrix:
-        out = Matrix.zeros(self.field, self.module_dim, self.module_dim)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.mu[i].scale(c)
-        return out
-
-    def theta_op(self, x, y) -> Matrix:
-        out = Matrix.zeros(self.field, self.module_dim, self.module_dim)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    out = out + self.theta[i][j].scale(ci * cj)
-        return out
-
-    def dd_op(self, x, y) -> Matrix:
-        out = Matrix.zeros(self.field, self.module_dim, self.module_dim)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    out = out + self.dd[i][j].scale(ci * cj)
-        return out
+    @property
+    def m(self):
+        return self.module_dim
 
 
 def trivial_representation(field, algebra_dim: int, module_dim: int = 1) -> Representation:
@@ -127,25 +137,7 @@ def validate_representation(a: BolAlgebra, r: Representation) -> ValidationRepor
     _require_compatible(a, r)
     n = a.dim
     rep = ValidationReport()
-
-    def lin_mu(vec):
-        return r.mu_op(vec)
-
-    def theta_second(i, vec):
-        # theta(e_i, vec) by linearity in the second slot
-        out = Matrix.zeros(r.field, r.module_dim, r.module_dim)
-        for q, c in enumerate(vec):
-            if c:
-                out = out + r.theta[i][q].scale(c)
-        return out
-
-    def grid_lin(grid, vec, j, first):
-        # grid(vec, e_j) or grid(e_j, vec)
-        out = Matrix.zeros(r.field, r.module_dim, r.module_dim)
-        for q, c in enumerate(vec):
-            if c:
-                out = out + (grid[q][j] if first else grid[j][q]).scale(c)
-        return out
+    e = [basis_vec(r.field, n, i) for i in range(n)]
 
     for i in range(n):
         for j in range(n):
@@ -156,16 +148,16 @@ def validate_representation(a: BolAlgebra, r: Representation) -> ValidationRepor
         for j in range(n):
             for k in range(n):
                 res = (r.dd[i][j] * r.mu[k] - r.mu[k] * r.dd[i][j]
-                       - lin_mu(a.tri[i][j][k]) + theta_second(k, a.bil[i][j])
-                       - lin_mu(a.bil[i][j]) * r.mu[k])
+                       - r.mu_op(a.tri[i][j][k]) + r.theta_op(e[k], a.bil[i][j])
+                       - r.mu_op(a.bil[i][j]) * r.mu[k])
                 if not res.is_zero():
                     rep.add("rep-d-mu", (i, j, k), _flat(res))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                res = (theta_second(i, a.bil[j][k])
+                res = (r.theta_op(e[i], a.bil[j][k])
                        - r.mu[j] * r.theta[i][k] + r.mu[k] * r.theta[i][j]
-                       + (r.dd[j][k] - lin_mu(a.bil[j][k])) * r.mu[i])
+                       + (r.dd[j][k] - r.mu_op(a.bil[j][k])) * r.mu[i])
                 if not res.is_zero():
                     rep.add("rep-theta-star", (i, j, k), _flat(res))
     for i in range(n):
@@ -173,16 +165,16 @@ def validate_representation(a: BolAlgebra, r: Representation) -> ValidationRepor
             for k in range(n):
                 for l in range(n):
                     res = (r.dd[i][j] * r.dd[k][l] - r.dd[k][l] * r.dd[i][j]
-                           - grid_lin(r.dd, a.tri[i][j][k], l, first=True)
-                           - grid_lin(r.dd, a.tri[i][j][l], k, first=False))
+                           - r.dd_op(a.tri[i][j][k], e[l])
+                           - r.dd_op(e[k], a.tri[i][j][l]))
                     if not res.is_zero():
                         rep.add("rep-d-d", (i, j, k, l), _flat(res))
                     res = (r.dd[i][j] * r.theta[k][l] - r.theta[k][l] * r.dd[i][j]
-                           - grid_lin(r.theta, a.tri[i][j][k], l, first=True)
-                           - grid_lin(r.theta, a.tri[i][j][l], k, first=False))
+                           - r.theta_op(a.tri[i][j][k], e[l])
+                           - r.theta_op(e[k], a.tri[i][j][l]))
                     if not res.is_zero():
                         rep.add("rep-d-theta-comm", (i, j, k, l), _flat(res))
-                    res = (theta_second(i, a.tri[j][k][l])
+                    res = (r.theta_op(e[i], a.tri[j][k][l])
                            - r.theta[k][l] * r.theta[i][j]
                            + r.theta[j][l] * r.theta[i][k]
                            - r.dd[j][k] * r.theta[i][l])
@@ -198,40 +190,12 @@ def _flat(mat: Matrix) -> tuple:
 def semidirect_product(a: BolAlgebra, r: Representation) -> BolAlgebra:
     """Structure on a + module with
     (x+u)*(y+v) = x*y + mu(x)v - mu(y)u  and
-    [x+u,y+v,z+w] = [x,y,z] + theta(y,z)u - theta(x,z)v + D(x,y)w.
+    [x+u,y+v,z+w] = [x,y,z] + theta(y,z)u - theta(x,z)v + D(x,y)w,
+    the glued algebra of the zero cocycle that carries r's actions.
     """
+    from .nonabelian import NonAbelianCocycle, build_extension_algebra
     _require_compatible(a, r)
-    n, m = a.dim, r.module_dim
-    d = n + m
-    field = a.field
-    z = zero_vec(field, d)
-
-    def emb_b(vec):
-        return tuple(vec) + zero_vec(field, m)
-
-    def emb_v(vec):
-        return zero_vec(field, n) + tuple(vec)
-
-    bil = [[z for _ in range(d)] for _ in range(d)]
-    tri = [[[z for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            bil[i][j] = emb_b(a.bil[i][j])
-            for k in range(n):
-                tri[i][j][k] = emb_b(a.tri[i][j][k])
-    for i in range(n):
-        for v in range(m):
-            bil[i][n + v] = emb_v(r.mu[i].col(v))
-            bil[n + v][i] = emb_v(vec_sub(zero_vec(field, m), r.mu[i].col(v)))
-    for i in range(n):
-        for j in range(n):
-            for w in range(m):
-                tri[i][j][n + w] = emb_v(r.dd[i][j].col(w))
-                tri[n + w][i][j] = emb_v(r.theta[i][j].col(w))
-                tri[i][n + w][j] = emb_v(vec_sub(zero_vec(field, m), r.theta[i][j].col(w)))
-    return BolAlgebra(field, d,
-                      tuple(tuple(row) for row in bil),
-                      tuple(tuple(tuple(c) for c in row) for row in tri))
+    return build_extension_algebra(NonAbelianCocycle.split(a, r))
 
 
 def is_pseudoderivation(f: Matrix, chi, a: BolAlgebra, r: Representation) -> bool:

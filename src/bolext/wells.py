@@ -11,11 +11,14 @@ acted cocycle minus the original.
 
 Inducibility identity tags: ind-omega, ind-nu, ind-theta, ind-d, ind-mu.
 Abelian-fiber gates reuse ind-theta / ind-d / ind-mu (they become free of the
-unknown map there).
+unknown map there).  The identities are written once
+(`_inducibility_residuals`) and solved through the probe-and-solve path of
+`nonabelian`, as are the degree-one cocycles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,17 +26,18 @@ import numpy as np
 from . import bruteforce
 from .bol import (BolAlgebra, automorphism_int_arrays, int_matrix, is_morphism,
                   zero_algebra)
-from .cohomology import Cochain2, Cochain3
+from .cohomology import Cochain2, Cochain3, _phi_from_params
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport)
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
-from .exactlin import (Matrix, Subspace, enumerate_vectors, vec_add,
-                       vec_is_zero, vec_sub, zero_vec)
+from .exactlin import (Matrix, Subspace, basis_vec, enumerate_vectors,
+                       vec_add, vec_sub, zero_vec)
 from .extensions import (Extension, Section, canonical_section, extract_cocycle,
                          theta_map, validate_extension)
-from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
-                         _equivalence_matrix, _equivalent_via,
+from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _affine_system,
+                         _cocycle_arrays, _equivalence_matrix, _equivalent_via,
+                         _phi_candidates, _rows, _search_phi, _solve_for_phi,
                          solve_equivalence, validate_nab_cocycle)
 from .representation import Representation
 
@@ -93,17 +97,23 @@ def act_on_cocycle(c: NonAbelianCocycle, pair: AutPair) -> NonAbelianCocycle:
 # ---------------------------------------------------------------------------
 # inducibility
 
-def _inducibility_report(c: NonAbelianCocycle, pair: AutPair, phi: Matrix,
-                         gates_only=False) -> ValidationReport:
+_IND_LINEAR = ("ind-omega", "ind-nu")
+_IND_GATES = ("ind-theta", "ind-d", "ind-mu")
+
+
+def _inducibility_residuals(c: NonAbelianCocycle, pair: AutPair, phi: Matrix,
+                            tags=_IND_LINEAR + _IND_GATES):
+    """(tag, where, residual) of the inducibility identities named in tags,
+    in report order: omega (x,y,z), nu (x,y), theta and D per (x,y,a), then
+    mu (x,a).  Over an abelian fiber the omega/nu residuals are affine in
+    phi and the gates theta, D, mu do not depend on it."""
     n, m = c.n, c.m
-    field = c.field
     B, V = c.base, c.fiber
     alpha, beta = pair.alpha, pair.beta
     acol = [alpha.col(i) for i in range(n)]
     pe = [phi.col(i) for i in range(n)]
-    ev = [tuple(field.one if t == s else field.zero for s in range(m)) for t in range(m)]
-    rep = ValidationReport()
-    if not gates_only:
+    ev = [basis_vec(c.field, m, a) for a in range(m)]
+    if "ind-omega" in tags:
         for x in range(n):
             for y in range(n):
                 for z in range(n):
@@ -114,8 +124,8 @@ def _inducibility_report(c: NonAbelianCocycle, pair: AutPair, phi: Matrix,
                     r = vec_add(r, c.dd_op(acol[x], acol[y]).apply(pe[z]))
                     r = vec_sub(r, phi.apply(B.tri[x][y][z]))
                     r = vec_add(r, V.bracket(pe[x], pe[y], pe[z]))
-                    if not vec_is_zero(r):
-                        rep.add("ind-omega", (x, y, z), r)
+                    yield "ind-omega", (x, y, z), r
+    if "ind-nu" in tags:
         for x in range(n):
             for y in range(n):
                 r = beta.apply(c.nu.at(x, y))
@@ -124,29 +134,32 @@ def _inducibility_report(c: NonAbelianCocycle, pair: AutPair, phi: Matrix,
                 r = vec_sub(r, phi.apply(B.bil[x][y]))
                 r = vec_add(r, c.mu_op(acol[x]).apply(pe[y]))
                 r = vec_sub(r, c.mu_op(acol[y]).apply(pe[x]))
-                if not vec_is_zero(r):
-                    rep.add("ind-nu", (x, y), r)
+                yield "ind-nu", (x, y), r
     for x in range(n):
         for y in range(n):
             for a in range(m):
-                r = beta.apply(c.theta[x][y].apply(ev[a]))
-                r = vec_sub(r, c.theta_op(acol[x], acol[y]).apply(beta.apply(ev[a])))
-                r = vec_sub(r, V.bracket(beta.apply(ev[a]), pe[x], pe[y]))
-                if not vec_is_zero(r):
-                    rep.add("ind-theta", (x, y, a), r)
-                r = beta.apply(c.dd[x][y].apply(ev[a]))
-                r = vec_sub(r, c.dd_op(acol[x], acol[y]).apply(beta.apply(ev[a])))
-                r = vec_sub(r, V.bracket(pe[x], pe[y], beta.apply(ev[a])))
-                if not vec_is_zero(r):
-                    rep.add("ind-d", (x, y, a), r)
-    for x in range(n):
-        for a in range(m):
-            r = beta.apply(c.mu[x].apply(ev[a]))
-            r = vec_sub(r, c.mu_op(acol[x]).apply(beta.apply(ev[a])))
-            r = vec_sub(r, V.star(beta.apply(ev[a]), pe[x]))
-            if not vec_is_zero(r):
-                rep.add("ind-mu", (x, a), r)
-    return rep
+                if "ind-theta" in tags:
+                    r = beta.apply(c.theta[x][y].apply(ev[a]))
+                    r = vec_sub(r, c.theta_op(acol[x], acol[y]).apply(beta.apply(ev[a])))
+                    r = vec_sub(r, V.bracket(beta.apply(ev[a]), pe[x], pe[y]))
+                    yield "ind-theta", (x, y, a), r
+                if "ind-d" in tags:
+                    r = beta.apply(c.dd[x][y].apply(ev[a]))
+                    r = vec_sub(r, c.dd_op(acol[x], acol[y]).apply(beta.apply(ev[a])))
+                    r = vec_sub(r, V.bracket(pe[x], pe[y], beta.apply(ev[a])))
+                    yield "ind-d", (x, y, a), r
+    if "ind-mu" in tags:
+        for x in range(n):
+            for a in range(m):
+                r = beta.apply(c.mu[x].apply(ev[a]))
+                r = vec_sub(r, c.mu_op(acol[x]).apply(beta.apply(ev[a])))
+                r = vec_sub(r, V.star(beta.apply(ev[a]), pe[x]))
+                yield "ind-mu", (x, a), r
+
+
+def _inducibility_report(c: NonAbelianCocycle, pair: AutPair,
+                         phi: Matrix) -> ValidationReport:
+    return ValidationReport.from_residuals(_inducibility_residuals(c, pair, phi))
 
 
 def inducible_via(e: Extension, s: Section, pair: AutPair,
@@ -163,100 +176,24 @@ def _solve_inducibility_from_cocycle(c: NonAbelianCocycle, pair: AutPair,
                                      bound: int) -> Decision:
     n, m = c.n, c.m
     field = c.field
-    zero_phi = Matrix.zeros(field, m, n)
-    if c.fiber.is_abelian():
-        gates = _inducibility_report(c, pair, zero_phi, gates_only=True)
-        if not gates.valid:
-            return Decision(Status.NONE, reason=gates.tags()[0])
+    if not c.fiber.is_abelian():
+        return _search_phi(field, n, m, bound,
+                           lambda phi: _inducibility_report(c, pair, phi).valid)
+    gates = ValidationReport.from_residuals(_inducibility_residuals(
+        c, pair, Matrix.zeros(field, m, n), _IND_GATES))
+    if not gates.valid:
+        return Decision(Status.NONE, reason=gates.tags()[0])
 
-        def residual(phi):
-            out = []
-            for x in range(n):
-                for y in range(n):
-                    for z in range(n):
-                        out.extend(_res_omega(c, pair, phi, x, y, z))
-            for x in range(n):
-                for y in range(n):
-                    out.extend(_res_nu(c, pair, phi, x, y))
-            return tuple(out)
+    def solve(tags):
+        return _solve_for_phi(
+            lambda phi: _rows(_inducibility_residuals(c, pair, phi, tags)), field, n, m)
 
-        phi = _solve_affine(residual, n, m, field)
-        if phi is not None:
-            assert _inducibility_report(c, pair, phi).valid
-            return Decision(Status.FOUND, witness=phi)
-        tags = []
-        if _solve_affine(lambda f: _flatten(
-                _res_nu(c, pair, f, x, y) for x in range(n) for y in range(n)),
-                n, m, field) is None:
-            tags.append("ind-nu")
-        if _solve_affine(lambda f: _flatten(
-                _res_omega(c, pair, f, x, y, z) for x in range(n)
-                for y in range(n) for z in range(n)), n, m, field) is None:
-            tags.append("ind-omega")
-        return Decision(Status.NONE, reason="+".join(tags) or "ind-omega+ind-nu")
-    if field.is_prime_field:
-        total = field.p ** (n * m)
-        if total <= bound:
-            for vec in enumerate_vectors(field, n * m):
-                phi = Matrix(field, [[vec[q * m + t] for q in range(n)]
-                                     for t in range(m)])
-                if _inducibility_report(c, pair, phi).valid:
-                    return Decision(Status.FOUND, witness=phi)
-            return Decision(Status.NONE, reason="exhausted")
-        return Decision(Status.UNDECIDED,
-                        reason=f"{total} candidate maps exceed the bound {bound}")
-    return Decision(Status.UNDECIDED, reason="non-abelian fiber over an infinite field")
-
-
-def _flatten(parts):
-    out = []
-    for p in parts:
-        out.extend(p)
-    return tuple(out)
-
-
-def _res_omega(c, pair, phi, x, y, z):
-    acol = [pair.alpha.col(i) for i in range(c.n)]
-    pe = [phi.col(i) for i in range(c.n)]
-    r = pair.beta.apply(c.omega.at(x, y, z))
-    r = vec_sub(r, c.omega.eval(acol[x], acol[y], acol[z]))
-    r = vec_sub(r, c.theta_op(acol[x], acol[z]).apply(pe[y]))
-    r = vec_add(r, c.theta_op(acol[y], acol[z]).apply(pe[x]))
-    r = vec_add(r, c.dd_op(acol[x], acol[y]).apply(pe[z]))
-    r = vec_sub(r, phi.apply(c.base.tri[x][y][z]))
-    r = vec_add(r, c.fiber.bracket(pe[x], pe[y], pe[z]))
-    return r
-
-
-def _res_nu(c, pair, phi, x, y):
-    acol = [pair.alpha.col(i) for i in range(c.n)]
-    pe = [phi.col(i) for i in range(c.n)]
-    r = pair.beta.apply(c.nu.at(x, y))
-    r = vec_sub(r, c.nu.eval(acol[x], acol[y]))
-    r = vec_sub(r, c.fiber.star(pe[x], pe[y]))
-    r = vec_sub(r, phi.apply(c.base.bil[x][y]))
-    r = vec_add(r, c.mu_op(acol[x]).apply(pe[y]))
-    r = vec_sub(r, c.mu_op(acol[y]).apply(pe[x]))
-    return r
-
-
-def _solve_affine(residual_fn, n, m, field) -> Optional[Matrix]:
-    zero_phi = Matrix.zeros(field, m, n)
-    base = residual_fn(zero_phi)
-    params = [(q, t) for q in range(n) for t in range(m)]
-    cols = []
-    for (q, t) in params:
-        unit = Matrix(field, [[field.one if (ri == t and ci == q) else field.zero
-                               for ci in range(n)] for ri in range(m)])
-        cols.append(vec_sub(residual_fn(unit), base))
-    a = Matrix.from_cols(field, cols, rows=len(base))
-    sol = a.solve(tuple(-x for x in base))
-    if sol is None:
-        return None
-    entries = [[field.zero] * n for _ in range(m)]
-    for (q, t), v in zip(params, sol):
-        entries[t][q] = v
-    return Matrix(field, entries)
+    phi = solve(_IND_LINEAR)
+    if phi is not None:
+        assert _inducibility_report(c, pair, phi).valid
+        return Decision(Status.FOUND, witness=phi)
+    tags = [tag for tag in ("ind-nu", "ind-omega") if solve((tag,)) is None]
+    return Decision(Status.NONE, reason="+".join(tags) or "ind-omega+ind-nu")
 
 
 def solve_inducibility(e: Extension, pair: AutPair,
@@ -314,7 +251,7 @@ class WellsReport:
 def _wells_verdict(c: NonAbelianCocycle, pair: AutPair,
                    bound: int) -> WellsReport:
     if c.fiber.is_abelian():
-        if not _pair_compatible_with_cocycle(c, pair):
+        if not _pair_intertwines(c, pair):
             return WellsReport(pair, "incompatible",
                                reason="pair does not intertwine the actions")
     acted = act_on_cocycle(c, pair)
@@ -326,15 +263,18 @@ def _wells_verdict(c: NonAbelianCocycle, pair: AutPair,
     return WellsReport(pair, "undecided", reason=dec.reason)
 
 
-def _pair_compatible_with_cocycle(c: NonAbelianCocycle, pair: AutPair) -> bool:
-    n = c.n
+def _pair_intertwines(actions, pair: AutPair) -> bool:
+    """beta mu(x) = mu(alpha x) beta and beta theta(x,y) = theta(alpha x,
+    alpha y) beta on basis tuples, for the actions of a `Representation` or
+    a `NonAbelianCocycle`."""
+    n = pair.alpha.rows
     acol = [pair.alpha.col(i) for i in range(n)]
     beta = pair.beta
     for i in range(n):
-        if beta * c.mu[i] != c.mu_op(acol[i]) * beta:
+        if beta * actions.mu[i] != actions.mu_op(acol[i]) * beta:
             return False
         for j in range(n):
-            if beta * c.theta[i][j] != c.theta_op(acol[i], acol[j]) * beta:
+            if beta * actions.theta[i][j] != actions.theta_op(acol[i], acol[j]) * beta:
                 return False
     return True
 
@@ -407,7 +347,7 @@ def _z1_residual(c: NonAbelianCocycle, phi: Matrix) -> tuple:
     field = c.field
     V = c.fiber
     pe = [phi.col(i) for i in range(n)]
-    ev = [tuple(field.one if t == s else field.zero for s in range(m)) for t in range(m)]
+    ev = [basis_vec(field, m, a) for a in range(m)]
     out = []
     for x in range(n):
         for a in range(m):
@@ -438,13 +378,7 @@ def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Re
     n, m = c.n, c.m
     field = c.field
     if c.fiber.is_abelian():
-        params = [(q, t) for q in range(n) for t in range(m)]
-        cols = []
-        for (q, t) in params:
-            unit = Matrix(field, [[field.one if (ri == t and ci == q) else field.zero
-                                   for ci in range(n)] for ri in range(m)])
-            cols.append(_z1_residual(c, unit))
-        a = Matrix.from_cols(field, cols, rows=len(cols[0]) if cols else 0)
+        a, _ = _affine_system(partial(_z1_residual, c), field, n, m)
         space = a.kernel()
         maps = None
         if field.is_prime_field and field.p ** space.dim <= bound:
@@ -458,22 +392,10 @@ def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Re
             maps.sort(key=lambda f: tuple(
                 int(x.value) for col in range(n) for x in f.col(col)))
         return Z1Result("subspace", subspace=space, maps=maps)
-    if field.is_prime_field:
-        total = field.p ** (n * m)
-        if total <= bound:
-            maps = []
-            for vec in enumerate_vectors(field, n * m):
-                phi = _phi_from_params(field, n, m, vec)
-                if all(not x for x in _z1_residual(c, phi)):
-                    maps.append(phi)
-            return Z1Result("list", maps=maps)
-        return Z1Result("undecided",
-                        reason=f"{total} candidate maps exceed the bound {bound}")
-    return Z1Result("undecided", reason="non-abelian fiber over an infinite field")
-
-
-def _phi_from_params(field, n, m, vec):
-    return Matrix(field, [[vec[q * m + t] for q in range(n)] for t in range(m)])
+    phis, reason = _phi_candidates(field, n, m, bound)
+    if phis is None:
+        return Z1Result("undecided", reason=reason)
+    return Z1Result("list", maps=[f for f in phis if not any(_z1_residual(c, f))])
 
 
 def s_map(e: Extension, s: Section, gamma: Matrix) -> Matrix:
@@ -494,17 +416,8 @@ def s_map(e: Extension, s: Section, gamma: Matrix) -> Matrix:
 def is_compatible_pair(b: BolAlgebra, r: Representation, pair: AutPair) -> bool:
     """beta theta(x,y) = theta(alpha x, alpha y) beta and
     beta mu(x) = mu(alpha x) beta on all basis tuples."""
-    module = zero_algebra(b.field, r.module_dim)
-    validate_aut_pair(b, module, pair)
-    acol = [pair.alpha.col(i) for i in range(b.dim)]
-    beta = pair.beta
-    for i in range(b.dim):
-        if beta * r.mu[i] != r.mu_op(acol[i]) * beta:
-            return False
-        for j in range(b.dim):
-            if beta * r.theta[i][j] != r.theta_op(acol[i], acol[j]) * beta:
-                return False
-    return True
+    validate_aut_pair(b, zero_algebra(b.field, r.module_dim), pair)
+    return _pair_intertwines(r, pair)
 
 
 def compatible_pairs(b: BolAlgebra, r: Representation,
@@ -575,7 +488,7 @@ def _act(c: _CocycleArrays, ainv, beta, binv, p) -> _CocycleArrays:
 
 
 def _intertwines(c: _CocycleArrays, alpha, beta, binv, p) -> np.ndarray:
-    """`_pair_compatible_with_cocycle` per pair: beta mu(x) beta^-1 =
+    """`_pair_intertwines` per pair: beta mu(x) beta^-1 =
     mu(alpha x) and beta theta(x,y) beta^-1 = theta(alpha x, alpha y)."""
     k = beta.shape[0]
     mu = _conjugate(beta, np.broadcast_to(c.mu, (k,) + c.mu.shape), binv, p)

@@ -1,8 +1,10 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bolext.cli import main
 
@@ -180,6 +182,11 @@ def test_determinism_double_run():
     ["enumerate", "--kind", "automorphisms"],
     ["enumerate", "--kind", "algebras", "--dim", "2"],
     ["enumerate", "--kind", "vectors", "--field", "5"],
+    # residues of a prime from 2^63 up do not fit int64
+    ["enumerate", "--kind", "algebras", "--field", "318665857834031151167441",
+     "--dim", "1"],
+    ["enumerate", "--kind", "vectors", "--field", "5", "--dim", "-1"],
+    ["enumerate", "--kind", "algebras", "--field", "5", "--dim", "-1"],
 ])
 def test_bad_map_spec_or_missing_option_exit_2(capsys, argv):
     code, out = run_cli(*[a.format(c=corpus_dir()) for a in argv])
@@ -210,3 +217,121 @@ def test_unprovable_modulus_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error:") and "too large" in err
+
+
+def test_enumerate_vectors_respects_bound(capsys):
+    code, out = run_cli("--bound", "10", "enumerate", "--kind", "vectors",
+                        "--field", "5", "--dim", "3", "--count-only")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == "error: 125 vectors exceed the bound 10\n"
+    # the same line form as the algebra enumeration
+    code, out = run_cli("--bound", "10", "enumerate", "--kind", "algebras",
+                        "--field", "5", "--dim", "2", "--count-only")
+    err = capsys.readouterr().err
+    assert code == 2 and err == "error: 15625 candidate tensors exceed the bound 10\n"
+    code, out = run_cli("--bound", "125", "enumerate", "--kind", "vectors",
+                        "--field", "5", "--dim", "3", "--count-only")
+    assert code == 0 and out == "count: 125\n"
+
+
+_ALGEBRAS = sorted(p.name for p in corpus_dir().iterdir() if p.suffix == ".bol")
+_REPS = sorted(p.name for p in corpus_dir().iterdir() if p.suffix == ".rep")
+_WRONG = ["e_h3.ext", "r_s2.rep", "manifest.json", "missing.bol"]
+# map specs for the e_h3 extensions: base maps, fiber maps, maps base -> fiber
+_ALPHAS = ["id", "2", "-1", "diag(2,1)", "diag(1,3)", "[[1,0],[0,1]]",
+           "[[1,1],[0,1]]", "[[0,1],[1,0]]"]
+_BETAS = ["id", "1", "2", "3", "-1", "[[4]]"]
+_PHIS = ["[[0, 0]]", "[[1, 2]]", "[[0, 1]]"]
+_BAD_SPECS = ["0", "1/2", "x", "diag(7,1)", "diag(1/0,1)", "diag()", "[[1,",
+              "[]", '[["a"]]', "[[1]]", "e_h3.ext"]
+
+
+@st.composite
+def _argv(draw):
+    """CLI argv over the corpus: mostly well-typed files, some wrong ones.
+    "{nab}" stands for a cocycle document written by the test."""
+    def pick(good, bad):
+        return draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad))
+
+    def file(*names):
+        name = pick(names, _WRONG)
+        return name if name == "{nab}" else str(corpus_dir() / name)
+
+    def spec(good=_ALPHAS + _BETAS + _PHIS):
+        s = pick(good, _BAD_SPECS)
+        return str(corpus_dir() / s) if s.endswith(".ext") else s
+
+    def opt(flag, value):
+        return [flag, value()] if draw(st.integers(0, 3)) else []
+
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    exts = ("e_h3.ext", "e_h3_q.ext")
+    command = draw(st.sampled_from([
+        "validate", "validate-rep", "semidirect", "cohomology", "nab-validate",
+        "build-extension", "extract-cocycle", "equiv-cocycles",
+        "equiv-extensions", "classify", "inducible", "lift", "wells",
+        "exactness", "enumerate"]))
+    top = ["--bound", str(draw(st.integers(-1, 5 ** 6)))]
+    top += opt("--variant", lambda: draw(st.sampled_from(["corrected",
+                                                          "strict-paper"])))
+    if command == "validate":
+        rest = [file(*_ALGEBRAS)]
+    elif command in ("validate-rep", "semidirect", "cohomology"):
+        rest = ["--algebra", file(*_ALGEBRAS), "--rep", file(*_REPS)]
+        rest += flag("--representatives") if command == "cohomology" else []
+    elif command in ("nab-validate", "build-extension"):
+        rest = ["--cocycle", file("{nab}")]
+    elif command == "extract-cocycle":
+        rest = ["--extension", file(*exts)]
+        rest += opt("--section", lambda: spec(["[[1,0],[0,1],[0,0]]", "[[1,0],[0,1],[1,1]]"]))
+    elif command == "equiv-cocycles":
+        rest = ["--c1", file("{nab}"), "--c2", file("{nab}")] + opt("--phi", lambda: spec(_PHIS))
+    elif command == "equiv-extensions":
+        rest = ["--e1", file(*exts), "--e2", file(*exts)]
+    elif command == "classify":
+        # one-dimensional fibers keep every run within the bound small
+        rest = ["--base", file(*_ALGEBRAS), "--fiber", file("z1.bol", "z1_gf5.bol")]
+        rest += opt("--actions", lambda: file(*_REPS)) + flag("--count-only")
+    elif command in ("inducible", "lift", "wells"):
+        rest = ["--extension", file(*exts), "--alpha", spec(_ALPHAS),
+                "--beta", spec(_BETAS)]
+        if command != "wells":
+            rest += opt("--phi", lambda: spec(_PHIS))
+    elif command == "exactness":
+        rest = ["--extension", file(*exts)]
+    else:
+        rest = ["--kind", draw(st.sampled_from(["algebras", "automorphisms",
+                                                "vectors"]))]
+        rest += opt("--field", lambda: draw(st.sampled_from(
+            ["5", "7", "Q", "4", "x", "318665857834031151167441"])))
+        rest += opt("--dim", lambda: str(draw(st.integers(-1, 3))))
+        rest += opt("--algebra", lambda: file(*_ALGEBRAS))
+        rest += flag("--tri-zero") + ["--count-only"]
+    return top + [command] + rest
+
+
+@pytest.fixture(scope="module")
+def nab_file(tmp_path_factory):
+    code, out = run_cli("extract-cocycle", "--extension", C("e_h3.ext"))
+    path = tmp_path_factory.mktemp("fuzz") / "e_h3.nab"
+    path.write_text(out)
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_argv_fuzz_keeps_exit_code_contract(nab_file, argv):
+    # 0 holds, 1 fails, 2 usage/parse/bound error; never a traceback
+    argv = [a.replace("{nab}", nab_file) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

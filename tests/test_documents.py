@@ -124,3 +124,20 @@ def test_aut_pair_doc(F5):
     doc = docs.aut_pair_to_doc(pair)
     back = docs.aut_pair_from_doc(doc, F5, 2, 1, "<mem>")
     assert back.alpha == pair.alpha and back.beta == pair.beta
+
+
+@pytest.mark.parametrize("kind", ["representation", "nab-cocycle"])
+def test_parse_rejects_non_alternating_d(tmp_path, kind):
+    if kind == "representation":
+        doc = json.loads((corpus_dir() / "t1.rep").read_text())
+        one = [["1"]]
+    else:
+        from bolext.exactlin import PrimeField
+        from bolext.extensions import e_h3, theta_map
+        doc = docs.nab_to_doc(theta_map(e_h3(PrimeField(5))))
+        one = [[1]]
+    doc["D"][0][1] = doc["D"][1][0] = one
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="D must be alternating"):
+        docs.parse_document(str(p), kind)

@@ -196,3 +196,26 @@ def test_equivalence_is_an_equivalence_relation(F5):
     # transitive with the summed witness
     assert cocycles_equivalent_via(c1, c3, phi1 + phi2).valid
     assert solve_equivalence(c1, c3).found
+
+
+def test_equivalence_matrix_reads_phi_column_major(F5):
+    # with a two-dimensional fiber the row- and column-major parameter
+    # orders differ; the residue readers take x[q*m + t] = phi(e_q)_t
+    from bolext.nonabelian import (_EQV_LINEAR, _equivalence_matrix,
+                                   _equivalence_residuals, _residues, _rows)
+    from bolext.representation import Representation
+
+    def mat(rows):
+        return Matrix.from_int_rows(F5, rows)
+    z = mat([[0, 0], [0, 0]])
+    r = Representation(F5, 2, 2, (mat([[1, 2], [0, 3]]), mat([[0, 1], [4, 0]])),
+                       ((z, mat([[2, 0], [1, 1]])), (mat([[0, 3], [0, 0]]), z)),
+                       ((z, mat([[1, 1], [0, 2]])), (mat([[4, 4], [0, 3]]), z)))
+    c = NonAbelianCocycle.split(s2(F5), r)
+    a = _equivalence_matrix(c)
+    rng = random.Random(3)
+    for _ in range(5):
+        phi = mat([[rng.randrange(5) for _ in range(2)] for _ in range(2)])
+        x = _residues(phi.entries).T.reshape(-1)
+        rows = _residues(_rows(_equivalence_residuals(c, c, phi, _EQV_LINEAR)))
+        assert rows.any() and (a @ x % 5 == rows).all()

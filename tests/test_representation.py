@@ -71,3 +71,53 @@ def test_iff_census_dim_one(F5):
 def test_semidirect_shape_mismatch(Q):
     with pytest.raises(UsageError):
         semidirect_product(z2(Q), trivial_representation(Q, 3))
+
+
+def _mixed_actions(field):
+    # not a module: nonzero mu, theta and D to place every action block
+    def mat(v):
+        return Matrix.from_int_rows(field, [[v]])
+    return Representation(field, 2, 1, (mat(1), mat(2)),
+                          ((mat(0), mat(3)), (mat(4), mat(1))),
+                          ((mat(0), mat(2)), (mat(-2), mat(0))))
+
+
+@pytest.mark.parametrize("name", ["s2_r_s2", "z2_trivial", "z2_mixed"])
+def test_semidirect_product_matches_census_route_2(F5, name):
+    # the glued algebra of the zero cocycle against census route 2, which
+    # assembles the semidirect sum from the action arrays on its own
+    import numpy as np
+
+    from bolext.bruteforce import semidirect_arrays
+
+    a, r = {"s2_r_s2": (s2(F5), r_s2(F5)),
+            "z2_trivial": (z2(F5), trivial_representation(F5, 2)),
+            "z2_mixed": (z2(F5), _mixed_actions(F5))}[name]
+
+    def residues(mats):
+        return np.array([[[int(x.value) for x in row] for row in m.entries]
+                         for m in mats], dtype=np.int64)
+
+    n, m = a.dim, r.module_dim
+    mu = residues(r.mu)
+    theta = residues([g for row in r.theta for g in row]).reshape(n, n, m, m)
+    dd = residues([g for row in r.dd for g in row]).reshape(n, n, m, m)
+    bil, tri = a.int_arrays()
+    bil_e, tri_e = semidirect_arrays(bil, tri, mu[None], theta[None], dd[None], 5)
+    got_bil, got_tri = semidirect_product(a, r).int_arrays()
+    assert (got_bil == bil_e[0]).all() and (got_tri == tri_e[0]).all()
+    assert got_bil[n:].any() == bool(mu.any())
+
+
+def test_action_operators_extend_the_basis_images(F5):
+    r = _mixed_actions(F5)  # theta(e1,e2) = 3 but theta(e2,e1) = 4
+    basis = [(F5.one, F5.zero), (F5.zero, F5.one)]
+    for i in range(2):
+        assert r.mu_op(basis[i]) == r.mu[i]
+        for j in range(2):
+            assert r.theta_op(basis[i], basis[j]) == r.theta[i][j]
+            assert r.dd_op(basis[i], basis[j]) == r.dd[i][j]
+    x, y = (F5.scalar(2), F5.scalar(3)), (F5.scalar(4), F5.scalar(1))
+    assert r.mu_op(x) == Matrix.from_int_rows(F5, [[2 * 1 + 3 * 2]])
+    assert r.theta_op(x, y) == Matrix.from_int_rows(F5, [[2 * 1 * 3 + 3 * 4 * 4 + 3 * 1 * 1]])
+    assert r.dd_op(x, y) == Matrix.from_int_rows(F5, [[2 * 1 * 2 - 3 * 4 * 2]])

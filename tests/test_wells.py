@@ -253,7 +253,14 @@ def _extension(F5, name):
     if name == "bracket_base":
         return semidirect_extension(_bracket_base(F5),
                                     trivial_representation(F5, 2))
-    return semidirect_extension(s2(F5), r_s2(F5))
+    split = semidirect_extension(s2(F5), r_s2(F5))
+    if name == "s2_r_s2_sheared":
+        # the split extension read through a skew section: nu is a nonzero
+        # coboundary, so most lifts need a nonzero map
+        from bolext.extensions import extract_cocycle, make_section
+        sheared = make_section(split, Matrix.from_int_rows(F5, [[1, 0], [0, 1], [2, 3]]))
+        return as_extension(extract_cocycle(split, sheared))
+    return split
 
 
 @pytest.mark.parametrize("name", ["e_h3", "z2_mu_first", "s2_r_s2",
@@ -322,7 +329,7 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
     from bolext.exactlin import enumerate_vectors
     from bolext.nonabelian import (_cocycle_arrays, _equivalent_via,
                                    cocycles_equivalent_via, solve_equivalence)
-    from bolext.wells import (_act, _intertwines, _pair_compatible_with_cocycle,
+    from bolext.wells import (_act, _intertwines, _pair_intertwines,
                               _same_actions)
 
     e = _extension(F5, name)
@@ -352,9 +359,40 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
         assert all((a[0] == b).all() for a, b in zip(got, _cocycle_arrays(acted)))
         assert _intertwines(arr, batch_of_one(ga), batch_of_one(gb),
                             inverse(gb), 5)[0] == \
-            _pair_compatible_with_cocycle(c, pair)
+            _pair_intertwines(c, pair)
         gated = solve_equivalence(acted, c).reason in ("eqv-mu", "eqv-theta", "eqv-d")
         assert _same_actions(got, arr)[0] == (not gated)
         many = got.take(np.zeros(len(maps), dtype=np.int64))
         assert _equivalent_via(many, arr, phis, bil, tri, 5).tolist() == \
             [cocycles_equivalent_via(acted, c, f).valid for f in maps]
+
+
+@pytest.mark.parametrize("name,step", [("z2_theta_omega", 7), ("s2_r_s2", 1),
+                                       ("s2_r_s2_sheared", 1)])
+def test_inducibility_agrees_with_wells_class(F5, name, step):
+    # a pair lifts iff its class verdict is zero: the inducibility solver
+    # against the equivalence solver, each witness checked by its lift
+    from bolext.bol import automorphism_int_arrays, int_matrix
+
+    e = _extension(F5, name)
+    s = canonical_section(e)
+    fiber_auts = automorphism_int_arrays(e.fiber)
+    pairs = [AutPair(int_matrix(F5, ga), int_matrix(F5, gb))
+             for ga in automorphism_int_arrays(e.base) for gb in fiber_auts]
+    reasons = set()
+    nonzero_witnesses = 0
+    for pair in pairs[::step]:
+        dec = solve_inducibility(e, pair)
+        verdict = wells_map(e, pair).status
+        assert dec.found == (verdict == "zero")
+        if dec.found:
+            gamma = lift_automorphism(e, s, pair, dec.witness)
+            assert e.proj * gamma == pair.alpha * e.proj
+            nonzero_witnesses += not dec.witness.is_zero()
+        else:
+            reasons.add((dec.reason, verdict))
+    if name == "z2_theta_omega":
+        assert reasons == {("ind-mu", "incompatible"),
+                           ("ind-omega+ind-nu", "nonzero")}
+    if name == "s2_r_s2_sheared":
+        assert not reasons and nonzero_witnesses == 60
