@@ -2,31 +2,21 @@
 brute-force enumeration, and the shipped fixture family.
 
 A structure is a skew bilinear product ``x*y`` plus a trilinear bracket
-``[x,y,z]`` skew in its first two arguments, subject to five identities
-(tags in `validate_bol`):
-
-  star-skew            x1*x2 + x2*x1 = 0
-  bracket-skew         [x1,x2,x3] + [x2,x1,x3] = 0
-  bracket-cyclic       [x1,x2,x3] + [x2,x3,x1] + [x3,x1,x2] = 0
-  mixed-product        [x1,x2,y1*y2] = [x1,x2,y1]*y2 + y1*[x1,x2,y2]
-                         + [y1,y2,x1*x2] - (y1*y2)*(x1*x2)
-  bracket-derivation   [x1,x2,[y1,y2,y3]] = [[x1,x2,y1],y2,y3]
-                         + [y1,[x1,x2,y2],y3] + [y1,y2,[x1,x2,y3]]
-
-All identities are multilinear, so checking them on basis tuples is complete.
-Full tensors are stored; skewness is validated, never assumed.
+``[x,y,z]`` skew in its first two arguments, subject to five identities:
+star-skew, bracket-skew, bracket-cyclic, mixed-product and
+bracket-derivation.  Their formulas are the rows of `identities.BOL`, which
+`validate_bol` reads.  Full tensors are stored; skewness is validated, never
+assumed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
-from . import bruteforce
+from . import bruteforce, identities
 from .core import DEFAULT_ENUMERATION_BOUND, DEFAULT_RESULT_BOUND, ValidationReport
 from .errors import UnsupportedEnumerationError, UsageError
-from .exactlin import (Matrix, vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .exactlin import Matrix, vec_add, vec_is_zero, vec_scale, zero_vec
 
 __all__ = [
     "BolAlgebra", "evaluate_products", "validate_bol", "is_morphism",
@@ -103,17 +93,6 @@ class BolAlgebra:
                                 for k in range(n)) for j in range(n)) for i in range(n))
         return BolAlgebra(self.field, n, bil, tri)
 
-    def int_arrays(self):
-        """(bil, tri) as numpy residue arrays; prime fields only."""
-        if not self.field.is_prime_field:
-            raise UsageError("integer tensors exist only over prime fields")
-        n = self.dim
-        bil = np.array([[[int(c.value) for c in v] for v in r] for r in self.bil],
-                       dtype=np.int64)
-        tri = np.array([[[[int(c.value) for c in v] for v in row] for row in r]
-                        for r in self.tri], dtype=np.int64)
-        return bil, tri
-
 
 def evaluate_products(a: BolAlgebra, x, y, z=None) -> tuple:
     """x*y, or [x,y,z] when z is given."""
@@ -122,84 +101,7 @@ def evaluate_products(a: BolAlgebra, x, y, z=None) -> tuple:
 
 def validate_bol(a: BolAlgebra) -> ValidationReport:
     """Check all five axioms on every basis tuple."""
-    n = a.dim
-    rep = ValidationReport()
-    for i in range(n):
-        for j in range(i, n):
-            r = vec_add(a.bil[i][j], a.bil[j][i])
-            if not vec_is_zero(r):
-                rep.add("star-skew", (i, j), r)
-            for k in range(n):
-                r = vec_add(a.tri[i][j][k], a.tri[j][i][k])
-                if not vec_is_zero(r):
-                    rep.add("bracket-skew", (i, j, k), r)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = vec_add(vec_add(a.tri[i][j][k], a.tri[j][k][i]), a.tri[k][i][j])
-                if not vec_is_zero(r):
-                    rep.add("bracket-cyclic", (i, j, k), r)
-    bracket_of = _linear_bracket_applier(a)
-    star_of = _linear_star_applier(a)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    r = bracket_of(i, j, a.bil[k][l])
-                    r = vec_sub(r, star_of(a.tri[i][j][k], l, right=True))
-                    r = vec_sub(r, star_of(a.tri[i][j][l], k, right=False))
-                    r = vec_sub(r, bracket_of(k, l, a.bil[i][j]))
-                    r = vec_add(r, a.star(a.bil[k][l], a.bil[i][j]))
-                    if not vec_is_zero(r):
-                        rep.add("mixed-product", (i, j, k, l), r)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    for m in range(n):
-                        r = bracket_of(i, j, a.tri[k][l][m])
-                        r = vec_sub(r, _bracket_first(a, a.tri[i][j][k], l, m))
-                        r = vec_sub(r, _bracket_middle(a, k, a.tri[i][j][l], m))
-                        r = vec_sub(r, bracket_of(k, l, a.tri[i][j][m]))
-                        if not vec_is_zero(r):
-                            rep.add("bracket-derivation", (i, j, k, l, m), r)
-    return rep
-
-
-def _linear_bracket_applier(a):
-    def apply(i, j, vec):
-        out = zero_vec(a.field, a.dim)
-        for q, c in enumerate(vec):
-            if c:
-                out = vec_add(out, vec_scale(c, a.tri[i][j][q]))
-        return out
-    return apply
-
-
-def _linear_star_applier(a):
-    def apply(vec, k, right):
-        out = zero_vec(a.field, a.dim)
-        for q, c in enumerate(vec):
-            if c:
-                out = vec_add(out, vec_scale(c, a.bil[q][k] if right else a.bil[k][q]))
-        return out
-    return apply
-
-
-def _bracket_first(a, vec, l, m):
-    out = zero_vec(a.field, a.dim)
-    for q, c in enumerate(vec):
-        if c:
-            out = vec_add(out, vec_scale(c, a.tri[q][l][m]))
-    return out
-
-
-def _bracket_middle(a, k, vec, m):
-    out = zero_vec(a.field, a.dim)
-    for q, c in enumerate(vec):
-        if c:
-            out = vec_add(out, vec_scale(c, a.tri[k][q][m]))
-    return out
+    return identities.report(identities.BOL, a.field, bil=a.bil, tri=a.tri)
 
 
 def is_morphism(f: Matrix, a1: BolAlgebra, a2: BolAlgebra) -> bool:
@@ -237,8 +139,8 @@ def automorphism_int_arrays(a: BolAlgebra, budget: int = DEFAULT_ENUMERATION_BOU
     """Automorphism matrices as a (k, n, n) integer array (prime fields)."""
     if not a.field.is_prime_field:
         raise UnsupportedEnumerationError("automorphism enumeration needs a finite field")
-    bil, tri = a.int_arrays()
-    return bruteforce.automorphism_arrays(bil, tri, a.field.p, budget)
+    return bruteforce.automorphism_arrays(identities.residues(a.bil),
+                                          identities.residues(a.tri), a.field.p, budget)
 
 
 def int_matrix(field, arr) -> Matrix:

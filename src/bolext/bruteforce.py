@@ -7,29 +7,29 @@ are deterministic and ranges can be partitioned.
 """
 from __future__ import annotations
 
+from functools import partial
 from math import factorial, prod
 
 import numpy as np
 
+from . import identities
 from .errors import UnsupportedEnumerationError
 
 _CHUNK = 1 << 16
 
 
-def _dtype(p: int):
-    # storage for residues and their sums in the small identity suites
-    return np.int16 if p <= 7 else np.int64
-
-
 def _headroom_dtype(terms: int, degree: int, p: int):
     """The narrowest integer type that holds a sum of `terms` products of
     `degree` residues mod p; raises where even int64 does not."""
-    worst = max(terms, 1) * (p - 1) ** degree
+    return _narrowest(max(terms, 1) * (p - 1) ** degree,
+                      f"{terms} products of {degree} residues mod {p}")
+
+
+def _narrowest(worst: int, what: str):
     for dt in (np.int16, np.int32, np.int64):
         if worst <= np.iinfo(dt).max:
             return dt
-    raise UnsupportedEnumerationError(
-        f"{terms} products of {degree} residues mod {p} overflow int64")
+    raise UnsupportedEnumerationError(f"{what} overflow int64")
 
 
 def digit_block(start: int, stop: int, p: int, width: int, dtype) -> np.ndarray:
@@ -45,72 +45,84 @@ def skew_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def bil_from_params(params: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Skew bilinear tensors from free coordinates b[i][j][:], i<j."""
-    b = params.shape[0]
-    bil = np.zeros((b, n, n, n), dtype=params.dtype)
-    k = 0
-    for i, j in skew_pairs(n):
-        block = params[:, k:k + n]
-        bil[:, i, j, :] = block
-        bil[:, j, i, :] = (-block) % p
-        k += n
-    return bil
+def skew_from_params(params: np.ndarray, n: int, shape: tuple, p: int) -> np.ndarray:
+    """Tensors skew in their first two axes, from one free block of the
+    given shape per pair (i, j), i < j, in `skew_pairs` order."""
+    b, size = params.shape[0], prod(shape)
+    out = np.zeros((b, n, n) + shape, dtype=params.dtype)
+    for k, (i, j) in enumerate(skew_pairs(n)):
+        block = params[:, k * size:(k + 1) * size].reshape((b,) + shape)
+        out[:, i, j] = block
+        out[:, j, i] = (-block) % p
+    return out
 
 
-def tri_from_params(params: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Tensors skew in the first two slots from t[i][j][k][:], i<j."""
-    b = params.shape[0]
-    tri = np.zeros((b, n, n, n, n), dtype=params.dtype)
-    k = 0
-    for i, j in skew_pairs(n):
-        for c in range(n):
-            block = params[:, k:k + n]
-            tri[:, i, j, c, :] = block
-            tri[:, j, i, c, :] = (-block) % p
-            k += n
-    return tri
+def identity_mask(suite, p: int, batch: dict, fixed=None) -> np.ndarray:
+    """Mask of the batch entries that satisfy every identity of one of the
+    `identities` tables without variant marks (`BOL`, `REP`).
+
+    `batch` maps tensor names to residue arrays with a leading batch axis,
+    `fixed` to residue arrays shared by the whole batch.  Identities run
+    cheapest first, each only on the survivors of the ones before it.  A
+    term is bounded by its summed products times its factors' largest
+    entries (so an all-zero factor gives int16 at every p) and contracted by
+    `_contract`; an identity's terms are summed unreduced, in a type that
+    holds p and the sum of their bounds, and reduced once.  The triangle of
+    a group is not needed here: its residuals are symmetric.
+    """
+    fixed = fixed or {}
+    shapes = {name: a.shape[1:] for name, a in batch.items()}
+    shapes.update((name, a.shape) for name, a in fixed.items())
+    peak = {name: int(a.max(initial=0)) for name, a in {**batch, **fixed}.items()}
+    checks = [(identities.axis_sizes(idt, shapes), idt)
+              for group in suite for idt in group.identities]
+    ok = np.ones(len(next(iter(batch.values()))), dtype=bool)
+    for sizes, idt in sorted(checks, key=lambda c: _identity_cost(*c)):
+        idx = np.flatnonzero(ok)
+        if not idx.size:
+            break
+        terms = idt.terms
+        names = {name for t in terms for name, _ in t.factors}
+        every = idx.size == ok.size
+        arrays = {name: fixed[name] if name in fixed else
+                  batch[name] if every else batch[name][idx] for name in names}
+        bounds = [prod(sizes[ch] for ch in set().union(*(idx for _, idx in t.factors))
+                       - set(idt.axes)) * prod(peak[name] for name, _ in t.factors)
+                  for t in terms]
+        what = f"the terms of {idt.tag} mod {p}"
+        total = np.zeros((idx.size,) + tuple(sizes[ch] for ch in idt.axes),
+                         dtype=_narrowest(max(sum(bounds), p), what))
+        for t, worst in zip(terms, bounds):
+            value = identities.contract(t, idt.axes, arrays, sizes, batch.keys(), "Z",
+                                        einsum=partial(_contract, worst, what))
+            (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
+        np.remainder(total, p, out=total)
+        ok[idx] = ~np.any(total, axis=tuple(range(1, total.ndim)))
+    return ok
+
+
+def _contract(worst: int, what: str, spec: str, *ops) -> np.ndarray:
+    """Unreduced `np.einsum(spec, *ops)` of residue arrays in the narrowest
+    integer type that holds `worst`, its bound; residues are nonnegative, so
+    no partial sum of any contraction order exceeds it."""
+    dt = _narrowest(worst, what)
+    return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops),
+                     optimize=len(ops) > 2)
+
+
+def _identity_cost(sizes, idt) -> int:
+    return sum(prod(sizes[ch] for ch in set(idt.axes).union(*(idx for _, idx in t.factors)))
+               for t in idt.terms)
 
 
 def validate_bol_mask(bil: np.ndarray, tri: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of batch entries whose tensors satisfy all five axioms.
-
-    Identities run cheapest first, each stage only on the survivors of the
-    previous ones; the conjunction is unchanged.
-    """
-    b = bil.shape[0]
-    ok = np.ones(b, dtype=bool)
-
-    ok &= ~np.any((bil + bil.transpose(0, 2, 1, 3)) % p, axis=(1, 2, 3))
-    ok &= ~np.any((tri + tri.transpose(0, 2, 1, 3, 4)) % p, axis=(1, 2, 3, 4))
-    cyc = (tri + tri.transpose(0, 2, 3, 1, 4) + tri.transpose(0, 3, 1, 2, 4)) % p
-    ok &= ~np.any(cyc, axis=(1, 2, 3, 4))
-
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        B, T = bil[idx], tri[idx]
-        # [ei,ej,ek*el] = [ei,ej,ek]*el + ek*[ei,ej,el] + [ek,el,ei*ej] - (ek*el)*(ei*ej)
-        res = np.einsum("bklq,bijqr->bijklr", B, T) % p
-        res -= np.einsum("bijkq,bqlr->bijklr", T, B) % p
-        res -= np.einsum("bijlq,bkqr->bijklr", T, B) % p
-        res -= np.einsum("bijq,bklqr->bijklr", B, T) % p
-        res += np.einsum("bklq,bijs,bqsr->bijklr", B, B, B, optimize=True) % p
-        ok[idx] = ~np.any(res % p, axis=(1, 2, 3, 4, 5))
-
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        T = tri[idx]
-        res = np.einsum("bklmq,bijqr->bijklmr", T, T) % p
-        res -= np.einsum("bijkq,bqlmr->bijklmr", T, T) % p
-        res -= np.einsum("bijlq,bkqmr->bijklmr", T, T) % p
-        res -= np.einsum("bijmq,bklqr->bijklmr", T, T) % p
-        ok[idx] = ~np.any(res % p, axis=(1, 2, 3, 4, 5, 6))
-    return ok
+    """Boolean mask of batch entries whose tensors satisfy all five axioms."""
+    return identity_mask(identities.BOL, p, {"bil": bil, "tri": tri})
 
 
 def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int, chunk=_CHUNK):
     """Yield (bil, tri) integer tensor pairs passing the axiom suite."""
-    dt = _dtype(p)
+    dt = _headroom_dtype(1, 1, p)
     npairs = len(skew_pairs(n))
     width = npairs * n if tri_zero else npairs * n + npairs * n * n
     total = p ** width
@@ -121,11 +133,11 @@ def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int, chunk=_
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         params = digit_block(start, stop, p, width, dt)
-        bil = bil_from_params(params[:, :bw], n, p)
+        bil = skew_from_params(params[:, :bw], n, (n,), p)
         if tri_zero:
             tri = np.zeros((stop - start, n, n, n, n), dtype=dt)
         else:
-            tri = tri_from_params(params[:, bw:], n, p)
+            tri = skew_from_params(params[:, bw:], n, (n, n), p)
         mask = validate_bol_mask(bil, tri, p)
         for i in np.flatnonzero(mask):
             yield bil[i], tri[i]
@@ -158,7 +170,7 @@ def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int,
     if total > budget:
         raise UnsupportedEnumerationError(
             f"{total} candidate matrices exceed the bound {budget}")
-    dt = _dtype(p)
+    dt = _headroom_dtype(1, 1, p)
     found = []
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
@@ -176,17 +188,13 @@ def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int,
 
 def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """Mask of matrices (columns = basis images) commuting with both products
-    of one fixed structure.
-
-    Each contraction runs in the narrowest integer type its worst-case sum
-    fits (`_headroom_dtype`); residues are nonnegative, so no partial sum of
-    any contraction order exceeds it."""
+    of one fixed structure, each contraction bounded by its worst case."""
     n = M.shape[1]
 
     def contract(spec, terms, *ops):
-        dt = _headroom_dtype(terms, len(ops), p)
-        return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops),
-                         optimize=len(ops) > 2) % p
+        degree = len(ops)
+        return _contract(terms * (p - 1) ** degree,
+                         f"{terms} products of {degree} residues mod {p}", spec, *ops) % p
 
     lhs2 = contract("bai,bcj,acl->bijl", n ** 2, M, M, bil)
     rhs2 = contract("blq,ijq->bijl", n, M, bil)
@@ -203,84 +211,39 @@ def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> 
 # ---------------------------------------------------------------------------
 # representation censuses
 
-def rep_param_batches(n: int, m: int, p: int, budget: int):
-    """All candidate (mu, theta, D) action tensors with D skew.
-
-    Returns (mu, theta, dd) arrays of shapes (N,n,m,m), (N,n,n,m,m),
-    (N,n,n,m,m) in lexicographic parameter order.
-    """
-    mm = m * m
-    n_dd = len(skew_pairs(n))
-    width = n * mm + n * n * mm + n_dd * mm
-    total = p ** width
+def rep_param_count(n: int, m: int, p: int, budget: int) -> int:
+    """The number of candidate (mu, theta, D) action tuples; raises above
+    the budget."""
+    total = p ** _rep_param_width(n, m)
     if total > budget:
         raise UnsupportedEnumerationError(
             f"{total} candidate representations exceed the bound {budget}")
-    dt = _dtype(p)
-    params = digit_block(0, total, p, width, dt)
-    k = 0
-    mu = params[:, k:k + n * mm].reshape(total, n, m, m)
-    k += n * mm
-    theta = params[:, k:k + n * n * mm].reshape(total, n, n, m, m)
-    k += n * n * mm
-    dd = np.zeros((total, n, n, m, m), dtype=dt)
-    for i, j in skew_pairs(n):
-        block = params[:, k:k + mm].reshape(total, m, m)
-        dd[:, i, j] = block
-        dd[:, j, i] = (-block) % p
-        k += mm
+    return total
+
+
+def _rep_param_width(n, m):
+    return (n + n * n + len(skew_pairs(n))) * m * m
+
+
+def rep_param_batches(n: int, m: int, p: int, start: int, stop: int):
+    """Candidates start..stop-1 of the (mu, theta, D) action tensors with D
+    skew, in lexicographic parameter order.
+
+    Returns (mu, theta, dd) arrays of shapes (N,n,m,m), (N,n,n,m,m),
+    (N,n,n,m,m).
+    """
+    params = digit_block(start, stop, p, _rep_param_width(n, m), _headroom_dtype(1, 1, p))
+    rows, mm = stop - start, m * m
+    mu = params[:, :n * mm].reshape(rows, n, m, m)
+    theta = params[:, n * mm:(n + n * n) * mm].reshape(rows, n, n, m, m)
+    dd = skew_from_params(params[:, (n + n * n) * mm:], n, (m, m), p)
     return mu, theta, dd
 
 
 def validate_rep_mask(bil, tri, mu, theta, dd, p) -> np.ndarray:
     """Mask of (mu, theta, D) batches satisfying the six module identities."""
-    N, n, m, _ = mu.shape
-    mul = lambda A, B: np.einsum("b...ij,b...jk->b...ik", A, B) % p
-
-    def comm(A, B):
-        return (mul(A, B) - mul(B, A)) % p
-
-    ok = np.ones(N, dtype=bool)
-    # D + theta - theta^T = 0
-    ok &= ~np.any((dd + theta - theta.transpose(0, 2, 1, 3, 4)) % p, axis=(1, 2, 3, 4))
-
-    # [D(i,j), mu(k)] = mu([i,j,k]) - theta(k, i*j) + mu(i*j) mu(k)
-    Dij_mu = np.einsum("bijst,bktu->bijksu", dd, mu) % p
-    mu_Dij = np.einsum("bkst,bijtu->bijksu", mu, dd) % p
-    mu_br = np.einsum("ijkq,bqst->bijkst", tri, mu) % p
-    th_star = np.einsum("ijq,bkqst->bijkst", bil, theta) % p
-    mu_star = np.einsum("ijq,bqst,bktu->bijksu", bil, mu, mu, optimize=True) % p
-    ok &= ~np.any((Dij_mu - mu_Dij - mu_br + th_star - mu_star) % p, axis=(1, 2, 3, 4, 5))
-
-    # theta(i, k*l) = mu(k) theta(i,l) - mu(l) theta(i,k) - (D(k,l) - mu(k*l)) mu(i)
-    lhs = np.einsum("klq,biqst->biklst", bil, theta) % p
-    t1 = np.einsum("bkst,biltu->biklsu", mu, theta) % p
-    t2 = np.einsum("blst,biktu->biklsu", mu, theta) % p
-    t3 = np.einsum("bklst,bitu->biklsu", dd, mu) % p
-    t4 = np.einsum("klq,bqst,bitu->biklsu", bil, mu, mu, optimize=True) % p
-    ok &= ~np.any((lhs - t1 + t2 + t3 - t4) % p, axis=(1, 2, 3, 4, 5))
-
-    # [D(i,j), D(k,l)] = D([i,j,k], l) + D(k, [i,j,l])
-    c = (np.einsum("bijst,bkltu->bijklsu", dd, dd) -
-         np.einsum("bklst,bijtu->bijklsu", dd, dd)) % p
-    r = (np.einsum("ijkq,bqlst->bijklst", tri, dd) +
-         np.einsum("ijlq,bkqst->bijklst", tri, dd)) % p
-    ok &= ~np.any((c - r) % p, axis=(1, 2, 3, 4, 5, 6))
-
-    # [D(i,j), theta(k,l)] = theta([i,j,k], l) + theta(k, [i,j,l])
-    c = (np.einsum("bijst,bkltu->bijklsu", dd, theta) -
-         np.einsum("bklst,bijtu->bijklsu", theta, dd)) % p
-    r = (np.einsum("ijkq,bqlst->bijklst", tri, theta) +
-         np.einsum("ijlq,bkqst->bijklst", tri, theta)) % p
-    ok &= ~np.any((c - r) % p, axis=(1, 2, 3, 4, 5, 6))
-
-    # theta(i, [k,l,w]) = theta(l,w) theta(i,k) - theta(k,w) theta(i,l) + D(k,l) theta(i,w)
-    lhs = np.einsum("klwq,biqst->biklwst", tri, theta) % p
-    t1 = np.einsum("blwst,biktu->biklwsu", theta, theta) % p
-    t2 = np.einsum("bkwst,biltu->biklwsu", theta, theta) % p
-    t3 = np.einsum("bklst,biwtu->biklwsu", dd, theta) % p
-    ok &= ~np.any((lhs - t1 + t2 - t3) % p, axis=(1, 2, 3, 4, 5, 6))
-    return ok
+    return identity_mask(identities.REP, p, {"mu": mu, "theta": theta, "dd": dd},
+                         {"bil": bil, "tri": tri})
 
 
 def semidirect_arrays(bil, tri, mu, theta, dd, p):

@@ -291,6 +291,8 @@ def _cmd_exactness(args):
 def _cmd_enumerate(args):
     if args.kind == "algebras":
         field = _field_and_dim(args)
+        if args.dim == 0:
+            raise UsageError("--kind algebras needs --dim >= 1, got 0")
         count = 0
         for a in enumerate_bol_algebras(field, args.dim, args.tri_zero, args.bound):
             count += 1

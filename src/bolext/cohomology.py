@@ -1,18 +1,14 @@
 """Abelian (2,3)-cochains, cocycle identities, coboundaries, and the
 cohomology of a module by exact linear algebra.
 
-Identity tags reported by `is_cocycle23`:
-
-  nu-skew          nu(x1,x2) + nu(x2,x1) = 0
-  omega-skew       omega(x1,x2,x3) + omega(x2,x1,x3) = 0
-  cocycle-cyclic   omega(x1,x2,x3) + omega(x2,x3,x1) + omega(x3,x1,x2) = 0
-  cocycle-star     the bilinear/trilinear coupling identity (see below)
-  cocycle-bracket  the trilinear coupling identity
-
-One printed term of cocycle-star pairs nu with itself, which is not
+The cocycle identities (nu-skew, omega-skew, cocycle-cyclic, cocycle-star,
+cocycle-bracket) are the rows of `identities.COCYCLE`, which `is_cocycle23`
+reads.  One printed term of cocycle-star pairs nu with itself, which is not
 type-correct; the CORRECTED variant (default) reads it as
 mu(x1*x2) nu(y1,y2), the STRICT variant drops it.  Coboundaries are cocycles
-under the corrected reading only.
+under the corrected reading only.  `cocycle_constraint_matrix` assembles the
+same identities as a linear system directly from the structure constants,
+without evaluating any cochain, as an independent route.
 
 Free coordinates of a (nu, omega) pair are nu[i][j] for i<j and omega[i][j][k]
 for i<j, any k, each a module column; everything else follows by skewness.
@@ -22,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
+from . import identities
 from .bol import BolAlgebra
 from .core import ValidationReport, Variant
 from .errors import UsageError
 from .exactlin import (Matrix, Subspace, basis_vec, vec_add, vec_is_zero,
                        vec_neg, vec_scale, vec_sub, zero_vec)
-from .representation import Representation
+from .representation import Representation, _require_compatible
 
 __all__ = [
     "Cochain2", "Cochain3", "CochainCoords", "CohomologyResult",
@@ -221,94 +218,8 @@ def is_cocycle23(a: BolAlgebra, r: Representation, nu: Cochain2, om: Cochain3,
                  variant: Variant = Variant.CORRECTED) -> ValidationReport:
     """Check the skewness and the three cocycle identities on basis tuples."""
     _check_cochains(a, r, nu, om)
-    n, m = a.dim, r.module_dim
-    rep = ValidationReport()
-    for i in range(n):
-        for j in range(i, n):
-            res = vec_add(nu.at(i, j), nu.at(j, i))
-            if not vec_is_zero(res):
-                rep.add("nu-skew", (i, j), res)
-            for k in range(n):
-                res = vec_add(om.at(i, j, k), om.at(j, i, k))
-                if not vec_is_zero(res):
-                    rep.add("omega-skew", (i, j, k), res)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = vec_add(vec_add(om.at(i, j, k), om.at(j, k, i)), om.at(k, i, j))
-                if not vec_is_zero(res):
-                    rep.add("cocycle-cyclic", (i, j, k), res)
-
-    def om_third(i, j, vec):
-        out = zero_vec(a.field, m)
-        for q, c in enumerate(vec):
-            if c:
-                out = vec_add(out, vec_scale(c, om.at(i, j, q)))
-        return out
-
-    def nu_left(vec, l):
-        out = zero_vec(a.field, m)
-        for q, c in enumerate(vec):
-            if c:
-                out = vec_add(out, vec_scale(c, nu.at(q, l)))
-        return out
-
-    def nu_right(k, vec):
-        out = zero_vec(a.field, m)
-        for q, c in enumerate(vec):
-            if c:
-                out = vec_add(out, vec_scale(c, nu.at(k, q)))
-        return out
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    res = om_third(i, j, a.bil[k][l])
-                    res = vec_add(res, r.dd[i][j].apply(nu.at(k, l)))
-                    res = vec_sub(res, om_third(k, l, a.bil[i][j]))
-                    res = vec_sub(res, r.dd[k][l].apply(nu.at(i, j)))
-                    res = vec_sub(res, nu_left(a.tri[i][j][k], l))
-                    res = vec_sub(res, nu_right(k, a.tri[i][j][l]))
-                    res = vec_sub(res, r.mu[k].apply(om.at(i, j, l)))
-                    res = vec_add(res, r.mu[l].apply(om.at(i, j, k)))
-                    if variant is Variant.CORRECTED:
-                        res = vec_sub(res, r.mu_op(a.bil[i][j]).apply(nu.at(k, l)))
-                    res = vec_add(res, r.mu_op(a.bil[k][l]).apply(nu.at(i, j)))
-                    res = vec_add(res, nu.eval(a.bil[k][l], a.bil[i][j]))
-                    if not vec_is_zero(res):
-                        rep.add("cocycle-star", (i, j, k, l), res)
-
-    def om_first(vec, l, m_):
-        out = zero_vec(a.field, m)
-        for q, c in enumerate(vec):
-            if c:
-                out = vec_add(out, vec_scale(c, om.at(q, l, m_)))
-        return out
-
-    def om_second(k, vec, m_):
-        out = zero_vec(a.field, m)
-        for q, c in enumerate(vec):
-            if c:
-                out = vec_add(out, vec_scale(c, om.at(k, q, m_)))
-        return out
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    for w in range(n):
-                        res = om_third(i, j, a.tri[k][l][w])
-                        res = vec_add(res, r.dd[i][j].apply(om.at(k, l, w)))
-                        res = vec_sub(res, om_first(a.tri[i][j][k], l, w))
-                        res = vec_sub(res, om_second(k, a.tri[i][j][l], w))
-                        res = vec_sub(res, om_third(k, l, a.tri[i][j][w]))
-                        res = vec_sub(res, r.dd[k][l].apply(om.at(i, j, w)))
-                        res = vec_sub(res, r.theta[l][w].apply(om.at(i, j, k)))
-                        res = vec_add(res, r.theta[k][w].apply(om.at(i, j, l)))
-                        if not vec_is_zero(res):
-                            rep.add("cocycle-bracket", (i, j, k, l, w), res)
-    return rep
+    return identities.report(identities.COCYCLE, a.field, variant, bil=a.bil,
+                             tri=a.tri, nu=nu.grid, om=om.grid, **r.action_entries())
 
 
 def coboundary(f: Matrix, chi, a: BolAlgebra, r: Representation):
@@ -502,7 +413,7 @@ def cohomology23(a: BolAlgebra, r: Representation,
                  variant: Variant = Variant.CORRECTED) -> CohomologyResult:
     """Cocycle space, coboundary space and quotient dimension over the free
     coordinates, with deterministic quotient representatives."""
-    validate_precondition(a, r)
+    _require_compatible(a, r)
     coords = CochainCoords(a.dim, r.module_dim, a.field)
     constraint = cocycle_constraint_matrix(a, r, variant)
     z_basis = constraint.kernel()
@@ -518,11 +429,6 @@ def cohomology23(a: BolAlgebra, r: Representation,
     representatives = [coords.decode(v) for v in reps_basis.basis.entries]
     return CohomologyResult(z_basis.dim, b_basis.dim, z_basis.dim - b_basis.dim,
                             z_basis, b_basis, representatives, variant)
-
-
-def validate_precondition(a, r):
-    if r.algebra_dim != a.dim or r.field != a.field:
-        raise UsageError("representation does not match the algebra")
 
 
 def cocycles_cohomologous(a: BolAlgebra, r: Representation, c1, c2,

@@ -63,10 +63,6 @@ class ValidationReport:
     def tags(self):
         return sorted({v.tag for v in self.violations})
 
-    def extend(self, other: "ValidationReport"):
-        self.violations.extend(other.violations)
-        return self
-
 
 class Status(str, Enum):
     """Three-valued search outcome; UNDECIDED is never conflated with NONE."""

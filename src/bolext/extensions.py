@@ -23,9 +23,10 @@ from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
 from .exactlin import (Matrix, Subspace, enumerate_vectors, kernel_basis,
                        vec_is_zero, zero_vec)
 from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
-                         _equivalence_matrix, _equivalent_via, _residues,
+                         _equivalence_matrix, _equivalent_via,
                          build_extension_algebra, solve_equivalence,
                          validate_nab_cocycle)
+from .identities import residues
 from .representation import Representation
 
 __all__ = [
@@ -369,10 +370,10 @@ def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
             actions = _cocycle_arrays(first)
             system = bruteforce.rref_transform(_equivalence_matrix(first), p)
             t, rank, _ = system
-            bil, tri = first.base.int_arrays()
+            bil, tri = residues(first.base.bil), residues(first.base.tri)
         count += len(batch)
-        nu = np.array([_residues(c.nu.grid) for c in batch])
-        om = np.array([_residues(c.omega.grid) for c in batch])
+        nu = np.array([residues(c.nu.grid) for c in batch])
+        om = np.array([residues(c.omega.grid) for c in batch])
         keys = bruteforce.contract_mod("ij,kj->ki", p, t[rank:],
                                        _stacked_rhs(om, nu))
         joins, joined = [], []

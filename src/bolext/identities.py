@@ -1,0 +1,389 @@
+"""The identity suites, written once as data, and the exact report reader.
+
+Every suite the engine decides (the Bol axioms, the six module identities,
+the abelian (2,3)-cocycle identities and the non-abelian cocycle identities
+in both variants) is a table of identities.  An identity is a tag, the basis
+axes it is checked on (`where`), the axes of its residual (`out`), and signed
+einsum terms over named dense tensors:
+
+  bil[i,j,k]     coefficient of e_k in e_i*e_j           (algebra or base)
+  tri[i,j,k,l]   coefficient of e_l in [e_i,e_j,e_k]
+  nu[i,j,s]      coordinate s of nu(e_i,e_j)
+  om[i,j,k,s]    coordinate s of omega(e_i,e_j,e_k)
+  mu[i,s,t]      entry (s,t) of the matrix mu(e_i); theta[i,j,s,t] and
+                 dd[i,j,s,t] likewise
+  vbil, vtri     the fiber's bil and tri
+
+A term "-tri(ijkq) bil(qlr)" is minus the contraction of its factors over
+every index that is not a residual axis; the residual of an identity at a
+`where` tuple is the sum of its terms.  A term marked for one variant is only
+summed in that variant, and an identity marked for one variant is only
+checked in it.  All identities are multilinear, so basis tuples suffice.
+
+Identities listed in one group share a prefix of their `where` axes.  A
+report walks a group prefix by prefix and, within one prefix, identity by
+identity, which is the order in which violations are emitted.  The first
+group of each suite is checked on the triangle j >= i of its first two axes
+only, since its identities are symmetric there.
+
+Two readers use the tables: `report` evaluates one structure exactly, on
+object arrays of Python ints, and `bruteforce.identity_mask` decides a batch
+of GF(p) structures on fixed-width residue arrays.
+"""
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from typing import Optional
+
+import numpy as np
+
+from .core import ValidationReport, Variant
+
+__all__ = ["Term", "Identity", "Group", "BOL", "REP", "COCYCLE", "NAB",
+           "report", "residues"]
+
+
+@dataclass(frozen=True)
+class Term:
+    """sign * the contraction of factors ((tensor name, indices), ...)."""
+
+    sign: int
+    factors: tuple
+    variant: Optional[Variant] = None
+
+    def spec(self, out: str, batched=frozenset(), batch: str = "") -> str:
+        """The einsum spec onto those axes of `out` that some factor carries;
+        factors named in `batched` get the leading axis `batch`, and so does
+        the result if any factor has it."""
+        carried = set("".join(idx for _, idx in self.factors))
+        lead = batch if any(name in batched for name, _ in self.factors) else ""
+        inputs = ",".join((batch if name in batched else "") + idx
+                          for name, idx in self.factors)
+        return inputs + "->" + lead + "".join(ch for ch in out if ch in carried)
+
+
+@dataclass(frozen=True)
+class Identity:
+    tag: str
+    where: str
+    out: str
+    terms: tuple
+    variant: Optional[Variant] = None
+
+    @property
+    def axes(self) -> str:
+        return self.where + self.out
+
+    def terms_in(self, variant) -> tuple:
+        return tuple(t for t in self.terms if t.variant in (None, variant))
+
+
+@dataclass(frozen=True)
+class Group:
+    """Identities that share the first `shared` axes of their `where`."""
+
+    shared: int
+    identities: tuple
+    triangle: bool = False
+
+
+_TERM = re.compile(r"([+-])\s*((?:\w+\(\w+\)\s*)+)")
+_FACTOR = re.compile(r"(\w+)\((\w+)\)")
+
+
+def _terms(text: str, variant=None) -> tuple:
+    return tuple(Term(1 if sign == "+" else -1, tuple(_FACTOR.findall(body)), variant)
+                 for sign, body in _TERM.findall(text))
+
+
+def _id(tag, where, out, both, corrected="", strict="", variant=None) -> Identity:
+    return Identity(tag, where, out,
+                    _terms(both) + _terms(corrected, Variant.CORRECTED)
+                    + _terms(strict, Variant.STRICT), variant)
+
+
+def _suite(*entries) -> tuple:
+    """Groups, with a lone identity as a group of one."""
+    return tuple(e if isinstance(e, Group) else Group(len(e.where), (e,))
+                 for e in entries)
+
+
+# ---------------------------------------------------------------------------
+# Bol axioms: bil, tri
+
+BOL = _suite(
+    Group(2, (
+        # x1*x2 + x2*x1 = 0
+        _id("star-skew", "ij", "r", "+bil(ijr) +bil(jir)"),
+        # [x1,x2,x3] + [x2,x1,x3] = 0
+        _id("bracket-skew", "ijk", "r", "+tri(ijkr) +tri(jikr)"),
+    ), triangle=True),
+    # [x1,x2,x3] + [x2,x3,x1] + [x3,x1,x2] = 0
+    _id("bracket-cyclic", "ijk", "r", "+tri(ijkr) +tri(jkir) +tri(kijr)"),
+    # [x1,x2,y1*y2] = [x1,x2,y1]*y2 + y1*[x1,x2,y2] + [y1,y2,x1*x2]
+    #                 - (y1*y2)*(x1*x2)
+    _id("mixed-product", "ijkl", "r",
+        "+bil(klq) tri(ijqr) -tri(ijkq) bil(qlr) -tri(ijlq) bil(kqr)"
+        " -bil(ijq) tri(klqr) +bil(klq) bil(ijs) bil(qsr)"),
+    # [x1,x2,[y1,y2,y3]] = [[x1,x2,y1],y2,y3] + [y1,[x1,x2,y2],y3]
+    #                      + [y1,y2,[x1,x2,y3]]
+    _id("bracket-derivation", "ijklm", "r",
+        "+tri(klmq) tri(ijqr) -tri(ijkq) tri(qlmr) -tri(ijlq) tri(kqmr)"
+        " -tri(ijmq) tri(klqr)"),
+)
+
+# ---------------------------------------------------------------------------
+# module identities: bil, tri, mu, theta, dd; residuals are m x m matrices
+
+REP = _suite(
+    # D(x1,x2) + theta(x1,x2) - theta(x2,x1) = 0
+    _id("rep-d-theta", "ij", "st", "+dd(ijst) +theta(ijst) -theta(jist)"),
+    # [D(x1,x2), mu(y)] = mu([x1,x2,y]) - theta(y, x1*x2) + mu(x1*x2) mu(y)
+    _id("rep-d-mu", "ijk", "st",
+        "+dd(ijsu) mu(kut) -mu(ksu) dd(ijut) -tri(ijkq) mu(qst)"
+        " +bil(ijq) theta(kqst) -bil(ijq) mu(qsu) mu(kut)"),
+    # theta(x, y1*y2) = mu(y1) theta(x,y2) - mu(y2) theta(x,y1)
+    #                   - (D(y1,y2) - mu(y1*y2)) mu(x)
+    _id("rep-theta-star", "ijk", "st",
+        "+bil(jkq) theta(iqst) -mu(jsu) theta(ikut) +mu(ksu) theta(ijut)"
+        " +dd(jksu) mu(iut) -bil(jkq) mu(qsu) mu(iut)"),
+    Group(4, (
+        # [D(x1,x2), D(y1,y2)] = D([x1,x2,y1], y2) + D(y1, [x1,x2,y2])
+        _id("rep-d-d", "ijkl", "st",
+            "+dd(ijsu) dd(klut) -dd(klsu) dd(ijut) -tri(ijkq) dd(qlst)"
+            " -tri(ijlq) dd(kqst)"),
+        # [D(x1,x2), theta(y1,y2)] = theta([x1,x2,y1], y2) + theta(y1, [x1,x2,y2])
+        _id("rep-d-theta-comm", "ijkl", "st",
+            "+dd(ijsu) theta(klut) -theta(klsu) dd(ijut) -tri(ijkq) theta(qlst)"
+            " -tri(ijlq) theta(kqst)"),
+        # theta(x, [y1,y2,y3]) = theta(y2,y3) theta(x,y1) - theta(y1,y3) theta(x,y2)
+        #                        + D(y1,y2) theta(x,y3)
+        _id("rep-theta-bracket", "ijkl", "st",
+            "+tri(jklq) theta(iqst) -theta(klsu) theta(ijut)"
+            " +theta(jlsu) theta(ikut) -dd(jksu) theta(ilut)"),
+    )),
+)
+
+# ---------------------------------------------------------------------------
+# abelian (2,3)-cocycles: bil, tri, mu, theta, dd, nu, om; residuals in V.
+# One printed term of cocycle-star pairs nu with itself, which is not
+# type-correct; the corrected variant reads it as mu(x1*x2) nu(y1,y2), the
+# strict variant drops it.
+
+COCYCLE = _suite(
+    Group(2, (
+        # nu(x1,x2) + nu(x2,x1) = 0
+        _id("nu-skew", "ij", "s", "+nu(ijs) +nu(jis)"),
+        # omega(x1,x2,x3) + omega(x2,x1,x3) = 0
+        _id("omega-skew", "ijk", "s", "+om(ijks) +om(jiks)"),
+    ), triangle=True),
+    # omega(x1,x2,x3) + omega(x2,x3,x1) + omega(x3,x1,x2) = 0
+    _id("cocycle-cyclic", "ijk", "s", "+om(ijks) +om(jkis) +om(kijs)"),
+    # omega(x1,x2,y1*y2) + D(x1,x2) nu(y1,y2) - omega(y1,y2,x1*x2)
+    #   - D(y1,y2) nu(x1,x2) - nu([x1,x2,y1],y2) - nu(y1,[x1,x2,y2])
+    #   - mu(y1) omega(x1,x2,y2) + mu(y2) omega(x1,x2,y1) + mu(y1*y2) nu(x1,x2)
+    #   + nu(y1*y2, x1*x2) [- mu(x1*x2) nu(y1,y2), corrected] = 0
+    _id("cocycle-star", "ijkl", "s",
+        "+bil(klq) om(ijqs) +dd(ijst) nu(klt) -bil(ijq) om(klqs) -dd(klst) nu(ijt)"
+        " -tri(ijkq) nu(qls) -tri(ijlq) nu(kqs) -mu(kst) om(ijlt) +mu(lst) om(ijkt)"
+        " +bil(klq) mu(qst) nu(ijt) +bil(klq) bil(ijr) nu(qrs)",
+        corrected="-bil(ijq) mu(qst) nu(klt)"),
+    # omega(x1,x2,[y1,y2,y3]) + D(x1,x2) omega(y1,y2,y3)
+    #   - omega([x1,x2,y1],y2,y3) - omega(y1,[x1,x2,y2],y3)
+    #   - omega(y1,y2,[x1,x2,y3]) - D(y1,y2) omega(x1,x2,y3)
+    #   - theta(y2,y3) omega(x1,x2,y1) + theta(y1,y3) omega(x1,x2,y2) = 0
+    _id("cocycle-bracket", "ijklh", "s",
+        "+tri(klhq) om(ijqs) +dd(ijst) om(klht) -tri(ijkq) om(qlhs)"
+        " -tri(ijlq) om(kqhs) -tri(ijhq) om(klqs) -dd(klst) om(ijht)"
+        " -theta(lhst) om(ijkt) +theta(khst) om(ijlt)"),
+)
+
+# ---------------------------------------------------------------------------
+# non-abelian cocycles: the base's bil, tri; nu, om, mu, theta, dd; the
+# fiber's vbil, vtri.  Base axes are i j k l h (summed q r), fiber axes
+# a b c (summed t u), residuals s (a fiber vector) or s t (a matrix).
+
+_C = Variant.CORRECTED
+
+NAB = _suite(
+    Group(2, (
+        _id("nu-skew", "ij", "s", "+nu(ijs) +nu(jis)"),
+        _id("omega-skew", "ijk", "s", "+om(ijks) +om(jiks)"),
+        _id("d-skew", "ij", "st", "+dd(ijst) +dd(jist)"),
+    ), triangle=True),
+    _id("omega-cyclic", "ijk", "s", "+om(ijks) +om(jkis) +om(kijs)"),
+    _id("d-theta", "ij", "st", "+dd(ijst) -theta(jist) +theta(ijst)"),
+    # coupling of nu and omega with the binary product
+    _id("nu-omega-star", "ijkl", "s",
+        "+dd(ijst) nu(klt) +bil(klq) om(ijqs) -tri(ijkq) nu(qls) +mu(lst) om(ijkt)"
+        " -mu(kst) om(ijlt) -tri(ijlq) nu(kqs) -bil(ijq) om(klqs) -dd(klst) nu(ijt)"
+        " +bil(klq) bil(ijr) nu(qrs) -bil(ijq) mu(qst) nu(klt)",
+        corrected="+bil(klq) mu(qst) nu(ijt) +nu(klt) nu(iju) vbil(tus)",
+        strict="+bil(ijq) mu(qst) nu(ijt)"),
+    # D against mu and the product
+    _id("mu-d-star", "ijka", "s",
+        "+dd(ijst) mu(kta) +bil(ijq) theta(kqsa) -tri(ijkq) mu(qsa)"
+        " -om(ijkt) vbil(tas) -mu(kst) dd(ijta) -bil(ijq) mu(qst) mu(kta)",
+        corrected="+mu(kta) nu(iju) vbil(tus)"),
+    # D and mu(x*y) against the fiber product
+    Group(4, (
+        _id("d-star-leibniz", "ijab", "s",
+            "+dd(ijst) vbil(abt) -dd(ijta) vbil(tbs) -dd(ijtb) vbil(ats)"
+            " -nu(ijt) vtri(abts)",
+            corrected="-bil(ijq) mu(qst) vbil(abt) +vbil(abt) nu(iju) vbil(tus)",
+            strict="+bil(ijq) mu(qst) vbil(abt)"),
+        _id("bracket-nu", "ijab", "s",
+            "+nu(ijt) vtri(abts) +bil(ijq) mu(qst) vbil(abt)",
+            corrected="-dd(ijst) vbil(abt) +nu(ijt) vbil(abu) vbil(tus)",
+            strict="+dd(ijst) vbil(abt)"),
+    )),
+    # theta against the bracket and the product
+    _id("theta-bracket", "ijkla", "s",
+        "+tri(jklq) theta(iqsa) -theta(klst) theta(ijta) +theta(jlst) theta(ikta)"
+        " -dd(jkst) theta(ilta)"),
+    _id("theta-star", "ijka", "s",
+        "+bil(jkq) theta(iqsa) -mu(jst) theta(ikta) +mu(kst) theta(ijta)"
+        " +dd(jkst) mu(ita) -bil(jkq) mu(qst) mu(ita)",
+        corrected="-nu(jkt) mu(iua) vbil(tus)"),
+    # commutators of D with theta and D
+    Group(5, (
+        _id("d-theta-comm", "ijkla", "s",
+            "+dd(ijst) theta(klta) -theta(klst) dd(ijta) -tri(ijkq) theta(qlsa)"
+            " -tri(ijlq) theta(kqsa)"),
+        _id("d-d-comm", "ijkla", "s",
+            "+dd(ijst) dd(klta) -dd(klst) dd(ijta) -tri(ijkq) dd(qlsa)"
+            " -tri(ijlq) dd(kqsa)"),
+    )),
+    # D as a derivation of the fiber bracket
+    _id("d-bracket-leibniz", "ijabc", "s",
+        "+dd(ijst) vtri(abct) -dd(ijta) vtri(tbcs) -dd(ijtb) vtri(atcs)"
+        " -dd(ijtc) vtri(abts)"),
+    # omega against the bracket
+    _id("omega-bracket", "ijklh", "s",
+        "+dd(ijst) om(klht) +tri(klhq) om(ijqs) -tri(ijkq) om(qlhs)"
+        " -theta(lhst) om(ijkt) -tri(ijlq) om(kqhs) +theta(khst) om(ijlt)"
+        " -tri(ijhq) om(klqs) -dd(klst) om(ijht)"),
+    # fiber couplings that the glued structure forces but the printed list
+    # omits; all vanish when the fiber is abelian
+    _id("theta-mu-star", "ijab", "s",
+        "+theta(ijta) vbil(tbs) +mu(jtb) mu(iua) vbil(tus)", variant=_C),
+    Group(4, (
+        _id("mu-bracket", "iabc", "s",
+            "+mu(ita) vtri(bcts) -vbil(bcu) mu(ita) vbil(uts)", variant=_C),
+        _id("mu-bracket-leibniz", "iabc", "s",
+            "+mu(itc) vtri(abts) -mu(ist) vtri(abct) +mu(itc) vbil(abu) vbil(tus)",
+            variant=_C),
+    )),
+    Group(5, (
+        _id("omega-central-1", "ijkab", "s", "+om(ijkt) vtri(tabs)", variant=_C),
+        _id("omega-central-2", "ijkab", "s", "+om(ijkt) vtri(atbs)", variant=_C),
+        _id("omega-central-3", "ijkab", "s", "+om(ijkt) vtri(abts)", variant=_C),
+    )),
+    Group(5, (
+        _id("theta-central-1", "ijabc", "s", "+theta(ijta) vtri(tbcs)", variant=_C),
+        _id("theta-central-2", "ijabc", "s", "+theta(ijta) vtri(btcs)", variant=_C),
+        _id("theta-central-3", "ijabc", "s", "+theta(ijta) vtri(bcts)", variant=_C),
+    )),
+    Group(5, (
+        _id("d-bracket-comm", "ijabc", "s",
+            "+dd(ijtc) vtri(abts) -dd(ijst) vtri(abct)", variant=_C),
+        _id("theta-bracket-comm", "ijabc", "s",
+            "+theta(ijtc) vtri(abts) -theta(ijst) vtri(abct)", variant=_C),
+    )),
+)
+
+
+# ---------------------------------------------------------------------------
+# readers' shared pieces
+
+def contract(term: Term, out: str, arrays: dict, sizes: dict, batched=frozenset(),
+             batch: str = "", einsum=np.einsum) -> np.ndarray:
+    """One term's contraction onto the axes `out`, after a leading batch axis
+    where a factor is batched, by `einsum(spec, *operands)`.  Axes that no
+    factor carries (the strict nu-omega-star term has two) are broadcast."""
+    spec = term.spec(out, batched, batch)
+    value = einsum(spec, *(arrays[name] for name, _ in term.factors))
+    carried = spec.split("->")[1]
+    kept = sum(ch in carried for ch in out)
+    if kept == len(out):
+        return value
+    lead = value.shape[:value.ndim - kept]
+    shape = tuple(sizes[ch] if ch in carried else 1 for ch in out)
+    full = tuple(sizes[ch] for ch in out)
+    return np.broadcast_to(value.reshape(lead + shape), lead + full)
+
+
+def axis_sizes(identity: Identity, shapes: dict) -> dict:
+    """Axis letter -> length, read off the shapes of the named tensors (with
+    no batch axis)."""
+    sizes = {}
+    for term in identity.terms:
+        for name, idx in term.factors:
+            sizes.update(zip(idx, shapes[name]))
+    return sizes
+
+
+def residues(nested, dtype=np.int64) -> np.ndarray:
+    """Nested tuples of GF(p) scalars as an array of their residues."""
+    return np.frompyfunc(lambda s: s.value, 1, 1)(np.array(nested, dtype=object)).astype(dtype)
+
+
+def _integers(field, nested: dict):
+    """(name -> object array of Python ints, denominator): over GF(p) the
+    residues and 1; over Q numerators over one common denominator."""
+    if field.is_prime_field:
+        return {name: residues(value, object) for name, value in nested.items()}, 1
+    arrays = {name: np.array(value, dtype=object) for name, value in nested.items()}
+    den = lcm(1, *(Fraction(s).denominator for a in arrays.values() for s in a.flat))
+    numerator = np.frompyfunc(lambda s: Fraction(s).numerator * (den // Fraction(s).denominator),
+                              1, 1)
+    return {name: numerator(a) for name, a in arrays.items()}, den
+
+
+# ---------------------------------------------------------------------------
+# the report reader
+
+def report(suite: tuple, field, variant: Variant = Variant.CORRECTED,
+           **tensors) -> ValidationReport:
+    """The violations of one structure, given as nested tuples of field
+    scalars per tensor name, in table order.
+
+    Sums run on Python ints: GF(p) residues (exact for every p) or, over Q,
+    numerators over a common denominator d, each term of degree k scaled by
+    d^(K-k) for the identity's largest degree K."""
+    ints, den = _integers(field, tensors)
+    shapes = {name: a.shape for name, a in ints.items()}
+    p = field.p if field.is_prime_field else None
+    rep = ValidationReport()
+    for group in suite:
+        found = []
+        for rank, identity in enumerate(group.identities):
+            if identity.variant not in (None, variant):
+                continue
+            terms = identity.terms_in(variant)
+            sizes = axis_sizes(identity, shapes)
+            top = max(len(t.factors) for t in terms)
+            total = 0
+            for t in terms:
+                scale = t.sign * den ** (top - len(t.factors))
+                total = total + contract(t, identity.axes, ints, sizes) * scale
+            if p is not None:
+                total = total % p
+            w = len(identity.where)
+            hit = total.astype(bool).reshape(total.shape[:w] + (-1,)).any(axis=-1)
+            for where in zip(*np.nonzero(hit)):
+                where = tuple(int(i) for i in where)
+                if group.triangle and where[1] < where[0]:
+                    continue
+                residual = tuple(field.scalar(int(x)) if p is not None
+                                 else Fraction(int(x), den ** top)
+                                 for x in total[where].reshape(-1))
+                found.append((where[:group.shared], rank, where[group.shared:],
+                              identity.tag, residual))
+        found.sort(key=lambda f: f[:3])
+        for shared, _, rest, tag, residual in found:
+            rep.add(tag, shared + rest, residual)
+    return rep

@@ -16,19 +16,9 @@ one argument swap, and extra fiber-coupling identities that vanish for
 abelian fibers.  `Variant.STRICT` checks the printed forms instead (with the
 one unbound symbol read by type analogy), for auditability.
 
-Corrected-only tags all start with a component name and describe couplings
-with the fiber product; the shared tags are:
-
-  nu-skew, omega-skew, omega-cyclic, d-skew, d-theta,
-  nu-omega-star, mu-d-star, d-star-leibniz, bracket-nu,
-  theta-bracket, theta-star, d-theta-comm, d-d-comm,
-  d-bracket-leibniz, omega-bracket
-
-and the corrected extras:
-
-  theta-mu-star, mu-bracket, mu-bracket-leibniz,
-  omega-central-1/2/3, theta-central-1/2/3,
-  d-bracket-comm, theta-bracket-comm
+The identities of both variants are the rows of `identities.NAB`, which
+`validate_nab_cocycle` reads; the variant-only terms and the corrected-only
+fiber couplings are marked there.
 
 Decisions about an unknown map phi: B -> V (equivalence here; inducibility
 and degree-one cocycles in `wells`) share one path.  Each identity suite is
@@ -46,14 +36,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bruteforce
+from . import bruteforce, identities
 from .bol import BolAlgebra, zero_algebra
 from .cohomology import Cochain2, Cochain3, _phi_from_params, _unit_phi
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport, Variant)
 from .errors import UsageError
-from .exactlin import (Matrix, basis_vec, enumerate_vectors, vec_add,
-                       vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec)
+from .identities import residues
+from .exactlin import (Matrix, basis_vec, enumerate_vectors, vec_add, vec_neg,
+                       vec_sub, zero_vec)
 from .representation import ActionOps, Representation
 
 __all__ = [
@@ -121,298 +112,9 @@ class NonAbelianCocycle(ActionOps):
 def validate_nab_cocycle(c: NonAbelianCocycle,
                          variant: Variant = Variant.CORRECTED) -> ValidationReport:
     """Check the full identity suite of the selected variant on basis tuples."""
-    n, m = c.n, c.m
-    B, V = c.base, c.fiber
-    field = c.field
-    rep = ValidationReport()
-    nu, om = c.nu, c.omega
-    corrected = variant is Variant.CORRECTED
-
-    def nu_vec_l(vec, j):
-        out = zero_vec(field, m)
-        for q, s in enumerate(vec):
-            if s:
-                out = vec_add(out, vec_scale(s, nu.at(q, j)))
-        return out
-
-    def nu_vec_r(i, vec):
-        out = zero_vec(field, m)
-        for q, s in enumerate(vec):
-            if s:
-                out = vec_add(out, vec_scale(s, nu.at(i, q)))
-        return out
-
-    def om_1(vec, j, k):
-        out = zero_vec(field, m)
-        for q, s in enumerate(vec):
-            if s:
-                out = vec_add(out, vec_scale(s, om.at(q, j, k)))
-        return out
-
-    def om_2(i, vec, k):
-        out = zero_vec(field, m)
-        for q, s in enumerate(vec):
-            if s:
-                out = vec_add(out, vec_scale(s, om.at(i, q, k)))
-        return out
-
-    def om_3(i, j, vec):
-        out = zero_vec(field, m)
-        for q, s in enumerate(vec):
-            if s:
-                out = vec_add(out, vec_scale(s, om.at(i, j, q)))
-        return out
-
-    eb = [basis_vec(field, n, i) for i in range(n)]
-    ev = [basis_vec(field, m, a) for a in range(m)]
-
-    for i in range(n):
-        for j in range(i, n):
-            r = vec_add(nu.at(i, j), nu.at(j, i))
-            if not vec_is_zero(r):
-                rep.add("nu-skew", (i, j), r)
-            for k in range(n):
-                r = vec_add(om.at(i, j, k), om.at(j, i, k))
-                if not vec_is_zero(r):
-                    rep.add("omega-skew", (i, j, k), r)
-            r = (c.dd[i][j] + c.dd[j][i])
-            if not r.is_zero():
-                rep.add("d-skew", (i, j), tuple(x for row in r.entries for x in row))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = vec_add(vec_add(om.at(i, j, k), om.at(j, k, i)), om.at(k, i, j))
-                if not vec_is_zero(r):
-                    rep.add("omega-cyclic", (i, j, k), r)
-    for i in range(n):
-        for j in range(n):
-            r = c.dd[i][j] - c.theta[j][i] + c.theta[i][j]
-            if not r.is_zero():
-                rep.add("d-theta", (i, j), tuple(x for row in r.entries for x in row))
-
-    # coupling of nu and omega with the binary product
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    r = c.dd[x][y].apply(nu.at(z, w))
-                    r = vec_add(r, om_3(x, y, B.bil[z][w]))
-                    r = vec_sub(r, nu_vec_l(B.tri[x][y][z], w))
-                    r = vec_add(r, c.mu[w].apply(om.at(x, y, z)))
-                    r = vec_sub(r, c.mu[z].apply(om.at(x, y, w)))
-                    r = vec_sub(r, nu_vec_r(z, B.tri[x][y][w]))
-                    r = vec_sub(r, om_3(z, w, B.bil[x][y]))
-                    r = vec_sub(r, c.dd[z][w].apply(nu.at(x, y)))
-                    r = vec_add(r, nu.eval(B.bil[z][w], B.bil[x][y]))
-                    if corrected:
-                        r = vec_add(r, c.mu_op(B.bil[z][w]).apply(nu.at(x, y)))
-                        r = vec_sub(r, c.mu_op(B.bil[x][y]).apply(nu.at(z, w)))
-                        r = vec_add(r, V.star(nu.at(z, w), nu.at(x, y)))
-                    else:
-                        r = vec_add(r, c.mu_op(B.bil[x][y]).apply(nu.at(x, y)))
-                        r = vec_sub(r, c.mu_op(B.bil[x][y]).apply(nu.at(z, w)))
-                    if not vec_is_zero(r):
-                        rep.add("nu-omega-star", (x, y, z, w), r)
-
-    # D against mu and the product
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for a in range(m):
-                    b = ev[a]
-                    r = c.dd[x][y].apply(c.mu[z].apply(b))
-                    r = vec_add(r, c.theta_op(eb[z], B.bil[x][y]).apply(b))
-                    r = vec_sub(r, c.mu_op(B.tri[x][y][z]).apply(b))
-                    r = vec_sub(r, V.star(om.at(x, y, z), b))
-                    r = vec_sub(r, c.mu[z].apply(c.dd[x][y].apply(b)))
-                    r = vec_sub(r, c.mu_op(B.bil[x][y]).apply(c.mu[z].apply(b)))
-                    if corrected:
-                        r = vec_add(r, V.star(c.mu[z].apply(b), nu.at(x, y)))
-                    if not vec_is_zero(r):
-                        rep.add("mu-d-star", (x, y, z, a), r)
-
-    # D and mu(x*y) against the fiber product
-    for x in range(n):
-        for y in range(n):
-            for a in range(m):
-                for b in range(m):
-                    ab = V.star(ev[a], ev[b])
-                    if corrected:
-                        r = c.dd[x][y].apply(ab)
-                        r = vec_sub(r, V.star(c.dd[x][y].apply(ev[a]), ev[b]))
-                        r = vec_sub(r, V.star(ev[a], c.dd[x][y].apply(ev[b])))
-                        r = vec_sub(r, V.bracket(ev[a], ev[b], nu.at(x, y)))
-                        r = vec_sub(r, c.mu_op(B.bil[x][y]).apply(ab))
-                        r = vec_add(r, V.star(ab, nu.at(x, y)))
-                    else:
-                        r = c.dd[x][y].apply(ab)
-                        r = vec_add(r, c.mu_op(B.bil[x][y]).apply(ab))
-                        r = vec_sub(r, V.star(c.dd[x][y].apply(ev[a]), ev[b]))
-                        r = vec_sub(r, V.star(ev[a], c.dd[x][y].apply(ev[b])))
-                        r = vec_sub(r, V.bracket(ev[a], ev[b], nu.at(x, y)))
-                    if not vec_is_zero(r):
-                        rep.add("d-star-leibniz", (x, y, a, b), r)
-                    if corrected:
-                        r = V.bracket(ev[a], ev[b], nu.at(x, y))
-                        r = vec_sub(r, c.dd[x][y].apply(ab))
-                        r = vec_add(r, c.mu_op(B.bil[x][y]).apply(ab))
-                        r = vec_add(r, V.star(nu.at(x, y), ab))
-                    else:
-                        r = V.bracket(ev[a], ev[b], nu.at(x, y))
-                        r = vec_add(r, c.dd[x][y].apply(ab))
-                        r = vec_add(r, c.mu_op(B.bil[x][y]).apply(ab))
-                    if not vec_is_zero(r):
-                        rep.add("bracket-nu", (x, y, a, b), r)
-
-    # theta against the bracket and the product
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    for a in range(m):
-                        b = ev[a]
-                        r = c.theta_op(eb[x], B.tri[y][z][w]).apply(b)
-                        r = vec_sub(r, c.theta[z][w].apply(c.theta[x][y].apply(b)))
-                        r = vec_add(r, c.theta[y][w].apply(c.theta[x][z].apply(b)))
-                        r = vec_sub(r, c.dd[y][z].apply(c.theta[x][w].apply(b)))
-                        if not vec_is_zero(r):
-                            rep.add("theta-bracket", (x, y, z, w, a), r)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for a in range(m):
-                    b = ev[a]
-                    r = c.theta_op(eb[x], B.bil[y][z]).apply(b)
-                    r = vec_sub(r, c.mu[y].apply(c.theta[x][z].apply(b)))
-                    r = vec_add(r, c.mu[z].apply(c.theta[x][y].apply(b)))
-                    r = vec_add(r, c.dd[y][z].apply(c.mu[x].apply(b)))
-                    r = vec_sub(r, c.mu_op(B.bil[y][z]).apply(c.mu[x].apply(b)))
-                    if corrected:
-                        r = vec_sub(r, V.star(nu.at(y, z), c.mu[x].apply(b)))
-                    if not vec_is_zero(r):
-                        rep.add("theta-star", (x, y, z, a), r)
-
-    # commutators of D with theta and D
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w in range(n):
-                    for a in range(m):
-                        b = ev[a]
-                        r = c.dd[x][y].apply(c.theta[z][w].apply(b))
-                        r = vec_sub(r, c.theta[z][w].apply(c.dd[x][y].apply(b)))
-                        r = vec_sub(r, c.theta_op(B.tri[x][y][z], eb[w]).apply(b))
-                        r = vec_sub(r, c.theta_op(eb[z], B.tri[x][y][w]).apply(b))
-                        if not vec_is_zero(r):
-                            rep.add("d-theta-comm", (x, y, z, w, a), r)
-                        r = c.dd[x][y].apply(c.dd[z][w].apply(b))
-                        r = vec_sub(r, c.dd[z][w].apply(c.dd[x][y].apply(b)))
-                        r = vec_sub(r, c.dd_op(B.tri[x][y][z], eb[w]).apply(b))
-                        r = vec_sub(r, c.dd_op(eb[z], B.tri[x][y][w]).apply(b))
-                        if not vec_is_zero(r):
-                            rep.add("d-d-comm", (x, y, z, w, a), r)
-
-    # D as a derivation of the fiber bracket
-    for x in range(n):
-        for y in range(n):
-            for a in range(m):
-                for b in range(m):
-                    for d in range(m):
-                        r = c.dd[x][y].apply(V.bracket(ev[a], ev[b], ev[d]))
-                        r = vec_sub(r, V.bracket(c.dd[x][y].apply(ev[a]), ev[b], ev[d]))
-                        r = vec_sub(r, V.bracket(ev[a], c.dd[x][y].apply(ev[b]), ev[d]))
-                        r = vec_sub(r, V.bracket(ev[a], ev[b], c.dd[x][y].apply(ev[d])))
-                        if not vec_is_zero(r):
-                            rep.add("d-bracket-leibniz", (x, y, a, b, d), r)
-
-    # omega against the bracket
-    for x1 in range(n):
-        for x2 in range(n):
-            for y1 in range(n):
-                for y2 in range(n):
-                    for y3 in range(n):
-                        r = c.dd[x1][x2].apply(om.at(y1, y2, y3))
-                        r = vec_add(r, om_3(x1, x2, B.tri[y1][y2][y3]))
-                        r = vec_sub(r, om_1(B.tri[x1][x2][y1], y2, y3))
-                        r = vec_sub(r, c.theta[y2][y3].apply(om.at(x1, x2, y1)))
-                        r = vec_sub(r, om_2(y1, B.tri[x1][x2][y2], y3))
-                        r = vec_add(r, c.theta[y1][y3].apply(om.at(x1, x2, y2)))
-                        r = vec_sub(r, om_3(y1, y2, B.tri[x1][x2][y3]))
-                        r = vec_sub(r, c.dd[y1][y2].apply(om.at(x1, x2, y3)))
-                        if not vec_is_zero(r):
-                            rep.add("omega-bracket", (x1, x2, y1, y2, y3), r)
-
-    if corrected:
-        _corrected_extras(c, rep, ev)
-    return rep
-
-
-def _corrected_extras(c: NonAbelianCocycle, rep: ValidationReport, ev):
-    """Fiber-coupling identities that the glued structure forces but the
-    printed list omits; all vanish when the fiber is abelian."""
-    n, m = c.n, c.m
-    V = c.fiber
-    nu, om = c.nu, c.omega
-    for x in range(n):
-        for y in range(n):
-            for a in range(m):
-                for b in range(m):
-                    r = V.star(c.theta[x][y].apply(ev[a]), ev[b])
-                    r = vec_add(r, V.star(c.mu[y].apply(ev[b]), c.mu[x].apply(ev[a])))
-                    if not vec_is_zero(r):
-                        rep.add("theta-mu-star", (x, y, a, b), r)
-    for x in range(n):
-        for a in range(m):
-            for b in range(m):
-                for d in range(m):
-                    mxa = c.mu[x].apply(ev[a])
-                    r = V.bracket(ev[b], ev[d], mxa)
-                    r = vec_sub(r, V.star(V.star(ev[b], ev[d]), mxa))
-                    if not vec_is_zero(r):
-                        rep.add("mu-bracket", (x, a, b, d), r)
-                    mxd = c.mu[x].apply(ev[d])
-                    r = V.bracket(ev[a], ev[b], mxd)
-                    r = vec_sub(r, c.mu[x].apply(V.bracket(ev[a], ev[b], ev[d])))
-                    r = vec_add(r, V.star(mxd, V.star(ev[a], ev[b])))
-                    if not vec_is_zero(r):
-                        rep.add("mu-bracket-leibniz", (x, a, b, d), r)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                w = om.at(x, y, z)
-                for a in range(m):
-                    for b in range(m):
-                        for tag, args in (("omega-central-1", (w, ev[a], ev[b])),
-                                          ("omega-central-2", (ev[a], w, ev[b])),
-                                          ("omega-central-3", (ev[a], ev[b], w))):
-                            r = V.bracket(*args)
-                            if not vec_is_zero(r):
-                                rep.add(tag, (x, y, z, a, b), r)
-    for x in range(n):
-        for y in range(n):
-            for a in range(m):
-                ta = c.theta[x][y].apply(ev[a])
-                for b in range(m):
-                    for d in range(m):
-                        for tag, args in (("theta-central-1", (ta, ev[b], ev[d])),
-                                          ("theta-central-2", (ev[b], ta, ev[d])),
-                                          ("theta-central-3", (ev[b], ev[d], ta))):
-                            r = V.bracket(*args)
-                            if not vec_is_zero(r):
-                                rep.add(tag, (x, y, a, b, d), r)
-    for x in range(n):
-        for y in range(n):
-            for a in range(m):
-                for b in range(m):
-                    for d in range(m):
-                        r = V.bracket(ev[a], ev[b], c.dd[x][y].apply(ev[d]))
-                        r = vec_sub(r, c.dd[x][y].apply(V.bracket(ev[a], ev[b], ev[d])))
-                        if not vec_is_zero(r):
-                            rep.add("d-bracket-comm", (x, y, a, b, d), r)
-                        r = V.bracket(ev[a], ev[b], c.theta[x][y].apply(ev[d]))
-                        r = vec_sub(r, c.theta[x][y].apply(V.bracket(ev[a], ev[b], ev[d])))
-                        if not vec_is_zero(r):
-                            rep.add("theta-bracket-comm", (x, y, a, b, d), r)
+    return identities.report(identities.NAB, c.field, variant, bil=c.base.bil,
+                             tri=c.base.tri, vbil=c.fiber.bil, vtri=c.fiber.tri,
+                             nu=c.nu.grid, om=c.omega.grid, **c.action_entries())
 
 
 def build_extension_algebra(c: NonAbelianCocycle) -> BolAlgebra:
@@ -625,18 +327,9 @@ class _CocycleArrays(NamedTuple):
         return _CocycleArrays(*(a[mask] for a in self))
 
 
-def _residues(nested) -> np.ndarray:
-    def values(x):
-        return [values(v) for v in x] if isinstance(x, tuple) else int(x.value)
-    return np.array(values(nested), dtype=np.int64)
-
-
 def _cocycle_arrays(c: NonAbelianCocycle) -> _CocycleArrays:
-    return _CocycleArrays(
-        _residues(c.nu.grid), _residues(c.omega.grid),
-        _residues(tuple(a.entries for a in c.mu)),
-        _residues(tuple(tuple(a.entries for a in row) for row in c.theta)),
-        _residues(tuple(tuple(a.entries for a in row) for row in c.dd)))
+    return _CocycleArrays(residues(c.nu.grid), residues(c.omega.grid),
+                          *map(residues, c.action_entries().values()))
 
 
 def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
@@ -669,4 +362,4 @@ def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
     a, _ = _affine_system(
         lambda phi: _rows(_equivalence_residuals(c, c, phi, _EQV_LINEAR)),
         c.field, c.n, c.m)
-    return _residues(a.entries)
+    return residues(a.entries)

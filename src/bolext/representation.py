@@ -1,21 +1,11 @@
 """Modules over a Bol algebra: the action triple (mu, theta, D), the six
 module identities, the semidirect sum, and pseudoderivations.
 
-Identity tags reported by `validate_representation`:
-
-  rep-d-theta        D(x1,x2) + theta(x1,x2) - theta(x2,x1) = 0
-  rep-d-mu           [D(x1,x2), mu(y)] = mu([x1,x2,y]) - theta(y, x1*x2)
-                       + mu(x1*x2) mu(y)
-  rep-theta-star     theta(x, y1*y2) = mu(y1) theta(x,y2) - mu(y2) theta(x,y1)
-                       - (D(y1,y2) - mu(y1*y2)) mu(x)
-  rep-d-d            [D(x1,x2), D(y1,y2)] = D([x1,x2,y1], y2) + D(y1, [x1,x2,y2])
-  rep-d-theta-comm   [D(x1,x2), theta(y1,y2)] = theta([x1,x2,y1], y2)
-                       + theta(y1, [x1,x2,y2])
-  rep-theta-bracket  theta(x, [y1,y2,y3]) = theta(y2,y3) theta(x,y1)
-                       - theta(y1,y3) theta(x,y2) + D(y1,y2) theta(x,y3)
-
-D is stored explicitly and required skew; rep-d-theta is validated rather
-than used to derive D.
+The module identities (rep-d-theta, rep-d-mu, rep-theta-star, rep-d-d,
+rep-d-theta-comm, rep-theta-bracket) are the rows of `identities.REP`, which
+`validate_representation` and `bruteforce.validate_rep_mask` read.  D is
+stored explicitly and required skew; rep-d-theta is validated rather than
+used to derive D.
 """
 from __future__ import annotations
 
@@ -23,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bruteforce
+from . import bruteforce, identities
 from .bol import BolAlgebra
 from .core import DEFAULT_ENUMERATION_BOUND, ValidationReport
 from .errors import UnsupportedEnumerationError, UsageError
-from .exactlin import Matrix, basis_vec, vec_add, vec_sub
+from .exactlin import Matrix, vec_add, vec_sub
 
 __all__ = [
     "Representation", "validate_representation", "semidirect_product",
@@ -59,6 +49,12 @@ class ActionOps:
         if not isinstance(mat, Matrix) or mat.rows != self.m or mat.cols != self.m \
                 or mat.field != self.field:
             raise UsageError("action matrix has wrong shape or field")
+
+    def action_entries(self) -> dict:
+        """mu, theta and dd as nested tuples of matrix entries."""
+        return {"mu": tuple(a.entries for a in self.mu),
+                "theta": tuple(tuple(a.entries for a in row) for row in self.theta),
+                "dd": tuple(tuple(a.entries for a in row) for row in self.dd)}
 
     def mu_op(self, x) -> Matrix:
         out = Matrix.zeros(self.field, self.m, self.m)
@@ -135,56 +131,8 @@ def _require_compatible(a: BolAlgebra, r: Representation):
 def validate_representation(a: BolAlgebra, r: Representation) -> ValidationReport:
     """Check the six module identities on all basis tuples."""
     _require_compatible(a, r)
-    n = a.dim
-    rep = ValidationReport()
-    e = [basis_vec(r.field, n, i) for i in range(n)]
-
-    for i in range(n):
-        for j in range(n):
-            res = r.dd[i][j] + r.theta[i][j] - r.theta[j][i]
-            if not res.is_zero():
-                rep.add("rep-d-theta", (i, j), _flat(res))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = (r.dd[i][j] * r.mu[k] - r.mu[k] * r.dd[i][j]
-                       - r.mu_op(a.tri[i][j][k]) + r.theta_op(e[k], a.bil[i][j])
-                       - r.mu_op(a.bil[i][j]) * r.mu[k])
-                if not res.is_zero():
-                    rep.add("rep-d-mu", (i, j, k), _flat(res))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = (r.theta_op(e[i], a.bil[j][k])
-                       - r.mu[j] * r.theta[i][k] + r.mu[k] * r.theta[i][j]
-                       + (r.dd[j][k] - r.mu_op(a.bil[j][k])) * r.mu[i])
-                if not res.is_zero():
-                    rep.add("rep-theta-star", (i, j, k), _flat(res))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    res = (r.dd[i][j] * r.dd[k][l] - r.dd[k][l] * r.dd[i][j]
-                           - r.dd_op(a.tri[i][j][k], e[l])
-                           - r.dd_op(e[k], a.tri[i][j][l]))
-                    if not res.is_zero():
-                        rep.add("rep-d-d", (i, j, k, l), _flat(res))
-                    res = (r.dd[i][j] * r.theta[k][l] - r.theta[k][l] * r.dd[i][j]
-                           - r.theta_op(a.tri[i][j][k], e[l])
-                           - r.theta_op(e[k], a.tri[i][j][l]))
-                    if not res.is_zero():
-                        rep.add("rep-d-theta-comm", (i, j, k, l), _flat(res))
-                    res = (r.theta_op(e[i], a.tri[j][k][l])
-                           - r.theta[k][l] * r.theta[i][j]
-                           + r.theta[j][l] * r.theta[i][k]
-                           - r.dd[j][k] * r.theta[i][l])
-                    if not res.is_zero():
-                        rep.add("rep-theta-bracket", (i, j, k, l), _flat(res))
-    return rep
-
-
-def _flat(mat: Matrix) -> tuple:
-    return tuple(c for row in mat.entries for c in row)
+    return identities.report(identities.REP, a.field, bil=a.bil, tri=a.tri,
+                             **r.action_entries())
 
 
 def semidirect_product(a: BolAlgebra, r: Representation) -> BolAlgebra:
@@ -247,24 +195,21 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
     if not field.is_prime_field:
         raise UnsupportedEnumerationError("the census needs a finite field")
     p = field.p
-    mu_b, th_b, dd_b = bruteforce.rep_param_batches(algebra_dim, module_dim, p, budget)
-    total = mu_b.shape[0]
+    n, m = algebra_dim, module_dim
+    total = bruteforce.rep_param_count(n, m, p, budget)
+    algebras = [(bil.copy(), tri.copy()) for bil, tri in
+                bruteforce.enumerate_valid_tensors(n, p, tri_zero, budget)]
     chunk = 32768
     discrepancies = []
-    n_alg = 0
     valid = 0
-    for bil, tri in bruteforce.enumerate_valid_tensors(
-            algebra_dim, p, tri_zero, budget):
-        for start in range(0, total, chunk):
-            sl = slice(start, min(start + chunk, total))
-            route1 = bruteforce.validate_rep_mask(
-                bil, tri, mu_b[sl], th_b[sl], dd_b[sl], p)
-            bilE, triE = bruteforce.semidirect_arrays(
-                bil, tri, mu_b[sl], th_b[sl], dd_b[sl], p)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        mu, theta, dd = bruteforce.rep_param_batches(n, m, p, start, stop)
+        for k, (bil, tri) in enumerate(algebras):
+            route1 = bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p)
+            bilE, triE = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
             route2 = bruteforce.validate_bol_mask(bilE, triE, p)
             valid += int(route1.sum())
-            if not np.array_equal(route1, route2):
-                for idx in np.flatnonzero(route1 != route2):
-                    discrepancies.append((n_alg, start + int(idx)))
-        n_alg += 1
-    return IffCensus(n_alg, total, valid, discrepancies)
+            discrepancies.extend((k, start + int(i))
+                                 for i in np.flatnonzero(route1 != route2))
+    return IffCensus(len(algebras), total, valid, sorted(discrepancies))

@@ -35,6 +35,7 @@ from .exactlin import (Matrix, Subspace, basis_vec, enumerate_vectors,
                        vec_add, vec_sub, zero_vec)
 from .extensions import (Extension, Section, canonical_section, extract_cocycle,
                          theta_map, validate_extension)
+from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _affine_system,
                          _cocycle_arrays, _equivalence_matrix, _equivalent_via,
                          _phi_candidates, _rows, _search_phi, _solve_for_phi,
@@ -521,7 +522,7 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts,
     alphas, alpha_invs = _checked_automorphisms(base_auts, c.base, "first", "base")
     betas, beta_invs = _checked_automorphisms(fiber_auts, c.fiber, "second", "fiber")
     arr = _cocycle_arrays(c)
-    bil, tri = c.base.int_arrays()
+    bil, tri = residues(c.base.bil), residues(c.base.tri)
     t, rank, pivots = bruteforce.rref_transform(_equivalence_matrix(c), p)
     nb = len(betas)
     total = len(alphas) * nb

@@ -148,6 +148,11 @@ def test_enumerate():
     code, out = run_cli("enumerate", "--kind", "algebras", "--field", "Q",
                         "--dim", "1")
     assert code == 2
+    # the only candidate is all zero, so no identity term overflows, though
+    # (p - 1)^3 exceeds int64 for a product of three residues
+    code, out = run_cli("enumerate", "--kind", "algebras", "--field", "2100001",
+                        "--dim", "1", "--count-only")
+    assert code == 0 and out == "count: 1\n"
 
 
 def test_variant_flag_threads():
@@ -187,6 +192,8 @@ def test_determinism_double_run():
      "--dim", "1"],
     ["enumerate", "--kind", "vectors", "--field", "5", "--dim", "-1"],
     ["enumerate", "--kind", "algebras", "--field", "5", "--dim", "-1"],
+    # the document of a zero-dimensional algebra does not parse
+    ["enumerate", "--kind", "algebras", "--field", "5", "--dim", "0"],
 ])
 def test_bad_map_spec_or_missing_option_exit_2(capsys, argv):
     code, out = run_cli(*[a.format(c=corpus_dir()) for a in argv])

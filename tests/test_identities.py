@@ -1,0 +1,331 @@
+"""The identity suites' two readers: report order, residuals, large moduli,
+and the agreement of the batch masks with the reports.
+
+The golden cases pin the full `describe()` lines of each suite's report on
+invalid inputs (as a sha256 and a line count), so any change in the order in
+which violations are emitted, in their `where` tuples or in their residuals
+shows up here.
+"""
+import hashlib
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bolext.bol import (BolAlgebra, algebra_from_int_arrays, h3, s2, validate_bol,
+                        z1, z2, z3)
+from bolext.bruteforce import (_headroom_dtype, skew_from_params, skew_pairs,
+                               validate_bol_mask, validate_rep_mask)
+from bolext.cohomology import Cochain2, Cochain3, coboundary, is_cocycle23
+from bolext.core import Variant
+from bolext.exactlin import Matrix, PrimeField, RATIONALS
+from bolext.extensions import extract_cocycle, make_section, semidirect_extension
+from bolext.identities import residues
+from bolext.nonabelian import NonAbelianCocycle, validate_nab_cocycle
+from bolext.representation import Representation, r_s2, validate_representation
+
+from test_acceptance import MUTATIONS
+from test_bol import mutate
+from test_cohomology import _mu_squared_rep
+
+Q = RATIONALS
+F5 = PrimeField(5)
+FAMILIES = {"z1": z1, "z2": z2, "z3": z3, "s2": s2, "h3": h3}
+
+
+def _lines(report, field):
+    return [v.describe(lambda x: str(field.format_scalar(x)))
+            for v in report.violations]
+
+
+def _scalar(field, rng):
+    if field.is_prime_field:
+        return field.scalar(rng.randrange(field.p))
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _matrix(field, rng, rows, cols=None):
+    return Matrix(field, [[_scalar(field, rng) for _ in range(cols or rows)]
+                          for _ in range(rows)])
+
+
+def _grid(field, rng, shape):
+    if len(shape) == 1:
+        return tuple(_scalar(field, rng) for _ in range(shape[0]))
+    return tuple(_grid(field, rng, shape[1:]) for _ in range(shape[0]))
+
+
+def _random_actions(field, rng, n, m):
+    """mu, theta and a skew D with random entries."""
+    mu = tuple(_matrix(field, rng, m) for _ in range(n))
+    theta = tuple(tuple(_matrix(field, rng, m) for _ in range(n)) for _ in range(n))
+    dd = [[Matrix.zeros(field, m, m)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dd[i][j] = _matrix(field, rng, m)
+            dd[j][i] = -dd[i][j]
+    return mu, theta, tuple(tuple(r) for r in dd)
+
+
+def _bol_mutations(field):
+    out = []
+    for name, make in FAMILIES.items():
+        for kind, idx, value in MUTATIONS[name]:
+            out.append(f"# {name} {kind} {idx} {value}")
+            out += _lines(validate_bol(mutate(make(field), kind, idx, value)), field)
+    return out
+
+
+def _bol_conjugated_q():
+    # rational structure constants: h3 in a non-unimodular basis, mutated
+    g = Matrix.from_int_rows(Q, [[2, 1, 0], [0, 3, 1], [1, 0, 2]])
+    a = h3(Q).conjugate(g)
+    return _lines(validate_bol(mutate(a, "tri", (0, 1, 2, 1), 1)), Q)
+
+
+def _rep_mu_e1():
+    one, z = Matrix.identity(Q, 1), Matrix.zeros(Q, 1, 1)
+    r = Representation(Q, 2, 1, (one, z), ((z, z), (z, z)), ((z, z), (z, z)))
+    return _lines(validate_representation(s2(Q), r), Q)
+
+
+def _rep_random(field, seed):
+    rng = random.Random(seed)
+    r = Representation(field, 3, 2, *_random_actions(field, rng, 3, 2))
+    return _lines(validate_representation(h3(field), r), field)
+
+
+def _cocycle_random(field, seed, variant):
+    rng = random.Random(seed)
+    a = s2(field)
+    r = Representation(field, 2, 2, *_random_actions(field, rng, 2, 2))
+    nu = Cochain2(2, 2, field, _grid(field, rng, (2, 2, 2)))
+    om = Cochain3(2, 2, field, _grid(field, rng, (2, 2, 2, 2)))
+    return _lines(is_cocycle23(a, r, nu, om, variant), field)
+
+
+def _cocycle_coboundary_strict():
+    a, r = s2(F5), _mu_squared_rep(F5)
+    nu, om = coboundary(Matrix.from_int_rows(F5, [[0, 1]]), (F5.zero,), a, r)
+    return _lines(is_cocycle23(a, r, nu, om, Variant.STRICT), F5)
+
+
+def _nab_extracted(variant):
+    e = semidirect_extension(s2(F5), _mu_squared_rep(F5))
+    shifted = make_section(e, Matrix.from_int_rows(F5, [[1, 0], [0, 1], [0, 1]]))
+    return _lines(validate_nab_cocycle(extract_cocycle(e, shifted), variant), F5)
+
+
+def _nab_theta_identity(variant):
+    one, z = Matrix.identity(F5, 2), Matrix.zeros(F5, 2, 2)
+    c = NonAbelianCocycle(z1(F5), s2(F5), Cochain2.zero(1, 2, F5),
+                          Cochain3.zero(1, 2, F5), (z,), ((one,),), ((z,),))
+    return _lines(validate_nab_cocycle(c, variant), F5)
+
+
+def _nab_random(field, seed, variant, base=z2, random_fiber=False):
+    """A random cocycle over base with the s2 fiber (nonzero product) or a
+    random two-dimensional fiber (nonzero product and bracket)."""
+    rng = random.Random(seed)
+    b = base(field)
+    n = b.dim
+    fiber = (BolAlgebra(field, 2, _grid(field, rng, (2, 2, 2)),
+                        _grid(field, rng, (2, 2, 2, 2)))
+             if random_fiber else s2(field))
+    c = NonAbelianCocycle(b, fiber,
+                          Cochain2(n, 2, field, _grid(field, rng, (n, n, 2))),
+                          Cochain3(n, 2, field, _grid(field, rng, (n, n, n, 2))),
+                          *_random_actions(field, rng, n, 2))
+    return _lines(validate_nab_cocycle(c, variant), field)
+
+
+C, S = Variant.CORRECTED, Variant.STRICT
+GOLDEN = {  # name: (report lines, line count, sha256 of the joined lines)
+    "bol-mutations-q": (lambda: _bol_mutations(Q), 105,
+        "9cd5fd9c79963a461d09860f7c3d19ee332196c2901a0e696e33678767e5c767"),
+    "bol-mutations-gf5": (lambda: _bol_mutations(F5), 105,
+        "e4271723498d61c4d9bcf7d785be160d7517e97c8d2a832bcda06b23a13f9e66"),
+    "bol-conjugated-q": (_bol_conjugated_q, 15,
+        "d013740a72fa1b925c970a07059aa980609fc99f325ec270c86d592ea3694684"),
+    "rep-mu-e1-q": (_rep_mu_e1, 4,
+        "f45460b48ebf4d9c0ab0d189c631c673051f095c745cce9096e1ead459105ced"),
+    "rep-random-gf5": (lambda: _rep_random(F5, 7), 168,
+        "b48990e40b9de6636d00112b60648321d044be5951a9c29458ff7dd8a372f445"),
+    "rep-random-q": (lambda: _rep_random(Q, 8), 174,
+        "432bc9cadcaa70092289c0d036f156db7f02faceb4ae59da440ada2d8accd450"),
+    "cocycle-random-gf5-corrected": (lambda: _cocycle_random(F5, 11, C), 51,
+        "3f49fcc426a3cf6653131536b42319d6502f8eee1b033d6722ae86b68a4f2d34"),
+    "cocycle-random-gf5-strict": (lambda: _cocycle_random(F5, 11, S), 50,
+        "7d8935fc5eb9519f6292501f0e744418602d8dcc399a7dccbaa523fb34bfed76"),
+    "cocycle-random-q-corrected": (lambda: _cocycle_random(Q, 12, C), 52,
+        "f03c51cc5d550e79d8eb83046216c5dd849e816b373747b7488e515a0a9f07cd"),
+    "cocycle-random-q-strict": (lambda: _cocycle_random(Q, 12, S), 52,
+        "ae33491a82d20af6f230dbc5d62c46e102e07bbc5667c27f3bf80bf7544e4845"),
+    "cocycle-coboundary-strict": (_cocycle_coboundary_strict, 4,
+        "164b00f852ca7e2ba082d97d4860ebc3ff0c582ebf3756db12c9fc326e97726e"),
+    "nab-extracted-corrected": (lambda: _nab_extracted(C), 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nab-extracted-strict": (lambda: _nab_extracted(S), 6,
+        "10323bcb52a5cfba2e1c219e8c725d023a0e0b323efecf1a1d14c8896bea8ca6"),
+    "nab-theta-identity-corrected": (lambda: _nab_theta_identity(C), 2,
+        "895d9fc3d60760895275079a07e406cf3722fdbca30df31873024c11bdccb44f"),
+    "nab-theta-identity-strict": (lambda: _nab_theta_identity(S), 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "nab-random-gf5-corrected": (lambda: _nab_random(F5, 13, C), 158,
+        "89f73024630a487162bd843b8e7bedf7ec1d1e98e9a0eaebc35f49d964d5fafe"),
+    "nab-random-gf5-strict": (lambda: _nab_random(F5, 13, S), 113,
+        "b69b83f243276037bbec0fdfad5f6eae6cf1175b3c082bf006a06cf1debee73a"),
+    "nab-random-q-corrected": (lambda: _nab_random(Q, 14, C), 163,
+        "62406a34ffbcee04e7ce2bb7b9826dbc6f9d5c78942f559f32d6e1a5f932015f"),
+    "nab-random-q-strict": (lambda: _nab_random(Q, 14, S), 114,
+        "a2fa854e2cdecef8035d6b54ace680b088a09dc1fe63120ee0e128a0b682d10c"),
+    "nab-wide-gf5-corrected": (lambda: _nab_random(F5, 15, C, z3, True), 1524,
+        "6e9c6d3e6a5b85ef04cd851d512fd5e47ab36149369a7f6426a0d4e5b83b376c"),
+    "nab-wide-gf5-strict": (lambda: _nab_random(F5, 15, S, z3, True), 798,
+        "03d1722b4b70912a44d3538954c0b24be1c4dbf13e4dff3fa79b0892c9b71055"),
+    "nab-wide-q-corrected": (lambda: _nab_random(Q, 16, C, z2, True), 459,
+        "317da22b89649963cbd0ab87f983382b429d2d064b1effb3fcfd7e5d4c6c393f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_lines(name):
+    make, count, digest = GOLDEN[name]
+    lines = make()
+    text = "\n".join(lines)
+    assert (len(lines), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+
+
+# ---------------------------------------------------------------------------
+# moduli beyond int64: the reports stay exact
+
+BIG = PrimeField(18446744073709551557)  # 2^64 - 59, above 2^63
+
+
+def _first(report):
+    v = report.violations[0]
+    return v.tag, v.where, tuple(int(x.value) for x in v.residual)
+
+
+def test_reports_over_a_modulus_above_int64():
+    p = BIG.p
+    assert p > 2 ** 63
+    a = mutate(s2(BIG), "bil", (1, 0, 0), p - 3)
+    assert _first(validate_bol(a)) == ("star-skew", (0, 1), (p - 2, 0))
+
+    minus, z = Matrix.identity(BIG, 1).scale(BIG.scalar(-1)), Matrix.zeros(BIG, 1, 1)
+    r = Representation(BIG, 2, 1, (minus, z), ((z, z), (z, z)), ((z, z), (z, z)))
+    assert _first(validate_representation(s2(BIG), r)) == ("rep-d-mu", (0, 1, 0), (p - 1,))
+
+    nu = Cochain2(2, 1, BIG, (((BIG.zero,), (BIG.scalar(-1),)),
+                              ((BIG.scalar(-1),), (BIG.zero,))))
+    rep = is_cocycle23(s2(BIG), r_s2(BIG), nu, Cochain3.zero(2, 1, BIG))
+    assert _first(rep) == ("nu-skew", (0, 1), (p - 2,))
+
+    two = Matrix.identity(BIG, 1).scale(BIG.scalar(p - 2))
+    c = NonAbelianCocycle(z2(BIG), z1(BIG), Cochain2.zero(2, 1, BIG),
+                          Cochain3.zero(2, 1, BIG), (z, z),
+                          ((z, z), (z, z)), ((z, two), (-two, z)))
+    for variant in Variant:
+        assert _first(validate_nab_cocycle(c, variant)) == ("d-theta", (0, 1), (p - 2,))
+
+
+# ---------------------------------------------------------------------------
+# the batch reader agrees with the report reader
+
+def _sparse(p):
+    """Residues, zero half of the time, so that some candidates are valid."""
+    return st.one_of(st.just(0), st.integers(0, p - 1))
+
+
+def _bol_batch(data, p, n, size):
+    width = len(skew_pairs(n)) * n
+    bil = skew_from_params(data.draw(arrays(np.int64, (size, width), elements=_sparse(p))),
+                           n, (n,), p)
+    tri = skew_from_params(data.draw(arrays(np.int64, (size, width * n), elements=_sparse(p))),
+                           n, (n, n), p)
+    if data.draw(st.booleans()):  # break skewness somewhere
+        k, i, j, r = (data.draw(st.integers(0, s - 1)) for s in (size, n, n, n))
+        bil[k, i, j, r] = data.draw(st.integers(0, p - 1))
+    return bil, tri
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_bol_mask_agrees_with_report(data):
+    p = data.draw(st.sampled_from([5, 7]))
+    n = data.draw(st.integers(1, 3))
+    bil, tri = _bol_batch(data, p, n, data.draw(st.integers(1, 6)))
+    field = PrimeField(p)
+    want = [validate_bol(algebra_from_int_arrays(field, b, t)).valid
+            for b, t in zip(bil, tri)]
+    assert validate_bol_mask(bil, tri, p).tolist() == want
+
+
+def _representation(field, mu, theta, dd):
+    def mat(a):
+        return Matrix.from_int_rows(field, a.tolist())
+    n = len(mu)
+    return Representation(field, n, mu.shape[-1], tuple(mat(a) for a in mu),
+                          tuple(tuple(mat(a) for a in row) for row in theta),
+                          tuple(tuple(mat(a) for a in row) for row in dd))
+
+
+def _rep_agreement(field, a, mu, theta, dd):
+    want = [validate_representation(a, _representation(field, *acts)).valid
+            for acts in zip(mu, theta, dd)]
+    got = validate_rep_mask(residues(a.bil), residues(a.tri), mu, theta, dd, field.p)
+    assert got.tolist() == want
+    return want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_rep_mask_agrees_with_report(data):
+    p = data.draw(st.sampled_from([5, 7]))
+    field = PrimeField(p)
+    a = data.draw(st.sampled_from([z2, s2, h3]))(field)
+    n, m, size = a.dim, data.draw(st.integers(1, 2)), data.draw(st.integers(1, 6))
+    mu = data.draw(arrays(np.int64, (size, n, m, m), elements=_sparse(p)))
+    theta = data.draw(arrays(np.int64, (size, n, n, m, m), elements=_sparse(p)))
+    free = len(skew_pairs(n)) * m * m
+    dd = skew_from_params(data.draw(arrays(np.int64, (size, free), elements=_sparse(p))),
+                          n, (m, m), p)
+    _rep_agreement(field, a, mu, theta, dd)
+
+
+def test_masks_at_p7_with_worst_case_residues():
+    # every entry p - 1 or 1, the largest sums the terms' int16 holds at
+    # these dimensions (int16 gives way to int32 only from n = 13 for the
+    # Bol product term and from n*m = 152 for mu(x*y) mu(z))
+    p, field = 7, PrimeField(7)
+    assert _headroom_dtype(3 * 3, 3, p) is np.int16
+    assert _headroom_dtype(13 * 13, 3, p) is np.int32
+    assert _headroom_dtype(2 * 76, 3, p) is np.int32
+    # bil(x,y) = 6 (1,...,1) for x < y: valid, as (y1*y2)*(x1*x2) sums to a
+    # multiple of 6*6*(6+1) and every other term has a bracket
+    pattern = np.triu(np.full((3, 3), 6), 1) + np.tril(np.ones((3, 3), dtype=np.int64), -1)
+    bil6 = np.repeat(pattern[:, :, None], 3, axis=2)
+    g = Matrix.from_int_rows(field, [[6, 6, 5], [6, 5, 6], [5, 6, 6]])
+    h = h3(field).conjugate(g)
+    cases = [(bil6, np.zeros((3,) * 4, dtype=np.int64)),
+             (bil6, np.repeat(bil6[:, :, :, None], 3, axis=3)),
+             (residues(h.bil), residues(h.tri)),
+             (residues(mutate(h, "bil", (0, 1, 2), 6).bil), residues(h.tri))]
+    bil = np.stack([b for b, _ in cases])
+    tri = np.stack([t for _, t in cases])
+    want = [validate_bol(algebra_from_int_arrays(field, b, t)).valid
+            for b, t in cases]
+    assert want == [True, False, True, False]
+    assert validate_bol_mask(bil, tri, p).tolist() == want
+    # mu(e2) all 6 is a module of s2 while mu(e1) = 0; mu(e1) all 6 is not
+    m = 2
+    mu = np.zeros((2, 2, m, m), dtype=np.int64)
+    mu[:, 1] = 6
+    mu[1, 0] = 6
+    zero = np.zeros((2, 2, 2, m, m), dtype=np.int64)
+    assert _rep_agreement(field, s2(field), mu, zero, zero) == [True, False]

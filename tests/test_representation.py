@@ -88,6 +88,7 @@ def test_semidirect_product_matches_census_route_2(F5, name):
     # assembles the semidirect sum from the action arrays on its own
     import numpy as np
 
+    from bolext import identities
     from bolext.bruteforce import semidirect_arrays
 
     a, r = {"s2_r_s2": (s2(F5), r_s2(F5)),
@@ -102,9 +103,10 @@ def test_semidirect_product_matches_census_route_2(F5, name):
     mu = residues(r.mu)
     theta = residues([g for row in r.theta for g in row]).reshape(n, n, m, m)
     dd = residues([g for row in r.dd for g in row]).reshape(n, n, m, m)
-    bil, tri = a.int_arrays()
+    bil, tri = identities.residues(a.bil), identities.residues(a.tri)
     bil_e, tri_e = semidirect_arrays(bil, tri, mu[None], theta[None], dd[None], 5)
-    got_bil, got_tri = semidirect_product(a, r).int_arrays()
+    sd = semidirect_product(a, r)
+    got_bil, got_tri = identities.residues(sd.bil), identities.residues(sd.tri)
     assert (got_bil == bil_e[0]).all() and (got_tri == tri_e[0]).all()
     assert got_bil[n:].any() == bool(mu.any())
 

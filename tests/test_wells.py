@@ -327,6 +327,7 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
     # check runs over every map base -> fiber
     from bolext.bol import automorphism_int_arrays, int_matrix
     from bolext.exactlin import enumerate_vectors
+    from bolext.identities import residues
     from bolext.nonabelian import (_cocycle_arrays, _equivalent_via,
                                    cocycles_equivalent_via, solve_equivalence)
     from bolext.wells import (_act, _intertwines, _pair_intertwines,
@@ -335,7 +336,7 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
     e = _extension(F5, name)
     c = theta_map(e)
     arr = _cocycle_arrays(c)
-    bil, tri = c.base.int_arrays()
+    bil, tri = residues(c.base.bil), residues(c.base.tri)
     maps = [Matrix(F5, [[v[q * c.m + t] for q in range(c.n)] for t in range(c.m)])
             for v in enumerate_vectors(F5, c.n * c.m)]
     phis = np.array([[[int(x.value) for x in row] for row in f.entries]
