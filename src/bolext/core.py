@@ -48,15 +48,6 @@ class ValidationReport:
     def valid(self) -> bool:
         return not self.violations
 
-    @classmethod
-    def from_residuals(cls, items) -> "ValidationReport":
-        """The nonzero residuals of a stream of (tag, where, residual)."""
-        rep = cls()
-        for tag, where, residual in items:
-            if any(residual):
-                rep.add(tag, where, residual)
-        return rep
-
     def add(self, tag, where, residual):
         self.violations.append(Violation(tag, tuple(where), tuple(residual)))
 

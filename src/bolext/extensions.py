@@ -397,7 +397,7 @@ def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
 
 def _stacked_rhs(om, nu):
     """(omega, nu) residues per leading index, in the row order of
-    `_equivalence_residuals`."""
+    `_equivalence_matrix`."""
     k = len(om)
     return np.concatenate([om.reshape(k, -1), nu.reshape(k, -1)], axis=1)
 

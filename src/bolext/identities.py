@@ -1,10 +1,12 @@
-"""The identity suites, written once as data, and the exact report reader.
+"""The identity suites, written once as data, and the exact readers.
 
 Every suite the engine decides (the Bol axioms, the six module identities,
-the abelian (2,3)-cocycle identities and the non-abelian cocycle identities
-in both variants) is a table of identities.  An identity is a tag, the basis
-axes it is checked on (`where`), the axes of its residual (`out`), and signed
-einsum terms over named dense tensors:
+the abelian (2,3)-cocycle identities, the non-abelian cocycle identities in
+both variants, and the three decisions about a map phi: B -> V: cocycle
+equivalence, inducibility of an automorphism pair, and degree-one cocycles)
+is a table of identities.  An identity is a tag, the basis axes it is checked
+on (`where`), the axes of its residual (`out`), and signed einsum terms over
+named dense tensors:
 
   bil[i,j,k]     coefficient of e_k in e_i*e_j           (algebra or base)
   tri[i,j,k,l]   coefficient of e_l in [e_i,e_j,e_k]
@@ -13,6 +15,10 @@ einsum terms over named dense tensors:
   mu[i,s,t]      entry (s,t) of the matrix mu(e_i); theta[i,j,s,t] and
                  dd[i,j,s,t] likewise
   vbil, vtri     the fiber's bil and tri
+  phi[t,q]       coordinate t of phi(e_q), for the map phi: B -> V
+  alpha[q,i]     coordinate q of alpha(e_i), for alpha in Aut(B); beta[s,t]
+                 entry (s,t) of beta in Aut(V)
+  nu1, ..., dd1  the data of the cocycle an equivalence compares with nu, ...
 
 A term "-tri(ijkq) bil(qlr)" is minus the contraction of its factors over
 every index that is not a residual axis; the residual of an identity at a
@@ -26,9 +32,10 @@ identity, which is the order in which violations are emitted.  The first
 group of each suite is checked on the triangle j >= i of its first two axes
 only, since its identities are symmetric there.
 
-Two readers use the tables: `report` evaluates one structure exactly, on
-object arrays of Python ints, and `bruteforce.identity_mask` decides a batch
-of GF(p) structures on fixed-width residue arrays.
+Three readers use the tables: `report` evaluates one structure exactly, on
+object arrays of Python ints; `affine` reads the linear system in phi of an
+EQV, IND or Z1 suite over an abelian fiber; and `bruteforce.identity_mask`
+decides a batch of GF(p) structures on fixed-width residue arrays.
 """
 from __future__ import annotations
 
@@ -42,8 +49,8 @@ import numpy as np
 
 from .core import ValidationReport, Variant
 
-__all__ = ["Term", "Identity", "Group", "BOL", "REP", "COCYCLE", "NAB",
-           "report", "residues"]
+__all__ = ["Term", "Identity", "Group", "BOL", "REP", "COCYCLE", "NAB", "EQV",
+           "IND", "Z1", "report", "affine", "residues"]
 
 
 @dataclass(frozen=True)
@@ -297,6 +304,92 @@ NAB = _suite(
 
 
 # ---------------------------------------------------------------------------
+# decisions about a map phi: B -> V.  The base's bil, tri and the fiber's
+# vbil, vtri throughout; base axes i j k (summed q r h), fiber axes a
+# (summed b c d t), residuals s.  Over an abelian fiber every term of degree
+# two or more in phi has a vbil or vtri factor, so each suite is affine in
+# phi there (`affine`).
+
+# cocycle 1 (nu1, ..., dd1) against the cocycle (nu, ..., dd) via phi.  Signs
+# follow the printed convention (eqv-nu has +phi(x*y), opposite to the
+# abelian coboundary convention).
+EQV = _suite(
+    # omega1(x,y,z) - omega(x,y,z) - theta(x,z)phi(y) + D(x,y)phi(z)
+    #   + theta(y,z)phi(x) + [phi(x),phi(y),phi(z)] - phi([x,y,z]) = 0
+    _id("eqv-omega", "ijk", "s",
+        "+om1(ijks) -om(ijks) -theta(ikst) phi(tj) +dd(ijst) phi(tk)"
+        " +theta(jkst) phi(ti) +phi(ai) phi(bj) phi(ck) vtri(abcs) -phi(sq) tri(ijkq)"),
+    # nu1(x,y) - nu(x,y) - phi(x)*phi(y) - phi(x*y) + mu(x)phi(y)
+    #   - mu(y)phi(x) = 0
+    _id("eqv-nu", "ij", "s",
+        "+nu1(ijs) -nu(ijs) -phi(ai) phi(bj) vbil(abs) -phi(sq) bil(ijq)"
+        " +mu(ist) phi(tj) -mu(jst) phi(ti)"),
+    # mu1(x)a - mu(x)a - a*phi(x) = 0
+    _id("eqv-mu", "ia", "s", "+mu1(isa) -mu(isa) -phi(bi) vbil(abs)"),
+    Group(3, (
+        # theta1(x,y)a - theta(x,y)a - [a,phi(x),phi(y)] = 0
+        _id("eqv-theta", "ija", "s",
+            "+theta1(ijsa) -theta(ijsa) -phi(bi) phi(cj) vtri(abcs)"),
+        # D1(x,y)a - D(x,y)a - [phi(x),phi(y),a] = 0
+        _id("eqv-d", "ija", "s", "+dd1(ijsa) -dd(ijsa) -phi(bi) phi(cj) vtri(bcas)"),
+    )),
+)
+
+# (alpha, beta) lifts through phi to the automorphism
+# a + s(x) |-> beta(a) - phi(x) + s(alpha(x)) of the extension of the
+# cocycle (nu, om, mu, theta, dd)
+IND = _suite(
+    # beta omega(x,y,z) - omega(ax,ay,az) - theta(ax,az)phi(y)
+    #   + theta(ay,az)phi(x) + D(ax,ay)phi(z) - phi([x,y,z])
+    #   + [phi(x),phi(y),phi(z)] = 0
+    _id("ind-omega", "ijk", "s",
+        "+beta(st) om(ijkt) -alpha(qi) alpha(rj) alpha(hk) om(qrhs)"
+        " -alpha(qi) alpha(rk) theta(qrst) phi(tj) +alpha(qj) alpha(rk) theta(qrst) phi(ti)"
+        " +alpha(qi) alpha(rj) dd(qrst) phi(tk) -phi(sq) tri(ijkq)"
+        " +phi(ai) phi(bj) phi(ck) vtri(abcs)"),
+    # beta nu(x,y) - nu(ax,ay) - phi(x)*phi(y) - phi(x*y) + mu(ax)phi(y)
+    #   - mu(ay)phi(x) = 0
+    _id("ind-nu", "ij", "s",
+        "+beta(st) nu(ijt) -alpha(qi) alpha(rj) nu(qrs) -phi(ai) phi(bj) vbil(abs)"
+        " -phi(sq) bil(ijq) +alpha(qi) mu(qst) phi(tj) -alpha(qj) mu(qst) phi(ti)"),
+    Group(3, (
+        # beta theta(x,y)a - theta(ax,ay)beta(a) - [beta(a),phi(x),phi(y)] = 0
+        _id("ind-theta", "ija", "s",
+            "+beta(st) theta(ijta) -alpha(qi) alpha(rj) theta(qrst) beta(ta)"
+            " -beta(ba) phi(ci) phi(dj) vtri(bcds)"),
+        # beta D(x,y)a - D(ax,ay)beta(a) - [phi(x),phi(y),beta(a)] = 0
+        _id("ind-d", "ija", "s",
+            "+beta(st) dd(ijta) -alpha(qi) alpha(rj) dd(qrst) beta(ta)"
+            " -phi(bi) phi(cj) beta(da) vtri(bcds)"),
+    )),
+    # beta mu(x)a - mu(ax)beta(a) - beta(a)*phi(x) = 0
+    _id("ind-mu", "ia", "s",
+        "+beta(st) mu(ita) -alpha(qi) mu(qst) beta(ta) -beta(ba) phi(ci) vbil(bcs)"),
+)
+
+# degree-one cocycles of the cocycle (mu, theta, dd): phi takes values that
+# the fiber's product and bracket annihilate, and the shear
+# a + s(x) |-> a - phi(x) + s(x) is an automorphism
+Z1 = _suite(
+    # a*phi(x) = 0
+    _id("z1-annihilate-star", "ia", "s", "+phi(bi) vbil(abs)"),
+    Group(3, (
+        # [a,phi(x),b] = 0 and [b,a,phi(x)] = 0
+        _id("z1-annihilate-middle", "iab", "s", "+phi(ci) vtri(acbs)"),
+        _id("z1-annihilate-last", "iab", "s", "+phi(ci) vtri(bacs)"),
+    )),
+    # mu(x)phi(y) - mu(y)phi(x) - phi(x*y) - phi(x)*phi(y) = 0
+    _id("z1-product", "ij", "s",
+        "+mu(ist) phi(tj) -mu(jst) phi(ti) -phi(sq) bil(ijq) -phi(ai) phi(bj) vbil(abs)"),
+    # theta(x,z)phi(y) - theta(y,z)phi(x) - D(x,y)phi(z)
+    #   - [phi(x),phi(y),phi(z)] + phi([x,y,z]) = 0
+    _id("z1-bracket", "ijk", "s",
+        "+theta(ikst) phi(tj) -theta(jkst) phi(ti) -dd(ijst) phi(tk)"
+        " -phi(ai) phi(bj) phi(ck) vtri(abcs) +phi(sq) tri(ijkq)"),
+)
+
+
+# ---------------------------------------------------------------------------
 # readers' shared pieces
 
 def contract(term: Term, out: str, arrays: dict, sizes: dict, batched=frozenset(),
@@ -343,6 +436,26 @@ def _integers(field, nested: dict):
     return {name: numerator(a) for name, a in arrays.items()}, den
 
 
+def _sum(terms, axes: str, ints: dict, sizes: dict, den: int, p, degree=None,
+         **batch):
+    """(the terms' signed sum onto `axes` in Python ints, its degree K), as
+    `report` sums; `degree` counts the factors that carry den (default all)."""
+    degree = degree or (lambda t: len(t.factors))
+    top = max(map(degree, terms), default=0)
+    total = 0
+    for t in terms:
+        total = total + contract(t, axes, ints, sizes, **batch) * (
+            t.sign * den ** (top - degree(t)))
+    return (total % p if p is not None else total), top
+
+
+def _scalars(field, values, den: int) -> tuple:
+    """Summed Python ints as field scalars: residues, or over Q x / den."""
+    if field.is_prime_field:
+        return tuple(field.scalar(int(x)) for x in values)
+    return tuple(Fraction(int(x), den) for x in values)
+
+
 # ---------------------------------------------------------------------------
 # the report reader
 
@@ -363,27 +476,60 @@ def report(suite: tuple, field, variant: Variant = Variant.CORRECTED,
         for rank, identity in enumerate(group.identities):
             if identity.variant not in (None, variant):
                 continue
-            terms = identity.terms_in(variant)
-            sizes = axis_sizes(identity, shapes)
-            top = max(len(t.factors) for t in terms)
-            total = 0
-            for t in terms:
-                scale = t.sign * den ** (top - len(t.factors))
-                total = total + contract(t, identity.axes, ints, sizes) * scale
-            if p is not None:
-                total = total % p
+            total, top = _sum(identity.terms_in(variant), identity.axes, ints,
+                              axis_sizes(identity, shapes), den, p)
             w = len(identity.where)
             hit = total.astype(bool).reshape(total.shape[:w] + (-1,)).any(axis=-1)
             for where in zip(*np.nonzero(hit)):
                 where = tuple(int(i) for i in where)
                 if group.triangle and where[1] < where[0]:
                     continue
-                residual = tuple(field.scalar(int(x)) if p is not None
-                                 else Fraction(int(x), den ** top)
-                                 for x in total[where].reshape(-1))
                 found.append((where[:group.shared], rank, where[group.shared:],
-                              identity.tag, residual))
+                              identity.tag,
+                              _scalars(field, total[where].reshape(-1), den ** top)))
         found.sort(key=lambda f: f[:3])
         for shared, _, rest, tag, residual in found:
             rep.add(tag, shared + rest, residual)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the affine reader
+
+def _phi_degree(term: Term) -> int:
+    return sum(name == "phi" for name, _ in term.factors)
+
+
+def affine(suite: tuple, field, n: int, m: int, **tensors) -> dict:
+    """tag -> (A, b) per identity of an EQV, IND or Z1 suite, in table order:
+    its residuals, flattened row-major over `where` then `out`, are A x + b
+    for x[q*m + t] = phi[t,q] (`cohomology._phi_from_params` order).  The
+    tensors are given as in `report`, all but phi.  A contracts the terms
+    linear in phi with the unit maps, b sums the terms free of phi.  A term
+    of higher degree in phi must have an all-zero factor (vbil or vtri over
+    an abelian fiber), else ValueError."""
+    ints, den = _integers(field, tensors)
+    shapes = {name: a.shape for name, a in ints.items()}
+    shapes["phi"] = (m, n)
+    # unit[x, t, q] = 1 where x = q*m + t
+    ints["phi"] = np.eye(n * m, dtype=object).reshape(n * m, n, m).transpose(0, 2, 1)
+    p = field.p if field.is_prime_field else None
+    system = {}
+    for identity in (i for group in suite for i in group.identities):
+        for t in identity.terms:
+            if _phi_degree(t) > 1 and all(ints[name].any()
+                                          for name, _ in t.factors if name != "phi"):
+                raise ValueError(f"{identity.tag} is not affine in phi")
+        sizes = axis_sizes(identity, shapes)
+        shape = tuple(sizes[ch] for ch in identity.axes)
+        linear, top = _sum([t for t in identity.terms if _phi_degree(t) == 1],
+                           identity.axes, ints, sizes, den, p,
+                           degree=lambda t: len(t.factors) - 1,
+                           batched={"phi"}, batch="X")
+        linear = np.broadcast_to(linear, (n * m,) + shape).reshape(n * m, -1)
+        a = tuple(zip(*(_scalars(field, col, den ** top) for col in linear)))
+        free, top = _sum([t for t in identity.terms if not _phi_degree(t)],
+                         identity.axes, ints, sizes, den, p)
+        system[identity.tag] = (a, _scalars(field, np.broadcast_to(free, shape).reshape(-1),
+                                            den ** top))
+    return system

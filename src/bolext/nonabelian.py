@@ -21,13 +21,11 @@ The identities of both variants are the rows of `identities.NAB`, which
 fiber couplings are marked there.
 
 Decisions about an unknown map phi: B -> V (equivalence here; inducibility
-and degree-one cocycles in `wells`) share one path.  Each identity suite is
-written once, as a generator of (tag, where, residual) in report order: its
-nonzero residuals form the `ValidationReport`, and the concatenated rows of
-the tags that are affine in phi (abelian fiber) form the linear system.
-`_affine_system` probes that system at the zero map and at each unit map,
-`_solve_for_phi` solves it with free parameters at zero, and `_search_phi`
-searches GF(p) maps exhaustively when the fiber is not abelian.
+and degree-one cocycles in `wells`) share one path.  Each is a table with
+phi as a named tensor (`identities.EQV`, `IND`, `Z1`): `identities.report`
+checks a given phi; over an abelian fiber `identities.affine` reads the
+linear system in phi off the table and `_solve_for_phi` solves it with free
+parameters at zero; otherwise `_search_phi` searches GF(p) maps.
 """
 from __future__ import annotations
 
@@ -38,13 +36,12 @@ import numpy as np
 
 from . import bruteforce, identities
 from .bol import BolAlgebra, zero_algebra
-from .cohomology import Cochain2, Cochain3, _phi_from_params, _unit_phi
+from .cohomology import Cochain2, Cochain3, _phi_from_params
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport, Variant)
 from .errors import UsageError
 from .identities import residues
-from .exactlin import (Matrix, basis_vec, enumerate_vectors, vec_add, vec_neg,
-                       vec_sub, zero_vec)
+from .exactlin import Matrix, enumerate_vectors, vec_neg, zero_vec
 from .representation import ActionOps, Representation
 
 __all__ = [
@@ -104,6 +101,13 @@ class NonAbelianCocycle(ActionOps):
                    Cochain2.zero(n, m, base.field), Cochain3.zero(n, m, base.field),
                    r.mu, r.theta, r.dd)
 
+    def tensors(self) -> dict:
+        """The named tensors of the `identities` tables: the base's bil and
+        tri, the fiber's vbil and vtri, and the cocycle data."""
+        return dict(bil=self.base.bil, tri=self.base.tri, vbil=self.fiber.bil,
+                    vtri=self.fiber.tri, nu=self.nu.grid, om=self.omega.grid,
+                    **self.action_entries())
+
     def same_shape(self, other: "NonAbelianCocycle") -> bool:
         """Equivalence only makes sense over one base and one fiber."""
         return self.base == other.base and self.fiber == other.fiber
@@ -112,9 +116,7 @@ class NonAbelianCocycle(ActionOps):
 def validate_nab_cocycle(c: NonAbelianCocycle,
                          variant: Variant = Variant.CORRECTED) -> ValidationReport:
     """Check the full identity suite of the selected variant on basis tuples."""
-    return identities.report(identities.NAB, c.field, variant, bil=c.base.bil,
-                             tri=c.base.tri, vbil=c.fiber.bil, vtri=c.fiber.tri,
-                             nu=c.nu.grid, om=c.omega.grid, **c.action_entries())
+    return identities.report(identities.NAB, c.field, variant, **c.tensors())
 
 
 def build_extension_algebra(c: NonAbelianCocycle) -> BolAlgebra:
@@ -164,93 +166,34 @@ def build_extension_algebra(c: NonAbelianCocycle) -> BolAlgebra:
 
 def cocycles_equivalent_via(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
                             phi: Matrix) -> ValidationReport:
-    """Check the five equivalence identities for the given comparison map.
-
-    Tags: eqv-omega, eqv-nu, eqv-mu, eqv-theta, eqv-d.  Signs follow the
-    printed convention (note eqv-nu uses +phi(x*y), opposite to the abelian
-    coboundary convention).
+    """Check the five equivalence identities (`identities.EQV`) for the
+    given comparison map.  Tags: eqv-omega, eqv-nu, eqv-mu, eqv-theta, eqv-d.
     """
     if not c1.same_shape(c2):
         raise UsageError("cocycles live over different shapes")
     n, m = c1.n, c1.m
     if phi.rows != m or phi.cols != n or phi.field != c1.field:
         raise UsageError("comparison map has wrong shape")
-    return ValidationReport.from_residuals(_equivalence_residuals(c1, c2, phi))
+    return identities.report(identities.EQV, c1.field, phi=phi.entries,
+                             **_equivalence_tensors(c1, c2))
 
 
-_EQV_TAGS = ("eqv-omega", "eqv-nu", "eqv-mu", "eqv-theta", "eqv-d")
-_EQV_LINEAR = _EQV_TAGS[:2]
-
-
-def _equivalence_residuals(c1, c2, phi, tags=_EQV_TAGS):
-    """(tag, where, residual) of the equivalence identities named in tags,
-    in report order: omega (x,y,z), nu (x,y), mu (x,a), then theta and D
-    per (x,y,a).  Over an abelian fiber the omega/nu residuals are affine in
-    phi and the rest do not depend on it."""
-    n, m = c1.n, c1.m
-    B, V = c1.base, c1.fiber
-    pe = [phi.col(i) for i in range(n)]
-    ev = [basis_vec(c1.field, m, a) for a in range(m)]
-    if "eqv-omega" in tags:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    r = vec_sub(c1.omega.at(x, y, z), c2.omega.at(x, y, z))
-                    r = vec_sub(r, c2.theta[x][z].apply(pe[y]))
-                    r = vec_add(r, c2.dd[x][y].apply(pe[z]))
-                    r = vec_add(r, c2.theta[y][z].apply(pe[x]))
-                    r = vec_add(r, V.bracket(pe[x], pe[y], pe[z]))
-                    r = vec_sub(r, phi.apply(B.tri[x][y][z]))
-                    yield "eqv-omega", (x, y, z), r
-    if "eqv-nu" in tags:
-        for x in range(n):
-            for y in range(n):
-                r = vec_sub(c1.nu.at(x, y), c2.nu.at(x, y))
-                r = vec_sub(r, V.star(pe[x], pe[y]))
-                r = vec_sub(r, phi.apply(B.bil[x][y]))
-                r = vec_add(r, c2.mu[x].apply(pe[y]))
-                r = vec_sub(r, c2.mu[y].apply(pe[x]))
-                yield "eqv-nu", (x, y), r
-    if "eqv-mu" in tags:
-        for x in range(n):
-            for a in range(m):
-                r = vec_sub(c1.mu[x].apply(ev[a]), c2.mu[x].apply(ev[a]))
-                r = vec_sub(r, V.star(ev[a], pe[x]))
-                yield "eqv-mu", (x, a), r
-    for x in range(n):
-        for y in range(n):
-            for a in range(m):
-                if "eqv-theta" in tags:
-                    r = vec_sub(c1.theta[x][y].apply(ev[a]), c2.theta[x][y].apply(ev[a]))
-                    r = vec_sub(r, V.bracket(ev[a], pe[x], pe[y]))
-                    yield "eqv-theta", (x, y, a), r
-                if "eqv-d" in tags:
-                    r = vec_sub(c1.dd[x][y].apply(ev[a]), c2.dd[x][y].apply(ev[a]))
-                    r = vec_sub(r, V.bracket(pe[x], pe[y], ev[a]))
-                    yield "eqv-d", (x, y, a), r
+def _equivalence_tensors(c1: NonAbelianCocycle, c2: NonAbelianCocycle) -> dict:
+    """The tensors of `identities.EQV` but phi: c2's, and c1's cocycle data
+    with the suffix 1."""
+    t1 = c1.tensors()
+    return dict(c2.tensors(), **{k + "1": t1[k] for k in ("nu", "om", "mu", "theta", "dd")})
 
 
 # ---------------------------------------------------------------------------
 # decisions affine in the unknown map phi: B -> V
 
-def _rows(items) -> tuple:
-    """The residuals of a (tag, where, residual) stream, concatenated."""
-    return tuple(x for _, _, r in items for x in r)
-
-
-def _affine_system(rows_of, field, n, m):
-    """(A, b) with rows_of(phi) = A x + b, x the parameters of phi in
-    `_phi_from_params` order, for rows affine in phi: probes the zero map
-    and each unit map."""
-    b = rows_of(Matrix.zeros(field, m, n))
-    cols = [vec_sub(rows_of(_unit_phi(field, n, m, k)), b) for k in range(n * m)]
-    return Matrix.from_cols(field, cols, rows=len(b)), b
-
-
-def _solve_for_phi(rows_of, field, n, m):
-    """The phi with rows_of(phi) = 0 and its free parameters zero, or None."""
-    a, b = _affine_system(rows_of, field, n, m)
-    x = a.solve(vec_neg(b))
+def _solve_for_phi(field, n, m, blocks):
+    """The phi with A x + b = 0 over the stacked (A, b) blocks of
+    `identities.affine`, its free parameters zero, or None."""
+    blocks = list(blocks)
+    a = Matrix(field, [row for rows, _ in blocks for row in rows], cols=n * m)
+    x = a.solve(vec_neg([v for _, b in blocks for v in b]))
     return None if x is None else _phi_from_params(field, n, m, x)
 
 
@@ -301,8 +244,9 @@ def solve_equivalence(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
                 return Decision(Status.NONE, reason="eqv-theta")
             if c1.dd[x][y] != c2.dd[x][y]:
                 return Decision(Status.NONE, reason="eqv-d")
-    phi = _solve_for_phi(
-        lambda f: _rows(_equivalence_residuals(c1, c2, f, _EQV_LINEAR)), field, n, m)
+    # past the gates the mu, theta and D rows are 0 = 0
+    system = identities.affine(identities.EQV, field, n, m, **_equivalence_tensors(c1, c2))
+    phi = _solve_for_phi(field, n, m, system.values())
     if phi is None:
         return Decision(Status.NONE, reason="eqv-omega+eqv-nu")
     assert cocycles_equivalent_via(c1, c2, phi).valid
@@ -357,9 +301,9 @@ def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
 
 def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
     """Matrix of the omega/nu equivalence system of any cocycle against c:
-    rows in `_equivalence_residuals` order, columns in `_phi_from_params`
-    order.  Only the right-hand side depends on the other cocycle."""
-    a, _ = _affine_system(
-        lambda phi: _rows(_equivalence_residuals(c, c, phi, _EQV_LINEAR)),
-        c.field, c.n, c.m)
-    return residues(a.entries)
+    rows eqv-omega then eqv-nu in `identities.affine` order, columns in
+    `_phi_from_params` order.  Only the right-hand side depends on the other
+    cocycle."""
+    system = identities.affine(identities.EQV, c.field, c.n, c.m,
+                               **_equivalence_tensors(c, c))
+    return residues(system["eqv-omega"][0] + system["eqv-nu"][0])

@@ -11,19 +11,17 @@ acted cocycle minus the original.
 
 Inducibility identity tags: ind-omega, ind-nu, ind-theta, ind-d, ind-mu.
 Abelian-fiber gates reuse ind-theta / ind-d / ind-mu (they become free of the
-unknown map there).  The identities are written once
-(`_inducibility_residuals`) and solved through the probe-and-solve path of
-`nonabelian`, as are the degree-one cocycles.
-"""
+unknown map there).  The identities and the degree-one cocycle conditions
+are the tables `identities.IND` and `identities.Z1`, decided on the path of
+`nonabelian`."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from . import bruteforce
+from . import bruteforce, identities
 from .bol import (BolAlgebra, automorphism_int_arrays, int_matrix, is_morphism,
                   zero_algebra)
 from .cohomology import Cochain2, Cochain3, _phi_from_params
@@ -31,15 +29,14 @@ from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport)
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
-from .exactlin import (Matrix, Subspace, basis_vec, enumerate_vectors,
-                       vec_add, vec_sub, zero_vec)
+from .exactlin import Matrix, Subspace, enumerate_vectors, vec_add, zero_vec
 from .extensions import (Extension, Section, canonical_section, extract_cocycle,
                          theta_map, validate_extension)
 from .identities import residues
-from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _affine_system,
-                         _cocycle_arrays, _equivalence_matrix, _equivalent_via,
-                         _phi_candidates, _rows, _search_phi, _solve_for_phi,
-                         solve_equivalence, validate_nab_cocycle)
+from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
+                         _equivalence_matrix, _equivalent_via, _phi_candidates,
+                         _search_phi, _solve_for_phi, solve_equivalence,
+                         validate_nab_cocycle)
 from .representation import Representation
 
 __all__ = [
@@ -98,69 +95,15 @@ def act_on_cocycle(c: NonAbelianCocycle, pair: AutPair) -> NonAbelianCocycle:
 # ---------------------------------------------------------------------------
 # inducibility
 
-_IND_LINEAR = ("ind-omega", "ind-nu")
-_IND_GATES = ("ind-theta", "ind-d", "ind-mu")
-
-
-def _inducibility_residuals(c: NonAbelianCocycle, pair: AutPair, phi: Matrix,
-                            tags=_IND_LINEAR + _IND_GATES):
-    """(tag, where, residual) of the inducibility identities named in tags,
-    in report order: omega (x,y,z), nu (x,y), theta and D per (x,y,a), then
-    mu (x,a).  Over an abelian fiber the omega/nu residuals are affine in
-    phi and the gates theta, D, mu do not depend on it."""
-    n, m = c.n, c.m
-    B, V = c.base, c.fiber
-    alpha, beta = pair.alpha, pair.beta
-    acol = [alpha.col(i) for i in range(n)]
-    pe = [phi.col(i) for i in range(n)]
-    ev = [basis_vec(c.field, m, a) for a in range(m)]
-    if "ind-omega" in tags:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    r = beta.apply(c.omega.at(x, y, z))
-                    r = vec_sub(r, c.omega.eval(acol[x], acol[y], acol[z]))
-                    r = vec_sub(r, c.theta_op(acol[x], acol[z]).apply(pe[y]))
-                    r = vec_add(r, c.theta_op(acol[y], acol[z]).apply(pe[x]))
-                    r = vec_add(r, c.dd_op(acol[x], acol[y]).apply(pe[z]))
-                    r = vec_sub(r, phi.apply(B.tri[x][y][z]))
-                    r = vec_add(r, V.bracket(pe[x], pe[y], pe[z]))
-                    yield "ind-omega", (x, y, z), r
-    if "ind-nu" in tags:
-        for x in range(n):
-            for y in range(n):
-                r = beta.apply(c.nu.at(x, y))
-                r = vec_sub(r, c.nu.eval(acol[x], acol[y]))
-                r = vec_sub(r, V.star(pe[x], pe[y]))
-                r = vec_sub(r, phi.apply(B.bil[x][y]))
-                r = vec_add(r, c.mu_op(acol[x]).apply(pe[y]))
-                r = vec_sub(r, c.mu_op(acol[y]).apply(pe[x]))
-                yield "ind-nu", (x, y), r
-    for x in range(n):
-        for y in range(n):
-            for a in range(m):
-                if "ind-theta" in tags:
-                    r = beta.apply(c.theta[x][y].apply(ev[a]))
-                    r = vec_sub(r, c.theta_op(acol[x], acol[y]).apply(beta.apply(ev[a])))
-                    r = vec_sub(r, V.bracket(beta.apply(ev[a]), pe[x], pe[y]))
-                    yield "ind-theta", (x, y, a), r
-                if "ind-d" in tags:
-                    r = beta.apply(c.dd[x][y].apply(ev[a]))
-                    r = vec_sub(r, c.dd_op(acol[x], acol[y]).apply(beta.apply(ev[a])))
-                    r = vec_sub(r, V.bracket(pe[x], pe[y], beta.apply(ev[a])))
-                    yield "ind-d", (x, y, a), r
-    if "ind-mu" in tags:
-        for x in range(n):
-            for a in range(m):
-                r = beta.apply(c.mu[x].apply(ev[a]))
-                r = vec_sub(r, c.mu_op(acol[x]).apply(beta.apply(ev[a])))
-                r = vec_sub(r, V.star(beta.apply(ev[a]), pe[x]))
-                yield "ind-mu", (x, a), r
+def _inducibility_tensors(c: NonAbelianCocycle, pair: AutPair) -> dict:
+    """The tensors of `identities.IND` but phi."""
+    return dict(c.tensors(), alpha=pair.alpha.entries, beta=pair.beta.entries)
 
 
 def _inducibility_report(c: NonAbelianCocycle, pair: AutPair,
                          phi: Matrix) -> ValidationReport:
-    return ValidationReport.from_residuals(_inducibility_residuals(c, pair, phi))
+    return identities.report(identities.IND, c.field, phi=phi.entries,
+                             **_inducibility_tensors(c, pair))
 
 
 def inducible_via(e: Extension, s: Section, pair: AutPair,
@@ -180,20 +123,18 @@ def _solve_inducibility_from_cocycle(c: NonAbelianCocycle, pair: AutPair,
     if not c.fiber.is_abelian():
         return _search_phi(field, n, m, bound,
                            lambda phi: _inducibility_report(c, pair, phi).valid)
-    gates = ValidationReport.from_residuals(_inducibility_residuals(
-        c, pair, Matrix.zeros(field, m, n), _IND_GATES))
-    if not gates.valid:
-        return Decision(Status.NONE, reason=gates.tags()[0])
-
-    def solve(tags):
-        return _solve_for_phi(
-            lambda phi: _rows(_inducibility_residuals(c, pair, phi, tags)), field, n, m)
-
-    phi = solve(_IND_LINEAR)
+    system = identities.affine(identities.IND, field, n, m,
+                               **_inducibility_tensors(c, pair))
+    gates = [tag for tag in ("ind-theta", "ind-d", "ind-mu") if any(system[tag][1])]
+    if gates:
+        return Decision(Status.NONE, reason=min(gates))
+    # past the gates their rows are 0 = 0
+    phi = _solve_for_phi(field, n, m, system.values())
     if phi is not None:
         assert _inducibility_report(c, pair, phi).valid
         return Decision(Status.FOUND, witness=phi)
-    tags = [tag for tag in ("ind-nu", "ind-omega") if solve((tag,)) is None]
+    tags = [tag for tag in ("ind-nu", "ind-omega")
+            if _solve_for_phi(field, n, m, [system[tag]]) is None]
     return Decision(Status.NONE, reason="+".join(tags) or "ind-omega+ind-nu")
 
 
@@ -343,44 +284,14 @@ class Z1Result:
         return None
 
 
-def _z1_residual(c: NonAbelianCocycle, phi: Matrix) -> tuple:
-    n, m = c.n, c.m
-    field = c.field
-    V = c.fiber
-    pe = [phi.col(i) for i in range(n)]
-    ev = [basis_vec(field, m, a) for a in range(m)]
-    out = []
-    for x in range(n):
-        for a in range(m):
-            out.extend(V.star(ev[a], pe[x]))
-            for b in range(m):
-                out.extend(V.bracket(ev[a], pe[x], ev[b]))
-                out.extend(V.bracket(ev[b], ev[a], pe[x]))
-    for x in range(n):
-        for y in range(n):
-            r = vec_sub(c.mu[x].apply(pe[y]), c.mu[y].apply(pe[x]))
-            r = vec_sub(r, phi.apply(c.base.bil[x][y]))
-            r = vec_sub(r, V.star(pe[x], pe[y]))
-            out.extend(r)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                r = vec_sub(c.theta[x][z].apply(pe[y]), c.theta[y][z].apply(pe[x]))
-                r = vec_sub(r, c.dd[x][y].apply(pe[z]))
-                r = vec_sub(r, V.bracket(pe[x], pe[y], pe[z]))
-                r = vec_add(r, phi.apply(c.base.tri[x][y][z]))
-                out.extend(r)
-    return tuple(out)
-
-
 def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
     if not validate_nab_cocycle(c).valid:
         raise UsageError("degree-one cocycles over an invalid cocycle")
     n, m = c.n, c.m
     field = c.field
     if c.fiber.is_abelian():
-        a, _ = _affine_system(partial(_z1_residual, c), field, n, m)
-        space = a.kernel()
+        system = identities.affine(identities.Z1, field, n, m, **c.tensors())
+        space = Matrix(field, [row for a, _ in system.values() for row in a]).kernel()
         maps = None
         if field.is_prime_field and field.p ** space.dim <= bound:
             maps = []
@@ -396,7 +307,8 @@ def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Re
     phis, reason = _phi_candidates(field, n, m, bound)
     if phis is None:
         return Z1Result("undecided", reason=reason)
-    return Z1Result("list", maps=[f for f in phis if not any(_z1_residual(c, f))])
+    return Z1Result("list", maps=[f for f in phis if identities.report(
+        identities.Z1, field, phi=f.entries, **c.tensors()).valid])
 
 
 def s_map(e: Extension, s: Section, gamma: Matrix) -> Matrix:

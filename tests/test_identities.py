@@ -4,7 +4,9 @@ and the agreement of the batch masks with the reports.
 The golden cases pin the full `describe()` lines of each suite's report on
 invalid inputs (as a sha256 and a line count), so any change in the order in
 which violations are emitted, in their `where` tuples or in their residuals
-shows up here.
+shows up here.  The decisions about a map phi are pinned the same way: the
+status, reason and witness of `solve_equivalence` and `solve_inducibility`,
+and the maps of `z1_nab`.
 """
 import hashlib
 import random
@@ -17,16 +19,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bolext.bol import (BolAlgebra, algebra_from_int_arrays, h3, s2, validate_bol,
-                        z1, z2, z3)
+                        z1, z2, z3, zero_algebra)
 from bolext.bruteforce import (_headroom_dtype, skew_from_params, skew_pairs,
                                validate_bol_mask, validate_rep_mask)
 from bolext.cohomology import Cochain2, Cochain3, coboundary, is_cocycle23
 from bolext.core import Variant
 from bolext.exactlin import Matrix, PrimeField, RATIONALS
-from bolext.extensions import extract_cocycle, make_section, semidirect_extension
-from bolext.identities import residues
-from bolext.nonabelian import NonAbelianCocycle, validate_nab_cocycle
+from bolext.extensions import (as_extension, canonical_section, extract_cocycle,
+                               make_section, semidirect_extension)
+from bolext.identities import EQV, IND, Z1, affine, report, residues
+from bolext.nonabelian import (NonAbelianCocycle, _equivalence_tensors,
+                               cocycles_equivalent_via, solve_equivalence,
+                               validate_nab_cocycle)
 from bolext.representation import Representation, r_s2, validate_representation
+from bolext.wells import (AutPair, _inducibility_report, _inducibility_tensors,
+                          inducible_via, solve_inducibility, z1_nab)
 
 from test_acceptance import MUTATIONS
 from test_bol import mutate
@@ -143,6 +150,186 @@ def _nab_random(field, seed, variant, base=z2, random_fiber=False):
     return _lines(validate_nab_cocycle(c, variant), field)
 
 
+# ---------------------------------------------------------------------------
+# decisions about a map phi: B -> V (equivalence, inducibility, Z^1)
+
+def _random_algebra(field, rng, dim):
+    """Random (not necessarily Bol) structure constants: nonzero product
+    and bracket."""
+    return BolAlgebra(field, dim, _grid(field, rng, (dim,) * 3),
+                      _grid(field, rng, (dim,) * 4))
+
+
+def _random_cocycle(field, rng, base, fiber):
+    n, m = base.dim, fiber.dim
+    return NonAbelianCocycle(base, fiber,
+                             Cochain2(n, m, field, _grid(field, rng, (n, n, m))),
+                             Cochain3(n, m, field, _grid(field, rng, (n, n, n, m))),
+                             *_random_actions(field, rng, n, m))
+
+
+def _fiber(field, rng, m):
+    """z1 (abelian) or a random two-dimensional fiber with a nonzero bracket."""
+    return z1(field) if m == 1 else _random_algebra(field, rng, m)
+
+
+def _eqv_random(field, seed, m):
+    rng = random.Random(seed)
+    base = _random_algebra(field, rng, 2)
+    fiber = _fiber(field, rng, m)
+    c1, c2 = (_random_cocycle(field, rng, base, fiber) for _ in range(2))
+    return _lines(cocycles_equivalent_via(c1, c2, _matrix(field, rng, m, 2)), field)
+
+
+def _ind_random(field, seed, m):
+    # random alpha and beta, not automorphisms: every term of the suite fires
+    rng = random.Random(seed)
+    base = _random_algebra(field, rng, 2)
+    c = _random_cocycle(field, rng, base, _fiber(field, rng, m))
+    pair = AutPair(_matrix(field, rng, 2), _matrix(field, rng, m))
+    return _lines(_inducibility_report(c, pair, _matrix(field, rng, m, 2)), field)
+
+
+def _s2_automorphism(field, rng):
+    # alpha(e1) = c e1, alpha(e2) = b e1 + e2 with c != 0
+    c = _scalar(field, rng) or field.one
+    return Matrix(field, [[c, _scalar(field, rng)], [field.zero, field.one]])
+
+
+def _fiber_automorphism(field, rng, m):
+    """A nonzero scalar on z1; the identity on the random fiber."""
+    return (Matrix(field, [[_scalar(field, rng) or field.one]]) if m == 1
+            else Matrix.identity(field, m))
+
+
+def _ind_public(field, seed, m):
+    # inducible_via on the glued extension of a random cocycle over s2; the
+    # random fiber keeps beta = 1
+    rng = random.Random(seed)
+    c = _random_cocycle(field, rng, s2(field), _fiber(field, rng, m))
+    e = as_extension(c)
+    beta = _fiber_automorphism(field, rng, m)
+    pair = AutPair(_s2_automorphism(field, rng), beta)
+    return _lines(inducible_via(e, canonical_section(e), pair,
+                                _matrix(field, rng, m, 2)), field)
+
+
+def _decision(d, field):
+    witness = "" if d.witness is None else " " + repr(
+        [[str(field.format_scalar(x)) for x in row] for row in d.witness.entries])
+    return f"{d.status.value} {d.reason}{witness}"
+
+
+def _with(c, **changes):
+    fields = dict(nu=c.nu, omega=c.omega, mu=c.mu, theta=c.theta, dd=c.dd)
+    fields.update(changes)
+    return NonAbelianCocycle(c.base, c.fiber, **fields)
+
+
+def _tuples(a):
+    return tuple(map(_tuples, a)) if isinstance(a, (list, np.ndarray)) else a
+
+
+def _shifted(c, phi):
+    """A cocycle equivalent to c via phi, for an abelian fiber: c's nu and
+    omega plus the residuals of c against itself."""
+    grids = {"eqv-nu": np.array(c.nu.grid, dtype=object),
+             "eqv-omega": np.array(c.omega.grid, dtype=object)}
+    for v in cocycles_equivalent_via(c, c, phi).violations:
+        grids[v.tag][v.where] += np.array(v.residual, dtype=object)
+    return _with(c, nu=Cochain2(c.n, c.m, c.field, _tuples(grids["eqv-nu"])),
+                 omega=Cochain3(c.n, c.m, c.field, _tuples(grids["eqv-omega"])))
+
+
+def _decisions(field, seed):
+    """solve_equivalence and solve_inducibility on random inputs: each gate,
+    the affine system (found and none) and, for the random fiber, the
+    search (over GF(5) exhausted, or found at the zero map; over Q
+    undecided)."""
+    rng = random.Random(seed)
+    out = []
+    base = _random_algebra(field, rng, 2)
+    c1, other = (_random_cocycle(field, rng, base, z1(field)) for _ in range(2))
+    for c2 in (other, _with(other, mu=c1.mu), _with(other, mu=c1.mu, theta=c1.theta),
+               _with(other, mu=c1.mu, theta=c1.theta, dd=c1.dd),
+               _shifted(c1, _matrix(field, rng, 1, 2))):
+        out.append(_decision(solve_equivalence(c1, c2), field))
+    base, fiber = _random_algebra(field, rng, 1), _fiber(field, rng, 2)
+    c1, c2 = (_random_cocycle(field, rng, base, fiber) for _ in range(2))
+    out += [_decision(solve_equivalence(c1, c), field) for c in (c2, c1)]
+    for base, m in ((s2(field), 1), (z1(field), 2)):
+        c = _random_cocycle(field, rng, base, _fiber(field, rng, m))
+        zero = NonAbelianCocycle.zero(c.base, c.fiber)
+        for actions in (c, zero):
+            e = as_extension(_with(c, mu=actions.mu, theta=actions.theta, dd=actions.dd))
+            for _ in range(3):
+                alpha = (_s2_automorphism(field, rng) if base.dim == 2
+                         else _fiber_automorphism(field, rng, 1))
+                pair = AutPair(alpha, _fiber_automorphism(field, rng, m))
+                out.append(_decision(solve_inducibility(e, pair), field))
+    return out
+
+
+def _unit_algebra(field, dim, entries):
+    """Structure constants that are zero but for each entry (i, j): l or
+    (i, j, k): l, which makes e_l the product e_i*e_j or the bracket
+    [e_i,e_j,e_k]; not skew, which Z^1 does not need."""
+    bil = np.full((dim,) * 3, field.zero, dtype=object)
+    tri = np.full((dim,) * 4, field.zero, dtype=object)
+    for idx, l in entries.items():
+        (bil if len(idx) == 2 else tri)[idx + (l,)] = field.one
+    return BolAlgebra(field, dim, _tuples(bil), _tuples(tri))
+
+
+def _z1_lines(c):
+    z = z1_nab(c)
+    fmt = c.field.format_scalar
+    lines = [f"{z.kind} dim={z.dim} reason={z.reason}"]
+    if z.subspace is not None:
+        lines += [repr([str(fmt(x)) for x in row]) for row in z.subspace.basis.entries]
+    return lines + [repr([[str(fmt(x)) for x in row] for row in f.entries])
+                    for f in z.maps or ()]
+
+
+def _nilpotent_module(field):
+    """A module over z2 on field^2 with D != 0: theta(e1,e2) = N,
+    theta(e2,e1) = 2N and D(e1,e2) = N for N = e1 e2^T, all products zero."""
+    def mat(v):
+        return Matrix(field, [[field.zero, field.scalar(v)], [field.zero, field.zero]])
+    return Representation(field, 2, 2, (mat(0), mat(0)),
+                          ((mat(0), mat(1)), (mat(2), mat(0))),
+                          ((mat(0), mat(1)), (mat(-1), mat(0))))
+
+
+def _z1_abelian(field):
+    """z1_nab of split cocycles: theta and D, mu and the product, and the
+    base's bracket each cut the degree-one cocycles down.  Over the bracket
+    base [e1,e2,e2] = e1, theta(e2,e2) = 1 cancels phi([e1,e2,e2]) in the
+    bracket condition."""
+    from test_wells import _bracket_base
+    z, one = Matrix.zeros(field, 1, 1), Matrix.identity(field, 1)
+    theta22 = Representation(field, 2, 1, (z, z), ((z, z), (z, one)), ((z, z), (z, z)))
+    out = []
+    for base, r in ((z2(field), _nilpotent_module(field)), (s2(field), r_s2(field)),
+                    (s2(field), _mu_squared_rep(field)), (_bracket_base(field), theta22)):
+        out += _z1_lines(NonAbelianCocycle.split(base, r))
+    return out
+
+
+def _z1_nonabelian(seed):
+    """z1_nab of zero cocycles, which are valid over any fiber: a random
+    base and fiber; e2*e1 = e1 over s2, whose degree-one cocycles send e2
+    into span(e2); and e2*e1 = e1, [e3,e2,e3] = e1 over z1, where e1, e2
+    and e3 each fail exactly one of the three annihilation conditions."""
+    rng = random.Random(seed)
+    out = []
+    for base, fiber in ((_random_algebra(F5, rng, 2), _random_algebra(F5, rng, 2)),
+                        (s2(F5), _unit_algebra(F5, 2, {(1, 0): 0})),
+                        (z1(F5), _unit_algebra(F5, 3, {(1, 0): 0, (2, 1, 2): 0}))):
+        out += _z1_lines(NonAbelianCocycle.zero(base, fiber))
+    return out
+
+
 C, S = Variant.CORRECTED, Variant.STRICT
 GOLDEN = {  # name: (report lines, line count, sha256 of the joined lines)
     "bol-mutations-q": (lambda: _bol_mutations(Q), 105,
@@ -189,6 +376,40 @@ GOLDEN = {  # name: (report lines, line count, sha256 of the joined lines)
         "03d1722b4b70912a44d3538954c0b24be1c4dbf13e4dff3fa79b0892c9b71055"),
     "nab-wide-q-corrected": (lambda: _nab_random(Q, 16, C, z2, True), 459,
         "317da22b89649963cbd0ab87f983382b429d2d064b1effb3fcfd7e5d4c6c393f"),
+    "eqv-random-gf5-m1": (lambda: _eqv_random(F5, 21, 1), 17,
+        "680d7018ab47e2090c1a37ace1d26665fba1bb681d0a3b8729d58cfe150f32a3"),
+    "eqv-random-gf5-m2": (lambda: _eqv_random(F5, 22, 2), 32,
+        "e5522c6045e11afbcc186afe3f9e7f3242be72c9a408eaf427d2e9d07e3ac1de"),
+    "eqv-random-q-m1": (lambda: _eqv_random(Q, 31, 1), 20,
+        "ec111bb0b2a0bc030ca8990bdc14549d36847ac90e1fa919e10d6285b4ac2b58"),
+    "eqv-random-q-m2": (lambda: _eqv_random(Q, 32, 2), 32,
+        "f6812422100885d36574878927c819ca1ff825deec37e259c9c6ce442415e735"),
+    "ind-random-gf5-m1": (lambda: _ind_random(F5, 23, 1), 14,
+        "311e4d8cfbd98cf611a1ac8072b7673ec1ff42d469e53d732e9e77a55a79de6e"),
+    "ind-random-gf5-m2": (lambda: _ind_random(F5, 24, 2), 29,
+        "165f3521874517eb841946505518aae93c764c0b9f83b45ae74fc8f8ac0c507d"),
+    "ind-random-q-m1": (lambda: _ind_random(Q, 33, 1), 18,
+        "3db337d422fbca90eb3023231ba5f33299975f78960f6f2323f18d039538fc4b"),
+    "ind-random-q-m2": (lambda: _ind_random(Q, 34, 2), 32,
+        "ad1e51c256c24c079a5d16c3df770407cb1cc4620cafab7b42ebc3bbd9e331fe"),
+    "ind-public-gf5-m1": (lambda: _ind_public(F5, 25, 1), 10,
+        "bbbf4bda50772ee23b1e14d9f3013ddb68472876c771f26a0791a4bbc39c5010"),
+    "ind-public-gf5-m2": (lambda: _ind_public(F5, 26, 2), 32,
+        "c5ce0c77415ce894beff553332dc5e8336c7dcd8ed0a2b15d7791e4dac3f0737"),
+    "ind-public-q-m1": (lambda: _ind_public(Q, 35, 1), 13,
+        "17e1026e13901b92a1e6390b439ab77a3ae521c7421d2e1e1a1b51536107223c"),
+    "ind-public-q-m2": (lambda: _ind_public(Q, 36, 2), 32,
+        "dde5ccacedb4e4e6d775f3a0b9b1a00a2c8b3684ff5f98bb4c2befeee9b4b3c1"),
+    "decisions-gf5": (lambda: _decisions(F5, 27), 19,
+        "0b4d7c65381b5786233ba565ea7161a74fb030822faac251b37b7dad8c480dec"),
+    "decisions-q": (lambda: _decisions(Q, 37), 19,
+        "586489e7bc79ba106591d10402e9e0d20a5e0354cd09df6f20fb5e480190e71c"),
+    "z1-nonabelian-gf5": (lambda: _z1_nonabelian(41), 10,
+        "216e913a613ee63571c1db1ff0cdfb20d0e625ef59b09a53742ffeb03b519aaf"),
+    "z1-abelian-gf5": (lambda: _z1_abelian(F5), 166,
+        "ed6e39d1802064cbb93dbf3ab95c9b3a3e4fc879888eda5d0be361f30f8dfb22"),
+    "z1-abelian-q": (lambda: _z1_abelian(Q), 10,
+        "5f409b6406940ee4ef00714571b7cb019dc8721c2414a2f84b39c0104cc6eed5"),
 }
 
 
@@ -329,3 +550,33 @@ def test_masks_at_p7_with_worst_case_residues():
     mu[1, 0] = 6
     zero = np.zeros((2, 2, 2, m, m), dtype=np.int64)
     assert _rep_agreement(field, s2(field), mu, zero, zero) == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# the affine reader agrees with the report reader
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_affine_reader_agrees_with_report(data):
+    # abelian fiber: A x + b, x the parameters of phi, is the residual the
+    # report gives at phi, identity by identity and basis tuple by tuple
+    field = data.draw(st.sampled_from([F5, PrimeField(7), Q]))
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    base = _random_algebra(field, rng, n)
+    c1, c2 = (_random_cocycle(field, rng, base, zero_algebra(field, m)) for _ in range(2))
+    pair = AutPair(_matrix(field, rng, n), _matrix(field, rng, m))
+    suite, tensors = data.draw(st.sampled_from([
+        (EQV, _equivalence_tensors(c1, c2)), (IND, _inducibility_tensors(c1, pair)),
+        (Z1, c1.tensors())]))
+    phi = _matrix(field, rng, m, n)
+    x = [phi.entries[t][q] for q in range(n) for t in range(m)]
+    rep = report(suite, field, phi=phi.entries, **tensors)
+    for tag, (a, b) in affine(suite, field, n, m, **tensors).items():
+        where = next(i.where for g in suite for i in g.identities if i.tag == tag)
+        shape = tuple(n if ch in "ijk" else m for ch in where)
+        values = [sum((r * v for r, v in zip(row, x)), bb) for row, bb in zip(a, b)]
+        want = {idx: tuple(values[k * m:(k + 1) * m])
+                for k, idx in enumerate(np.ndindex(shape))}
+        assert {v.where: v.residual for v in rep.violations if v.tag == tag} == \
+            {idx: r for idx, r in want.items() if any(r)}

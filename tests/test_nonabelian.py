@@ -9,6 +9,7 @@ from bolext.errors import UsageError
 from bolext.exactlin import Matrix
 from bolext.extensions import (extract_cocycle, make_section,
                                semidirect_extension, theta_map, as_extension)
+from bolext.identities import residues
 from bolext.nonabelian import (NonAbelianCocycle, build_extension_algebra,
                                cocycles_equivalent_via, solve_equivalence,
                                validate_nab_cocycle)
@@ -200,10 +201,13 @@ def test_equivalence_is_an_equivalence_relation(F5):
 
 def test_equivalence_matrix_reads_phi_column_major(F5):
     # with a two-dimensional fiber the row- and column-major parameter
-    # orders differ; the residue readers take x[q*m + t] = phi(e_q)_t
-    from bolext.identities import residues
-    from bolext.nonabelian import (_EQV_LINEAR, _equivalence_matrix,
-                                   _equivalence_residuals, _rows)
+    # orders differ; the residue readers take x[q*m + t] = phi(e_q)_t.  The
+    # system A x + b = 0 read off the EQV table holds exactly for the maps
+    # that the residue route `_equivalent_via` accepts, on every map B -> V
+    import numpy as np
+    from bolext.exactlin import enumerate_vectors
+    from bolext.nonabelian import (_CocycleArrays, _cocycle_arrays,
+                                   _equivalence_matrix, _equivalent_via)
     from bolext.representation import Representation
 
     def mat(rows):
@@ -213,10 +217,18 @@ def test_equivalence_matrix_reads_phi_column_major(F5):
                        ((z, mat([[2, 0], [1, 1]])), (mat([[0, 3], [0, 0]]), z)),
                        ((z, mat([[1, 1], [0, 2]])), (mat([[4, 4], [0, 3]]), z)))
     c = NonAbelianCocycle.split(s2(F5), r)
+    arr = _cocycle_arrays(c)
     a = _equivalence_matrix(c)
-    rng = random.Random(3)
-    for _ in range(5):
-        phi = mat([[rng.randrange(5) for _ in range(2)] for _ in range(2)])
-        x = residues(phi.entries).T.reshape(-1)
-        rows = residues(_rows(_equivalence_residuals(c, c, phi, _EQV_LINEAR)))
-        assert rows.any() and (a @ x % 5 == rows).all()
+    xs = np.array([[int(v.value) for v in vec] for vec in enumerate_vectors(F5, 4)])
+    phis = xs.reshape(-1, 2, 2).transpose(0, 2, 1)
+    bil, tri = residues(c.base.bil), residues(c.base.tri)
+    rng = np.random.default_rng(3)
+    split = arr.om.size
+    # b = -shift: a random right-hand side, and one that phi(x0) solves
+    for shift in (rng.integers(0, 5, len(a)), a @ xs[rng.integers(len(xs))] % 5):
+        other = arr._replace(om=arr.om - shift[:split].reshape(arr.om.shape),
+                             nu=arr.nu - shift[split:].reshape(arr.nu.shape))
+        many = _CocycleArrays(*(np.broadcast_to(x, (len(xs),) + x.shape) for x in other))
+        want = _equivalent_via(many, arr, phis, bil, tri, 5)
+        assert ((xs @ a.T - shift) % 5 == 0).all(axis=1).tolist() == want.tolist()
+    assert 0 < want.sum() < len(xs)

@@ -368,6 +368,23 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
             [cocycles_equivalent_via(acted, c, f).valid for f in maps]
 
 
+def test_inducibility_reason_lists_each_inconsistent_block(F5):
+    # z2 x z1, trivial actions, nu(e1,e2) = 1 and omega(e1,e2,e1) = 1: under
+    # (diag(2,1), 1) the nu and the omega systems are each inconsistent alone
+    from bolext.cohomology import Cochain2, Cochain3
+
+    zero = NonAbelianCocycle.zero(z2(F5), z1(F5))
+    c = NonAbelianCocycle(zero.base, zero.fiber,
+                          Cochain2.from_pairs(2, 1, F5, {(0, 1): (F5.one,)}),
+                          Cochain3.from_triples(2, 1, F5, {(0, 1, 0): (F5.one,)}),
+                          zero.mu, zero.theta, zero.dd)
+    e = as_extension(c)
+    pair = _pair(F5, [[2, 0], [0, 1]], [[1]])
+    dec = solve_inducibility(e, pair)
+    assert (dec.status, dec.reason) == (Status.NONE, "ind-nu+ind-omega")
+    assert wells_map(e, pair).status == "nonzero"
+
+
 @pytest.mark.parametrize("name,step", [("z2_theta_omega", 7), ("s2_r_s2", 1),
                                        ("s2_r_s2_sheared", 1)])
 def test_inducibility_agrees_with_wells_class(F5, name, step):
