@@ -25,7 +25,7 @@ from .extensions import (Extension, Section, as_extension, canonical_section,
                          theta_map, validate_extension)
 from .nonabelian import (NonAbelianCocycle, build_extension_algebra,
                          cocycles_equivalent_via, solve_equivalence,
-                         validate_nab_cocycle)
+                         validate_nab_cocycle, validate_nab_full)
 from .representation import (Representation, is_pseudoderivation, r_s2,
                              semidirect_iff_census, semidirect_product,
                              trivial_representation, validate_representation)

@@ -11,6 +11,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from . import bruteforce, identities
@@ -46,17 +47,28 @@ class BolAlgebra:
             raise UsageError("trilinear tensor has wrong shape")
 
     # -- evaluation ----------------------------------------------------------
+    @cached_property
+    def _bil_support(self) -> tuple:
+        """(i, j, e_i*e_j) for the basis products that are not zero."""
+        return tuple((i, j, v) for i, row in enumerate(self.bil)
+                     for j, v in enumerate(row) if not vec_is_zero(v))
+
+    @cached_property
+    def _tri_support(self) -> tuple:
+        """(i, j, k, [e_i,e_j,e_k]) for the basis brackets that are not zero."""
+        return tuple((i, j, k, v) for i, plane in enumerate(self.tri)
+                     for j, row in enumerate(plane) for k, v in enumerate(row)
+                     if not vec_is_zero(v))
+
     def star(self, x, y) -> tuple:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise UsageError("element has wrong dimension")
         out = zero_vec(self.field, n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    out = vec_add(out, vec_scale(xi * yj, self.bil[i][j]))
+        for i, j, v in self._bil_support:
+            c = x[i] * y[j]
+            if c:
+                out = vec_add(out, vec_scale(c, v))
         return out
 
     def bracket(self, x, y, z) -> tuple:
@@ -64,21 +76,14 @@ class BolAlgebra:
         if len(x) != n or len(y) != n or len(z) != n:
             raise UsageError("element has wrong dimension")
         out = zero_vec(self.field, n)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, zk in enumerate(z):
-                    if zk:
-                        out = vec_add(out, vec_scale(c * zk, self.tri[i][j][k]))
+        for i, j, k, v in self._tri_support:
+            c = x[i] * y[j] * z[k]
+            if c:
+                out = vec_add(out, vec_scale(c, v))
         return out
 
     def is_abelian(self) -> bool:
-        return (all(vec_is_zero(v) for r in self.bil for v in r)
-                and all(vec_is_zero(v) for r in self.tri for c in r for v in c))
+        return not self._bil_support and not self._tri_support
 
     def conjugate(self, g: Matrix) -> "BolAlgebra":
         """Structure constants in the basis given by the columns of g."""

@@ -23,7 +23,7 @@ from .extensions import (as_extension, canonical_section, classify_corpus,
                          extensions_equivalent, extract_cocycle, make_section,
                          validate_extension)
 from .nonabelian import (cocycles_equivalent_via, solve_equivalence,
-                         validate_nab_cocycle)
+                         validate_nab_full)
 from .representation import semidirect_product, validate_representation
 from .wells import (AutPair, inducible_via, lift_automorphism, solve_inducibility,
                     verify_wells_exactness, wells_map)
@@ -162,7 +162,7 @@ def _cmd_cohomology(args):
 
 def _cmd_nab_validate(args):
     c = docs.parse_document(args.cocycle, "nab-cocycle")
-    rep = validate_nab_cocycle(c, args.variant)
+    rep = validate_nab_full(c, args.variant)
     print(f"variant: {args.variant.value}")
     return _print_report("cocycle", rep, c.field)
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bruteforce, identities
-from .bol import BolAlgebra, zero_algebra
+from .bol import BolAlgebra, validate_bol, zero_algebra
 from .cohomology import Cochain2, Cochain3, _phi_from_params
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport, Variant)
@@ -45,7 +45,8 @@ from .exactlin import Matrix, enumerate_vectors, vec_neg, zero_vec
 from .representation import ActionOps, Representation
 
 __all__ = [
-    "NonAbelianCocycle", "validate_nab_cocycle", "build_extension_algebra",
+    "NonAbelianCocycle", "validate_nab_cocycle", "validate_nab_full",
+    "build_extension_algebra",
     "cocycles_equivalent_via", "solve_equivalence",
 ]
 
@@ -117,6 +118,23 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
                          variant: Variant = Variant.CORRECTED) -> ValidationReport:
     """Check the full identity suite of the selected variant on basis tuples."""
     return identities.report(identities.NAB, c.field, variant, **c.tensors())
+
+
+def validate_nab_full(c: NonAbelianCocycle,
+                      variant: Variant = Variant.CORRECTED) -> ValidationReport:
+    """`validate_nab_cocycle` preceded by the Bol axioms of the base and of
+    the fiber, their tags prefixed `base:` and `fiber:`.
+
+    The cocycle identities describe a Bol glued algebra only over a Bol base
+    and fiber.  Meant for one cocycle handed in from outside; enumerations
+    over a fixed base and fiber check the cocycle suite alone per candidate.
+    """
+    rep = ValidationReport()
+    for role, part in (("base", c.base), ("fiber", c.fiber)):
+        for v in validate_bol(part).violations:
+            rep.add(f"{role}:{v.tag}", v.where, v.residual)
+    rep.violations += validate_nab_cocycle(c, variant).violations
+    return rep
 
 
 def build_extension_algebra(c: NonAbelianCocycle) -> BolAlgebra:

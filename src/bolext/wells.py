@@ -36,7 +36,7 @@ from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
                          _equivalence_matrix, _equivalent_via, _phi_candidates,
                          _search_phi, _solve_for_phi, solve_equivalence,
-                         validate_nab_cocycle)
+                         validate_nab_cocycle, validate_nab_full)
 from .representation import Representation
 
 __all__ = [
@@ -529,10 +529,11 @@ def verify_wells_exactness(e: Extension,
                            bound: int = DEFAULT_ENUMERATION_BOUND) -> ExactnessReport:
     """Brute-force the full sequence over a prime field.
 
-    Enumerates every fiber-preserving automorphism of the total algebra,
-    computes its restriction pair, and checks: the kernel of the restriction
-    map is exactly the image of the degree-one cocycles, the kernel of the
-    class map is exactly the image of the restriction map over all pairs, and
+    Enumerates every fiber-preserving automorphism of the total algebra
+    (`bruteforce.stabiliser_arrays`, p^(d^2 - nm) candidates), computes its
+    restriction pair, and checks: the kernel of the restriction map is
+    exactly the image of the degree-one cocycles, the kernel of the class
+    map is exactly the image of the restriction map over all pairs, and
     the section-difference map is a bijection onto the degree-one cocycles.
     """
     if not e.field.is_prime_field:
@@ -543,14 +544,19 @@ def verify_wells_exactness(e: Extension,
     field = e.field
     s = canonical_section(e)
     c = extract_cocycle(e, s)
+    rep = validate_nab_full(c)
+    if not rep.valid:
+        raise UsageError("exactness verification over an invalid cocycle: "
+                         + ", ".join(rep.tags()))
 
-    gammas = automorphism_int_arrays(e.total, bound)
     P, S = _int_array(e.proj), _int_array(s.matrix)
     I, L = _int_array(e.inj), _int_array(e.left_inverse())
+    # Aut_V(total) is block triangular in the basis s(e_1..e_n), i(f_1..f_m)
+    gammas = bruteforce.stabiliser_arrays(residues(e.total.bil), residues(e.total.tri),
+                                          np.concatenate([S, I], axis=1), e.n, p, bound)
     gi = np.einsum("bxy,yz->bxz", gammas, I) % p
-    keeps = ~np.any(np.einsum("xy,byz->bxz", P, gi) % p, axis=(1, 2))
-    gammas = gammas[keeps]
-    gi = gi[keeps]
+    if np.any(np.einsum("xy,byz->bxz", P, gi) % p):
+        raise InternalConsistencyError("stabiliser scan returned a map moving the fiber")
     alphas = np.einsum("xy,byz,zw->bxw", P, gammas, S) % p
     betas = np.einsum("xy,byz->bxz", L, gi) % p
 

@@ -92,6 +92,41 @@ def test_extract_build_nab_pipeline(tmp_path):
     assert code == 0 and out4.startswith("equivalent")
 
 
+def test_nab_validate_checks_base_and_fiber_axioms(tmp_path, capsys, F5):
+    # the zero cocycle over z1 with fiber z3, [e1,e2,e3] = e3: every cocycle
+    # identity holds, but neither the fiber nor the glued algebra is Bol
+    from bolext.bol import BolAlgebra, z1, z3
+    from bolext.documents import canonical_json, nab_to_doc
+    from bolext.nonabelian import NonAbelianCocycle
+
+    zero = z3(F5)
+    e3 = (F5.zero, F5.zero, F5.one)
+    special = {(0, 1, 2): e3, (1, 0, 2): tuple(-x for x in e3)}
+    tri = tuple(tuple(tuple(special.get((i, j, k), zero.tri[i][j][k])
+                            for k in range(3)) for j in range(3)) for i in range(3))
+    c = NonAbelianCocycle.zero(z1(F5), BolAlgebra(F5, 3, zero.bil, tri))
+    nab = tmp_path / "c.nab"
+    nab.write_text(canonical_json(nab_to_doc(c)))
+    code, out = run_cli("nab-validate", "--cocycle", str(nab))
+    lines = out.splitlines()
+    assert code == 1 and lines[:2] == ["variant: corrected", "cocycle: invalid"]
+    assert len(lines) > 2
+    assert all(v.startswith("violation: fiber:bracket-cyclic at ") for v in lines[2:])
+    code, out = run_cli("build-extension", "--cocycle", str(nab))
+    assert code == 0
+    ext = tmp_path / "e.ext"
+    ext.write_text(out)
+    total = tmp_path / "total.bol"
+    total.write_text(json.dumps(json.loads(out)["total"]))
+    code, out = run_cli("validate", str(total))
+    assert code == 1 and "bracket-cyclic" in out
+    capsys.readouterr()
+    code, out = run_cli("exactness", "--extension", str(ext))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: exactness verification over an invalid cocycle: fiber:bracket-cyclic\n")
+
+
 def test_equiv_cocycles(tmp_path):
     code, out = run_cli("extract-cocycle", "--extension", C("e_h3.ext"))
     nab = tmp_path / "c.nab"
@@ -240,6 +275,15 @@ def test_enumerate_vectors_respects_bound(capsys):
     code, out = run_cli("--bound", "125", "enumerate", "--kind", "vectors",
                         "--field", "5", "--dim", "3", "--count-only")
     assert code == 0 and out == "count: 125\n"
+
+
+def test_exactness_bound_counts_fiber_preserving_candidates(capsys):
+    # only the 5^(9 - 2) block-triangular matrices of the adapted basis are
+    # candidates, not all 5^9 matrices of the total
+    code, out = run_cli("--bound", "10000", "exactness", "--extension", C("e_h3.ext"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == \
+        "error: 78125 candidate matrices exceed the bound 10000\n"
 
 
 _ALGEBRAS = sorted(p.name for p in corpus_dir().iterdir() if p.suffix == ".bol")

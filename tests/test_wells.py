@@ -414,3 +414,78 @@ def test_inducibility_agrees_with_wells_class(F5, name, step):
                            ("ind-omega+ind-nu", "nonzero")}
     if name == "s2_r_s2_sheared":
         assert not reasons and nonzero_witnesses == 60
+
+
+def _rebased(F5, e, seed):
+    """e with the total written in a random basis, so that the fiber leaves
+    the coordinate axes."""
+    from bolext.extensions import Extension
+    rng = random.Random(seed)
+    while True:
+        g = Matrix.from_int_rows(F5, [[rng.randrange(5) for _ in range(3)]
+                                      for _ in range(3)])
+        if g.is_invertible():
+            break
+    return Extension(e.fiber, e.total.conjugate(g), e.base, g.inverse() * e.inj,
+                     e.proj * g)
+
+
+@pytest.mark.parametrize("name", ["e_h3", "z1_z1", "z2_mu_first", "s2_r_s2",
+                                  "z1_s2", "e_h3_rebased_3", "e_h3_rebased_8"])
+def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
+    # the block-triangular scan in the adapted basis against the flat scan
+    # of the total filtered to the fiber-preserving maps, and its
+    # restriction pairs against the lift search oracle
+    import bolext.bol
+    from bolext.bol import automorphism_int_arrays, int_matrix
+    from bolext.bruteforce import stabiliser_arrays
+    from bolext.identities import residues
+    from oracles import lift_search_image
+
+    if name == "z1_z1":
+        e = as_extension(NonAbelianCocycle.zero(z1(F5), zero_algebra(F5, 1)))
+    elif name == "z1_s2":
+        e = as_extension(NonAbelianCocycle.zero(z1(F5), s2(F5)))
+    elif name.startswith("e_h3_rebased"):
+        e = _rebased(F5, _extension(F5, "e_h3"), int(name.rsplit("_", 1)[1]))
+    else:
+        e = _extension(F5, name)
+    s = canonical_section(e)
+    P, S, I, L = (residues(f.entries) for f in (e.proj, s.matrix, e.inj,
+                                                  e.left_inverse()))
+    T = np.concatenate([S, I], axis=1)
+    if name.startswith("e_h3_rebased"):
+        assert sorted(T.ravel().tolist()) != [0] * 6 + [1] * 3
+    got = stabiliser_arrays(residues(e.total.bil), residues(e.total.tri), T,
+                            e.n, 5, 10 ** 7).astype(np.int64)
+    flat = automorphism_int_arrays(e.total).astype(np.int64)
+    moves = np.einsum("xy,byz,zw->bxw", P, flat, I) % 5
+    want = flat[~moves.any(axis=(1, 2))]
+    keys = {g.tobytes() for g in got}
+    assert len(keys) == len(got) == len(want)
+    assert keys == {g.tobytes() for g in want}
+    image = {(int_matrix(F5, P @ g @ S % 5).entries, int_matrix(F5, L @ g @ I % 5).entries)
+             for g in got}
+
+    def same_flat_scan(a, budget):
+        # the lift search starts from the same flat scan; hand it this one
+        assert a is e.total
+        return flat
+    monkeypatch.setattr(bolext.bol, "automorphism_int_arrays", same_flat_scan)
+    assert image == lift_search_image(e)
+
+
+def test_exactness_e_h3_gf7_at_default_bound(F7):
+    # 7^9 matrices exceed the default bound; the 7^7 block-triangular ones
+    # do not
+    import time
+    from bolext.extensions import e_h3
+
+    t0 = time.monotonic()
+    rep = verify_wells_exactness(e_h3(F7))
+    assert time.monotonic() - t0 < 30.0
+    assert rep.all_verdicts
+    assert rep.aut_v_total == 98784 == 2016 * 49
+    assert rep.aut_fixing_both == rep.z1_count == 49
+    assert rep.image_kappa == rep.kernel_wells == rep.aut_base == 2016
+    assert (rep.pairs_total, rep.aut_fiber, rep.incompatible_pairs) == (12096, 6, 0)
