@@ -13,7 +13,7 @@ from math import factorial, prod
 import numpy as np
 
 from . import identities
-from .errors import UnsupportedEnumerationError, UsageError
+from .errors import UnsupportedEnumerationError
 
 _CHUNK = 1 << 16
 
@@ -186,32 +186,30 @@ def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int,
     return np.concatenate(found, axis=0)
 
 
-def stabiliser_arrays(bil: np.ndarray, tri: np.ndarray, basis: np.ndarray, n: int,
-                      p: int, budget: int, chunk=_CHUNK) -> np.ndarray:
-    """All automorphisms that map span(basis[:, n:]) into itself, as one
-    (k, d, d) int array in the coordinates of bil and tri.
+def stabiliser_arrays(bil: np.ndarray, tri: np.ndarray, n: int, p: int,
+                      budget: int) -> np.ndarray:
+    """All automorphisms that map the span of the last d - n basis vectors
+    into itself, as one (k, d, d) int array in candidate order.
 
-    In the adapted basis T = `basis` such a map is block triangular,
-    G = [[A, 0], [C, B]] with A n x n, C m x n and B m x m, so only the
-    p^(d^2 - nm) digit strings of (A, C, B) are candidates.  Those with A and
-    B invertible are mapped back as T G T^-1 and tested as `automorphism_arrays`
-    tests every matrix.
+    Such a map is block triangular, G = [[A, 0], [C, B]] with A n x n, C
+    m x n and B m x m, so only the p^(d^2 - nm) digit strings of (A, C, B)
+    are candidates.  Those with A and B invertible are tested as
+    `automorphism_arrays` tests every matrix.
     """
     d = bil.shape[0]
+    if d > 3:
+        raise UnsupportedEnumerationError("matrix enumeration supports dimension <= 3")
     m = d - n
-    width = n * n + m * n + m * m
+    width = d * d - n * m
     total = p ** width
     if total > budget:
         raise UnsupportedEnumerationError(
             f"{total} candidate matrices exceed the bound {budget}")
-    tinv, rank, _ = rref_transform(basis, p)
-    if rank != d:
-        raise UsageError("adapted basis must be invertible")
     dt = _headroom_dtype(1, 1, p)
     bil, tri = bil.astype(dt), tri.astype(dt)
     found = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
         digits = digit_block(start, stop, p, width, dt)
         a = digits[:, :n * n].reshape(-1, n, n)
         b = digits[:, width - m * m:].reshape(-1, m, m)
@@ -220,13 +218,11 @@ def stabiliser_arrays(bil: np.ndarray, tri: np.ndarray, basis: np.ndarray, n: in
             continue
         g = np.zeros((ok.size, d, d), dtype=dt)
         g[:, :n, :n] = a[ok]
-        g[:, n:, :n] = digits[ok, n * n:n * n + m * n].reshape(-1, m, n)
+        g[:, n:, :n] = digits[ok, n * n:width - m * m].reshape(-1, m, n)
         g[:, n:, n:] = b[ok]
-        gamma = contract_mod("xy,byw->bxw", p, basis,
-                             contract_mod("byz,zw->byw", p, g, tinv)).astype(dt)
-        good = _morphism_fixed(bil, tri, gamma, p)
+        good = _morphism_fixed(bil, tri, g, p)
         if good.any():
-            found.append(gamma[good])
+            found.append(g[good])
     if not found:
         return np.zeros((0, d, d), dtype=dt)
     return np.concatenate(found, axis=0)

@@ -45,8 +45,8 @@ from .exactlin import Matrix, enumerate_vectors, vec_neg, zero_vec
 from .representation import ActionOps, Representation
 
 __all__ = [
-    "NonAbelianCocycle", "validate_nab_cocycle", "validate_nab_full",
-    "build_extension_algebra",
+    "NonAbelianCocycle", "validate_nab_cocycle", "validate_nab_parts",
+    "validate_nab_full", "build_extension_algebra",
     "cocycles_equivalent_via", "solve_equivalence",
 ]
 
@@ -120,10 +120,9 @@ def validate_nab_cocycle(c: NonAbelianCocycle,
     return identities.report(identities.NAB, c.field, variant, **c.tensors())
 
 
-def validate_nab_full(c: NonAbelianCocycle,
-                      variant: Variant = Variant.CORRECTED) -> ValidationReport:
-    """`validate_nab_cocycle` preceded by the Bol axioms of the base and of
-    the fiber, their tags prefixed `base:` and `fiber:`.
+def validate_nab_parts(c: NonAbelianCocycle) -> ValidationReport:
+    """The Bol axioms of the base and of the fiber, their tags prefixed
+    `base:` and `fiber:`.
 
     The cocycle identities describe a Bol glued algebra only over a Bol base
     and fiber.  Meant for one cocycle handed in from outside; enumerations
@@ -133,6 +132,13 @@ def validate_nab_full(c: NonAbelianCocycle,
     for role, part in (("base", c.base), ("fiber", c.fiber)):
         for v in validate_bol(part).violations:
             rep.add(f"{role}:{v.tag}", v.where, v.residual)
+    return rep
+
+
+def validate_nab_full(c: NonAbelianCocycle,
+                      variant: Variant = Variant.CORRECTED) -> ValidationReport:
+    """`validate_nab_parts`, then `validate_nab_cocycle`."""
+    rep = validate_nab_parts(c)
     rep.violations += validate_nab_cocycle(c, variant).violations
     return rep
 

@@ -434,8 +434,8 @@ def _rebased(F5, e, seed):
                                   "z1_s2", "e_h3_rebased_3", "e_h3_rebased_8"])
 def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
     # the block-triangular scan in the adapted basis against the flat scan
-    # of the total filtered to the fiber-preserving maps, and its
-    # restriction pairs against the lift search oracle
+    # of the total filtered to the fiber-preserving maps and rewritten in
+    # that basis, and its diagonal blocks against the lift search oracle
     import bolext.bol
     from bolext.bol import automorphism_int_arrays, int_matrix
     from bolext.bruteforce import stabiliser_arrays
@@ -451,20 +451,22 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
     else:
         e = _extension(F5, name)
     s = canonical_section(e)
-    P, S, I, L = (residues(f.entries) for f in (e.proj, s.matrix, e.inj,
-                                                  e.left_inverse()))
-    T = np.concatenate([S, I], axis=1)
+    t = Matrix.from_cols(F5, [s.matrix.col(i) for i in range(e.n)]
+                         + [e.inj.col(a) for a in range(e.m)])
+    T, Tinv, P, I = (residues(f.entries) for f in (t, t.inverse(), e.proj, e.inj))
     if name.startswith("e_h3_rebased"):
         assert sorted(T.ravel().tolist()) != [0] * 6 + [1] * 3
-    got = stabiliser_arrays(residues(e.total.bil), residues(e.total.tri), T,
+    adapted = e.total.conjugate(t)
+    got = stabiliser_arrays(residues(adapted.bil), residues(adapted.tri),
                             e.n, 5, 10 ** 7).astype(np.int64)
     flat = automorphism_int_arrays(e.total).astype(np.int64)
     moves = np.einsum("xy,byz,zw->bxw", P, flat, I) % 5
-    want = flat[~moves.any(axis=(1, 2))]
+    want = np.einsum("xy,byz,zw->bxw", Tinv, flat[~moves.any(axis=(1, 2))], T) % 5
     keys = {g.tobytes() for g in got}
     assert len(keys) == len(got) == len(want)
     assert keys == {g.tobytes() for g in want}
-    image = {(int_matrix(F5, P @ g @ S % 5).entries, int_matrix(F5, L @ g @ I % 5).entries)
+    n = e.n
+    image = {(int_matrix(F5, g[:n, :n]).entries, int_matrix(F5, g[n:, n:]).entries)
              for g in got}
 
     def same_flat_scan(a, budget):
@@ -473,6 +475,26 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
         return flat
     monkeypatch.setattr(bolext.bol, "automorphism_int_arrays", same_flat_scan)
     assert image == lift_search_image(e)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_exactness_report_is_basis_invariant(F5, seed):
+    # the verifier scans in a basis adapted to the fiber; e_h3 with the
+    # fiber off the coordinate axes must give the same report
+    e = _extension(F5, "e_h3")
+    rebased = verify_wells_exactness(_rebased(F5, e, seed)).as_dict()
+    assert rebased == verify_wells_exactness(e).as_dict()
+    assert rebased["cardinalities"]["aut_v_total"] == 12000
+
+
+def test_stabiliser_scan_refuses_dimension_four():
+    from bolext.bruteforce import stabiliser_arrays
+    from bolext.errors import UnsupportedEnumerationError
+
+    with pytest.raises(UnsupportedEnumerationError,
+                       match="matrix enumeration supports dimension <= 3"):
+        stabiliser_arrays(np.zeros((4,) * 3, dtype=np.int64),
+                          np.zeros((4,) * 4, dtype=np.int64), 2, 2, 10 ** 7)
 
 
 def test_exactness_e_h3_gf7_at_default_bound(F7):
