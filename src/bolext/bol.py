@@ -38,6 +38,8 @@ class BolAlgebra:
 
     def __post_init__(self):
         n = self.dim
+        if n < 1:
+            raise UsageError("dimension must be a positive integer")
         if len(self.bil) != n or any(len(r) != n or any(len(v) != n for v in r)
                                      for r in self.bil):
             raise UsageError("bilinear tensor has wrong shape")
@@ -92,9 +94,13 @@ class BolAlgebra:
             raise UsageError("basis change must be invertible")
         cols = [g.col(i) for i in range(self.dim)]
         n = self.dim
-        bil = tuple(tuple(ginv.apply(self.star(cols[i], cols[j]))
+
+        def coords(v):  # most products are zero, and stay zero
+            return v if vec_is_zero(v) else ginv.apply(v)
+
+        bil = tuple(tuple(coords(self.star(cols[i], cols[j]))
                           for j in range(n)) for i in range(n))
-        tri = tuple(tuple(tuple(ginv.apply(self.bracket(cols[i], cols[j], cols[k]))
+        tri = tuple(tuple(tuple(coords(self.bracket(cols[i], cols[j], cols[k]))
                                 for k in range(n)) for j in range(n)) for i in range(n))
         return BolAlgebra(self.field, n, bil, tri)
 

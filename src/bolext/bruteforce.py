@@ -289,27 +289,14 @@ def validate_rep_mask(bil, tri, mu, theta, dd, p) -> np.ndarray:
 
 
 def semidirect_arrays(bil, tri, mu, theta, dd, p):
-    """Batched structure tensors of the semidirect sum for each action tuple.
-
-    Action arrays store matrix entries as [..., row, col]; the structure
-    tensor stores the coefficient vector last, so each block transposes the
-    matrix axes (image of fiber basis vector v = column v of the acting map).
-    """
-    N, n, m, _ = mu.shape
-    d = n + m
-    dt = mu.dtype
-    bilE = np.zeros((N, d, d, d), dtype=dt)
-    triE = np.zeros((N, d, d, d, d), dtype=dt)
-    bilE[:, :n, :n, :n] = bil[None] % p
-    # (x+u)*(y+v) = x*y + mu(x)v - mu(y)u
-    bilE[:, :n, n:, n:] = mu.transpose(0, 1, 3, 2)
-    bilE[:, n:, :n, n:] = (-mu).transpose(0, 3, 1, 2) % p
-    triE[:, :n, :n, :n, :n] = tri[None] % p
-    # [x+u,y+v,z+w] = [x,y,z] + theta(y,z)u - theta(x,z)v + D(x,y)w
-    triE[:, n:, :n, :n, n:] = theta.transpose(0, 4, 1, 2, 3)
-    triE[:, :n, n:, :n, n:] = (-theta).transpose(0, 4, 1, 2, 3).transpose(0, 2, 1, 3, 4) % p
-    triE[:, :n, :n, n:, n:] = dd.transpose(0, 1, 2, 4, 3)
-    return bilE, triE
+    """Batched structure tensors of the semidirect sum for each action tuple:
+    the glue of the zero cocycle over an abelian fiber, with the action
+    arrays (leading batch axis) laid out as the `identities` tensors."""
+    from .nonabelian import glue
+    n, m, dt = bil.shape[0], mu.shape[-1], mu.dtype
+    return glue(bil, tri, np.zeros((m,) * 3, dt), np.zeros((m,) * 4, dt),
+                np.zeros((n, n, m), dt), np.zeros((n, n, n, m), dt), mu, theta, dd,
+                p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -353,11 +353,6 @@ class Matrix:
             raise UsageError("hstack mismatch")
         return Matrix(self.field, tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
-    def vstack(self, other):
-        if self.cols != other.cols or self.field != other.field:
-            raise UsageError("vstack mismatch")
-        return Matrix(self.field, self.entries + other.entries)
-
     def is_zero(self) -> bool:
         return all(not a for r in self.entries for a in r)
 

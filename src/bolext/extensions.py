@@ -21,11 +21,11 @@ from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
 from .exactlin import (Matrix, Subspace, enumerate_vectors, kernel_basis,
-                       vec_is_zero, zero_vec)
-from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
-                         _equivalence_matrix, _equivalent_via,
+                       vec_is_zero)
+from .nonabelian import (NonAbelianCocycle, _blocks, _CocycleArrays,
+                         _cocycle_arrays, _equivalence_matrix, _equivalent_via,
                          build_extension_algebra, solve_equivalence,
-                         validate_nab_cocycle)
+                         validate_nab_cocycle, validate_nab_parts)
 from .identities import residues
 from .representation import Representation
 
@@ -155,57 +155,60 @@ def extract_cocycle(e: Extension, s: Section) -> NonAbelianCocycle:
       D(x,y)a      = [s(x), s(y), i(a)]
       mu(x)a       = s(x)*i(a)
 
-    all read back through the injection (values must land in ker proj).
+    read off the total rewritten in the adapted basis [s | i], where it is
+    the glue of this quintuple (values must land in ker proj).  The
+    injection must map into ker proj.
     """
+    return _read_cocycle(e, _adapted_total(e, s)[1])
+
+
+def _adapted_total(e: Extension, s: Section) -> tuple:
+    """(T, the total in the basis T) for the adapted basis T = [s | i]: the
+    section's columns, then the injection's."""
     if e.proj * s.matrix != Matrix.identity(e.field, e.n):
         raise UsageError("not a section of the projection")
-    n, m = e.n, e.m
-    T = e.total
-    sc = [s.matrix.col(i) for i in range(n)]
-    ic = [e.inj.col(a) for a in range(m)]
-    linv = e.left_inverse()
+    if not (e.proj * e.inj).is_zero():
+        raise UsageError("injection leaves the kernel of the projection")
+    t = Matrix.from_cols(e.field, [s.matrix.col(i) for i in range(e.n)]
+                         + [e.inj.col(a) for a in range(e.m)])
+    return t, e.total.conjugate(t)
 
-    def vc(vec):
-        if not vec_is_zero(e.proj.apply(vec)):
-            raise InternalConsistencyError(
-                "extracted value escapes the kernel of the projection")
-        return linv.apply(vec)
 
-    from .exactlin import vec_sub
-    nu_entries, om_entries = {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            nu_entries[(i, j)] = vc(vec_sub(T.star(sc[i], sc[j]),
-                                            s.matrix.apply(e.base.bil[i][j])))
-            for k in range(n):
-                om_entries[(i, j, k)] = vc(vec_sub(T.bracket(sc[i], sc[j], sc[k]),
-                                                   s.matrix.apply(e.base.tri[i][j][k])))
-    nu = Cochain2.from_pairs(n, m, e.field, nu_entries)
-    om = Cochain3.from_triples(n, m, e.field, om_entries)
-    mu = tuple(Matrix.from_cols(e.field,
-                                [vc(T.star(sc[i], ic[a])) for a in range(m)], rows=m)
-               for i in range(n))
-    theta = tuple(tuple(Matrix.from_cols(
-        e.field, [vc(T.bracket(ic[a], sc[i], sc[j])) for a in range(m)], rows=m)
-        for j in range(n)) for i in range(n))
-    dd = tuple(tuple(Matrix.from_cols(
-        e.field, [vc(T.bracket(sc[i], sc[j], ic[a])) for a in range(m)], rows=m)
-        for j in range(n)) for i in range(n))
+def _read_cocycle(e: Extension, adapted: BolAlgebra) -> NonAbelianCocycle:
+    """The cocycle read off `adapted`, the total in the adapted basis, from
+    the blocks `glue` writes.
+
+    nu and omega are read at i < j only, as `Cochain2.from_pairs` takes
+    them.  Each value read must lie in ker(proj), so have no base
+    coordinates: those of nu and omega are s(x*y) and s([x,y,z])."""
+    n, m, field = e.n, e.m, e.field
+    bil, tri = np.array(adapted.bil, dtype=object), np.array(adapted.tri, dtype=object)
+    read = {name: v for name, sign, v in _blocks(bil, tri, n) if sign > 0}
+    low = {name: v for name, sign, v in _blocks(bil, tri, n, slice(None, n)) if sign > 0}
+    i, j = np.triu_indices(n, 1)
+    escaped = (low["nu"][i, j] - np.array(e.base.bil, dtype=object)[i, j],
+               low["om"][i, j] - np.array(e.base.tri, dtype=object)[i, j],
+               low["mu"], low["theta"], low["dd"])
+    if any(a.any() for a in escaped):
+        raise InternalConsistencyError(
+            "extracted value escapes the kernel of the projection")
+    pairs = list(zip(i.tolist(), j.tolist()))
+    nu = Cochain2.from_pairs(n, m, field, {(x, y): read["nu"][x, y] for x, y in pairs})
+    om = Cochain3.from_triples(n, m, field, {(x, y, z): read["om"][x, y, z]
+                                             for x, y in pairs for z in range(n)})
+    mu = tuple(Matrix(field, a) for a in read["mu"])
+    theta, dd = (tuple(tuple(Matrix(field, a) for a in row) for row in read[name])
+                 for name in ("theta", "dd"))
     return NonAbelianCocycle(e.base, e.fiber, nu, om, mu, theta, dd)
 
 
 def as_extension(c: NonAbelianCocycle) -> Extension:
     """The glued algebra of c as an extension with the standard embedding."""
-    n, m = c.n, c.m
-    field = c.field
-    total = build_extension_algebra(c)
-    inj = Matrix.from_cols(field, [zero_vec(field, n) +
-                                   tuple(field.one if t == a else field.zero
-                                         for t in range(m))
-                                   for a in range(m)], rows=n + m)
-    proj = Matrix(field, [[field.one if cc == r else field.zero
-                           for cc in range(n + m)] for r in range(n)])
-    return Extension(c.fiber, total, c.base, inj, proj)
+    n = c.n
+    idt = Matrix.identity(c.field, n + c.m)
+    return Extension(c.fiber, build_extension_algebra(c), c.base,
+                     Matrix(c.field, [row[n:] for row in idt.entries]),
+                     Matrix(c.field, idt.entries[:n]))
 
 
 def semidirect_extension(a: BolAlgebra, r: Representation) -> Extension:
@@ -218,12 +221,6 @@ def e_h3(field) -> Extension:
     inj = Matrix.from_int_rows(field, [[0], [0], [1]])
     proj = Matrix.from_int_rows(field, [[1, 0, 0], [0, 1, 0]])
     return Extension(zero_algebra(field, 1), h3(field), z2(field), inj, proj)
-
-
-def _model_iso(e: Extension, s: Section) -> Matrix:
-    """Columns s(e_1)..s(e_n), i(f_1)..i(f_m): base-plus-fiber model -> total."""
-    cols = [s.matrix.col(i) for i in range(e.n)] + [e.inj.col(a) for a in range(e.m)]
-    return Matrix.from_cols(e.field, cols, rows=e.total.dim)
 
 
 def extensions_equivalent(e1: Extension, e2: Extension,
@@ -241,29 +238,14 @@ def extensions_equivalent(e1: Extension, e2: Extension,
     for e in (e1, e2):
         if not validate_extension(e).valid:
             raise UsageError("equivalence of invalid extensions")
-    s1, s2 = canonical_section(e1), canonical_section(e2)
-    c1 = extract_cocycle(e1, s1)
-    c2 = extract_cocycle(e2, s2)
+    t1, adapted1 = _adapted_total(e1, canonical_section(e1))
+    t2, adapted2 = _adapted_total(e2, canonical_section(e2))
+    c1, c2 = _read_cocycle(e1, adapted1), _read_cocycle(e2, adapted2)
     dec = solve_equivalence(c1, c2, bound)
     if dec.status is not Status.FOUND:
         return dec
-    phi = dec.witness
-    n, m = e1.n, e1.m
-    field = e1.field
-    g_rows = []
-    for r in range(n):
-        g_rows.append([field.one if cc == r else field.zero for cc in range(n + m)])
-    for t in range(m):
-        row = [-phi.entries[t][q] for q in range(n)]
-        row += [field.one if v == t else field.zero for v in range(m)]
-        g_rows.append(row)
-    g = Matrix(field, g_rows)
-    iso1 = _model_iso(e1, s1)
-    iso2 = _model_iso(e2, s2)
-    inv1 = iso1.inverse()
-    if inv1 is None:
-        raise InternalConsistencyError("model identification is singular")
-    f = iso2 * g * inv1
+    # s1(x) + i(a)  |->  s2(x) + i(a) - i(phi(x))
+    f = t2 * t1.inverse() - e2.inj * dec.witness * e1.proj
     if not f.is_invertible() or not is_morphism(f, e1.total, e2.total) \
             or f * e1.inj != e2.inj or e2.proj * f != e1.proj:
         raise InternalConsistencyError(
@@ -295,6 +277,10 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     field = base.field
     if not field.is_prime_field:
         raise UnsupportedEnumerationError("classification needs a finite field")
+    rep = validate_nab_parts(NonAbelianCocycle.zero(base, fiber))
+    if not rep.valid:
+        raise UsageError("classification over a non-Bol base or fiber: "
+                         + ", ".join(rep.tags()))
     n, m = base.dim, fiber.dim
     if actions is None:
         z = Matrix.zeros(field, m, m)

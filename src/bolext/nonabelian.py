@@ -16,6 +16,11 @@ one argument swap, and extra fiber-coupling identities that vanish for
 abelian fibers.  `Variant.STRICT` checks the printed forms instead (with the
 one unbound symbol read by type analogy), for auditability.
 
+The block layout of this formula is written once, in `glue`: it builds every
+glued total (`build_extension_algebra`, and the batched semidirect sums of
+`bruteforce.semidirect_arrays`), and `extensions.extract_cocycle` reads the
+same blocks back.
+
 The identities of both variants are the rows of `identities.NAB`, which
 `validate_nab_cocycle` reads; the variant-only terms and the corrected-only
 fiber couplings are marked there.
@@ -41,12 +46,12 @@ from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport, Variant)
 from .errors import UsageError
 from .identities import residues
-from .exactlin import Matrix, enumerate_vectors, vec_neg, zero_vec
+from .exactlin import Matrix, enumerate_vectors, vec_neg
 from .representation import ActionOps, Representation
 
 __all__ = [
     "NonAbelianCocycle", "validate_nab_cocycle", "validate_nab_parts",
-    "validate_nab_full", "build_extension_algebra",
+    "validate_nab_full", "build_extension_algebra", "glue",
     "cocycles_equivalent_via", "solve_equivalence",
 ]
 
@@ -146,43 +151,65 @@ def validate_nab_full(c: NonAbelianCocycle,
 def build_extension_algebra(c: NonAbelianCocycle) -> BolAlgebra:
     """The glued structure on base + fiber; validity of c is not required
     (the construction is the other route of the iff check)."""
-    n, m = c.n, c.m
-    d = n + m
-    field = c.field
-    B, V = c.base, c.fiber
+    bil, tri = glue(**{name: np.array(t, dtype=object) for name, t in c.tensors().items()},
+                    zero=c.field.zero)
+    return BolAlgebra(c.field, c.n + c.m, _tuples(bil), _tuples(tri))
 
-    def emb_b(vec, vpart=None):
-        return tuple(vec) + (tuple(vpart) if vpart is not None else zero_vec(field, m))
 
-    def emb_v(vec):
-        return zero_vec(field, n) + tuple(vec)
+def _tuples(a: np.ndarray) -> tuple:
+    return tuple(map(_tuples, a)) if a.ndim > 1 else tuple(a)
 
-    z = zero_vec(field, d)
-    bil = [[z for _ in range(d)] for _ in range(d)]
-    tri = [[[z for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            bil[i][j] = emb_b(B.bil[i][j], c.nu.at(i, j))
-            for k in range(n):
-                tri[i][j][k] = emb_b(B.tri[i][j][k], c.omega.at(i, j, k))
-    for i in range(n):
-        for v in range(m):
-            bil[i][n + v] = emb_v(c.mu[i].col(v))
-            bil[n + v][i] = emb_v(vec_neg(c.mu[i].col(v)))
-    for u in range(m):
-        for v in range(m):
-            bil[n + u][n + v] = emb_v(V.bil[u][v])
-            for w in range(m):
-                tri[n + u][n + v][n + w] = emb_v(V.tri[u][v][w])
-    for i in range(n):
-        for j in range(n):
-            for w in range(m):
-                tri[i][j][n + w] = emb_v(c.dd[i][j].col(w))
-                tri[n + w][i][j] = emb_v(c.theta[i][j].col(w))
-                tri[i][n + w][j] = emb_v(vec_neg(c.theta[i][j].col(w)))
-    return BolAlgebra(field, d,
-                      tuple(tuple(row) for row in bil),
-                      tuple(tuple(tuple(k) for k in row) for row in tri))
+
+def glue(bil, tri, vbil, vtri, nu, om, mu, theta, dd, zero=0, p=None):
+    """The structure tensors (bil, tri) of the glued algebra on B + V: the
+    product formula of the module docstring, placed block by block.
+
+    The arguments are arrays laid out as the `identities` tensors of the same
+    names, each with optional leading batch axes that broadcast.  Entries are
+    only assigned and negated, so object arrays of exact scalars work as
+    well as int residue arrays mod p (give p: the negated blocks are reduced
+    mod p).  Entries outside every block are `zero`.
+    """
+    parts = dict(bil=bil, tri=tri, vbil=vbil, vtri=vtri, nu=nu, om=om, mu=mu,
+                 theta=theta, dd=dd)
+    ranks = dict(bil=3, tri=4, vbil=3, vtri=4, nu=3, om=4, mu=3, theta=4, dd=4)
+    lead = np.broadcast_shapes(*(a.shape[:a.ndim - ranks[name]]
+                                 for name, a in parts.items()))
+    dtype = np.result_type(*parts.values())
+    d = bil.shape[-1] + vbil.shape[-1]
+    bil_e = np.full(lead + (d,) * 3, zero, dtype=dtype)
+    tri_e = np.full(lead + (d,) * 4, zero, dtype=dtype)
+    for name, sign, view in _blocks(bil_e, tri_e, bil.shape[-1]):
+        a = parts[name]
+        view[...] = a if sign > 0 else (-a if p is None else -a % p)
+    return bil_e, tri_e
+
+
+def _blocks(bil, tri, n: int, coords=None) -> tuple:
+    """(name, sign, view) per block of the glued tensors (bil, tri) over a
+    base of dimension n: the view holds sign times the `identities` tensor
+    `name` and is laid out as that tensor.  The views of the fiber-valued
+    blocks cover the fiber coordinates n: of their values, or `coords`.
+    `glue` writes through these views and extraction reads through them.
+    """
+    b, f = slice(None, n), slice(n, None)
+    v = f if coords is None else coords
+    return (
+        # (x+a)*(y+b) = x*y + nu(x,y) + mu(x)b - mu(y)a + a*b
+        ("bil", 1, bil[..., b, b, b]),
+        ("nu", 1, bil[..., b, b, v]),
+        ("mu", 1, np.swapaxes(bil[..., b, f, v], -1, -2)),
+        ("mu", -1, np.moveaxis(bil[..., f, b, v], -3, -1)),
+        ("vbil", 1, bil[..., f, f, v]),
+        # [x+a,y+b,z+c] = [x,y,z] + omega(x,y,z) + D(x,y)c + theta(y,z)a
+        #                   - theta(x,z)b + [a,b,c]
+        ("tri", 1, tri[..., b, b, b, b]),
+        ("om", 1, tri[..., b, b, b, v]),
+        ("dd", 1, np.swapaxes(tri[..., b, b, f, v], -1, -2)),
+        ("theta", 1, np.moveaxis(tri[..., f, b, b, v], -4, -1)),
+        ("theta", -1, np.moveaxis(tri[..., b, f, b, v], -3, -1)),
+        ("vtri", 1, tri[..., f, f, f, v]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import bruteforce, identities
 from .bol import BolAlgebra
 from .core import DEFAULT_ENUMERATION_BOUND, ValidationReport
 from .errors import UnsupportedEnumerationError, UsageError
-from .exactlin import Matrix, vec_add, vec_sub
+from .exactlin import Matrix
 
 __all__ = [
     "Representation", "validate_representation", "semidirect_product",
@@ -148,28 +148,15 @@ def semidirect_product(a: BolAlgebra, r: Representation) -> BolAlgebra:
 
 def is_pseudoderivation(f: Matrix, chi, a: BolAlgebra, r: Representation) -> bool:
     """f(x*y) = mu(x)f(y) - mu(y)f(x) + (D(x,y) - mu(x*y))(chi)  and
-    f([x,y,z]) = theta(y,z)f(x) - theta(x,z)f(y) + D(x,y)f(z)."""
+    f([x,y,z]) = theta(y,z)f(x) - theta(x,z)f(y) + D(x,y)f(z): the
+    coboundary of (f, chi) vanishes."""
+    from .cohomology import Cochain2, Cochain3, coboundary
     _require_compatible(a, r)
     if f.rows != r.module_dim or f.cols != a.dim or len(chi) != r.module_dim:
         raise UsageError("pseudoderivation data has wrong shape")
-    n = a.dim
-    fe = [f.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = f.apply(a.bil[i][j])
-            rhs = vec_sub(r.mu[i].apply(fe[j]), r.mu[j].apply(fe[i]))
-            rhs = vec_add(rhs, (r.dd[i][j] - r.mu_op(a.bil[i][j])).apply(chi))
-            if lhs != rhs:
-                return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = f.apply(a.tri[i][j][k])
-                rhs = vec_sub(r.theta[j][k].apply(fe[i]), r.theta[i][k].apply(fe[j]))
-                rhs = vec_add(rhs, r.dd[i][j].apply(fe[k]))
-                if lhs != rhs:
-                    return False
-    return True
+    n, m = a.dim, r.module_dim
+    return coboundary(f, chi, a, r) == (Cochain2.zero(n, m, a.field),
+                                        Cochain3.zero(n, m, a.field))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
 from .exactlin import Matrix, Subspace, enumerate_vectors, vec_add, zero_vec
-from .extensions import (Extension, Section, canonical_section, extract_cocycle,
-                         theta_map, validate_extension)
+from .extensions import (Extension, Section, _adapted_total, _read_cocycle,
+                         canonical_section, extract_cocycle, theta_map,
+                         validate_extension)
 from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
                          _equivalence_matrix, _equivalent_via, _phi_candidates,
@@ -276,13 +277,6 @@ class Z1Result:
     def dim(self) -> Optional[int]:
         return self.subspace.dim if self.subspace is not None else None
 
-    def count(self, p=None) -> Optional[int]:
-        if self.maps is not None:
-            return len(self.maps)
-        if self.subspace is not None and p is not None:
-            return p ** self.subspace.dim
-        return None
-
 
 def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
     if not validate_nab_cocycle(c).valid:
@@ -366,7 +360,7 @@ def _checked_automorphisms(auts: np.ndarray, a: BolAlgebra, component, role):
     for g in auts:
         mat = int_matrix(a.field, g)
         _require_automorphism(mat, a, component, role)
-        invs.append(_int_array(mat.inverse()))
+        invs.append(residues(mat.inverse().entries))
     return (np.asarray(auts, dtype=np.int64),
             np.array(invs, dtype=np.int64).reshape(auts.shape))
 
@@ -520,11 +514,6 @@ class ExactnessReport:
         }
 
 
-def _int_array(mat: Matrix) -> np.ndarray:
-    return np.array([[int(c.value) for c in row] for row in mat.entries],
-                    dtype=np.int64)
-
-
 def verify_wells_exactness(e: Extension,
                            bound: int = DEFAULT_ENUMERATION_BOUND) -> ExactnessReport:
     """Brute-force the full sequence over a prime field.
@@ -543,7 +532,8 @@ def verify_wells_exactness(e: Extension,
     p = e.field.p
     field = e.field
     s = canonical_section(e)
-    c = extract_cocycle(e, s)
+    t, adapted = _adapted_total(e, s)
+    c = _read_cocycle(e, adapted)
     rep = validate_nab_parts(c)  # the cocycle suite is z1_nab's guard
     if not rep.valid:
         raise UsageError("exactness verification over an invalid cocycle: "
@@ -551,16 +541,14 @@ def verify_wells_exactness(e: Extension,
 
     # Aut_V(total) is block triangular in the adapted basis s(e_1..e_n),
     # i(f_1..f_m); its diagonal blocks are the restriction pair
-    t = Matrix.from_cols(field, [s.matrix.col(i) for i in range(e.n)]
-                         + [e.inj.col(a) for a in range(e.m)])
-    adapted = e.total.conjugate(t)
     blocks = bruteforce.stabiliser_arrays(residues(adapted.bil), residues(adapted.tri),
                                           e.n, p, bound).astype(np.int64)
     alphas, betas = blocks[:, :e.n, :e.n], blocks[:, e.n:, e.n:]
     f = bruteforce.contract_mod
-    gammas = f("xy,byz->bxz", p, _int_array(t),
-               f("byz,zw->byw", p, blocks, _int_array(t.inverse())))
-    if np.any(f("xy,byz,zw->bxw", p, _int_array(e.proj), gammas, _int_array(e.inj))):
+    gammas = f("xy,byz->bxz", p, residues(t.entries),
+               f("byz,zw->byw", p, blocks, residues(t.inverse().entries)))
+    if np.any(f("xy,byz,zw->bxw", p, residues(e.proj.entries), gammas,
+                residues(e.inj.entries))):
         raise InternalConsistencyError("stabiliser scan returned a map moving the fiber")
 
     image_kappa = {(a.tobytes(), b.tobytes()) for a, b in zip(alphas, betas)}

@@ -5,7 +5,7 @@ import pytest
 from bolext.bol import (BolAlgebra, automorphism_int_arrays,
                         enumerate_automorphisms, enumerate_bol_algebras,
                         evaluate_products, is_morphism, s2, validate_bol,
-                        zero_algebra)
+                        z1, zero_algebra)
 from bolext.errors import UnsupportedEnumerationError, UsageError
 from bolext.exactlin import Matrix
 
@@ -139,3 +139,14 @@ def test_validity_invariant_under_basis_change(F5, fixtures_f5):
             if g.is_invertible():
                 break
         assert validate_bol(a.conjugate(g)).valid
+
+
+def test_dimension_zero_is_refused(F5):
+    from bolext.extensions import as_extension
+    from bolext.nonabelian import NonAbelianCocycle
+    from bolext.wells import verify_wells_exactness
+    with pytest.raises(UsageError, match="positive"):
+        zero_algebra(F5, 0)
+    with pytest.raises(UsageError, match="positive"):
+        verify_wells_exactness(as_extension(NonAbelianCocycle.zero(z1(F5),
+                                                                   zero_algebra(F5, 0))))

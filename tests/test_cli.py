@@ -96,7 +96,7 @@ def test_nab_validate_checks_base_and_fiber_axioms(tmp_path, capsys, F5):
     # the zero cocycle over z1 with fiber z3, [e1,e2,e3] = e3: every cocycle
     # identity holds, but neither the fiber nor the glued algebra is Bol
     from bolext.bol import BolAlgebra, z1, z3
-    from bolext.documents import canonical_json, nab_to_doc
+    from bolext.documents import algebra_to_doc, canonical_json, nab_to_doc
     from bolext.nonabelian import NonAbelianCocycle
 
     zero = z3(F5)
@@ -125,6 +125,13 @@ def test_nab_validate_checks_base_and_fiber_axioms(tmp_path, capsys, F5):
     assert code == 2 and out == ""
     assert capsys.readouterr().err == (
         "error: exactness verification over an invalid cocycle: fiber:bracket-cyclic\n")
+    fiber = tmp_path / "fiber.bol"
+    fiber.write_text(canonical_json(algebra_to_doc(c.fiber)))
+    code, out = run_cli("classify", "--base", C("z1_gf5.bol"), "--fiber", str(fiber),
+                        "--count-only")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: classification over a non-Bol base or fiber: fiber:bracket-cyclic\n")
 
 
 def test_equiv_cocycles(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -9,7 +10,7 @@ from bolext.bol import s2, z1, z2, zero_algebra
 from bolext.cohomology import Cochain2, CochainCoords
 from bolext.core import Status, Variant
 from bolext.errors import InternalConsistencyError, UsageError
-from bolext.exactlin import Matrix, PrimeField
+from bolext.exactlin import RATIONALS, Matrix, PrimeField
 from bolext.extensions import (Extension, _coset_classes, _pairwise_classes,
                                _valid_cocycles, as_extension, canonical_section,
                                classify_corpus, extensions_equivalent,
@@ -21,6 +22,8 @@ from bolext.nonabelian import (NonAbelianCocycle, cocycles_equivalent_via,
 from bolext.representation import r_s2
 
 from conftest import corpus_dir
+from test_identities import _grid
+from test_nonabelian import _random_cocycle
 
 
 def test_validate_extension(F5, ext_h3_f5):
@@ -64,6 +67,57 @@ def test_extract_requires_section(F5, ext_h3_f5):
         extract_cocycle(ext_h3_f5, Section(Matrix.zeros(F5, 3, 2)))
     with pytest.raises(UsageError):
         make_section(ext_h3_f5, Matrix.zeros(F5, 3, 2))
+    # an injection outside ker(proj) is refused, not read through
+    e = ext_h3_f5
+    moved = Extension(e.fiber, e.total, e.base, Matrix.from_int_rows(F5, [[1], [0], [1]]),
+                      e.proj)
+    with pytest.raises(UsageError, match="kernel of the projection"):
+        extract_cocycle(moved, canonical_section(e))
+
+
+@pytest.mark.parametrize("kind, where", [
+    ("bil", (0, 1)),      # nu: e1*e2 = e1 is not s(e1*e2) = 0
+    ("bil", (0, 2)),      # mu: e1*f = e1
+    ("tri", (0, 1, 0)),   # omega
+    ("tri", (2, 0, 1)),   # theta: [f, e1, e2] = e1
+    ("tri", (0, 1, 2)),   # D
+])
+def test_extract_refuses_values_outside_the_kernel(F5, kind, where):
+    # one product of the total has a base coordinate where extraction reads
+    # a fiber value: the projection is no morphism, and nothing is read
+    import numpy as np
+
+    from bolext.bol import algebra_from_int_arrays
+    from bolext.extensions import Section
+    arrays = {"bil": np.zeros((3,) * 3, dtype=int), "tri": np.zeros((3,) * 4, dtype=int)}
+    arrays[kind][where + (0,)] = 1
+    total = algebra_from_int_arrays(F5, arrays["bil"], arrays["tri"])
+    e = Extension(z1(F5), total, z2(F5), Matrix.from_int_rows(F5, [[0], [0], [1]]),
+                  Matrix.from_int_rows(F5, [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(InternalConsistencyError, match="kernel of the projection"):
+        extract_cocycle(e, Section(Matrix.from_int_rows(F5, [[1, 0], [0, 1], [0, 0]])))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), RATIONALS], ids=str)
+def test_extract_is_invariant_under_basis_change(field):
+    # the total rewritten in a random basis, with the injection and a random
+    # section carried along, carries the same cocycle; in the standard basis
+    # extraction reads back the cocycle that was glued
+    rng = random.Random(7)
+    c = _random_cocycle(field, rng, s2(field), s2(field), skew=True)
+    e = as_extension(c)
+    standard = make_section(e, Matrix(field, [row[:2] for row in
+                                             Matrix.identity(field, 4).entries]))
+    assert extract_cocycle(e, standard) == c
+    s = make_section(e, standard.matrix + e.inj * Matrix(field, _grid(field, rng, (2, 2))))
+    while True:
+        g = Matrix(field, _grid(field, rng, (4, 4)))
+        if g.is_invertible():
+            break
+    ginv = g.inverse()
+    moved = Extension(e.fiber, e.total.conjugate(g), e.base, ginv * e.inj, e.proj * g)
+    assert extract_cocycle(moved, make_section(moved, ginv * s.matrix)) == \
+        extract_cocycle(e, s)
 
 
 def test_section_independence(F5, ext_h3_f5):

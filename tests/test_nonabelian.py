@@ -6,7 +6,7 @@ from bolext.bol import h3, s2, validate_bol, z1, z2, z3, zero_algebra
 from bolext.cohomology import Cochain2, Cochain3
 from bolext.core import Status, Variant
 from bolext.errors import UsageError
-from bolext.exactlin import Matrix
+from bolext.exactlin import RATIONALS, Matrix, PrimeField
 from bolext.extensions import (extract_cocycle, make_section,
                                semidirect_extension, theta_map, as_extension)
 from bolext.identities import residues
@@ -16,6 +16,7 @@ from bolext.nonabelian import (NonAbelianCocycle, build_extension_algebra,
 from bolext.representation import validate_representation
 
 from test_cohomology import _mu_squared_rep
+from test_identities import _grid, _random_actions
 
 
 def _nu1(field, base, fiber):
@@ -50,6 +51,47 @@ def test_build_zero_cocycle_with_actions_is_semidirect(F5):
     c = NonAbelianCocycle(a, fiber, Cochain2.zero(2, 1, F5),
                           Cochain3.zero(2, 1, F5), r.mu, r.theta, r.dd)
     assert build_extension_algebra(c) == semidirect_product(a, r)
+
+
+def _random_cocycle(field, rng, base, fiber, skew=False):
+    """Random cocycle data, not a valid cocycle in general; nu and omega
+    skew when asked."""
+    n, m = base.dim, fiber.dim
+    if skew:
+        nu = Cochain2.from_pairs(n, m, field, {
+            (i, j): _grid(field, rng, (m,)) for i in range(n) for j in range(i + 1, n)})
+        om = Cochain3.from_triples(n, m, field, {
+            (i, j, k): _grid(field, rng, (m,))
+            for i in range(n) for j in range(i + 1, n) for k in range(n)})
+    else:
+        nu = Cochain2(n, m, field, _grid(field, rng, (n, n, m)))
+        om = Cochain3(n, m, field, _grid(field, rng, (n, n, n, m)))
+    return NonAbelianCocycle(base, fiber, nu, om, *_random_actions(field, rng, n, m))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), RATIONALS], ids=str)
+def test_glued_products_follow_the_product_formula(field):
+    # the glue against the product formula of the module docstring,
+    # evaluated on random elements x+a, y+b, z+c over a non-abelian fiber
+    rng = random.Random(11)
+    c = _random_cocycle(field, rng, h3(field), s2(field))
+    total = build_extension_algebra(c)
+
+    def add(*vecs):
+        return tuple(sum(v) for v in zip(*vecs))
+
+    def neg(vec):
+        return tuple(-v for v in vec)
+
+    for _ in range(6):
+        (x, a), (y, b), (z, w) = ((_grid(field, rng, (3,)), _grid(field, rng, (2,)))
+                                  for _ in range(3))
+        assert total.star(x + a, y + b) == c.base.star(x, y) + add(
+            c.nu.eval(x, y), c.mu_op(x).apply(b), neg(c.mu_op(y).apply(a)),
+            c.fiber.star(a, b))
+        assert total.bracket(x + a, y + b, z + w) == c.base.bracket(x, y, z) + add(
+            c.omega.eval(x, y, z), c.dd_op(x, y).apply(w), c.theta_op(y, z).apply(a),
+            neg(c.theta_op(x, z).apply(b)), c.fiber.bracket(a, b, w))
 
 
 def test_equivalence_via_examples(F5):

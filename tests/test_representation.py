@@ -84,8 +84,9 @@ def _mixed_actions(field):
 
 @pytest.mark.parametrize("name", ["s2_r_s2", "z2_trivial", "z2_mixed"])
 def test_semidirect_product_matches_census_route_2(F5, name):
-    # the glued algebra of the zero cocycle against census route 2, which
-    # assembles the semidirect sum from the action arrays on its own
+    # the glued algebra of the zero cocycle against census route 2: one glue,
+    # on exact scalars and on batched residue arrays; the glue itself is
+    # checked against the product formula in test_nonabelian
     import numpy as np
 
     from bolext import identities
