@@ -16,6 +16,8 @@ from . import identities
 from .errors import UnsupportedEnumerationError
 
 _CHUNK = 1 << 16
+# residual entries per slice of an identity's survivors in `identity_mask`
+_ENTRIES = 1 << 19
 
 
 def _headroom_dtype(terms: int, degree: int, p: int):
@@ -57,18 +59,21 @@ def skew_from_params(params: np.ndarray, n: int, shape: tuple, p: int) -> np.nda
     return out
 
 
-def identity_mask(suite, p: int, batch: dict, fixed=None) -> np.ndarray:
+def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray:
     """Mask of the batch entries that satisfy every identity of one of the
-    `identities` tables without variant marks (`BOL`, `REP`).
+    `identities` tables without variant marks (`BOL`, `REP`), or of a part
+    of one (`reading`).
 
     `batch` maps tensor names to residue arrays with a leading batch axis,
-    `fixed` to residue arrays shared by the whole batch.  Identities run
-    cheapest first, each only on the survivors of the ones before it.  A
-    term is bounded by its summed products times its factors' largest
-    entries (so an all-zero factor gives int16 at every p) and contracted by
-    `_contract`; an identity's terms are summed unreduced, in a type that
-    holds p and the sum of their bounds, and reduced once.  The triangle of
-    a group is not needed here: its residuals are symmetric.
+    `fixed` to residue arrays shared by the whole batch.  Entries false in
+    the starting mask `ok` (default all true) stay false and are never
+    evaluated.  Identities run cheapest first, each only on the survivors
+    of the ones before it, in slices of at most `_ENTRIES` residual entries,
+    so the memory an identity takes does not grow with the batch.  A term is
+    bounded by `_term_bound` and contracted by `_contract`; an identity's
+    terms are summed unreduced, in a type that holds p and the sum of their
+    bounds, and reduced once.  The triangle of a group is not needed here:
+    its residuals are symmetric.
     """
     fixed = fixed or {}
     shapes = {name: a.shape[1:] for name, a in batch.items()}
@@ -76,38 +81,61 @@ def identity_mask(suite, p: int, batch: dict, fixed=None) -> np.ndarray:
     peak = {name: int(a.max(initial=0)) for name, a in {**batch, **fixed}.items()}
     checks = [(identities.axis_sizes(idt, shapes), idt)
               for group in suite for idt in group.identities]
-    ok = np.ones(len(next(iter(batch.values()))), dtype=bool)
+    rows = len(next(iter(batch.values())))
+    ok = np.ones(rows, dtype=bool) if ok is None else ok.copy()
     for sizes, idt in sorted(checks, key=lambda c: _identity_cost(*c)):
-        idx = np.flatnonzero(ok)
-        if not idx.size:
+        survivors = np.flatnonzero(ok)
+        if not survivors.size:
             break
-        terms = idt.terms
-        names = {name for t in terms for name, _ in t.factors}
-        every = idx.size == ok.size
-        arrays = {name: fixed[name] if name in fixed else
-                  batch[name] if every else batch[name][idx] for name in names}
-        bounds = [prod(sizes[ch] for ch in set().union(*(idx for _, idx in t.factors))
-                       - set(idt.axes)) * prod(peak[name] for name, _ in t.factors)
-                  for t in terms]
+        names = {name for t in idt.terms for name, _ in t.factors}
+        bounds = [_term_bound(t, idt.axes, sizes, peak) for t in idt.terms]
         what = f"the terms of {idt.tag} mod {p}"
-        total = np.zeros((idx.size,) + tuple(sizes[ch] for ch in idt.axes),
-                         dtype=_narrowest(max(sum(bounds), p), what))
-        for t, worst in zip(terms, bounds):
-            value = identities.contract(t, idt.axes, arrays, sizes, batch.keys(), "Z",
-                                        einsum=partial(_contract, worst, what))
-            (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
-        np.remainder(total, p, out=total)
-        ok[idx] = ~np.any(total, axis=tuple(range(1, total.ndim)))
+        dtype = _narrowest(max(sum(bounds), p), what)
+        shape = tuple(sizes[ch] for ch in idt.axes)
+        step = max(1, _ENTRIES // prod(shape))
+        for idx in np.split(survivors, range(step, survivors.size, step)):
+            every = idx.size == rows
+            arrays = {name: fixed[name] if name in fixed else
+                      batch[name] if every else batch[name][idx] for name in names}
+            total = np.zeros((idx.size,) + shape, dtype=dtype)
+            for t, worst in zip(idt.terms, bounds):
+                value = identities.contract(t, idt.axes, arrays, sizes, batch.keys(), "Z",
+                                            einsum=partial(_contract, worst, what))
+                (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
+            np.remainder(total, p, out=total)
+            ok[idx] = ~np.any(total, axis=tuple(range(1, total.ndim)))
     return ok
+
+
+def reading(suite, names) -> tuple:
+    """The identities of `suite` whose terms read only the tensors `names`,
+    as a suite for `identity_mask`: the checks of a batch that are shared by
+    every structure agreeing on those tensors."""
+    return tuple(identities.Group(len(idt.where), (idt,))
+                 for group in suite for idt in group.identities
+                 if {name for t in idt.terms for name, _ in t.factors} <= set(names))
+
+
+def _term_bound(term, axes: str, sizes: dict, peak: dict) -> int:
+    """The largest value one term's unreduced contraction can take: its
+    summed products times its factors' largest entries (so an all-zero
+    factor bounds it by 0)."""
+    summed = set().union(*(idx for _, idx in term.factors)) - set(axes)
+    return prod(sizes[ch] for ch in summed) * prod(peak[name] for name, _ in term.factors)
 
 
 def _contract(worst: int, what: str, spec: str, *ops) -> np.ndarray:
     """Unreduced `np.einsum(spec, *ops)` of residue arrays in the narrowest
-    integer type that holds `worst`, its bound; residues are nonnegative, so
-    no partial sum of any contraction order exceeds it."""
+    integer type that holds `worst`, its bound, contracted pairwise in the
+    order einsum's optimizer picks (batched matrix products where it can).
+
+    Exact in every order: residues are nonnegative, so every partial sum is
+    bounded by the contraction of the factors it has met, which is at most
+    `worst` unless a factor not yet met is all zero.  Then the result is 0,
+    and an intermediate that wrapped around does not change it: integer
+    arithmetic wraps modulo 2^bits, and the result fits."""
     dt = _narrowest(worst, what)
-    return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops),
-                     optimize=len(ops) > 2)
+    return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops), optimize=True)
 
 
 def _identity_cost(sizes, idt) -> int:
@@ -115,9 +143,10 @@ def _identity_cost(sizes, idt) -> int:
                for t in idt.terms)
 
 
-def validate_bol_mask(bil: np.ndarray, tri: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of batch entries whose tensors satisfy all five axioms."""
-    return identity_mask(identities.BOL, p, {"bil": bil, "tri": tri})
+def validate_bol_mask(bil: np.ndarray, tri: np.ndarray, p: int, ok=None) -> np.ndarray:
+    """Boolean mask of batch entries whose tensors satisfy all five axioms;
+    entries false in the starting mask `ok` stay false unevaluated."""
+    return identity_mask(identities.BOL, p, {"bil": bil, "tri": tri}, ok=ok)
 
 
 def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int, chunk=_CHUNK):
@@ -282,10 +311,11 @@ def rep_param_batches(n: int, m: int, p: int, start: int, stop: int):
     return mu, theta, dd
 
 
-def validate_rep_mask(bil, tri, mu, theta, dd, p) -> np.ndarray:
-    """Mask of (mu, theta, D) batches satisfying the six module identities."""
+def validate_rep_mask(bil, tri, mu, theta, dd, p, ok=None) -> np.ndarray:
+    """Mask of (mu, theta, D) batches satisfying the six module identities;
+    entries false in the starting mask `ok` stay false unevaluated."""
     return identity_mask(identities.REP, p, {"mu": mu, "theta": theta, "dd": dd},
-                         {"bil": bil, "tri": tri})
+                         {"bil": bil, "tri": tri}, ok)
 
 
 def semidirect_arrays(bil, tri, mu, theta, dd, p):
@@ -293,10 +323,7 @@ def semidirect_arrays(bil, tri, mu, theta, dd, p):
     the glue of the zero cocycle over an abelian fiber, with the action
     arrays (leading batch axis) laid out as the `identities` tensors."""
     from .nonabelian import glue
-    n, m, dt = bil.shape[0], mu.shape[-1], mu.dtype
-    return glue(bil, tri, np.zeros((m,) * 3, dt), np.zeros((m,) * 4, dt),
-                np.zeros((n, n, m), dt), np.zeros((n, n, n, m), dt), mu, theta, dd,
-                p=p)
+    return glue(bil, tri, None, None, None, None, mu, theta, dd, p=p)
 
 
 # ---------------------------------------------------------------------------

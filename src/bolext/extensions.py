@@ -121,6 +121,11 @@ def canonical_section(e: Extension) -> Section:
     vector maps to its unique preimage supported on the complement columns."""
     if not validate_extension(e).valid:
         raise UsageError("canonical section of an invalid extension")
+    return _canonical_section(e)
+
+
+def _canonical_section(e: Extension) -> Section:
+    """`canonical_section` of an extension its caller has validated."""
     ker = kernel_basis(e.proj)
     pivot_cols = set()
     for row in ker.basis.entries:
@@ -238,8 +243,8 @@ def extensions_equivalent(e1: Extension, e2: Extension,
     for e in (e1, e2):
         if not validate_extension(e).valid:
             raise UsageError("equivalence of invalid extensions")
-    t1, adapted1 = _adapted_total(e1, canonical_section(e1))
-    t2, adapted2 = _adapted_total(e2, canonical_section(e2))
+    t1, adapted1 = _adapted_total(e1, _canonical_section(e1))
+    t2, adapted2 = _adapted_total(e2, _canonical_section(e2))
     c1, c2 = _read_cocycle(e1, adapted1), _read_cocycle(e2, adapted2)
     dec = solve_equivalence(c1, c2, bound)
     if dec.status is not Status.FOUND:
@@ -258,7 +263,7 @@ def theta_map(e: Extension) -> NonAbelianCocycle:
     """Classifying cocycle of the extension via the canonical section."""
     if not validate_extension(e).valid:
         raise UsageError("classifying map of an invalid extension")
-    return extract_cocycle(e, canonical_section(e))
+    return extract_cocycle(e, _canonical_section(e))
 
 
 def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,

@@ -165,24 +165,35 @@ def glue(bil, tri, vbil, vtri, nu, om, mu, theta, dd, zero=0, p=None):
     product formula of the module docstring, placed block by block.
 
     The arguments are arrays laid out as the `identities` tensors of the same
-    names, each with optional leading batch axes that broadcast.  Entries are
-    only assigned and negated, so object arrays of exact scalars work as
-    well as int residue arrays mod p (give p: the negated blocks are reduced
-    mod p).  Entries outside every block are `zero`.
+    names, each with optional leading batch axes that broadcast; a fiber
+    part given as None is all zero and its blocks are left unwritten.
+    Entries are only assigned and negated, so object arrays of exact scalars
+    work as well as int residue arrays mod p (give p: the negated blocks are
+    reduced mod p).  Entries outside every written block are `zero`.
     """
-    parts = dict(bil=bil, tri=tri, vbil=vbil, vtri=vtri, nu=nu, om=om, mu=mu,
-                 theta=theta, dd=dd)
+    parts = {name: a for name, a in dict(bil=bil, tri=tri, vbil=vbil, vtri=vtri, nu=nu,
+                                         om=om, mu=mu, theta=theta, dd=dd).items()
+             if a is not None}
     ranks = dict(bil=3, tri=4, vbil=3, vtri=4, nu=3, om=4, mu=3, theta=4, dd=4)
-    lead = np.broadcast_shapes(*(a.shape[:a.ndim - ranks[name]]
-                                 for name, a in parts.items()))
+    leads = {name: a.shape[:a.ndim - ranks[name]] for name, a in parts.items()}
+    n = bil.shape[-1]
+    # every fiber part ends in a fiber axis
+    d = n + next(a.shape[-1] for name, a in parts.items() if name not in ("bil", "tri"))
     dtype = np.result_type(*parts.values())
-    d = bil.shape[-1] + vbil.shape[-1]
-    bil_e = np.full(lead + (d,) * 3, zero, dtype=dtype)
-    tri_e = np.full(lead + (d,) * 4, zero, dtype=dtype)
-    for name, sign, view in _blocks(bil_e, tri_e, bil.shape[-1]):
-        a = parts[name]
-        view[...] = a if sign > 0 else (-a if p is None else -a % p)
-    return bil_e, tri_e
+
+    def place(bil_e, tri_e, batched: bool):
+        for name, sign, view in _blocks(bil_e, tri_e, n):
+            if name in parts and bool(leads[name]) == batched:
+                a = parts[name]
+                view[...] = a if sign > 0 else (-a if p is None else -a % p)
+        return bil_e, tri_e
+
+    # the parts without batch axes are placed once, into the structure that
+    # then fills every batch entry
+    shared = place(np.full((d,) * 3, zero, dtype=dtype),
+                   np.full((d,) * 4, zero, dtype=dtype), False)
+    lead = np.broadcast_shapes(*leads.values())
+    return place(*(np.broadcast_to(a, lead + a.shape).copy() for a in shared), True)
 
 
 def _blocks(bil, tri, n: int, coords=None) -> tuple:

@@ -162,6 +162,15 @@ def is_pseudoderivation(f: Matrix, chi, a: BolAlgebra, r: Representation) -> boo
 # ---------------------------------------------------------------------------
 # exhaustive two-route census (module identities vs. semidirect axioms)
 
+# candidates per census chunk: the action batches and glued tensors of one
+# chunk set the census's peak memory
+_CENSUS_CHUNK = 1 << 14
+# the identities of each route that read no tensor of the algebra: the
+# module identities free of bil and tri, and the Bol axioms of the glued tri
+_REP_SHARED = bruteforce.reading(identities.REP, ("mu", "theta", "dd"))
+_BOL_SHARED = bruteforce.reading(identities.BOL, ("tri",))
+
+
 @dataclass
 class IffCensus:
     algebras: int
@@ -176,8 +185,9 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
     """For every enumerated algebra and every candidate action tuple, compare
     the module-identity verdict with the axiom verdict of the semidirect sum.
 
-    Both routes are computed independently; `discrepancies` lists (algebra
-    index, candidate index) pairs where they disagree.
+    Both routes are computed independently (`_census_routes`);
+    `discrepancies` lists (algebra index, candidate index) pairs where they
+    disagree.
     """
     if not field.is_prime_field:
         raise UnsupportedEnumerationError("the census needs a finite field")
@@ -186,17 +196,31 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
     total = bruteforce.rep_param_count(n, m, p, budget)
     algebras = [(bil.copy(), tri.copy()) for bil, tri in
                 bruteforce.enumerate_valid_tensors(n, p, tri_zero, budget)]
-    chunk = 32768
     discrepancies = []
     valid = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        mu, theta, dd = bruteforce.rep_param_batches(n, m, p, start, stop)
-        for k, (bil, tri) in enumerate(algebras):
-            route1 = bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p)
-            bilE, triE = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
-            route2 = bruteforce.validate_bol_mask(bilE, triE, p)
+    for start in range(0, total, _CENSUS_CHUNK):
+        stop = min(start + _CENSUS_CHUNK, total)
+        routes = _census_routes(algebras, n, m, p, start, stop)
+        for k, (route1, route2) in enumerate(routes):
             valid += int(route1.sum())
             discrepancies.extend((k, start + int(i))
                                  for i in np.flatnonzero(route1 != route2))
     return IffCensus(len(algebras), total, valid, sorted(discrepancies))
+
+
+def _census_routes(algebras, n: int, m: int, p: int, start: int, stop: int):
+    """(route-1 mask, route-2 mask) per algebra (bil, tri) on candidates
+    start..stop-1: the module identities, and the Bol axioms of the
+    semidirect sum.  The identities of either route that read no tensor
+    varying with the algebra are decided once (route 2: once per distinct
+    base tri, on the glued tri) and start every algebra's full check."""
+    mu, theta, dd = bruteforce.rep_param_batches(n, m, p, start, stop)
+    shared1 = bruteforce.identity_mask(_REP_SHARED, p, {"mu": mu, "theta": theta, "dd": dd})
+    shared2 = {}
+    for bil, tri in algebras:
+        route1 = bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p, ok=shared1)
+        bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
+        key = tri.tobytes()
+        if key not in shared2:
+            shared2[key] = bruteforce.identity_mask(_BOL_SHARED, p, {"tri": tri_e})
+        yield route1, bruteforce.validate_bol_mask(bil_e, tri_e, p, ok=shared2[key])

@@ -30,8 +30,8 @@ from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
 from .exactlin import Matrix, Subspace, enumerate_vectors, vec_add, zero_vec
-from .extensions import (Extension, Section, _adapted_total, _read_cocycle,
-                         canonical_section, extract_cocycle, theta_map,
+from .extensions import (Extension, Section, _adapted_total, _canonical_section,
+                         _read_cocycle, extract_cocycle, theta_map,
                          validate_extension)
 from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
@@ -531,7 +531,7 @@ def verify_wells_exactness(e: Extension,
         raise UsageError("exactness verification of an invalid extension")
     p = e.field.p
     field = e.field
-    s = canonical_section(e)
+    s = _canonical_section(e)
     t, adapted = _adapted_total(e, s)
     c = _read_cocycle(e, adapted)
     rep = validate_nab_parts(c)  # the cocycle suite is z1_nab's guard

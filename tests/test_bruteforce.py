@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bolext.bruteforce import (_headroom_dtype, _morphism_fixed,
-                               canonical_solutions, contract_mod,
-                               require_int64_headroom, rref_transform)
+from bolext import identities
+from bolext.bruteforce import (_contract, _headroom_dtype, _morphism_fixed,
+                               _narrowest, _term_bound, canonical_solutions,
+                               contract_mod, require_int64_headroom,
+                               rref_transform)
 from bolext.errors import UnsupportedEnumerationError
 from bolext.exactlin import Matrix, PrimeField
 
@@ -137,3 +139,59 @@ def test_morphism_mask_at_p7_has_headroom():
     for dt in (np.int16, np.int64):
         got = _morphism_fixed(bil.astype(dt), tri.astype(dt), batch.astype(dt), p)
         assert got.tolist() == want
+
+
+# the batched tensors of each table as `identity_mask` would be handed them
+_BATCHED = [(identities.BOL, {"bil", "tri"}),
+            (identities.REP, {"mu", "theta", "dd"}),
+            (identities.NAB, {"nu", "om", "mu", "theta", "dd"})]
+
+
+def _tensor_shapes(n, m):
+    return dict(bil=(n,) * 3, tri=(n,) * 4, vbil=(m,) * 3, vtri=(m,) * 4,
+                nu=(n, n, m), om=(n, n, n, m), mu=(n, m, m), theta=(n, n, m, m),
+                dd=(n, n, m, m))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_contract_is_exact_for_every_batched_term(data):
+    # every term of BOL, REP and NAB, contracted pairwise in the narrow type
+    # its bound picks, against an unoptimised int64 einsum; "edge" takes the
+    # largest p whose all-(p-1) operands still fit int16 (or the next p,
+    # the first to need int32), and "zero" makes the first factor all zero,
+    # so its bound is 0 while products of the other factors wrap int16
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    mode = data.draw(st.sampled_from(["random", "top", "edge", "zero"]))
+    above = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = _tensor_shapes(n, m)
+    rows = 3
+    for suite, batched in _BATCHED:
+        for idt in (i for g in suite for i in g.identities):
+            sizes = identities.axis_sizes(idt, shapes)
+            for t in idt.terms:
+                summed = _term_bound(t, idt.axes, sizes, dict.fromkeys(shapes, 1))
+                degree = len(t.factors)
+                if mode == "edge":
+                    p = 2 + int((32767 / summed) ** (1 / degree))
+                    while summed * (p - 1) ** degree > 32767:
+                        p -= 1
+                    p += above
+                else:
+                    p = {"random": 7, "top": 5, "zero": 30011}[mode]
+                ops = []
+                for k, (name, _) in enumerate(t.factors):
+                    shape = ((rows,) if name in batched else ()) + shapes[name]
+                    if mode == "random":
+                        ops.append(rng.integers(0, p, shape))
+                    else:
+                        ops.append(np.full(shape, 0 if mode == "zero" and k == 0 else p - 1))
+                peak = {name: int(op.max()) for (name, _), op in zip(t.factors, ops)}
+                worst = _term_bound(t, idt.axes, sizes, peak)
+                spec = t.spec(idt.axes, batched, "Z")
+                got = _contract(worst, idt.tag, spec, *ops)
+                assert got.dtype == _narrowest(worst, idt.tag)
+                assert (got.astype(np.int64) == np.einsum(spec, *ops)).all(), (idt.tag, spec)
+                if mode == "edge" and worst:
+                    assert got.dtype == (np.int32 if above else np.int16), (idt.tag, spec)

@@ -68,6 +68,48 @@ def test_iff_census_dim_one(F5):
     assert census.discrepancies == []
 
 
+def test_census_shared_masks_match_per_algebra_routes(monkeypatch):
+    # the 3,125 Bol structures on GF(5)^2 have 125 distinct tri, 25 each:
+    # three algebras from each of four tri classes (one of them tri = 0);
+    # the census runs `identity_mask` in far smaller slices than the
+    # per-algebra masks it is compared with
+    import numpy as np
+
+    from bolext import bruteforce, identities
+    from bolext.representation import _census_routes
+
+    p = 5
+    algebras = [(b.copy(), t.copy())
+                for b, t in bruteforce.enumerate_valid_tensors(2, p, False, 10 ** 5)]
+    by_tri = {}
+    for k, (_, tri) in enumerate(algebras):
+        by_tri.setdefault(tri.tobytes(), []).append(k)
+    assert len(algebras) == 3125 and len(by_tri) == 125
+    classes = list(by_tri.values())
+    sample = [algebras[k] for c in (0, 1, 50, 124) for k in classes[c][:3]]
+    assert not sample[0][1].any() and all(t.any() for _, t in sample[3:])
+    start, stop = 1000, 7000
+    mu, theta, dd = bruteforce.rep_param_batches(2, 1, p, start, stop)
+    with monkeypatch.context() as patch:
+        patch.setattr(bruteforce, "_ENTRIES", 1 << 12)
+        routes = list(_census_routes(sample, 2, 1, p, start, stop))
+    rng = np.random.default_rng(9)
+    passed = 0
+    for (bil, tri), (route1, route2) in zip(sample, routes):
+        want1 = bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p)
+        bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
+        want2 = bruteforce.validate_bol_mask(bil_e, tri_e, p)
+        assert (route1 == want1).all() and (route2 == want2).all()
+        passed += int(want1.sum())
+        # a starting mask only removes rows
+        ok = rng.random(stop - start) < 0.7
+        assert (bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p, ok=ok)
+                == ok & want1).all()
+        assert (bruteforce.identity_mask(identities.BOL, p, {"bil": bil_e, "tri": tri_e},
+                                         ok=ok) == ok & want2).all()
+    assert passed > len(sample)
+
+
 def test_semidirect_shape_mismatch(Q):
     with pytest.raises(UsageError):
         semidirect_product(z2(Q), trivial_representation(Q, 3))
