@@ -1,9 +1,11 @@
 """Batched mod-p enumeration engines (numpy int arithmetic, exact).
 
 Everything here works on integer residue arrays; callers convert to and from
-the exact scalar types.  Candidate streams are generated in lexicographic
-order of their parameter digits and processed in fixed-size chunks, so results
-are deterministic and ranges can be partitioned.
+the exact scalar types.  Every enumeration (the Bol tensors, the automorphism
+and stabiliser scans, the census's action tuples) takes its candidates from
+one stream, `candidate_blocks`: the p^width digit strings of its parameters in
+lexicographic order, checked against the bound once and processed in
+fixed-size chunks, so results are deterministic and ranges can be partitioned.
 """
 from __future__ import annotations
 
@@ -41,6 +43,19 @@ def digit_block(start: int, stop: int, p: int, width: int, dtype) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int64)
     weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] // weights[None, :]) % p).astype(dtype)
+
+
+def candidate_blocks(p: int, width: int, budget: int, what: str, chunk=_CHUNK):
+    """The p^width candidate digit strings as (start, digit rows) per chunk
+    of `chunk` rows, in lexicographic order.  The count is checked against
+    `budget` here, before the first block is asked for."""
+    total = p ** width
+    if total > budget:
+        raise UnsupportedEnumerationError(
+            f"{total} candidate {what} exceed the bound {budget}")
+    dt = _headroom_dtype(1, 1, p)
+    return ((start, digit_block(start, min(start + chunk, total), p, width, dt))
+            for start in range(0, total, chunk))
 
 
 def skew_pairs(n):
@@ -149,22 +164,15 @@ def validate_bol_mask(bil: np.ndarray, tri: np.ndarray, p: int, ok=None) -> np.n
     return identity_mask(identities.BOL, p, {"bil": bil, "tri": tri}, ok=ok)
 
 
-def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int, chunk=_CHUNK):
+def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int):
     """Yield (bil, tri) integer tensor pairs passing the axiom suite."""
-    dt = _headroom_dtype(1, 1, p)
     npairs = len(skew_pairs(n))
-    width = npairs * n if tri_zero else npairs * n + npairs * n * n
-    total = p ** width
-    if total > budget:
-        raise UnsupportedEnumerationError(
-            f"{total} candidate tensors exceed the bound {budget}")
     bw = npairs * n
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        params = digit_block(start, stop, p, width, dt)
+    width = bw if tri_zero else bw + npairs * n * n
+    for _, params in candidate_blocks(p, width, budget, "tensors"):
         bil = skew_from_params(params[:, :bw], n, (n,), p)
         if tri_zero:
-            tri = np.zeros((stop - start, n, n, n, n), dtype=dt)
+            tri = np.zeros((len(params), n, n, n, n), dtype=params.dtype)
         else:
             tri = skew_from_params(params[:, bw:], n, (n, n), p)
         mask = validate_bol_mask(bil, tri, p)
@@ -173,9 +181,12 @@ def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int, chunk=_
 
 
 def det_mask(M: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero-determinant mask; supports n <= 3."""
+    """Nonzero-determinant mask; supports n <= 3 (an empty matrix has
+    determinant 1)."""
     n = M.shape[1]
     M = M.astype(_headroom_dtype(factorial(n), n, p), copy=False)
+    if n == 0:
+        return np.ones(len(M), dtype=bool)
     if n == 1:
         d = M[:, 0, 0]
     elif n == 2:
@@ -189,30 +200,10 @@ def det_mask(M: np.ndarray, p: int) -> np.ndarray:
     return (d % p) != 0
 
 
-def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int,
-                        chunk=_CHUNK) -> np.ndarray:
-    """All automorphism matrices as one (k, n, n) int array, candidate order."""
-    n = bil.shape[0]
-    if n > 3:
-        raise UnsupportedEnumerationError("matrix enumeration supports dimension <= 3")
-    total = p ** (n * n)
-    if total > budget:
-        raise UnsupportedEnumerationError(
-            f"{total} candidate matrices exceed the bound {budget}")
-    dt = _headroom_dtype(1, 1, p)
-    found = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        M = digit_block(start, stop, p, n * n, dt).reshape(stop - start, n, n)
-        ok = det_mask(M, p)
-        if ok.any():
-            sub = M[np.flatnonzero(ok)]
-            good = _morphism_fixed(bil.astype(dt), tri.astype(dt), sub, p)
-            if good.any():
-                found.append(sub[good])
-    if not found:
-        return np.zeros((0, n, n), dtype=dt)
-    return np.concatenate(found, axis=0)
+def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int) -> np.ndarray:
+    """All automorphism matrices as one (k, n, n) int array, candidate order:
+    the stabiliser scan of the zero subspace, over all p^(n^2) matrices."""
+    return stabiliser_arrays(bil, tri, bil.shape[0], p, budget)
 
 
 def stabiliser_arrays(bil: np.ndarray, tri: np.ndarray, n: int, p: int,
@@ -222,32 +213,27 @@ def stabiliser_arrays(bil: np.ndarray, tri: np.ndarray, n: int, p: int,
 
     Such a map is block triangular, G = [[A, 0], [C, B]] with A n x n, C
     m x n and B m x m, so only the p^(d^2 - nm) digit strings of (A, C, B)
-    are candidates.  Those with A and B invertible are tested as
-    `automorphism_arrays` tests every matrix.
+    are candidates.  Those with A and B invertible are tested against both
+    products.  With n = d (or n = 0) every matrix is a candidate.
     """
     d = bil.shape[0]
     if d > 3:
         raise UnsupportedEnumerationError("matrix enumeration supports dimension <= 3")
     m = d - n
     width = d * d - n * m
-    total = p ** width
-    if total > budget:
-        raise UnsupportedEnumerationError(
-            f"{total} candidate matrices exceed the bound {budget}")
     dt = _headroom_dtype(1, 1, p)
     bil, tri = bil.astype(dt), tri.astype(dt)
     found = []
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        digits = digit_block(start, stop, p, width, dt)
-        a = digits[:, :n * n].reshape(-1, n, n)
-        b = digits[:, width - m * m:].reshape(-1, m, m)
+    for _, digits in candidate_blocks(p, width, budget, "matrices"):
+        rows = len(digits)
+        a = digits[:, :n * n].reshape(rows, n, n)
+        b = digits[:, width - m * m:].reshape(rows, m, m)
         ok = np.flatnonzero(det_mask(a, p) & det_mask(b, p))
         if not ok.size:
             continue
         g = np.zeros((ok.size, d, d), dtype=dt)
         g[:, :n, :n] = a[ok]
-        g[:, n:, :n] = digits[ok, n * n:width - m * m].reshape(-1, m, n)
+        g[:, n:, :n] = digits[ok, n * n:width - m * m].reshape(ok.size, m, n)
         g[:, n:, n:] = b[ok]
         good = _morphism_fixed(bil, tri, g, p)
         if good.any():
@@ -282,29 +268,18 @@ def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> 
 # ---------------------------------------------------------------------------
 # representation censuses
 
-def rep_param_count(n: int, m: int, p: int, budget: int) -> int:
-    """The number of candidate (mu, theta, D) action tuples; raises above
-    the budget."""
-    total = p ** _rep_param_width(n, m)
-    if total > budget:
-        raise UnsupportedEnumerationError(
-            f"{total} candidate representations exceed the bound {budget}")
-    return total
-
-
 def _rep_param_width(n, m):
     return (n + n * n + len(skew_pairs(n))) * m * m
 
 
-def rep_param_batches(n: int, m: int, p: int, start: int, stop: int):
-    """Candidates start..stop-1 of the (mu, theta, D) action tensors with D
-    skew, in lexicographic parameter order.
+def rep_param_batches(n: int, m: int, p: int, params: np.ndarray):
+    """The (mu, theta, dd) action tensors, D skew, of candidate digit rows
+    `params` (`candidate_blocks` of width `_rep_param_width(n, m)`).
 
     Returns (mu, theta, dd) arrays of shapes (N,n,m,m), (N,n,n,m,m),
     (N,n,n,m,m).
     """
-    params = digit_block(start, stop, p, _rep_param_width(n, m), _headroom_dtype(1, 1, p))
-    rows, mm = stop - start, m * m
+    rows, mm = len(params), m * m
     mu = params[:, :n * mm].reshape(rows, n, m, m)
     theta = params[:, n * mm:(n + n * n) * mm].reshape(rows, n, n, m, m)
     dd = skew_from_params(params[:, (n + n * n) * mm:], n, (m, m), p)

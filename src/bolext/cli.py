@@ -113,11 +113,11 @@ def _pair_for(args, ext):
     return AutPair(alpha, beta)
 
 
-def _decision_exit(dec, found_msg, none_msg):
+def _decision_exit(dec, found_msg, none_msg, witness_label="witness"):
     if dec.status is Status.FOUND:
         print(found_msg)
         if isinstance(dec.witness, Matrix):
-            print("witness:", json.dumps(docs.matrix_to_doc(dec.witness)))
+            print(f"{witness_label}:", json.dumps(docs.matrix_to_doc(dec.witness)))
         return 0
     if dec.status is Status.NONE:
         print(f"{none_msg}: {dec.reason}" if dec.reason else none_msg)
@@ -235,16 +235,8 @@ def _cmd_inducible(args):
             return 0
         print(f"not inducible: {', '.join(rep.tags())}")
         return 1
-    dec = solve_inducibility(e, pair, args.bound)
-    if dec.status is Status.FOUND:
-        print("inducible: yes")
-        print("phi:", json.dumps(docs.matrix_to_doc(dec.witness)))
-        return 0
-    if dec.status is Status.NONE:
-        print(f"not inducible: {dec.reason}")
-        return 1
-    print(f"undecided: {dec.reason}", file=sys.stderr)
-    return 2
+    return _decision_exit(solve_inducibility(e, pair, args.bound),
+                          "inducible: yes", "not inducible", "phi")
 
 
 def _cmd_lift(args):
@@ -433,13 +425,7 @@ def main(argv=None) -> int:
     args.variant = Variant(args.variant)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, UnsupportedEnumerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, UsageError, UnsupportedEnumerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

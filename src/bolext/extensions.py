@@ -22,10 +22,11 @@ from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
 from .exactlin import (Matrix, Subspace, enumerate_vectors, kernel_basis,
                        vec_is_zero)
-from .nonabelian import (NonAbelianCocycle, _blocks, _CocycleArrays,
-                         _cocycle_arrays, _equivalence_matrix, _equivalent_via,
-                         build_extension_algebra, solve_equivalence,
-                         validate_nab_cocycle, validate_nab_parts)
+from .nonabelian import (NonAbelianCocycle, _blocks, _class_witnesses,
+                         _CocycleArrays, _cocycle_arrays, _equivalence_matrix,
+                         _equivalent_via, _stacked_rhs, build_extension_algebra,
+                         solve_equivalence, validate_nab_cocycle,
+                         validate_nab_parts)
 from .identities import residues
 from .representation import Representation
 
@@ -382,24 +383,8 @@ def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
                 np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
             targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
                                        om=np.array([rep_om[c] for c in joined]))
-            _verify_class_witnesses(members, targets, system, bil, tri, p)
+            solvable, phi = _class_witnesses(members, targets, system, p)
+            if not (solvable.all()
+                    and _equivalent_via(members, targets, phi, bil, tri, p).all()):
+                raise InternalConsistencyError("class witness failed verification")
     return reps, count
-
-
-def _stacked_rhs(om, nu):
-    """(omega, nu) residues per leading index, in the row order of
-    `_equivalence_matrix`."""
-    k = len(om)
-    return np.concatenate([om.reshape(k, -1), nu.reshape(k, -1)], axis=1)
-
-
-def _verify_class_witnesses(members, reps, system, bil, tri, p):
-    """Solve members[k] ~ reps[k] for the canonical witness phi of each k
-    and check it with the equivalence identities."""
-    t, rank, pivots = system
-    k, n, _, m = members.nu.shape
-    rhs = (_stacked_rhs(reps.om, reps.nu) - _stacked_rhs(members.om, members.nu)) % p
-    solvable, x = bruteforce.canonical_solutions(t, rank, pivots, n * m, rhs, p)
-    phi = x.reshape(k, n, m).transpose(0, 2, 1)
-    if not (solvable.all() and _equivalent_via(members, reps, phi, bil, tri, p).all()):
-        raise InternalConsistencyError("class witness failed verification")

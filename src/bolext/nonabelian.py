@@ -369,3 +369,23 @@ def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
     system = identities.affine(identities.EQV, c.field, c.n, c.m,
                                **_equivalence_tensors(c, c))
     return residues(system["eqv-omega"][0] + system["eqv-nu"][0])
+
+
+def _stacked_rhs(om, nu):
+    """(omega, nu) residues per leading index, in the row order of
+    `_equivalence_matrix`; one row for arrays without the leading axis."""
+    lead = om.shape[:-4]
+    return np.concatenate([om.reshape(lead + (-1,)), nu.reshape(lead + (-1,))], axis=-1)
+
+
+def _class_witnesses(members: _CocycleArrays, reps: _CocycleArrays, system, p):
+    """(solvable mask, phi) for members[k] ~ reps[k] on the omega/nu system
+    `system` = `bruteforce.rref_transform(_equivalence_matrix(c), p)`:
+    phi[k, t, q] is the canonical witness, meaningful where solvable.
+    reps.nu and reps.om may lack the leading axis (one target for every k).
+    The caller checks the witnesses with `_equivalent_via`."""
+    t, rank, pivots = system
+    k, n, _, m = members.nu.shape
+    rhs = (_stacked_rhs(reps.om, reps.nu) - _stacked_rhs(members.om, members.nu)) % p
+    solvable, x = bruteforce.canonical_solutions(t, rank, pivots, n * m, rhs, p)
+    return solvable, x.reshape(k, n, m).transpose(0, 2, 1)

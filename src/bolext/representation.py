@@ -193,28 +193,29 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
         raise UnsupportedEnumerationError("the census needs a finite field")
     p = field.p
     n, m = algebra_dim, module_dim
-    total = bruteforce.rep_param_count(n, m, p, budget)
+    width = bruteforce._rep_param_width(n, m)
+    blocks = bruteforce.candidate_blocks(p, width, budget, "representations",
+                                         _CENSUS_CHUNK)
     algebras = [(bil.copy(), tri.copy()) for bil, tri in
                 bruteforce.enumerate_valid_tensors(n, p, tri_zero, budget)]
     discrepancies = []
     valid = 0
-    for start in range(0, total, _CENSUS_CHUNK):
-        stop = min(start + _CENSUS_CHUNK, total)
-        routes = _census_routes(algebras, n, m, p, start, stop)
-        for k, (route1, route2) in enumerate(routes):
+    for start, params in blocks:
+        for k, (route1, route2) in enumerate(_census_routes(algebras, n, m, p, params)):
             valid += int(route1.sum())
             discrepancies.extend((k, start + int(i))
                                  for i in np.flatnonzero(route1 != route2))
-    return IffCensus(len(algebras), total, valid, sorted(discrepancies))
+    return IffCensus(len(algebras), p ** width, valid, sorted(discrepancies))
 
 
-def _census_routes(algebras, n: int, m: int, p: int, start: int, stop: int):
-    """(route-1 mask, route-2 mask) per algebra (bil, tri) on candidates
-    start..stop-1: the module identities, and the Bol axioms of the
-    semidirect sum.  The identities of either route that read no tensor
-    varying with the algebra are decided once (route 2: once per distinct
-    base tri, on the glued tri) and start every algebra's full check."""
-    mu, theta, dd = bruteforce.rep_param_batches(n, m, p, start, stop)
+def _census_routes(algebras, n: int, m: int, p: int, params):
+    """(route-1 mask, route-2 mask) per algebra (bil, tri) on the candidate
+    action tuples of the digit rows `params`: the module identities, and the
+    Bol axioms of the semidirect sum.  The identities of either route that
+    read no tensor varying with the algebra are decided once (route 2: once
+    per distinct base tri, on the glued tri) and start every algebra's full
+    check."""
+    mu, theta, dd = bruteforce.rep_param_batches(n, m, p, params)
     shared1 = bruteforce.identity_mask(_REP_SHARED, p, {"mu": mu, "theta": theta, "dd": dd})
     shared2 = {}
     for bil, tri in algebras:

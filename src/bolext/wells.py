@@ -34,10 +34,11 @@ from .extensions import (Extension, Section, _adapted_total, _canonical_section,
                          _read_cocycle, extract_cocycle, theta_map,
                          validate_extension)
 from .identities import residues
-from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _cocycle_arrays,
-                         _equivalence_matrix, _equivalent_via, _phi_candidates,
-                         _search_phi, _solve_for_phi, solve_equivalence,
-                         validate_nab_cocycle, validate_nab_parts)
+from .nonabelian import (NonAbelianCocycle, _class_witnesses, _CocycleArrays,
+                         _cocycle_arrays, _equivalence_matrix, _equivalent_via,
+                         _phi_candidates, _search_phi, _solve_for_phi,
+                         solve_equivalence, validate_nab_cocycle,
+                         validate_nab_parts)
 from .representation import Representation
 
 __all__ = [
@@ -424,27 +425,24 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts,
     maps phi[k, t, q], zero unless the class vanishes) per chunk of pairs.
     """
     p = c.field.p
-    n, m = c.n, c.m
     alphas, alpha_invs = _checked_automorphisms(base_auts, c.base, "first", "base")
     betas, beta_invs = _checked_automorphisms(fiber_auts, c.fiber, "second", "fiber")
     arr = _cocycle_arrays(c)
     bil, tri = residues(c.base.bil), residues(c.base.tri)
-    t, rank, pivots = bruteforce.rref_transform(_equivalence_matrix(c), p)
+    system = bruteforce.rref_transform(_equivalence_matrix(c), p)
     nb = len(betas)
     total = len(alphas) * nb
     for start in range(0, total, chunk):
         ia, ib = np.divmod(np.arange(start, min(start + chunk, total)), nb)
         beta, binv = betas[ib], beta_invs[ib]
         acted = _act(arr, alpha_invs[ia], beta, binv, p)
-        rhs = np.concatenate([(arr.om - acted.om).reshape(len(ia), -1),
-                              (arr.nu - acted.nu).reshape(len(ia), -1)], axis=1) % p
-        solvable, x = bruteforce.canonical_solutions(t, rank, pivots, n * m, rhs, p)
+        solvable, phi = _class_witnesses(acted, arr, system, p)
         compatible = _intertwines(arr, alphas[ia], beta, binv, p)
         status = np.where(~compatible, _INCOMPATIBLE,
                           np.where(_same_actions(acted, arr) & solvable,
                                    _ZERO, _NONZERO))
         zero = status == _ZERO
-        phi = x.reshape(-1, n, m).transpose(0, 2, 1) * zero[:, None, None]
+        phi = phi * zero[:, None, None]
         if not _equivalent_via(acted.take(zero), arr, phi[zero], bil, tri, p).all():
             raise InternalConsistencyError("batched class witness failed verification")
         yield start, status, phi

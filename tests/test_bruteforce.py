@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bolext import identities
+from bolext.bol import s2, z1, z2
 from bolext.bruteforce import (_contract, _headroom_dtype, _morphism_fixed,
-                               _narrowest, _term_bound, canonical_solutions,
-                               contract_mod, require_int64_headroom,
-                               rref_transform)
+                               _narrowest, _term_bound, automorphism_arrays,
+                               candidate_blocks, canonical_solutions,
+                               contract_mod, det_mask, digit_block,
+                               require_int64_headroom, rref_transform,
+                               stabiliser_arrays)
 from bolext.errors import UnsupportedEnumerationError
 from bolext.exactlin import Matrix, PrimeField
 
@@ -122,6 +125,46 @@ def _morphism_oracle(bil, tri, M, p):
                     ok &= lhs == image([int(v) for v in tri[i][j][k]])
         out.append(ok)
     return out
+
+
+def test_candidate_blocks_check_the_bound_when_called():
+    # the bound is checked before any block is asked for, and the blocks
+    # together are the p^width digit strings in lexicographic order
+    with pytest.raises(UnsupportedEnumerationError,
+                       match="^78125 candidate things exceed the bound 78124$"):
+        candidate_blocks(5, 7, 78124, "things")
+    blocks = list(candidate_blocks(5, 4, 625, "things", chunk=100))
+    assert [start for start, _ in blocks] == list(range(0, 625, 100))
+    assert [len(rows) for _, rows in blocks] == [100] * 6 + [25]
+    assert (np.concatenate([rows for _, rows in blocks])
+            == digit_block(0, 625, 5, 4, np.int64)).all()
+
+
+def test_det_mask_of_empty_blocks():
+    assert det_mask(np.zeros((4, 0, 0), dtype=np.int16), 5).tolist() == [True] * 4
+    assert det_mask(np.zeros((0, 0, 0), dtype=np.int16), 5).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "s2", "bracket_base"])
+def test_stabiliser_scan_of_a_trivial_subspace_is_the_flat_scan(F5, name):
+    # n = d (the span of no basis vector) and n = 0 (the whole space) leave
+    # every matrix a candidate: both give the flat scan element for element,
+    # which is every invertible matrix that `_morphism_oracle` accepts, in
+    # lexicographic order of its row-major digits
+    from test_wells import _bracket_base
+
+    a = {"z1": z1, "z2": z2, "s2": s2, "bracket_base": _bracket_base}[name](F5)
+    bil, tri, d = identities.residues(a.bil), identities.residues(a.tri), a.dim
+    flat = automorphism_arrays(bil, tri, 5, 10 ** 4)
+    for n in (0, d):
+        got = stabiliser_arrays(bil, tri, n, 5, 10 ** 4)
+        assert got.dtype == flat.dtype and got.shape == flat.shape
+        assert (got == flat).all()
+    every = digit_block(0, 5 ** (d * d), 5, d * d, np.int64).reshape(-1, d, d)
+    invertible = every[[Matrix.from_int_rows(F5, g.tolist()).rank() == d for g in every]]
+    want = invertible[_morphism_oracle(bil, tri, invertible, 5)]
+    assert len(flat)
+    assert flat.tolist() == want.tolist()
 
 
 def test_morphism_mask_at_p7_has_headroom():

@@ -1,7 +1,7 @@
 import pytest
 
 from bolext.bol import validate_bol, z2, z3, s2
-from bolext.errors import UsageError
+from bolext.errors import UnsupportedEnumerationError, UsageError
 from bolext.exactlin import Matrix
 from bolext.representation import (Representation, is_pseudoderivation, r_s2,
                                    semidirect_iff_census, semidirect_product,
@@ -68,6 +68,19 @@ def test_iff_census_dim_one(F5):
     assert census.discrepancies == []
 
 
+def test_census_checks_the_bound_before_enumerating_algebras(F5, monkeypatch):
+    # 5^28 action tuples on GF(5)^2 with a 2-dimensional module; the 25 base
+    # algebras alone would fit the bound
+    from bolext import bruteforce
+
+    def no_algebras(*args, **kwargs):
+        raise AssertionError("enumerated the algebras before checking the bound")
+    monkeypatch.setattr(bruteforce, "enumerate_valid_tensors", no_algebras)
+    with pytest.raises(UnsupportedEnumerationError,
+                       match=f"^{5 ** 28} candidate representations exceed the bound 10000$"):
+        semidirect_iff_census(F5, 2, 2, budget=10 ** 4)
+
+
 def test_census_shared_masks_match_per_algebra_routes(monkeypatch):
     # the 3,125 Bol structures on GF(5)^2 have 125 distinct tri, 25 each:
     # three algebras from each of four tri classes (one of them tri = 0);
@@ -89,10 +102,12 @@ def test_census_shared_masks_match_per_algebra_routes(monkeypatch):
     sample = [algebras[k] for c in (0, 1, 50, 124) for k in classes[c][:3]]
     assert not sample[0][1].any() and all(t.any() for _, t in sample[3:])
     start, stop = 1000, 7000
-    mu, theta, dd = bruteforce.rep_param_batches(2, 1, p, start, stop)
+    params = bruteforce.digit_block(start, stop, p, bruteforce._rep_param_width(2, 1),
+                                    np.int16)
+    mu, theta, dd = bruteforce.rep_param_batches(2, 1, p, params)
     with monkeypatch.context() as patch:
         patch.setattr(bruteforce, "_ENTRIES", 1 << 12)
-        routes = list(_census_routes(sample, 2, 1, p, start, stop))
+        routes = list(_census_routes(sample, 2, 1, p, params))
     rng = np.random.default_rng(9)
     passed = 0
     for (bil, tri), (route1, route2) in zip(sample, routes):
