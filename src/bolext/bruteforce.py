@@ -2,10 +2,11 @@
 
 Everything here works on integer residue arrays; callers convert to and from
 the exact scalar types.  Every enumeration (the Bol tensors, the automorphism
-and stabiliser scans, the census's action tuples) takes its candidates from
-one stream, `candidate_blocks`: the p^width digit strings of its parameters in
-lexicographic order, checked against the bound once and processed in
-fixed-size chunks, so results are deterministic and ranges can be partitioned.
+and stabiliser scans, the census's action tuples, the maps phi over a
+non-abelian fiber, the cocycles of a classification) takes its candidates
+from one stream, `candidate_blocks`: the p^width digit strings of its
+parameters in lexicographic order, checked against the bound once and read
+in fixed-size chunks, by `identity_mask` where a table decides them.
 """
 from __future__ import annotations
 
@@ -75,9 +76,10 @@ def skew_from_params(params: np.ndarray, n: int, shape: tuple, p: int) -> np.nda
 
 
 def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray:
-    """Mask of the batch entries that satisfy every identity of one of the
-    `identities` tables without variant marks (`BOL`, `REP`), or of a part
-    of one (`reading`).
+    """Mask of the batch entries that satisfy every identity of a suite
+    without variant marks: an `identities` table (`BOL`, `REP`, `EQV`, ...),
+    the suite of one variant (`identities.select`), or a part of one
+    (`reading`).
 
     `batch` maps tensor names to residue arrays with a leading batch axis,
     `fixed` to residue arrays shared by the whole batch.  Entries false in
@@ -107,7 +109,7 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
         what = f"the terms of {idt.tag} mod {p}"
         dtype = _narrowest(max(sum(bounds), p), what)
         shape = tuple(sizes[ch] for ch in idt.axes)
-        step = max(1, _ENTRIES // prod(shape))
+        step = max(1, _ENTRIES // max(prod(shape), 1))
         for idx in np.split(survivors, range(step, survivors.size, step)):
             every = idx.size == rows
             arrays = {name: fixed[name] if name in fixed else

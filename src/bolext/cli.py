@@ -15,7 +15,7 @@ import sys
 from . import documents as docs
 from .bol import enumerate_automorphisms, enumerate_bol_algebras, validate_bol
 from .cohomology import cohomology23
-from .core import DEFAULT_ENUMERATION_BOUND, Status, Variant
+from .core import DEFAULT_ENUMERATION_BOUND, Decision, Status, Variant
 from .errors import (InternalConsistencyError, ParseError,
                      UnsupportedEnumerationError, UsageError)
 from .exactlin import Matrix, PrimeField, RATIONALS, enumerate_vectors
@@ -111,6 +111,13 @@ def _pair_for(args, ext):
     alpha = _parse_map_spec(args.alpha, ext.field, ext.n, ext.n)
     beta = _parse_map_spec(args.beta, ext.field, ext.m, ext.m)
     return AutPair(alpha, beta)
+
+
+def _checked_map(rep):
+    """The report on a given map as a decision: found, or none with the
+    failing tags."""
+    return Decision(Status.FOUND) if rep.valid else Decision(
+        Status.NONE, reason=", ".join(rep.tags()))
 
 
 def _decision_exit(dec, found_msg, none_msg, witness_label="witness"):
@@ -226,17 +233,10 @@ def _cmd_classify(args):
 def _cmd_inducible(args):
     e = docs.parse_document(args.extension, "extension")
     pair = _pair_for(args, e)
-    if args.phi is not None:
-        phi = _parse_map_spec(args.phi, e.field, e.m, e.n)
-        s = _section_for(args, e)
-        rep = inducible_via(e, s, pair, phi)
-        if rep.valid:
-            print("inducible: yes")
-            return 0
-        print(f"not inducible: {', '.join(rep.tags())}")
-        return 1
-    return _decision_exit(solve_inducibility(e, pair, args.bound),
-                          "inducible: yes", "not inducible", "phi")
+    phi = _load_phi(args, e.field, e.m, e.n)
+    dec = (solve_inducibility(e, pair, args.bound) if phi is None
+           else _checked_map(inducible_via(e, _section_for(args, e), pair, phi)))
+    return _decision_exit(dec, "inducible: yes", "not inducible", "phi")
 
 
 def _cmd_lift(args):
@@ -244,16 +244,11 @@ def _cmd_lift(args):
     pair = _pair_for(args, e)
     s = _section_for(args, e)
     phi = _load_phi(args, e.field, e.m, e.n)
-    if phi is None:
-        dec = solve_inducibility(e, pair, args.bound)
-        if dec.status is Status.NONE:
-            print(f"not inducible: {dec.reason}")
-            return 1
-        if dec.status is Status.UNDECIDED:
-            print(f"undecided: {dec.reason}", file=sys.stderr)
-            return 2
-        phi = dec.witness
-    gamma = lift_automorphism(e, s, pair, phi)
+    dec = (solve_inducibility(e, pair, args.bound) if phi is None
+           else _checked_map(inducible_via(e, s, pair, phi)))
+    if not dec.found:
+        return _decision_exit(dec, "", "not inducible")
+    gamma = lift_automorphism(e, s, pair, phi if phi is not None else dec.witness)
     print(docs.canonical_json(docs.matrix_to_doc(gamma)), end="")
     return 0
 

@@ -522,18 +522,11 @@ def quotient_dim(z: Subspace, b: Subspace) -> int:
     return z.dim - b.dim
 
 
-def enumerate_vectors(field, dim: int, start: int = 0, stop: Optional[int] = None) -> Iterator[tuple]:
-    """All p^dim columns over GF(p) in lexicographic residue order.
-
-    `start`/`stop` slice by index so ranges can be partitioned across workers;
-    restart by calling again.
-    """
+def enumerate_vectors(field, dim: int) -> Iterator[tuple]:
+    """All p^dim columns over GF(p) in lexicographic residue order."""
     if not field.is_prime_field:
         raise UnsupportedEnumerationError("vector enumeration needs a finite field")
     p = field.p
-    total = p ** dim
-    if stop is None or stop > total:
-        stop = total
     weights = [p ** (dim - 1 - k) for k in range(dim)]
-    for idx in range(start, stop):
+    for idx in range(p ** dim):
         yield tuple(ModP((idx // w) % p, p) for w in weights)

@@ -8,25 +8,23 @@ exactness, dims.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
-from . import bruteforce
+from . import bruteforce, identities
 from .bol import BolAlgebra, h3, is_morphism, z2, zero_algebra
 from .cohomology import Cochain2, Cochain3, CochainCoords
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport, Variant)
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
-from .exactlin import (Matrix, Subspace, enumerate_vectors, kernel_basis,
-                       vec_is_zero)
+from .exactlin import Matrix, Subspace, kernel_basis, vec_is_zero
 from .nonabelian import (NonAbelianCocycle, _blocks, _class_witnesses,
                          _CocycleArrays, _cocycle_arrays, _equivalence_matrix,
                          _equivalent_via, _stacked_rhs, build_extension_algebra,
-                         solve_equivalence, validate_nab_cocycle,
-                         validate_nab_parts)
+                         solve_equivalence, validate_nab_parts)
 from .identities import residues
 from .representation import Representation
 
@@ -283,24 +281,16 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     field = base.field
     if not field.is_prime_field:
         raise UnsupportedEnumerationError("classification needs a finite field")
-    rep = validate_nab_parts(NonAbelianCocycle.zero(base, fiber))
+    zero = NonAbelianCocycle.zero(base, fiber)
+    rep = validate_nab_parts(zero)
     if not rep.valid:
         raise UsageError("classification over a non-Bol base or fiber: "
                          + ", ".join(rep.tags()))
-    n, m = base.dim, fiber.dim
-    if actions is None:
-        z = Matrix.zeros(field, m, m)
-        actions = ((z,) * n, tuple((z,) * n for _ in range(n)),
-                   tuple((z,) * n for _ in range(n)))
-    coords = CochainCoords(n, m, field)
-    total = field.p ** coords.total
-    if total > bound:
-        raise UnsupportedEnumerationError(
-            f"{total} cocycle candidates exceed the bound {bound}")
-    if field.p ** (n * m) > bound:
-        raise UnsupportedEnumerationError(
-            "equivalence search space exceeds the bound")
-    cocycles = _valid_cocycles(base, fiber, actions, coords, variant)
+    if actions is not None:
+        zero = NonAbelianCocycle(base, fiber, zero.nu, zero.omega, *actions)
+    blocks = bruteforce.candidate_blocks(
+        field.p, CochainCoords(base.dim, fiber.dim, field).total, bound, "cocycles")
+    cocycles = _valid_cocycles(zero, variant, blocks)
     if fiber.is_abelian():
         reps, valid_count = _coset_classes(cocycles)
     else:
@@ -308,15 +298,23 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     return len(reps), reps, valid_count
 
 
-def _valid_cocycles(base, fiber, actions, coords, variant):
-    """The candidates with the fixed actions that pass `validate_nab_cocycle`,
-    in `enumerate_vectors` order."""
-    mu, theta, dd = actions
-    for vec in enumerate_vectors(base.field, coords.total):
-        nu, om = coords.decode(vec)
-        cand = NonAbelianCocycle(base, fiber, nu, om, mu, theta, dd)
-        if validate_nab_cocycle(cand, variant).valid:
-            yield cand
+def _valid_cocycles(zero: NonAbelianCocycle, variant, blocks):
+    """The cocycles with the actions of the zero cocycle `zero` that pass
+    `validate_nab_cocycle`, in candidate order: one `identity_mask` pass of
+    the variant's `NAB` suite per chunk of (nu, omega) digit rows, which
+    `blocks` streams as `candidate_blocks` does over `CochainCoords`."""
+    n, m, field = zero.n, zero.m, zero.field
+    coords = CochainCoords(n, m, field)
+    fixed = {name: residues(t) for name, t in zero.tensors().items()
+             if name not in ("nu", "om")}
+    suite = identities.select(identities.NAB, variant)
+    split = len(coords.nu_slots) * m
+    for _, digits in blocks:
+        batch = {"nu": bruteforce.skew_from_params(digits[:, :split], n, (m,), field.p),
+                 "om": bruteforce.skew_from_params(digits[:, split:], n, (n, m), field.p)}
+        for row in digits[bruteforce.identity_mask(suite, field.p, batch, fixed)]:
+            nu, om = coords.decode(tuple(map(field.scalar, row.tolist())))
+            yield replace(zero, nu=nu, omega=om)
 
 
 def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):

@@ -32,10 +32,11 @@ identity, which is the order in which violations are emitted.  The first
 group of each suite is checked on the triangle j >= i of its first two axes
 only, since its identities are symmetric there.
 
-Three readers use the tables: `report` evaluates one structure exactly, on
-object arrays of Python ints; `affine` reads the linear system in phi of an
-EQV, IND or Z1 suite over an abelian fiber; and `bruteforce.identity_mask`
-decides a batch of GF(p) structures on fixed-width residue arrays.
+Three readers use the tables, each on the suite of one variant (`select`):
+`report` evaluates one structure exactly, on object arrays of Python ints;
+`affine` reads the linear system in phi of an EQV, IND or Z1 suite over an
+abelian fiber; and `bruteforce.identity_mask` decides a batch of GF(p)
+structures on fixed-width residue arrays, as every brute-force search does.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ import numpy as np
 from .core import ValidationReport, Variant
 
 __all__ = ["Term", "Identity", "Group", "BOL", "REP", "COCYCLE", "NAB", "EQV",
-           "IND", "Z1", "report", "affine", "residues"]
+           "IND", "Z1", "select", "report", "affine", "residues"]
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,6 @@ class Identity:
     @property
     def axes(self) -> str:
         return self.where + self.out
-
-    def terms_in(self, variant) -> tuple:
-        return tuple(t for t in self.terms if t.variant in (None, variant))
 
 
 @dataclass(frozen=True)
@@ -392,6 +390,16 @@ Z1 = _suite(
 # ---------------------------------------------------------------------------
 # readers' shared pieces
 
+def select(suite: tuple, variant: Variant) -> tuple:
+    """The identities of `suite` checked in `variant`, each with the terms
+    summed in it: a suite without variant marks, in table order."""
+    return tuple(Group(g.shared, tuple(
+        Identity(i.tag, i.where, i.out,
+                 tuple(t for t in i.terms if t.variant in (None, variant)))
+        for i in g.identities if i.variant in (None, variant)), g.triangle)
+        for g in suite)
+
+
 def contract(term: Term, out: str, arrays: dict, sizes: dict, batched=frozenset(),
              batch: str = "", einsum=np.einsum) -> np.ndarray:
     """One term's contraction onto the axes `out`, after a leading batch axis
@@ -471,12 +479,10 @@ def report(suite: tuple, field, variant: Variant = Variant.CORRECTED,
     shapes = {name: a.shape for name, a in ints.items()}
     p = field.p if field.is_prime_field else None
     rep = ValidationReport()
-    for group in suite:
+    for group in select(suite, variant):
         found = []
         for rank, identity in enumerate(group.identities):
-            if identity.variant not in (None, variant):
-                continue
-            total, top = _sum(identity.terms_in(variant), identity.axes, ints,
+            total, top = _sum(identity.terms, identity.axes, ints,
                               axis_sizes(identity, shapes), den, p)
             w = len(identity.where)
             hit = total.astype(bool).reshape(total.shape[:w] + (-1,)).any(axis=-1)

@@ -30,7 +30,8 @@ and degree-one cocycles in `wells`) share one path.  Each is a table with
 phi as a named tensor (`identities.EQV`, `IND`, `Z1`): `identities.report`
 checks a given phi; over an abelian fiber `identities.affine` reads the
 linear system in phi off the table and `_solve_for_phi` solves it with free
-parameters at zero; otherwise `_search_phi` searches GF(p) maps.
+parameters at zero; otherwise `_phi_solutions` decides every GF(p) map by
+`bruteforce.identity_mask`.  `identities.report` checks each witness again.
 """
 from __future__ import annotations
 
@@ -44,9 +45,10 @@ from .bol import BolAlgebra, validate_bol, zero_algebra
 from .cohomology import Cochain2, Cochain3, _phi_from_params
 from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport, Variant)
-from .errors import UsageError
+from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
+                     UsageError)
 from .identities import residues
-from .exactlin import Matrix, enumerate_vectors, vec_neg
+from .exactlin import Matrix, vec_neg
 from .representation import ActionOps, Representation
 
 __all__ = [
@@ -259,24 +261,29 @@ def _solve_for_phi(field, n, m, blocks):
     return None if x is None else _phi_from_params(field, n, m, x)
 
 
-def _phi_candidates(field, n, m, bound: int):
-    """(every GF(p) map phi in `enumerate_vectors` order, "") or, where they
-    are not enumerated, (None, the reason); for non-abelian fibers."""
+def _phi_solutions(suite, field, n, m, bound: int, tensors: dict):
+    """The GF(p) maps phi that satisfy `suite` given the other tensors, in
+    `enumerate_vectors` order, one `identity_mask` pass per chunk as they are
+    read.  Raises UnsupportedEnumerationError at once over an infinite field
+    or past the bound."""
     if not field.is_prime_field:
-        return None, "non-abelian fiber over an infinite field"
-    total = field.p ** (n * m)
-    if total > bound:
-        return None, f"{total} candidate maps exceed the bound {bound}"
-    return (_phi_from_params(field, n, m, vec)
-            for vec in enumerate_vectors(field, n * m)), ""
+        raise UnsupportedEnumerationError("non-abelian fiber over an infinite field")
+    p = field.p
+    blocks = bruteforce.candidate_blocks(p, n * m, bound, "maps")
+    fixed = {name: residues(t) for name, t in tensors.items()}
+    return (_phi_from_params(field, n, m, tuple(map(field.scalar, row.tolist())))
+            for _, digits in blocks
+            for row in digits[bruteforce.identity_mask(
+                suite, p, {"phi": digits.reshape(-1, n, m).transpose(0, 2, 1)}, fixed)])
 
 
-def _search_phi(field, n, m, bound: int, accepts) -> Decision:
-    """The first candidate phi that `accepts`, by exhaustive search."""
-    phis, reason = _phi_candidates(field, n, m, bound)
-    if phis is None:
-        return Decision(Status.UNDECIDED, reason=reason)
-    phi = next(filter(accepts, phis), None)
+def _search_phi(suite, field, n, m, bound: int, tensors: dict) -> Decision:
+    """The first map of `_phi_solutions`, none, or undecided with the
+    reason it was not searched."""
+    try:
+        phi = next(_phi_solutions(suite, field, n, m, bound, tensors), None)
+    except UnsupportedEnumerationError as exc:
+        return Decision(Status.UNDECIDED, reason=str(exc))
     if phi is None:
         return Decision(Status.NONE, reason="exhausted")
     return Decision(Status.FOUND, witness=phi)
@@ -286,33 +293,31 @@ def solve_equivalence(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
                       bound: int = DEFAULT_ENUMERATION_BOUND) -> Decision:
     """Find a comparison map or decide none exists.
 
-    Abelian fiber: the identities are affine in phi, solved exactly over any
-    field.  Otherwise exhaustive over GF(p) maps when p^(n*m) fits the bound.
+    Abelian fiber: past the phi-free gates, the identities are affine in
+    phi, solved exactly over any field.  Otherwise exhaustive over GF(p)
+    maps when p^(n*m) fits the bound.
     """
     if not c1.same_shape(c2):
         raise UsageError("cocycles live over different shapes")
     n, m = c1.n, c1.m
     field = c1.field
+    gates = [("eqv-mu", c1.mu[x], c2.mu[x]) for x in range(n)] + [
+        (tag, a[x][y], b[x][y]) for x in range(n) for y in range(n)
+        for tag, a, b in (("eqv-theta", c1.theta, c2.theta), ("eqv-d", c1.dd, c2.dd))]
     if not c1.fiber.is_abelian():
-        return _search_phi(field, n, m, bound,
-                           lambda phi: cocycles_equivalent_via(c1, c2, phi).valid)
-    # phi-free gates
-    for x in range(n):
-        if c1.mu[x] != c2.mu[x]:
-            return Decision(Status.NONE, reason="eqv-mu")
-    for x in range(n):
-        for y in range(n):
-            if c1.theta[x][y] != c2.theta[x][y]:
-                return Decision(Status.NONE, reason="eqv-theta")
-            if c1.dd[x][y] != c2.dd[x][y]:
-                return Decision(Status.NONE, reason="eqv-d")
-    # past the gates the mu, theta and D rows are 0 = 0
-    system = identities.affine(identities.EQV, field, n, m, **_equivalence_tensors(c1, c2))
-    phi = _solve_for_phi(field, n, m, system.values())
-    if phi is None:
-        return Decision(Status.NONE, reason="eqv-omega+eqv-nu")
-    assert cocycles_equivalent_via(c1, c2, phi).valid
-    return Decision(Status.FOUND, witness=phi)
+        dec = _search_phi(identities.EQV, field, n, m, bound, _equivalence_tensors(c1, c2))
+    elif gate := next((tag for tag, a, b in gates if a != b), None):
+        return Decision(Status.NONE, reason=gate)
+    else:
+        # past the gates the mu, theta and D rows are 0 = 0
+        system = identities.affine(identities.EQV, field, n, m,
+                                   **_equivalence_tensors(c1, c2))
+        phi = _solve_for_phi(field, n, m, system.values())
+        dec = (Decision(Status.NONE, reason="eqv-omega+eqv-nu") if phi is None
+               else Decision(Status.FOUND, witness=phi))
+    if dec.found and not cocycles_equivalent_via(c1, c2, dec.witness).valid:
+        raise InternalConsistencyError("equivalence witness failed verification")
+    return dec
 
 
 # ---------------------------------------------------------------------------

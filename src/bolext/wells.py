@@ -29,14 +29,14 @@ from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
                    ValidationReport)
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
-from .exactlin import Matrix, Subspace, enumerate_vectors, vec_add, zero_vec
+from .exactlin import Matrix, Subspace
 from .extensions import (Extension, Section, _adapted_total, _canonical_section,
                          _read_cocycle, extract_cocycle, theta_map,
                          validate_extension)
 from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _class_witnesses, _CocycleArrays,
                          _cocycle_arrays, _equivalence_matrix, _equivalent_via,
-                         _phi_candidates, _search_phi, _solve_for_phi,
+                         _phi_solutions, _search_phi, _solve_for_phi,
                          solve_equivalence, validate_nab_cocycle,
                          validate_nab_parts)
 from .representation import Representation
@@ -123,8 +123,8 @@ def _solve_inducibility_from_cocycle(c: NonAbelianCocycle, pair: AutPair,
     n, m = c.n, c.m
     field = c.field
     if not c.fiber.is_abelian():
-        return _search_phi(field, n, m, bound,
-                           lambda phi: _inducibility_report(c, pair, phi).valid)
+        return _search_phi(identities.IND, field, n, m, bound,
+                           _inducibility_tensors(c, pair))
     system = identities.affine(identities.IND, field, n, m,
                                **_inducibility_tensors(c, pair))
     gates = [tag for tag in ("ind-theta", "ind-d", "ind-mu") if any(system[tag][1])]
@@ -133,7 +133,6 @@ def _solve_inducibility_from_cocycle(c: NonAbelianCocycle, pair: AutPair,
     # past the gates their rows are 0 = 0
     phi = _solve_for_phi(field, n, m, system.values())
     if phi is not None:
-        assert _inducibility_report(c, pair, phi).valid
         return Decision(Status.FOUND, witness=phi)
     tags = [tag for tag in ("ind-nu", "ind-omega")
             if _solve_for_phi(field, n, m, [system[tag]]) is None]
@@ -150,7 +149,10 @@ def solve_inducibility(e: Extension, pair: AutPair,
     """
     c = theta_map(e)
     validate_aut_pair(c.base, c.fiber, pair)
-    return _solve_inducibility_from_cocycle(c, pair, bound)
+    dec = _solve_inducibility_from_cocycle(c, pair, bound)
+    if dec.found and not _inducibility_report(c, pair, dec.witness).valid:
+        raise InternalConsistencyError("inducibility witness failed verification")
+    return dec
 
 
 def lift_automorphism(e: Extension, s: Section, pair: AutPair,
@@ -280,6 +282,9 @@ class Z1Result:
 
 
 def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
+    """The degree-one cocycles of c: the kernel of the `Z1` system over an
+    abelian fiber, its maps listed over GF(p) within the bound; otherwise
+    the GF(p) maps that pass `Z1`, each checked again, or undecided."""
     if not validate_nab_cocycle(c).valid:
         raise UsageError("degree-one cocycles over an invalid cocycle")
     n, m = c.n, c.m
@@ -287,23 +292,25 @@ def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Re
     if c.fiber.is_abelian():
         system = identities.affine(identities.Z1, field, n, m, **c.tensors())
         space = Matrix(field, [row for a, _ in system.values() for row in a]).kernel()
-        maps = None
-        if field.is_prime_field and field.p ** space.dim <= bound:
-            maps = []
-            for coeffs in enumerate_vectors(field, space.dim):
-                vec = zero_vec(field, n * m)
-                for cc, row in zip(coeffs, space.basis.entries):
-                    if cc:
-                        vec = vec_add(vec, tuple(cc * x for x in row))
-                maps.append(_phi_from_params(field, n, m, vec))
-            maps.sort(key=lambda f: tuple(
-                int(x.value) for col in range(n) for x in f.col(col)))
-        return Z1Result("subspace", subspace=space, maps=maps)
-    phis, reason = _phi_candidates(field, n, m, bound)
-    if phis is None:
-        return Z1Result("undecided", reason=reason)
-    return Z1Result("list", maps=[f for f in phis if identities.report(
-        identities.Z1, field, phi=f.entries, **c.tensors()).valid])
+        if not field.is_prime_field:
+            return Z1Result("subspace", subspace=space)
+        p, basis = field.p, residues(space.basis.entries).reshape(space.dim, n * m)
+        try:
+            vecs = [bruteforce.contract_mod("kd,dx->kx", p, digits, basis)
+                    for _, digits in bruteforce.candidate_blocks(p, space.dim, bound, "maps")]
+        except UnsupportedEnumerationError as exc:
+            return Z1Result("subspace", subspace=space, reason=str(exc))
+        return Z1Result("subspace", subspace=space, maps=[
+            _phi_from_params(field, n, m, tuple(map(field.scalar, v)))
+            for v in sorted(map(tuple, np.concatenate(vecs).tolist()))])
+    try:
+        maps = list(_phi_solutions(identities.Z1, field, n, m, bound, c.tensors()))
+    except UnsupportedEnumerationError as exc:
+        return Z1Result("undecided", reason=str(exc))
+    if not all(identities.report(identities.Z1, field, phi=f.entries, **c.tensors()).valid
+               for f in maps):
+        raise InternalConsistencyError("degree-one cocycle failed verification")
+    return Z1Result("list", maps=maps)
 
 
 def s_map(e: Extension, s: Section, gamma: Matrix) -> Matrix:
@@ -556,13 +563,11 @@ def verify_wells_exactness(e: Extension,
 
     z1 = z1_nab(c, bound)
     if z1.maps is None:
-        raise UnsupportedEnumerationError("degree-one cocycles not enumerable at bound")
+        raise UnsupportedEnumerationError(z1.reason)
     z1_keys = {m_.entries for m_ in z1.maps}
 
     # section-difference map on the kernel subgroup
-    s_images = []
-    for g in ker_gammas:
-        s_images.append(s_map(e, s, g).entries)
+    s_images = [s_map(e, s, g).entries for g in ker_gammas]
     s_bij = (len(set(s_images)) == len(s_images) and set(s_images) == z1_keys)
 
     # inclusion image: each degree-one cocycle yields the shear
@@ -603,14 +608,7 @@ def verify_wells_exactness(e: Extension,
         if (is_zero != in_image).any():
             ker_wells_eq_image = False
 
-    closed = True
-    for f1 in z1.maps:
-        for f2 in z1.maps:
-            if (f1 + f2).entries not in z1_keys:
-                closed = False
-                break
-        if not closed:
-            break
+    closed = all((f1 + f2).entries in z1_keys for f1 in z1.maps for f2 in z1.maps)
 
     n_pairs = len(base_auts) * len(fiber_auts)
     return ExactnessReport(

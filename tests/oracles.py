@@ -116,3 +116,48 @@ def lift_search_image(extension, budget=10_000_000):
         beta = linv * gamma * e.inj
         image.add((alpha.entries, beta.entries))
     return image
+
+
+def phi_search_oracle(field, n, m, bound, accepts):
+    """(every map phi: B -> V that `accepts`, in `enumerate_vectors` order,
+    "") by one scalar check per map, or (None, the reason no map is
+    checked): the search that `nonabelian._phi_solutions` batches."""
+    from bolext.cohomology import _phi_from_params
+    from bolext.exactlin import enumerate_vectors
+
+    if not field.is_prime_field:
+        return None, "non-abelian fiber over an infinite field"
+    total = field.p ** (n * m)
+    if total > bound:
+        return None, f"{total} candidate maps exceed the bound {bound}"
+    maps = (_phi_from_params(field, n, m, vec) for vec in enumerate_vectors(field, n * m))
+    return [phi for phi in maps if accepts(phi)], ""
+
+
+def decision_oracle(field, n, m, bound, accepts):
+    """(status, reason, witness) of the first accepted map, as
+    `nonabelian._search_phi` decides them."""
+    maps, reason = phi_search_oracle(field, n, m, bound, accepts)
+    if maps is None:
+        return "undecided", reason, None
+    if not maps:
+        return "none", "exhausted", None
+    return "found", "", maps[0]
+
+
+def valid_cocycles_oracle(base, fiber, actions, variant, vectors=None):
+    """The candidates (nu, omega) with the fixed actions that pass the
+    scalar `validate_nab_cocycle`, built one at a time from the coordinate
+    vectors `vectors` (default every one, in `enumerate_vectors` order):
+    the stream that `extensions._valid_cocycles` batches."""
+    from bolext.cohomology import CochainCoords
+    from bolext.exactlin import enumerate_vectors
+    from bolext.nonabelian import NonAbelianCocycle, validate_nab_cocycle
+
+    coords = CochainCoords(base.dim, fiber.dim, base.field)
+    if vectors is None:
+        vectors = enumerate_vectors(base.field, coords.total)
+    for vec in vectors:
+        cand = NonAbelianCocycle(base, fiber, *coords.decode(vec), *actions)
+        if validate_nab_cocycle(cand, variant).valid:
+            yield cand

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -168,6 +169,41 @@ def test_lift_and_wells():
     code, out = run_cli("wells", "--extension", C("e_h3.ext"),
                         "--alpha", "id", "--beta", "2")
     assert code == 1 and out.splitlines()[0] == "wells-class: nonzero"
+
+
+def test_lift_with_a_map_that_does_not_induce_the_pair(capsys):
+    # the line and exit code of `inducible --phi` and of `lift` without --phi
+    code, out = run_cli("lift", "--extension", C("e_h3.ext"),
+                        "--alpha", "id", "--beta", "2", "--phi", "[[1, 2]]")
+    assert (code, out) == (1, "not inducible: ind-nu\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_classify_bound_counts_candidate_cocycles(capsys):
+    # z1 x z3 has one candidate cocycle and no equivalence search, so the
+    # 125 maps z1 -> z3 do not count against the bound
+    code, out = run_cli("--bound", "100", "classify", "--base", C("z1_gf5.bol"),
+                        "--fiber", C("z3_gf5.bol"), "--count-only")
+    assert (code, out) == (0, "valid-cocycles: 1\nclasses: 1\n")
+    code, out = run_cli("--bound", "100", "classify", "--base", C("z2_gf5.bol"),
+                        "--fiber", C("s2_gf5.bol"), "--count-only")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: 15625 candidate cocycles exceed the bound 100\n"
+
+
+@pytest.mark.parametrize("variant, count", [("corrected", 5), ("strict-paper", 25)])
+@pytest.mark.parametrize("base", ["z2_gf5.bol", "s2_gf5.bol"])
+def test_classify_nonabelian_fiber_at_batch_cost(base, variant, count):
+    # 5^6 candidate cocycles over the non-abelian fiber s2, each valid one
+    # its own class; the counts agree with the scalar stream (about 53 s a
+    # run)
+    t0 = time.monotonic()
+    code, out = run_cli("--variant", variant, "classify", "--base", C(base),
+                        "--fiber", C("s2_gf5.bol"), "--count-only")
+    elapsed = time.monotonic() - t0
+    assert (code, out) == (0, f"valid-cocycles: {count}\nclasses: {count}\n")
+    assert elapsed < 5, f"{elapsed:.1f} s"
 
 
 def test_classify_count_only():

@@ -93,9 +93,6 @@ def test_enumerate_vectors(Q, F5):
     assert vs[1] == (F5.zero, F5.one)
     with pytest.raises(UnsupportedEnumerationError):
         next(enumerate_vectors(Q, 1))
-    # range partitioning covers everything exactly once
-    parts = list(enumerate_vectors(F5, 2, 0, 10)) + list(enumerate_vectors(F5, 2, 10))
-    assert parts == vs
 
 
 def _random_matrix(field, rows, cols, draw):

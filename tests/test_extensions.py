@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 
@@ -7,10 +8,11 @@ from bolext import bruteforce
 from bolext import documents as docs
 from bolext import extensions
 from bolext.bol import s2, z1, z2, zero_algebra
-from bolext.cohomology import Cochain2, CochainCoords
+from bolext.cohomology import Cochain2, Cochain3, CochainCoords
 from bolext.core import Status, Variant
-from bolext.errors import InternalConsistencyError, UsageError
-from bolext.exactlin import RATIONALS, Matrix, PrimeField
+from bolext.errors import (InternalConsistencyError, UnsupportedEnumerationError,
+                           UsageError)
+from bolext.exactlin import RATIONALS, Matrix, PrimeField, enumerate_vectors
 from bolext.extensions import (Extension, _coset_classes, _pairwise_classes,
                                _valid_cocycles, as_extension, canonical_section,
                                classify_corpus, extensions_equivalent,
@@ -22,6 +24,7 @@ from bolext.nonabelian import (NonAbelianCocycle, cocycles_equivalent_via,
 from bolext.representation import r_s2
 
 from conftest import corpus_dir
+from oracles import valid_cocycles_oracle
 from test_identities import _grid
 from test_nonabelian import _random_cocycle
 
@@ -178,6 +181,12 @@ def _zero_actions(field, n, m):
             tuple((z,) * n for _ in range(n)))
 
 
+def _zero_cocycle(base, fiber, actions):
+    n, m = base.dim, fiber.dim
+    return NonAbelianCocycle(base, fiber, Cochain2.zero(n, m, base.field),
+                             Cochain3.zero(n, m, base.field), *actions)
+
+
 @lru_cache(maxsize=None)
 def _classify_input(base_name, actions_doc, variant):
     """(base, fiber, actions, valid candidates) over GF(5), fiber z1."""
@@ -189,7 +198,8 @@ def _classify_input(base_name, actions_doc, variant):
         r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
         actions = (r.mu, r.theta, r.dd)
     coords = CochainCoords(base.dim, 1, field)
-    cands = tuple(_valid_cocycles(base, fiber, actions, coords, variant))
+    blocks = bruteforce.candidate_blocks(5, coords.total, 10 ** 7, "cocycles")
+    cands = tuple(_valid_cocycles(_zero_cocycle(base, fiber, actions), variant, blocks))
     return base, fiber, actions, cands
 
 
@@ -213,6 +223,38 @@ def test_coset_classes_match_pairwise(base_name, actions_doc, variant, want):
     assert _pairs(reps) == _pairs(oracle_reps)
     coset_reps, coset_valid = _coset_classes(cands, chunk=7)
     assert coset_valid == valid and _pairs(coset_reps) == _pairs(reps)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("base_name, actions_doc", [("z2", None), ("s2", "r_s2_gf5.rep")])
+def test_batched_valid_cocycles_match_scalar_oracle(base_name, actions_doc, variant):
+    # every candidate: 125 of z2 x z1, 125 of s2 x z1 with the actions of r_s2
+    base, fiber, actions, cands = _classify_input(base_name, actions_doc, variant)
+    want = list(valid_cocycles_oracle(base, fiber, actions, variant))
+    assert _pairs(cands) == _pairs(want) and want
+
+
+@pytest.mark.parametrize("variant, valid", [(Variant.CORRECTED, 1), (Variant.STRICT, 2)])
+def test_batched_valid_cocycles_match_scalar_oracle_on_z2_s2(F5, variant, valid):
+    # candidates 2500..3499 of the 5^6 of z2 x s2, as two chunks of the
+    # stream; 3125 is valid in both variants and 2500 in the strict one
+    base, fiber = z2(F5), s2(F5)
+    actions = _zero_actions(F5, 2, 2)
+    blocks = islice(bruteforce.candidate_blocks(5, 6, 10 ** 7, "cocycles", chunk=500), 5, 7)
+    got = list(_valid_cocycles(_zero_cocycle(base, fiber, actions), variant, blocks))
+    want = list(valid_cocycles_oracle(base, fiber, actions, variant,
+                                      islice(enumerate_vectors(F5, 6), 2500, 3500)))
+    assert _pairs(got) == _pairs(want) and len(want) == valid
+
+
+def test_classify_refuses_the_bound_before_any_mask(F5, monkeypatch):
+    def no_mask(*args, **kwargs):
+        raise AssertionError("a mask ran before the bound was checked")
+
+    monkeypatch.setattr(bruteforce, "identity_mask", no_mask)
+    with pytest.raises(UnsupportedEnumerationError,
+                       match="^15625 candidate cocycles exceed the bound 15624$"):
+        classify_corpus(z2(F5), s2(F5), bound=15624)
 
 
 def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):

@@ -511,3 +511,79 @@ def test_exactness_e_h3_gf7_at_default_bound(F7):
     assert rep.aut_fixing_both == rep.z1_count == 49
     assert rep.image_kappa == rep.kernel_wells == rep.aut_base == 2016
     assert (rep.pairs_total, rep.aut_fiber, rep.incompatible_pairs) == (12096, 6, 0)
+
+
+# ---------------------------------------------------------------------------
+# the batched phi searches over a non-abelian fiber against the scalar oracle
+
+def _sheared_z2_s2(F5):
+    """(c, c'): a valid z2 x s2 cocycle with nu(e1,e2) = e1 and no actions,
+    and the cocycle of its total read through the section sheared by a
+    nonzero map, which has nonzero mu and is equivalent to c."""
+    from bolext.bol import s2 as fiber
+    from bolext.cohomology import Cochain2, Cochain3
+    from bolext.extensions import extract_cocycle, make_section
+
+    zero = NonAbelianCocycle.zero(z2(F5), fiber(F5))
+    nu = Cochain2.from_pairs(2, 2, F5, {(0, 1): (F5.one, F5.zero)})
+    c = NonAbelianCocycle(zero.base, zero.fiber, nu, Cochain3.zero(2, 2, F5),
+                          zero.mu, zero.theta, zero.dd)
+    assert validate_nab_cocycle(c).valid
+    e = as_extension(c)
+    sheared = make_section(e, Matrix.from_int_rows(F5, [[1, 0], [0, 1], [1, 2], [0, 3]]))
+    return c, extract_cocycle(e, sheared)
+
+
+def _decided(dec):
+    return dec.status.value, dec.reason, dec.witness
+
+
+def test_batched_phi_searches_match_scalar_oracle(F5):
+    # equivalence, inducibility and degree-one cocycles over non-abelian
+    # fibers: the same status, reason and witness (the first accepted map in
+    # enumeration order) as one scalar report per map, and the same reason
+    # past the bound
+    from bolext.bol import h3
+    from bolext.identities import Z1, report
+    from bolext.nonabelian import cocycles_equivalent_via, solve_equivalence
+    from bolext.wells import _inducibility_report
+    from oracles import decision_oracle, phi_search_oracle
+
+    c, sheared = _sheared_z2_s2(F5)
+    zero = NonAbelianCocycle.zero(c.base, c.fiber)
+    seen = []
+    for c1, c2, bound in ((c, sheared, 10 ** 7), (sheared, c, 10 ** 7),
+                          (zero, c, 10 ** 7), (c, sheared, 624)):
+        want = decision_oracle(F5, 2, 2, bound,
+                               lambda phi: cocycles_equivalent_via(c1, c2, phi).valid)
+        assert _decided(solve_equivalence(c1, c2, bound)) == want
+        seen.append(want)
+    e = as_extension(sheared)
+    cocycle = theta_map(e)
+    swap = [[0, 1], [1, 0]]
+    for alpha, beta, bound in (([[1, 0], [0, 1]], [[1, 0], [0, 1]], 10 ** 7),
+                               (swap, [[1, 0], [0, 1]], 10 ** 7),
+                               (swap, [[4, 0], [0, 1]], 10 ** 7),
+                               (swap, [[4, 0], [0, 1]], 624)):
+        pair = _pair(F5, alpha, beta)
+        want = decision_oracle(F5, 2, 2, bound,
+                               lambda phi: _inducibility_report(cocycle, pair, phi).valid)
+        assert _decided(solve_inducibility(e, pair, bound)) == want
+        seen.append(want)
+    statuses = {(status, reason) for status, reason, _ in seen}
+    assert {("none", "exhausted"),
+            ("undecided", "625 candidate maps exceed the bound 624")} <= statuses
+    found = [w for status, _, w in seen if status == "found"]
+    assert any(not w.is_zero() for w in found) and any(w.is_zero() for w in found)
+
+    h3_zero = NonAbelianCocycle.zero(z1(F5), h3(F5))
+    lists = []
+    for cz, bound in ((sheared, 10 ** 7), (h3_zero, 10 ** 7), (h3_zero, 124)):
+        maps, reason = phi_search_oracle(
+            F5, cz.n, cz.m, bound,
+            lambda phi: report(Z1, F5, phi=phi.entries, **cz.tensors()).valid)
+        z = z1_nab(cz, bound)
+        assert (z.kind, z.maps, z.reason) == ("list" if maps is not None else "undecided",
+                                              maps, reason)
+        lists.append(maps)
+    assert [len(maps) for maps in lists[:2]] == [1, 5] and lists[2] is None
