@@ -16,7 +16,7 @@ from math import factorial, prod
 import numpy as np
 
 from . import identities
-from .errors import UnsupportedEnumerationError
+from .errors import InternalConsistencyError, UnsupportedEnumerationError
 
 _CHUNK = 1 << 16
 # residual entries per slice of an identity's survivors in `identity_mask`
@@ -247,7 +247,8 @@ def stabiliser_arrays(bil: np.ndarray, tri: np.ndarray, n: int, p: int,
 
 def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """Mask of matrices (columns = basis images) commuting with both products
-    of one fixed structure, each contraction bounded by its worst case."""
+    of one fixed structure, each contraction bounded by its worst case.  An
+    all-zero bracket is skipped: both sides of its check are then zero."""
     n = M.shape[1]
 
     def contract(spec, terms, *ops):
@@ -258,7 +259,7 @@ def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> 
     lhs2 = contract("bai,bcj,acl->bijl", n ** 2, M, M, bil)
     rhs2 = contract("blq,ijq->bijl", n, M, bil)
     ok = ~np.any((lhs2 - rhs2) % p, axis=(1, 2, 3))
-    if ok.any():
+    if ok.any() and tri.any():
         idx = np.flatnonzero(ok)
         sub = M[idx]
         lhs3 = contract("bai,bcj,bdk,acdl->bijkl", n ** 3, sub, sub, sub, tri)
@@ -349,6 +350,45 @@ def rref_transform(a: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     return aug[:, cols:], r, tuple(pivots)
+
+
+def inverse_mod(a: np.ndarray, p: int):
+    """(invertible mask, inverses) of a stack a[k] of square residue
+    matrices mod p, by one Gauss-Jordan elimination run on the whole stack,
+    pivots chosen as in `Matrix.rref`.  The inverse of a singular matrix is
+    zero.  Every inverse is confirmed: a[k] a^-1[k] = I."""
+    require_int64_headroom(1, 2, p)
+    a = np.asarray(a, dtype=np.int64) % p
+    k, n = a.shape[0], a.shape[-1]
+    eye = np.eye(n, dtype=np.int64)
+    aug = np.concatenate([a, np.broadcast_to(eye, (k, n, n))], axis=2)
+    ok = np.ones(k, dtype=bool)
+    every = np.arange(k)
+    for c in range(n):
+        nonzero = aug[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        r = c + nonzero.argmax(axis=1)
+        pivot = aug[every, r]
+        aug[every, r] = aug[:, c]
+        aug[:, c] = pivot * _power_mod(pivot[:, c], p - 2, p)[:, None] % p
+        f = aug[:, :, c].copy()
+        f[:, c] = 0
+        aug = (aug - f[:, :, None] * aug[:, None, c]) % p
+    inv = aug[:, :, n:] * ok[:, None, None]
+    if not (contract_mod("kij,kjl->kil", p, a[ok], inv[ok]) == eye).all():
+        raise InternalConsistencyError("batched inverse failed verification")
+    return ok, inv
+
+
+def _power_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """x^e mod p elementwise, by repeated squaring (x a residue array)."""
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
 
 def canonical_solutions(t: np.ndarray, rank: int, pivots: tuple, cols: int,

@@ -1,12 +1,12 @@
 """The identity suites, written once as data, and the exact readers.
 
-Every suite the engine decides (the Bol axioms, the six module identities,
-the abelian (2,3)-cocycle identities, the non-abelian cocycle identities in
-both variants, and the three decisions about a map phi: B -> V: cocycle
-equivalence, inducibility of an automorphism pair, and degree-one cocycles)
-is a table of identities.  An identity is a tag, the basis axes it is checked
-on (`where`), the axes of its residual (`out`), and signed einsum terms over
-named dense tensors:
+Every suite the engine decides (the Bol axioms, the two morphism
+identities, the six module identities, the abelian (2,3)-cocycle identities,
+the non-abelian cocycle identities in both variants, and the three decisions
+about a map phi: B -> V: cocycle equivalence, inducibility of an automorphism
+pair, and degree-one cocycles) is a table of identities.  An identity is a
+tag, the basis axes it is checked on (`where`), the axes of its residual
+(`out`), and signed einsum terms over named dense tensors:
 
   bil[i,j,k]     coefficient of e_k in e_i*e_j           (algebra or base)
   tri[i,j,k,l]   coefficient of e_l in [e_i,e_j,e_k]
@@ -15,6 +15,8 @@ named dense tensors:
   mu[i,s,t]      entry (s,t) of the matrix mu(e_i); theta[i,j,s,t] and
                  dd[i,j,s,t] likewise
   vbil, vtri     the fiber's bil and tri
+  f[l,q]         coordinate l of f(e_q), for a linear map f of an algebra
+                 to itself
   phi[t,q]       coordinate t of phi(e_q), for the map phi: B -> V
   alpha[q,i]     coordinate q of alpha(e_i), for alpha in Aut(B); beta[s,t]
                  entry (s,t) of beta in Aut(V)
@@ -36,7 +38,8 @@ Three readers use the tables, each on the suite of one variant (`select`):
 `report` evaluates one structure exactly, on object arrays of Python ints;
 `affine` reads the linear system in phi of an EQV, IND or Z1 suite over an
 abelian fiber; and `bruteforce.identity_mask` decides a batch of GF(p)
-structures on fixed-width residue arrays, as every brute-force search does.
+structures on fixed-width residue arrays, as every brute-force search and
+the exactness verifier's `MOR` re-checks do.
 """
 from __future__ import annotations
 
@@ -50,8 +53,8 @@ import numpy as np
 
 from .core import ValidationReport, Variant
 
-__all__ = ["Term", "Identity", "Group", "BOL", "REP", "COCYCLE", "NAB", "EQV",
-           "IND", "Z1", "select", "report", "affine", "residues"]
+__all__ = ["Term", "Identity", "Group", "BOL", "MOR", "REP", "COCYCLE", "NAB",
+           "EQV", "IND", "Z1", "select", "report", "affine", "residues"]
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,16 @@ BOL = _suite(
     _id("bracket-derivation", "ijklm", "r",
         "+tri(klmq) tri(ijqr) -tri(ijkq) tri(qlmr) -tri(ijlq) tri(kqmr)"
         " -tri(ijmq) tri(klqr)"),
+)
+
+# ---------------------------------------------------------------------------
+# morphisms of one structure to itself: bil, tri, f
+
+MOR = _suite(
+    # f(x1*x2) = f(x1)*f(x2)
+    _id("mor-star", "ij", "l", "+f(lq) bil(ijq) -f(ai) f(bj) bil(abl)"),
+    # f([x1,x2,x3]) = [f(x1),f(x2),f(x3)]
+    _id("mor-bracket", "ijk", "l", "+f(lq) tri(ijkq) -f(ai) f(bj) f(ck) tri(abcl)"),
 )
 
 # ---------------------------------------------------------------------------

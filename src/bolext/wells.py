@@ -337,19 +337,27 @@ def is_compatible_pair(b: BolAlgebra, r: Representation, pair: AutPair) -> bool:
 
 def compatible_pairs(b: BolAlgebra, r: Representation,
                      budget: int = DEFAULT_ENUMERATION_BOUND) -> list:
-    """All compatible pairs over a prime field, alpha-major order."""
-    if not b.field.is_prime_field:
+    """All compatible pairs over a prime field, alpha-major order: the
+    automorphisms of both sides checked once (`_checked_automorphisms`), the
+    intertwining decided for a chunk of pairs at a time (`_intertwines`)."""
+    field = b.field
+    if not field.is_prime_field:
         raise UnsupportedEnumerationError("pair enumeration needs a finite field")
-    module = zero_algebra(b.field, r.module_dim)
-    alphas = automorphism_int_arrays(b, budget)
-    betas = automorphism_int_arrays(module, budget)
+    module = zero_algebra(field, r.module_dim)
+    alphas, _ = _checked_automorphisms(automorphism_int_arrays(b, budget), b,
+                                       "first", "base")
+    betas, beta_invs = _checked_automorphisms(automorphism_int_arrays(module, budget),
+                                              module, "second", "fiber")
+    # the actions of r in the layout of a cocycle's (nu and omega unused)
+    actions = _CocycleArrays(None, None, *map(residues, r.action_entries().values()))
+    alpha_mats = [int_matrix(field, g) for g in alphas]
+    beta_mats = [int_matrix(field, g) for g in betas]
+    nb, total = len(betas), len(alphas) * len(betas)
     out = []
-    for ga in alphas:
-        alpha = int_matrix(b.field, ga)
-        for gb in betas:
-            pair = AutPair(alpha, int_matrix(b.field, gb))
-            if is_compatible_pair(b, r, pair):
-                out.append(pair)
+    for start in range(0, total, _VERDICT_CHUNK):
+        ia, ib = np.divmod(np.arange(start, min(start + _VERDICT_CHUNK, total)), nb)
+        keep = _intertwines(actions, alphas[ia], betas[ib], beta_invs[ib], field.p)
+        out += [AutPair(alpha_mats[i], beta_mats[j]) for i, j in zip(ia[keep], ib[keep])]
     return out
 
 
@@ -361,16 +369,23 @@ _INCOMPATIBLE, _NONZERO, _ZERO, _UNDECIDED = range(4)
 _VERDICT_CHUNK = 1 << 12
 
 
+def _automorphism_mask(mats: np.ndarray, bil, tri, p):
+    """(which stacked residue matrices are automorphisms of the structure
+    (bil, tri), their inverses): one batched inverse, then one
+    `identities.MOR` pass over the invertible matrices."""
+    invertible, inverses = bruteforce.inverse_mod(mats, p)
+    return bruteforce.identity_mask(identities.MOR, p, {"f": mats},
+                                    {"bil": bil, "tri": tri}, ok=invertible), inverses
+
+
 def _checked_automorphisms(auts: np.ndarray, a: BolAlgebra, component, role):
-    """(automorphisms, inverses) as residue arrays; each matrix is checked
-    once, as `validate_aut_pair` checks a component of every pair."""
-    invs = []
-    for g in auts:
-        mat = int_matrix(a.field, g)
-        _require_automorphism(mat, a, component, role)
-        invs.append(residues(mat.inverse().entries))
-    return (np.asarray(auts, dtype=np.int64),
-            np.array(invs, dtype=np.int64).reshape(auts.shape))
+    """(automorphisms, inverses) as residue arrays; every matrix is checked,
+    as `validate_aut_pair` checks a component of every pair, in one pass."""
+    auts = np.asarray(auts, dtype=np.int64)
+    ok, invs = _automorphism_mask(auts, residues(a.bil), residues(a.tri), a.field.p)
+    if not ok.all():
+        raise UsageError(f"{component} component is not an automorphism of the {role}")
+    return auts, invs
 
 
 def _transport_grid(ainv, grid, p):
@@ -470,6 +485,50 @@ def _pairwise_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts, bound)
 # ---------------------------------------------------------------------------
 # exactness verification
 
+def _fiber_preserving_automorphisms(e: Extension, t: Matrix, adapted: BolAlgebra,
+                                    bound: int):
+    """(blocks, gammas): Aut_V(total) in the adapted basis T with total
+    `adapted` (`_adapted_total`), block triangular [[alpha, 0], [C, beta]],
+    and the same maps T blocks T^-1 on the total, checked to keep the fiber
+    in place; residue arrays in candidate order."""
+    p = e.field.p
+    f = bruteforce.contract_mod
+    blocks = bruteforce.stabiliser_arrays(residues(adapted.bil), residues(adapted.tri),
+                                          e.n, p, bound).astype(np.int64)
+    gammas = f("xy,byz->bxz", p, residues(t.entries),
+               f("byz,zw->byw", p, blocks, residues(t.inverse().entries)))
+    if np.any(f("xy,byz,zw->bxw", p, residues(e.proj.entries), gammas,
+                residues(e.inj.entries))):
+        raise InternalConsistencyError("stabiliser scan returned a map moving the fiber")
+    return blocks, gammas
+
+
+def _s_map_images(e: Extension, s: Section, gammas: np.ndarray) -> np.ndarray:
+    """`s_map(e, s, gamma)` of every fiber-preserving map gammas[k], as
+    residue arrays phi[k, t, q], with the checks `s_map` makes run on the
+    whole stack: each gamma is an automorphism of the total restricting to
+    the identity pair (P gamma S = I and L gamma I = I, for the projection
+    P, the injection I, the section S and the left inverse L of I), and
+    each column of S - gamma S lies in the fiber, with fiber coordinates
+    L (S - gamma S)."""
+    p = e.field.p
+    f = bruteforce.contract_mod
+    proj, inj, sec, retract = (residues(a.entries)
+                               for a in (e.proj, e.inj, s.matrix, e.left_inverse()))
+    is_aut, _ = _automorphism_mask(gammas, residues(e.total.bil),
+                                   residues(e.total.tri), p)
+    alpha = f("qx,kxy,yi->kqi", p, proj, gammas, sec)
+    beta = f("ax,kxy,yb->kab", p, retract, gammas, inj)
+    diff = (sec - f("kxy,yi->kxi", p, gammas, sec)) % p
+    coords = f("ax,kxi->kai", p, retract, diff)
+    if not (is_aut.all() and (alpha == np.eye(e.n, dtype=np.int64)).all()
+            and (beta == np.eye(e.m, dtype=np.int64)).all()
+            and not f("qx,kxi->kqi", p, proj, diff).any()
+            and (f("xa,kai->kxi", p, inj, coords) == diff).all()):
+        raise InternalConsistencyError("kernel map failed the section-difference checks")
+    return coords
+
+
 @dataclass
 class ExactnessReport:
     aut_v_total: int
@@ -535,7 +594,6 @@ def verify_wells_exactness(e: Extension,
     if not validate_extension(e).valid:
         raise UsageError("exactness verification of an invalid extension")
     p = e.field.p
-    field = e.field
     s = _canonical_section(e)
     t, adapted = _adapted_total(e, s)
     c = _read_cocycle(e, adapted)
@@ -546,43 +604,33 @@ def verify_wells_exactness(e: Extension,
 
     # Aut_V(total) is block triangular in the adapted basis s(e_1..e_n),
     # i(f_1..f_m); its diagonal blocks are the restriction pair
-    blocks = bruteforce.stabiliser_arrays(residues(adapted.bil), residues(adapted.tri),
-                                          e.n, p, bound).astype(np.int64)
+    blocks, gammas = _fiber_preserving_automorphisms(e, t, adapted, bound)
     alphas, betas = blocks[:, :e.n, :e.n], blocks[:, e.n:, e.n:]
-    f = bruteforce.contract_mod
-    gammas = f("xy,byz->bxz", p, residues(t.entries),
-               f("byz,zw->byw", p, blocks, residues(t.inverse().entries)))
-    if np.any(f("xy,byz,zw->bxw", p, residues(e.proj.entries), gammas,
-                residues(e.inj.entries))):
-        raise InternalConsistencyError("stabiliser scan returned a map moving the fiber")
 
     image_kappa = {(a.tobytes(), b.tobytes()) for a, b in zip(alphas, betas)}
     ker = ((alphas == np.eye(e.n, dtype=np.int64)).all(axis=(1, 2))
            & (betas == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
-    ker_gammas = [int_matrix(field, g) for g in gammas[ker]]
+    ker_gammas = gammas[ker]
 
     z1 = z1_nab(c, bound)
     if z1.maps is None:
         raise UnsupportedEnumerationError(z1.reason)
-    z1_keys = {m_.entries for m_ in z1.maps}
+    z1_maps = residues([phi.entries for phi in z1.maps]).reshape(-1, e.m, e.n)
+    z1_keys = {phi.tobytes() for phi in z1_maps}
 
     # section-difference map on the kernel subgroup
-    s_images = [s_map(e, s, g).entries for g in ker_gammas]
+    s_images = [phi.tobytes() for phi in _s_map_images(e, s, ker_gammas)]
     s_bij = (len(set(s_images)) == len(s_images) and set(s_images) == z1_keys)
 
     # inclusion image: each degree-one cocycle yields the shear
     #   a + s(x) |-> a - phi(x) + s(x)
-    ker_keys = {g.entries for g in ker_gammas}
-    incl_keys = set()
-    incl_ok = True
-    idt = Matrix.identity(field, e.total.dim)
-    for phi in z1.maps:
-        g = idt - e.inj * phi * e.proj
-        if not g.is_invertible() or not is_morphism(g, e.total, e.total):
-            incl_ok = False
-            continue
-        incl_keys.add(g.entries)
-    ker_eq_incl = incl_ok and incl_keys == ker_keys
+    shears = (np.eye(e.total.dim, dtype=np.int64)
+              - bruteforce.contract_mod("xt,ktq,qy->kxy", p, residues(e.inj.entries),
+                                        z1_maps, residues(e.proj.entries))) % p
+    is_aut, _ = _automorphism_mask(shears, residues(e.total.bil),
+                                   residues(e.total.tri), p)
+    ker_eq_incl = (bool(is_aut.all()) and {g.tobytes() for g in shears}
+                   == {g.tobytes() for g in ker_gammas})
 
     # kernel of the class map over all pairs, alpha-major
     base_auts = automorphism_int_arrays(e.base, bound)
@@ -608,7 +656,8 @@ def verify_wells_exactness(e: Extension,
         if (is_zero != in_image).any():
             ker_wells_eq_image = False
 
-    closed = all((f1 + f2).entries in z1_keys for f1 in z1.maps for f2 in z1.maps)
+    sums = (z1_maps[:, None] + z1_maps[None]) % p
+    closed = all(phi.tobytes() in z1_keys for phi in sums.reshape(-1, e.m, e.n))
 
     n_pairs = len(base_auts) * len(fiber_auts)
     return ExactnessReport(

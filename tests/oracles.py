@@ -161,3 +161,23 @@ def valid_cocycles_oracle(base, fiber, actions, variant, vectors=None):
         cand = NonAbelianCocycle(base, fiber, *coords.decode(vec), *actions)
         if validate_nab_cocycle(cand, variant).valid:
             yield cand
+
+
+def checked_automorphisms_oracle(auts, a, component, role):
+    """(automorphisms, inverses) as residue arrays, each matrix checked by
+    the scalar `Matrix.is_invertible` and `bol.is_morphism` and inverted by
+    `Matrix.inverse`: the checks `wells._checked_automorphisms` batches."""
+    import numpy as np
+
+    from bolext.bol import int_matrix, is_morphism
+    from bolext.errors import UsageError
+    from bolext.identities import residues
+
+    invs = []
+    for g in auts:
+        mat = int_matrix(a.field, g)
+        if not mat.is_invertible() or not is_morphism(mat, a, a):
+            raise UsageError(f"{component} component is not an automorphism of the {role}")
+        invs.append(residues(mat.inverse().entries))
+    return (np.asarray(auts, dtype=np.int64),
+            np.array(invs, dtype=np.int64).reshape(np.shape(auts)))

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bolext import identities
-from bolext.bol import s2, z1, z2
+from bolext.bol import is_morphism, s2, z1, z2
 from bolext.bruteforce import (_contract, _headroom_dtype, _morphism_fixed,
                                _narrowest, _term_bound, automorphism_arrays,
                                candidate_blocks, canonical_solutions,
                                contract_mod, det_mask, digit_block,
+                               identity_mask, inverse_mod,
                                require_int64_headroom, rref_transform,
                                stabiliser_arrays)
 from bolext.errors import UnsupportedEnumerationError
@@ -75,6 +76,8 @@ def test_int64_headroom_guard():
     big = 3_037_000_507  # the least prime with (p - 1)^2 >= 2^63
     with pytest.raises(UnsupportedEnumerationError):
         rref_transform(np.eye(2, dtype=np.int64), big)
+    with pytest.raises(UnsupportedEnumerationError):
+        inverse_mod(np.eye(2, dtype=np.int64)[None], big)
     x = np.full((2, 3), 4)
     assert contract_mod("ij,jk->ik", 5, x, x.T).tolist() == [[3, 3], [3, 3]]
     with pytest.raises(UnsupportedEnumerationError):
@@ -182,6 +185,82 @@ def test_morphism_mask_at_p7_has_headroom():
     for dt in (np.int16, np.int64):
         got = _morphism_fixed(bil.astype(dt), tri.astype(dt), batch.astype(dt), p)
         assert got.tolist() == want
+
+
+def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
+                                                               ext_h3_f5):
+    # e_h3's total in the adapted basis has no bracket, so `_morphism_fixed`
+    # skips its contraction: on every candidate of the stabiliser scan that
+    # survives the determinant filter the mask equals both checks made in full
+    import bolext.bruteforce
+    from bolext.extensions import _adapted_total, canonical_section
+
+    e = ext_h3_f5
+    _, adapted = _adapted_total(e, canonical_section(e))
+    bil, tri = identities.residues(adapted.bil), identities.residues(adapted.tri)
+    assert not tri.any()
+    seen = []
+    skipping = bolext.bruteforce._morphism_fixed
+
+    def recorded(*args):
+        seen.append((args[2].astype(np.int64), skipping(*args)))
+        return seen[-1][1]
+    monkeypatch.setattr(bolext.bruteforce, "_morphism_fixed", recorded)
+    assert len(stabiliser_arrays(bil, tri, e.n, 5, 10 ** 7)) == 12000
+    M = np.concatenate([m for m, _ in seen])
+    got = np.concatenate([mask for _, mask in seen])
+    assert len(M) == 480 * 4 * 25
+
+    def differ(lhs, rhs, *ops):
+        diff = (np.einsum(lhs, *ops[:-1], ops[-1], optimize=True)
+                - np.einsum(rhs, ops[0], ops[-1]))
+        return np.any(diff % 5, axis=tuple(range(1, diff.ndim)))
+    full = ~(differ("bai,bcj,acl->bijl", "blq,ijq->bijl", M, M, bil)
+             | differ("bai,bcj,bdk,acdl->bijkl", "blq,ijkq->bijkl", M, M, M, tri))
+    assert got.tolist() == full.tolist() and got.sum() == 12000
+
+
+def test_inverse_mod_matches_matrix_inverse(F5):
+    # every 2 x 2 matrix over GF(5), the singular ones included
+    mats = digit_block(0, 625, 5, 4, np.int64).reshape(-1, 2, 2)
+    ok, inv = inverse_mod(mats, 5)
+    for g, invertible, h in zip(mats, ok, inv):
+        want = Matrix.from_int_rows(F5, g.tolist()).inverse()
+        assert invertible == (want is not None)
+        assert h.tolist() == ([[0, 0], [0, 0]] if want is None else
+                              [[int(x.value) for x in row] for row in want.entries])
+    assert ok.sum() == 480
+    assert inverse_mod(mats[:0], 5)[1].shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("name", ["s2", "z2", "bracket_base"])
+def test_mor_mask_matches_is_morphism_on_every_2x2_matrix(F5, name):
+    from test_wells import _bracket_base
+
+    a = {"z2": z2, "s2": s2, "bracket_base": _bracket_base}[name](F5)
+    mats = digit_block(0, 625, 5, 4, np.int64).reshape(-1, 2, 2)
+    got = identity_mask(identities.MOR, 5, {"f": mats},
+                        {"bil": identities.residues(a.bil), "tri": identities.residues(a.tri)})
+    want = [is_morphism(Matrix.from_int_rows(F5, g.tolist()), a, a) for g in mats]
+    assert got.tolist() == want
+    assert all(want) if name == "z2" else 0 < sum(want) < 625
+
+
+def test_mor_mask_matches_is_morphism_on_the_h3_total(F5, ext_h3_f5):
+    # h3: e1*e2 = e3.  Half the matrices are uniform; the other half are
+    # [[A, 0], [c, z]] with z = det A half the time, the morphisms among them
+    a = ext_h3_f5.total
+    rng = np.random.default_rng(12)
+    mats = rng.integers(0, 5, (2000, 3, 3))
+    shaped = mats[1000:]
+    shaped[:, :2, 2] = 0
+    det = shaped[:, 0, 0] * shaped[:, 1, 1] - shaped[:, 0, 1] * shaped[:, 1, 0]
+    shaped[::2, 2, 2] = det[::2] % 5
+    got = identity_mask(identities.MOR, 5, {"f": mats},
+                        {"bil": identities.residues(a.bil), "tri": identities.residues(a.tri)})
+    want = [is_morphism(Matrix.from_int_rows(F5, g.tolist()), a, a) for g in mats]
+    assert got.tolist() == want
+    assert 500 < sum(want) < 1000
 
 
 # the batched tensors of each table as `identity_mask` would be handed them

@@ -587,3 +587,125 @@ def test_batched_phi_searches_match_scalar_oracle(F5):
                                               maps, reason)
         lists.append(maps)
     assert [len(maps) for maps in lists[:2]] == [1, 5] and lists[2] is None
+
+
+# ---------------------------------------------------------------------------
+# the verifier's batched re-checks against the scalar routes they replace
+
+@pytest.mark.parametrize("name", ["z1", "z2", "s2", "bracket_base"])
+def test_checked_automorphisms_match_scalar_oracle(F5, name):
+    # the group of each algebra passes with the same inverses; a singular
+    # matrix and, where the algebra has a product, an invertible
+    # non-morphism appended to it are refused with the same message
+    from bolext.bol import automorphism_int_arrays
+    from bolext.wells import _checked_automorphisms
+    from oracles import checked_automorphisms_oracle
+
+    a = {"z1": z1, "z2": z2, "s2": s2, "bracket_base": _bracket_base}[name](F5)
+    auts = automorphism_int_arrays(a)
+    got = _checked_automorphisms(auts, a, "first", "base")
+    want = checked_automorphisms_oracle(auts, a, "first", "base")
+    assert all(g.dtype == w.dtype and g.tolist() == w.tolist() for g, w in zip(got, want))
+    extras = [np.zeros((a.dim, a.dim), dtype=np.int64)]
+    if not a.is_abelian():
+        extras.append(2 * np.eye(a.dim, dtype=np.int64))
+    for extra in extras:
+        bad = np.concatenate([auts, extra[None].astype(auts.dtype)])
+        for check in (_checked_automorphisms, checked_automorphisms_oracle):
+            with pytest.raises(UsageError,
+                               match="^second component is not an automorphism of the fiber$"):
+                check(bad, a, "second", "fiber")
+
+
+@pytest.mark.parametrize("base,rep,count", [("z2", "trivial", 1920), ("s2", "r_s2", 80),
+                                            ("z2", "mu_first", 80)])
+def test_compatible_pairs_match_scalar_oracle(F5, base, rep, count):
+    # the batched pairs against one `is_compatible_pair` call per pair, in
+    # the same alpha-major order
+    from bolext.bol import automorphism_int_arrays, int_matrix
+
+    b = {"z2": z2, "s2": s2}[base](F5)
+    r = {"trivial": lambda f: trivial_representation(f, 2), "r_s2": r_s2,
+         "mu_first": _mu_first_representation}[rep](F5)
+    module = zero_algebra(F5, r.module_dim)
+    every = [AutPair(int_matrix(F5, ga), int_matrix(F5, gb))
+             for ga in automorphism_int_arrays(b) for gb in automorphism_int_arrays(module)]
+    want = [pair for pair in every if is_compatible_pair(b, r, pair)]
+    assert compatible_pairs(b, r) == want
+    assert len(want) == count
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_batched_s_map_images_match_scalar_s_map(F5, seed):
+    # every kernel map of e_h3 (and of e_h3 rebased): the batched images
+    # against `s_map`; a fiber-preserving map outside the kernel is refused
+    # by both
+    from bolext.bol import int_matrix
+    from bolext.errors import InternalConsistencyError
+    from bolext.extensions import _adapted_total, _canonical_section
+    from bolext.identities import residues
+    from bolext.wells import _fiber_preserving_automorphisms, _s_map_images
+
+    e = _extension(F5, "e_h3")
+    if seed is not None:
+        e = _rebased(F5, e, seed)
+    s = _canonical_section(e)
+    blocks, gammas = _fiber_preserving_automorphisms(e, *_adapted_total(e, s), 10 ** 7)
+    n = e.n
+    ker = ((blocks[:, :n, :n] == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+           & (blocks[:, n:, n:] == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
+    assert ker.sum() == 25
+    got = _s_map_images(e, s, gammas[ker])
+    want = [residues(s_map(e, s, int_matrix(F5, g)).entries).tolist() for g in gammas[ker]]
+    assert got.tolist() == want
+    outside = gammas[np.flatnonzero(~ker)[:1]]
+    with pytest.raises(InternalConsistencyError):
+        _s_map_images(e, s, outside)
+    with pytest.raises(UsageError, match="does not restrict to the identity pair"):
+        s_map(e, s, int_matrix(F5, outside[0]))
+
+
+@pytest.mark.parametrize("name,extra", [("e_h3", [[1, 1], [1, 1]]),
+                                        ("s2_r_s2", [[2, 0], [0, 2]])])
+def test_exactness_refuses_a_base_group_with_a_non_automorphism(F5, monkeypatch,
+                                                                name, extra):
+    # a singular matrix (e_h3) and an invertible non-morphism of s2 handed to
+    # the verifier as automorphisms of the base
+    import bolext.wells
+    from bolext.bol import automorphism_int_arrays
+
+    e = _extension(F5, name)
+
+    def with_extra(a, budget):
+        auts = automorphism_int_arrays(a, budget)
+        if a is not e.base:
+            return auts
+        return np.concatenate([auts, np.array([extra], dtype=auts.dtype)])
+    monkeypatch.setattr(bolext.wells, "automorphism_int_arrays", with_extra)
+    with pytest.raises(UsageError,
+                       match="^first component is not an automorphism of the base$"):
+        verify_wells_exactness(e)
+
+
+def test_exactness_sees_a_z1_map_that_is_not_a_cocycle(F5, monkeypatch):
+    # s2 x r_s2 has 5 degree-one cocycles among its 25 maps; one of them
+    # swapped for a map that is not a cocycle gives a shear that is not an
+    # automorphism of the total
+    import bolext.wells
+    from bolext.exactlin import enumerate_vectors
+    from bolext.identities import Z1, report
+    from bolext.wells import Z1Result
+
+    e = _extension(F5, "s2_r_s2")
+    c = theta_map(e)
+    real = z1_nab(c)
+    bad = next(f for f in (Matrix(F5, [list(v)]) for v in enumerate_vectors(F5, 2))
+               if not report(Z1, F5, phi=f.entries, **c.tensors()).valid)
+
+    def one_wrong(cocycle, bound):
+        return Z1Result(real.kind, real.subspace, real.maps[:-1] + [bad])
+    assert verify_wells_exactness(e).kernel_kappa_equals_inclusion_image
+    monkeypatch.setattr(bolext.wells, "z1_nab", one_wrong)
+    rep = verify_wells_exactness(e)
+    assert not rep.kernel_kappa_equals_inclusion_image
+    assert not rep.all_verdicts
