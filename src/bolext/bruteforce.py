@@ -1,12 +1,14 @@
 """Batched mod-p enumeration engines (numpy int arithmetic, exact).
 
 Everything here works on integer residue arrays; callers convert to and from
-the exact scalar types.  Every enumeration (the Bol tensors, the automorphism
-and stabiliser scans, the census's action tuples, the maps phi over a
-non-abelian fiber, the cocycles of a classification) takes its candidates
-from one stream, `candidate_blocks`: the p^width digit strings of its
-parameters in lexicographic order, checked against the bound once and read
-in fixed-size chunks, by `identity_mask` where a table decides them.
+the exact scalar types.  Every enumeration (the Bol tensors, the flat
+automorphism scan, the factored scan of block-triangular automorphisms, the
+census's action tuples, the maps phi over a non-abelian fiber, the cocycles
+of a classification) takes its candidates from one stream,
+`candidate_blocks`: the p^width digit strings of its parameters in
+lexicographic order (once per outer index), checked against the bound once
+and read in fixed-size chunks, by `identity_mask` where a table decides
+them.  Only the flat scan is limited to dimension <= 3.
 """
 from __future__ import annotations
 
@@ -38,19 +40,23 @@ def _narrowest(worst: int, what: str):
 
 
 def digit_block(start: int, stop: int, p: int, width: int, dtype) -> np.ndarray:
-    """Rows start..stop-1 written base p, most significant digit first;
-    raises unless p^width - 1 (and p itself) fits int64."""
-    require_int64_headroom(1, 1, p ** max(width, 1))
+    """The last `width` base-p digits of rows start..stop-1, most
+    significant first; raises unless stop - 1 and p^width - 1 (and p
+    itself) fit int64."""
+    require_int64_headroom(1, 1, max(stop, p ** max(width, 1)))
     idx = np.arange(start, stop, dtype=np.int64)
     weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] // weights[None, :]) % p).astype(dtype)
 
 
-def candidate_blocks(p: int, width: int, budget: int, what: str, chunk=_CHUNK):
-    """The p^width candidate digit strings as (start, digit rows) per chunk
-    of `chunk` rows, in lexicographic order.  The count is checked against
-    `budget` here, before the first block is asked for."""
-    total = p ** width
+def candidate_blocks(p: int, width: int, budget: int, what: str, chunk=_CHUNK,
+                     outer: int = 1):
+    """The outer * p^width candidates as (start, digit rows) per chunk of
+    `chunk` rows, in lexicographic order: candidate k is the digit string of
+    k mod p^width, for the outer index k // p^width (by default every digit
+    string once).  The count is checked against `budget` here, before the
+    first block is asked for."""
+    total = outer * p ** width
     if total > budget:
         raise UnsupportedEnumerationError(
             f"{total} candidate {what} exceed the bound {budget}")
@@ -183,12 +189,9 @@ def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int):
 
 
 def det_mask(M: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero-determinant mask; supports n <= 3 (an empty matrix has
-    determinant 1)."""
+    """Nonzero-determinant mask; supports n <= 3."""
     n = M.shape[1]
     M = M.astype(_headroom_dtype(factorial(n), n, p), copy=False)
-    if n == 0:
-        return np.ones(len(M), dtype=bool)
     if n == 1:
         d = M[:, 0, 0]
     elif n == 2:
@@ -203,46 +206,46 @@ def det_mask(M: np.ndarray, p: int) -> np.ndarray:
 
 
 def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int) -> np.ndarray:
-    """All automorphism matrices as one (k, n, n) int array, candidate order:
-    the stabiliser scan of the zero subspace, over all p^(n^2) matrices."""
-    return stabiliser_arrays(bil, tri, bil.shape[0], p, budget)
-
-
-def stabiliser_arrays(bil: np.ndarray, tri: np.ndarray, n: int, p: int,
-                      budget: int) -> np.ndarray:
-    """All automorphisms that map the span of the last d - n basis vectors
-    into itself, as one (k, d, d) int array in candidate order.
-
-    Such a map is block triangular, G = [[A, 0], [C, B]] with A n x n, C
-    m x n and B m x m, so only the p^(d^2 - nm) digit strings of (A, C, B)
-    are candidates.  Those with A and B invertible are tested against both
-    products.  With n = d (or n = 0) every matrix is a candidate.
-    """
-    d = bil.shape[0]
-    if d > 3:
+    """All automorphism matrices as one (k, n, n) int array, in candidate
+    order: the p^(n^2) matrices, those with nonzero determinant tested
+    against both products.  Supports n <= 3."""
+    n = bil.shape[0]
+    if n > 3:
         raise UnsupportedEnumerationError("matrix enumeration supports dimension <= 3")
-    m = d - n
-    width = d * d - n * m
     dt = _headroom_dtype(1, 1, p)
     bil, tri = bil.astype(dt), tri.astype(dt)
     found = []
-    for _, digits in candidate_blocks(p, width, budget, "matrices"):
-        rows = len(digits)
-        a = digits[:, :n * n].reshape(rows, n, n)
-        b = digits[:, width - m * m:].reshape(rows, m, m)
-        ok = np.flatnonzero(det_mask(a, p) & det_mask(b, p))
-        if not ok.size:
-            continue
-        g = np.zeros((ok.size, d, d), dtype=dt)
-        g[:, :n, :n] = a[ok]
-        g[:, n:, :n] = digits[ok, n * n:width - m * m].reshape(ok.size, m, n)
-        g[:, n:, n:] = b[ok]
+    for _, digits in candidate_blocks(p, n * n, budget, "matrices"):
+        g = digits.reshape(len(digits), n, n)
+        g = g[det_mask(g, p)]
+        found.append(g[_morphism_fixed(bil, tri, g, p)])
+    return np.concatenate(found)
+
+
+def triangular_arrays(bil: np.ndarray, tri: np.ndarray, alphas: np.ndarray,
+                      betas: np.ndarray, p: int, budget: int) -> tuple:
+    """(automorphisms G = [[alpha, 0], [C, beta]] of one structure, the pair
+    index ia * l + ib of their blocks alphas[ia], betas[ib]) in candidate
+    order: alpha-major, then beta, then the digits of C, one stream of the
+    k l p^(nm) candidates for alphas (k, n, n) and betas (l, m, m).  G is
+    invertible when alpha and beta are, so it is only tested against both
+    products."""
+    n, m = alphas.shape[1], betas.shape[1]
+    dt = _headroom_dtype(1, 1, p)
+    bil, tri = bil.astype(dt), tri.astype(dt)
+    width, nb = n * m, len(betas)
+    found, pairs = [], []
+    for start, digits in candidate_blocks(p, width, budget, "matrices",
+                                          outer=len(alphas) * nb):
+        pair = np.arange(start, start + len(digits)) // p ** width
+        g = np.zeros((len(digits), n + m, n + m), dtype=dt)
+        g[:, :n, :n] = alphas[pair // nb]
+        g[:, n:, :n] = digits.reshape(len(digits), m, n)
+        g[:, n:, n:] = betas[pair % nb]
         good = _morphism_fixed(bil, tri, g, p)
-        if good.any():
-            found.append(g[good])
-    if not found:
-        return np.zeros((0, d, d), dtype=dt)
-    return np.concatenate(found, axis=0)
+        found.append(g[good])
+        pairs.append(pair[good])
+    return np.concatenate(found), np.concatenate(pairs)
 
 
 def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:

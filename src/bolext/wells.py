@@ -16,7 +16,7 @@ are the tables `identities.IND` and `identities.Z1`, decided on the path of
 `nonabelian`."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _class_witnesses, _CocycleArrays,
                          _cocycle_arrays, _equivalence_matrix, _equivalent_via,
                          _phi_solutions, _search_phi, _solve_for_phi,
-                         solve_equivalence, validate_nab_cocycle,
+                         solve_equivalence, validate_nab_full,
                          validate_nab_parts)
 from .representation import Representation
 
@@ -282,11 +282,20 @@ class Z1Result:
 
 
 def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
-    """The degree-one cocycles of c: the kernel of the `Z1` system over an
-    abelian fiber, its maps listed over GF(p) within the bound; otherwise
-    the GF(p) maps that pass `Z1`, each checked again, or undecided."""
-    if not validate_nab_cocycle(c).valid:
-        raise UsageError("degree-one cocycles over an invalid cocycle")
+    """`_z1_cocycles`, for a cocycle that passes `validate_nab_full`: the
+    cocycle suite and the Bol axioms of its base and fiber."""
+    rep = validate_nab_full(c)
+    if not rep.valid:
+        raise UsageError("degree-one cocycles over an invalid cocycle: "
+                         + ", ".join(rep.tags()))
+    return _z1_cocycles(c, bound)
+
+
+def _z1_cocycles(c: NonAbelianCocycle,
+                 bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
+    """The kernel of the `Z1` system over an abelian fiber, its maps listed
+    over GF(p) within the bound; otherwise the GF(p) maps that pass `Z1`,
+    each checked again, or undecided.  Checks no axiom of c."""
     n, m = c.n, c.m
     field = c.field
     if c.fiber.is_abelian():
@@ -436,10 +445,11 @@ def _same_actions(acted: _CocycleArrays, c: _CocycleArrays) -> np.ndarray:
             & (acted.dd == c.dd).all(axis=(1, 2, 3, 4)))
 
 
-def _abelian_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts,
+def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber,
                             chunk: int = _VERDICT_CHUNK):
-    """Class verdicts of every pair in base_auts x fiber_auts, alpha-major,
-    against a cocycle over a prime field with an abelian fiber.
+    """Class verdicts of every pair of base x fiber automorphisms (each an
+    (automorphisms, inverses) pair from `_checked_automorphisms`),
+    alpha-major, against a cocycle over a prime field with an abelian fiber.
 
     Decides what `_wells_verdict` decides pair by pair, but eliminates the
     equivalence system once: each pair only contributes a right-hand side.
@@ -447,8 +457,7 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts,
     maps phi[k, t, q], zero unless the class vanishes) per chunk of pairs.
     """
     p = c.field.p
-    alphas, alpha_invs = _checked_automorphisms(base_auts, c.base, "first", "base")
-    betas, beta_invs = _checked_automorphisms(fiber_auts, c.fiber, "second", "fiber")
+    (alphas, alpha_invs), (betas, beta_invs) = base, fiber
     arr = _cocycle_arrays(c)
     bil, tri = residues(c.base.bil), residues(c.base.tri)
     system = bruteforce.rref_transform(_equivalence_matrix(c), p)
@@ -470,10 +479,11 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts,
         yield start, status, phi
 
 
-def _pairwise_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts, bound):
+def _pairwise_class_verdicts(c: NonAbelianCocycle, base, fiber, bound):
     """The same stream as `_abelian_class_verdicts` (witnesses omitted),
     decided pair by pair; any fiber."""
     field = c.field
+    (base_auts, _), (fiber_auts, _) = base, fiber
     for ia, ga in enumerate(base_auts):
         alpha = int_matrix(field, ga)
         status = [_VERDICT_STATUS.index(
@@ -486,21 +496,25 @@ def _pairwise_class_verdicts(c: NonAbelianCocycle, base_auts, fiber_auts, bound)
 # exactness verification
 
 def _fiber_preserving_automorphisms(e: Extension, t: Matrix, adapted: BolAlgebra,
-                                    bound: int):
-    """(blocks, gammas): Aut_V(total) in the adapted basis T with total
-    `adapted` (`_adapted_total`), block triangular [[alpha, 0], [C, beta]],
-    and the same maps T blocks T^-1 on the total, checked to keep the fiber
-    in place; residue arrays in candidate order."""
+                                    alphas, betas, bound: int):
+    """(blocks, pairs, gammas): Aut_V(total) in the adapted basis T with total
+    `adapted` (`_adapted_total`), as `bruteforce.triangular_arrays` of the
+    base and fiber groups `alphas` and `betas`, with its pair indices; and
+    the same maps T blocks T^-1 on the total, checked to keep the fiber in
+    place.  Complete: in the basis T a map keeping the fiber is block
+    triangular, and the diagonal blocks of an automorphism are those it
+    induces on the quotient B and on the ideal V."""
     p = e.field.p
     f = bruteforce.contract_mod
-    blocks = bruteforce.stabiliser_arrays(residues(adapted.bil), residues(adapted.tri),
-                                          e.n, p, bound).astype(np.int64)
+    blocks, pairs = bruteforce.triangular_arrays(residues(adapted.bil), residues(adapted.tri),
+                                                 alphas, betas, p, bound)
+    blocks = blocks.astype(np.int64)
     gammas = f("xy,byz->bxz", p, residues(t.entries),
                f("byz,zw->byw", p, blocks, residues(t.inverse().entries)))
     if np.any(f("xy,byz,zw->bxw", p, residues(e.proj.entries), gammas,
                 residues(e.inj.entries))):
-        raise InternalConsistencyError("stabiliser scan returned a map moving the fiber")
-    return blocks, gammas
+        raise InternalConsistencyError("factored scan returned a map moving the fiber")
+    return blocks, pairs, gammas
 
 
 def _s_map_images(e: Extension, s: Section, gammas: np.ndarray) -> np.ndarray:
@@ -554,40 +568,28 @@ class ExactnessReport:
                 and self.product_consistency)
 
     def as_dict(self):
-        return {
-            "cardinalities": {
-                "aut_v_total": self.aut_v_total,
-                "aut_fixing_both": self.aut_fixing_both,
-                "z1": self.z1_count,
-                "image_kappa": self.image_kappa,
-                "kernel_wells": self.kernel_wells,
-                "pairs_total": self.pairs_total,
-                "aut_base": self.aut_base,
-                "aut_fiber": self.aut_fiber,
-                "incompatible_pairs": self.incompatible_pairs,
-            },
-            "verdicts": {
-                "kernel_kappa_equals_inclusion_image":
-                    self.kernel_kappa_equals_inclusion_image,
-                "kernel_wells_equals_kappa_image":
-                    self.kernel_wells_equals_kappa_image,
-                "s_map_bijective": self.s_map_bijective,
-                "z1_addition_closed": self.z1_addition_closed,
-                "product_consistency": self.product_consistency,
-            },
-        }
+        """The first nine fields as "cardinalities" (`z1_count` as "z1"), the
+        rest as "verdicts", in field order."""
+        items = [(f.name.removesuffix("_count"), getattr(self, f.name)) for f in fields(self)]
+        return {"cardinalities": dict(items[:9]), "verdicts": dict(items[9:])}
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a stack of residue arrays, as sorted rows."""
+    return np.unique(a.reshape(len(a), -1), axis=0)
 
 
 def verify_wells_exactness(e: Extension,
                            bound: int = DEFAULT_ENUMERATION_BOUND) -> ExactnessReport:
     """Brute-force the full sequence over a prime field.
 
-    Enumerates every fiber-preserving automorphism of the total algebra
-    (`bruteforce.stabiliser_arrays`, p^(d^2 - nm) candidates), computes its
-    restriction pair, and checks: the kernel of the restriction map is
+    Scans Aut(B) and Aut(V) and checks every member once; Aut_V(total) is
+    the factored scan of their |Aut B| |Aut V| p^(nm) block-triangular maps
+    (`_fiber_preserving_automorphisms`), whose pair indices are the image
+    of the restriction map.  Checks: the kernel of the restriction map is
     exactly the image of the degree-one cocycles, the kernel of the class
-    map is exactly the image of the restriction map over all pairs, and
-    the section-difference map is a bijection onto the degree-one cocycles.
+    map is exactly the image of the restriction map over all pairs, and the
+    section-difference map is a bijection onto the degree-one cocycles.
     """
     if not e.field.is_prime_field:
         raise UnsupportedEnumerationError("exactness verification needs a finite field")
@@ -597,30 +599,31 @@ def verify_wells_exactness(e: Extension,
     s = _canonical_section(e)
     t, adapted = _adapted_total(e, s)
     c = _read_cocycle(e, adapted)
-    rep = validate_nab_parts(c)  # the cocycle suite is z1_nab's guard
+    rep = validate_nab_parts(c)  # z1_nab's guard adds the cocycle suite
     if not rep.valid:
         raise UsageError("exactness verification over an invalid cocycle: "
                          + ", ".join(rep.tags()))
+    base = _checked_automorphisms(automorphism_int_arrays(e.base, bound), e.base,
+                                  "first", "base")
+    fiber = _checked_automorphisms(automorphism_int_arrays(e.fiber, bound), e.fiber,
+                                   "second", "fiber")
 
-    # Aut_V(total) is block triangular in the adapted basis s(e_1..e_n),
-    # i(f_1..f_m); its diagonal blocks are the restriction pair
-    blocks, gammas = _fiber_preserving_automorphisms(e, t, adapted, bound)
-    alphas, betas = blocks[:, :e.n, :e.n], blocks[:, e.n:, e.n:]
-
-    image_kappa = {(a.tobytes(), b.tobytes()) for a, b in zip(alphas, betas)}
-    ker = ((alphas == np.eye(e.n, dtype=np.int64)).all(axis=(1, 2))
-           & (betas == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
+    blocks, pairs, gammas = _fiber_preserving_automorphisms(e, t, adapted, base[0],
+                                                            fiber[0], bound)
+    image_kappa = np.unique(pairs)
+    ker = ((blocks[:, :e.n, :e.n] == np.eye(e.n, dtype=np.int64)).all(axis=(1, 2))
+           & (blocks[:, e.n:, e.n:] == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
     ker_gammas = gammas[ker]
 
     z1 = z1_nab(c, bound)
     if z1.maps is None:
         raise UnsupportedEnumerationError(z1.reason)
     z1_maps = residues([phi.entries for phi in z1.maps]).reshape(-1, e.m, e.n)
-    z1_keys = {phi.tobytes() for phi in z1_maps}
+    z1_rows = _rows(z1_maps)
 
     # section-difference map on the kernel subgroup
-    s_images = [phi.tobytes() for phi in _s_map_images(e, s, ker_gammas)]
-    s_bij = (len(set(s_images)) == len(s_images) and set(s_images) == z1_keys)
+    s_images = _rows(_s_map_images(e, s, ker_gammas))
+    s_bij = len(s_images) == len(ker_gammas) and np.array_equal(s_images, z1_rows)
 
     # inclusion image: each degree-one cocycle yields the shear
     #   a + s(x) |-> a - phi(x) + s(x)
@@ -629,51 +632,35 @@ def verify_wells_exactness(e: Extension,
                                         z1_maps, residues(e.proj.entries))) % p
     is_aut, _ = _automorphism_mask(shears, residues(e.total.bil),
                                    residues(e.total.tri), p)
-    ker_eq_incl = (bool(is_aut.all()) and {g.tobytes() for g in shears}
-                   == {g.tobytes() for g in ker_gammas})
+    ker_eq_incl = bool(is_aut.all()) and np.array_equal(_rows(shears), _rows(ker_gammas))
 
     # kernel of the class map over all pairs, alpha-major
-    base_auts = automorphism_int_arrays(e.base, bound)
-    fiber_auts = automorphism_int_arrays(e.fiber, bound)
-    akeys = [a.tobytes() for a in base_auts.astype(np.int64)]
-    bkeys = [b.tobytes() for b in fiber_auts.astype(np.int64)]
-    nb = len(fiber_auts)
     if c.fiber.is_abelian():
-        verdicts = _abelian_class_verdicts(c, base_auts, fiber_auts)
+        verdicts = _abelian_class_verdicts(c, base, fiber)
     else:
-        verdicts = _pairwise_class_verdicts(c, base_auts, fiber_auts, bound)
-    ker_wells = 0
-    incompatible = 0
-    ker_wells_eq_image = True
-    for start, status, _ in verdicts:
-        if (status == _UNDECIDED).any():
-            raise UnsupportedEnumerationError("class verdict undecided at bound")
-        incompatible += int((status == _INCOMPATIBLE).sum())
-        is_zero = status == _ZERO
-        ker_wells += int(is_zero.sum())
-        in_image = np.array([(akeys[i // nb], bkeys[i % nb]) in image_kappa
-                             for i in range(start, start + len(status))])
-        if (is_zero != in_image).any():
-            ker_wells_eq_image = False
+        verdicts = _pairwise_class_verdicts(c, base, fiber, bound)
+    status = np.concatenate([status for _, status, _ in verdicts])
+    if (status == _UNDECIDED).any():
+        raise UnsupportedEnumerationError("class verdict undecided at bound")
+    zero_pairs = np.flatnonzero(status == _ZERO)
 
-    sums = (z1_maps[:, None] + z1_maps[None]) % p
-    closed = all(phi.tobytes() in z1_keys for phi in sums.reshape(-1, e.m, e.n))
+    # the sums of degree-one cocycles add no row to them
+    sums = ((z1_maps[:, None] + z1_maps[None]) % p).reshape(-1, e.m, e.n)
+    closed = len(_rows(np.concatenate([z1_maps, sums]))) == len(z1_rows)
 
-    n_pairs = len(base_auts) * len(fiber_auts)
     return ExactnessReport(
-        aut_v_total=int(gammas.shape[0]),
+        aut_v_total=len(gammas),
         aut_fixing_both=len(ker_gammas),
         z1_count=len(z1.maps),
         image_kappa=len(image_kappa),
-        kernel_wells=ker_wells,
-        pairs_total=n_pairs,
-        aut_base=len(base_auts),
-        aut_fiber=len(fiber_auts),
-        incompatible_pairs=incompatible,
+        kernel_wells=len(zero_pairs),
+        pairs_total=len(status),
+        aut_base=len(base[0]),
+        aut_fiber=len(fiber[0]),
+        incompatible_pairs=int((status == _INCOMPATIBLE).sum()),
         kernel_kappa_equals_inclusion_image=ker_eq_incl,
-        kernel_wells_equals_kappa_image=ker_wells_eq_image,
+        kernel_wells_equals_kappa_image=np.array_equal(zero_pairs, image_kappa),
         s_map_bijective=s_bij,
         z1_addition_closed=closed,
-        product_consistency=(len(ker_gammas) * len(image_kappa)
-                             == int(gammas.shape[0])),
+        product_consistency=len(ker_gammas) * len(image_kappa) == len(gammas),
     )

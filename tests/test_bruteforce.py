@@ -9,10 +9,10 @@ from bolext.bol import is_morphism, s2, z1, z2
 from bolext.bruteforce import (_contract, _headroom_dtype, _morphism_fixed,
                                _narrowest, _term_bound, automorphism_arrays,
                                candidate_blocks, canonical_solutions,
-                               contract_mod, det_mask, digit_block,
+                               contract_mod, digit_block,
                                identity_mask, inverse_mod,
                                require_int64_headroom, rref_transform,
-                               stabiliser_arrays)
+                               triangular_arrays)
 from bolext.errors import UnsupportedEnumerationError
 from bolext.exactlin import Matrix, PrimeField
 
@@ -143,26 +143,15 @@ def test_candidate_blocks_check_the_bound_when_called():
             == digit_block(0, 625, 5, 4, np.int64)).all()
 
 
-def test_det_mask_of_empty_blocks():
-    assert det_mask(np.zeros((4, 0, 0), dtype=np.int16), 5).tolist() == [True] * 4
-    assert det_mask(np.zeros((0, 0, 0), dtype=np.int16), 5).shape == (0,)
-
-
 @pytest.mark.parametrize("name", ["z1", "z2", "s2", "bracket_base"])
 def test_stabiliser_scan_of_a_trivial_subspace_is_the_flat_scan(F5, name):
-    # n = d (the span of no basis vector) and n = 0 (the whole space) leave
-    # every matrix a candidate: both give the flat scan element for element,
-    # which is every invertible matrix that `_morphism_oracle` accepts, in
-    # lexicographic order of its row-major digits
+    # the flat scan is every invertible matrix that `_morphism_oracle`
+    # accepts, in lexicographic order of its row-major digits
     from test_wells import _bracket_base
 
     a = {"z1": z1, "z2": z2, "s2": s2, "bracket_base": _bracket_base}[name](F5)
     bil, tri, d = identities.residues(a.bil), identities.residues(a.tri), a.dim
     flat = automorphism_arrays(bil, tri, 5, 10 ** 4)
-    for n in (0, d):
-        got = stabiliser_arrays(bil, tri, n, 5, 10 ** 4)
-        assert got.dtype == flat.dtype and got.shape == flat.shape
-        assert (got == flat).all()
     every = digit_block(0, 5 ** (d * d), 5, d * d, np.int64).reshape(-1, d, d)
     invertible = every[[Matrix.from_int_rows(F5, g.tolist()).rank() == d for g in every]]
     want = invertible[_morphism_oracle(bil, tri, invertible, 5)]
@@ -190,15 +179,18 @@ def test_morphism_mask_at_p7_has_headroom():
 def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
                                                                ext_h3_f5):
     # e_h3's total in the adapted basis has no bracket, so `_morphism_fixed`
-    # skips its contraction: on every candidate of the stabiliser scan that
-    # survives the determinant filter the mask equals both checks made in full
+    # skips its contraction: on every candidate of the factored scan (each
+    # pair of base and fiber automorphisms, with every block C) the mask
+    # equals both checks made in full
     import bolext.bruteforce
+    from bolext.bol import automorphism_int_arrays
     from bolext.extensions import _adapted_total, canonical_section
 
     e = ext_h3_f5
     _, adapted = _adapted_total(e, canonical_section(e))
     bil, tri = identities.residues(adapted.bil), identities.residues(adapted.tri)
     assert not tri.any()
+    alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
     seen = []
     skipping = bolext.bruteforce._morphism_fixed
 
@@ -206,7 +198,7 @@ def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
         seen.append((args[2].astype(np.int64), skipping(*args)))
         return seen[-1][1]
     monkeypatch.setattr(bolext.bruteforce, "_morphism_fixed", recorded)
-    assert len(stabiliser_arrays(bil, tri, e.n, 5, 10 ** 7)) == 12000
+    assert len(triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 7)[0]) == 12000
     M = np.concatenate([m for m, _ in seen])
     got = np.concatenate([mask for _, mask in seen])
     assert len(M) == 480 * 4 * 25
@@ -266,23 +258,29 @@ def test_mor_mask_matches_is_morphism_on_the_h3_total(F5, ext_h3_f5):
 # the batched tensors of each table as `identity_mask` would be handed them
 _BATCHED = [(identities.BOL, {"bil", "tri"}),
             (identities.REP, {"mu", "theta", "dd"}),
-            (identities.NAB, {"nu", "om", "mu", "theta", "dd"})]
+            (identities.NAB, {"nu", "om", "mu", "theta", "dd"}),
+            (identities.EQV, {"phi"}), (identities.IND, {"phi"}),
+            (identities.Z1, {"phi"}), (identities.MOR, {"f"})]
 
 
 def _tensor_shapes(n, m):
-    return dict(bil=(n,) * 3, tri=(n,) * 4, vbil=(m,) * 3, vtri=(m,) * 4,
-                nu=(n, n, m), om=(n, n, n, m), mu=(n, m, m), theta=(n, n, m, m),
-                dd=(n, n, m, m))
+    cocycle = dict(nu=(n, n, m), om=(n, n, n, m), mu=(n, m, m), theta=(n, n, m, m),
+                   dd=(n, n, m, m))
+    return dict(cocycle, **{name + "1": shape for name, shape in cocycle.items()},
+                bil=(n,) * 3, tri=(n,) * 4, vbil=(m,) * 3, vtri=(m,) * 4,
+                phi=(m, n), alpha=(n, n), beta=(m, m), f=(n, n))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.data())
 def test_contract_is_exact_for_every_batched_term(data):
-    # every term of BOL, REP and NAB, contracted pairwise in the narrow type
-    # its bound picks, against an unoptimised int64 einsum; "edge" takes the
-    # largest p whose all-(p-1) operands still fit int16 (or the next p,
-    # the first to need int32), and "zero" makes the first factor all zero,
-    # so its bound is 0 while products of the other factors wrap int16
+    # every term of every table `identity_mask` reads, contracted pairwise in
+    # the narrow type its bound picks, against an unoptimised int64 einsum;
+    # "edge" takes the largest p whose all-(p-1) operands still fit int16
+    # (or the next p, the first to need int32), and "zero" makes the first
+    # factor all zero, so its bound is 0 while products of the other factors
+    # wrap int16, with the largest p <= 30011 whose all-(p-1) operands
+    # still fit the int64 reference
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
     mode = data.draw(st.sampled_from(["random", "top", "edge", "zero"]))
     above = data.draw(st.booleans())
@@ -300,8 +298,13 @@ def test_contract_is_exact_for_every_batched_term(data):
                     while summed * (p - 1) ** degree > 32767:
                         p -= 1
                     p += above
+                elif mode == "zero":
+                    top = np.iinfo(np.int64).max
+                    p = min(30011, 2 + int((top / summed) ** (1 / degree)))
+                    while summed * (p - 1) ** degree > top:
+                        p -= 1
                 else:
-                    p = {"random": 7, "top": 5, "zero": 30011}[mode]
+                    p = {"random": 7, "top": 5}[mode]
                 ops = []
                 for k, (name, _) in enumerate(t.factors):
                     shape = ((rows,) if name in batched else ()) + shapes[name]

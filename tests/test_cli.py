@@ -321,12 +321,47 @@ def test_enumerate_vectors_respects_bound(capsys):
 
 
 def test_exactness_bound_counts_fiber_preserving_candidates(capsys):
-    # only the 5^(9 - 2) block-triangular matrices of the adapted basis are
-    # candidates, not all 5^9 matrices of the total
+    # the candidates are the |Aut B| |Aut V| p^(nm) = 480 * 4 * 5^2
+    # block-triangular matrices of the adapted basis, not all 5^9 matrices
+    # of the total
     code, out = run_cli("--bound", "10000", "exactness", "--extension", C("e_h3.ext"))
     assert code == 2 and out == ""
     assert capsys.readouterr().err == \
-        "error: 78125 candidate matrices exceed the bound 10000\n"
+        "error: 48000 candidate matrices exceed the bound 10000\n"
+
+
+def test_exactness_on_a_nonabelian_extension_of_dimension_four():
+    # e_s2_s2.ext: a nonzero class of s2 x s2 over GF(5), so a total of
+    # dimension 4 over a non-abelian fiber; its kappa image is checked
+    # against one solve_inducibility call per pair
+    import numpy as np
+
+    from bolext.bol import automorphism_int_arrays, int_matrix
+    from bolext.documents import parse_document
+    from bolext.extensions import _adapted_total, canonical_section
+    from bolext.wells import AutPair, _fiber_preserving_automorphisms, solve_inducibility
+
+    t0 = time.monotonic()
+    code, out = run_cli("exactness", "--extension", C("e_s2_s2.ext"))
+    assert time.monotonic() - t0 < 20.0
+    assert code == 0
+    report = json.loads(out)
+    card = report["cardinalities"]
+    ref = json.loads((corpus_dir() / "manifest.json").read_text())
+    assert {k: card[k] for k in ref["reference"]["exactness"]["e_s2_s2.ext"]} == \
+        ref["reference"]["exactness"]["e_s2_s2.ext"]
+    assert card["aut_v_total"] == card["image_kappa"] == card["kernel_wells"] == 100
+    assert card["pairs_total"] == 400 and all(report["verdicts"].values())
+
+    e = parse_document(C("e_s2_s2.ext"), "extension")
+    alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
+    _, pairs, _ = _fiber_preserving_automorphisms(
+        e, *_adapted_total(e, canonical_section(e)), alphas, betas, 10 ** 6)
+    inducible = [k for k in range(len(alphas) * len(betas)) if solve_inducibility(
+        e, AutPair(int_matrix(e.field, alphas[k // len(betas)]),
+                   int_matrix(e.field, betas[k % len(betas)]))).found]
+    assert np.unique(pairs).tolist() == inducible
+    assert len(inducible) == 100
 
 
 _ALGEBRAS = sorted(p.name for p in corpus_dir().iterdir() if p.suffix == ".bol")

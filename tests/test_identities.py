@@ -32,8 +32,9 @@ from bolext.nonabelian import (NonAbelianCocycle, _equivalence_tensors,
                                cocycles_equivalent_via, solve_equivalence,
                                validate_nab_cocycle)
 from bolext.representation import Representation, r_s2, validate_representation
+from bolext.errors import UsageError
 from bolext.wells import (AutPair, _inducibility_report, _inducibility_tensors,
-                          inducible_via, solve_inducibility, z1_nab)
+                          _z1_cocycles, inducible_via, solve_inducibility, z1_nab)
 
 from test_acceptance import MUTATIONS
 from test_bol import mutate
@@ -281,8 +282,8 @@ def _unit_algebra(field, dim, entries):
     return BolAlgebra(field, dim, _tuples(bil), _tuples(tri))
 
 
-def _z1_lines(c):
-    z = z1_nab(c)
+def _z1_lines(c, z1=z1_nab):
+    z = z1(c)
     fmt = c.field.format_scalar
     lines = [f"{z.kind} dim={z.dim} reason={z.reason}"]
     if z.subspace is not None:
@@ -317,17 +318,33 @@ def _z1_abelian(field):
 
 
 def _z1_nonabelian(seed):
-    """z1_nab of zero cocycles, which are valid over any fiber: a random
-    base and fiber; e2*e1 = e1 over s2, whose degree-one cocycles send e2
-    into span(e2); and e2*e1 = e1, [e3,e2,e3] = e1 over z1, where e1, e2
-    and e3 each fail exactly one of the three annihilation conditions."""
+    """The degree-one cocycles of zero cocycles, which satisfy the cocycle
+    suite over any fiber: a random base and fiber; e2*e1 = e1 over s2, whose
+    degree-one cocycles send e2 into span(e2); and e2*e1 = e1,
+    [e3,e2,e3] = e1 over z1, where e1, e2 and e3 each fail exactly one of
+    the three annihilation conditions.  None of these fibers (nor the
+    random base) is a Bol algebra, which `z1_nab` refuses, so the lines
+    come from its guard-free body."""
+    return [line for c in _z1_nonabelian_cocycles(seed)
+            for line in _z1_lines(c, _z1_cocycles)]
+
+
+def _z1_nonabelian_cocycles(seed):
     rng = random.Random(seed)
-    out = []
-    for base, fiber in ((_random_algebra(F5, rng, 2), _random_algebra(F5, rng, 2)),
-                        (s2(F5), _unit_algebra(F5, 2, {(1, 0): 0})),
-                        (z1(F5), _unit_algebra(F5, 3, {(1, 0): 0, (2, 1, 2): 0}))):
-        out += _z1_lines(NonAbelianCocycle.zero(base, fiber))
-    return out
+    return [NonAbelianCocycle.zero(base, fiber) for base, fiber in (
+        (_random_algebra(F5, rng, 2), _random_algebra(F5, rng, 2)),
+        (s2(F5), _unit_algebra(F5, 2, {(1, 0): 0})),
+        (z1(F5), _unit_algebra(F5, 3, {(1, 0): 0, (2, 1, 2): 0})))]
+
+
+def test_z1_nab_refuses_a_non_bol_base_or_fiber():
+    # the cocycles of the golden case z1-nonabelian-gf5 pass the cocycle
+    # suite, but each has a base or fiber that breaks a Bol axiom
+    for c in _z1_nonabelian_cocycles(41):
+        assert validate_nab_cocycle(c).valid
+        with pytest.raises(UsageError, match="^degree-one cocycles over an invalid "
+                                             "cocycle: (base|fiber):"):
+            z1_nab(c)
 
 
 C, S = Variant.CORRECTED, Variant.STRICT

@@ -271,17 +271,18 @@ def test_batched_class_verdicts_match_per_pair(F5, name):
     from bolext.bol import automorphism_int_arrays, int_matrix
     from bolext.core import DEFAULT_ENUMERATION_BOUND
     from bolext.wells import (_VERDICT_STATUS, _abelian_class_verdicts,
-                              _wells_verdict)
+                              _checked_automorphisms, _wells_verdict)
 
     e = _extension(F5, name)
     c = theta_map(e)
     base_auts = automorphism_int_arrays(e.base)
     fiber_auts = automorphism_int_arrays(e.fiber)
     nb = len(fiber_auts)
+    base = _checked_automorphisms(base_auts, e.base, "first", "base")
+    fiber = _checked_automorphisms(fiber_auts, e.fiber, "second", "fiber")
     seen = 0
     # a chunk size that does not divide the pair count
-    for start, status, phi in _abelian_class_verdicts(c, base_auts, fiber_auts,
-                                                      chunk=700):
+    for start, status, phi in _abelian_class_verdicts(c, base, fiber, chunk=700):
         assert start == seen
         for k in range(len(status)):
             i = start + k
@@ -433,12 +434,13 @@ def _rebased(F5, e, seed):
 @pytest.mark.parametrize("name", ["e_h3", "z1_z1", "z2_mu_first", "s2_r_s2",
                                   "z1_s2", "e_h3_rebased_3", "e_h3_rebased_8"])
 def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
-    # the block-triangular scan in the adapted basis against the flat scan
-    # of the total filtered to the fiber-preserving maps and rewritten in
-    # that basis, and its diagonal blocks against the lift search oracle
+    # the factored scan of the fiber's stabiliser in the adapted basis
+    # against the flat scan of the total filtered to the fiber-preserving
+    # maps and rewritten in that basis, its pair indices against its
+    # diagonal blocks, and those blocks against the lift search oracle
     import bolext.bol
     from bolext.bol import automorphism_int_arrays, int_matrix
-    from bolext.bruteforce import stabiliser_arrays
+    from bolext.bruteforce import triangular_arrays
     from bolext.identities import residues
     from oracles import lift_search_image
 
@@ -457,15 +459,19 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
     if name.startswith("e_h3_rebased"):
         assert sorted(T.ravel().tolist()) != [0] * 6 + [1] * 3
     adapted = e.total.conjugate(t)
-    got = stabiliser_arrays(residues(adapted.bil), residues(adapted.tri),
-                            e.n, 5, 10 ** 7).astype(np.int64)
+    alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
+    got, pairs = triangular_arrays(residues(adapted.bil), residues(adapted.tri),
+                                   alphas, betas, 5, 10 ** 7)
+    got = got.astype(np.int64)
+    n = e.n
+    assert (alphas[pairs // len(betas)] == got[:, :n, :n]).all()
+    assert (betas[pairs % len(betas)] == got[:, n:, n:]).all()
     flat = automorphism_int_arrays(e.total).astype(np.int64)
     moves = np.einsum("xy,byz,zw->bxw", P, flat, I) % 5
     want = np.einsum("xy,byz,zw->bxw", Tinv, flat[~moves.any(axis=(1, 2))], T) % 5
     keys = {g.tobytes() for g in got}
     assert len(keys) == len(got) == len(want)
     assert keys == {g.tobytes() for g in want}
-    n = e.n
     image = {(int_matrix(F5, g[:n, :n]).entries, int_matrix(F5, g[n:, n:]).entries)
              for g in got}
 
@@ -488,18 +494,20 @@ def test_exactness_report_is_basis_invariant(F5, seed):
 
 
 def test_stabiliser_scan_refuses_dimension_four():
-    from bolext.bruteforce import stabiliser_arrays
+    # only the flat scan is limited in dimension; the factored scan of a
+    # d = 4 total is covered by the corpus extension in test_cli
+    from bolext.bruteforce import automorphism_arrays
     from bolext.errors import UnsupportedEnumerationError
 
     with pytest.raises(UnsupportedEnumerationError,
                        match="matrix enumeration supports dimension <= 3"):
-        stabiliser_arrays(np.zeros((4,) * 3, dtype=np.int64),
-                          np.zeros((4,) * 4, dtype=np.int64), 2, 2, 10 ** 7)
+        automorphism_arrays(np.zeros((4,) * 3, dtype=np.int64),
+                            np.zeros((4,) * 4, dtype=np.int64), 2, 10 ** 7)
 
 
 def test_exactness_e_h3_gf7_at_default_bound(F7):
-    # 7^9 matrices exceed the default bound; the 7^7 block-triangular ones
-    # do not
+    # 7^9 matrices exceed the default bound; the 2016 * 6 * 7^2 candidates
+    # of the factored scan do not
     import time
     from bolext.extensions import e_h3
 
@@ -640,7 +648,7 @@ def test_batched_s_map_images_match_scalar_s_map(F5, seed):
     # every kernel map of e_h3 (and of e_h3 rebased): the batched images
     # against `s_map`; a fiber-preserving map outside the kernel is refused
     # by both
-    from bolext.bol import int_matrix
+    from bolext.bol import automorphism_int_arrays, int_matrix
     from bolext.errors import InternalConsistencyError
     from bolext.extensions import _adapted_total, _canonical_section
     from bolext.identities import residues
@@ -650,7 +658,9 @@ def test_batched_s_map_images_match_scalar_s_map(F5, seed):
     if seed is not None:
         e = _rebased(F5, e, seed)
     s = _canonical_section(e)
-    blocks, gammas = _fiber_preserving_automorphisms(e, *_adapted_total(e, s), 10 ** 7)
+    blocks, _, gammas = _fiber_preserving_automorphisms(
+        e, *_adapted_total(e, s), automorphism_int_arrays(e.base),
+        automorphism_int_arrays(e.fiber), 10 ** 7)
     n = e.n
     ker = ((blocks[:, :n, :n] == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
            & (blocks[:, n:, n:] == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
