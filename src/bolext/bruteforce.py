@@ -101,16 +101,18 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     fixed = fixed or {}
     shapes = {name: a.shape[1:] for name, a in batch.items()}
     shapes.update((name, a.shape) for name, a in fixed.items())
-    peak = {name: int(a.max(initial=0)) for name, a in {**batch, **fixed}.items()}
     checks = [(identities.axis_sizes(idt, shapes), idt)
               for group in suite for idt in group.identities]
+    read = set().union(*(_reads(idt) for _, idt in checks))
+    peak = {name: int(a.max(initial=0)) for name, a in {**batch, **fixed}.items()
+            if name in read}
     rows = len(next(iter(batch.values())))
     ok = np.ones(rows, dtype=bool) if ok is None else ok.copy()
     for sizes, idt in sorted(checks, key=lambda c: _identity_cost(*c)):
         survivors = np.flatnonzero(ok)
         if not survivors.size:
             break
-        names = {name for t in idt.terms for name, _ in t.factors}
+        names = _reads(idt)
         bounds = [_term_bound(t, idt.axes, sizes, peak) for t in idt.terms]
         what = f"the terms of {idt.tag} mod {p}"
         dtype = _narrowest(max(sum(bounds), p), what)
@@ -131,12 +133,18 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
 
 
 def reading(suite, names) -> tuple:
-    """The identities of `suite` whose terms read only the tensors `names`,
-    as a suite for `identity_mask`: the checks of a batch that are shared by
-    every structure agreeing on those tensors."""
-    return tuple(identities.Group(len(idt.where), (idt,))
-                 for group in suite for idt in group.identities
-                 if {name for t in idt.terms for name, _ in t.factors} <= set(names))
+    """(the identities of `suite` whose terms read only the tensors `names`,
+    the others), each as a suite for `identity_mask`: the checks of a batch
+    that are shared by every structure agreeing on those tensors, and the
+    checks left to each structure."""
+    checks = [identities.Group(len(idt.where), (idt,))
+              for group in suite for idt in group.identities]
+    part = tuple(g for g in checks if _reads(g.identities[0]) <= set(names))
+    return part, tuple(g for g in checks if g not in part)
+
+
+def _reads(idt) -> set:
+    return {name for t in idt.terms for name, _ in t.factors}
 
 
 def _term_bound(term, axes: str, sizes: dict, peak: dict) -> int:

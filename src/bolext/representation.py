@@ -162,13 +162,15 @@ def is_pseudoderivation(f: Matrix, chi, a: BolAlgebra, r: Representation) -> boo
 # ---------------------------------------------------------------------------
 # exhaustive two-route census (module identities vs. semidirect axioms)
 
-# candidates per census chunk: the action batches and glued tensors of one
-# chunk set the census's peak memory
+# candidates per census chunk, and (algebra, candidate) pairs per stacked
+# slice: the action batches and glued tensors of one chunk or slice set the
+# census's peak memory
 _CENSUS_CHUNK = 1 << 14
-# the identities of each route that read no tensor of the algebra: the
-# module identities free of bil and tri, and the Bol axioms of the glued tri
-_REP_SHARED = bruteforce.reading(identities.REP, ("mu", "theta", "dd"))
-_BOL_SHARED = bruteforce.reading(identities.BOL, ("tri",))
+# each route's identities that read neither bil nor mu (the tail), and the
+# rest: the module identities of theta, D and the base tri; the Bol axioms
+# of the glued tri, which is glued from the base tri, theta and D alone
+_REP_TAIL, _REP_REST = bruteforce.reading(identities.REP, ("tri", "theta", "dd"))
+_BOL_TAIL, _BOL_REST = bruteforce.reading(identities.BOL, ("tri",))
 
 
 @dataclass
@@ -189,6 +191,9 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
     `discrepancies` lists (algebra index, candidate index) pairs where they
     disagree.
     """
+    if algebra_dim < 0 or module_dim < 0:
+        raise UsageError(f"census dimensions must be nonnegative, got "
+                         f"{algebra_dim} and {module_dim}")
     if not field.is_prime_field:
         raise UnsupportedEnumerationError("the census needs a finite field")
     p = field.p
@@ -210,18 +215,62 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
 
 def _census_routes(algebras, n: int, m: int, p: int, params):
     """(route-1 mask, route-2 mask) per algebra (bil, tri) on the candidate
-    action tuples of the digit rows `params`: the module identities, and the
-    Bol axioms of the semidirect sum.  The identities of either route that
-    read no tensor varying with the algebra are decided once (route 2: once
-    per distinct base tri, on the glued tri) and start every algebra's full
-    check."""
+    action tuples of the digit rows `params`: the module identities (`REP`),
+    and the Bol axioms (`BOL`) of the semidirect sum.
+
+    No identity is decided twice on the same inputs.  The tail identities of
+    each route read only the base tri, theta and D, so they are decided once
+    per distinct base tri, on the chunk's distinct (theta, D) digit strings,
+    and read back for every row.  The rest of each route is decided once per
+    tri class, on the (algebra, row) pairs of the class's algebras and that
+    route's tail survivors, stacked in slices of at most `_CENSUS_CHUNK`
+    pairs; route 2 glues only those pairs.  The routes share only the choice
+    of the distinct rows, which holds no verdict."""
     mu, theta, dd = bruteforce.rep_param_batches(n, m, p, params)
-    shared1 = bruteforce.identity_mask(_REP_SHARED, p, {"mu": mu, "theta": theta, "dd": dd})
-    shared2 = {}
-    for bil, tri in algebras:
-        route1 = bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p, ok=shared1)
-        bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
-        key = tri.tobytes()
-        if key not in shared2:
-            shared2[key] = bruteforce.identity_mask(_BOL_SHARED, p, {"tri": tri_e})
-        yield route1, bruteforce.validate_bol_mask(bil_e, tri_e, p, ok=shared2[key])
+    # theta and D are the digits after mu's
+    tail = params[:, n * m * m:].astype(np.int64)
+    code = tail @ p ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    classes = {}
+    for k, (_, tri) in enumerate(algebras):
+        classes.setdefault(tri.tobytes(), []).append(k)
+    verdicts = [None] * len(algebras)
+    for ks in classes.values():
+        bils = np.stack([algebras[k][0] for k in ks])
+        tri = algebras[ks[0]][1]
+        tail1 = bruteforce.identity_mask(_REP_TAIL, p, {"theta": theta[first], "dd": dd[first]},
+                                         {"tri": tri})
+        _, tri_e = bruteforce.semidirect_arrays(bils[0], tri, mu[first], theta[first],
+                                                dd[first], p)
+        tail2 = bruteforce.identity_mask(_BOL_TAIL, p, {"tri": tri_e})
+        routes = []
+        for survived, decide in ((tail1[inverse], _rep_rest), (tail2[inverse], _bol_rest)):
+            rows = np.flatnonzero(survived)
+            passed = np.zeros(len(ks) * rows.size, dtype=bool)
+            for start in range(0, passed.size, _CENSUS_CHUNK):
+                pair = np.arange(start, min(start + _CENSUS_CHUNK, passed.size))
+                row = rows[pair % rows.size]
+                passed[pair] = decide(bils[pair // rows.size], tri, mu[row], theta[row],
+                                      dd[row], p)
+            routes.append((rows, passed.reshape(len(ks), rows.size)))
+        for q, k in enumerate(ks):
+            verdicts[k] = [(rows, passed[q]) for rows, passed in routes]
+    for routes in verdicts:
+        masks = []
+        for rows, passed in routes:
+            mask = np.zeros(len(params), dtype=bool)
+            mask[rows] = passed
+            masks.append(mask)
+        yield tuple(masks)
+
+
+def _rep_rest(bil, tri, mu, theta, dd, p):
+    """Route 1 past its tail: the module identities that read bil or mu."""
+    return bruteforce.identity_mask(_REP_REST, p, {"bil": bil, "mu": mu, "theta": theta,
+                                                   "dd": dd}, {"tri": tri})
+
+
+def _bol_rest(bil, tri, mu, theta, dd, p):
+    """Route 2 past its tail: the Bol axioms of the glue that read its bil."""
+    bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
+    return bruteforce.identity_mask(_BOL_REST, p, {"bil": bil_e, "tri": tri_e})

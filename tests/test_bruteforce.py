@@ -255,6 +255,29 @@ def test_mor_mask_matches_is_morphism_on_the_h3_total(F5, ext_h3_f5):
     assert 500 < sum(want) < 1000
 
 
+class _NoPeak(np.ndarray):
+    def max(self, *args, **kwargs):
+        raise AssertionError("took the largest entry of a tensor no identity reads")
+
+
+def test_identity_mask_bounds_only_the_tensors_its_suite_reads():
+    # the tail of the Bol axioms reads tri alone: bil is handed in, not read
+    from bolext.bruteforce import reading
+
+    tail, rest = reading(identities.BOL, ("tri",))
+    assert {g.identities[0].tag for g in tail} == {
+        "bracket-skew", "bracket-cyclic", "bracket-derivation"}
+    assert {g.identities[0].tag for g in rest} == {"star-skew", "mixed-product"}
+    tri = np.zeros((3, 2, 2, 2, 2), dtype=np.int64)
+    tri[1, 0, 1, 0, 0], tri[1, 1, 0, 0, 0] = 1, 4
+    # not skew
+    tri[2, 0, 1, 0, 0] = 1
+    bil = np.ones((3, 2, 2, 2), dtype=np.int64).view(_NoPeak)
+    got = identity_mask(tail, 5, {"bil": bil, "tri": tri})
+    assert got.tolist() == identity_mask(tail, 5, {"tri": tri}).tolist()
+    assert got[0] and not got[2]
+
+
 # the batched tensors of each table as `identity_mask` would be handed them
 _BATCHED = [(identities.BOL, {"bil", "tri"}),
             (identities.REP, {"mu", "theta", "dd"}),

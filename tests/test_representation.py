@@ -81,19 +81,35 @@ def test_census_checks_the_bound_before_enumerating_algebras(F5, monkeypatch):
         semidirect_iff_census(F5, 2, 2, budget=10 ** 4)
 
 
-def test_census_shared_masks_match_per_algebra_routes(monkeypatch):
+@pytest.mark.parametrize("dims, want", [((0, 1), (1, 1, 1)), ((1, 0), (1, 1, 1)),
+                                         ((2, 0), (25, 1, 25)), ((1, 1), (1, 25, 25))])
+def test_degenerate_censuses(F5, dims, want):
+    # the (theta, D) digit strings of (0, 1), (1, 0) and (2, 0) have width 0
+    census = semidirect_iff_census(F5, *dims)
+    got = (census.algebras, census.candidates_per_algebra, census.valid_pairs)
+    assert got == want and census.discrepancies == []
+
+
+@pytest.mark.parametrize("dims", [(-1, 1), (2, -1)])
+def test_census_refuses_negative_dimensions_first(F5, monkeypatch, dims):
+    from bolext import bruteforce
+
+    def never(*args, **kwargs):
+        raise AssertionError("checked the bound or enumerated before the dimensions")
+    monkeypatch.setattr(bruteforce, "candidate_blocks", never)
+    monkeypatch.setattr(bruteforce, "enumerate_valid_tensors", never)
+    with pytest.raises(UsageError, match="nonnegative"):
+        semidirect_iff_census(F5, *dims)
+
+
+@pytest.fixture(scope="module")
+def census_sample():
     # the 3,125 Bol structures on GF(5)^2 have 125 distinct tri, 25 each:
-    # three algebras from each of four tri classes (one of them tri = 0);
-    # the census runs `identity_mask` in far smaller slices than the
-    # per-algebra masks it is compared with
-    import numpy as np
+    # three algebras from each of four tri classes (one of them tri = 0)
+    from bolext import bruteforce
 
-    from bolext import bruteforce, identities
-    from bolext.representation import _census_routes
-
-    p = 5
     algebras = [(b.copy(), t.copy())
-                for b, t in bruteforce.enumerate_valid_tensors(2, p, False, 10 ** 5)]
+                for b, t in bruteforce.enumerate_valid_tensors(2, 5, False, 10 ** 5)]
     by_tri = {}
     for k, (_, tri) in enumerate(algebras):
         by_tri.setdefault(tri.tobytes(), []).append(k)
@@ -101,19 +117,34 @@ def test_census_shared_masks_match_per_algebra_routes(monkeypatch):
     classes = list(by_tri.values())
     sample = [algebras[k] for c in (0, 1, 50, 124) for k in classes[c][:3]]
     assert not sample[0][1].any() and all(t.any() for _, t in sample[3:])
-    start, stop = 1000, 7000
+    return sample
+
+
+def _census_routes_against_per_algebra_masks(sample, start, stop, monkeypatch):
+    """The census routes of the candidate rows start..stop-1, run in far
+    smaller identity slices and stacked slices than the per-algebra route 1
+    (`validate_rep_mask`) and route 2 (`validate_bol_mask` of
+    `semidirect_arrays`) they are compared with; returns the route-1 passes."""
+    import numpy as np
+
+    from bolext import bruteforce, identities, representation
+
+    p = 5
     params = bruteforce.digit_block(start, stop, p, bruteforce._rep_param_width(2, 1),
                                     np.int16)
     mu, theta, dd = bruteforce.rep_param_batches(2, 1, p, params)
     with monkeypatch.context() as patch:
         patch.setattr(bruteforce, "_ENTRIES", 1 << 12)
-        routes = list(_census_routes(sample, 2, 1, p, params))
+        patch.setattr(representation, "_CENSUS_CHUNK", 100)
+        routes = list(representation._census_routes(sample, 2, 1, p, params))
+    assert len(routes) == len(sample)
     rng = np.random.default_rng(9)
     passed = 0
     for (bil, tri), (route1, route2) in zip(sample, routes):
         want1 = bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p)
         bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
         want2 = bruteforce.validate_bol_mask(bil_e, tri_e, p)
+        assert route1.shape == route2.shape == (stop - start,)
         assert (route1 == want1).all() and (route2 == want2).all()
         passed += int(want1.sum())
         # a starting mask only removes rows
@@ -122,7 +153,93 @@ def test_census_shared_masks_match_per_algebra_routes(monkeypatch):
                 == ok & want1).all()
         assert (bruteforce.identity_mask(identities.BOL, p, {"bil": bil_e, "tri": tri_e},
                                          ok=ok) == ok & want2).all()
-    assert passed > len(sample)
+    return passed
+
+
+def test_census_shared_masks_match_per_algebra_routes(census_sample, monkeypatch):
+    passed = _census_routes_against_per_algebra_masks(census_sample, 1000, 7000, monkeypatch)
+    assert passed > len(census_sample)
+
+
+@pytest.mark.parametrize("start, stop, passes", [
+    # not aligned to the 5^5 (theta, D) digit strings, fewer rows than them
+    (3000, 3500, True),
+    # one row: the zero actions, a module over every algebra
+    (0, 1, True),
+    # one row that fails rep-d-theta in every class
+    (1, 2, False),
+])
+def test_census_routes_on_short_slices(census_sample, monkeypatch, start, stop, passes):
+    passed = _census_routes_against_per_algebra_masks(census_sample, start, stop, monkeypatch)
+    assert bool(passed) == passes
+
+
+def _tags(suite):
+    return {idt.tag for group in suite for idt in group.identities}
+
+
+def test_census_routes_stay_independent(census_sample, monkeypatch):
+    # each table splits into a tail that reads neither bil nor mu and the
+    # rest; route 1 runs REP on the base tensors only, route 2 BOL on the
+    # glued tensors of B + V only
+    import numpy as np
+
+    from bolext import bruteforce, identities, representation
+
+    for table, tail, rest in ((identities.REP, representation._REP_TAIL,
+                               representation._REP_REST),
+                              (identities.BOL, representation._BOL_TAIL,
+                               representation._BOL_REST)):
+        assert _tags(tail) and _tags(rest) and not _tags(tail) & _tags(rest)
+        assert _tags(tail) | _tags(rest) == _tags(table)
+        assert not {name for group in tail for idt in group.identities
+                    for t in idt.terms for name, _ in t.factors} & {"bil", "mu"}
+    calls = []
+    real = bruteforce.identity_mask
+
+    def spy(suite, p, batch, fixed=None, ok=None):
+        calls.append((_tags(suite), {name: a.shape[-1]
+                                     for name, a in {**batch, **(fixed or {})}.items()}))
+        return real(suite, p, batch, fixed, ok)
+    monkeypatch.setattr(bruteforce, "identity_mask", spy)
+    params = bruteforce.digit_block(0, 4000, 5, bruteforce._rep_param_width(2, 1), np.int16)
+    assert len(list(representation._census_routes(census_sample, 2, 1, 5, params))) == 12
+    for read, last_axis in calls:
+        if read <= _tags(identities.REP):
+            # the base's bil and tri (n = 2), 1 x 1 action matrices
+            assert {last_axis[name] for name in ("bil", "tri") if name in last_axis} <= {2}
+            assert {last_axis[name] for name in ("mu", "theta", "dd") if name in last_axis} == {1}
+        else:
+            assert read <= _tags(identities.BOL)
+            assert set(last_axis) <= {"bil", "tri"} and set(last_axis.values()) == {3}
+    assert {frozenset(read) for read, _ in calls} == {
+        frozenset(_tags(part)) for part in (representation._REP_TAIL, representation._REP_REST,
+                                            representation._BOL_TAIL, representation._BOL_REST)}
+
+
+@pytest.mark.parametrize("broken", ["_REP_TAIL", "_BOL_TAIL"])
+def test_a_broken_census_route_leaves_the_other_alone(census_sample, monkeypatch, broken):
+    # with one route's tail table emptied, that route accepts rows it should
+    # not, and the other route still matches its per-algebra mask
+    import numpy as np
+
+    from bolext import bruteforce, representation
+
+    p = 5
+    params = bruteforce.digit_block(0, 4000, p, bruteforce._rep_param_width(2, 1), np.int16)
+    mu, theta, dd = bruteforce.rep_param_batches(2, 1, p, params)
+    monkeypatch.setattr(representation, broken, ())
+    routes = list(representation._census_routes(census_sample, 2, 1, p, params))
+    intact = 1 if broken == "_REP_TAIL" else 0
+    changed = 0
+    for (bil, tri), masks in zip(census_sample, routes):
+        bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
+        want = (bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p),
+                bruteforce.validate_bol_mask(bil_e, tri_e, p))
+        assert (masks[intact] == want[intact]).all()
+        assert not (masks[1 - intact] < want[1 - intact]).any()
+        changed += int((masks[1 - intact] != want[1 - intact]).sum())
+    assert changed
 
 
 def test_semidirect_shape_mismatch(Q):
