@@ -9,6 +9,7 @@ deterministic byte-for-byte for identical inputs and options.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -313,6 +314,10 @@ def _cmd_enumerate(args):
 
 # ---------------------------------------------------------------------------
 
+# built once per process: parse_args keeps no state in the parser, and
+# building it (gettext and terminal-size lookups) takes about as long as a
+# short command
+@functools.cache
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="bolext",

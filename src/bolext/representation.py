@@ -162,9 +162,9 @@ def is_pseudoderivation(f: Matrix, chi, a: BolAlgebra, r: Representation) -> boo
 # ---------------------------------------------------------------------------
 # exhaustive two-route census (module identities vs. semidirect axioms)
 
-# candidates per census chunk, and (algebra, candidate) pairs per stacked
-# slice: the action batches and glued tensors of one chunk or slice set the
-# census's peak memory
+# (theta, D) tail strings per census chunk, and (algebra, candidate) pairs
+# per stacked slice: the action batches and glued tensors of one chunk or
+# slice set the census's peak memory
 _CENSUS_CHUNK = 1 << 14
 # each route's identities that read neither bil nor mu (the tail), and the
 # rest: the module identities of theta, D and the base tri; the Bol axioms
@@ -187,9 +187,11 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
     """For every enumerated algebra and every candidate action tuple, compare
     the module-identity verdict with the axiom verdict of the semidirect sum.
 
-    Both routes are computed independently (`_census_routes`);
-    `discrepancies` lists (algebra index, candidate index) pairs where they
-    disagree.
+    Both routes are computed independently (`_census_routes`), one tri
+    class at a time, on the class's p^w (theta, D) tail strings in chunks of
+    at most `_CENSUS_CHUNK`; the p^(nm^2) mu digits lead, so candidate k has
+    mu string k // p^w and tail string k mod p^w.  `discrepancies` lists
+    (algebra index, candidate index) pairs where the routes disagree.
     """
     if algebra_dim < 0 or module_dim < 0:
         raise UsageError(f"census dimensions must be nonnegative, got "
@@ -199,69 +201,64 @@ def semidirect_iff_census(field, algebra_dim: int, module_dim: int = 1,
     p = field.p
     n, m = algebra_dim, module_dim
     width = bruteforce._rep_param_width(n, m)
-    blocks = bruteforce.candidate_blocks(p, width, budget, "representations",
-                                         _CENSUS_CHUNK)
-    algebras = [(bil.copy(), tri.copy()) for bil, tri in
-                bruteforce.enumerate_valid_tensors(n, p, tri_zero, budget)]
+    tail_width = width - n * m * m
+    # the bound covers all p^width candidates, checked before any algebra
+    # is enumerated
+    bruteforce.candidate_blocks(p, width, budget, "representations")
+    algebras = 0
+    classes = {}
+    for bil, tri in bruteforce.enumerate_valid_tensors(n, p, tri_zero, budget):
+        _, ks, bils = classes.setdefault(tri.tobytes(), (tri.copy(), [], []))
+        ks.append(algebras)
+        bils.append(bil.copy())
+        algebras += 1
     discrepancies = []
     valid = 0
-    for start, params in blocks:
-        for k, (route1, route2) in enumerate(_census_routes(algebras, n, m, p, params)):
-            valid += int(route1.sum())
-            discrepancies.extend((k, start + int(i))
-                                 for i in np.flatnonzero(route1 != route2))
-    return IffCensus(len(algebras), p ** width, valid, sorted(discrepancies))
+    for tri, ks, bils in classes.values():
+        ks, bils = np.array(ks), np.stack(bils)
+        for start, tails in bruteforce.candidate_blocks(p, tail_width, budget,
+                                                        "representations", _CENSUS_CHUNK):
+            for q, i, j, route1, route2 in _census_routes(bils, tri, m, p, tails):
+                valid += int(route1.sum())
+                bad = route1 != route2
+                discrepancies.extend(zip(ks[q[bad]].tolist(),
+                                         (i[bad] * p ** tail_width + start + j[bad]).tolist()))
+    return IffCensus(algebras, p ** width, valid, sorted(discrepancies))
 
 
-def _census_routes(algebras, n: int, m: int, p: int, params):
-    """(route-1 mask, route-2 mask) per algebra (bil, tri) on the candidate
-    action tuples of the digit rows `params`: the module identities (`REP`),
-    and the Bol axioms (`BOL`) of the semidirect sum.
+def _census_routes(bils, tri, m: int, p: int, tails):
+    """The route-1 and route-2 verdicts of the algebras (bils[q], tri) of
+    one tri class on the candidates whose (theta, D) digits are a row of
+    `tails` and whose mu digits are any of the p^(nm^2) strings: the module
+    identities (`REP`), and the Bol axioms (`BOL`) of the semidirect sum.
 
-    No identity is decided twice on the same inputs.  The tail identities of
-    each route read only the base tri, theta and D, so they are decided once
-    per distinct base tri, on the chunk's distinct (theta, D) digit strings,
-    and read back for every row.  The rest of each route is decided once per
-    tri class, on the (algebra, row) pairs of the class's algebras and that
-    route's tail survivors, stacked in slices of at most `_CENSUS_CHUNK`
-    pairs; route 2 glues only those pairs.  The routes share only the choice
-    of the distinct rows, which holds no verdict."""
-    mu, theta, dd = bruteforce.rep_param_batches(n, m, p, params)
-    # theta and D are the digits after mu's
-    tail = params[:, n * m * m:].astype(np.int64)
-    code = tail @ p ** np.arange(tail.shape[1] - 1, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    classes = {}
-    for k, (_, tri) in enumerate(algebras):
-        classes.setdefault(tri.tobytes(), []).append(k)
-    verdicts = [None] * len(algebras)
-    for ks in classes.values():
-        bils = np.stack([algebras[k][0] for k in ks])
-        tri = algebras[ks[0]][1]
-        tail1 = bruteforce.identity_mask(_REP_TAIL, p, {"theta": theta[first], "dd": dd[first]},
-                                         {"tri": tri})
-        _, tri_e = bruteforce.semidirect_arrays(bils[0], tri, mu[first], theta[first],
-                                                dd[first], p)
-        tail2 = bruteforce.identity_mask(_BOL_TAIL, p, {"tri": tri_e})
+    Yields (q, i, j, route 1, route 2) per slice of at most `_CENSUS_CHUNK`
+    (algebra, candidate) pairs: algebra q, mu string i, tail row j.  Each
+    route's tail is decided once on `tails`, from its own table; the slices
+    run over the union of the two tails' survivors, and each route's rest
+    only on its own survivors there, bil batched per pair and the class's
+    tri fixed (route 2 glues only those pairs).  A candidate outside the
+    union fails both routes and is not yielded.  The routes share which
+    pairs are sliced, never a verdict."""
+    n, lead = tri.shape[0], tri.shape[0] * m * m
+    # the tail strings with zero mu digits: the glued tri reads no mu
+    mu, theta, dd = bruteforce.rep_param_batches(n, m, p, np.pad(tails, ((0, 0), (lead, 0))))
+    tail1 = bruteforce.identity_mask(_REP_TAIL, p, {"theta": theta, "dd": dd}, {"tri": tri})
+    _, tri_e = bruteforce.semidirect_arrays(bils[0], tri, mu, theta, dd, p)
+    tail2 = bruteforce.identity_mask(_BOL_TAIL, p, {"tri": tri_e})
+    rows = np.flatnonzero(tail1 | tail2)
+    mus = bruteforce.digit_block(0, p ** lead, p, lead, tails.dtype)
+    per_algebra = len(mus) * rows.size
+    for start in range(0, len(bils) * per_algebra, _CENSUS_CHUNK):
+        pair = np.arange(start, min(start + _CENSUS_CHUNK, len(bils) * per_algebra))
+        q, i, j = pair // per_algebra, pair // rows.size % len(mus), rows[pair % rows.size]
+        mu, theta, dd = bruteforce.rep_param_batches(n, m, p, np.hstack([mus[i], tails[j]]))
         routes = []
-        for survived, decide in ((tail1[inverse], _rep_rest), (tail2[inverse], _bol_rest)):
-            rows = np.flatnonzero(survived)
-            passed = np.zeros(len(ks) * rows.size, dtype=bool)
-            for start in range(0, passed.size, _CENSUS_CHUNK):
-                pair = np.arange(start, min(start + _CENSUS_CHUNK, passed.size))
-                row = rows[pair % rows.size]
-                passed[pair] = decide(bils[pair // rows.size], tri, mu[row], theta[row],
-                                      dd[row], p)
-            routes.append((rows, passed.reshape(len(ks), rows.size)))
-        for q, k in enumerate(ks):
-            verdicts[k] = [(rows, passed[q]) for rows, passed in routes]
-    for routes in verdicts:
-        masks = []
-        for rows, passed in routes:
-            mask = np.zeros(len(params), dtype=bool)
-            mask[rows] = passed
-            masks.append(mask)
-        yield tuple(masks)
+        for survived, decide in ((tail1[j], _rep_rest), (tail2[j], _bol_rest)):
+            own = np.flatnonzero(survived)
+            survived[own] = decide(bils[q[own]], tri, mu[own], theta[own], dd[own], p)
+            routes.append(survived)
+        yield q, i, j, *routes
 
 
 def _rep_rest(bil, tri, mu, theta, dd, p):

@@ -239,6 +239,40 @@ def test_variant_flag_threads():
     assert code == 0 and out.splitlines()[0] == "variant: strict-paper"
 
 
+def test_calls_in_a_row_answer_as_with_a_fresh_parser(monkeypatch):
+    # main reuses one parser per process: no option of a call may leak into
+    # the next, so each call answers as it does with a freshly built parser
+    from bolext import cli
+
+    cohomology = ["cohomology", "--algebra", C("z2.bol"), "--rep", C("t1.rep")]
+    vectors = ["enumerate", "--kind", "vectors", "--field", "5", "--dim", "3",
+               "--count-only"]
+    calls = [["validate"], ["--variant", "strict-paper", *cohomology], cohomology,
+             ["--bound", "10", *vectors], vectors]
+
+    def answers():
+        got = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            got.append((code, out.getvalue(), err.getvalue()))
+        return got
+
+    cached = answers()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert answers() == cached
+    assert [code for code, _, _ in cached] == [2, 0, 0, 2, 0]
+    assert [out.splitlines()[0] for _, out, _ in cached[1:3]] == [
+        "variant: strict-paper", "variant: corrected"]
+    assert cached[3][2] == "error: 125 vectors exceed the bound 10\n"
+    assert cached[4][1] == "count: 125\n"
+
+
 def test_determinism_double_run():
     cmds = [
         ("validate", C("h3.bol")),

@@ -120,23 +120,62 @@ def census_sample():
     return sample
 
 
+def _census_masks(sample, tails):
+    """Per algebra of `sample` (on GF(5)^2, a 1-dimensional module), its
+    census (route 1, route 2) masks over (mu string, row of `tails`), from
+    `_census_routes` run once per tri class of the sample; a pair yielded
+    twice fails."""
+    import numpy as np
+
+    from bolext import representation
+
+    masks = np.zeros((len(sample), 2, 25, len(tails)), dtype=bool)
+    seen = np.zeros((len(sample),) + masks.shape[2:], dtype=int)
+    classes = {}
+    for k, (_, tri) in enumerate(sample):
+        classes.setdefault(tri.tobytes(), []).append(k)
+    for ks in map(np.array, classes.values()):
+        bils = np.stack([sample[k][0] for k in ks])
+        for q, i, j, route1, route2 in representation._census_routes(
+                bils, sample[ks[0]][1], 1, 5, tails):
+            np.add.at(seen, (ks[q], i, j), 1)
+            masks[ks[q], 0, i, j] = route1
+            masks[ks[q], 1, i, j] = route2
+    assert seen.max(initial=0) <= 1
+    return masks
+
+
+def _census_candidates(start, stop):
+    """(the (theta, D) tail strings start..stop-1 of the (2,1) census over
+    GF(5), the digit rows of every candidate with one of those tails: mu
+    string major, tail row minor)."""
+    import numpy as np
+
+    from bolext import bruteforce
+
+    tails = bruteforce.digit_block(start, stop, 5, 5, np.int16)
+    mus = bruteforce.digit_block(0, 25, 5, 2, np.int16)
+    return tails, np.hstack([np.repeat(mus, len(tails), axis=0),
+                             np.tile(tails, (len(mus), 1))])
+
+
 def _census_routes_against_per_algebra_masks(sample, start, stop, monkeypatch):
-    """The census routes of the candidate rows start..stop-1, run in far
+    """The census routes on the tail strings start..stop-1, run in far
     smaller identity slices and stacked slices than the per-algebra route 1
     (`validate_rep_mask`) and route 2 (`validate_bol_mask` of
-    `semidirect_arrays`) they are compared with; returns the route-1 passes."""
+    `semidirect_arrays`) they are compared with, on every candidate with one
+    of those tails; returns the route-1 passes."""
     import numpy as np
 
     from bolext import bruteforce, identities, representation
 
     p = 5
-    params = bruteforce.digit_block(start, stop, p, bruteforce._rep_param_width(2, 1),
-                                    np.int16)
+    tails, params = _census_candidates(start, stop)
     mu, theta, dd = bruteforce.rep_param_batches(2, 1, p, params)
     with monkeypatch.context() as patch:
         patch.setattr(bruteforce, "_ENTRIES", 1 << 12)
         patch.setattr(representation, "_CENSUS_CHUNK", 100)
-        routes = list(representation._census_routes(sample, 2, 1, p, params))
+        routes = _census_masks(sample, tails)
     assert len(routes) == len(sample)
     rng = np.random.default_rng(9)
     passed = 0
@@ -144,11 +183,11 @@ def _census_routes_against_per_algebra_masks(sample, start, stop, monkeypatch):
         want1 = bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p)
         bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
         want2 = bruteforce.validate_bol_mask(bil_e, tri_e, p)
-        assert route1.shape == route2.shape == (stop - start,)
-        assert (route1 == want1).all() and (route2 == want2).all()
+        assert route1.shape == route2.shape == (25, stop - start)
+        assert (route1.ravel() == want1).all() and (route2.ravel() == want2).all()
         passed += int(want1.sum())
         # a starting mask only removes rows
-        ok = rng.random(stop - start) < 0.7
+        ok = rng.random(len(params)) < 0.7
         assert (bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p, ok=ok)
                 == ok & want1).all()
         assert (bruteforce.identity_mask(identities.BOL, p, {"bil": bil_e, "tri": tri_e},
@@ -157,21 +196,81 @@ def _census_routes_against_per_algebra_masks(sample, start, stop, monkeypatch):
 
 
 def test_census_shared_masks_match_per_algebra_routes(census_sample, monkeypatch):
-    passed = _census_routes_against_per_algebra_masks(census_sample, 1000, 7000, monkeypatch)
+    passed = _census_routes_against_per_algebra_masks(census_sample, 0, 400, monkeypatch)
     assert passed > len(census_sample)
 
 
 @pytest.mark.parametrize("start, stop, passes", [
-    # not aligned to the 5^5 (theta, D) digit strings, fewer rows than them
-    (3000, 3500, True),
-    # one row: the zero actions, a module over every algebra
+    # a run of tail strings aligned to no power of 5, over many stacked slices
+    (1234, 1734, True),
+    # one tail string: theta = D = 0, a module (with mu = 0) over every algebra
     (0, 1, True),
-    # one row that fails rep-d-theta in every class
+    # one tail string, D(e1, e2) = 1 and theta = 0: fails rep-d-theta in every class
     (1, 2, False),
 ])
 def test_census_routes_on_short_slices(census_sample, monkeypatch, start, stop, passes):
     passed = _census_routes_against_per_algebra_masks(census_sample, start, stop, monkeypatch)
     assert bool(passed) == passes
+
+
+@pytest.mark.parametrize("algebras, chunk", [
+    # census-21: one tri class (tri = 0), its 5^5 tail strings in one chunk
+    ("tri-zero", 1 << 14),
+    # ... and over four chunks
+    ("tri-zero", 1000),
+    # the sample's four tri classes in place of the enumerated algebras
+    ("sample", 1000),
+])
+def test_census_decides_each_tail_string_once_per_tri_class(F5, census_sample, monkeypatch,
+                                                            algebras, chunk):
+    from bolext import bruteforce, representation
+
+    if algebras == "sample":
+        monkeypatch.setattr(bruteforce, "enumerate_valid_tensors",
+                            lambda *args: iter(census_sample))
+    classes = 4 if algebras == "sample" else 1
+    rows = {"_REP_TAIL": 0, "_BOL_TAIL": 0}
+    real = bruteforce.identity_mask
+
+    def spy(suite, p, batch, fixed=None, ok=None):
+        for name in rows:
+            if suite is getattr(representation, name):
+                rows[name] += len(next(iter(batch.values())))
+        return real(suite, p, batch, fixed, ok)
+    monkeypatch.setattr(bruteforce, "identity_mask", spy)
+    monkeypatch.setattr(representation, "_CENSUS_CHUNK", chunk)
+    census = semidirect_iff_census(F5, 2, 1)
+    assert rows == {"_REP_TAIL": classes * 5 ** 5, "_BOL_TAIL": classes * 5 ** 5}
+    assert census.candidates_per_algebra == 5 ** 7 and census.discrepancies == []
+    # 296 module structures over the sample's 12 algebras among the 5^7 candidates
+    want = (12, 296) if algebras == "sample" else (25, 1225)
+    assert (census.algebras, census.valid_pairs) == want
+
+
+def test_census_discrepancies_name_the_candidates_that_differ(F5, monkeypatch):
+    # with route 1's tail emptied, route 1 also accepts candidates that pass
+    # only the rest of REP; each listed discrepancy, read back from its index
+    # (the tail strings in two chunks), is such a candidate, and its glue is
+    # not Bol
+    import numpy as np
+
+    from bolext import bruteforce, identities, representation
+
+    tail, rest = bruteforce.reading(identities.REP, ("tri", "theta", "dd"))
+    monkeypatch.setattr(representation, "_REP_TAIL", ())
+    monkeypatch.setattr(representation, "_CENSUS_CHUNK", 3000)
+    census = semidirect_iff_census(F5, 2, 1)
+    assert census.valid_pairs == 1225 + 12700 and len(census.discrepancies) == 12700
+    found = np.array(census.discrepancies)
+    for k, (bil, tri) in enumerate(bruteforce.enumerate_valid_tensors(2, 5, True, 10 ** 5)):
+        index = found[found[:, 0] == k, 1]
+        params = (index[:, None] // 5 ** np.arange(6, -1, -1) % 5).astype(np.int16)
+        mu, theta, dd = bruteforce.rep_param_batches(2, 1, 5, params)
+        batch, fixed = {"mu": mu, "theta": theta, "dd": dd}, {"bil": bil, "tri": tri}
+        assert index.size and bruteforce.identity_mask(rest, 5, batch, fixed).all()
+        assert not bruteforce.identity_mask(tail, 5, batch, fixed).any()
+        bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, 5)
+        assert not bruteforce.validate_bol_mask(bil_e, tri_e, 5).any()
 
 
 def _tags(suite):
@@ -182,8 +281,6 @@ def test_census_routes_stay_independent(census_sample, monkeypatch):
     # each table splits into a tail that reads neither bil nor mu and the
     # rest; route 1 runs REP on the base tensors only, route 2 BOL on the
     # glued tensors of B + V only
-    import numpy as np
-
     from bolext import bruteforce, identities, representation
 
     for table, tail, rest in ((identities.REP, representation._REP_TAIL,
@@ -202,8 +299,10 @@ def test_census_routes_stay_independent(census_sample, monkeypatch):
                                      for name, a in {**batch, **(fixed or {})}.items()}))
         return real(suite, p, batch, fixed, ok)
     monkeypatch.setattr(bruteforce, "identity_mask", spy)
-    params = bruteforce.digit_block(0, 4000, 5, bruteforce._rep_param_width(2, 1), np.int16)
-    assert len(list(representation._census_routes(census_sample, 2, 1, 5, params))) == 12
+    tails, _ = _census_candidates(0, 160)
+    routes = _census_masks(census_sample, tails)
+    # the zero actions are a module over each of the 12 algebras
+    assert len(routes) == 12 and routes[:, 0, 0, 0].all()
     for read, last_axis in calls:
         if read <= _tags(identities.REP):
             # the base's bil and tri (n = 2), 1 x 1 action matrices
@@ -221,18 +320,17 @@ def test_census_routes_stay_independent(census_sample, monkeypatch):
 def test_a_broken_census_route_leaves_the_other_alone(census_sample, monkeypatch, broken):
     # with one route's tail table emptied, that route accepts rows it should
     # not, and the other route still matches its per-algebra mask
-    import numpy as np
-
     from bolext import bruteforce, representation
 
     p = 5
-    params = bruteforce.digit_block(0, 4000, p, bruteforce._rep_param_width(2, 1), np.int16)
+    tails, params = _census_candidates(0, 160)
     mu, theta, dd = bruteforce.rep_param_batches(2, 1, p, params)
     monkeypatch.setattr(representation, broken, ())
-    routes = list(representation._census_routes(census_sample, 2, 1, p, params))
+    routes = _census_masks(census_sample, tails)
     intact = 1 if broken == "_REP_TAIL" else 0
     changed = 0
     for (bil, tri), masks in zip(census_sample, routes):
+        masks = masks.reshape(2, -1)
         bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
         want = (bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p),
                 bruteforce.validate_bol_mask(bil_e, tri_e, p))
