@@ -503,7 +503,10 @@ def _fiber_preserving_automorphisms(e: Extension, t: Matrix, adapted: BolAlgebra
     the same maps T blocks T^-1 on the total, checked to keep the fiber in
     place.  Complete: in the basis T a map keeping the fiber is block
     triangular, and the diagonal blocks of an automorphism are those it
-    induces on the quotient B and on the ideal V."""
+    induces on the quotient B and on the ideal V.  The scan solves each
+    pair's blocks C from the part of the morphism residual that is affine
+    in C, and runs the morphism test only on the solutions; the bound
+    still counts all |Aut B| |Aut V| p^(nm) candidates."""
     p = e.field.p
     f = bruteforce.contract_mod
     blocks, pairs = bruteforce.triangular_arrays(residues(adapted.bil), residues(adapted.tri),

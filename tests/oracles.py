@@ -181,3 +181,30 @@ def checked_automorphisms_oracle(auts, a, component, role):
         invs.append(residues(mat.inverse().entries))
     return (np.asarray(auts, dtype=np.int64),
             np.array(invs, dtype=np.int64).reshape(np.shape(auts)))
+
+
+def triangular_arrays_oracle(bil, tri, alphas, betas, p, budget):
+    """The output of `bruteforce.triangular_arrays` by its unpruned scan: the
+    morphism test `_morphism_fixed` on every one of the k l p^(nm)
+    candidates [[alpha, 0], [C, beta]], read alpha-major, then beta, then
+    the digits of C from the one candidate stream."""
+    import numpy as np
+
+    from bolext.bruteforce import _headroom_dtype, _morphism_fixed, candidate_blocks
+
+    n, m = alphas.shape[1], betas.shape[1]
+    dt = _headroom_dtype(1, 1, p)
+    bil, tri = bil.astype(dt), tri.astype(dt)
+    width, nb = n * m, len(betas)
+    found, pairs = [], []
+    for start, digits in candidate_blocks(p, width, budget, "matrices",
+                                          outer=len(alphas) * nb):
+        pair = np.arange(start, start + len(digits)) // p ** width
+        g = np.zeros((len(digits), n + m, n + m), dtype=dt)
+        g[:, :n, :n] = alphas[pair // nb]
+        g[:, n:, :n] = digits.reshape(len(digits), m, n)
+        g[:, n:, n:] = betas[pair % nb]
+        good = _morphism_fixed(bil, tri, g, p)
+        found.append(g[good])
+        pairs.append(pair[good])
+    return np.concatenate(found), np.concatenate(pairs)

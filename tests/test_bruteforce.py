@@ -178,10 +178,13 @@ def test_morphism_mask_at_p7_has_headroom():
 
 def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
                                                                ext_h3_f5):
-    # e_h3's total in the adapted basis has no bracket, so `_morphism_fixed`
-    # skips its contraction: on every candidate of the factored scan (each
-    # pair of base and fiber automorphisms, with every block C) the mask
-    # equals both checks made in full
+    # e_h3's total in the adapted basis has no bracket, so neither the
+    # residual rows of the factored scan nor `_morphism_fixed` contract it.
+    # Per pair of base and fiber automorphisms the scan evaluates the
+    # residual at C = 0, at the two unit maps (1,920 * 3 probe rows) and at
+    # one guard C, then tests the 12,000 members of the solution cosets
+    # with the mask: every residual row equals both contractions made in
+    # full, and the mask equals both checks made in full
     import bolext.bruteforce
     from bolext.bol import automorphism_int_arrays
     from bolext.extensions import _adapted_total, canonical_section
@@ -191,25 +194,107 @@ def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
     bil, tri = identities.residues(adapted.bil), identities.residues(adapted.tri)
     assert not tri.any()
     alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
-    seen = []
-    skipping = bolext.bruteforce._morphism_fixed
+    probed, tested = [], []
+    rows, skipping = bolext.bruteforce._residual_rows, bolext.bruteforce._morphism_fixed
+
+    def recorded_rows(*args):
+        probed.append((args[2].astype(np.int64), rows(*args)))
+        return probed[-1][1]
 
     def recorded(*args):
-        seen.append((args[2].astype(np.int64), skipping(*args)))
-        return seen[-1][1]
+        tested.append((args[2].astype(np.int64), skipping(*args)))
+        return tested[-1][1]
+    monkeypatch.setattr(bolext.bruteforce, "_residual_rows", recorded_rows)
     monkeypatch.setattr(bolext.bruteforce, "_morphism_fixed", recorded)
     assert len(triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 7)[0]) == 12000
-    M = np.concatenate([m for m, _ in seen])
-    got = np.concatenate([mask for _, mask in seen])
-    assert len(M) == 480 * 4 * 25
 
-    def differ(lhs, rhs, *ops):
+    def residual(lhs, rhs, *ops):
         diff = (np.einsum(lhs, *ops[:-1], ops[-1], optimize=True)
                 - np.einsum(rhs, ops[0], ops[-1]))
-        return np.any(diff % 5, axis=tuple(range(1, diff.ndim)))
-    full = ~(differ("bai,bcj,acl->bijl", "blq,ijq->bijl", M, M, bil)
-             | differ("bai,bcj,bdk,acdl->bijkl", "blq,ijkq->bijkl", M, M, M, tri))
-    assert got.tolist() == full.tolist() and got.sum() == 12000
+        return diff.reshape(len(diff), -1) % 5
+
+    def full(M):
+        return (residual("bai,bcj,acl->bijl", "blq,ijq->bijl", M, M, bil),
+                residual("bai,bcj,bdk,acdl->bijkl", "blq,ijkq->bijkl", M, M, M, tri))
+
+    M = np.concatenate([m for m, _ in probed])
+    per_pair = M.reshape(480 * 4, 4, 3, 3)
+    assert not per_pair[:, 0, 2:, :2].any()
+    assert (per_pair[:, 1:3, 2:, :2] == np.eye(2, dtype=np.int64)[:, None]).all()
+    res2, res3 = full(M)
+    assert np.concatenate([r for _, r in probed]).tolist() == res2.tolist()
+    assert not res3.any()
+
+    M = np.concatenate([m for m, _ in tested])
+    got = np.concatenate([mask for _, mask in tested])
+    assert len(M) == 12000
+    res2, res3 = full(M)
+    assert got.tolist() == (~(res2.any(axis=1) | res3.any(axis=1))).tolist()
+    assert got.sum() == 12000
+
+
+def test_affinity_guard_refuses_rows_quadratic_in_c(F5, monkeypatch):
+    # over the non-abelian fiber s2 (a bracket, no triple product), some
+    # pair's residual rows with two base inputs are quadratic in C: the
+    # residual at a C is not its value at C = 0 plus the differences at the
+    # unit maps.  `_affine_rows` leaves them out of the solved system; kept,
+    # the guard refuses the system
+    import bolext.bruteforce
+    from bolext.bruteforce import _affine_rows
+    from bolext.errors import InternalConsistencyError
+    from test_wells import _scan_case
+
+    bil, tri, alphas, betas = _scan_case(F5, "e_s2_s2")[2]
+    n, m = alphas.shape[1], betas.shape[1]
+    width = n * m
+    assert not tri.any()
+    C = np.concatenate([np.zeros((1, width), dtype=np.int64), np.eye(width, dtype=np.int64),
+                        np.random.default_rng(5).integers(0, 5, size=(8, width))])
+    ia, ib = np.divmod(np.arange(len(alphas) * len(betas)), len(betas))
+    g = np.zeros((len(ia), len(C), n + m, n + m), dtype=np.int64)
+    g[:, :, :n, :n] = alphas[ia][:, None]
+    g[:, :, n:, :n] = C.reshape(1, len(C), m, n)
+    g[:, :, n:, n:] = betas[ib][:, None]
+    res = (np.einsum("kcai,kcbj,abl->kcijl", g, g, bil)
+           - np.einsum("kclq,ijq->kcijl", g, bil)) % 5
+    const, lin = res[:, :1], res[:, 1:width + 1] - res[:, :1]
+    defect = (res[:, width + 1:] - const
+              - np.einsum("cu,ku...->kc...", C[width + 1:], lin)) % 5
+    base = (np.arange(n + m) < n).astype(np.int64)
+    quadratic = defect.any(axis=(0, 1, 4))
+    assert quadratic.any() and ((base[:, None] + base)[quadratic] == 2).all()
+    assert not defect[..., _affine_rows(bil, tri, n)[0]].any()
+
+    def every_row(bil, tri, n):
+        return np.ones(bil.shape, dtype=bool), np.ones(tri.shape, dtype=bool)
+    monkeypatch.setattr(bolext.bruteforce, "_affine_rows", every_row)
+    with pytest.raises(InternalConsistencyError, match="not affine in C"):
+        triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 6)
+
+
+@pytest.mark.parametrize("p, rows, width", [(2, 3, 3), (3, 4, 3), (5, 2, 4), (5, 5, 2)])
+def test_solution_cosets_are_every_solution_in_order(p, rows, width):
+    # systems of every rank, consistent or not: the members of each coset
+    # are exactly the digit strings solving the system, in lexicographic
+    # order, pair by pair
+    from bolext.bruteforce import _coset_members, _solve_stack
+
+    rng = np.random.default_rng(p * 100 + rows * 10 + width)
+    rank = rng.integers(0, min(rows, width) + 1, size=60)
+    a = np.stack([rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, width))
+                  for r in rank]) % p
+    b = np.where(rng.random((60, 1)) < 0.5,
+                 np.einsum("kij,kj->ki", a, rng.integers(0, p, size=(60, width))),
+                 rng.integers(0, p, size=(60, rows))) % p
+    consistent, x0, free = _solve_stack(a, b, p)
+    got = [(int(k), x.tolist()) for pair, c in _coset_members(
+        np.flatnonzero(consistent), x0[consistent], free[consistent], p)
+        for k, x in zip(pair, c)]
+    every = digit_block(0, p ** width, p, width, np.int64)
+    solves = ~np.any((np.einsum("kij,xj->kxi", a, every) - b[:, None]) % p, axis=2)
+    assert got == [(k, every[x].tolist()) for k, x in zip(*np.nonzero(solves))]
+    assert consistent.tolist() == solves.any(axis=1).tolist()
+    assert 0 < consistent.sum() < 60
 
 
 def test_inverse_mod_matches_matrix_inverse(F5):

@@ -364,6 +364,18 @@ def test_exactness_bound_counts_fiber_preserving_candidates(capsys):
         "error: 48000 candidate matrices exceed the bound 10000\n"
 
 
+def test_exactness_bound_counts_every_candidate_not_the_tested_ones(capsys):
+    # the scan tests only the 12,000 members of its solution cosets, but the
+    # bound is checked on all 48,000 candidates before anything is built
+    code, out = run_cli("--bound", "47999", "exactness", "--extension", C("e_h3.ext"))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: 48000 candidate matrices exceed the bound 47999\n"
+    code, out = run_cli("--bound", "48000", "exactness", "--extension", C("e_h3.ext"))
+    assert code == 0
+    assert out == run_cli("exactness", "--extension", C("e_h3.ext"))[1]
+
+
 def test_exactness_on_a_nonabelian_extension_of_dimension_four():
     # e_s2_s2.ext: a nonzero class of s2 x s2 over GF(5), so a total of
     # dimension 4 over a non-abelian fiber; its kappa image is checked

@@ -431,8 +431,37 @@ def _rebased(F5, e, seed):
                      e.proj * g)
 
 
-@pytest.mark.parametrize("name", ["e_h3", "z1_z1", "z2_mu_first", "s2_r_s2",
-                                  "z1_s2", "e_h3_rebased_3", "e_h3_rebased_8"])
+_SCAN_CASES = ["e_h3", "z1_z1", "z2_mu_first", "s2_r_s2", "z1_s2", "e_h3_rebased_3",
+               "e_h3_rebased_8"]
+
+
+def _scan_case(F5, name):
+    """(extension, adapted basis [s | i], the factored scan's arguments bil,
+    tri, alphas, betas) of one extension of the factored scan tests."""
+    from bolext.bol import automorphism_int_arrays
+    from bolext.documents import parse_document
+    from bolext.identities import residues
+    from conftest import corpus_dir
+
+    if name == "z1_z1":
+        e = as_extension(NonAbelianCocycle.zero(z1(F5), zero_algebra(F5, 1)))
+    elif name == "z1_s2":
+        e = as_extension(NonAbelianCocycle.zero(z1(F5), s2(F5)))
+    elif name == "e_s2_s2":
+        e = parse_document(str(corpus_dir() / "e_s2_s2.ext"), "extension")
+    elif name.startswith("e_h3_rebased"):
+        e = _rebased(F5, _extension(F5, "e_h3"), int(name.rsplit("_", 1)[1]))
+    else:
+        e = _extension(F5, name)
+    s = canonical_section(e)
+    t = Matrix.from_cols(F5, [s.matrix.col(i) for i in range(e.n)]
+                         + [e.inj.col(a) for a in range(e.m)])
+    adapted = e.total.conjugate(t)
+    return e, t, (residues(adapted.bil), residues(adapted.tri),
+                  automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber))
+
+
+@pytest.mark.parametrize("name", _SCAN_CASES)
 def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
     # the factored scan of the fiber's stabiliser in the adapted basis
     # against the flat scan of the total filtered to the fiber-preserving
@@ -444,24 +473,11 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
     from bolext.identities import residues
     from oracles import lift_search_image
 
-    if name == "z1_z1":
-        e = as_extension(NonAbelianCocycle.zero(z1(F5), zero_algebra(F5, 1)))
-    elif name == "z1_s2":
-        e = as_extension(NonAbelianCocycle.zero(z1(F5), s2(F5)))
-    elif name.startswith("e_h3_rebased"):
-        e = _rebased(F5, _extension(F5, "e_h3"), int(name.rsplit("_", 1)[1]))
-    else:
-        e = _extension(F5, name)
-    s = canonical_section(e)
-    t = Matrix.from_cols(F5, [s.matrix.col(i) for i in range(e.n)]
-                         + [e.inj.col(a) for a in range(e.m)])
+    e, t, (bil, tri, alphas, betas) = _scan_case(F5, name)
     T, Tinv, P, I = (residues(f.entries) for f in (t, t.inverse(), e.proj, e.inj))
     if name.startswith("e_h3_rebased"):
         assert sorted(T.ravel().tolist()) != [0] * 6 + [1] * 3
-    adapted = e.total.conjugate(t)
-    alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
-    got, pairs = triangular_arrays(residues(adapted.bil), residues(adapted.tri),
-                                   alphas, betas, 5, 10 ** 7)
+    got, pairs = triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 7)
     got = got.astype(np.int64)
     n = e.n
     assert (alphas[pairs // len(betas)] == got[:, :n, :n]).all()
@@ -481,6 +497,20 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
         return flat
     monkeypatch.setattr(bolext.bol, "automorphism_int_arrays", same_flat_scan)
     assert image == lift_search_image(e)
+
+
+@pytest.mark.parametrize("name", _SCAN_CASES + ["e_s2_s2"])
+def test_factored_scan_matches_unpruned_scan(F5, name):
+    # probe and solve returns what the morphism test of every candidate
+    # returns: the same arrays and pair indices, in the same order
+    from bolext.bruteforce import triangular_arrays
+    from oracles import triangular_arrays_oracle
+
+    args = _scan_case(F5, name)[2]
+    got, pairs = triangular_arrays(*args, 5, 10 ** 7)
+    want, want_pairs = triangular_arrays_oracle(*args, 5, 10 ** 7)
+    assert len(want) and (got.dtype, pairs.dtype) == (want.dtype, want_pairs.dtype)
+    assert got.tolist() == want.tolist() and pairs.tolist() == want_pairs.tolist()
 
 
 @pytest.mark.parametrize("seed", [3, 8])
