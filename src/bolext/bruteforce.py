@@ -7,7 +7,12 @@ non-abelian fiber, the cocycles of a classification) takes its candidates
 from one stream, `candidate_blocks`: the p^width digit strings of its
 parameters in lexicographic order (once per outer index), checked against
 the bound once and read in fixed-size chunks, by `identity_mask` where a
-table decides them.  The factored scan of block-triangular automorphisms
+table decides them.  `identity_mask` screens an identity whose residual
+over its survivors is larger than `_ENTRIES` one value of its first `where`
+axis at a time, each value only on the rows the values before it passed:
+a row fails when one entry of its residual is nonzero mod p, so a failure
+on one value's slice decides it, and the mask does not change.  The
+factored scan of block-triangular automorphisms
 checks the bound on all its candidates too, but solves for the blocks C its
 morphism residual allows and tests only those (`triangular_arrays`).  Only
 the flat scan is limited to dimension <= 3.
@@ -103,6 +108,15 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     terms are summed unreduced, in a type that holds p and the sum of their
     bounds, and reduced once.  The triangle of a group is not needed here:
     its residuals are symmetric.
+
+    The screen: an identity whose residual over the survivors exceeds
+    `_ENTRIES` entries is decided in each slice one value v of its first
+    `where` axis at a time, each value only on the rows that passed the
+    values before it (`_zero_rows` at (letter, v)).  The mask is the same:
+    a row passes when every entry of its residual is zero mod p, so a row
+    with a nonzero entry on one value's slice fails, and a row passes every
+    value's slice exactly when it passes the whole residual.  Smaller
+    identities make one contraction per term and slice.
     """
     fixed = fixed or {}
     shapes = {name: a.shape[1:] for name, a in batch.items()}
@@ -118,24 +132,50 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
         survivors = np.flatnonzero(ok)
         if not survivors.size:
             break
-        names = _reads(idt)
         bounds = [_term_bound(t, idt.axes, sizes, peak) for t in idt.terms]
         what = f"the terms of {idt.tag} mod {p}"
         dtype = _narrowest(max(sum(bounds), p), what)
-        shape = tuple(sizes[ch] for ch in idt.axes)
-        step = max(1, _ENTRIES // max(prod(shape), 1))
+        entries = prod(sizes[ch] for ch in idt.axes)
+        step = max(1, _ENTRIES // max(entries, 1))
+        lead = idt.where[:1] if survivors.size * entries > _ENTRIES else ""
         for idx in np.split(survivors, range(step, survivors.size, step)):
-            every = idx.size == rows
-            arrays = {name: fixed[name] if name in fixed else
-                      batch[name] if every else batch[name][idx] for name in names}
-            total = np.zeros((idx.size,) + shape, dtype=dtype)
-            for t, worst in zip(idt.terms, bounds):
-                value = identities.contract(t, idt.axes, arrays, sizes, batch.keys(), "Z",
-                                            einsum=partial(_contract, worst, what))
-                (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
-            np.remainder(total, p, out=total)
-            ok[idx] = ~np.any(total, axis=tuple(range(1, total.ndim)))
+            for v in range(sizes[lead]) if lead else (0,):
+                passed = _zero_rows(idt, p, batch, fixed, idx, sizes, bounds, dtype, what,
+                                    lead, v)
+                ok[idx] = passed
+                idx = idx[passed]
+                if not idx.size:
+                    break
     return ok
+
+
+def _zero_rows(idt, p: int, batch: dict, fixed: dict, idx: np.ndarray, sizes: dict,
+               bounds: list, dtype, what: str, letter: str = "", v: int = 0) -> np.ndarray:
+    """Which batch rows `idx` have an all-zero residual of `idt` mod p (the
+    terms bounded by `bounds`, summed in `dtype`); with a `letter`, only on
+    the where tuples whose `letter` axis is v: each factor is sliced at
+    v:v+1 on every axis that carries the letter, and its size is 1."""
+    every = idx.size == len(next(iter(batch.values())))
+    arrays = {name: fixed[name] if name in fixed else batch[name] if every else batch[name][idx]
+              for name in _reads(idt)}
+    if letter:
+        sizes = {**sizes, letter: 1}
+    total = np.zeros((idx.size,) + tuple(sizes[ch] for ch in idt.axes), dtype=dtype)
+    for t, worst in zip(idt.terms, bounds):
+        operands = [_at(arrays[name], axes, letter, v, name not in fixed)
+                    for name, axes in t.factors] if letter else None
+        value = identities.contract(t, idt.axes, arrays, sizes, batch.keys(), "Z",
+                                    einsum=partial(_contract, worst, what), operands=operands)
+        (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
+    np.remainder(total, p, out=total)
+    return ~np.any(total, axis=tuple(range(1, total.ndim)))
+
+
+def _at(a: np.ndarray, axes: str, letter: str, v: int, batched: bool) -> np.ndarray:
+    """The view of a factor with indices `axes` (after a batch axis if
+    `batched`) at v:v+1 on every axis that carries `letter`."""
+    return a[(slice(None),) * batched
+             + tuple(slice(v, v + 1) if ch == letter else slice(None) for ch in axes)]
 
 
 def reading(suite, names) -> tuple:
@@ -402,14 +442,15 @@ def _morphism_residual(t: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """t(M x, M y[, M z]) - M t(x, y[, z]) mod p on the basis vectors, for
     each matrix of M (columns = basis images) and one fixed product t of
     arity 2 or 3 (the output axis last), each contraction bounded by its
-    worst case."""
+    worst case.  The sides are nonnegative and each fits its own type, so
+    their difference fits the wider, signed one and is reduced once."""
     n, arity = M.shape[1], t.ndim - 1
     lhs, rhs = _MORPHISM_SPECS[arity]
 
     def contract(spec, terms, *ops):
         degree = len(ops)
         return _contract(terms * (p - 1) ** degree,
-                         f"{terms} products of {degree} residues mod {p}", spec, *ops) % p
+                         f"{terms} products of {degree} residues mod {p}", spec, *ops)
 
     return (contract(lhs, n ** arity, *[M] * arity, t) - contract(rhs, n, M, t)) % p
 

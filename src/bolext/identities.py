@@ -414,12 +414,17 @@ def select(suite: tuple, variant: Variant) -> tuple:
 
 
 def contract(term: Term, out: str, arrays: dict, sizes: dict, batched=frozenset(),
-             batch: str = "", einsum=np.einsum) -> np.ndarray:
+             batch: str = "", einsum=np.einsum, operands=None) -> np.ndarray:
     """One term's contraction onto the axes `out`, after a leading batch axis
     where a factor is batched, by `einsum(spec, *operands)`.  Axes that no
-    factor carries (the strict nu-omega-star term has two) are broadcast."""
+    factor carries (the strict nu-omega-star term has two) are broadcast.
+    The operands are arrays[name] of each factor, unless `operands` gives
+    them in factor order (each factor cut to `sizes` on its own axes, as
+    `bruteforce.identity_mask` slices them)."""
     spec = term.spec(out, batched, batch)
-    value = einsum(spec, *(arrays[name] for name, _ in term.factors))
+    if operands is None:
+        operands = [arrays[name] for name, _ in term.factors]
+    value = einsum(spec, *operands)
     carried = spec.split("->")[1]
     kept = sum(ch in carried for ch in out)
     if kept == len(out):

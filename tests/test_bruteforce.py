@@ -428,3 +428,170 @@ def test_contract_is_exact_for_every_batched_term(data):
                 assert (got.astype(np.int64) == np.einsum(spec, *ops)).all(), (idt.tag, spec)
                 if mode == "edge" and worst:
                     assert got.dtype == (np.int32 if above else np.int16), (idt.tag, spec)
+
+
+# two identities no table has: a term that does not carry the first where
+# letter (its value is broadcast over it), and a factor that repeats it
+_SYNTHETIC = (identities.Group(2, (identities.Identity("broadcast", "ij", "r", (
+    identities.Term(1, (("bil", "jjr"),)), identities.Term(-1, (("tri", "jijr"),)))),)),
+              identities.Group(2, (identities.Identity("diagonal", "ik", "r", (
+                  identities.Term(1, (("tri", "iikr"),)),
+                  identities.Term(1, (("bil", "ikr"),)))),)))
+
+
+def _screen_batch(rng, p, n, m, suite, batched, rows):
+    """Random residue tensors for `suite`: each batch row at a density of
+    0, 5%, 20% or 100% nonzero entries, or (density 2) nonzero only off
+    index 0 of every axis longer than 1, so that some residuals vanish on
+    some values of their first where axis and not on others."""
+    shapes = _tensor_shapes(n, m)
+    names = {name for g in suite for i in g.identities for t in i.terms
+             for name, _ in t.factors}
+    density = rng.choice([0, 0.05, 0.2, 1, 2], size=rows)
+    batch, fixed = {}, {}
+    for name in sorted(names):
+        if name in batched:
+            shape = (rows,) + shapes[name]
+            keep = rng.random(shape) < density.reshape((rows,) + (1,) * len(shapes[name]))
+            for axis in range(1, len(shape)):
+                if shape[axis] > 1:
+                    np.moveaxis(keep, axis, 1)[density == 2, 0] = False
+            batch[name] = rng.integers(0, p, shape) * keep
+        else:
+            fixed[name] = rng.integers(0, p, shapes[name]) * (rng.random(shapes[name]) < 0.3)
+    return batch, fixed
+
+
+@pytest.mark.parametrize("p, n, m", [(5, 2, 2), (7, 3, 1)])
+def test_screen_changes_no_mask(monkeypatch, p, n, m):
+    # every identity of every batched table, alone and in its table, with
+    # _ENTRIES shrunk so that each is screened (one row per slice) against
+    # _ENTRIES so large that none is, from random starting masks
+    import bolext.bruteforce as bf
+
+    real, calls = bf._zero_rows, []
+
+    def spy(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, letter="", v=0):
+        passed = real(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, letter, v)
+        calls.append((idt, letter, v, idx.size, int(passed.sum())))
+        return passed
+    monkeypatch.setattr(bf, "_zero_rows", spy)
+    rng = np.random.default_rng(p * 100 + n)
+    pruned, passes = [], 0
+    for suite, batched in _BATCHED + [(_SYNTHETIC, {"bil", "tri"})]:
+        pruned.append(set())
+        batch, fixed = _screen_batch(rng, p, n, m, suite, batched, 16)
+        for part in [(g,) for g in suite] + [suite]:
+            ok = rng.random(16) < 0.8
+            masks = {}
+            for entries in (1, 1 << 40):
+                monkeypatch.setattr(bf, "_ENTRIES", entries)
+                calls.clear()
+                masks[entries] = identity_mask(part, p, batch, fixed, ok)
+                if entries == 1:
+                    assert all(letter == idt.where[0] for idt, letter, *_ in calls)
+                    pruned[-1] |= {idt.tag for idt, _, v, rows, kept in calls
+                                   if v and kept < rows}
+                else:
+                    assert all(letter == "" for _, letter, *_ in calls)
+            assert masks[1].tolist() == masks[1 << 40].tolist(), [i.tag for g in part
+                                                                  for i in g.identities]
+            assert not (masks[1] & ~ok).any()
+            passes += int(masks[1].sum())
+    assert passes
+    # some rows pass the first value of an identity's first where axis and
+    # fail a later one, in every table but IND and Z1, which these batches
+    # do not always reach that way
+    assert all(pruned[:4]) and pruned[6], pruned
+    assert {"mixed-product", "broadcast", "diagonal"} <= set().union(*pruned), pruned
+
+
+def _spy_contract(monkeypatch):
+    """Record (label, result) of every `_contract` call."""
+    import bolext.bruteforce as bf
+
+    real, calls = bf._contract, []
+
+    def spy(worst, what, spec, *ops):
+        value = real(worst, what, spec, *ops)
+        calls.append((what, value))
+        return value
+    monkeypatch.setattr(bf, "_contract", spy)
+    return calls
+
+
+def _residuals(calls, idt, p):
+    """The pass mask of each run of `idt`'s terms among the `_contract`
+    calls, rebuilt from their results (every term carries every axis)."""
+    mine = [value for what, value in calls if what == f"the terms of {idt.tag} mod {p}"]
+    k = len(idt.terms)
+    assert len(mine) % k == 0
+    out = []
+    for start in range(0, len(mine), k):
+        total = sum(t.sign * v.astype(np.int64) for t, v in zip(idt.terms, mine[start:start + k]))
+        out.append((total.shape, ~np.any(total % p, axis=tuple(range(1, total.ndim)))))
+    return out
+
+
+def test_screen_prunes_the_census_glue(F5, monkeypatch):
+    # census-21's route 2 decides mixed-product of the glue (d = 3) on its
+    # star-skew survivors, one row slice of _ENTRIES // 3^5 pairs at a time;
+    # within a slice, value 0 of the first where axis i sees every row and
+    # values 1 and 2 see only the rows that passed the values before them
+    from bolext.bruteforce import _ENTRIES
+    from bolext.representation import semidirect_iff_census
+
+    calls = _spy_contract(monkeypatch)
+    census = semidirect_iff_census(F5, 2, 1)
+    assert (census.algebras, census.candidates_per_algebra, census.valid_pairs,
+            census.discrepancies) == (25, 78125, 1225, [])
+    tags = {i.tag: i for g in identities.BOL for i in g.identities}
+    # the glue has 3 basis vectors, the 25 enumerated algebras 2
+    (shape, skew), = [r for r in _residuals(calls, tags["star-skew"], 5) if r[0][-1] == 3]
+    assert shape == (5 ** 6, 3, 3, 3)
+    runs = [r for r in _residuals(calls, tags["mixed-product"], 5) if r[0][-1] == 3]
+    step = _ENTRIES // 3 ** 5
+    starts, v, left = [], 0, 0
+    for shape, passed in runs:
+        assert shape[1:] == (1, 3, 3, 3, 3)
+        if v:
+            assert shape[0] == left
+        else:
+            starts.append(shape[0])
+        left = int(passed.sum())
+        v = (v + 1) % 3 if left else 0
+    rows = int(skew.sum())
+    assert starts == [step] * (rows // step) + [rows % step] * bool(rows % step)
+    assert len(runs) > 2 * len(starts)
+    # values 1 and 2 run on a small share of the rows value 0 saw
+    assert sum(shape[0] for shape, _ in runs) < 1.2 * rows
+
+
+def test_small_batches_make_one_contraction_per_term(F5, monkeypatch, ext_h3_f5):
+    # a classify-z2 chunk (125 rows) and the MOR re-checks of the exactness
+    # verifier (480 rows and fewer) stay at or below _ENTRIES: every
+    # identity they reach makes one contraction per term, unsliced
+    import bolext.bruteforce as bf
+    from bolext.extensions import classify_corpus
+    from bolext.wells import verify_wells_exactness
+
+    real, runs = bf._zero_rows, []
+
+    def spy(idt, *args):
+        runs.append((idt, args[-2]))
+        return real(idt, *args)
+    monkeypatch.setattr(bf, "_zero_rows", spy)
+    calls = _spy_contract(monkeypatch)
+    assert classify_corpus(z2(F5), z1(F5))[0] == 125
+    assert verify_wells_exactness(ext_h3_f5).kernel_wells_equals_kappa_image
+    assert runs and all(letter == "" for _, letter in runs)
+    assert {"nu-skew", "mor-star", "mor-bracket"} <= {idt.tag for idt, _ in runs}
+    want = {}
+    for idt, _ in runs:
+        what = f"the terms of {idt.tag} mod 5"
+        want[what] = want.get(what, 0) + len(idt.terms)
+    got = {}
+    for what, _ in calls:
+        if what.startswith("the terms of "):  # not the morphism scans
+            got[what] = got.get(what, 0) + 1
+    assert got == want
