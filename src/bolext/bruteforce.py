@@ -16,6 +16,11 @@ factored scan of block-triangular automorphisms
 checks the bound on all its candidates too, but solves for the blocks C its
 morphism residual allows and tests only those (`triangular_arrays`).  Only
 the flat scan is limited to dimension <= 3.
+
+Every mod-p elimination here (the batched inverses of `inverse_mod`, the
+factored scan's per-pair systems, the class keys and witnesses of
+`solve_rows`) runs through one stacked Gauss-Jordan loop, `eliminate`, with
+pivots as in `Matrix.rref`.
 """
 from __future__ import annotations
 
@@ -372,36 +377,19 @@ def _residual_rows(bil, tri, M, p, keep) -> np.ndarray:
 
 def _solve_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple:
     """Solve a[k] x = b[k] mod p for a stack a (K, rows, w), by one
-    Gauss-Jordan elimination run on the whole stack, pivots chosen as in
-    `Matrix.rref`, the columns taken last first.  Each pivot unknown is then
-    an affine function of the free unknowns before it, so the solution coset
-    in lexicographic order is its free unknowns in lexicographic order.
+    `eliminate` of the whole stack [a | b] with the columns of a taken last
+    first.  Each pivot unknown is then an affine function of the free
+    unknowns before it, so the solution coset in lexicographic order is its
+    free unknowns in lexicographic order.
 
     Returns (consistent mask, x0, free): x0 (K, w) the solution with every
     free unknown zero; free (K, w, w) with free[k, u] the direction the coset
     moves in when free unknown u grows by one (zero where u is a pivot).
     Only meaningful where consistent."""
-    require_int64_headroom(1, 2, p)
     k, rows, w = a.shape
-    aug = np.concatenate([np.asarray(a, dtype=np.int64)[:, :, ::-1],
-                          np.asarray(b, dtype=np.int64)[:, :, None]], axis=2) % p
-    pivot_row = np.full((k, w), -1)
-    r = np.zeros(k, dtype=np.int64)
-    below = np.arange(rows)[None, :]
-    for c in range(w):
-        nonzero = (aug[:, :, c] != 0) & (below >= r[:, None])
-        has = np.flatnonzero(nonzero.any(axis=1))
-        rk, src = r[has], nonzero[has].argmax(axis=1)
-        pivot = aug[has, src]
-        aug[has, src] = aug[has, rk]
-        pivot = pivot * _power_mod(pivot[:, c], p - 2, p)[:, None] % p
-        aug[has, rk] = pivot
-        f = aug[has, :, c]
-        f[np.arange(len(has)), rk] = 0
-        aug[has] = (aug[has] - f[:, :, None] * pivot[:, None, :]) % p
-        pivot_row[has, c] = rk
-        r[has] += 1
-    consistent = ~np.any(aug[:, :, w] * (below >= r[:, None]), axis=1)
+    aug, rank, pivot_row = eliminate(np.concatenate([a[:, :, ::-1], b[:, :, None]], axis=2),
+                                     w, p)
+    consistent = ~np.any(aug[:, :, w] * (np.arange(rows) >= rank[:, None]), axis=1)
     is_pivot = pivot_row >= 0
     reduced = aug[np.arange(k)[:, None], np.maximum(pivot_row, 0)] * is_pivot[:, :, None]
     x0 = reduced[:, :, w]
@@ -504,7 +492,8 @@ def semidirect_arrays(bil, tri, mu, theta, dd, p):
 
 # ---------------------------------------------------------------------------
 # exact linear algebra on residue arrays (delayed reduction: each contraction
-# sums its products in int64 and reduces once, after a headroom check)
+# sums its products in int64 and reduces once, after a headroom check; every
+# elimination is one `eliminate` run, pivots as in `Matrix.rref`)
 
 def require_int64_headroom(terms: int, degree: int, p: int):
     """Raise unless a sum of `terms` products of `degree` residues fits int64."""
@@ -522,56 +511,70 @@ def contract_mod(spec: str, p: int, *operands) -> np.ndarray:
     return np.einsum(spec, *(np.asarray(op, dtype=np.int64) for op in operands)) % p
 
 
-def rref_transform(a: np.ndarray, p: int):
-    """Row-reduce a residue matrix mod p.
+def eliminate(aug: np.ndarray, cols: int, p: int) -> tuple:
+    """Gauss-Jordan elimination mod p of every member of a stack aug (K,
+    rows, cols + extra) on its first `cols` columns, the extra columns
+    carried along: the one mod-p elimination loop of the engines.  Pivots
+    are chosen as in `Matrix.rref`: in each column, the first row at or
+    below the rank with a nonzero entry, swapped up and scaled to one.
 
-    Returns (T, rank, pivots) with T invertible and T a the reduced row
-    echelon form; pivots are chosen as in `Matrix.rref`.
-    """
+    Returns (reduced stack, rank (K,), pivot_row (K, cols): the row of each
+    column's pivot, -1 where the column has none).  The pivots depend on
+    the first `cols` columns alone, so the extra columns come out as T times
+    their input, for the T that brings those columns to reduced echelon
+    form."""
     require_int64_headroom(1, 2, p)
-    rows, cols = a.shape
-    aug = np.concatenate([np.asarray(a, dtype=np.int64) % p,
-                          np.eye(rows, dtype=np.int64)], axis=1)
-    pivots = []
-    r = 0
+    aug = np.asarray(aug, dtype=np.int64) % p
+    k, rows, _ = aug.shape
+    pivot_row = np.full((k, cols), -1)
+    rank = np.zeros(k, dtype=np.int64)
+    below = np.arange(rows)[None, :]
     for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(aug[r:, c])
-        if nz.size == 0:
+        nonzero = (aug[:, :, c] != 0) & (below >= rank[:, None])
+        has = np.flatnonzero(nonzero.any(axis=1))
+        if not has.size:
             continue
-        aug[[r, r + nz[0]]] = aug[[r + nz[0], r]]
-        aug[r] = aug[r] * pow(int(aug[r, c]), p - 2, p) % p
-        f = aug[:, c].copy()
-        f[r] = 0
-        aug = (aug - f[:, None] * aug[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return aug[:, cols:], r, tuple(pivots)
+        r, src = rank[has], nonzero[has].argmax(axis=1)
+        pivot = aug[has, src]
+        aug[has, src] = aug[has, r]
+        pivot = pivot * _power_mod(pivot[:, c], p - 2, p)[:, None] % p
+        aug[has, r] = pivot
+        f = aug[has, :, c]
+        f[np.arange(len(has)), r] = 0
+        aug[has] = (aug[has] - f[:, :, None] * pivot[:, None, :]) % p
+        pivot_row[has, c] = r
+        rank[has] += 1
+    return aug, rank, pivot_row
+
+
+def solve_rows(a: np.ndarray, b: np.ndarray, p: int) -> tuple:
+    """Solve a x = b[k] mod p for one residue matrix a (rows, cols) and
+    every row b[k] of b (K, rows), in one `eliminate` of [a | b^T].
+
+    Returns (consistent mask, x, key): x (K, cols) has the free unknowns at
+    zero, as `Matrix.solve` returns it, and is meaningful only where
+    consistent; key (K, rows - rank) is (T b[k])[rank:], zero exactly where
+    consistent.  The key is linear in b, so two right-hand sides have the
+    same key iff their difference is solvable."""
+    cols = a.shape[1]
+    aug, rank, pivot_row = eliminate(np.concatenate([a, b.T], axis=1)[None], cols, p)
+    tb, r = aug[0, :, cols:].T, int(rank[0])
+    x = np.zeros((len(tb), cols), dtype=np.int64)
+    x[:, pivot_row[0] >= 0] = tb[:, :r]
+    return ~np.any(tb[:, r:], axis=1), x, tb[:, r:]
 
 
 def inverse_mod(a: np.ndarray, p: int):
     """(invertible mask, inverses) of a stack a[k] of square residue
-    matrices mod p, by one Gauss-Jordan elimination run on the whole stack,
-    pivots chosen as in `Matrix.rref`.  The inverse of a singular matrix is
-    zero.  Every inverse is confirmed: a[k] a^-1[k] = I."""
-    require_int64_headroom(1, 2, p)
+    matrices mod p, from one `eliminate` of [a | I]: a[k] is invertible
+    where its rank is n.  The inverse of a singular matrix is zero.  Every
+    inverse is confirmed: a[k] a^-1[k] = I."""
     a = np.asarray(a, dtype=np.int64) % p
     k, n = a.shape[0], a.shape[-1]
     eye = np.eye(n, dtype=np.int64)
-    aug = np.concatenate([a, np.broadcast_to(eye, (k, n, n))], axis=2)
-    ok = np.ones(k, dtype=bool)
-    every = np.arange(k)
-    for c in range(n):
-        nonzero = aug[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
-        r = c + nonzero.argmax(axis=1)
-        pivot = aug[every, r]
-        aug[every, r] = aug[:, c]
-        aug[:, c] = pivot * _power_mod(pivot[:, c], p - 2, p)[:, None] % p
-        f = aug[:, :, c].copy()
-        f[:, c] = 0
-        aug = (aug - f[:, :, None] * aug[:, None, c]) % p
+    aug, rank, _ = eliminate(np.concatenate([a, np.broadcast_to(eye, (k, n, n))], axis=2),
+                             n, p)
+    ok = rank == n
     inv = aug[:, :, n:] * ok[:, None, None]
     if not (contract_mod("kij,kjl->kil", p, a[ok], inv[ok]) == eye).all():
         raise InternalConsistencyError("batched inverse failed verification")
@@ -588,16 +591,3 @@ def _power_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
         e >>= 1
     return out
 
-
-def canonical_solutions(t: np.ndarray, rank: int, pivots: tuple, cols: int,
-                        b: np.ndarray, p: int):
-    """Solve a x = b for each row of b, given `rref_transform(a, p)`.
-
-    Returns (consistent mask, x): x has the free variables at zero, as
-    `Matrix.solve` returns it, and is meaningful only where consistent.
-    """
-    tb = contract_mod("ij,kj->ki", p, t, b)
-    consistent = ~np.any(tb[:, rank:], axis=1)
-    x = np.zeros((b.shape[0], cols), dtype=np.int64)
-    x[:, list(pivots)] = tb[:, :rank]
-    return consistent, x

@@ -340,14 +340,16 @@ _CLASS_CHUNK = 1 << 12
 
 def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
     """`_pairwise_classes` for cocycles over a prime field with an abelian
-    fiber and one action set, decided from one elimination.
+    fiber and one action set, decided by class keys.
 
     c1 ~ c2 iff c2 - c1 = L phi for some phi, where L is the omega/nu
     equivalence matrix (`_equivalence_matrix`); it depends only on the base
     and the actions.  With T L in reduced echelon form of rank r, that holds
-    iff (T c1)[r:] = (T c2)[r:], so this key names the class.  Each member
-    that joins an earlier class gets its canonical witness phi, and every
-    witness is checked against the member's representative.
+    iff (T c1)[r:] = (T c2)[r:], so this key names the class; each chunk's
+    keys come from one elimination of L beside its cocycles
+    (`bruteforce.solve_rows`).  Each member that joins an earlier class gets
+    its canonical witness phi, and every witness is checked against the
+    member's representative.
     """
     reps, count = [], 0
     classes = {}
@@ -358,14 +360,12 @@ def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
             first = batch[0]
             p = first.field.p
             actions = _cocycle_arrays(first)
-            system = bruteforce.rref_transform(_equivalence_matrix(first), p)
-            t, rank, _ = system
+            matrix = _equivalence_matrix(first)
             bil, tri = residues(first.base.bil), residues(first.base.tri)
         count += len(batch)
         nu = np.array([residues(c.nu.grid) for c in batch])
         om = np.array([residues(c.omega.grid) for c in batch])
-        keys = bruteforce.contract_mod("ij,kj->ki", p, t[rank:],
-                                       _stacked_rhs(om, nu))
+        keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), p)[2]
         joins, joined = [], []
         for k, key in enumerate(keys):
             cls = classes.setdefault(key.tobytes(), len(reps))
@@ -381,7 +381,7 @@ def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
                 np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
             targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
                                        om=np.array([rep_om[c] for c in joined]))
-            solvable, phi = _class_witnesses(members, targets, system, p)
+            solvable, phi = _class_witnesses(members, targets, matrix, p)
             if not (solvable.all()
                     and _equivalent_via(members, targets, phi, bil, tri, p).all()):
                 raise InternalConsistencyError("class witness failed verification")

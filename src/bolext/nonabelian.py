@@ -383,14 +383,16 @@ def _stacked_rhs(om, nu):
     return np.concatenate([om.reshape(lead + (-1,)), nu.reshape(lead + (-1,))], axis=-1)
 
 
-def _class_witnesses(members: _CocycleArrays, reps: _CocycleArrays, system, p):
+def _class_witnesses(members: _CocycleArrays, reps: _CocycleArrays, matrix, p):
     """(solvable mask, phi) for members[k] ~ reps[k] on the omega/nu system
-    `system` = `bruteforce.rref_transform(_equivalence_matrix(c), p)`:
-    phi[k, t, q] is the canonical witness, meaningful where solvable.
-    reps.nu and reps.om may lack the leading axis (one target for every k).
-    The caller checks the witnesses with `_equivalent_via`."""
-    t, rank, pivots = system
+    of `matrix` = `_equivalence_matrix(c)`, every k in one
+    `bruteforce.solve_rows`: one mod-p elimination (`bruteforce.eliminate`,
+    pivots as in `Matrix.rref`) of the matrix beside every right-hand side.
+    phi[k, t, q] is the canonical witness (free unknowns at zero),
+    meaningful where solvable.  reps.nu and reps.om may lack the leading
+    axis (one target for every k).  The caller checks the witnesses with
+    `_equivalent_via`."""
     k, n, _, m = members.nu.shape
     rhs = (_stacked_rhs(reps.om, reps.nu) - _stacked_rhs(members.om, members.nu)) % p
-    solvable, x = bruteforce.canonical_solutions(t, rank, pivots, n * m, rhs, p)
+    solvable, x, _ = bruteforce.solve_rows(matrix, rhs, p)
     return solvable, x.reshape(k, n, m).transpose(0, 2, 1)

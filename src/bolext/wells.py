@@ -452,7 +452,8 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber,
     alpha-major, against a cocycle over a prime field with an abelian fiber.
 
     Decides what `_wells_verdict` decides pair by pair, but eliminates the
-    equivalence system once: each pair only contributes a right-hand side.
+    equivalence system once per chunk: each pair only contributes a
+    right-hand side.
     Yields (first pair index, status codes into `_VERDICT_STATUS`, witness
     maps phi[k, t, q], zero unless the class vanishes) per chunk of pairs.
     """
@@ -460,14 +461,14 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber,
     (alphas, alpha_invs), (betas, beta_invs) = base, fiber
     arr = _cocycle_arrays(c)
     bil, tri = residues(c.base.bil), residues(c.base.tri)
-    system = bruteforce.rref_transform(_equivalence_matrix(c), p)
+    matrix = _equivalence_matrix(c)
     nb = len(betas)
     total = len(alphas) * nb
     for start in range(0, total, chunk):
         ia, ib = np.divmod(np.arange(start, min(start + chunk, total)), nb)
         beta, binv = betas[ib], beta_invs[ib]
         acted = _act(arr, alpha_invs[ia], beta, binv, p)
-        solvable, phi = _class_witnesses(acted, arr, system, p)
+        solvable, phi = _class_witnesses(acted, arr, matrix, p)
         compatible = _intertwines(arr, alphas[ia], beta, binv, p)
         status = np.where(~compatible, _INCOMPATIBLE,
                           np.where(_same_actions(acted, arr) & solvable,

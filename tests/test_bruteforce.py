@@ -8,12 +8,11 @@ from bolext import identities
 from bolext.bol import is_morphism, s2, z1, z2
 from bolext.bruteforce import (_contract, _headroom_dtype, _morphism_fixed,
                                _narrowest, _term_bound, automorphism_arrays,
-                               candidate_blocks, canonical_solutions,
-                               contract_mod, digit_block,
-                               identity_mask, inverse_mod,
-                               require_int64_headroom, rref_transform,
+                               candidate_blocks, contract_mod, digit_block,
+                               eliminate, identity_mask, inverse_mod,
+                               require_int64_headroom, solve_rows,
                                triangular_arrays)
-from bolext.errors import UnsupportedEnumerationError
+from bolext.errors import InternalConsistencyError, UnsupportedEnumerationError
 from bolext.exactlin import Matrix, PrimeField
 
 
@@ -30,15 +29,18 @@ def _oracle(a, b, p):
 
 
 def _check_against_oracle(a, b, p):
-    t, rank, pivots = rref_transform(a, p)
-    consistent, x = canonical_solutions(t, rank, pivots, a.shape[1], b, p)
+    consistent, x, key = solve_rows(a, b, p)
     want_rank, want = _oracle(a, b, p)
-    assert rank == want_rank == len(pivots)
-    assert (t @ a % p)[rank:].sum() == 0
+    assert key.shape == (len(b), a.shape[0] - want_rank)
     for k, (ok, sol) in enumerate(want):
-        assert bool(consistent[k]) == ok
+        assert bool(consistent[k]) == ok == (not key[k].any())
         if ok:
             assert x[k].tolist() == sol
+    # the key names the class of a right-hand side modulo the image of a
+    differences = (b[:, None] - b[None, :]).reshape(-1, b.shape[1]) % p
+    solvable = [ok for ok, _ in _oracle(a, differences, p)[1]]
+    same_key = (key[:, None] == key[None, :]).all(axis=2).ravel()
+    assert same_key.tolist() == solvable
     return consistent
 
 
@@ -57,7 +59,9 @@ def test_residue_solver_matches_matrix_solve(data):
     # whenever rank < min(rows, cols)
     a = residues((rows, rank)) @ residues((rank, cols)) % p
     consistent_rhs = residues((3, cols)) @ a.T % p
-    b = np.concatenate([consistent_rhs, residues((3, rows))])
+    other = residues((3, rows))
+    # the last three rows share their keys with the three before them
+    b = np.concatenate([consistent_rhs, other, (other + consistent_rhs) % p])
     consistent = _check_against_oracle(a, b, p)
     assert consistent[:3].all()
 
@@ -75,7 +79,7 @@ def test_int64_headroom_guard():
         require_int64_headroom(2, 2, 2 ** 32 + 15)
     big = 3_037_000_507  # the least prime with (p - 1)^2 >= 2^63
     with pytest.raises(UnsupportedEnumerationError):
-        rref_transform(np.eye(2, dtype=np.int64), big)
+        solve_rows(np.eye(2, dtype=np.int64), np.zeros((1, 2), dtype=np.int64), big)
     with pytest.raises(UnsupportedEnumerationError):
         inverse_mod(np.eye(2, dtype=np.int64)[None], big)
     x = np.full((2, 3), 4)
@@ -297,17 +301,80 @@ def test_solution_cosets_are_every_solution_in_order(p, rows, width):
     assert 0 < consistent.sum() < 60
 
 
+def _int_rows(m):
+    return [[int(x.value) for x in row] for row in m.entries]
+
+
+@pytest.mark.parametrize("p", [5, 7, 1_000_003])
+@pytest.mark.parametrize("k, rows, cols", [(0, 3, 4), (16, 1, 1), (16, 2, 5),
+                                           (16, 5, 2), (16, 4, 4)])
+def test_eliminate_matches_matrix_rref(p, k, rows, cols):
+    # each member reduced as Matrix.rref reduces it alone: the reduced rows,
+    # the rank and the pivot columns; members of every rank, every fourth
+    # all zero, and a zero first column in others
+    rng = np.random.default_rng(p + 100 * rows + 10 * cols)
+    ranks = rng.integers(0, min(rows, cols) + 1, size=k)
+    aug = np.array([rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols))
+                    for r in ranks], dtype=np.int64).reshape(k, rows, cols) % p
+    aug[::4] = 0
+    aug[1::3, :, 0] = 0
+    red, rank, pivot_row = eliminate(aug, cols, p)
+    assert (red.shape, rank.shape, pivot_row.shape) == (aug.shape, (k,), (k, cols))
+    # beside extra columns, the pivots stay those of the first cols columns,
+    # and the extra columns come out as T times their input
+    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (k, rows, rows))
+    wide, wide_rank, wide_pivots = eliminate(np.concatenate([aug, eye], axis=2), cols, p)
+    assert (wide[:, :, :cols] == red).all()
+    assert (wide_rank == rank).all() and (wide_pivots == pivot_row).all()
+    t = wide[:, :, cols:]
+    assert (np.einsum("kij,kjl->kil", t, aug) % p == red).all()
+    field = PrimeField(p)
+    for g, h, r, where in zip(aug, red, rank, pivot_row):
+        want, want_rank, pivots = Matrix.from_int_rows(field, g.tolist()).rref()
+        assert h.tolist() == _int_rows(want)
+        assert r == want_rank
+        assert tuple(np.flatnonzero(where >= 0)) == pivots
+        assert where[list(pivots)].tolist() == list(range(want_rank))
+    if k:
+        assert (rank[::4] == 0).all() and 0 < rank.max()
+
+
 def test_inverse_mod_matches_matrix_inverse(F5):
-    # every 2 x 2 matrix over GF(5), the singular ones included
+    # every 2 x 2 matrix over GF(5), the singular ones included; sampled
+    # 3 x 3 matrices over GF(7): singular ones with a zero first column,
+    # where the pivot search finds nothing in the first column, singular
+    # ones with dependent rows, and invertible ones
+    rng = np.random.default_rng(7)
+    sampled = rng.integers(0, 7, size=(300, 3, 3))
+    sampled[:60, :, 0] = 0
+    sampled[60:120, 2] = (sampled[60:120, 0] + 2 * sampled[60:120, 1]) % 7
+    cases = [(F5, digit_block(0, 625, 5, 4, np.int64).reshape(-1, 2, 2)),
+             (PrimeField(7), sampled)]
+    for field, mats in cases:
+        ok, inv = inverse_mod(mats, field.p)
+        for g, invertible, h in zip(mats, ok, inv):
+            want = Matrix.from_int_rows(field, g.tolist()).inverse()
+            assert invertible == (want is not None)
+            assert h.tolist() == (np.zeros_like(g).tolist() if want is None else _int_rows(want))
+        assert inverse_mod(mats[:0], field.p)[1].shape == (0,) + mats.shape[1:]
+    assert ok[:120].sum() == 0 and ok[120:].any()
+    assert inverse_mod(cases[0][1], 5)[0].sum() == 480
+
+
+def test_corrupted_elimination_fails_inverse_verification(monkeypatch):
+    # every inverse is checked against its matrix, whatever the elimination
+    # returned
+    import bolext.bruteforce
+
+    def corrupted(aug, cols, p):
+        out, rank, pivot_row = eliminate(aug, cols, p)
+        out[:, 0, cols:] = (out[:, 0, cols:] + 1) % p
+        return out, rank, pivot_row
+
     mats = digit_block(0, 625, 5, 4, np.int64).reshape(-1, 2, 2)
-    ok, inv = inverse_mod(mats, 5)
-    for g, invertible, h in zip(mats, ok, inv):
-        want = Matrix.from_int_rows(F5, g.tolist()).inverse()
-        assert invertible == (want is not None)
-        assert h.tolist() == ([[0, 0], [0, 0]] if want is None else
-                              [[int(x.value) for x in row] for row in want.entries])
-    assert ok.sum() == 480
-    assert inverse_mod(mats[:0], 5)[1].shape == (0, 2, 2)
+    monkeypatch.setattr(bolext.bruteforce, "eliminate", corrupted)
+    with pytest.raises(InternalConsistencyError, match="^batched inverse failed verification$"):
+        inverse_mod(mats, 5)
 
 
 @pytest.mark.parametrize("name", ["s2", "z2", "bracket_base"])

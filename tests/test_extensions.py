@@ -277,12 +277,13 @@ def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):
 
 def test_corrupted_class_witness_raises(monkeypatch):
     *_, cands = _classify_input("s2", None, Variant.CORRECTED)
-    solve = bruteforce.canonical_solutions
+    solve = bruteforce.solve_rows
 
-    def corrupted(t, rank, pivots, cols, b, p):
-        consistent, x = solve(t, rank, pivots, cols, b, p)
-        return consistent, (x + 1) % p
+    def corrupted(a, b, p):
+        # the keys stay right, so the classes do; the witnesses do not
+        consistent, x, key = solve(a, b, p)
+        return consistent, (x + 1) % p, key
 
-    monkeypatch.setattr(bruteforce, "canonical_solutions", corrupted)
-    with pytest.raises(InternalConsistencyError):
+    monkeypatch.setattr(bruteforce, "solve_rows", corrupted)
+    with pytest.raises(InternalConsistencyError, match="^class witness failed verification$"):
         _coset_classes(cands)

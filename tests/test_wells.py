@@ -298,6 +298,28 @@ def test_batched_class_verdicts_match_per_pair(F5, name):
     assert seen == len(base_auts) * nb
 
 
+def test_corrupted_elimination_fails_witness_verification(F5, monkeypatch):
+    # every witness of a vanishing class is checked against its pair.  The
+    # shared solves (one-member stacks) are corrupted to find every
+    # right-hand side consistent; e_h3's equivalence matrix is zero, so each
+    # pair with a nonzero class is then taken for zero with the witness 0
+    import bolext.bruteforce
+    from bolext.errors import InternalConsistencyError
+
+    eliminate = bolext.bruteforce.eliminate
+
+    def corrupted(aug, cols, p):
+        out, rank, pivot_row = eliminate(aug, cols, p)
+        if len(out) == 1:
+            out[0, rank[0]:, cols:] = 0
+        return out, rank, pivot_row
+
+    monkeypatch.setattr(bolext.bruteforce, "eliminate", corrupted)
+    with pytest.raises(InternalConsistencyError,
+                       match="^batched class witness failed verification$"):
+        verify_wells_exactness(_extension(F5, "e_h3"))
+
+
 @pytest.mark.parametrize("name,pairs,incompatible", [
     ("z2_mu_first", 1920, 1840), ("s2_r_s2", 80, 0)])
 def test_exactness_on_semidirect_extensions(F5, name, pairs, incompatible):
