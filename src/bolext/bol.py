@@ -17,7 +17,7 @@ from typing import Iterator
 from . import bruteforce, identities
 from .core import DEFAULT_ENUMERATION_BOUND, DEFAULT_RESULT_BOUND, ValidationReport
 from .errors import UnsupportedEnumerationError, UsageError
-from .exactlin import Matrix, vec_add, vec_is_zero, vec_scale, zero_vec
+from .exactlin import Matrix, vec_combine, vec_is_zero, vec_support, zero_vec
 
 __all__ = [
     "BolAlgebra", "evaluate_products", "validate_bol", "is_morphism",
@@ -51,14 +51,16 @@ class BolAlgebra:
     # -- evaluation ----------------------------------------------------------
     @cached_property
     def _bil_support(self) -> tuple:
-        """(i, j, e_i*e_j) for the basis products that are not zero."""
-        return tuple((i, j, v) for i, row in enumerate(self.bil)
+        """(i, j, vec_support(e_i*e_j)) for the basis products that are not
+        zero."""
+        return tuple((i, j, vec_support(v)) for i, row in enumerate(self.bil)
                      for j, v in enumerate(row) if not vec_is_zero(v))
 
     @cached_property
     def _tri_support(self) -> tuple:
-        """(i, j, k, [e_i,e_j,e_k]) for the basis brackets that are not zero."""
-        return tuple((i, j, k, v) for i, plane in enumerate(self.tri)
+        """(i, j, k, vec_support([e_i,e_j,e_k])) for the basis brackets that
+        are not zero."""
+        return tuple((i, j, k, vec_support(v)) for i, plane in enumerate(self.tri)
                      for j, row in enumerate(plane) for k, v in enumerate(row)
                      if not vec_is_zero(v))
 
@@ -66,23 +68,15 @@ class BolAlgebra:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise UsageError("element has wrong dimension")
-        out = zero_vec(self.field, n)
-        for i, j, v in self._bil_support:
-            c = x[i] * y[j]
-            if c:
-                out = vec_add(out, vec_scale(c, v))
-        return out
+        return vec_combine(self.field.zero, n,
+                           ((x[i] * y[j], v) for i, j, v in self._bil_support))
 
     def bracket(self, x, y, z) -> tuple:
         n = self.dim
         if len(x) != n or len(y) != n or len(z) != n:
             raise UsageError("element has wrong dimension")
-        out = zero_vec(self.field, n)
-        for i, j, k, v in self._tri_support:
-            c = x[i] * y[j] * z[k]
-            if c:
-                out = vec_add(out, vec_scale(c, v))
-        return out
+        return vec_combine(self.field.zero, n,
+                           ((x[i] * y[j] * z[k], v) for i, j, k, v in self._tri_support))
 
     def is_abelian(self) -> bool:
         return not self._bil_support and not self._tri_support
@@ -122,15 +116,18 @@ def is_morphism(f: Matrix, a1: BolAlgebra, a2: BolAlgebra) -> bool:
     if f.cols != a1.dim or f.rows != a2.dim:
         raise UsageError("morphism matrix has wrong shape")
     cols = [f.col(i) for i in range(a1.dim)]
-    n = a1.dim
+    n, zero = a1.dim, zero_vec(a2.field, a2.dim)
+    # f maps a zero structure vector of the domain to zero
+    image = {(i, j): f.apply(a1.bil[i][j]) for i, j, _ in a1._bil_support}
     for i in range(n):
         for j in range(n):
-            if f.apply(a1.bil[i][j]) != a2.star(cols[i], cols[j]):
+            if image.get((i, j), zero) != a2.star(cols[i], cols[j]):
                 return False
+    image = {(i, j, k): f.apply(a1.tri[i][j][k]) for i, j, k, _ in a1._tri_support}
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if f.apply(a1.tri[i][j][k]) != a2.bracket(cols[i], cols[j], cols[k]):
+                if image.get((i, j, k), zero) != a2.bracket(cols[i], cols[j], cols[k]):
                     return False
     return True
 

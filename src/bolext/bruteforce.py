@@ -24,7 +24,7 @@ pivots as in `Matrix.rref`.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial, prod
 
 import numpy as np
@@ -217,7 +217,17 @@ def _contract(worst: int, what: str, spec: str, *ops) -> np.ndarray:
     and an intermediate that wrapped around does not change it: integer
     arithmetic wraps modulo 2^bits, and the result fits."""
     dt = _narrowest(worst, what)
-    return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops), optimize=True)
+    path = _einsum_path(spec, tuple(op.shape for op in ops), dt)
+    return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops), optimize=path)
+
+
+@lru_cache(maxsize=256)
+def _einsum_path(spec: str, shapes: tuple, dtype) -> tuple:
+    """The path `np.einsum(..., optimize=True)` would search for operands of
+    these shapes and dtype, searched once per key: the greedy search reads
+    nothing else of the operands, so zero-stride stand-ins take their place."""
+    stand_ins = (np.broadcast_to(np.zeros((), dtype), shape) for shape in shapes)
+    return tuple(np.einsum_path(spec, *stand_ins, optimize="greedy")[0])
 
 
 def _identity_cost(sizes, idt) -> int:

@@ -26,7 +26,7 @@ import os
 from .bol import BolAlgebra
 from .cohomology import Cochain2, Cochain3
 from .errors import ParseError, UsageError
-from .exactlin import Matrix, PrimeField, RATIONALS, vec_add, vec_is_zero
+from .exactlin import Matrix, PrimeField, RATIONALS
 from .extensions import Extension
 from .nonabelian import NonAbelianCocycle
 from .representation import Representation
@@ -64,17 +64,16 @@ def _field_to_doc(field):
     return "Q" if not field.is_prime_field else {"p": field.p}
 
 
-def _scalar(field, token, path, loc):
-    try:
-        return field.parse_scalar(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        _fail(path, loc, str(exc))
-
-
 def _vector(field, doc, length, path, loc):
     if not isinstance(doc, list) or len(doc) != length:
         _fail(path, loc, f"expected an array of {length} scalars")
-    return tuple(_scalar(field, t, path, f"{loc}[{i}]") for i, t in enumerate(doc))
+    parse, out = field.parse_scalar, []
+    for t in doc:
+        try:
+            out.append(parse(t))
+        except (ValueError, ZeroDivisionError) as exc:
+            _fail(path, f"{loc}[{len(out)}]", str(exc))
+    return tuple(out)
 
 
 def matrix_from_doc(field, doc, rows, cols, path, loc) -> Matrix:
@@ -96,6 +95,11 @@ def _vec_doc(field, vec):
 
 # ---------------------------------------------------------------------------
 # algebra
+
+def _negatives(u, v) -> bool:
+    """u = -v for two vectors of one field, adding only where one is nonzero."""
+    return all(not a + b for a, b in zip(u, v) if a or b)
+
 
 def algebra_from_doc(doc, path) -> BolAlgebra:
     if not isinstance(doc, dict):
@@ -134,11 +138,11 @@ def algebra_from_doc(doc, path) -> BolAlgebra:
     a = BolAlgebra(field, n, bil, tuple(tri))
     for i in range(n):
         for j in range(i, n):
-            if not vec_is_zero(vec_add(a.bil[i][j], a.bil[j][i])):
+            if not _negatives(a.bil[i][j], a.bil[j][i]):
                 _fail(path, f"bilinear[{i}][{j}]",
                       "bilinear entries must be skew: b[i][j] = -b[j][i]")
             for k in range(n):
-                if not vec_is_zero(vec_add(a.tri[i][j][k], a.tri[j][i][k])):
+                if not _negatives(a.tri[i][j][k], a.tri[j][i][k]):
                     _fail(path, f"trilinear[{i}][{j}][{k}]",
                           "trilinear entries must be skew in the first two slots")
     return a

@@ -4,12 +4,15 @@ Rational scalars are `fractions.Fraction` (always in lowest terms with a
 positive denominator); prime-field scalars are `ModP` residues in [0, p).
 Vectors are plain tuples of scalars.  `Matrix` is immutable and row-major.
 Every `Subspace` carries its reduced row echelon basis, so subspace equality
-is row-wise equality and containment is a cheap reduction.
+is row-wise equality and containment is a cheap reduction.  Products,
+mat-vecs and eliminations skip every product with a zero factor; exact
+scalars are canonical, so the results are identical to the dense loops.
 
 All operations are pure; every value is safe to share between threads.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -20,8 +23,8 @@ __all__ = [
     "ModP", "Rationals", "PrimeField", "RATIONALS",
     "Matrix", "Subspace",
     "rref", "kernel_basis", "solve_linear", "quotient_dim", "enumerate_vectors",
-    "vec_add", "vec_sub", "vec_neg", "vec_scale", "vec_is_zero", "zero_vec",
-    "basis_vec",
+    "vec_add", "vec_sub", "vec_neg", "vec_scale", "vec_is_zero", "vec_support",
+    "vec_combine", "zero_vec", "basis_vec",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -131,6 +134,11 @@ class ModP:
         return f"{self.value}%{self.p}"
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+# a decimal with an exponent: Fraction would build 10**exponent first
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\.?\d)[\d_]*\.?[\d_]*[eE]")
+
+
 class Rationals:
     """The field Q; scalars are `fractions.Fraction`."""
 
@@ -138,12 +146,12 @@ class Rationals:
     is_prime_field = False
 
     @property
-    def zero(self):
-        return Fraction(0)
+    def zero(self):  # Fraction is immutable: every call returns this one
+        return _Q_ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def scalar(self, v) -> Fraction:
         return Fraction(v)
@@ -157,6 +165,10 @@ class Rationals:
         if isinstance(token, int):
             return Fraction(token)
         if isinstance(token, str):
+            if token.isdecimal():  # what Fraction's pattern reads as one integer
+                return Fraction(int(token))
+            if _EXPONENT_FORM.match(token):
+                raise ValueError(f"exponent forms are not rational scalars, got {token!r}")
             return Fraction(token)
         raise ValueError(f"cannot parse rational scalar from {token!r}")
 
@@ -185,14 +197,15 @@ class PrimeField:
         if p in (2, 3):
             raise UsageError("characteristic 2 and 3 are excluded")
         self.p = p
+        self._zero, self._one = ModP(0, p), ModP(1, p)
 
     @property
     def zero(self):
-        return ModP(0, self.p)
+        return self._zero
 
     @property
     def one(self):
-        return ModP(1, self.p)
+        return self._one
 
     def scalar(self, v) -> ModP:
         return ModP(int(v), self.p)
@@ -253,8 +266,47 @@ def vec_is_zero(u) -> bool:
     return all(not a for a in u)
 
 
+def vec_support(u) -> tuple:
+    """(index, entry) for the nonzero entries of u."""
+    return tuple((j, b) for j, b in enumerate(u) if b)
+
+
+def vec_combine(zero, width, terms) -> tuple:
+    """sum(a * v) over (a, vec_support(v)) terms as a vector of `width`
+    entries, skipping the terms whose coefficient a is zero."""
+    out = [zero] * width
+    for a, support in terms:
+        if a:
+            for j, b in support:
+                out[j] = out[j] + a * b
+    return tuple(out)
+
+
+def _check_moduli(field, rows):
+    """Raise the mixed-moduli UsageError that a dense product of these rows
+    of scalars would: the sparse kernels never multiply a zero residue,
+    whatever its modulus."""
+    if field.is_prime_field:
+        p = field.p
+        for row in rows:
+            for a in row:
+                if isinstance(a, ModP) and a.p != p:
+                    raise UsageError(f"mixed moduli {p} and {a.p}")
+
+
+def _dot(row, support, zero):
+    """sum(row[j] * b for (j, b) in support), skipping zero entries of row."""
+    total = zero
+    for j, b in support:
+        a = row[j]
+        if a:
+            total = total + a * b
+    return total
+
+
 class Matrix:
-    """Immutable dense matrix over one field, row-major tuples."""
+    """Immutable dense matrix over one field, row-major tuples; its entries
+    are scalars of that field."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -323,10 +375,12 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.field != other.field or self.cols != other.rows:
                 raise UsageError("matrix product shape/field mismatch")
-            ot = tuple(zip(*other.entries)) if other.cols else ()
-            return Matrix(self.field, tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), self.field.zero) for col in ot)
-                for row in self.entries))
+            _check_moduli(self.field, self.entries + other.entries)
+            z = self.field.zero
+            supports = tuple(vec_support(row) for row in other.entries)
+            width = other.cols if other.rows else 0  # the dense loop's shape
+            return Matrix(self.field, tuple(vec_combine(z, width, zip(row, supports))
+                                            for row in self.entries))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -335,8 +389,12 @@ class Matrix:
     def apply(self, vec) -> tuple:
         if len(vec) != self.cols:
             raise UsageError("matrix/vector size mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vec)), self.field.zero)
-                     for row in self.entries)
+        _check_moduli(self.field, (vec, *self.entries))
+        support = vec_support(vec)
+        z = self.field.zero
+        if not support:
+            return (z,) * self.rows
+        return tuple(_dot(row, support, z) for row in self.entries)
 
     def transpose(self):
         return Matrix(self.field, tuple(zip(*self.entries))) if self.rows else \
@@ -359,6 +417,7 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
     def rref(self):
         """Reduced row echelon form: (matrix, rank, pivot column tuple)."""
+        _check_moduli(self.field, self.entries)
         m = [list(row) for row in self.entries]
         rows, cols = self.rows, self.cols
         pivots = []
@@ -369,11 +428,13 @@ class Matrix:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
             inv = m[r][c]
-            m[r] = [a / inv for a in m[r]]
+            m[r] = [a / inv if a else a for a in m[r]]
+            support = vec_support(m[r])
             for i in range(rows):
                 if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                    f, row = m[i][c], m[i]
+                    for j, b in support:
+                        row[j] = row[j] - f * b
             pivots.append(c)
             r += 1
             if r == rows:

@@ -456,8 +456,8 @@ def _integers(field, nested: dict):
     if field.is_prime_field:
         return {name: residues(value, object) for name, value in nested.items()}, 1
     arrays = {name: np.array(value, dtype=object) for name, value in nested.items()}
-    den = lcm(1, *(Fraction(s).denominator for a in arrays.values() for s in a.flat))
-    numerator = np.frompyfunc(lambda s: Fraction(s).numerator * (den // Fraction(s).denominator),
+    den = lcm(1, *(s.denominator for a in arrays.values() for s in a.flat if s))
+    numerator = np.frompyfunc(lambda s: s.numerator * (den // s.denominator) if s else 0,
                               1, 1)
     return {name: numerator(a) for name, a in arrays.items()}, den
 
@@ -479,7 +479,8 @@ def _scalars(field, values, den: int) -> tuple:
     """Summed Python ints as field scalars: residues, or over Q x / den."""
     if field.is_prime_field:
         return tuple(field.scalar(int(x)) for x in values)
-    return tuple(Fraction(int(x), den) for x in values)
+    zero = field.zero
+    return tuple(Fraction(int(x), den) if x else zero for x in values)
 
 
 # ---------------------------------------------------------------------------

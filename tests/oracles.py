@@ -3,6 +3,7 @@
 Kept deliberately simple and separate from the package's linear algebra so
 that dimension counts and verdicts are confirmed through a second route.
 """
+from contextlib import contextmanager
 
 
 def elimination_rank(rows):
@@ -26,6 +27,94 @@ def elimination_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+def dense_product(a, b):
+    """`Matrix.__mul__` by dense sums: every product, zero factors included."""
+    from bolext.errors import UsageError
+    from bolext.exactlin import Matrix
+
+    if not isinstance(b, Matrix):
+        return a.scale(b)
+    if a.field != b.field or a.cols != b.rows:
+        raise UsageError("matrix product shape/field mismatch")
+    bt = tuple(zip(*b.entries)) if b.cols else ()
+    return Matrix(a.field, tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), a.field.zero) for col in bt)
+        for row in a.entries))
+
+
+def dense_apply(m, vec):
+    """`Matrix.apply` by dense sums."""
+    from bolext.errors import UsageError
+
+    if len(vec) != m.cols:
+        raise UsageError("matrix/vector size mismatch")
+    return tuple(sum((a * b for a, b in zip(row, vec)), m.field.zero)
+                 for row in m.entries)
+
+
+def dense_rref(m):
+    """`Matrix.rref` by Gauss-Jordan on whole rows: (matrix, rank, pivots)."""
+    from bolext.exactlin import Matrix
+
+    rows = [list(row) for row in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [a / inv for a in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(m.field, rows, cols=m.cols), r, tuple(pivots)
+
+
+@contextmanager
+def dense_kernels():
+    """`Matrix`'s product, mat-vec and rref replaced by the dense loops
+    above, so that rank, kernel, solve, inverse and `Subspace` read them."""
+    from unittest import mock
+
+    from bolext.exactlin import Matrix
+
+    with mock.patch.object(Matrix, "__mul__", dense_product), \
+            mock.patch.object(Matrix, "apply", dense_apply), \
+            mock.patch.object(Matrix, "rref", dense_rref):
+        yield
+
+
+def is_morphism_oracle(f, a1, a2):
+    """f(x*y) = f(x)*f(y) and f([x,y,z]) = [f(x),f(y),f(z)] on all basis
+    tuples, by dense sums over the full structure tensors."""
+    n, d, zero = a1.dim, a2.dim, a2.field.zero
+    g = f.entries
+
+    def image(v):
+        return tuple(sum((g[r][c] * v[c] for c in range(n)), zero) for r in range(d))
+
+    def star(i, j):
+        return tuple(sum((g[k][i] * g[l][j] * a2.bil[k][l][t]
+                          for k in range(d) for l in range(d)), zero) for t in range(d))
+
+    def bracket(i, j, k):
+        return tuple(sum((g[q][i] * g[r][j] * g[s][k] * a2.tri[q][r][s][t]
+                          for q in range(d) for r in range(d) for s in range(d)), zero)
+                     for t in range(d))
+
+    idx = range(n)
+    return (all(image(a1.bil[i][j]) == star(i, j) for i in idx for j in idx)
+            and all(image(a1.tri[i][j][k]) == bracket(i, j, k)
+                    for i in idx for j in idx for k in idx))
 
 
 def cohomology_dims_oracle(a, r, variant):

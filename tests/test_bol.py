@@ -76,6 +76,70 @@ def test_is_morphism(Q, fixtures_q):
         is_morphism(Matrix.identity(Q, 3), a, a)
 
 
+def _corpus_maps():
+    """(name, f, domain, codomain): each corpus extension's injection and
+    projection, and a few automorphisms of its three algebras (enumerated
+    over GF(5) up to dimension 3; the identity, and diag(2, 1, 2) of h3
+    over Q)."""
+    from bolext import documents as docs
+
+    from conftest import corpus_dir
+
+    for name in ("e_h3.ext", "e_h3_q.ext", "e_s2_s2.ext"):
+        e = docs.parse_document(str(corpus_dir() / name), "extension")
+        yield f"{name} i", e.inj, e.fiber, e.total
+        yield f"{name} p", e.proj, e.total, e.base
+        for role, a in (("base", e.base), ("fiber", e.fiber), ("total", e.total)):
+            if a.field.is_prime_field and a.dim <= 3:
+                auts = enumerate_automorphisms(a, max_results=10 ** 5)
+                picked = auts[::max(1, len(auts) // 5)]
+            else:
+                picked = [Matrix.identity(a.field, a.dim)]
+                if a.dim == 3:
+                    picked.append(Matrix.from_int_rows(a.field, [[2, 0, 0], [0, 1, 0], [0, 0, 2]]))
+            for g in picked:
+                yield f"{name} {role} automorphism", g, a, a
+
+
+def _bracket_maps(F5):
+    """The corpus brackets are all zero: the first six GF(5) algebras of
+    dimension 2 with nonzero products and brackets, with their
+    automorphisms (every fourth) and the identity into the next one."""
+    from itertools import islice
+
+    algebras = list(islice((a for a in enumerate_bol_algebras(F5, 2)
+                            if a._bil_support and a._tri_support), 6))
+    for k, a in enumerate(algebras):
+        for g in enumerate_automorphisms(a)[::4]:
+            yield f"algebra {k} automorphism", g, a, a
+        if k + 1 < len(algebras):
+            yield f"identity {k} -> {k + 1}", Matrix.identity(F5, 2), a, algebras[k + 1]
+
+
+def test_is_morphism_matches_dense_oracle(F5):
+    # the maps themselves, then each with one entry raised by 1 (at most
+    # four entries per map, drawn with a fixed seed)
+    from itertools import chain
+
+    from oracles import is_morphism_oracle
+
+    rng = random.Random(19)
+    verdicts = []
+    for name, f, a1, a2 in chain(_corpus_maps(), _bracket_maps(F5)):
+        cells = [(r, c) for r in range(f.rows) for c in range(f.cols)]
+        variants = [f]
+        for r, c in rng.sample(cells, min(4, len(cells))):
+            rows = [list(row) for row in f.entries]
+            rows[r][c] = rows[r][c] + 1
+            variants.append(Matrix(f.field, rows))
+        for g in variants:
+            want = is_morphism_oracle(g, a1, a2)
+            assert is_morphism(g, a1, a2) == want, (name, g)
+            verdicts.append(want)
+        assert verdicts[-len(variants)] or name.startswith("identity"), name
+    assert verdicts.count(False) >= 60 and verdicts.count(True) >= 60
+
+
 def test_automorphism_counts(F5, fixtures_f5):
     assert len(enumerate_automorphisms(fixtures_f5["z1"])) == 4
     auts = enumerate_automorphisms(fixtures_f5["s2"])

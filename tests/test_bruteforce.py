@@ -497,6 +497,44 @@ def test_contract_is_exact_for_every_batched_term(data):
                     assert got.dtype == (np.int32 if above else np.int16), (idt.tag, spec)
 
 
+def test_contract_searches_each_einsum_path_once(monkeypatch):
+    # the greedy path is searched once per (spec, operand shapes, dtype):
+    # cold and warm calls give identical arrays, the arrays of an
+    # unoptimised einsum, and np.einsum_path runs once per key
+    import bolext.bruteforce as bf
+
+    bf._einsum_path.cache_clear()
+    real, searched = np.einsum_path, []
+
+    def spy(spec, *ops, **kwargs):
+        searched.append((spec, tuple(op.shape for op in ops), ops[0].dtype))
+        return real(spec, *ops, **kwargs)
+
+    monkeypatch.setattr(bf.np, "einsum_path", spy)
+    rng = np.random.default_rng(19)
+    spec = "zai,zbj,ijk->zabk"
+
+    def operands(batch):
+        return [rng.integers(0, 5, shape) for shape in ((batch, 3, 2), (batch, 3, 2),
+                                                        (2, 2, 2))]
+
+    ops, wide = operands(4), 10 ** 6
+    cold = _contract(4 * 4 ** 3, "t", spec, *ops)
+    warm = _contract(4 * 4 ** 3, "t", spec, *ops)
+    assert cold.dtype == warm.dtype == np.int16
+    assert cold.tolist() == warm.tolist() == np.einsum(spec, *ops).tolist()
+    assert len(searched) == 1
+    assert _contract(wide, "t", spec, *ops).tolist() == cold.tolist()
+    other = operands(7)
+    assert _contract(4 * 4 ** 3, "t", spec, *other).tolist() == np.einsum(spec, *other).tolist()
+    for _ in range(2):
+        _contract(wide, "t", spec, *ops)
+        _contract(4 * 4 ** 3, "t", spec, *other)
+    assert searched == [(spec, ((4, 3, 2), (4, 3, 2), (2, 2, 2)), np.int16),
+                        (spec, ((4, 3, 2), (4, 3, 2), (2, 2, 2)), np.int32),
+                        (spec, ((7, 3, 2), (7, 3, 2), (2, 2, 2)), np.int16)]
+
+
 # two identities no table has: a term that does not carry the first where
 # letter (its value is broadcast over it), and a factor that repeats it
 _SYNTHETIC = (identities.Group(2, (identities.Identity("broadcast", "ij", "r", (

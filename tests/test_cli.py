@@ -158,6 +158,16 @@ def test_inducible(capsys):
     assert code == 0
 
 
+def test_exponent_beta_over_q_exits_2_at_once(capsys):
+    # Fraction would build 10**100000000 before it could answer
+    start = time.perf_counter()
+    code, out = run_cli("inducible", "--extension", C("e_h3_q.ext"),
+                        "--alpha", "id", "--beta", "1e100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lift_and_wells():
     code, out = run_cli("lift", "--extension", C("e_h3.ext"),
                         "--alpha", "diag(2,1)", "--beta", "2")

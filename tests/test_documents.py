@@ -141,3 +141,79 @@ def test_parse_rejects_non_alternating_d(tmp_path, kind):
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="D must be alternating"):
         docs.parse_document(str(p), kind)
+
+
+def _over_q(doc):
+    """A GF(5) document over Q: residues as their representatives in
+    [-2, 2], so skew entries stay skew."""
+    if doc == {"p": 5}:
+        return "Q"
+    if isinstance(doc, dict):
+        return {k: v if k == "dim" else _over_q(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_over_q(v) for v in doc]
+    return str(doc if doc <= 2 else doc - 5)
+
+
+def _bad_scalar_case(name):
+    """(kind, CLI argv before the path, GF(5) document, the path to one of
+    its scalars that is not the first of its row, the location ParseError
+    names)."""
+    from bolext.extensions import theta_map
+    if name == "algebra":
+        doc = json.loads((corpus_dir() / "h3_gf5.bol").read_text())
+        return "algebra", ["validate"], doc, ("bilinear", 1, 0, 1), "bilinear[1][0][1]"
+    ext = json.loads((corpus_dir() / "e_s2_s2.ext").read_text())
+    if name == "extension":
+        return ("extension", ["extract-cocycle", "--extension"], ext, ("i", 2, 1),
+                "i[2][1]")
+    e = docs.parse_document(str(corpus_dir() / "e_s2_s2.ext"), "extension")
+    return ("nab-cocycle", ["nab-validate", "--cocycle"], docs.nab_to_doc(theta_map(e)),
+            ("omega", 1, 0, 1, 1), "omega[1][0][1][1]")
+
+
+@pytest.mark.parametrize("name", ["algebra", "extension", "cochain"])
+@pytest.mark.parametrize("field, token, message", [
+    ("GF(5)", 7, "residue 7 outside [0, 5)"),
+    ("Q", "1/0", "Fraction(1, 0)")])
+def test_bad_scalar_location_and_exit_code(tmp_path, name, field, token, message):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from bolext.cli import main
+    kind, argv, doc, where, loc = _bad_scalar_case(name)
+    if field == "Q":
+        doc = _over_q(doc)
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = token
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        docs.parse_document(str(p), kind)
+    assert str(info.value) == f"{p}: {loc}: {message}"
+    assert (info.value.location, info.value.message) == (loc, message)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv + [str(p)]) == 2
+    assert err.getvalue() == f"error: {p}: {loc}: {message}\n"
+
+
+def test_exponent_scalar_in_a_document_exits_2_at_once(tmp_path):
+    import io
+    import time
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from bolext.cli import main
+    doc = {"field": "Q", "dim": 1, "bilinear": [[["1e100000000"]]],
+           "trilinear": [[[["0"]]]]}
+    p = tmp_path / "big.bol"
+    p.write_text(json.dumps(doc))
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["validate", str(p)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "bilinear[0][0][0]: exponent forms are not rational scalars" in err.getvalue()

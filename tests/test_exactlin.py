@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bolext.errors import ContainmentError, UnsupportedEnumerationError, UsageError
 from bolext.exactlin import (Matrix, ModP, PrimeField, RATIONALS, Subspace,
                              enumerate_vectors, kernel_basis, quotient_dim,
@@ -149,3 +150,93 @@ def test_subspace_canonical_equality(Q):
     s1 = Subspace.from_vectors(Q, 2, [(Fraction(-2), Fraction(1))])
     s2 = Subspace.from_vectors(Q, 2, [(Fraction(4), Fraction(-2))])
     assert s1 == s2 and s1.basis == s2.basis
+
+
+def _sparse_matrix(data, field, rows, cols):
+    """Mostly zero entries, some rows and columns cleared; or the zero matrix,
+    or the identity (square shapes)."""
+    kind = data.draw(st.sampled_from(["sparse", "sparse", "sparse", "zero", "identity"]))
+    if kind == "zero":
+        return Matrix.zeros(field, rows, cols)
+    if kind == "identity" and rows == cols:
+        return Matrix.identity(field, rows)
+    values = [0] * 6 + [1, -1, 2, 3]
+    if not field.is_prime_field:
+        values += [Fraction(1, 2), Fraction(-2, 3)]
+    entries = [[field.scalar(data.draw(st.sampled_from(values))) for _ in range(cols)]
+               for _ in range(rows)]
+    for r in data.draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        entries[r] = [field.zero] * cols
+    for c in data.draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in entries:
+            row[c] = field.zero
+    return Matrix(field, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_kernels_match_dense_oracle(data):
+    # exact scalars are canonical: skipping zero factors must give the dense
+    # loops' results, entry for entry and in the same scalar types
+    field = data.draw(st.sampled_from([RATIONALS, PrimeField(5), PrimeField(7)]))
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = _sparse_matrix(data, field, r, k), _sparse_matrix(data, field, k, c)
+    sq = _sparse_matrix(data, field, k, k)
+    v = _sparse_matrix(data, field, 1, k).row(0)
+    rhs = (a.apply(_sparse_matrix(data, field, 1, k).row(0))
+           if data.draw(st.booleans()) else _sparse_matrix(data, field, 1, r).row(0))
+
+    def results():
+        return (a * b, a.apply(v), a.rref(), a.rank(), a.solve(rhs), a.kernel(),
+                sq.inverse(), sq.is_invertible(), Subspace.from_vectors(field, k, a.entries))
+
+    got = results()
+    with oracles.dense_kernels():
+        want = results()
+    assert got == want
+    assert repr(got) == repr(want)
+    assert all(type(x) is type(field.zero) for row in got[0].entries for x in row)
+
+
+@pytest.mark.parametrize("r, k, c", [(2, 0, 3), (0, 2, 3), (2, 3, 0), (0, 0, 0)])
+def test_empty_products_match_dense_oracle(Q, r, k, c):
+    a, b = Matrix.zeros(Q, r, k), Matrix.zeros(Q, k, c)
+    got = (a * b, a.apply((Q.zero,) * k), a.rref())
+    with oracles.dense_kernels():
+        want = (a * b, a.apply((Q.zero,) * k), a.rref())
+    assert got == want  # Matrix equality compares the shapes too
+
+
+def test_sparse_kernels_keep_mixed_moduli_errors(F5, F7):
+    # a dense product multiplies every zero residue, so a vector or matrix of
+    # another modulus is refused even where all its entries are zero
+    m = Matrix.identity(F5, 2)
+    with pytest.raises(UsageError, match="mixed moduli"):
+        m.apply((F7.zero, F7.zero))
+    stray = Matrix(F5, [[F5.one, F7.zero], [F5.zero, F5.one]])
+    for call in (lambda: stray.rref(), lambda: m * stray, lambda: stray * m,
+                 lambda: stray.apply((F5.zero, F5.zero))):
+        with pytest.raises(UsageError, match="mixed moduli"):
+            call()
+
+
+def test_rational_zero_and_one_are_shared(Q, F5):
+    assert Q.zero is Q.zero and Q.one is Q.one
+    assert (Q.zero, Q.one) == (Fraction(0), Fraction(1))
+    assert F5.zero is F5.zero and F5.one == ModP(1, 5)
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1E5", "-2.5e-3", " 7e1 ", "1_0e2",
+                                   ".5e100000000"])
+def test_rational_parser_refuses_exponent_forms(Q, token):
+    with pytest.raises(ValueError, match="exponent forms"):
+        Q.parse_scalar(token)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("3", Fraction(3)), ("-3/6", Fraction(-1, 2)), ("0.25", Fraction(1, 4)),
+    (" 2 ", Fraction(2)), ("1_000", Fraction(1000)), ("٣", Fraction(3)), (7, Fraction(7))])
+def test_rational_parser_keeps_integer_fraction_and_decimal_forms(Q, token, value):
+    got = Q.parse_scalar(token)
+    assert got == value and type(got) is Fraction
+    assert got == Fraction(token)
