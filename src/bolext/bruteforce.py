@@ -11,7 +11,11 @@ table decides them.  `identity_mask` screens an identity whose residual
 over its survivors is larger than `_ENTRIES` one value of its first `where`
 axis at a time, each value only on the rows the values before it passed:
 a row fails when one entry of its residual is nonzero mod p, so a failure
-on one value's slice decides it, and the mask does not change.  The
+on one value's slice decides it, and the mask does not change.  An
+identity with a pair form (`_pair_form`) is decided on the pairs a < b of
+its first two `where` axes alone, when every tensor that carries them is
+alternating on the data handed in: its residual is then alternating in
+(i, j), so it vanishes everywhere exactly when it vanishes on a < b.  The
 factored scan of block-triangular automorphisms
 checks the bound on all its candidates too, but solves for the blocks C its
 morphism residual allows and tests only those (`triangular_arrays`).  Only
@@ -24,6 +28,7 @@ pivots as in `Matrix.rref`.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache, partial
 from math import factorial, prod
 
@@ -35,6 +40,8 @@ from .errors import InternalConsistencyError, UnsupportedEnumerationError
 _CHUNK = 1 << 16
 # residual entries per slice of an identity's survivors in `identity_mask`
 _ENTRIES = 1 << 19
+# the letter of the pair axis of a pair form; the tables use lower case only
+_PAIR = "P"
 
 
 def _headroom_dtype(terms: int, degree: int, p: int):
@@ -111,17 +118,27 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     so the memory an identity takes does not grow with the batch.  A term is
     bounded by `_term_bound` and contracted by `_contract`; an identity's
     terms are summed unreduced, in a type that holds p and the sum of their
-    bounds, and reduced once.  The triangle of a group is not needed here:
-    its residuals are symmetric.
+    bounds, and reduced once.
+
+    The pair rule: an identity with a pair form (`_pair_form`) is decided on
+    its pair axis, the pairs a < b of its first two `where` letters (i, j),
+    when every tensor its pair form gathers is alternating mod p on the data
+    handed in (`_alternating`, once per tensor and call); otherwise on every
+    (i, j).  The mask is the same: every term is then alternating in (i, j),
+    so the residual at (b, a) is minus the one at (a, b) and the one at
+    (a, a) is zero, and it vanishes everywhere exactly when it vanishes on
+    a < b.  Slices and the screen below are sized by the residual over every
+    (i, j), so a pair form's slice holds as many rows as the identity's.
 
     The screen: an identity whose residual over the survivors exceeds
     `_ENTRIES` entries is decided in each slice one value v of its first
-    `where` axis at a time, each value only on the rows that passed the
-    values before it (`_zero_rows` at (letter, v)).  The mask is the same:
-    a row passes when every entry of its residual is zero mod p, so a row
-    with a nonzero entry on one value's slice fails, and a row passes every
-    value's slice exactly when it passes the whole residual.  Smaller
-    identities make one contraction per term and slice.
+    `where` axis (the pair axis of a pair form) at a time, each value only
+    on the rows that passed the values before it (`_zero_rows` at (letter,
+    v)).  The mask is the same: a row passes when every entry of its
+    residual is zero mod p, so a row with a nonzero entry on one value's
+    slice fails, and a row passes every value's slice exactly when it
+    passes the whole residual.  Smaller identities make one contraction per
+    term and slice.
     """
     fixed = fixed or {}
     shapes = {name: a.shape[1:] for name, a in batch.items()}
@@ -131,6 +148,14 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     read = set().union(*(_reads(idt) for _, idt in checks))
     peak = {name: int(a.max(initial=0)) for name, a in {**batch, **fixed}.items()
             if name in read}
+    alternating = {}
+
+    def alternates(name):
+        if name not in alternating:
+            alternating[name] = _alternating(fixed[name] if name in fixed else batch[name], p,
+                                             name not in fixed, peak[name])
+        return alternating[name]
+
     rows = len(next(iter(batch.values())))
     ok = np.ones(rows, dtype=bool) if ok is None else ok.copy()
     for sizes, idt in sorted(checks, key=lambda c: _identity_cost(*c)):
@@ -142,6 +167,10 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
         dtype = _narrowest(max(sum(bounds), p), what)
         entries = prod(sizes[ch] for ch in idt.axes)
         step = max(1, _ENTRIES // max(entries, 1))
+        form = _pair_form(idt)
+        if form is not None and all(map(alternates, _paired(form))):
+            d = sizes[idt.where[0]]
+            sizes, idt = {**sizes, _PAIR: d * (d - 1) // 2}, form
         lead = idt.where[:1] if survivors.size * entries > _ENTRIES else ""
         for idx in np.split(survivors, range(step, survivors.size, step)):
             for v in range(sizes[lead]) if lead else (0,):
@@ -154,23 +183,100 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     return ok
 
 
+@lru_cache(maxsize=None)
+def _pair_form(idt):
+    """The pair form of an identity, or None where it has none.
+
+    It has one when every term has exactly one factor that carries the
+    first two `where` letters (i, j): as its first two indices, in that
+    order, and nowhere else, while no other factor carries either.  The
+    pair form replaces (i, j) by the one axis `_PAIR` (`where` and those
+    factors' indices), read as the pairs a < b of (i, j) in
+    `np.triu_indices` order.  Derived once per identity, from the table
+    alone."""
+    if len(idt.where) < 2:
+        return None
+    i, j = idt.where[:2]
+    terms = []
+    for t in idt.terms:
+        carriers = [k for k, (_, axes) in enumerate(t.factors) if i in axes or j in axes]
+        if len(carriers) != 1:
+            return None
+        name, axes = t.factors[carriers[0]]
+        if axes[:2] != i + j or i in axes[2:] or j in axes[2:]:
+            return None
+        factors = list(t.factors)
+        factors[carriers[0]] = (name, _PAIR + axes[2:])
+        terms.append(replace(t, factors=tuple(factors)))
+    return replace(idt, where=_PAIR + idt.where[2:], terms=tuple(terms))
+
+
+def _paired(form) -> set:
+    """The tensors a pair form reads over its pair axis."""
+    return {name for t in form.terms for name, axes in t.factors if axes.startswith(_PAIR)}
+
+
+def _alternating(a: np.ndarray, p: int, batched: bool, peak: int) -> bool:
+    """Whether a residue tensor (after a batch axis if `batched`), whose
+    largest entry is `peak`, is alternating mod p in its first two axes:
+    t[a,b] + t[b,a] = 0 or p for a < b, and t[a,a] = 0.  Read in row slices
+    of at most `_ENTRIES` entries, one pair (a, b) at a time."""
+    if not batched:
+        a = a[None]
+    if a.ndim < 3 or a.shape[1] != a.shape[2]:
+        return False
+    d, dtype = a.shape[1], np.result_type(a.dtype, _narrowest(2 * peak, "a pair sum"))
+    step = max(1, _ENTRIES // max(prod(a.shape[1:]), 1))
+    for start in range(0, len(a), step):
+        s = a[start:start + step]
+        for i in range(d):
+            if s[:, i, i].any():
+                return False
+            for j in range(i + 1, d):
+                pair = np.add(s[:, i, j], s[:, j, i], dtype=dtype)
+                if ((pair != 0) & (pair != p)).any():
+                    return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple:
+    """(a, b) of the pairs a < b < d, in `np.triu_indices` order."""
+    return np.triu_indices(d, 1)
+
+
 def _zero_rows(idt, p: int, batch: dict, fixed: dict, idx: np.ndarray, sizes: dict,
                bounds: list, dtype, what: str, letter: str = "", v: int = 0) -> np.ndarray:
     """Which batch rows `idx` have an all-zero residual of `idt` mod p (the
     terms bounded by `bounds`, summed in `dtype`); with a `letter`, only on
     the where tuples whose `letter` axis is v: each factor is sliced at
-    v:v+1 on every axis that carries the letter, and its size is 1."""
+    v:v+1 on every axis that carries the letter, and its size is 1.  A
+    factor over the pair axis of a pair form is gathered from its tensor at
+    the pairs a < b (at pair v alone with the letter), on the rows idx."""
     every = idx.size == len(next(iter(batch.values())))
-    arrays = {name: fixed[name] if name in fixed else batch[name] if every else batch[name][idx]
-              for name in _reads(idt)}
+    rows = (slice(None),) if every else (idx[:, None],)
+    arrays = {}
+
+    def operand(name, axes):
+        batched = name not in fixed
+        if axes.startswith(_PAIR):
+            a = fixed[name] if not batched else batch[name]
+            ia, ib = _pairs(a.shape[batched])
+            if letter:
+                ia, ib = ia[v:v + 1], ib[v:v + 1]
+            return a[rows * batched + (ia, ib)]
+        if name not in arrays:
+            arrays[name] = fixed[name] if not batched else batch[name] if every \
+                else batch[name][idx]
+        return _at(arrays[name], axes, letter, v, batched) if letter else arrays[name]
+
     if letter:
         sizes = {**sizes, letter: 1}
     total = np.zeros((idx.size,) + tuple(sizes[ch] for ch in idt.axes), dtype=dtype)
     for t, worst in zip(idt.terms, bounds):
-        operands = [_at(arrays[name], axes, letter, v, name not in fixed)
-                    for name, axes in t.factors] if letter else None
-        value = identities.contract(t, idt.axes, arrays, sizes, batch.keys(), "Z",
-                                    einsum=partial(_contract, worst, what), operands=operands)
+        value = identities.contract(t, idt.axes, {}, sizes, batch.keys(), "Z",
+                                    einsum=partial(_contract, worst, what),
+                                    operands=[operand(name, axes) for name, axes in t.factors])
         (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
     np.remainder(total, p, out=total)
     return ~np.any(total, axis=tuple(range(1, total.ndim)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import documents as docs
@@ -48,7 +49,8 @@ def _parse_field(token):
 
 def _parse_map_spec(spec, field, rows, cols):
     """Inline map specs: 'id', 'diag(a,b,...)', a bare scalar (scales the
-    identity), a JSON matrix literal, or a JSON file path."""
+    identity), a JSON matrix literal, or a JSON file path.  A spec that is
+    neither a scalar nor an existing path fails with the scalar's error."""
     spec = spec.strip()
     if spec == "id":
         if rows != cols:
@@ -62,14 +64,17 @@ def _parse_map_spec(spec, field, rows, cols):
                     else field.zero for j in range(cols)] for i in range(rows)]
         return Matrix(field, entries)
     if spec.startswith("["):
-        doc = json.loads(spec)
+        try:
+            doc = json.loads(spec)
+        except ValueError as exc:  # not JSON, or an integer too long to convert
+            raise UsageError(f"invalid JSON: {exc}") from exc
         return docs.matrix_from_doc(field, doc, rows, cols, "<inline>", "$")
     try:
         scalar = _parse_scalar(field, spec)
     except UsageError:
-        with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return docs.matrix_from_doc(field, doc, rows, cols, spec, "$")
+        if not os.path.exists(spec):
+            raise
+        return docs.matrix_from_doc(field, docs.read_json(spec), rows, cols, spec, "$")
     if rows != cols:
         raise UsageError("a scalar spec needs a square shape")
     return Matrix.identity(field, rows).scale(scalar)
@@ -427,9 +432,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, UsageError, UnsupportedEnumerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:
         print(f"error: internal consistency check failed: {exc}", file=sys.stderr)

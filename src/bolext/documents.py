@@ -349,15 +349,24 @@ def aut_pair_to_doc(pair: AutPair):
 # ---------------------------------------------------------------------------
 # files
 
-def parse_document(path: str, kind: str, **ctx):
-    """Load and validate a document of the given kind from a JSON file."""
+def read_json(path: str):
+    """The JSON value of a file; a file that cannot be read or is not JSON
+    (an integer of more digits than Python converts included) raises
+    ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(path, "$", f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}", exc.msg) from exc
+    except ValueError as exc:
+        raise ParseError(path, "$", str(exc)) from exc
+
+
+def parse_document(path: str, kind: str, **ctx):
+    """Load and validate a document of the given kind from a JSON file."""
+    doc = read_json(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     if kind == "algebra":
         return algebra_from_doc(doc, path)

@@ -378,9 +378,8 @@ class Matrix:
             _check_moduli(self.field, self.entries + other.entries)
             z = self.field.zero
             supports = tuple(vec_support(row) for row in other.entries)
-            width = other.cols if other.rows else 0  # the dense loop's shape
-            return Matrix(self.field, tuple(vec_combine(z, width, zip(row, supports))
-                                            for row in self.entries))
+            return Matrix(self.field, tuple(vec_combine(z, other.cols, zip(row, supports))
+                                            for row in self.entries), cols=other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):

@@ -39,7 +39,12 @@ Three readers use the tables, each on the suite of one variant (`select`):
 `affine` reads the linear system in phi of an EQV, IND or Z1 suite over an
 abelian fiber; and `bruteforce.identity_mask` decides a batch of GF(p)
 structures on fixed-width residue arrays, as every brute-force search and
-the exactness verifier's `MOR` re-checks do.
+the exactness verifier's `MOR` re-checks do.  Where every term of an
+identity has one factor that carries its first two `where` letters, first
+and in that order, and no other factor carries either, `identity_mask`
+reads a pair form off the table: on data alternating in those letters the
+residual is alternating too, so the pairs a < b decide it.  `report` and
+`affine` read every tuple.
 """
 from __future__ import annotations
 

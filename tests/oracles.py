@@ -38,10 +38,10 @@ def dense_product(a, b):
         return a.scale(b)
     if a.field != b.field or a.cols != b.rows:
         raise UsageError("matrix product shape/field mismatch")
-    bt = tuple(zip(*b.entries)) if b.cols else ()
+    bt = tuple(tuple(row[j] for row in b.entries) for j in range(b.cols))
     return Matrix(a.field, tuple(
         tuple(sum((x * y for x, y in zip(row, col)), a.field.zero) for col in bt)
-        for row in a.entries))
+        for row in a.entries), cols=b.cols)
 
 
 def dense_apply(m, vec):

@@ -611,6 +611,128 @@ def test_screen_changes_no_mask(monkeypatch, p, n, m):
     assert {"mixed-product", "broadcast", "diagonal"} <= set().union(*pruned), pruned
 
 
+def _tags(suite) -> set:
+    return {i.tag for g in suite for i in g.identities}
+
+
+# identities whose residual is not alternating in (i, j), or is but not in
+# the form the pair rule reads: a factor with the pair letters reversed, two
+# factors that carry them, and a pair letter repeated later in its factor
+_NO_PAIR_FORM = (identities.Group(3, (identities.Identity("reversed", "ijk", "r", (
+    identities.Term(1, (("tri", "jikr"),)), identities.Term(1, (("bil", "ijq"), ("bil", "qkr"))))),)),
+                 identities.Group(3, (identities.Identity("two-factors", "ijk", "r", (
+                     identities.Term(1, (("bil", "ijq"), ("tri", "qjkr"))),)),)),
+                 identities.Group(2, (identities.Identity("repeated", "ij", "r", (
+                     identities.Term(1, (("tri", "ijir"),)),
+                     identities.Term(1, (("bil", "ijr"),)))),)))
+
+
+def test_pair_form_is_read_off_the_tables():
+    from bolext.bruteforce import _pair_form, _paired
+
+    forms = {i.tag: _pair_form(i) for suite, _ in _BATCHED for g in suite for i in g.identities}
+    assert forms["mixed-product"] is not None and forms["bracket-derivation"] is not None
+    for tag in ("star-skew", "bracket-skew", "bracket-cyclic", "mor-star", "mor-bracket"):
+        assert forms[tag] is None, tag
+    assert {tag for tag in _tags(identities.BOL) if forms[tag]} == {
+        "mixed-product", "bracket-derivation"}
+    assert {tag for tag in _tags(identities.REP) if forms[tag]} == {
+        "rep-d-mu", "rep-d-d", "rep-d-theta-comm"}
+    assert not any(forms[tag] for suite in (identities.MOR, identities.EQV, identities.IND,
+                                            identities.Z1) for tag in _tags(suite))
+    assert not any(_pair_form(i) for g in _NO_PAIR_FORM for i in g.identities)
+    # the strict nu-omega-star term bil(ijq) mu(qst) nu(ijt) has two factors
+    # that carry i and j
+    from bolext.core import Variant
+
+    def nab(variant):
+        return {i.tag: _pair_form(i) for g in identities.select(identities.NAB, variant)
+                for i in g.identities}
+    assert nab(Variant.CORRECTED)["nu-omega-star"] and not nab(Variant.STRICT)["nu-omega-star"]
+    # i j become the pair axis P: tri carries it in the first three terms,
+    # bil in the last two
+    mixed = forms["mixed-product"]
+    assert mixed.where == "Pkl" and mixed.tag == "mixed-product"
+    assert [t.factors for t in mixed.terms] == [
+        (("bil", "klq"), ("tri", "Pqr")), (("tri", "Pkq"), ("bil", "qlr")),
+        (("tri", "Plq"), ("bil", "kqr")), (("bil", "Pq"), ("tri", "klqr")),
+        (("bil", "klq"), ("bil", "Ps"), ("bil", "qsr"))]
+    assert _paired(mixed) == {"bil", "tri"}
+
+
+def _alternate(p, t, batched):
+    """t minus its transpose in the first two axes (after the batch axis),
+    mod p, where those axes have one length: alternating."""
+    lead = int(batched)
+    if t.ndim < lead + 2 or t.shape[lead] != t.shape[lead + 1]:
+        return t
+    return (t - t.swapaxes(lead, lead + 1)) % p
+
+
+@pytest.mark.parametrize("p, n, m, kind", [(5, 2, 2, "alternating"), (7, 3, 1, "alternating"),
+                                           (2, 3, 2, "alternating"), (5, 3, 2, "one non-skew row"),
+                                           (2, 3, 1, "nonzero diagonal")])
+def test_pair_form_changes_no_mask(monkeypatch, p, n, m, kind):
+    # every identity of every batched table and the synthetic ones, alone
+    # and in its table, decided with the pair form (screened, one row per
+    # slice, and not) and with _pair_form patched to None, from random
+    # starting masks: on alternating data (every square tensor t - t^T,
+    # half the rows with at most two nonzero entries per tensor), with one
+    # row of one batched tensor made non-skew, and at p = 2 with one row's
+    # diagonal made nonzero (skew mod 2, not alternating), where the
+    # fallback runs
+    import bolext.bruteforce as bf
+
+    real, calls, pair_form = bf._zero_rows, [], bf._pair_form
+
+    def spy(idt, *args):
+        calls.append(idt)
+        return real(idt, *args)
+    monkeypatch.setattr(bf, "_zero_rows", spy)
+    rng = np.random.default_rng(p * 1000 + n * 10 + m)
+    paired, passes, fails = set(), 0, 0
+    for suite, batched in _BATCHED + [(_SYNTHETIC + _NO_PAIR_FORM, {"bil", "tri"})]:
+        batch, fixed = _screen_batch(rng, p, n, m, suite, batched, 16)
+        # the first 8 rows: one nonzero entry per tensor
+        for t in batch.values():
+            t[:8] = 0
+            for row in range(8):
+                t[(row,) + tuple(rng.integers(0, t.shape[1:]))] = rng.integers(1, p)
+        batch = {name: _alternate(p, t, True) for name, t in batch.items()}
+        fixed = {name: _alternate(p, t, False) for name, t in fixed.items()}
+        square = sorted(name for name, t in batch.items() if t.shape[1] == t.shape[2] > 1)
+        broken = None
+        if kind != "alternating" and square:
+            broken = square[rng.integers(len(square))]
+            t, row = batch[broken], rng.integers(16)
+            if kind == "one non-skew row":
+                t[(row, 0, 1) + (0,) * (t.ndim - 3)] += 1
+            else:
+                t[(row, 0, 0) + (0,) * (t.ndim - 3)] = 1
+            t %= p
+        for part in [(g,) for g in suite] + [suite]:
+            ok = rng.random(16) < 0.8
+            masks = []
+            for form, entries in ((pair_form, 1), (pair_form, 1 << 40),
+                                  (lambda idt: None, 1 << 40)):
+                monkeypatch.setattr(bf, "_pair_form", form)
+                monkeypatch.setattr(bf, "_ENTRIES", entries)
+                calls.clear()
+                masks.append(identity_mask(part, p, batch, fixed, ok).tolist())
+                paired |= {idt.tag for idt in calls if idt.where[0] == "P"}
+                # a tensor that is not alternating is never read on pairs
+                assert not any(broken in bf._paired(idt) for idt in calls
+                               if idt.where[0] == "P")
+            assert masks[0] == masks[1] == masks[2], _tags(part)
+            passes += sum(masks[0])
+            fails += int(ok.sum()) - sum(masks[0])
+    assert passes and fails
+    if kind == "alternating":
+        assert {"mixed-product", "bracket-derivation", "rep-d-d", "mu-d-star"} <= paired
+    else:
+        assert broken is not None
+
+
 def _spy_contract(monkeypatch):
     """Record (label, result) of every `_contract` call."""
     import bolext.bruteforce as bf
@@ -640,9 +762,10 @@ def _residuals(calls, idt, p):
 
 def test_screen_prunes_the_census_glue(F5, monkeypatch):
     # census-21's route 2 decides mixed-product of the glue (d = 3) on its
-    # star-skew survivors, one row slice of _ENTRIES // 3^5 pairs at a time;
-    # within a slice, value 0 of the first where axis i sees every row and
-    # values 1 and 2 see only the rows that passed the values before them
+    # star-skew survivors in its pair form (the glue is alternating), one
+    # row slice of _ENTRIES // 3^5 glued pairs at a time, as without it;
+    # within a slice, pair (0, 1) sees every row and pairs (0, 2) and (1, 2)
+    # see only the rows that passed the pairs before them
     from bolext.bruteforce import _ENTRIES
     from bolext.representation import semidirect_iff_census
 
@@ -657,19 +780,23 @@ def test_screen_prunes_the_census_glue(F5, monkeypatch):
     runs = [r for r in _residuals(calls, tags["mixed-product"], 5) if r[0][-1] == 3]
     step = _ENTRIES // 3 ** 5
     starts, v, left = [], 0, 0
+    seen, kept = [0, 0, 0], [0, 0, 0]
     for shape, passed in runs:
-        assert shape[1:] == (1, 3, 3, 3, 3)
+        assert shape[1:] == (1, 3, 3, 3)
         if v:
             assert shape[0] == left
         else:
             starts.append(shape[0])
         left = int(passed.sum())
+        seen[v] += shape[0]
+        kept[v] += left
         v = (v + 1) % 3 if left else 0
     rows = int(skew.sum())
     assert starts == [step] * (rows // step) + [rows % step] * bool(rows % step)
-    assert len(runs) > 2 * len(starts)
-    # values 1 and 2 run on a small share of the rows value 0 saw
-    assert sum(shape[0] for shape, _ in runs) < 1.2 * rows
+    # 15,625 glued pairs reach pair (0, 1), 1,705 pass it, 1,305 pass (0, 2)
+    # and 1,225 pass (1, 2): every valid pair of the census
+    assert rows == 15_625
+    assert seen == [15_625, 1_705, 1_305] and kept == [1_705, 1_305, 1_225]
 
 
 def test_small_batches_make_one_contraction_per_term(F5, monkeypatch, ext_h3_f5):

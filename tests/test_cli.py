@@ -168,6 +168,38 @@ def test_exponent_beta_over_q_exits_2_at_once(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_json_integer_too_long_to_convert_exits_2(tmp_path, capsys):
+    # json.load refuses integers of more than 4,300 digits with a ValueError
+    digits = "1" + "0" * 5000
+    p = tmp_path / "long.bol"
+    p.write_text('{"field": {"p": 5}, "dim": 1, "bilinear": [[[%s]]], '
+                 '"trilinear": [[[[0]]]]}' % digits)
+    code, out = run_cli("validate", str(p))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {p}: $: Exceeds the limit") and "Traceback" not in err
+    # the same integer in an inline matrix spec
+    code, out = run_cli("lift", "--extension", C("e_h3.ext"), "--alpha", "id",
+                        "--beta", f"[[{digits}]]")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
+
+
+def test_a_spec_that_is_neither_a_scalar_nor_a_file_reports_the_scalar(capsys):
+    # the scalar parser's reason, not the missing file 1e5
+    code, out = run_cli("inducible", "--extension", C("e_h3_q.ext"),
+                        "--alpha", "id", "--beta", "1e5")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == ("error: bad scalar '1e5' over Q: "
+                   "exponent forms are not rational scalars, got '1e5'\n")
+    # an existing file is still read as a matrix document
+    code, out = run_cli("inducible", "--extension", C("e_h3_q.ext"),
+                        "--alpha", "id", "--beta", C("z1.bol"))
+    assert code == 2 and "Errno" not in capsys.readouterr().err
+
+
 def test_lift_and_wells():
     code, out = run_cli("lift", "--extension", C("e_h3.ext"),
                         "--alpha", "diag(2,1)", "--beta", "2")

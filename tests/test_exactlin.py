@@ -205,6 +205,8 @@ def test_empty_products_match_dense_oracle(Q, r, k, c):
     with oracles.dense_kernels():
         want = (a * b, a.apply((Q.zero,) * k), a.rref())
     assert got == want  # Matrix equality compares the shapes too
+    # an r x k by k x c product is the r x c zero matrix, k = 0 included
+    assert got[0] == Matrix.zeros(Q, r, c) and (got[0].rows, got[0].cols) == (r, c)
 
 
 def test_sparse_kernels_keep_mixed_moduli_errors(F5, F7):
