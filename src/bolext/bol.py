@@ -152,18 +152,12 @@ def automorphism_int_arrays(a: BolAlgebra, budget: int = DEFAULT_ENUMERATION_BOU
 
 
 def int_matrix(field, arr) -> Matrix:
-    return Matrix.from_int_rows(field, [[int(v) for v in row] for row in arr])
+    return Matrix(field, identities.scalars(field, arr))
 
 
 def algebra_from_int_arrays(field, bil, tri) -> BolAlgebra:
-    n = bil.shape[0]
-    s = field.scalar
-    return BolAlgebra(
-        field, n,
-        tuple(tuple(tuple(s(int(bil[i, j, k])) for k in range(n)) for j in range(n))
-              for i in range(n)),
-        tuple(tuple(tuple(tuple(s(int(tri[i, j, k, l])) for l in range(n))
-                          for k in range(n)) for j in range(n)) for i in range(n)))
+    return BolAlgebra(field, bil.shape[0], identities.scalars(field, bil),
+                      identities.scalars(field, tri))
 
 
 def enumerate_bol_algebras(field, dim: int, tri_zero: bool = False,

@@ -193,16 +193,11 @@ class CochainCoords:
     def decode(self, vec) -> tuple:
         if len(vec) != self.total:
             raise UsageError("coordinate vector has wrong length")
-        nu_entries, om_entries = {}, {}
-        pos = 0
-        for (i, j) in self.nu_slots:
-            nu_entries[(i, j)] = tuple(vec[pos:pos + self.m])
-            pos += self.m
-        for (i, j, k) in self.omega_slots:
-            om_entries[(i, j, k)] = tuple(vec[pos:pos + self.m])
-            pos += self.m
-        return (Cochain2.from_pairs(self.n, self.m, self.field, nu_entries),
-                Cochain3.from_triples(self.n, self.m, self.field, om_entries))
+        it = iter(vec)  # one m-tuple per slot, nu's slots first
+        nu = {slot: tuple(next(it) for _ in range(self.m)) for slot in self.nu_slots}
+        om = {slot: tuple(next(it) for _ in range(self.m)) for slot in self.omega_slots}
+        return (Cochain2.from_pairs(self.n, self.m, self.field, nu),
+                Cochain3.from_triples(self.n, self.m, self.field, om))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ exactness, dims.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .nonabelian import (NonAbelianCocycle, _blocks, _class_witnesses,
                          _CocycleArrays, _cocycle_arrays, _equivalence_matrix,
                          _equivalent_via, _stacked_rhs, build_extension_algebra,
                          solve_equivalence, validate_nab_parts)
-from .identities import residues
+from .identities import residues, scalars
 from .representation import Representation
 
 __all__ = [
@@ -271,10 +270,10 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     """Enumerate all valid cocycles with the given fixed action maps over a
     prime field and partition them into equivalence classes.
 
-    An abelian fiber is classed by coset key in one elimination
-    (`_coset_classes`); any other fiber by pairwise search
-    (`_pairwise_classes`).  Either way the first valid cocycle of each class,
-    in candidate order, represents it.
+    An abelian fiber is classed on residue arrays by coset key
+    (`_coset_classes`), and only its representatives are decoded; any other
+    fiber by pairwise search (`_pairwise_classes`).  Either way the first
+    valid cocycle of each class, in candidate order, represents it.
 
     Returns (class count, list of one representative per class, valid count).
     """
@@ -288,33 +287,41 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
                          + ", ".join(rep.tags()))
     if actions is not None:
         zero = NonAbelianCocycle(base, fiber, zero.nu, zero.omega, *actions)
-    blocks = bruteforce.candidate_blocks(
-        field.p, CochainCoords(base.dim, fiber.dim, field).total, bound, "cocycles")
-    cocycles = _valid_cocycles(zero, variant, blocks)
+    valid = _valid_cocycles(zero, variant, bruteforce.candidate_blocks(
+        field.p, CochainCoords(base.dim, fiber.dim, field).total, bound, "cocycles"))
     if fiber.is_abelian():
-        reps, valid_count = _coset_classes(cocycles)
+        (nu, om), valid_count = _coset_classes(zero, valid)
+        reps = _decoded(zero, nu, om)
     else:
-        reps, valid_count = _pairwise_classes(cocycles, bound)
+        reps, valid_count = _pairwise_classes(
+            (c for nu, om in valid for c in _decoded(zero, nu, om)), bound)
     return len(reps), reps, valid_count
 
 
 def _valid_cocycles(zero: NonAbelianCocycle, variant, blocks):
-    """The cocycles with the actions of the zero cocycle `zero` that pass
-    `validate_nab_cocycle`, in candidate order: one `identity_mask` pass of
-    the variant's `NAB` suite per chunk of (nu, omega) digit rows, which
-    `blocks` streams as `candidate_blocks` does over `CochainCoords`."""
-    n, m, field = zero.n, zero.m, zero.field
-    coords = CochainCoords(n, m, field)
+    """Per block of (nu, omega) digit rows that `blocks` streams as
+    `candidate_blocks` does over `CochainCoords`, the skew residue arrays
+    nu[k, x, y, s] and om[k, x, y, z, s] of its rows that pass
+    `validate_nab_cocycle` with the actions of `zero`, if any: one
+    `identity_mask` pass of the variant's `NAB` suite per block."""
+    n, m, p = zero.n, zero.m, zero.field.p
     fixed = {name: residues(t) for name, t in zero.tensors().items()
              if name not in ("nu", "om")}
     suite = identities.select(identities.NAB, variant)
-    split = len(coords.nu_slots) * m
+    split = n * (n - 1) // 2 * m
     for _, digits in blocks:
-        batch = {"nu": bruteforce.skew_from_params(digits[:, :split], n, (m,), field.p),
-                 "om": bruteforce.skew_from_params(digits[:, split:], n, (n, m), field.p)}
-        for row in digits[bruteforce.identity_mask(suite, field.p, batch, fixed)]:
-            nu, om = coords.decode(tuple(map(field.scalar, row.tolist())))
-            yield replace(zero, nu=nu, omega=om)
+        nu = bruteforce.skew_from_params(digits[:, :split], n, (m,), p)
+        om = bruteforce.skew_from_params(digits[:, split:], n, (n, m), p)
+        keep = bruteforce.identity_mask(suite, p, {"nu": nu, "om": om}, fixed)
+        if keep.any():
+            yield nu[keep], om[keep]
+
+
+def _decoded(zero: NonAbelianCocycle, nu, om) -> list:
+    """The cocycles with the actions of `zero` and nu[k], om[k], one per k."""
+    n, m, field = zero.n, zero.m, zero.field
+    return [replace(zero, nu=Cochain2(n, m, field, a), omega=Cochain3(n, m, field, b))
+            for a, b in zip(scalars(field, nu), scalars(field, om))]
 
 
 def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):
@@ -335,42 +342,34 @@ def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):
     return reps, count
 
 
-_CLASS_CHUNK = 1 << 12
-
-
-def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
-    """`_pairwise_classes` for cocycles over a prime field with an abelian
-    fiber and one action set, decided by class keys.
+def _coset_classes(zero: NonAbelianCocycle, blocks):
+    """`_pairwise_classes` for the residue blocks of `_valid_cocycles` over a
+    prime field with an abelian fiber and the actions of the zero cocycle
+    `zero`, decided by class keys.
 
     c1 ~ c2 iff c2 - c1 = L phi for some phi, where L is the omega/nu
     equivalence matrix (`_equivalence_matrix`); it depends only on the base
     and the actions.  With T L in reduced echelon form of rank r, that holds
-    iff (T c1)[r:] = (T c2)[r:], so this key names the class; each chunk's
+    iff (T c1)[r:] = (T c2)[r:], so this key names the class; each block's
     keys come from one elimination of L beside its cocycles
     (`bruteforce.solve_rows`).  Each member that joins an earlier class gets
     its canonical witness phi, and every witness is checked against the
-    member's representative.
+    member's representative.  Returns ((nu, om) of the representatives,
+    stacked, valid count).
     """
-    reps, count = [], 0
-    classes = {}
+    p = zero.field.p
+    actions = _cocycle_arrays(zero)
+    matrix = _equivalence_matrix(zero)
+    bil, tri = residues(zero.base.bil), residues(zero.base.tri)
+    classes, count = {}, 0
     rep_nu, rep_om = [], []
-    stream = iter(cocycles)
-    while batch := list(islice(stream, chunk)):
-        if not count:
-            first = batch[0]
-            p = first.field.p
-            actions = _cocycle_arrays(first)
-            matrix = _equivalence_matrix(first)
-            bil, tri = residues(first.base.bil), residues(first.base.tri)
-        count += len(batch)
-        nu = np.array([residues(c.nu.grid) for c in batch])
-        om = np.array([residues(c.omega.grid) for c in batch])
+    for nu, om in blocks:
+        count += len(nu)
         keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), p)[2]
         joins, joined = [], []
         for k, key in enumerate(keys):
-            cls = classes.setdefault(key.tobytes(), len(reps))
-            if cls == len(reps):
-                reps.append(batch[k])
+            cls = classes.setdefault(key.tobytes(), len(rep_nu))
+            if cls == len(rep_nu):
                 rep_nu.append(nu[k])
                 rep_om.append(om[k])
             else:
@@ -385,4 +384,4 @@ def _coset_classes(cocycles, chunk: int = _CLASS_CHUNK):
             if not (solvable.all()
                     and _equivalent_via(members, targets, phi, bil, tri, p).all()):
                 raise InternalConsistencyError("class witness failed verification")
-    return reps, count
+    return (np.array(rep_nu), np.array(rep_om)), count

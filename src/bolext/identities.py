@@ -455,6 +455,13 @@ def residues(nested, dtype=np.int64) -> np.ndarray:
     return np.frompyfunc(lambda s: s.value, 1, 1)(np.array(nested, dtype=object)).astype(dtype)
 
 
+def scalars(field, array) -> tuple:
+    """The inverse of `residues`, with one field scalar per distinct value."""
+    made = {v: field.scalar(v) for v in set(array.ravel().tolist())}.__getitem__
+    nest = lambda x: tuple(map(nest, x) if x and isinstance(x[0], list) else map(made, x))
+    return nest(array.tolist())
+
+
 def _integers(field, nested: dict):
     """(name -> object array of Python ints, denominator): over GF(p) the
     residues and 1; over Q numerators over one common denominator."""

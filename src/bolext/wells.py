@@ -37,8 +37,8 @@ from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _class_witnesses, _CocycleArrays,
                          _cocycle_arrays, _equivalence_matrix, _equivalent_via,
                          _phi_solutions, _search_phi, _solve_for_phi,
-                         solve_equivalence, validate_nab_full,
-                         validate_nab_parts)
+                         solve_equivalence, validate_nab_cocycle,
+                         validate_nab_full, validate_nab_parts)
 from .representation import Representation
 
 __all__ = [
@@ -284,7 +284,11 @@ class Z1Result:
 def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
     """`_z1_cocycles`, for a cocycle that passes `validate_nab_full`: the
     cocycle suite and the Bol axioms of its base and fiber."""
-    rep = validate_nab_full(c)
+    return _checked_z1(c, validate_nab_full(c), bound)
+
+
+def _checked_z1(c: NonAbelianCocycle, rep: ValidationReport, bound: int) -> Z1Result:
+    """`_z1_cocycles` of c, refused unless `rep`, c's checks, is valid."""
     if not rep.valid:
         raise UsageError("degree-one cocycles over an invalid cocycle: "
                          + ", ".join(rep.tags()))
@@ -603,7 +607,7 @@ def verify_wells_exactness(e: Extension,
     s = _canonical_section(e)
     t, adapted = _adapted_total(e, s)
     c = _read_cocycle(e, adapted)
-    rep = validate_nab_parts(c)  # z1_nab's guard adds the cocycle suite
+    rep = validate_nab_parts(c)  # the cocycle suite is checked before Z1
     if not rep.valid:
         raise UsageError("exactness verification over an invalid cocycle: "
                          + ", ".join(rep.tags()))
@@ -619,7 +623,7 @@ def verify_wells_exactness(e: Extension,
            & (blocks[:, e.n:, e.n:] == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
     ker_gammas = gammas[ker]
 
-    z1 = z1_nab(c, bound)
+    z1 = _checked_z1(c, validate_nab_cocycle(c), bound)
     if z1.maps is None:
         raise UnsupportedEnumerationError(z1.reason)
     z1_maps = residues([phi.entries for phi in z1.maps]).reshape(-1, e.m, e.n)

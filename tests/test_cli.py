@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -246,6 +247,36 @@ def test_classify_nonabelian_fiber_at_batch_cost(base, variant, count):
     elapsed = time.monotonic() - t0
     assert (code, out) == (0, f"valid-cocycles: {count}\nclasses: {count}\n")
     assert elapsed < 5, f"{elapsed:.1f} s"
+
+
+# (argv, exit code, sha256 of stdout): the counts and printed representatives
+# of classify over abelian and non-abelian fibers
+GOLDEN_CLASSIFY = [
+    # 125 valid cocycles, 25 representatives printed
+    (["classify", "--base", "s2_gf5.bol", "--fiber", "z1_gf5.bol"], 0,
+     "e7011af5f7e633bdd94cba982bf92f6440f8da2ac7e504e457cee3e886fea27f"),
+    (["classify", "--base", "s2_gf5.bol", "--fiber", "z1_gf5.bol",
+      "--actions", "r_s2_gf5.rep"], 0,
+     "68a5bdfac19d852caa08b25ef07891ea960b83eac236c249ec2c7f35378794f2"),
+    (["--variant", "strict-paper", "classify", "--base", "s2_gf5.bol",
+      "--fiber", "z1_gf5.bol", "--actions", "r_s2_gf5.rep"], 0,
+     "68a5bdfac19d852caa08b25ef07891ea960b83eac236c249ec2c7f35378794f2"),
+    # a non-abelian fiber
+    (["classify", "--base", "z1_gf5.bol", "--fiber", "s2_gf5.bol"], 0,
+     "f8f64d6bd368c0d2161adefed2f90838a736254f75e668e81d6a31a6557afd26"),
+    (["classify", "--base", "z2_gf5.bol", "--fiber", "s2_gf5.bol", "--count-only"], 0,
+     "2744429b8a368097eed79de4115acb5e888d6b90f9cb7851c24f10ab45e682b3"),
+    (["--variant", "strict-paper", "classify", "--base", "z2_gf5.bol",
+      "--fiber", "s2_gf5.bol", "--count-only"], 0,
+     "a24c1c87d32ffe3a4853ca611324e0fd6d1c8970f62353820034b58409280eb7"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN_CLASSIFY)
+def test_classify_golden_output(argv, code, digest):
+    argv = [C(a) if a.endswith((".bol", ".rep")) else a for a in argv]
+    got, out = run_cli(*argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_classify_count_only():

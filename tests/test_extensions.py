@@ -13,8 +13,9 @@ from bolext.core import Status, Variant
 from bolext.errors import (InternalConsistencyError, UnsupportedEnumerationError,
                            UsageError)
 from bolext.exactlin import RATIONALS, Matrix, PrimeField, enumerate_vectors
-from bolext.extensions import (Extension, _coset_classes, _pairwise_classes,
-                               _valid_cocycles, as_extension, canonical_section,
+from bolext.extensions import (Extension, _coset_classes, _decoded,
+                               _pairwise_classes, _valid_cocycles,
+                               as_extension, canonical_section,
                                classify_corpus, extensions_equivalent,
                                extract_cocycle, make_section,
                                semidirect_extension, theta_map,
@@ -187,6 +188,17 @@ def _zero_cocycle(base, fiber, actions):
                              Cochain3.zero(n, m, base.field), *actions)
 
 
+def _decode_all(zero, stream):
+    """Every cocycle of a `_valid_cocycles` stream, decoded."""
+    return [c for nu, om in stream for c in _decoded(zero, nu, om)]
+
+
+def _blocks(zero, **chunk):
+    coords = CochainCoords(zero.n, zero.m, zero.field)
+    return bruteforce.candidate_blocks(zero.field.p, coords.total, 10 ** 7, "cocycles",
+                                       **chunk)
+
+
 @lru_cache(maxsize=None)
 def _classify_input(base_name, actions_doc, variant):
     """(base, fiber, actions, valid candidates) over GF(5), fiber z1."""
@@ -197,9 +209,8 @@ def _classify_input(base_name, actions_doc, variant):
     else:
         r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
         actions = (r.mu, r.theta, r.dd)
-    coords = CochainCoords(base.dim, 1, field)
-    blocks = bruteforce.candidate_blocks(5, coords.total, 10 ** 7, "cocycles")
-    cands = tuple(_valid_cocycles(_zero_cocycle(base, fiber, actions), variant, blocks))
+    zero = _zero_cocycle(base, fiber, actions)
+    cands = tuple(_decode_all(zero, _valid_cocycles(zero, variant, _blocks(zero))))
     return base, fiber, actions, cands
 
 
@@ -221,7 +232,12 @@ def test_coset_classes_match_pairwise(base_name, actions_doc, variant, want):
     oracle_reps, oracle_valid = _pairwise_classes(cands)
     assert (len(oracle_reps), oracle_valid) == want
     assert _pairs(reps) == _pairs(oracle_reps)
-    coset_reps, coset_valid = _coset_classes(cands, chunk=7)
+    # candidate blocks of 7 rows: classes span blocks, and some blocks
+    # hold no valid cocycle
+    zero = _zero_cocycle(base, fiber, actions)
+    (nu, om), coset_valid = _coset_classes(
+        zero, _valid_cocycles(zero, variant, _blocks(zero, chunk=7)))
+    coset_reps = _decoded(zero, nu, om)
     assert coset_valid == valid and _pairs(coset_reps) == _pairs(reps)
 
 
@@ -241,7 +257,8 @@ def test_batched_valid_cocycles_match_scalar_oracle_on_z2_s2(F5, variant, valid)
     base, fiber = z2(F5), s2(F5)
     actions = _zero_actions(F5, 2, 2)
     blocks = islice(bruteforce.candidate_blocks(5, 6, 10 ** 7, "cocycles", chunk=500), 5, 7)
-    got = list(_valid_cocycles(_zero_cocycle(base, fiber, actions), variant, blocks))
+    zero = _zero_cocycle(base, fiber, actions)
+    got = _decode_all(zero, _valid_cocycles(zero, variant, blocks))
     want = list(valid_cocycles_oracle(base, fiber, actions, variant,
                                       islice(enumerate_vectors(F5, 6), 2500, 3500)))
     assert _pairs(got) == _pairs(want) and len(want) == valid
@@ -260,7 +277,7 @@ def test_classify_refuses_the_bound_before_any_mask(F5, monkeypatch):
 def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):
     seen = []
 
-    def no_cosets(cocycles, chunk=0):
+    def no_cosets(zero, blocks):
         raise AssertionError("coset route taken for a non-abelian fiber")
 
     def spy(cocycles, bound):
@@ -275,8 +292,25 @@ def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):
     assert seen == [(reps, valid)]
 
 
+def test_abelian_fiber_decodes_only_the_representatives(F5, monkeypatch):
+    # 125 valid cocycles of s2 x z1 in 25 classes: besides the zero cocycle
+    # of the actions, a NonAbelianCocycle is built per class, not per row
+    built = []
+    post_init = NonAbelianCocycle.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(NonAbelianCocycle, "__post_init__", spy)
+    count, reps, valid = classify_corpus(s2(F5), zero_algebra(F5, 1))
+    assert (count, valid) == (25, 125)
+    assert len(built) == 1 + 25 and built[1:] == reps
+
+
 def test_corrupted_class_witness_raises(monkeypatch):
-    *_, cands = _classify_input("s2", None, Variant.CORRECTED)
+    base, fiber, actions, _ = _classify_input("s2", None, Variant.CORRECTED)
+    zero = _zero_cocycle(base, fiber, actions)
     solve = bruteforce.solve_rows
 
     def corrupted(a, b, p):
@@ -286,4 +320,4 @@ def test_corrupted_class_witness_raises(monkeypatch):
 
     monkeypatch.setattr(bruteforce, "solve_rows", corrupted)
     with pytest.raises(InternalConsistencyError, match="^class witness failed verification$"):
-        _coset_classes(cands)
+        _coset_classes(zero, _valid_cocycles(zero, Variant.CORRECTED, _blocks(zero)))

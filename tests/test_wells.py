@@ -767,7 +767,41 @@ def test_exactness_sees_a_z1_map_that_is_not_a_cocycle(F5, monkeypatch):
     def one_wrong(cocycle, bound):
         return Z1Result(real.kind, real.subspace, real.maps[:-1] + [bad])
     assert verify_wells_exactness(e).kernel_kappa_equals_inclusion_image
-    monkeypatch.setattr(bolext.wells, "z1_nab", one_wrong)
+    monkeypatch.setattr(bolext.wells, "_z1_cocycles", one_wrong)
     rep = verify_wells_exactness(e)
     assert not rep.kernel_kappa_equals_inclusion_image
     assert not rep.all_verdicts
+
+
+def test_exactness_checks_each_part_once(ext_h3_f5, monkeypatch):
+    # the base and the fiber are checked once each, and the cocycle suite
+    # once, by the verifier itself rather than by z1_nab's full guard
+    import bolext.nonabelian
+    import bolext.wells
+    from bolext.bol import validate_bol
+
+    seen, suites = [], []
+
+    def spy(a):
+        seen.append(a.dim)
+        return validate_bol(a)
+
+    def suite_spy(c, variant=Variant.CORRECTED):
+        suites.append(variant)
+        return validate_nab_cocycle(c, variant)
+
+    monkeypatch.setattr(bolext.nonabelian, "validate_bol", spy)
+    monkeypatch.setattr(bolext.wells, "validate_nab_cocycle", suite_spy)
+    assert verify_wells_exactness(ext_h3_f5).all_verdicts
+    assert seen == [2, 1] and suites == [Variant.CORRECTED]
+
+
+def test_exactness_refuses_a_cocycle_outside_the_suite(F5):
+    # Bol base and fiber, but mu(e1) = 1 on the fiber breaks the cocycle
+    # suite: refused with z1_nab's message
+    z = NonAbelianCocycle.zero(s2(F5), zero_algebra(F5, 1))
+    mu = (Matrix.from_int_rows(F5, [[1]]), z.mu[1])
+    c = NonAbelianCocycle(z.base, z.fiber, z.nu, z.omega, mu, z.theta, z.dd)
+    with pytest.raises(UsageError, match="^degree-one cocycles over an invalid "
+                                         "cocycle: mu-d-star, theta-star$"):
+        verify_wells_exactness(as_extension(c))
