@@ -18,8 +18,9 @@ alternating on the data handed in: its residual is then alternating in
 (i, j), so it vanishes everywhere exactly when it vanishes on a < b.  The
 factored scan of block-triangular automorphisms
 checks the bound on all its candidates too, but solves for the blocks C its
-morphism residual allows and tests only those (`triangular_arrays`).  Only
-the flat scan is limited to dimension <= 3.
+morphism residual allows, from a linear system it assembles, tests only
+those, and streams what it finds slice by slice (`triangular_arrays`).
+Only the flat scan is limited to dimension <= 3.
 
 Every mod-p elimination here (the batched inverses of `inverse_mod`, the
 factored scan's per-pair systems, the class keys and witnesses of
@@ -30,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache, partial
+from itertools import product
 from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -397,60 +400,158 @@ def automorphism_arrays(bil: np.ndarray, tri: np.ndarray, p: int, budget: int) -
     return np.concatenate(found)
 
 
-def triangular_arrays(bil: np.ndarray, tri: np.ndarray, alphas: np.ndarray,
-                      betas: np.ndarray, p: int, budget: int) -> tuple:
-    """(automorphisms G = [[alpha, 0], [C, beta]] of one structure, the pair
-    index ia * l + ib of their blocks alphas[ia], betas[ib]) in candidate
-    order: alpha-major, then beta, then the digits of C, of the k l p^(nm)
-    candidates for alphas (k, n, n) and betas (l, m, m), a count checked
-    against the bound before anything is built.  G is invertible when alpha
-    and beta are, so it is only tested against both products.
+class ScanSlice(NamedTuple):
+    """One slice of the factored scan `triangular_arrays`: the automorphisms
+    it found and their pair indices, with what it took to find them.  A
+    slice of pairs whose coset members fill more than one chunk yields one
+    record per chunk, its pair and row counts on the first."""
 
-    Probe and solve, per chunk of pairs: on the rows `_affine_rows` keeps,
-    the morphism residual of G is affine in C, so its values at C = 0 and at
-    the nm unit maps give each pair an affine system in the digits of C.
-    One C per pair, drawn from a fixed-seed generator, checks that system
-    against a direct evaluation (the affinity guard).  `_solve_stack`
-    eliminates every pair's system at once; the members of each solution
-    coset, in C-digit order, are the only candidates `_morphism_fixed`
-    tests.  So the scan evaluates nm + 2 residuals per pair (on e_h3 over
-    GF(5): 1,920 pairs, 1,920 * 3 probes and 1,920 guard rows) and tests
-    the coset members (12,000 there) instead of every candidate (48,000)."""
+    blocks: np.ndarray  # (K, d, d) automorphisms [[alpha, 0], [C, beta]]
+    pairs: np.ndarray   # (K,) pair index ia * l + ib of each
+    scanned: int        # pairs whose system the slice solved
+    evaluated: int      # residual rows evaluated directly: C = 0, the guard C
+    tested: int         # coset members handed to `_morphism_fixed`
+    passed: int         # members it accepted, len(blocks)
+
+
+def triangular_arrays(bil: np.ndarray, tri: np.ndarray, alphas: np.ndarray,
+                      betas: np.ndarray, p: int, budget: int):
+    """The automorphisms G = [[alpha, 0], [C, beta]] of one structure as a
+    stream of `ScanSlice`s, in candidate order: alpha-major, then beta, then
+    the digits of C, of the k l p^(nm) candidates for alphas (k, n, n) and
+    betas (l, m, m).  That count is checked against the bound here, before
+    the first slice is asked for.  G is invertible when alpha and beta are,
+    so it is only tested against both products.
+
+    Assemble and solve, per slice of pairs: on the rows `_affine_rows`
+    keeps, the morphism residual of G is affine in C.  Its value at C = 0
+    is evaluated directly; its linear part is assembled as the derivative at
+    G0 = diag(alpha, beta) (`_LinearPart`).  One C per pair, drawn from a
+    fixed-seed generator and evaluated directly, checks the assembled system
+    (the guard): a row that is not affine, or a piece assembled wrong,
+    raises.  Rows zero in every pair's [L | b] are dropped, and
+    `_solve_stack` eliminates every pair's system at once; the members of
+    each solution coset, in C-digit order, are the only candidates
+    `_morphism_fixed` tests.  So the scan evaluates 2 residual rows per pair
+    (on e_h3 over GF(5): 1,920 pairs, 3,840 rows) and tests the coset
+    members (12,000 there) instead of every candidate (48,000)."""
     n, m = alphas.shape[1], betas.shape[1]
-    d, width, nb = n + m, n * m, len(betas)
-    total = len(alphas) * nb
-    _check_bound(total * p ** width, budget, "matrices")
+    _check_bound(len(alphas) * len(betas) * p ** (n * m), budget, "matrices")
+    return _triangular_slices(bil, tri, alphas, betas, p)
+
+
+def _triangular_slices(bil, tri, alphas, betas, p):
+    n, m = alphas.shape[1], betas.shape[1]
+    d, width, total = n + m, n * m, len(alphas) * len(betas)
     dt = _headroom_dtype(1, 1, p)
     bil, tri = bil.astype(dt), tri.astype(dt)
     keep = _affine_rows(bil, tri, n)
+    linear_part = _LinearPart(bil, tri, keep, alphas, betas, p)
     rng = np.random.default_rng(0)
-    units = np.eye(width + 1, width, k=-1, dtype=dt)  # C = 0, then the unit maps
     rows = d ** 3 + (d ** 4 if tri.any() else 0)
     step = max(1, _ENTRIES // ((width + 2) * rows))
-    found, pairs = [np.zeros((0, d, d), dtype=dt)], [np.zeros(0, dtype=np.int64)]
     for start in range(0, total, step):
         pair = np.arange(start, min(start + step, total))
         guard = rng.integers(0, p, size=(len(pair), 1, width)).astype(dt)
-        digits = np.concatenate([np.broadcast_to(units, (len(pair),) + units.shape),
-                                 guard], axis=1)
-        g = _triangular(alphas, betas, np.repeat(pair, width + 2),
-                        digits.reshape(len(pair) * (width + 2), width), n, m)
-        res = _residual_rows(bil, tri, g, p, keep).astype(np.int64)
-        res = res.reshape(len(pair), width + 2, -1)
-        const = res[:, 0]
-        lin = (res[:, 1:width + 1] - const[:, None]) % p
+        digits = np.concatenate([np.zeros_like(guard), guard], axis=1)  # C = 0 first
+        g = _triangular(alphas, betas, np.repeat(pair, 2), digits.reshape(-1, width), n, m)
+        res = _residual_rows(bil, tri, g, p, keep).astype(np.int64).reshape(len(pair), 2, -1)
+        const, lin = res[:, 0], linear_part(pair)
         predicted = (const + np.einsum("ku,kur->kr", guard[:, 0].astype(np.int64), lin)) % p
-        if not np.array_equal(predicted, res[:, -1]):
+        if not np.array_equal(predicted, res[:, 1]):
             raise InternalConsistencyError(
                 "the morphism residual is not affine in C on the rows solved")
-        consistent, x0, free = _solve_stack(lin.transpose(0, 2, 1), -const % p, p)
+        used = lin.any(axis=(0, 1)) | const.any(axis=0)
+        consistent, x0, free = _solve_stack(lin[:, :, used].transpose(0, 2, 1),
+                                            -const[:, used] % p, p)
+        scanned, evaluated = len(pair), len(g)
         for owner, c in _coset_members(pair[consistent], x0[consistent],
                                        free[consistent], p):
             g = _triangular(alphas, betas, owner, c.astype(dt), n, m)
             good = _morphism_fixed(bil, tri, g, p)
-            found.append(g[good])
-            pairs.append(owner[good])
-    return np.concatenate(found), np.concatenate(pairs)
+            yield ScanSlice(g[good], owner[good], scanned, evaluated, len(g), int(good.sum()))
+            scanned = evaluated = 0
+        if scanned:
+            yield ScanSlice(np.zeros((0, d, d), dtype=dt), np.zeros(0, dtype=np.int64),
+                            scanned, evaluated, 0, 0)
+
+
+class _LinearPart:
+    """The part of the morphism residual linear in C, for the pairs of
+    `alphas` and `betas` (alpha major), on the rows `keep` of
+    `_residual_rows`: `self(pair)` is L[k, u, row] for the digits u of C,
+    the derivative of the residual at G0 = diag(alpha, beta) in the
+    direction E = [[0, 0], [C, 0]].
+
+    Per product t of arity r, E enters one input slot or the output.  In
+    slot q it sends a base input x into the fiber, so the term is C[s, x]
+    times t with the fiber input s in slot q and G0 on its other inputs.
+    G0 is block diagonal, so each block of those inputs (each one base or
+    fiber) is moved by alpha alone or by beta alone: a beta block once per
+    beta, here; an alpha block once per distinct alpha of a call; a mixed
+    block once per distinct alpha, then once per pair with its beta.  On
+    the output, E gives -C applied to the base coordinates of t(inputs),
+    the same for every pair."""
+
+    def __init__(self, bil, tri, keep, alphas, betas, p):
+        self.alphas, self.betas, self.p = alphas.astype(np.int64), betas.astype(np.int64), p
+        n, m = self.n, self.m = alphas.shape[1], betas.shape[1]
+        self.products = []
+        for t, rows in zip((bil, tri) if tri.any() else (bil,), keep):
+            r = t.ndim - 1
+            # the output term, as lin[s, x, inputs.., l] for digit (s, x) of C
+            out = np.zeros((m, n) + t.shape, dtype=_headroom_dtype(r + 1, 1, p))
+            for s in range(m):
+                out[s, ..., n + s] = np.moveaxis(-t[..., :n] % p, -1, 0)
+            # t with the fiber input s in slot q, every slot at once: (q s, others.., l)
+            fiber_in = np.concatenate([np.moveaxis(t[(slice(None),) * q + (slice(n, None),)], q, 0)
+                                       for q in range(r)])
+            blocks = []
+            for sides in product((False, True), repeat=r - 1):  # True: a fiber input
+                at = (slice(None),) + tuple(slice(n, None) if side else slice(None, n)
+                                            for side in sides)
+                base = [x for x, side in enumerate(sides) if not side]
+                fiber = [x for x, side in enumerate(sides) if side]
+                part = fiber_in[at] if base else _contract_axes(fiber_in[at], self.betas, fiber, p)
+                blocks.append((at, base, fiber, part))
+            self.products.append((fiber_in.shape, out, blocks, rows.ravel()))
+
+    def __call__(self, pair) -> np.ndarray:
+        n, m, p = self.n, self.m, self.p
+        a_at, a_of = np.unique(pair // len(self.betas), return_inverse=True)
+        ib = pair % len(self.betas)
+        parts = []
+        for shape, out, blocks, rows in self.products:
+            moved = np.zeros((len(pair),) + shape, dtype=np.int64)
+            for at, base, fiber, part in blocks:
+                if base:
+                    part = _contract_axes(part, self.alphas[a_at], base, p)[a_of]
+                    if fiber:
+                        part = _contract_axes(part, self.betas[ib], fiber, p, paired=True)
+                else:
+                    part = part[ib]
+                moved[(slice(None),) + at] = part
+            r = moved.ndim - 2
+            moved = moved.reshape((len(pair), r, m) + shape[1:])
+            lin = np.broadcast_to(out, (len(pair),) + out.shape).copy()
+            for q in range(r):
+                for x in range(n):
+                    lin[(slice(None),) * 2 + (x,) + (slice(None),) * q + (x,)] += moved[:, q]
+            lin = lin.reshape(len(pair), m * n, -1)
+            parts.append(lin if rows.all() else lin[:, :, rows])
+        return np.concatenate(parts, axis=2) % p
+
+
+def _contract_axes(t, mats, axes, p, paired=False) -> np.ndarray:
+    """t[.., s, c.., l] with each middle axis in `axes` moved by the matrix
+    stack mats (K, c, j), mod p: a new leading axis K, or, when `paired`, t's
+    own leading axis, one matrix per entry."""
+    mid = "cde"[:t.ndim - 2 - paired]
+    moved = "".join("jkh"[x] if x in axes else ch for x, ch in enumerate(mid))
+    lead = "K" * paired
+    spec = (f"{lead}s{mid}l," + ",".join(f"K{mid[x]}{'jkh'[x]}" for x in axes)
+            + f"->Ks{moved}l")
+    return contract_mod(spec, p, t, *[mats] * len(axes))
 
 
 def _triangular(alphas, betas, pair, digits, n, m) -> np.ndarray:
@@ -503,6 +604,8 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple:
     moves in when free unknown u grows by one (zero where u is a pivot).
     Only meaningful where consistent."""
     k, rows, w = a.shape
+    if not rows:  # no equation: one zero row leaves every unknown free
+        a, b, rows = np.zeros((k, 1, w), dtype=a.dtype), np.zeros((k, 1), dtype=b.dtype), 1
     aug, rank, pivot_row = eliminate(np.concatenate([a[:, :, ::-1], b[:, :, None]], axis=2),
                                      w, p)
     consistent = ~np.any(aug[:, :, w] * (np.arange(rows) >= rank[:, None]), axis=1)

@@ -342,6 +342,10 @@ def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):
     return reps, count
 
 
+# cocycles keyed and witness-checked at a time by `_coset_classes`
+_CLASS_ROWS = 1 << 12
+
+
 def _coset_classes(zero: NonAbelianCocycle, blocks):
     """`_pairwise_classes` for the residue blocks of `_valid_cocycles` over a
     prime field with an abelian fiber and the actions of the zero cocycle
@@ -352,10 +356,12 @@ def _coset_classes(zero: NonAbelianCocycle, blocks):
     and the actions.  With T L in reduced echelon form of rank r, that holds
     iff (T c1)[r:] = (T c2)[r:], so this key names the class; each block's
     keys come from one elimination of L beside its cocycles
-    (`bruteforce.solve_rows`).  Each member that joins an earlier class gets
-    its canonical witness phi, and every witness is checked against the
-    member's representative.  Returns ((nu, om) of the representatives,
-    stacked, valid count).
+    (`bruteforce.solve_rows`), in slices of at most `_CLASS_ROWS` rows, so
+    that the elimination and the witness arrays stay small whatever the
+    block.  Each member that joins an earlier class gets its canonical
+    witness phi, and every witness is checked against the member's
+    representative.  Returns ((nu, om) of the representatives, stacked,
+    valid count).
     """
     p = zero.field.p
     actions = _cocycle_arrays(zero)
@@ -363,25 +369,27 @@ def _coset_classes(zero: NonAbelianCocycle, blocks):
     bil, tri = residues(zero.base.bil), residues(zero.base.tri)
     classes, count = {}, 0
     rep_nu, rep_om = [], []
-    for nu, om in blocks:
-        count += len(nu)
-        keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), p)[2]
-        joins, joined = [], []
-        for k, key in enumerate(keys):
-            cls = classes.setdefault(key.tobytes(), len(rep_nu))
-            if cls == len(rep_nu):
-                rep_nu.append(nu[k])
-                rep_om.append(om[k])
-            else:
-                joins.append(k)
-                joined.append(cls)
-        if joins:
-            members = _CocycleArrays(nu[joins], om[joins], *(
-                np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
-            targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
-                                       om=np.array([rep_om[c] for c in joined]))
-            solvable, phi = _class_witnesses(members, targets, matrix, p)
-            if not (solvable.all()
-                    and _equivalent_via(members, targets, phi, bil, tri, p).all()):
-                raise InternalConsistencyError("class witness failed verification")
+    for block in blocks:
+        count += len(block[0])
+        for at in range(0, len(block[0]), _CLASS_ROWS):
+            nu, om = (a[at:at + _CLASS_ROWS] for a in block)
+            keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), p)[2]
+            joins, joined = [], []
+            for k, key in enumerate(keys):
+                cls = classes.setdefault(key.tobytes(), len(rep_nu))
+                if cls == len(rep_nu):
+                    rep_nu.append(nu[k])
+                    rep_om.append(om[k])
+                else:
+                    joins.append(k)
+                    joined.append(cls)
+            if joins:
+                members = _CocycleArrays(nu[joins], om[joins], *(
+                    np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
+                targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
+                                           om=np.array([rep_om[c] for c in joined]))
+                solvable, phi = _class_witnesses(members, targets, matrix, p)
+                if not (solvable.all()
+                        and _equivalent_via(members, targets, phi, bil, tri, p).all()):
+                    raise InternalConsistencyError("class witness failed verification")
     return (np.array(rep_nu), np.array(rep_om)), count

@@ -17,7 +17,7 @@ are the tables `identities.IND` and `identities.Z1`, decided on the path of
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -369,7 +369,8 @@ def compatible_pairs(b: BolAlgebra, r: Representation,
     out = []
     for start in range(0, total, _VERDICT_CHUNK):
         ia, ib = np.divmod(np.arange(start, min(start + _VERDICT_CHUNK, total)), nb)
-        keep = _intertwines(actions, alphas[ia], betas[ib], beta_invs[ib], field.p)
+        span, which = _alpha_run(ia)
+        keep = _intertwines(actions, alphas[span], betas[ib], beta_invs[ib], field.p, which)
         out += [AutPair(alpha_mats[i], beta_mats[j]) for i, j in zip(ia[keep], ib[keep])]
     return out
 
@@ -402,7 +403,7 @@ def _checked_automorphisms(auts: np.ndarray, a: BolAlgebra, component, role):
 
 
 def _transport_grid(ainv, grid, p):
-    """g'(x,y) = g(a^-1 x, a^-1 y) for a grid of matrices, per pair."""
+    """g'(x,y) = g(a^-1 x, a^-1 y) for a grid of matrices, per matrix of ainv."""
     f = bruteforce.contract_mod
     return f("kry,kxrst->kxyst", p, ainv, f("kqx,qrst->kxrst", p, ainv, grid))
 
@@ -416,30 +417,48 @@ def _conjugate(beta, mats, binv, p):
     return out.reshape(mats.shape)
 
 
-def _act(c: _CocycleArrays, ainv, beta, binv, p) -> _CocycleArrays:
-    """`act_on_cocycle` on residue arrays, one pair per leading index."""
+def _transported(c: _CocycleArrays, ainv, p) -> _CocycleArrays:
+    """c with its base arguments moved by alpha^-1 alone, once per matrix
+    ainv[j]: nu(a^-1 x, a^-1 y), omega likewise, mu(a^-1 x), theta and D
+    (`_transport_grid`)."""
     f = bruteforce.contract_mod
     nu = f("kry,kxrs->kxys", p, ainv, f("kqx,qrs->kxrs", p, ainv, c.nu))
     om = f("kqx,qrus->kxrus", p, ainv, c.om)
     om = f("kuz,kxyus->kxyzs", p, ainv, f("kry,kxrus->kxyus", p, ainv, om))
+    return _CocycleArrays(nu, om, f("kqx,qst->kxst", p, ainv, c.mu),
+                          _transport_grid(ainv, c.theta, p), _transport_grid(ainv, c.dd, p))
+
+
+def _act(c: _CocycleArrays, ainv, beta, binv, p, which) -> _CocycleArrays:
+    """`act_on_cocycle` on residue arrays, one pair per leading index of
+    beta.  The transport by alpha^-1 is made once per matrix of ainv, and
+    pair k reads ainv[which[k]]."""
+    moved = _transported(c, ainv, p).take(which)
+    f = bruteforce.contract_mod
     return _CocycleArrays(
-        f("kst,kxyt->kxys", p, beta, nu),
-        f("kst,kxyzt->kxyzs", p, beta, om),
-        _conjugate(beta, f("kqx,qst->kxst", p, ainv, c.mu), binv, p),
-        _conjugate(beta, _transport_grid(ainv, c.theta, p), binv, p),
-        _conjugate(beta, _transport_grid(ainv, c.dd, p), binv, p))
+        f("kst,kxyt->kxys", p, beta, moved.nu),
+        f("kst,kxyzt->kxyzs", p, beta, moved.om),
+        *(_conjugate(beta, a, binv, p) for a in moved[2:]))
 
 
-def _intertwines(c: _CocycleArrays, alpha, beta, binv, p) -> np.ndarray:
+def _intertwines(c: _CocycleArrays, alpha, beta, binv, p, which) -> np.ndarray:
     """`_pair_intertwines` per pair: beta mu(x) beta^-1 =
-    mu(alpha x) and beta theta(x,y) beta^-1 = theta(alpha x, alpha y)."""
+    mu(alpha x) and beta theta(x,y) beta^-1 = theta(alpha x, alpha y).  The
+    actions are moved by alpha once per matrix of alpha, and pair k reads
+    alpha[which[k]]."""
     k = beta.shape[0]
     mu = _conjugate(beta, np.broadcast_to(c.mu, (k,) + c.mu.shape), binv, p)
     theta = _conjugate(beta, np.broadcast_to(c.theta, (k,) + c.theta.shape),
                        binv, p)
-    moved_mu = bruteforce.contract_mod("kqx,qst->kxst", p, alpha, c.mu)
+    moved_mu = bruteforce.contract_mod("kqx,qst->kxst", p, alpha, c.mu)[which]
     return ((mu == moved_mu).all(axis=(1, 2, 3))
-            & (theta == _transport_grid(alpha, c.theta, p)).all(axis=(1, 2, 3, 4)))
+            & (theta == _transport_grid(alpha, c.theta, p)[which]).all(axis=(1, 2, 3, 4)))
+
+
+def _alpha_run(ia):
+    """(the slice of alphas, each pair's index into it) of a chunk of pairs
+    read alpha-major: its alphas are one run, each moved once."""
+    return slice(ia[0], ia[-1] + 1), ia - ia[0]
 
 
 def _same_actions(acted: _CocycleArrays, c: _CocycleArrays) -> np.ndarray:
@@ -471,9 +490,10 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber,
     for start in range(0, total, chunk):
         ia, ib = np.divmod(np.arange(start, min(start + chunk, total)), nb)
         beta, binv = betas[ib], beta_invs[ib]
-        acted = _act(arr, alpha_invs[ia], beta, binv, p)
+        span, which = _alpha_run(ia)
+        acted = _act(arr, alpha_invs[span], beta, binv, p, which)
         solvable, phi = _class_witnesses(acted, arr, matrix, p)
-        compatible = _intertwines(arr, alphas[ia], beta, binv, p)
+        compatible = _intertwines(arr, alphas[span], beta, binv, p, which)
         status = np.where(~compatible, _INCOMPATIBLE,
                           np.where(_same_actions(acted, arr) & solvable,
                                    _ZERO, _NONZERO))
@@ -500,29 +520,46 @@ def _pairwise_class_verdicts(c: NonAbelianCocycle, base, fiber, bound):
 # ---------------------------------------------------------------------------
 # exactness verification
 
+class _Scanned(NamedTuple):
+    """What the exactness report reads of Aut_V(total)."""
+
+    count: int           # |Aut_V(total)|
+    hits: np.ndarray     # per pair of base and fiber automorphisms: in the image of kappa
+    kernel: np.ndarray   # the members restricting to the identity pair, on the total
+
+
 def _fiber_preserving_automorphisms(e: Extension, t: Matrix, adapted: BolAlgebra,
-                                    alphas, betas, bound: int):
-    """(blocks, pairs, gammas): Aut_V(total) in the adapted basis T with total
-    `adapted` (`_adapted_total`), as `bruteforce.triangular_arrays` of the
-    base and fiber groups `alphas` and `betas`, with its pair indices; and
-    the same maps T blocks T^-1 on the total, checked to keep the fiber in
-    place.  Complete: in the basis T a map keeping the fiber is block
-    triangular, and the diagonal blocks of an automorphism are those it
-    induces on the quotient B and on the ideal V.  The scan solves each
-    pair's blocks C from the part of the morphism residual that is affine
-    in C, and runs the morphism test only on the solutions; the bound
-    still counts all |Aut B| |Aut V| p^(nm) candidates."""
-    p = e.field.p
+                                    alphas, betas, bound: int) -> _Scanned:
+    """Aut_V(total) in the adapted basis T with total `adapted`
+    (`_adapted_total`), streamed from `bruteforce.triangular_arrays` of the
+    base and fiber groups `alphas` and `betas`, kept as its count, the pairs
+    it hits, and its kernel members moved to the total, T G T^-1.  Every
+    member is checked to keep the fiber in place, slice by slice, as (P T)
+    G (T^-1 I) = 0 for the projection P and the injection I.  Complete: in
+    the basis T a map keeping the fiber is block triangular, and the
+    diagonal blocks of an automorphism are those it induces on the quotient
+    B and on the ideal V.  The scan solves each pair's blocks C from the
+    part of the morphism residual that is affine in C, and runs the
+    morphism test only on the solutions; the bound still counts all
+    |Aut B| |Aut V| p^(nm) candidates."""
+    p, n = e.field.p, e.n
     f = bruteforce.contract_mod
-    blocks, pairs = bruteforce.triangular_arrays(residues(adapted.bil), residues(adapted.tri),
-                                                 alphas, betas, p, bound)
-    blocks = blocks.astype(np.int64)
-    gammas = f("xy,byz->bxz", p, residues(t.entries),
-               f("byz,zw->byw", p, blocks, residues(t.inverse().entries)))
-    if np.any(f("xy,byz,zw->bxw", p, residues(e.proj.entries), gammas,
-                residues(e.inj.entries))):
-        raise InternalConsistencyError("factored scan returned a map moving the fiber")
-    return blocks, pairs, gammas
+    tt, tinv = residues(t.entries), residues(t.inverse().entries)
+    proj_t = f("qx,xy->qy", p, residues(e.proj.entries), tt)
+    tinv_inj = f("xy,ya->xa", p, tinv, residues(e.inj.entries))
+    eye = np.eye(e.total.dim, dtype=np.int64)
+    diagonal = np.zeros(eye.shape, dtype=bool)
+    diagonal[:n, :n] = diagonal[n:, n:] = True
+    count, hits, kernel = 0, np.zeros(len(alphas) * len(betas), dtype=bool), [eye[None][:0]]
+    for part in bruteforce.triangular_arrays(residues(adapted.bil), residues(adapted.tri),
+                                             alphas, betas, p, bound):
+        if np.any(f("qx,kxa->kqa", p, proj_t, f("kxy,ya->kxa", p, part.blocks, tinv_inj))):
+            raise InternalConsistencyError("factored scan returned a map moving the fiber")
+        count += len(part.blocks)
+        hits[part.pairs] = True
+        kernel.append(part.blocks[(part.blocks[:, diagonal] == eye[diagonal]).all(axis=1)])
+    kernel = np.concatenate(kernel).astype(np.int64)
+    return _Scanned(count, hits, f("xy,byz,zw->bxw", p, tt, kernel, tinv))
 
 
 def _s_map_images(e: Extension, s: Section, gammas: np.ndarray) -> np.ndarray:
@@ -592,9 +629,10 @@ def verify_wells_exactness(e: Extension,
     """Brute-force the full sequence over a prime field.
 
     Scans Aut(B) and Aut(V) and checks every member once; Aut_V(total) is
-    the factored scan of their |Aut B| |Aut V| p^(nm) block-triangular maps
-    (`_fiber_preserving_automorphisms`), whose pair indices are the image
-    of the restriction map.  Checks: the kernel of the restriction map is
+    the factored scan of their |Aut B| |Aut V| p^(nm) block-triangular maps,
+    streamed (`_fiber_preserving_automorphisms`): it is kept as its count,
+    the pairs it hits, which are the image of the restriction map, and its
+    kernel members.  Checks: the kernel of the restriction map is
     exactly the image of the degree-one cocycles, the kernel of the class
     map is exactly the image of the restriction map over all pairs, and the
     section-difference map is a bijection onto the degree-one cocycles.
@@ -616,12 +654,9 @@ def verify_wells_exactness(e: Extension,
     fiber = _checked_automorphisms(automorphism_int_arrays(e.fiber, bound), e.fiber,
                                    "second", "fiber")
 
-    blocks, pairs, gammas = _fiber_preserving_automorphisms(e, t, adapted, base[0],
-                                                            fiber[0], bound)
-    image_kappa = np.unique(pairs)
-    ker = ((blocks[:, :e.n, :e.n] == np.eye(e.n, dtype=np.int64)).all(axis=(1, 2))
-           & (blocks[:, e.n:, e.n:] == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
-    ker_gammas = gammas[ker]
+    scanned = _fiber_preserving_automorphisms(e, t, adapted, base[0], fiber[0], bound)
+    image_kappa = np.flatnonzero(scanned.hits)
+    ker_gammas = scanned.kernel
 
     z1 = _checked_z1(c, validate_nab_cocycle(c), bound)
     if z1.maps is None:
@@ -657,7 +692,7 @@ def verify_wells_exactness(e: Extension,
     closed = len(_rows(np.concatenate([z1_maps, sums]))) == len(z1_rows)
 
     return ExactnessReport(
-        aut_v_total=len(gammas),
+        aut_v_total=scanned.count,
         aut_fixing_both=len(ker_gammas),
         z1_count=len(z1.maps),
         image_kappa=len(image_kappa),
@@ -670,5 +705,5 @@ def verify_wells_exactness(e: Extension,
         kernel_wells_equals_kappa_image=np.array_equal(zero_pairs, image_kappa),
         s_map_bijective=s_bij,
         z1_addition_closed=closed,
-        product_consistency=len(ker_gammas) * len(image_kappa) == len(gammas),
+        product_consistency=len(ker_gammas) * len(image_kappa) == scanned.count,
     )

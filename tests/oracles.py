@@ -297,3 +297,25 @@ def triangular_arrays_oracle(bil, tri, alphas, betas, p, budget):
         found.append(g[good])
         pairs.append(pair[good])
     return np.concatenate(found), np.concatenate(pairs)
+
+
+def linear_part_by_probes(bil, tri, alphas, betas, pair, p):
+    """The linear part `bruteforce._LinearPart` assembles, per pair of `pair`,
+    by probing: the morphism residual on the rows `_affine_rows` keeps,
+    evaluated at C = 0 and at each of the nm unit maps, minus its value at
+    C = 0, as L[k, u, row]."""
+    import numpy as np
+
+    from bolext.bruteforce import (_affine_rows, _headroom_dtype, _residual_rows,
+                                   _triangular)
+
+    n, m = alphas.shape[1], betas.shape[1]
+    width = n * m
+    dt = _headroom_dtype(1, 1, p)
+    bil, tri = bil.astype(dt), tri.astype(dt)
+    units = np.eye(width + 1, width, k=-1, dtype=dt)  # C = 0, then the unit maps
+    g = _triangular(alphas, betas, np.repeat(pair, width + 1),
+                    np.tile(units, (len(pair), 1)), n, m)
+    res = _residual_rows(bil, tri, g, p, _affine_rows(bil, tri, n)).astype(np.int64)
+    res = res.reshape(len(pair), width + 1, -1)
+    return (res[:, 1:] - res[:, :1]) % p

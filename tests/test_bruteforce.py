@@ -185,10 +185,10 @@ def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
     # e_h3's total in the adapted basis has no bracket, so neither the
     # residual rows of the factored scan nor `_morphism_fixed` contract it.
     # Per pair of base and fiber automorphisms the scan evaluates the
-    # residual at C = 0, at the two unit maps (1,920 * 3 probe rows) and at
-    # one guard C, then tests the 12,000 members of the solution cosets
-    # with the mask: every residual row equals both contractions made in
-    # full, and the mask equals both checks made in full
+    # residual at C = 0 and at one guard C (1,920 * 2 rows), then tests the
+    # 12,000 members of the solution cosets with the mask: every residual
+    # row equals both contractions made in full, the mask equals both checks
+    # made in full, and the slices count what was done
     import bolext.bruteforce
     from bolext.bol import automorphism_int_arrays
     from bolext.extensions import _adapted_total, canonical_section
@@ -210,7 +210,11 @@ def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
         return tested[-1][1]
     monkeypatch.setattr(bolext.bruteforce, "_residual_rows", recorded_rows)
     monkeypatch.setattr(bolext.bruteforce, "_morphism_fixed", recorded)
-    assert len(triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 7)[0]) == 12000
+    slices = list(triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 7))
+    assert sum(len(s.blocks) for s in slices) == 12000
+    counts = [sum(getattr(s, name) for s in slices)
+              for name in ("scanned", "evaluated", "tested", "passed")]
+    assert counts == [1920, 3840, 12000, 12000]
 
     def residual(lhs, rhs, *ops):
         diff = (np.einsum(lhs, *ops[:-1], ops[-1], optimize=True)
@@ -222,9 +226,8 @@ def test_morphism_mask_skips_a_zero_bracket_without_changing_it(F5, monkeypatch,
                 residual("bai,bcj,bdk,acdl->bijkl", "blq,ijkq->bijkl", M, M, M, tri))
 
     M = np.concatenate([m for m, _ in probed])
-    per_pair = M.reshape(480 * 4, 4, 3, 3)
+    per_pair = M.reshape(1920, 2, 3, 3)
     assert not per_pair[:, 0, 2:, :2].any()
-    assert (per_pair[:, 1:3, 2:, :2] == np.eye(2, dtype=np.int64)[:, None]).all()
     res2, res3 = full(M)
     assert np.concatenate([r for _, r in probed]).tolist() == res2.tolist()
     assert not res3.any()
@@ -273,7 +276,72 @@ def test_affinity_guard_refuses_rows_quadratic_in_c(F5, monkeypatch):
         return np.ones(bil.shape, dtype=bool), np.ones(tri.shape, dtype=bool)
     monkeypatch.setattr(bolext.bruteforce, "_affine_rows", every_row)
     with pytest.raises(InternalConsistencyError, match="not affine in C"):
-        triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 6)
+        list(triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 6))
+
+
+def test_triangular_scan_checks_the_bound_when_called(F5):
+    # the bound counts all 480 * 4 * 5^2 candidates of e_h3 and is checked
+    # when the scan is called, before the first slice is asked for
+    from test_wells import _scan_case
+
+    args = _scan_case(F5, "e_h3")[2]
+    with pytest.raises(UnsupportedEnumerationError,
+                       match="^48000 candidate matrices exceed the bound 47999$"):
+        triangular_arrays(*args, 5, 47999)
+    assert sum(len(s.blocks) for s in triangular_arrays(*args, 5, 48000)) == 12000
+
+
+@pytest.mark.parametrize("name, nonzero", [
+    ("e_h3", (0, 0)), ("e_s2_s2", (8, 0)), ("z2_z1_omega", (0, 0)),
+    ("s2_z1_r_s2_omega", (2, 0)), ("z2_theta_omega", (6, 4)), ("bracket_base", (2, 2))])
+def test_assembled_linear_part_matches_unit_map_probes(F5, name, nonzero):
+    # the derivative assembled from alpha and beta blocks against the
+    # residual probed at C = 0 and at the unit maps, on every pair and
+    # every kept row; `nonzero` counts the rows nonzero on some pair, and
+    # those of the triple product among them
+    from bolext.bruteforce import _affine_rows, _LinearPart
+    from oracles import linear_part_by_probes
+    from test_wells import _TRI_CASES, _scan_case
+
+    bil, tri, alphas, betas = _scan_case(F5, name)[2]
+    assert tri.any() == (name in _TRI_CASES)
+    keep = _affine_rows(bil, tri, alphas.shape[1])
+    pair = np.arange(len(alphas) * len(betas))
+    got = _LinearPart(bil, tri, keep, alphas, betas, 5)(pair)
+    want = linear_part_by_probes(bil, tri, alphas, betas, pair, 5)
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+    rows = got.any(axis=(0, 1))
+    assert (int(rows.sum()), int(rows[keep[0].sum():].sum())) == nonzero
+
+
+@pytest.mark.parametrize("name", ["e_h3", "z2_theta_omega"])
+def test_guard_refuses_a_perturbed_piece_of_the_assembly(F5, monkeypatch, name):
+    # each block contraction of the assembled linear part, perturbed alone
+    # by one on every entry, makes the guard C's prediction wrong on some
+    # pair: the scan raises instead of solving a wrong system.  Over these
+    # abelian fibers every row is kept, so every piece reaches the system
+    import bolext.bruteforce
+    from test_wells import _scan_case
+
+    args = _scan_case(F5, name)[2]
+    contract, calls = bolext.bruteforce._contract_axes, []
+
+    def counted(*a, **k):
+        calls.append(None)
+        return contract(*a, **k)
+    monkeypatch.setattr(bolext.bruteforce, "_contract_axes", counted)
+    list(triangular_arrays(*args, 5, 10 ** 7))
+    assert len(calls) >= 2
+    for target in range(len(calls)):
+        seen = []
+
+        def perturbed(*a, **k):
+            seen.append(None)
+            out = contract(*a, **k)
+            return (out + 1) % 5 if len(seen) - 1 == target else out
+        monkeypatch.setattr(bolext.bruteforce, "_contract_axes", perturbed)
+        with pytest.raises(InternalConsistencyError, match="not affine in C"):
+            list(triangular_arrays(*args, 5, 10 ** 7))
 
 
 @pytest.mark.parametrize("p, rows, width", [(2, 3, 3), (3, 4, 3), (5, 2, 4), (5, 5, 2)])

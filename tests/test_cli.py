@@ -449,6 +449,27 @@ def test_exactness_bound_counts_every_candidate_not_the_tested_ones(capsys):
     assert out == run_cli("exactness", "--extension", C("e_h3.ext"))[1]
 
 
+def test_exactness_of_the_z2_z2_class_is_refused_at_the_default_bound(capsys):
+    # e_z2_z2.ext, a nonzero class of z2 x z2 over GF(5): its factored scan
+    # has 480 * 480 * 5^4 candidates, above the default bound; CI runs it
+    # with --bound 150000000 and checks the manifest row
+    from bolext.documents import parse_document
+    from bolext.extensions import canonical_section, extract_cocycle
+
+    e = parse_document(C("e_z2_z2.ext"), "extension")
+    c = extract_cocycle(e, canonical_section(e))
+    assert (e.n, e.m) == (2, 2) and c.fiber.is_abelian()
+    assert any(v.value for row in c.omega.grid for r2 in row for r3 in r2 for v in r3)
+    code, out = run_cli("exactness", "--extension", C("e_z2_z2.ext"))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: 144000000 candidate matrices exceed the bound 10000000\n"
+    ref = json.loads((corpus_dir() / "manifest.json").read_text())
+    row = ref["reference"]["exactness"]["e_z2_z2.ext"]
+    assert row["aut_v_total"] == row["aut_fixing_both"] * row["image_kappa"] == 1000000
+    assert row["pairs_total"] == row["aut_base"] * row["aut_fiber"] == 230400
+
+
 def test_exactness_on_a_nonabelian_extension_of_dimension_four():
     # e_s2_s2.ext: a nonzero class of s2 x s2 over GF(5), so a total of
     # dimension 4 over a non-abelian fiber; its kappa image is checked
@@ -474,12 +495,12 @@ def test_exactness_on_a_nonabelian_extension_of_dimension_four():
 
     e = parse_document(C("e_s2_s2.ext"), "extension")
     alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
-    _, pairs, _ = _fiber_preserving_automorphisms(
+    scanned = _fiber_preserving_automorphisms(
         e, *_adapted_total(e, canonical_section(e)), alphas, betas, 10 ** 6)
     inducible = [k for k in range(len(alphas) * len(betas)) if solve_inducibility(
         e, AutPair(int_matrix(e.field, alphas[k // len(betas)]),
                    int_matrix(e.field, betas[k % len(betas)]))).found]
-    assert np.unique(pairs).tolist() == inducible
+    assert np.flatnonzero(scanned.hits).tolist() == inducible
     assert len(inducible) == 100
 
 

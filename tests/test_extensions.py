@@ -241,6 +241,33 @@ def test_coset_classes_match_pairwise(base_name, actions_doc, variant, want):
     assert coset_valid == valid and _pairs(coset_reps) == _pairs(reps)
 
 
+@pytest.mark.parametrize("base_name, actions_doc, want", [
+    ("s2", None, (25, 125)), ("s2", "r_s2_gf5.rep", (5, 25))])
+def test_coset_classes_cut_each_block_into_slices(monkeypatch, base_name, actions_doc, want):
+    # one candidate block of 125 rows, keyed and witness-checked 7 rows at a
+    # time (18 slices, with classes whose members lie in several): the
+    # representatives of the pairwise search
+    base, fiber, actions, cands = _classify_input(base_name, actions_doc, Variant.CORRECTED)
+    zero = _zero_cocycle(base, fiber, actions)
+    sizes = []
+    solve = bruteforce.solve_rows
+
+    def recorded(a, b, p):
+        sizes.append(len(b))
+        return solve(a, b, p)
+
+    monkeypatch.setattr(extensions, "_CLASS_ROWS", 7)
+    monkeypatch.setattr(bruteforce, "solve_rows", recorded)
+    blocks = list(_valid_cocycles(zero, Variant.CORRECTED, _blocks(zero)))
+    assert len(blocks) == 1
+    (nu, om), valid = _coset_classes(zero, blocks)
+    assert (len(nu), valid) == want
+    # one key solve per slice, and one witness solve per slice with a join
+    assert max(sizes) == 7 and len(sizes) >= -(-valid // 7)
+    oracle_reps, _ = _pairwise_classes(cands)
+    assert _pairs(_decoded(zero, nu, om)) == _pairs(oracle_reps)
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("base_name, actions_doc", [("z2", None), ("s2", "r_s2_gf5.rep")])
 def test_batched_valid_cocycles_match_scalar_oracle(base_name, actions_doc, variant):

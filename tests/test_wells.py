@@ -379,16 +379,42 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
         ga, gb = base_auts[i // nb], fiber_auts[i % nb]
         pair = AutPair(int_matrix(F5, ga), int_matrix(F5, gb))
         acted = act_on_cocycle(c, pair)
-        got = _act(arr, inverse(ga), batch_of_one(gb), inverse(gb), 5)
+        got = _act(arr, inverse(ga), batch_of_one(gb), inverse(gb), 5, [0])
         assert all((a[0] == b).all() for a, b in zip(got, _cocycle_arrays(acted)))
         assert _intertwines(arr, batch_of_one(ga), batch_of_one(gb),
-                            inverse(gb), 5)[0] == \
+                            inverse(gb), 5, [0])[0] == \
             _pair_intertwines(c, pair)
         gated = solve_equivalence(acted, c).reason in ("eqv-mu", "eqv-theta", "eqv-d")
         assert _same_actions(got, arr)[0] == (not gated)
         many = got.take(np.zeros(len(maps), dtype=np.int64))
         assert _equivalent_via(many, arr, phis, bil, tri, 5).tolist() == \
             [cocycles_equivalent_via(acted, c, f).valid for f in maps]
+
+
+@pytest.mark.parametrize("name", ["e_h3", "z2_theta_omega"])
+def test_cocycle_moved_once_per_alpha_matches_once_per_pair(F5, name):
+    # a chunk of pairs, alpha-major: the cocycle moved by each distinct
+    # alpha^-1 once and read by index, against the same moved per pair
+    from bolext.bol import automorphism_int_arrays
+    from bolext.bruteforce import inverse_mod
+    from bolext.nonabelian import _cocycle_arrays
+    from bolext.wells import _act, _alpha_run, _intertwines
+
+    e = _extension(F5, name)
+    arr = _cocycle_arrays(theta_map(e))
+    alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
+    ia, ib = np.divmod(np.arange(37, 37 + 301), len(betas))
+    alpha_invs, beta_invs = inverse_mod(alphas, 5)[1], inverse_mod(betas, 5)[1]
+    beta, binv = betas[ib].astype(np.int64), beta_invs[ib]
+    span, which = _alpha_run(ia)
+    assert len(np.unique(ia)) > 1
+    each = np.arange(len(ia))
+    once = _act(arr, alpha_invs[span], beta, binv, 5, which)
+    assert all((a == b).all()
+               for a, b in zip(once, _act(arr, alpha_invs[ia], beta, binv, 5, each)))
+    alphas = alphas.astype(np.int64)
+    assert (_intertwines(arr, alphas[span], beta, binv, 5, which)
+            == _intertwines(arr, alphas[ia], beta, binv, 5, each)).all()
 
 
 def test_inducibility_reason_lists_each_inconsistent_block(F5):
@@ -455,6 +481,29 @@ def _rebased(F5, e, seed):
 
 _SCAN_CASES = ["e_h3", "z1_z1", "z2_mu_first", "s2_r_s2", "z1_s2", "e_h3_rebased_3",
                "e_h3_rebased_8"]
+# d = 3 totals whose adapted tri is nonzero, so the scan assembles
+# triple-product terms: two classes with omega != 0 (z2 x z1, and s2 x z1
+# with the actions of r_s2_gf5), and two whose tri takes a fiber input
+# (theta) or gives a base output (the bracket of the base), so that those
+# terms reach the linear part in C
+_TRI_CASES = ["z2_z1_omega", "s2_z1_r_s2_omega", "z2_theta_omega", "bracket_base"]
+
+
+def _scanned(stream):
+    """The slices of `bruteforce.triangular_arrays`, concatenated: (blocks,
+    pair indices)."""
+    slices = list(stream)
+    return (np.concatenate([s.blocks for s in slices]),
+            np.concatenate([s.pairs for s in slices]))
+
+
+def _omega_class(F5, base, actions=None):
+    """The first class representative over base x z1 with omega != 0."""
+    from bolext.extensions import classify_corpus
+    from bolext.identities import residues
+
+    reps = classify_corpus(base, zero_algebra(F5, 1), actions)[1]
+    return next(c for c in reps if residues(c.omega.grid).any())
 
 
 def _scan_case(F5, name):
@@ -467,6 +516,11 @@ def _scan_case(F5, name):
 
     if name == "z1_z1":
         e = as_extension(NonAbelianCocycle.zero(z1(F5), zero_algebra(F5, 1)))
+    elif name == "z2_z1_omega":
+        e = as_extension(_omega_class(F5, z2(F5)))
+    elif name == "s2_z1_r_s2_omega":
+        r = parse_document(str(corpus_dir() / "r_s2_gf5.rep"), "representation")
+        e = as_extension(_omega_class(F5, s2(F5), (r.mu, r.theta, r.dd)))
     elif name == "z1_s2":
         e = as_extension(NonAbelianCocycle.zero(z1(F5), s2(F5)))
     elif name == "e_s2_s2":
@@ -499,7 +553,7 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
     T, Tinv, P, I = (residues(f.entries) for f in (t, t.inverse(), e.proj, e.inj))
     if name.startswith("e_h3_rebased"):
         assert sorted(T.ravel().tolist()) != [0] * 6 + [1] * 3
-    got, pairs = triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 7)
+    got, pairs = _scanned(triangular_arrays(bil, tri, alphas, betas, 5, 10 ** 7))
     got = got.astype(np.int64)
     n = e.n
     assert (alphas[pairs // len(betas)] == got[:, :n, :n]).all()
@@ -521,15 +575,16 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
     assert image == lift_search_image(e)
 
 
-@pytest.mark.parametrize("name", _SCAN_CASES + ["e_s2_s2"])
+@pytest.mark.parametrize("name", _SCAN_CASES + ["e_s2_s2"] + _TRI_CASES)
 def test_factored_scan_matches_unpruned_scan(F5, name):
-    # probe and solve returns what the morphism test of every candidate
+    # assemble and solve returns what the morphism test of every candidate
     # returns: the same arrays and pair indices, in the same order
     from bolext.bruteforce import triangular_arrays
     from oracles import triangular_arrays_oracle
 
     args = _scan_case(F5, name)[2]
-    got, pairs = triangular_arrays(*args, 5, 10 ** 7)
+    assert args[1].any() == (name in _TRI_CASES)
+    got, pairs = _scanned(triangular_arrays(*args, 5, 10 ** 7))
     want, want_pairs = triangular_arrays_oracle(*args, 5, 10 ** 7)
     assert len(want) and (got.dtype, pairs.dtype) == (want.dtype, want_pairs.dtype)
     assert got.tolist() == want.tolist() and pairs.tolist() == want_pairs.tolist()
@@ -701,6 +756,7 @@ def test_batched_s_map_images_match_scalar_s_map(F5, seed):
     # against `s_map`; a fiber-preserving map outside the kernel is refused
     # by both
     from bolext.bol import automorphism_int_arrays, int_matrix
+    from bolext.bruteforce import triangular_arrays
     from bolext.errors import InternalConsistencyError
     from bolext.extensions import _adapted_total, _canonical_section
     from bolext.identities import residues
@@ -710,17 +766,19 @@ def test_batched_s_map_images_match_scalar_s_map(F5, seed):
     if seed is not None:
         e = _rebased(F5, e, seed)
     s = _canonical_section(e)
-    blocks, _, gammas = _fiber_preserving_automorphisms(
-        e, *_adapted_total(e, s), automorphism_int_arrays(e.base),
-        automorphism_int_arrays(e.fiber), 10 ** 7)
-    n = e.n
-    ker = ((blocks[:, :n, :n] == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
-           & (blocks[:, n:, n:] == np.eye(e.m, dtype=np.int64)).all(axis=(1, 2)))
-    assert ker.sum() == 25
-    got = _s_map_images(e, s, gammas[ker])
-    want = [residues(s_map(e, s, int_matrix(F5, g)).entries).tolist() for g in gammas[ker]]
+    t, adapted = _adapted_total(e, s)
+    alphas, betas = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
+    scanned = _fiber_preserving_automorphisms(e, t, adapted, alphas, betas, 10 ** 7)
+    assert len(scanned.kernel) == 25
+    got = _s_map_images(e, s, scanned.kernel)
+    want = [residues(s_map(e, s, int_matrix(F5, g)).entries).tolist() for g in scanned.kernel]
     assert got.tolist() == want
-    outside = gammas[np.flatnonzero(~ker)[:1]]
+    # the first member the scan finds restricts to a pair other than the identity
+    blocks, _ = _scanned(triangular_arrays(residues(adapted.bil), residues(adapted.tri),
+                                           alphas, betas, 5, 10 ** 7))
+    T, Tinv = residues(t.entries), residues(t.inverse().entries)
+    outside = np.einsum("xy,byz,zw->bxw", T, blocks[:1].astype(np.int64), Tinv) % 5
+    assert outside.tolist() not in scanned.kernel.tolist()
     with pytest.raises(InternalConsistencyError):
         _s_map_images(e, s, outside)
     with pytest.raises(UsageError, match="does not restrict to the identity pair"):
