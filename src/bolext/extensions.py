@@ -354,11 +354,11 @@ def _coset_classes(zero: NonAbelianCocycle, blocks):
     c1 ~ c2 iff c2 - c1 = L phi for some phi, where L is the omega/nu
     equivalence matrix (`_equivalence_matrix`); it depends only on the base
     and the actions.  With T L in reduced echelon form of rank r, that holds
-    iff (T c1)[r:] = (T c2)[r:], so this key names the class; each block's
-    keys come from one elimination of L beside its cocycles
-    (`bruteforce.solve_rows`), in slices of at most `_CLASS_ROWS` rows, so
-    that the elimination and the witness arrays stay small whatever the
-    block.  Each member that joins an earlier class gets its canonical
+    iff (T c1)[r:] = (T c2)[r:], so this key names the class.  Each block
+    is cut into slices of at most `_CLASS_ROWS` cocycles, so that the
+    elimination and the witness arrays stay small whatever the block, and
+    each slice's keys come from one elimination of L beside its cocycles
+    (`bruteforce.solve_rows`).  Each member that joins an earlier class gets its canonical
     witness phi, and every witness is checked against the member's
     representative.  Returns ((nu, om) of the representatives, stacked,
     valid count).
