@@ -491,7 +491,8 @@ class _LinearPart:
     beta, here; an alpha block once per distinct alpha of a call; a mixed
     block once per distinct alpha, then once per pair with its beta.  On
     the output, E gives -C applied to the base coordinates of t(inputs),
-    the same for every pair."""
+    the same for every pair.  Only the rows `_reachable` marks are
+    assembled; L is zero on the others for every pair."""
 
     def __init__(self, bil, tri, keep, alphas, betas, p):
         self.alphas, self.betas, self.p = alphas.astype(np.int64), betas.astype(np.int64), p
@@ -499,10 +500,21 @@ class _LinearPart:
         self.products = []
         for t, rows in zip((bil, tri) if tri.any() else (bil,), keep):
             r = t.ndim - 1
-            # the output term, as lin[s, x, inputs.., l] for digit (s, x) of C
-            out = np.zeros((m, n) + t.shape, dtype=_headroom_dtype(r + 1, 1, p))
+            reach = np.flatnonzero(_reachable(t, n)[rows])  # among the kept rows
+            at_row = np.flatnonzero(rows.ravel())[reach]
+            inputs = np.unravel_index(at_row, t.shape)
+            # the output term, out[s, x, row] for digit (s, x) of C
+            out = np.zeros((m, n, len(at_row)), dtype=_headroom_dtype(r + 1, 1, p))
             for s in range(m):
-                out[s, ..., n + s] = np.moveaxis(-t[..., :n] % p, -1, 0)
+                at = inputs[-1] == n + s
+                out[s, :, at] = -t.reshape(-1, t.shape[-1])[at_row[at] // t.shape[-1], :n] % p
+            # per slot q, the reachable rows with a base input x there: (x, row,
+            # the entry (others.., l) of the moved t it reads)
+            slots = []
+            for q in range(r):
+                base = np.flatnonzero(inputs[q] < n)
+                others = tuple(np.delete(np.stack(inputs), q, axis=0)[:, base])
+                slots.append((inputs[q][base], base, np.ravel_multi_index(others, t.shape[1:])))
             # t with the fiber input s in slot q, every slot at once: (q s, others.., l)
             fiber_in = np.concatenate([np.moveaxis(t[(slice(None),) * q + (slice(n, None),)], q, 0)
                                        for q in range(r)])
@@ -514,14 +526,18 @@ class _LinearPart:
                 fiber = [x for x, side in enumerate(sides) if side]
                 part = fiber_in[at] if base else _contract_axes(fiber_in[at], self.betas, fiber, p)
                 blocks.append((at, base, fiber, part))
-            self.products.append((fiber_in.shape, out, blocks, rows.ravel()))
+            self.products.append((fiber_in.shape, out, slots, blocks, reach, int(rows.sum())))
 
     def __call__(self, pair) -> np.ndarray:
         n, m, p = self.n, self.m, self.p
         a_at, a_of = np.unique(pair // len(self.betas), return_inverse=True)
         ib = pair % len(self.betas)
         parts = []
-        for shape, out, blocks, rows in self.products:
+        for shape, out, slots, blocks, reach, kept in self.products:
+            lin = np.zeros((len(pair), m * n, kept), dtype=out.dtype)
+            parts.append(lin)
+            if not len(reach):
+                continue
             moved = np.zeros((len(pair),) + shape, dtype=np.int64)
             for at, base, fiber, part in blocks:
                 if base:
@@ -531,15 +547,32 @@ class _LinearPart:
                 else:
                     part = part[ib]
                 moved[(slice(None),) + at] = part
-            r = moved.ndim - 2
-            moved = moved.reshape((len(pair), r, m) + shape[1:])
-            lin = np.broadcast_to(out, (len(pair),) + out.shape).copy()
-            for q in range(r):
-                for x in range(n):
-                    lin[(slice(None),) * 2 + (x,) + (slice(None),) * q + (x,)] += moved[:, q]
-            lin = lin.reshape(len(pair), m * n, -1)
-            parts.append(lin if rows.all() else lin[:, :, rows])
-        return np.concatenate(parts, axis=2) % p
+            moved = moved.reshape(len(pair), len(slots), m, -1)
+            assembled = np.broadcast_to(out, (len(pair),) + out.shape).copy()
+            for q, (x, row, entry) in enumerate(slots):
+                assembled[:, :, x, row] += moved[:, q][:, :, entry]
+            lin[:, :, reach] = assembled.reshape(len(pair), m * n, -1) % p
+        return np.concatenate(parts, axis=2)
+
+
+def _reachable(t, n) -> np.ndarray:
+    """Mask of the rows (inputs.., l) of the morphism residual of product t
+    on which the part linear in C can be nonzero for some alpha and beta.
+    E on the output reads t(inputs) at its base coordinates, on a fiber
+    row l; E in slot q reads t with a fiber input there, a base input x in
+    the row, and on each other input any index of the row's block (base or
+    fiber), since G0 = diag(alpha, beta) keeps the blocks."""
+    r = t.ndim - 1
+    nonzero = t != 0
+    reach = np.zeros(t.shape, dtype=bool)
+    reach[..., n:] = nonzero[..., :n].any(axis=-1, keepdims=True)
+    halves = (slice(None, n), slice(n, None))
+    for q in range(r):
+        fiber_in = np.moveaxis(nonzero[(slice(None),) * q + (slice(n, None),)], q, 0).any(axis=0)
+        for sides in product(halves, repeat=r - 1):
+            at = sides[:q] + (slice(None, n),) + sides[q:]
+            reach[at] |= fiber_in[sides].any(axis=tuple(range(r - 1)))
+    return reach
 
 
 def _contract_axes(t, mats, axes, p, paired=False) -> np.ndarray:

@@ -409,12 +409,13 @@ def _transport_grid(ainv, grid, p):
 
 
 def _conjugate(beta, mats, binv, p):
-    """beta M beta^-1 for a stack of matrices M[k, ..., s, t] per pair."""
+    """beta M beta^-1 for a stack of matrices M[k, ..., s, t] per pair: two
+    batched matrix products of residues, each reduced mod p."""
     k, m = beta.shape[0], beta.shape[1]
-    flat = mats.reshape(k, -1, m, m)
-    f = bruteforce.contract_mod
-    out = f("kasu,kut->kast", p, f("ksu,kaut->kast", p, beta, flat), binv)
-    return out.reshape(mats.shape)
+    bruteforce.require_int64_headroom(m, 2, p)
+    flat = np.asarray(mats, dtype=np.int64).reshape(k, -1, m, m)
+    beta, binv = (np.asarray(a, dtype=np.int64)[:, None] for a in (beta, binv))
+    return ((beta @ flat % p) @ binv % p).reshape(mats.shape)
 
 
 def _transported(c: _CocycleArrays, ainv, p) -> _CocycleArrays:

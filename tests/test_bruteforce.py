@@ -314,25 +314,29 @@ def test_assembled_linear_part_matches_unit_map_probes(F5, name, nonzero):
     assert (int(rows.sum()), int(rows[keep[0].sum():].sum())) == nonzero
 
 
-@pytest.mark.parametrize("name", ["e_h3", "z2_theta_omega"])
-def test_guard_refuses_a_perturbed_piece_of_the_assembly(F5, monkeypatch, name):
-    # each block contraction of the assembled linear part, perturbed alone
-    # by one on every entry, makes the guard C's prediction wrong on some
-    # pair: the scan raises instead of solving a wrong system.  Over these
-    # abelian fibers every row is kept, so every piece reaches the system
+@pytest.mark.parametrize("name, calls, refused", [("e_s2_s2", 2, 1), ("z2_theta_omega", 14, 4)])
+def test_guard_refuses_a_perturbed_piece_of_the_assembly(F5, monkeypatch, name, calls, refused):
+    # each block contraction the scan's linear part makes (`calls` of them
+    # here), perturbed alone by one on every entry: either the stream is
+    # unchanged (the piece feeds no row the scan assembles, or only
+    # directions no member's system reads), or the guard C's prediction is
+    # wrong on some pair and the scan raises instead of solving a wrong
+    # system (`refused` pieces here).  With no row marked reachable the
+    # linear part reads zero, and the guard refuses that too
     import bolext.bruteforce
-    from test_wells import _scan_case
+    from test_wells import _scan_case, _scanned
 
     args = _scan_case(F5, name)[2]
-    contract, calls = bolext.bruteforce._contract_axes, []
+    contract, made = bolext.bruteforce._contract_axes, []
 
     def counted(*a, **k):
-        calls.append(None)
+        made.append(None)
         return contract(*a, **k)
     monkeypatch.setattr(bolext.bruteforce, "_contract_axes", counted)
-    list(triangular_arrays(*args, 5, 10 ** 7))
-    assert len(calls) >= 2
-    for target in range(len(calls)):
+    want = _scanned(triangular_arrays(*args, 5, 10 ** 7))
+    assert len(made) == calls
+    count = 0
+    for target in range(len(made)):
         seen = []
 
         def perturbed(*a, **k):
@@ -340,8 +344,19 @@ def test_guard_refuses_a_perturbed_piece_of_the_assembly(F5, monkeypatch, name):
             out = contract(*a, **k)
             return (out + 1) % 5 if len(seen) - 1 == target else out
         monkeypatch.setattr(bolext.bruteforce, "_contract_axes", perturbed)
-        with pytest.raises(InternalConsistencyError, match="not affine in C"):
-            list(triangular_arrays(*args, 5, 10 ** 7))
+        try:
+            got = _scanned(triangular_arrays(*args, 5, 10 ** 7))
+        except InternalConsistencyError as exc:
+            assert "not affine in C" in str(exc)
+            count += 1
+        else:
+            assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
+    assert count == refused
+    monkeypatch.setattr(bolext.bruteforce, "_contract_axes", contract)
+    monkeypatch.setattr(bolext.bruteforce, "_reachable",
+                        lambda t, n: np.zeros(t.shape, dtype=bool))
+    with pytest.raises(InternalConsistencyError, match="not affine in C"):
+        list(triangular_arrays(*args, 5, 10 ** 7))
 
 
 @pytest.mark.parametrize("p, rows, width", [(2, 3, 3), (3, 4, 3), (5, 2, 4), (5, 5, 2)])
