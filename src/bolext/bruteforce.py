@@ -18,9 +18,9 @@ alternating on the data handed in: its residual is then alternating in
 (i, j), so it vanishes everywhere exactly when it vanishes on a < b.  The
 factored scan of block-triangular automorphisms
 checks the bound on all its candidates too, but solves for the blocks C its
-morphism residual allows, from a linear system it assembles, tests only
-those, and streams what it finds slice by slice (`triangular_arrays`).
-Only the flat scan is limited to dimension <= 3.
+morphism residual allows, from a linear system it probes where the system
+can be nonzero, tests only those, and streams what it finds slice by slice
+(`triangular_arrays`).  Only the flat scan is limited to dimension <= 3.
 
 Every mod-p elimination here (the batched inverses of `inverse_mod`, the
 factored scan's per-pair systems, the class keys and witnesses of
@@ -409,9 +409,8 @@ class ScanSlice(NamedTuple):
     blocks: np.ndarray  # (K, d, d) automorphisms [[alpha, 0], [C, beta]]
     pairs: np.ndarray   # (K,) pair index ia * l + ib of each
     scanned: int        # pairs whose system the slice solved
-    evaluated: int      # residual rows evaluated directly: C = 0, the guard C
+    evaluated: int      # residual rows evaluated: C = 0, any unit maps, the guard C
     tested: int         # coset members handed to `_morphism_fixed`
-    passed: int         # members it accepted, len(blocks)
 
 
 def triangular_arrays(bil: np.ndarray, tri: np.ndarray, alphas: np.ndarray,
@@ -423,18 +422,19 @@ def triangular_arrays(bil: np.ndarray, tri: np.ndarray, alphas: np.ndarray,
     the first slice is asked for.  G is invertible when alpha and beta are,
     so it is only tested against both products.
 
-    Assemble and solve, per slice of pairs: on the rows `_affine_rows`
-    keeps, the morphism residual of G is affine in C.  Its value at C = 0
-    is evaluated directly; its linear part is assembled as the derivative at
-    G0 = diag(alpha, beta) (`_LinearPart`).  One C per pair, drawn from a
-    fixed-seed generator and evaluated directly, checks the assembled system
-    (the guard): a row that is not affine, or a piece assembled wrong,
-    raises.  Rows zero in every pair's [L | b] are dropped, and
-    `_solve_stack` eliminates every pair's system at once; the members of
-    each solution coset, in C-digit order, are the only candidates
-    `_morphism_fixed` tests.  So the scan evaluates 2 residual rows per pair
-    (on e_h3 over GF(5): 1,920 pairs, 3,840 rows) and tests the coset
-    members (12,000 there) instead of every candidate (48,000)."""
+    Probe and solve, per slice of pairs: on the rows `_affine_rows` keeps,
+    the morphism residual of G is affine in C, so its value at C = 0 and,
+    when some kept row is one `_reachable` marks, its values at the nm unit
+    maps give each pair an affine system in the digits of C.  With no such
+    row the part linear in C is zero and no unit map is evaluated.  One C
+    per pair, drawn from a fixed-seed generator and evaluated directly,
+    checks that system (the affinity guard), and so `_reachable` too.  Rows
+    zero in every pair's [L | b] are dropped, and `_solve_stack` eliminates
+    every pair's system at once; the members of each solution coset, in
+    C-digit order, are the only candidates `_morphism_fixed` tests.  So on
+    e_h3 over GF(5) (no reachable row) the scan evaluates 2 residual rows
+    for each of 1,920 pairs and tests the coset members (12,000) instead of
+    every candidate (48,000)."""
     n, m = alphas.shape[1], betas.shape[1]
     _check_bound(len(alphas) * len(betas) * p ** (n * m), budget, "matrices")
     return _triangular_slices(bil, tri, alphas, betas, p)
@@ -446,122 +446,53 @@ def _triangular_slices(bil, tri, alphas, betas, p):
     dt = _headroom_dtype(1, 1, p)
     bil, tri = bil.astype(dt), tri.astype(dt)
     keep = _affine_rows(bil, tri, n)
-    linear_part = _LinearPart(bil, tri, keep, alphas, betas, p)
+    reach = any(_reachable(t, n)[rows].any() for t, rows in zip((bil, tri), keep))
+    probes = width if reach else 0
+    units = np.eye(probes + 1, width, k=-1, dtype=dt)  # C = 0, then the unit maps
     rng = np.random.default_rng(0)
     rows = d ** 3 + (d ** 4 if tri.any() else 0)
     step = max(1, _ENTRIES // ((width + 2) * rows))
     for start in range(0, total, step):
         pair = np.arange(start, min(start + step, total))
         guard = rng.integers(0, p, size=(len(pair), 1, width)).astype(dt)
-        digits = np.concatenate([np.zeros_like(guard), guard], axis=1)  # C = 0 first
-        g = _triangular(alphas, betas, np.repeat(pair, 2), digits.reshape(-1, width), n, m)
-        res = _residual_rows(bil, tri, g, p, keep).astype(np.int64).reshape(len(pair), 2, -1)
-        const, lin = res[:, 0], linear_part(pair)
-        predicted = (const + np.einsum("ku,kur->kr", guard[:, 0].astype(np.int64), lin)) % p
-        if not np.array_equal(predicted, res[:, 1]):
+        digits = np.concatenate([np.broadcast_to(units, (len(pair),) + units.shape),
+                                 guard], axis=1)
+        g = _triangular(alphas, betas, np.repeat(pair, probes + 2),
+                        digits.reshape(-1, width), n, m)
+        res = _residual_rows(bil, tri, g, p, keep).astype(np.int64)
+        res = res.reshape(len(pair), probes + 2, -1)
+        const = res[:, 0]
+        lin = (res[:, 1:-1] - const[:, None]) % p  # (k, probes, rows)
+        predicted = (const + np.einsum("ku,kur->kr", guard[:, 0, :probes].astype(np.int64),
+                                       lin)) % p
+        if not np.array_equal(predicted, res[:, -1]):
             raise InternalConsistencyError(
                 "the morphism residual is not affine in C on the rows solved")
         used = lin.any(axis=(0, 1)) | const.any(axis=0)
-        consistent, x0, free = _solve_stack(lin[:, :, used].transpose(0, 2, 1),
-                                            -const[:, used] % p, p)
+        a = np.zeros((len(pair), int(used.sum()), width), dtype=np.int64)
+        a[:, :, :probes] = lin[:, :, used].transpose(0, 2, 1)
+        consistent, x0, free = _solve_stack(a, -const[:, used] % p, p)
         scanned, evaluated = len(pair), len(g)
         for owner, c in _coset_members(pair[consistent], x0[consistent],
                                        free[consistent], p):
             g = _triangular(alphas, betas, owner, c.astype(dt), n, m)
             good = _morphism_fixed(bil, tri, g, p)
-            yield ScanSlice(g[good], owner[good], scanned, evaluated, len(g), int(good.sum()))
+            yield ScanSlice(g[good], owner[good], scanned, evaluated, len(g))
             scanned = evaluated = 0
         if scanned:
             yield ScanSlice(np.zeros((0, d, d), dtype=dt), np.zeros(0, dtype=np.int64),
-                            scanned, evaluated, 0, 0)
-
-
-class _LinearPart:
-    """The part of the morphism residual linear in C, for the pairs of
-    `alphas` and `betas` (alpha major), on the rows `keep` of
-    `_residual_rows`: `self(pair)` is L[k, u, row] for the digits u of C,
-    the derivative of the residual at G0 = diag(alpha, beta) in the
-    direction E = [[0, 0], [C, 0]].
-
-    Per product t of arity r, E enters one input slot or the output.  In
-    slot q it sends a base input x into the fiber, so the term is C[s, x]
-    times t with the fiber input s in slot q and G0 on its other inputs.
-    G0 is block diagonal, so each block of those inputs (each one base or
-    fiber) is moved by alpha alone or by beta alone: a beta block once per
-    beta, here; an alpha block once per distinct alpha of a call; a mixed
-    block once per distinct alpha, then once per pair with its beta.  On
-    the output, E gives -C applied to the base coordinates of t(inputs),
-    the same for every pair.  Only the rows `_reachable` marks are
-    assembled; L is zero on the others for every pair."""
-
-    def __init__(self, bil, tri, keep, alphas, betas, p):
-        self.alphas, self.betas, self.p = alphas.astype(np.int64), betas.astype(np.int64), p
-        n, m = self.n, self.m = alphas.shape[1], betas.shape[1]
-        self.products = []
-        for t, rows in zip((bil, tri) if tri.any() else (bil,), keep):
-            r = t.ndim - 1
-            reach = np.flatnonzero(_reachable(t, n)[rows])  # among the kept rows
-            at_row = np.flatnonzero(rows.ravel())[reach]
-            inputs = np.unravel_index(at_row, t.shape)
-            # the output term, out[s, x, row] for digit (s, x) of C
-            out = np.zeros((m, n, len(at_row)), dtype=_headroom_dtype(r + 1, 1, p))
-            for s in range(m):
-                at = inputs[-1] == n + s
-                out[s, :, at] = -t.reshape(-1, t.shape[-1])[at_row[at] // t.shape[-1], :n] % p
-            # per slot q, the reachable rows with a base input x there: (x, row,
-            # the entry (others.., l) of the moved t it reads)
-            slots = []
-            for q in range(r):
-                base = np.flatnonzero(inputs[q] < n)
-                others = tuple(np.delete(np.stack(inputs), q, axis=0)[:, base])
-                slots.append((inputs[q][base], base, np.ravel_multi_index(others, t.shape[1:])))
-            # t with the fiber input s in slot q, every slot at once: (q s, others.., l)
-            fiber_in = np.concatenate([np.moveaxis(t[(slice(None),) * q + (slice(n, None),)], q, 0)
-                                       for q in range(r)])
-            blocks = []
-            for sides in product((False, True), repeat=r - 1):  # True: a fiber input
-                at = (slice(None),) + tuple(slice(n, None) if side else slice(None, n)
-                                            for side in sides)
-                base = [x for x, side in enumerate(sides) if not side]
-                fiber = [x for x, side in enumerate(sides) if side]
-                part = fiber_in[at] if base else _contract_axes(fiber_in[at], self.betas, fiber, p)
-                blocks.append((at, base, fiber, part))
-            self.products.append((fiber_in.shape, out, slots, blocks, reach, int(rows.sum())))
-
-    def __call__(self, pair) -> np.ndarray:
-        n, m, p = self.n, self.m, self.p
-        a_at, a_of = np.unique(pair // len(self.betas), return_inverse=True)
-        ib = pair % len(self.betas)
-        parts = []
-        for shape, out, slots, blocks, reach, kept in self.products:
-            lin = np.zeros((len(pair), m * n, kept), dtype=out.dtype)
-            parts.append(lin)
-            if not len(reach):
-                continue
-            moved = np.zeros((len(pair),) + shape, dtype=np.int64)
-            for at, base, fiber, part in blocks:
-                if base:
-                    part = _contract_axes(part, self.alphas[a_at], base, p)[a_of]
-                    if fiber:
-                        part = _contract_axes(part, self.betas[ib], fiber, p, paired=True)
-                else:
-                    part = part[ib]
-                moved[(slice(None),) + at] = part
-            moved = moved.reshape(len(pair), len(slots), m, -1)
-            assembled = np.broadcast_to(out, (len(pair),) + out.shape).copy()
-            for q, (x, row, entry) in enumerate(slots):
-                assembled[:, :, x, row] += moved[:, q][:, :, entry]
-            lin[:, :, reach] = assembled.reshape(len(pair), m * n, -1) % p
-        return np.concatenate(parts, axis=2)
+                            scanned, evaluated, 0)
 
 
 def _reachable(t, n) -> np.ndarray:
     """Mask of the rows (inputs.., l) of the morphism residual of product t
-    on which the part linear in C can be nonzero for some alpha and beta.
+    on which the part linear in C can be nonzero for some alpha and beta,
+    from the nonzero pattern of t alone.  That part is the derivative of the
+    residual at G0 = diag(alpha, beta) in the direction E = [[0, 0], [C, 0]].
     E on the output reads t(inputs) at its base coordinates, on a fiber
-    row l; E in slot q reads t with a fiber input there, a base input x in
-    the row, and on each other input any index of the row's block (base or
-    fiber), since G0 = diag(alpha, beta) keeps the blocks."""
+    row l; E in input slot q reads t with a fiber input there, a base input
+    x in the row, and on each other input any index of the row's block (base
+    or fiber), since G0 keeps the blocks."""
     r = t.ndim - 1
     nonzero = t != 0
     reach = np.zeros(t.shape, dtype=bool)
@@ -573,18 +504,6 @@ def _reachable(t, n) -> np.ndarray:
             at = sides[:q] + (slice(None, n),) + sides[q:]
             reach[at] |= fiber_in[sides].any(axis=tuple(range(r - 1)))
     return reach
-
-
-def _contract_axes(t, mats, axes, p, paired=False) -> np.ndarray:
-    """t[.., s, c.., l] with each middle axis in `axes` moved by the matrix
-    stack mats (K, c, j), mod p: a new leading axis K, or, when `paired`, t's
-    own leading axis, one matrix per entry."""
-    mid = "cde"[:t.ndim - 2 - paired]
-    moved = "".join("jkh"[x] if x in axes else ch for x, ch in enumerate(mid))
-    lead = "K" * paired
-    spec = (f"{lead}s{mid}l," + ",".join(f"K{mid[x]}{'jkh'[x]}" for x in axes)
-            + f"->Ks{moved}l")
-    return contract_mod(spec, p, t, *[mats] * len(axes))
 
 
 def _triangular(alphas, betas, pair, digits, n, m) -> np.ndarray:
@@ -674,25 +593,27 @@ def _coset_members(pair: np.ndarray, x0: np.ndarray, free: np.ndarray, p: int):
         yield pair[k], (x0[k] + np.einsum("js,jsu->ju", digits, slots[k])) % p
 
 
-_MORPHISM_SPECS = {2: ("bai,bcj,acl->bijl", "blq,ijq->bijl"),
-                   3: ("bai,bcj,bdk,acdl->bijkl", "blq,ijkq->bijkl")}
-
-
 def _morphism_residual(t: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     """t(M x, M y[, M z]) - M t(x, y[, z]) mod p on the basis vectors, for
     each matrix of M (columns = basis images) and one fixed product t of
-    arity 2 or 3 (the output axis last), each contraction bounded by its
-    worst case.  The sides are nonnegative and each fits its own type, so
-    their difference fits the wider, signed one and is reduced once."""
-    n, arity = M.shape[1], t.ndim - 1
-    lhs, rhs = _MORPHISM_SPECS[arity]
+    arity 2 or 3 (the output axis last), as (len(M), inputs.., output).
 
-    def contract(spec, terms, *ops):
-        degree = len(ops)
-        return _contract(terms * (p - 1) ** degree,
-                         f"{terms} products of {degree} residues mod {p}", spec, *ops)
-
-    return (contract(lhs, n ** arity, *[M] * arity, t) - contract(rhs, n, M, t)) % p
+    The left side moves the inputs of t one at a time, first to last, each
+    by a batched matrix product with M transposed that leaves the input's
+    axis in place; the right side is one batched product.  Each side is
+    computed in the narrowest integer type that holds its worst case, which
+    bounds every partial sum of its nonnegative residues; their difference
+    fits the wider, signed type and is reduced once."""
+    k, n, arity = len(M), M.shape[1], t.ndim - 1
+    dt = _headroom_dtype(n ** arity, arity + 1, p)
+    mt = M.astype(dt, copy=False).transpose(0, 2, 1)
+    lhs = t.astype(dt)
+    for q in range(arity):  # lhs[k, moved inputs.., input q, the rest]
+        lhs = (mt.reshape((k,) + (1,) * q + (n, n))
+               @ lhs.reshape((k if q else 1,) + (n,) * (q + 1) + (n ** (arity - q),)))
+    rt = _headroom_dtype(n, 2, p)
+    rhs = t.astype(rt).reshape(-1, n) @ M.astype(rt, copy=False).transpose(0, 2, 1)
+    return (lhs.reshape(rhs.shape) - rhs).reshape((k,) + t.shape) % p
 
 
 def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:

@@ -299,23 +299,24 @@ def triangular_arrays_oracle(bil, tri, alphas, betas, p, budget):
     return np.concatenate(found), np.concatenate(pairs)
 
 
-def linear_part_by_probes(bil, tri, alphas, betas, pair, p):
-    """The linear part `bruteforce._LinearPart` assembles, per pair of `pair`,
-    by probing: the morphism residual on the rows `_affine_rows` keeps,
-    evaluated at C = 0 and at each of the nm unit maps, minus its value at
-    C = 0, as L[k, u, row]."""
+def linear_part_by_probes(bil, tri, alphas, betas, p):
+    """Per pair of `alphas` and `betas` (alpha major), the part of the
+    morphism residual of G = [[alpha, 0], [C, beta]] linear in C, probed by
+    plain einsum on every row: the residual at each of the nm unit maps C
+    minus its value at C = 0.  One array per product, (K, nm, rows..)."""
     import numpy as np
-
-    from bolext.bruteforce import (_affine_rows, _headroom_dtype, _residual_rows,
-                                   _triangular)
 
     n, m = alphas.shape[1], betas.shape[1]
     width = n * m
-    dt = _headroom_dtype(1, 1, p)
-    bil, tri = bil.astype(dt), tri.astype(dt)
-    units = np.eye(width + 1, width, k=-1, dtype=dt)  # C = 0, then the unit maps
-    g = _triangular(alphas, betas, np.repeat(pair, width + 1),
-                    np.tile(units, (len(pair), 1)), n, m)
-    res = _residual_rows(bil, tri, g, p, _affine_rows(bil, tri, n)).astype(np.int64)
-    res = res.reshape(len(pair), width + 1, -1)
-    return (res[:, 1:] - res[:, :1]) % p
+    units = np.eye(width + 1, width, k=-1, dtype=np.int64)  # C = 0, then the unit maps
+    ia, ib = np.divmod(np.arange(len(alphas) * len(betas)), len(betas))
+    g = np.zeros((len(ia), width + 1, n + m, n + m), dtype=np.int64)
+    g[:, :, :n, :n] = alphas[ia][:, None]
+    g[:, :, n:, :n] = units.reshape(width + 1, m, n)
+    g[:, :, n:, n:] = betas[ib][:, None]
+    bil, tri = bil.astype(np.int64), tri.astype(np.int64)
+    res = ((np.einsum("kcai,kcbj,abl->kcijl", g, g, bil, optimize=True)
+            - np.einsum("kclq,ijq->kcijl", g, bil)) % p,
+           (np.einsum("kcai,kcbj,kceh,abel->kcijhl", g, g, g, tri, optimize=True)
+            - np.einsum("kclq,ijhq->kcijhl", g, tri)) % p)
+    return tuple((r[:, 1:] - r[:, :1]) % p for r in res)

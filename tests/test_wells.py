@@ -481,11 +481,11 @@ def _rebased(F5, e, seed):
 
 _SCAN_CASES = ["e_h3", "z1_z1", "z2_mu_first", "s2_r_s2", "z1_s2", "e_h3_rebased_3",
                "e_h3_rebased_8"]
-# d = 3 totals whose adapted tri is nonzero, so the scan assembles
-# triple-product terms: two classes with omega != 0 (z2 x z1, and s2 x z1
+# d = 3 totals whose adapted tri is nonzero, so the scan reads
+# triple-product rows: two classes with omega != 0 (z2 x z1, and s2 x z1
 # with the actions of r_s2_gf5), and two whose tri takes a fiber input
 # (theta) or gives a base output (the bracket of the base), so that those
-# terms reach the linear part in C
+# rows reach the linear part in C
 _TRI_CASES = ["z2_z1_omega", "s2_z1_r_s2_omega", "z2_theta_omega", "bracket_base"]
 
 
@@ -577,7 +577,7 @@ def test_stabiliser_scan_matches_flat_scan(F5, monkeypatch, name):
 
 @pytest.mark.parametrize("name", _SCAN_CASES + ["e_s2_s2"] + _TRI_CASES)
 def test_factored_scan_matches_unpruned_scan(F5, name):
-    # assemble and solve returns what the morphism test of every candidate
+    # probe and solve returns what the morphism test of every candidate
     # returns: the same arrays and pair indices, in the same order
     from bolext.bruteforce import triangular_arrays
     from oracles import triangular_arrays_oracle
