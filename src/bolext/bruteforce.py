@@ -431,10 +431,8 @@ def triangular_arrays(bil: np.ndarray, tri: np.ndarray, alphas: np.ndarray,
     checks that system (the affinity guard), and so `_reachable` too.  Rows
     zero in every pair's [L | b] are dropped, and `_solve_stack` eliminates
     every pair's system at once; the members of each solution coset, in
-    C-digit order, are the only candidates `_morphism_fixed` tests.  So on
-    e_h3 over GF(5) (no reachable row) the scan evaluates 2 residual rows
-    for each of 1,920 pairs and tests the coset members (12,000) instead of
-    every candidate (48,000)."""
+    C-digit order, are the only candidates `_morphism_fixed` tests (on
+    e_h3: 2 rows per pair, and 12,000 of 48,000 candidates)."""
     n, m = alphas.shape[1], betas.shape[1]
     _check_bound(len(alphas) * len(betas) * p ** (n * m), budget, "matrices")
     return _triangular_slices(bil, tri, alphas, betas, p)
@@ -598,22 +596,27 @@ def _morphism_residual(t: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
     each matrix of M (columns = basis images) and one fixed product t of
     arity 2 or 3 (the output axis last), as (len(M), inputs.., output).
 
-    The left side moves the inputs of t one at a time, first to last, each
-    by a batched matrix product with M transposed that leaves the input's
-    axis in place; the right side is one batched product.  Each side is
-    computed in the narrowest integer type that holds its worst case, which
-    bounds every partial sum of its nonnegative residues; their difference
-    fits the wider, signed type and is reduced once."""
+    By the support of t, the batch axis last: for each input tuple where t
+    is nonzero, the outer product of its rows of M is formed once and added,
+    times each entry t(..)_e, into output e, and the entry times column e of
+    M is subtracted there.  Every partial sum lies between minus the worst
+    right side and the worst left side, which the type holds: exact."""
     k, n, arity = len(M), M.shape[1], t.ndim - 1
     dt = _headroom_dtype(n ** arity, arity + 1, p)
-    mt = M.astype(dt, copy=False).transpose(0, 2, 1)
-    lhs = t.astype(dt)
-    for q in range(arity):  # lhs[k, moved inputs.., input q, the rest]
-        lhs = (mt.reshape((k,) + (1,) * q + (n, n))
-               @ lhs.reshape((k if q else 1,) + (n,) * (q + 1) + (n ** (arity - q),)))
-    rt = _headroom_dtype(n, 2, p)
-    rhs = t.astype(rt).reshape(-1, n) @ M.astype(rt, copy=False).transpose(0, 2, 1)
-    return (lhs.reshape(rhs.shape) - rhs).reshape((k,) + t.shape) % p
+    r = np.ascontiguousarray(M.transpose(1, 2, 0), dtype=dt)  # r[a, x, k] = M[k, a, x]
+    out = np.zeros((n,) + t.shape[:-1] + (k,), dtype=dt)    # out[output, inputs.., k]
+    support = np.argwhere(t.any(axis=-1))
+    for at in map(tuple, support):
+        outer = r[at[0]]
+        for a in at[1:]:
+            outer = outer[..., None, :] * r[a]
+        for e in np.flatnonzero(t[at]):
+            v = int(t[at + (e,)])
+            out[e] += v * outer
+            out[(slice(None),) + at] -= v * r[:, e]
+    if len(support):
+        out -= out // p * p  # mod p, faster than np.remainder
+    return out.swapaxes(0, -1)
 
 
 def _morphism_fixed(bil: np.ndarray, tri: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:

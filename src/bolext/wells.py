@@ -539,10 +539,7 @@ def _fiber_preserving_automorphisms(e: Extension, t: Matrix, adapted: BolAlgebra
     G (T^-1 I) = 0 for the projection P and the injection I.  Complete: in
     the basis T a map keeping the fiber is block triangular, and the
     diagonal blocks of an automorphism are those it induces on the quotient
-    B and on the ideal V.  The scan solves each pair's blocks C from the
-    part of the morphism residual that is affine in C, and runs the
-    morphism test only on the solutions; the bound still counts all
-    |Aut B| |Aut V| p^(nm) candidates."""
+    B and on the ideal V."""
     p, n = e.field.p, e.n
     f = bruteforce.contract_mod
     tt, tinv = residues(t.entries), residues(t.inverse().entries)
@@ -622,7 +619,9 @@ class ExactnessReport:
 
 def _rows(a: np.ndarray) -> np.ndarray:
     """The distinct entries of a stack of residue arrays, as sorted rows."""
-    return np.unique(a.reshape(len(a), -1), axis=0)
+    rows = a.reshape(len(a), -1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
 
 
 def verify_wells_exactness(e: Extension,

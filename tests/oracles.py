@@ -274,12 +274,12 @@ def checked_automorphisms_oracle(auts, a, component, role):
 
 def triangular_arrays_oracle(bil, tri, alphas, betas, p, budget):
     """The output of `bruteforce.triangular_arrays` by its unpruned scan: the
-    morphism test `_morphism_fixed` on every one of the k l p^(nm)
+    morphism test `morphism_mask_by_chain` on every one of the k l p^(nm)
     candidates [[alpha, 0], [C, beta]], read alpha-major, then beta, then
     the digits of C from the one candidate stream."""
     import numpy as np
 
-    from bolext.bruteforce import _headroom_dtype, _morphism_fixed, candidate_blocks
+    from bolext.bruteforce import _headroom_dtype, candidate_blocks
 
     n, m = alphas.shape[1], betas.shape[1]
     dt = _headroom_dtype(1, 1, p)
@@ -293,10 +293,47 @@ def triangular_arrays_oracle(bil, tri, alphas, betas, p, budget):
         g[:, :n, :n] = alphas[pair // nb]
         g[:, n:, :n] = digits.reshape(len(digits), m, n)
         g[:, n:, n:] = betas[pair % nb]
-        good = _morphism_fixed(bil, tri, g, p)
+        good = morphism_mask_by_chain(bil, tri, g, p)
         found.append(g[good])
         pairs.append(pair[good])
     return np.concatenate(found), np.concatenate(pairs)
+
+
+def morphism_residual_by_chain(t, M, p):
+    """t(M x, M y[, M z]) - M t(x, y[, z]) mod p on the basis vectors, for
+    each matrix of M (columns = basis images) and one fixed product t of
+    arity 2 or 3 (the output axis last), as (len(M), inputs.., output): the
+    values, dtype and overflow errors of `bruteforce._morphism_residual`,
+    by a second route.
+
+    The left side moves the inputs of t one at a time, first to last, each
+    by a batched matrix product with M transposed that leaves the input's
+    axis in place; the right side is one batched product.  Each side is
+    computed in the narrowest integer type that holds its worst case, which
+    bounds every partial sum of its nonnegative residues; their difference
+    fits the wider, signed type and is reduced once."""
+    from bolext.bruteforce import _headroom_dtype
+
+    k, n, arity = len(M), M.shape[1], t.ndim - 1
+    dt = _headroom_dtype(n ** arity, arity + 1, p)
+    mt = M.astype(dt, copy=False).transpose(0, 2, 1)
+    lhs = t.astype(dt)
+    for q in range(arity):  # lhs[k, moved inputs.., input q, the rest]
+        lhs = (mt.reshape((k,) + (1,) * q + (n, n))
+               @ lhs.reshape((k if q else 1,) + (n,) * (q + 1) + (n ** (arity - q),)))
+    rt = _headroom_dtype(n, 2, p)
+    rhs = t.astype(rt).reshape(-1, n) @ M.astype(rt, copy=False).transpose(0, 2, 1)
+    return (lhs.reshape(rhs.shape) - rhs).reshape((k,) + t.shape) % p
+
+
+def morphism_mask_by_chain(bil, tri, M, p):
+    """`bruteforce._morphism_fixed` by `morphism_residual_by_chain`: the
+    matrices commuting with both products, the bracket checked only where
+    the bilinear product passes."""
+    ok = ~morphism_residual_by_chain(bil, M, p).reshape(len(M), -1).any(axis=1)
+    idx = ok.nonzero()[0]
+    ok[idx] = ~morphism_residual_by_chain(tri, M[idx], p).reshape(len(idx), -1).any(axis=1)
+    return ok
 
 
 def linear_part_by_probes(bil, tri, alphas, betas, p):

@@ -134,25 +134,136 @@ def _morphism_oracle(bil, tri, M, p):
     return out
 
 
+_RESIDUAL_SPECS = {2: ("bai,bcj,acl->bijl", "blq,ijq->bijl"),
+                   3: ("bai,bcj,bek,acel->bijkl", "blq,ijkq->bijkl")}
+
+
+def _sparse_products(rng, p, d, arity):
+    """Products of one shape: dense, all zero, one entry 1, one entry v != 1
+    (where p > 2) and a few entries."""
+    shape = (d,) * (arity + 1)
+    yield rng.integers(0, p, size=shape)
+    yield np.zeros(shape, dtype=np.int64)
+    for v in {1, p - 1}:
+        t = np.zeros(shape, dtype=np.int64)
+        t[tuple(rng.integers(0, d, size=arity + 1))] = v
+        yield t
+    yield rng.integers(0, p, size=shape) * (rng.random(shape) < 0.2)
+
+
+def _residual_routes(t, M, p):
+    """(the kernel, the batched-matmul chain of the scan's oracle, one int64
+    einsum) of the morphism residual."""
+    from bolext.bruteforce import _morphism_residual
+    from oracles import morphism_residual_by_chain
+
+    lhs, rhs = _RESIDUAL_SPECS[t.ndim - 1]
+    want = (np.einsum(lhs, *[M.astype(np.int64)] * (t.ndim - 1), t.astype(np.int64))
+            - np.einsum(rhs, M.astype(np.int64), t.astype(np.int64))) % p
+    return _morphism_residual(t, M, p), morphism_residual_by_chain(t, M, p), want
+
+
 @pytest.mark.parametrize("p", [5, 7, 10_007])
 @pytest.mark.parametrize("arity", [2, 3])
 def test_morphism_residual_matches_one_full_contraction(p, arity):
     # every entry of t(M x, M y[, M z]) - M t(x, y[, z]) mod p, in the type
-    # its worst case picks, against one int64 einsum: batches of 0, 1 and 40
-    # matrices of dimension 1 to 4
+    # its worst case picks, against one int64 einsum and against the chain
+    # of batched matrix products the scan's oracle tests with: batches of 0,
+    # 1 and 40 matrices of dimension 1 to 4, and products that are dense,
+    # zero, one entry 1, one entry v != 1, or a few entries
     from bolext.bruteforce import _morphism_residual
+    from oracles import morphism_residual_by_chain
 
-    lhs, rhs = {2: ("bai,bcj,acl->bijl", "blq,ijq->bijl"),
-                3: ("bai,bcj,bek,acel->bijkl", "blq,ijkq->bijkl")}[arity]
+    lhs, rhs = _RESIDUAL_SPECS[arity]
     rng = np.random.default_rng(p + arity)
     for d in range(1, 5):
-        t = rng.integers(0, p, size=(d,) * (arity + 1))
-        for k in (0, 1, 40):
-            M = rng.integers(0, p, size=(k, d, d))
-            want = (np.einsum(lhs, *[M] * arity, t) - np.einsum(rhs, M, t)) % p
-            got = _morphism_residual(t, M, p)
-            assert got.dtype == _headroom_dtype(d ** arity, arity + 1, p)
-            assert got.shape == want.shape and (got == want).all()
+        for t in _sparse_products(rng, p, d, arity):
+            for k in (0, 1, 40):
+                M = rng.integers(0, p, size=(k, d, d))
+                want = (np.einsum(lhs, *[M] * arity, t) - np.einsum(rhs, M, t)) % p
+                got = _morphism_residual(t, M, p)
+                assert got.dtype == _headroom_dtype(d ** arity, arity + 1, p)
+                assert got.shape == want.shape and (got == want).all()
+                chain = morphism_residual_by_chain(t, M, p)
+                assert chain.dtype == got.dtype and (chain == got).all()
+
+
+@pytest.mark.parametrize("name", ["e_h3.ext", "e_z2_z2.ext"])
+def test_morphism_residual_on_adapted_totals(name):
+    # both products of the adapted totals the exactness runs scan, on
+    # random matrices, on block-triangular ones and on the identity: the
+    # kernel, the chain and the einsum agree
+    from bolext.documents import parse_document
+    from bolext.extensions import _adapted_total, canonical_section
+    from conftest import corpus_dir
+
+    e = parse_document(str(corpus_dir() / name), "extension")
+    _, adapted = _adapted_total(e, canonical_section(e))
+    dt = _headroom_dtype(1, 1, 5)
+    rng = np.random.default_rng(23)
+    d = e.n + e.m
+    M = rng.integers(0, 5, size=(30, d, d))
+    M[10:, :e.n, e.n:] = 0
+    M = np.concatenate([M, np.eye(d, dtype=np.int64)[None]]).astype(dt)
+    for t in (identities.residues(adapted.bil), identities.residues(adapted.tri)):
+        got, chain, want = _residual_routes(t.astype(dt), M, 5)
+        assert got.dtype == chain.dtype and got.shape == want.shape
+        assert (got == chain).all() and (got == want).all()
+        assert not got[-1].any()
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_morphism_residual_refuses_int64_overflow_as_the_chain_does(arity):
+    # at p = 1,000,003 the worst left side d^arity (p - 1)^(arity + 1)
+    # overflows int64 from d = 4 on for a bracket and at every d for a
+    # triple product; the kernel raises exactly where the chain does, also
+    # for an all-zero product, and agrees with it elsewhere
+    from bolext.bruteforce import _morphism_residual
+    from oracles import morphism_residual_by_chain
+
+    p = 1_000_003
+    rng = np.random.default_rng(arity)
+    raised = []
+    for d in range(1, 5):
+        M = rng.integers(0, p, size=(3, d, d))
+        for t in (np.zeros((d,) * (arity + 1), dtype=np.int64),
+                  rng.integers(0, p, size=(d,) * (arity + 1))):
+            outcomes = []
+            for kernel in (_morphism_residual, morphism_residual_by_chain):
+                try:
+                    outcomes.append(kernel(t, M, p))
+                except UnsupportedEnumerationError:
+                    outcomes.append(None)
+            got, chain = outcomes
+            assert (got is None) == (chain is None)
+            if got is None:
+                raised.append(d)
+            else:
+                assert got.dtype == chain.dtype == np.int64 and (got == chain).all()
+    assert raised == ([4, 4] if arity == 2 else [1, 1, 2, 2, 3, 3, 4, 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_morphism_residual_property(data):
+    # a product with a random support, dimension 1 to 4, arity 2 or 3 and
+    # batches of 0, 1 and 7 matrices: the kernel, the chain and the einsum
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 101]))
+    d = data.draw(st.integers(1, 4))
+    arity = data.draw(st.sampled_from([2, 3]))
+    shape = (d,) * (arity + 1)
+    support = data.draw(st.integers(0, d ** (arity + 1)))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    t = np.zeros(d ** (arity + 1), dtype=np.int64)
+    t[rng.choice(t.size, support, replace=False)] = rng.integers(1, p, size=support)
+    t = t.reshape(shape)
+    for k in (0, 1, 7):
+        M = rng.integers(0, p, size=(k, d, d))
+        got, chain, want = _residual_routes(t, M, p)
+        assert got.dtype == chain.dtype == _headroom_dtype(d ** arity, arity + 1, p)
+        assert got.shape == chain.shape == want.shape == (k,) + shape
+        assert (got == chain).all() and (got == want).all()
 
 
 def test_candidate_blocks_check_the_bound_when_called():
