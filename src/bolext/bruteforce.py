@@ -118,10 +118,13 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     the starting mask `ok` (default all true) stay false and are never
     evaluated.  Identities run cheapest first, each only on the survivors
     of the ones before it, in slices of at most `_ENTRIES` residual entries,
-    so the memory an identity takes does not grow with the batch.  A term is
-    bounded by `_term_bound` and contracted by `_contract`; an identity's
-    terms are summed unreduced, in a type that holds p and the sum of their
-    bounds, and reduced once.
+    so the memory an identity takes does not grow with the batch.  Only its
+    live terms (`identities.live`) are read: a term with a factor whose
+    largest entry is 0 contributes zero, and an identity with no live term
+    is not evaluated.  A term is bounded by `_term_bound` and contracted by
+    `_contract`; an identity's terms are summed unreduced and reduced once
+    by floor division, in a type that holds the sum of their bounds plus p
+    (a sum down to minus that total, less up to p - 1 for the floor).
 
     The pair rule: an identity with a pair form (`_pair_form`) is decided on
     its pair axis, the pairs a < b of its first two `where` letters (i, j),
@@ -146,11 +149,12 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     fixed = fixed or {}
     shapes = {name: a.shape[1:] for name, a in batch.items()}
     shapes.update((name, a.shape) for name, a in fixed.items())
-    checks = [(identities.axis_sizes(idt, shapes), idt)
-              for group in suite for idt in group.identities]
-    read = set().union(*(_reads(idt) for _, idt in checks))
+    every = [idt for group in suite for idt in group.identities]
+    read = set().union(*map(_reads, every))
     peak = {name: int(a.max(initial=0)) for name, a in {**batch, **fixed}.items()
             if name in read}
+    zero = frozenset(name for name, top in peak.items() if not top)
+    checks = [(identities.axis_sizes(idt, shapes), identities.live(idt, zero)) for idt in every]
     alternating = {}
 
     def alternates(name):
@@ -165,9 +169,11 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
         survivors = np.flatnonzero(ok)
         if not survivors.size:
             break
+        if not idt.terms:
+            continue
         bounds = [_term_bound(t, idt.axes, sizes, peak) for t in idt.terms]
         what = f"the terms of {idt.tag} mod {p}"
-        dtype = _narrowest(max(sum(bounds), p), what)
+        dtype = _narrowest(sum(bounds) + p, what)
         entries = prod(sizes[ch] for ch in idt.axes)
         step = max(1, _ENTRIES // max(entries, 1))
         form = _pair_form(idt)
@@ -281,7 +287,7 @@ def _zero_rows(idt, p: int, batch: dict, fixed: dict, idx: np.ndarray, sizes: di
                                     einsum=partial(_contract, worst, what),
                                     operands=[operand(name, axes) for name, axes in t.factors])
         (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
-    np.remainder(total, p, out=total)
+    total -= total // p * p  # mod p, faster than np.remainder
     return ~np.any(total, axis=tuple(range(1, total.ndim)))
 
 
@@ -457,12 +463,15 @@ def _triangular_slices(bil, tri, alphas, betas, p):
                                  guard], axis=1)
         g = _triangular(alphas, betas, np.repeat(pair, probes + 2),
                         digits.reshape(-1, width), n, m)
-        res = _residual_rows(bil, tri, g, p, keep).astype(np.int64)
-        res = res.reshape(len(pair), probes + 2, -1)
+        res = _residual_rows(bil, tri, g, p, keep).reshape(len(pair), probes + 2, -1)
         const = res[:, 0]
-        lin = (res[:, 1:-1] - const[:, None]) % p  # (k, probes, rows)
-        predicted = (const + np.einsum("ku,kur->kr", guard[:, 0, :probes].astype(np.int64),
-                                       lin)) % p
+        if probes:
+            const = const.astype(np.int64)
+            lin = (res[:, 1:-1] - const[:, None]) % p  # (k, probes, rows)
+            predicted = (const + np.einsum("ku,kur->kr", guard[:, 0, :probes].astype(np.int64),
+                                           lin)) % p
+        else:  # no linear part: the guard C must leave the C = 0 residual as it is
+            lin, predicted = res[:, 1:-1], const
         if not np.array_equal(predicted, res[:, -1]):
             raise InternalConsistencyError(
                 "the morphism residual is not affine in C on the rows solved")

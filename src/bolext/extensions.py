@@ -8,7 +8,7 @@ exactness, dims.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,10 +318,23 @@ def _valid_cocycles(zero: NonAbelianCocycle, variant, blocks):
 
 
 def _decoded(zero: NonAbelianCocycle, nu, om) -> list:
-    """The cocycles with the actions of `zero` and nu[k], om[k], one per k."""
+    """The cocycles with the actions of `zero` and nu[k], om[k], one per k.
+    The actions were checked when `zero` was built and the cochain shapes
+    are checked here, once per block, so no cocycle re-runs the checks of
+    its constructor (`_unchecked`)."""
     n, m, field = zero.n, zero.m, zero.field
-    return [replace(zero, nu=Cochain2(n, m, field, a), omega=Cochain3(n, m, field, b))
+    if nu.shape[1:] != (n, n, m) or om.shape[1:] != (n, n, n, m):
+        raise UsageError("cochain shapes do not match base and fiber")
+    return [_unchecked(zero, nu=_unchecked(zero.nu, grid=a), omega=_unchecked(zero.omega, grid=b))
             for a, b in zip(scalars(field, nu), scalars(field, om))]
+
+
+def _unchecked(value, **changes):
+    """`dataclasses.replace(value, **changes)` without the checks of
+    `__post_init__`, for changes already known to pass them."""
+    new = object.__new__(type(value))
+    new.__dict__.update(value.__dict__, **changes)
+    return new
 
 
 def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):

@@ -39,7 +39,10 @@ Three readers use the tables, each on the suite of one variant (`select`):
 `affine` reads the linear system in phi of an EQV, IND or Z1 suite over an
 abelian fiber; and `bruteforce.identity_mask` decides a batch of GF(p)
 structures on fixed-width residue arrays, as every brute-force search and
-the exactness verifier's `MOR` re-checks do.  Where every term of an
+the exactness verifier's `MOR` re-checks do.  All three drop the dead terms
+of an identity first (`live`): a term with a factor whose tensor is all
+zero on the data contributes exactly zero, so it is never contracted, and
+an identity with no live term is not evaluated.  Where every term of an
 identity has one factor that carries its first two `where` letters, first
 and in that order, and no other factor carries either, `identity_mask`
 reads a pair form off the table: on data alternating in those letters the
@@ -49,8 +52,9 @@ residual is alternating too, so the pairs a < b decide it.  `report` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional
 
@@ -59,7 +63,7 @@ import numpy as np
 from .core import ValidationReport, Variant
 
 __all__ = ["Term", "Identity", "Group", "BOL", "MOR", "REP", "COCYCLE", "NAB",
-           "EQV", "IND", "Z1", "select", "report", "affine", "residues"]
+           "EQV", "IND", "Z1", "select", "live", "report", "affine", "residues"]
 
 
 @dataclass(frozen=True)
@@ -418,6 +422,16 @@ def select(suite: tuple, variant: Variant) -> tuple:
         for g in suite)
 
 
+@lru_cache(maxsize=None)
+def live(identity: Identity, zero: frozenset) -> Identity:
+    """The identity without its dead terms, those with a factor named in
+    `zero` (the all-zero tensors): each contributes exactly zero.  Its axes
+    are sized from the full identity (`axis_sizes`), so a letter that only
+    dead terms carry still sizes the residual; it may have no terms."""
+    return replace(identity, terms=tuple(t for t in identity.terms
+                                         if zero.isdisjoint(name for name, _ in t.factors)))
+
+
 def contract(term: Term, out: str, arrays: dict, sizes: dict, batched=frozenset(),
              batch: str = "", einsum=np.einsum, operands=None) -> np.ndarray:
     """One term's contraction onto the axes `out`, after a leading batch axis
@@ -487,6 +501,10 @@ def _sum(terms, axes: str, ints: dict, sizes: dict, den: int, p, degree=None,
     return (total % p if p is not None else total), top
 
 
+def _zero_names(ints: dict) -> frozenset:
+    return frozenset(name for name, a in ints.items() if not a.any())
+
+
 def _scalars(field, values, den: int) -> tuple:
     """Summed Python ints as field scalars: residues, or over Q x / den."""
     if field.is_prime_field:
@@ -508,13 +526,16 @@ def report(suite: tuple, field, variant: Variant = Variant.CORRECTED,
     d^(K-k) for the identity's largest degree K."""
     ints, den = _integers(field, tensors)
     shapes = {name: a.shape for name, a in ints.items()}
+    zero = _zero_names(ints)
     p = field.p if field.is_prime_field else None
     rep = ValidationReport()
     for group in select(suite, variant):
         found = []
         for rank, identity in enumerate(group.identities):
-            total, top = _sum(identity.terms, identity.axes, ints,
-                              axis_sizes(identity, shapes), den, p)
+            terms = live(identity, zero).terms
+            if not terms:
+                continue
+            total, top = _sum(terms, identity.axes, ints, axis_sizes(identity, shapes), den, p)
             w = len(identity.where)
             hit = total.astype(bool).reshape(total.shape[:w] + (-1,)).any(axis=-1)
             for where in zip(*np.nonzero(hit)):
@@ -542,10 +563,11 @@ def affine(suite: tuple, field, n: int, m: int, **tensors) -> dict:
     its residuals, flattened row-major over `where` then `out`, are A x + b
     for x[q*m + t] = phi[t,q] (`cohomology._phi_from_params` order).  The
     tensors are given as in `report`, all but phi.  A contracts the terms
-    linear in phi with the unit maps, b sums the terms free of phi.  A term
-    of higher degree in phi must have an all-zero factor (vbil or vtri over
-    an abelian fiber), else ValueError."""
+    linear in phi with the unit maps, b sums the terms free of phi.  No live
+    term (`live`) may have degree two or more in phi (each such term needs
+    an all-zero vbil or vtri, as over an abelian fiber), else ValueError."""
     ints, den = _integers(field, tensors)
+    zero = _zero_names(ints)
     shapes = {name: a.shape for name, a in ints.items()}
     shapes["phi"] = (m, n)
     # unit[x, t, q] = 1 where x = q*m + t
@@ -553,19 +575,18 @@ def affine(suite: tuple, field, n: int, m: int, **tensors) -> dict:
     p = field.p if field.is_prime_field else None
     system = {}
     for identity in (i for group in suite for i in group.identities):
-        for t in identity.terms:
-            if _phi_degree(t) > 1 and all(ints[name].any()
-                                          for name, _ in t.factors if name != "phi"):
-                raise ValueError(f"{identity.tag} is not affine in phi")
+        terms = live(identity, zero).terms
+        if any(_phi_degree(t) > 1 for t in terms):
+            raise ValueError(f"{identity.tag} is not affine in phi")
         sizes = axis_sizes(identity, shapes)
         shape = tuple(sizes[ch] for ch in identity.axes)
-        linear, top = _sum([t for t in identity.terms if _phi_degree(t) == 1],
+        linear, top = _sum([t for t in terms if _phi_degree(t) == 1],
                            identity.axes, ints, sizes, den, p,
                            degree=lambda t: len(t.factors) - 1,
                            batched={"phi"}, batch="X")
         linear = np.broadcast_to(linear, (n * m,) + shape).reshape(n * m, -1)
         a = tuple(zip(*(_scalars(field, col, den ** top) for col in linear)))
-        free, top = _sum([t for t in identity.terms if not _phi_degree(t)],
+        free, top = _sum([t for t in terms if not _phi_degree(t)],
                          identity.axes, ints, sizes, den, p)
         system[identity.tag] = (a, _scalars(field, np.broadcast_to(free, shape).reshape(-1),
                                             den ** top))

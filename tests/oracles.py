@@ -357,3 +357,28 @@ def linear_part_by_probes(bil, tri, alphas, betas, p):
            (np.einsum("kcai,kcbj,kceh,abel->kcijhl", g, g, g, tri, optimize=True)
             - np.einsum("kclq,ijhq->kcijhl", g, tri)) % p)
     return tuple((r[:, 1:] - r[:, :1]) % p for r in res)
+
+
+def dense_residuals(suite, field, variant=None, **tensors):
+    """tag -> the residual of each identity of a suite (of one variant, if
+    marked) over its axes, `where` then `out`, as an object array of field
+    scalars: every term contracted by plain einsum on the scalars, terms
+    with an all-zero factor included.  An axis that no factor of a term
+    carries is met by a factor of ones."""
+    import numpy as np
+
+    arrays = {name: np.array(t, dtype=object) for name, t in tensors.items()}
+    out = {}
+    for idt in (i for g in suite for i in g.identities if i.variant in (None, variant)):
+        terms = [t for t in idt.terms if t.variant in (None, variant)]
+        sizes = {ch: s for t in idt.terms for name, idx in t.factors
+                 for ch, s in zip(idx, arrays[name].shape)}
+        total = np.full(tuple(sizes[ch] for ch in idt.axes), field.zero, dtype=object)
+        for t in terms:
+            ones = [ch for ch in idt.axes if all(ch not in idx for _, idx in t.factors)]
+            spec = ",".join([idx for _, idx in t.factors] + ones) + "->" + idt.axes
+            value = np.einsum(spec, *[arrays[name] for name, _ in t.factors],
+                              *[np.full(sizes[ch], field.one, dtype=object) for ch in ones])
+            total = total + value if t.sign > 0 else total - value
+        out[idt.tag] = total
+    return out

@@ -634,6 +634,36 @@ def test_identity_mask_bounds_only_the_tensors_its_suite_reads():
     assert got[0] and not got[2]
 
 
+@pytest.mark.parametrize("top, dtype", [(120, np.int16), (130, np.int32)])
+def test_zero_rows_reduce_exactly_at_the_int16_edge(monkeypatch, top, dtype):
+    # the residual c - a b mod p = 16,411, with a and b up to `top` and c
+    # up to 1,000: the terms' bounds sum to 15,400 or 17,900, below 2^15
+    # either way, but a sum of -130^2 = -16,900 < -p floors to -2p, below
+    # int16's range.  The sum type holds the bounds' sum plus p (int16 only
+    # for top 120), and the mask is the einsum's mod p
+    import bolext.bruteforce as bf
+
+    p = 16411
+    edge = identities.Identity("edge", "i", "r", (
+        identities.Term(1, (("c", "ir"),)), identities.Term(-1, (("a", "ir"), ("b", "ir")))))
+    rng = np.random.default_rng(top)
+    a, b = rng.integers(0, top + 1, size=(2, 64, 2, 2))
+    a[:4], b[:4] = top, top
+    c = rng.integers(0, 1001, size=(64, 2, 2))
+    c[::2] = np.minimum(a[::2] * b[::2] % p, 1000)
+    c[1], c[3] = 1000, 0  # c reaches its bound; c - a b reaches -top^2
+    real, types = bf._zero_rows, []
+
+    def spy(idt, *args):
+        types.append(args[6])
+        return real(idt, *args)
+    monkeypatch.setattr(bf, "_zero_rows", spy)
+    got = identity_mask((identities.Group(1, (edge,)),), p, {"a": a, "b": b, "c": c})
+    want = ~((c - np.einsum("kir,kir->kir", a, b)) % p).any(axis=(1, 2))
+    assert types == [dtype]
+    assert got.tolist() == want.tolist() and 0 < want.sum() < len(want)
+
+
 # the batched tensors of each table as `identity_mask` would be handed them
 _BATCHED = [(identities.BOL, {"bil", "tri"}),
             (identities.REP, {"mu", "theta", "dd"}),
@@ -938,29 +968,47 @@ def test_pair_form_changes_no_mask(monkeypatch, p, n, m, kind):
 
 
 def _spy_contract(monkeypatch):
-    """Record (label, result) of every `_contract` call."""
+    """Record (label, result) of every `_contract` call, after ("run", the
+    identity, the screen letter) of the `_zero_rows` call that makes it."""
     import bolext.bruteforce as bf
 
-    real, calls = bf._contract, []
+    real, rows, calls = bf._contract, bf._zero_rows, []
 
     def spy(worst, what, spec, *ops):
         value = real(worst, what, spec, *ops)
         calls.append((what, value))
         return value
+
+    def run(idt, *args):
+        calls.append(("run", idt, args[-2]))
+        return rows(idt, *args)
     monkeypatch.setattr(bf, "_contract", spy)
+    monkeypatch.setattr(bf, "_zero_rows", run)
     return calls
 
 
-def _residuals(calls, idt, p):
-    """The pass mask of each run of `idt`'s terms among the `_contract`
-    calls, rebuilt from their results (every term carries every axis)."""
-    mine = [value for what, value in calls if what == f"the terms of {idt.tag} mod {p}"]
-    k = len(idt.terms)
-    assert len(mine) % k == 0
+def _runs(calls, p):
+    """(identity, its contractions' results) of each `_zero_rows` call: one
+    contraction per term of the identity it was handed, its live terms."""
     out = []
-    for start in range(0, len(mine), k):
-        total = sum(t.sign * v.astype(np.int64) for t, v in zip(idt.terms, mine[start:start + k]))
-        out.append((total.shape, ~np.any(total % p, axis=tuple(range(1, total.ndim)))))
+    for k, call in enumerate(calls):
+        if call[0] == "run":
+            idt = call[1]
+            mine = calls[k + 1:k + 1 + len(idt.terms)]
+            assert [what for what, *_ in mine] == [f"the terms of {idt.tag} mod {p}"] * len(idt.terms)
+            out.append((idt, [value for _, value in mine]))
+    return out
+
+
+def _residuals(calls, tag, p):
+    """The pass mask of each run of the identity `tag` among the calls,
+    rebuilt from the results of its live terms (every term carries every
+    axis)."""
+    out = []
+    for idt, values in _runs(calls, p):
+        if idt.tag == tag:
+            total = sum(t.sign * v.astype(np.int64) for t, v in zip(idt.terms, values))
+            out.append((total.shape, ~np.any(total % p, axis=tuple(range(1, total.ndim)))))
     return out
 
 
@@ -977,11 +1025,10 @@ def test_screen_prunes_the_census_glue(F5, monkeypatch):
     census = semidirect_iff_census(F5, 2, 1)
     assert (census.algebras, census.candidates_per_algebra, census.valid_pairs,
             census.discrepancies) == (25, 78125, 1225, [])
-    tags = {i.tag: i for g in identities.BOL for i in g.identities}
     # the glue has 3 basis vectors, the 25 enumerated algebras 2
-    (shape, skew), = [r for r in _residuals(calls, tags["star-skew"], 5) if r[0][-1] == 3]
+    (shape, skew), = [r for r in _residuals(calls, "star-skew", 5) if r[0][-1] == 3]
     assert shape == (5 ** 6, 3, 3, 3)
-    runs = [r for r in _residuals(calls, tags["mixed-product"], 5) if r[0][-1] == 3]
+    runs = [r for r in _residuals(calls, "mixed-product", 5) if r[0][-1] == 3]
     step = _ENTRIES // 3 ** 5
     starts, v, left = [], 0, 0
     seen, kept = [0, 0, 0], [0, 0, 0]
@@ -1006,28 +1053,23 @@ def test_screen_prunes_the_census_glue(F5, monkeypatch):
 def test_small_batches_make_one_contraction_per_term(F5, monkeypatch, ext_h3_f5):
     # a classify-z2 chunk (125 rows) and the MOR re-checks of the exactness
     # verifier (480 rows and fewer) stay at or below _ENTRIES: every
-    # identity they reach makes one contraction per term, unsliced
-    import bolext.bruteforce as bf
+    # identity they reach makes one contraction per live term, unsliced.
+    # The classification's actions, fiber and base bracket are zero, so only
+    # the nu and omega terms of three NAB identities are live; e_h3's total
+    # has a zero bracket, so mor-bracket is decided with no contraction
     from bolext.extensions import classify_corpus
     from bolext.wells import verify_wells_exactness
 
-    real, runs = bf._zero_rows, []
-
-    def spy(idt, *args):
-        runs.append((idt, args[-2]))
-        return real(idt, *args)
-    monkeypatch.setattr(bf, "_zero_rows", spy)
     calls = _spy_contract(monkeypatch)
     assert classify_corpus(z2(F5), z1(F5))[0] == 125
+    runs = _runs(calls, 5)
+    assert [(idt.tag, len(values)) for idt, values in runs] == \
+        [("nu-skew", 2), ("omega-skew", 2), ("omega-cyclic", 3)]
     assert verify_wells_exactness(ext_h3_f5).kernel_wells_equals_kappa_image
-    assert runs and all(letter == "" for _, letter in runs)
-    assert {"nu-skew", "mor-star", "mor-bracket"} <= {idt.tag for idt, _ in runs}
-    want = {}
-    for idt, _ in runs:
-        what = f"the terms of {idt.tag} mod 5"
-        want[what] = want.get(what, 0) + len(idt.terms)
-    got = {}
-    for what, _ in calls:
-        if what.startswith("the terms of "):  # not the morphism scans
-            got[what] = got.get(what, 0) + 1
-    assert got == want
+    runs = _runs(calls, 5)
+    assert all(call[2] == "" for call in calls if call[0] == "run")
+    assert "mor-star" in {idt.tag for idt, _ in runs}
+    assert "mor-bracket" not in {idt.tag for idt, _ in runs}
+    made = [what for what, *_ in calls if what.startswith("the terms of ")]
+    assert not [what for what in made if "mor-bracket" in what]
+    assert len(made) == sum(len(values) for _, values in runs)

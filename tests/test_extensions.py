@@ -320,19 +320,65 @@ def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):
 
 
 def test_abelian_fiber_decodes_only_the_representatives(F5, monkeypatch):
-    # 125 valid cocycles of s2 x z1 in 25 classes: besides the zero cocycle
-    # of the actions, a NonAbelianCocycle is built per class, not per row
-    built = []
-    post_init = NonAbelianCocycle.__post_init__
+    # 125 valid cocycles of s2 x z1 in 25 classes: a NonAbelianCocycle is
+    # decoded per class, not per row, and only the zero cocycle of the
+    # actions runs the constructor's checks
+    built, decoded = [], []
+    post_init, decode = NonAbelianCocycle.__post_init__, extensions._decoded
 
     def spy(self):
         built.append(self)
         post_init(self)
 
+    def decode_spy(*args):
+        out = decode(*args)
+        decoded.extend(out)
+        return out
+
     monkeypatch.setattr(NonAbelianCocycle, "__post_init__", spy)
+    monkeypatch.setattr(extensions, "_decoded", decode_spy)
     count, reps, valid = classify_corpus(s2(F5), zero_algebra(F5, 1))
     assert (count, valid) == (25, 125)
-    assert len(built) == 1 + 25 and built[1:] == reps
+    assert len(built) == 1 and decoded == reps
+
+
+@pytest.mark.parametrize("base, fiber", [(s2, lambda F: zero_algebra(F, 1)), (z1, s2)])
+def test_decoded_cocycles_equal_the_constructed_ones(F5, base, fiber):
+    # every decoded representative, abelian fiber or not, equals the cocycle
+    # the public constructor builds from its parts, which checks them all
+    _, reps, _ = classify_corpus(base(F5), fiber(F5))
+    assert reps
+    for c in reps:
+        built = NonAbelianCocycle(c.base, c.fiber, Cochain2(c.n, c.m, F5, c.nu.grid),
+                                  Cochain3(c.n, c.m, F5, c.omega.grid), c.mu, c.theta, c.dd)
+        assert built == c and hash(built) == hash(c)
+        assert (type(c.nu), type(c.omega)) == (Cochain2, Cochain3)
+
+
+def test_decoded_cochains_of_a_wrong_shape_are_refused(F5):
+    import numpy as np
+
+    zero = NonAbelianCocycle.zero(s2(F5), zero_algebra(F5, 1))
+    nu, om = np.zeros((1, 2, 2, 1), dtype=np.int64), np.zeros((1, 2, 2, 2, 1), dtype=np.int64)
+    assert _decoded(zero, nu, om) == [zero]
+    with pytest.raises(UsageError, match="^cochain shapes do not match base and fiber$"):
+        _decoded(zero, nu[:, :, :, :0], om)
+    with pytest.raises(UsageError, match="^cochain shapes do not match base and fiber$"):
+        _decoded(zero, nu, om[:, :1])
+
+
+def test_constructor_refuses_a_bad_action_matrix(F5):
+    # decoding skips the action checks; the public constructor keeps them
+    zero = NonAbelianCocycle.zero(s2(F5), zero_algebra(F5, 1))
+    wide = Matrix.zeros(F5, 1, 2)
+    for mu in ((wide, zero.mu[1]), (Matrix.zeros(PrimeField(7), 1, 1), zero.mu[1]),
+               ("not a matrix", zero.mu[1])):
+        with pytest.raises(UsageError, match="^action matrix has wrong shape or field$"):
+            NonAbelianCocycle(zero.base, zero.fiber, zero.nu, zero.omega, mu, zero.theta,
+                              zero.dd)
+    theta = ((zero.theta[0][0], wide), zero.theta[1])
+    with pytest.raises(UsageError, match="^action matrix has wrong shape or field$"):
+        NonAbelianCocycle(zero.base, zero.fiber, zero.nu, zero.omega, zero.mu, theta, zero.dd)
 
 
 def test_corrupted_class_witness_raises(monkeypatch):

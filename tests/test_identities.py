@@ -597,3 +597,114 @@ def test_affine_reader_agrees_with_report(data):
                 for k, idx in enumerate(np.ndindex(shape))}
         assert {v.where: v.residual for v in rep.violations if v.tag == tag} == \
             {idx: r for idx, r in want.items() if any(r)}
+
+
+# ---------------------------------------------------------------------------
+# the readers' live terms sum to what every term sums to
+
+_SHAPES = {"bil": "nnn", "tri": "nnnn", "nu": "nnm", "om": "nnnm", "mu": "nmm",
+           "theta": "nnmm", "dd": "nnmm", "vbil": "mmm", "vtri": "mmmm", "f": "nn",
+           "alpha": "nn", "beta": "mm", "phi": "mn"}
+
+
+def _tensors(field, rng, names, zero, n, m):
+    """Random tensors of the tables' names (nu1 as nu, ...), those in
+    `zero` all zero."""
+    out = {}
+    for name in names:
+        shape = tuple(n if ch == "n" else m for ch in _SHAPES[name.rstrip("1")])
+        out[name] = (np.full(shape, field.zero, dtype=object).tolist() if name in zero
+                     else _grid(field, rng, shape))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_readers_agree_with_the_dense_reader(data):
+    # random tensors, a random set of them all zero: the violations and
+    # residuals of `report`, the systems of `affine` (over an abelian fiber)
+    # and the masks of `identity_mask` (over GF(p)), which read only the
+    # live terms, equal what the dense reader, contracting every term, gives
+    from bolext import identities
+    from bolext.bruteforce import identity_mask
+    from oracles import dense_residuals
+
+    field = data.draw(st.sampled_from([F5, PrimeField(7), Q]))
+    table, variant = data.draw(st.sampled_from(
+        [("BOL", None), ("MOR", None), ("REP", None), ("COCYCLE", Variant.CORRECTED),
+         ("COCYCLE", Variant.STRICT), ("NAB", Variant.CORRECTED), ("NAB", Variant.STRICT),
+         ("EQV", None), ("IND", None), ("Z1", None)]))
+    suite = getattr(identities, table)
+    variant = variant or Variant.CORRECTED
+    n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    names = sorted({f for g in suite for i in g.identities for t in i.terms for f, _ in t.factors})
+    zero = data.draw(st.sets(st.sampled_from(names)))
+    abelian = table in ("EQV", "IND", "Z1") and data.draw(st.booleans())
+    if abelian:
+        zero |= {"vbil", "vtri"}
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    tensors = _tensors(field, rng, names, zero, n, m)
+    dense = dense_residuals(suite, field, variant, **tensors)
+    by_tag = {i.tag: (g, i) for g in suite for i in g.identities}
+
+    want = {}
+    for tag, r in dense.items():
+        group, idt = by_tag[tag]
+        for where in np.ndindex(r.shape[:len(idt.where)]):
+            residual = tuple(r[where].ravel())
+            if any(x != field.zero for x in residual) \
+                    and not (group.triangle and where[1] < where[0]):
+                want[tag, where] = residual
+    rep = report(suite, field, variant, **tensors)
+    assert {(v.tag, v.where): v.residual for v in rep.violations} == want
+
+    if abelian:
+        rest = {k: v for k, v in tensors.items() if k != "phi"}
+        units = np.eye(n * m + 1, n * m, k=-1, dtype=int)  # phi = 0, then the unit maps
+        at = [dense_residuals(suite, field, variant, phi=[[field.scalar(int(u[q * m + t]))
+                                                           for q in range(n)]
+                                                          for t in range(m)], **rest)
+              for u in units]
+        for tag, (a, b) in affine(suite, field, n, m, **rest).items():
+            free = at[0][tag].ravel()
+            assert b == tuple(free)
+            assert a == tuple(zip(*(tuple(d[tag].ravel() - free) for d in at[1:])))
+
+    if field.is_prime_field:
+        batched = data.draw(st.sets(st.sampled_from(names), min_size=1))
+        other = _tensors(field, rng, names, zero, n, m)
+        rows = [tensors, {**tensors, **{k: other[k] for k in batched}}]
+        batch = {k: np.stack([residues(r[k]) for r in rows]) for k in batched}
+        fixed = {k: residues(tensors[k]) for k in names if k not in batched}
+        passes = [{tag: all(x == field.zero for x in r.ravel())
+                   for tag, r in dense_residuals(suite, field, variant, **row).items()}
+                  for row in rows]
+        chosen = identities.select(suite, variant)
+        for idt in (i for g in chosen for i in g.identities):
+            alone = (identities.Group(len(idt.where), (idt,)),)
+            assert identity_mask(alone, field.p, batch, fixed).tolist() == \
+                [p[idt.tag] for p in passes]
+        assert identity_mask(chosen, field.p, batch, fixed).tolist() == \
+            [all(p.values()) for p in passes]
+
+
+def test_a_letter_only_dead_terms_carry_still_sizes_the_residual():
+    # no table has one, but the readers size every axis from the whole
+    # identity: with b all zero, the live a(ir) is broadcast along j
+    from bolext import identities
+    from bolext.bruteforce import identity_mask
+    from oracles import dense_residuals
+
+    idt = identities.Identity("lone", "ij", "r", (
+        identities.Term(1, (("a", "ir"),)), identities.Term(1, (("b", "ijr"),))))
+    suite = (identities.Group(2, (idt,)),)
+    a = ((F5.scalar(1),), (F5.zero,))
+    b = np.full((2, 3, 1), F5.zero, dtype=object).tolist()
+    dense = dense_residuals(suite, F5, a=a, b=b)["lone"]
+    assert dense.shape == (2, 3, 1)
+    rep = report(suite, F5, a=a, b=b)
+    assert [(v.where, v.residual) for v in rep.violations] == \
+        [((0, j), (F5.scalar(1),)) for j in range(3)] == \
+        [(w, tuple(dense[w])) for w in np.ndindex(2, 3) if dense[w].any()]
+    ints = {"a": np.stack([residues(a), 0 * residues(a)]), "b": np.zeros((2, 2, 3, 1), dtype=int)}
+    assert identity_mask(suite, 5, ints).tolist() == [False, True]
