@@ -20,9 +20,9 @@ from .exactlin import (Matrix, ModP, PrimeField, RATIONALS, Rationals, Subspace,
                        enumerate_vectors, kernel_basis, quotient_dim, rref,
                        solve_linear)
 from .extensions import (Extension, Section, as_extension, canonical_section,
-                         classify_corpus, e_h3, extensions_equivalent,
-                         extract_cocycle, make_section, semidirect_extension,
-                         theta_map, validate_extension)
+                         classify_corpus, classify_rows, e_h3,
+                         extensions_equivalent, extract_cocycle, make_section,
+                         semidirect_extension, theta_map, validate_extension)
 from .nonabelian import (NonAbelianCocycle, build_extension_algebra,
                          cocycles_equivalent_via, solve_equivalence,
                          validate_nab_cocycle, validate_nab_full)

@@ -21,7 +21,7 @@ from .core import DEFAULT_ENUMERATION_BOUND, Decision, Status, Variant
 from .errors import (InternalConsistencyError, ParseError,
                      UnsupportedEnumerationError, UsageError)
 from .exactlin import Matrix, PrimeField, RATIONALS, enumerate_vectors
-from .extensions import (as_extension, canonical_section, classify_corpus,
+from .extensions import (as_extension, canonical_section, classify_rows,
                          extensions_equivalent, extract_cocycle, make_section,
                          validate_extension)
 from .nonabelian import (cocycles_equivalent_via, solve_equivalence,
@@ -225,14 +225,13 @@ def _cmd_classify(args):
         if r.algebra_dim != base.dim or r.module_dim != fiber.dim:
             raise UsageError("action document does not match base and fiber")
         actions = (r.mu, r.theta, r.dd)
-    count, reps, valid = classify_corpus(base, fiber, actions, args.bound,
-                                         args.variant)
+    _, (nu, om), valid = classify_rows(base, fiber, actions, args.bound, args.variant)
     print(f"valid-cocycles: {valid}")
-    print(f"classes: {count}")
+    print(f"classes: {len(nu)}")
     if not args.count_only:
-        for k, c in enumerate(reps):
-            print(f"representative {k}:",
-                  json.dumps(docs.cochain_pair_to_doc(c.nu, c.omega)))
+        # over GF(p) a cochain document is the nested list of its residues
+        for k, (a, b) in enumerate(zip(nu.tolist(), om.tolist())):
+            print(f"representative {k}:", json.dumps({"nu": a, "omega": b}))
     return 0
 
 

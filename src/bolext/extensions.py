@@ -30,7 +30,7 @@ from .representation import Representation
 __all__ = [
     "Extension", "Section", "validate_extension", "canonical_section",
     "make_section", "extract_cocycle", "as_extension", "semidirect_extension",
-    "extensions_equivalent", "theta_map", "classify_corpus", "e_h3",
+    "extensions_equivalent", "theta_map", "classify_corpus", "classify_rows", "e_h3",
 ]
 
 
@@ -267,15 +267,27 @@ def theta_map(e: Extension) -> NonAbelianCocycle:
 def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
                     bound: int = DEFAULT_ENUMERATION_BOUND,
                     variant: Variant = Variant.CORRECTED):
+    """`classify_rows`, each representative decoded: (class count, list of
+    one representative per class, valid count)."""
+    zero, (nu, om), valid_count = classify_rows(base, fiber, actions, bound, variant)
+    reps = _decoded(zero, nu, om)
+    return len(reps), reps, valid_count
+
+
+def classify_rows(base: BolAlgebra, fiber: BolAlgebra, actions=None,
+                  bound: int = DEFAULT_ENUMERATION_BOUND,
+                  variant: Variant = Variant.CORRECTED):
     """Enumerate all valid cocycles with the given fixed action maps over a
     prime field and partition them into equivalence classes.
 
     An abelian fiber is classed on residue arrays by coset key
-    (`_coset_classes`), and only its representatives are decoded; any other
-    fiber by pairwise search (`_pairwise_classes`).  Either way the first
-    valid cocycle of each class, in candidate order, represents it.
+    (`_coset_classes`), with nothing decoded; any other fiber by pairwise
+    search (`_pairwise_classes`), its representatives read back by
+    `residues`.  Either way the first valid cocycle of each class, in
+    candidate order, represents it.
 
-    Returns (class count, list of one representative per class, valid count).
+    Returns (the zero cocycle with the actions, the representatives' residue
+    rows (nu[k], om[k]) stacked, valid count).
     """
     field = base.field
     if not field.is_prime_field:
@@ -291,11 +303,15 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
         field.p, CochainCoords(base.dim, fiber.dim, field).total, bound, "cocycles"))
     if fiber.is_abelian():
         (nu, om), valid_count = _coset_classes(zero, valid)
-        reps = _decoded(zero, nu, om)
     else:
         reps, valid_count = _pairwise_classes(
             (c for nu, om in valid for c in _decoded(zero, nu, om)), bound)
-    return len(reps), reps, valid_count
+        nu, om = (residues([getattr(c, name).grid for c in reps]) for name in ("nu", "omega"))
+    if not valid_count:  # no row: empty stacks of the cochain shapes
+        n, m = base.dim, fiber.dim
+        nu, om = np.zeros((0, n, n, m), int), np.zeros((0, n, n, n, m), int)
+    _check_shapes(zero, nu, om)
+    return zero, (nu, om), valid_count
 
 
 def _valid_cocycles(zero: NonAbelianCocycle, variant, blocks):
@@ -322,11 +338,16 @@ def _decoded(zero: NonAbelianCocycle, nu, om) -> list:
     The actions were checked when `zero` was built and the cochain shapes
     are checked here, once per block, so no cocycle re-runs the checks of
     its constructor (`_unchecked`)."""
-    n, m, field = zero.n, zero.m, zero.field
+    _check_shapes(zero, nu, om)
+    return [_unchecked(zero, nu=_unchecked(zero.nu, grid=a), omega=_unchecked(zero.omega, grid=b))
+            for a, b in zip(scalars(zero.field, nu), scalars(zero.field, om))]
+
+
+def _check_shapes(zero: NonAbelianCocycle, nu, om):
+    """Refuse stacked cochains not shaped over the base and fiber of `zero`."""
+    n, m = zero.n, zero.m
     if nu.shape[1:] != (n, n, m) or om.shape[1:] != (n, n, n, m):
         raise UsageError("cochain shapes do not match base and fiber")
-    return [_unchecked(zero, nu=_unchecked(zero.nu, grid=a), omega=_unchecked(zero.omega, grid=b))
-            for a, b in zip(scalars(field, nu), scalars(field, om))]
 
 
 def _unchecked(value, **changes):

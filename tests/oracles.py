@@ -252,6 +252,21 @@ def valid_cocycles_oracle(base, fiber, actions, variant, vectors=None):
             yield cand
 
 
+def classify_text(count, reps, valid, count_only=False):
+    """The stdout of `bolext classify` built from `classify_corpus`'s result
+    by the document encoder: each representative, a cocycle of field
+    scalars, as `json.dumps` of its `cochain_pair_to_doc`."""
+    import json
+
+    from bolext.documents import cochain_pair_to_doc
+
+    lines = [f"valid-cocycles: {valid}", f"classes: {count}"]
+    if not count_only:
+        lines += [f"representative {k}: " + json.dumps(cochain_pair_to_doc(c.nu, c.omega))
+                  for k, c in enumerate(reps)]
+    return "".join(line + "\n" for line in lines)
+
+
 def checked_automorphisms_oracle(auts, a, component, role):
     """(automorphisms, inverses) as residue arrays, each matrix checked by
     the scalar `Matrix.is_invertible` and `bol.is_morphism` and inverted by

@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bolext.cli import main
+from bolext.core import Variant
 
 from conftest import corpus_dir
+from oracles import classify_text
 
 
 def run_cli(*argv):
@@ -279,6 +281,85 @@ def test_classify_golden_output(argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+@pytest.mark.parametrize("base, fiber, variant, actions", [
+    (f"{b}_gf5.bol", f"{f}_gf5.bol", v, None)
+    for b in ("z1", "z2", "s2") for f in ("z1", "s2", "z2")
+    for v in ("corrected", "strict-paper")
+] + [("s2_gf5.bol", "z1_gf5.bol", "corrected", "r_s2_gf5.rep")])
+def test_classify_prints_the_document_of_each_representative(base, fiber, variant, actions):
+    # the CLI prints residue rows; the document route decodes each
+    # representative of classify_corpus and encodes it by cochain_pair_to_doc.
+    # Over z2 x z2 that is 15,625 classes, each its own representative
+    from bolext import documents as docs
+    from bolext.extensions import classify_corpus
+
+    argv = ["--variant", variant, "classify", "--base", C(base), "--fiber", C(fiber)]
+    acts = None
+    if actions is not None:
+        argv += ["--actions", C(actions)]
+        r = docs.parse_document(C(actions), "representation")
+        acts = (r.mu, r.theta, r.dd)
+    result = classify_corpus(docs.parse_document(C(base), "algebra"),
+                             docs.parse_document(C(fiber), "algebra"), acts,
+                             variant=Variant(variant))
+    for count_only in (False, True):
+        code, out = run_cli(*argv, *["--count-only"] * count_only)
+        # compared line by line: a diff of the whole text is slow to report
+        want = classify_text(*result, count_only)
+        assert code == 0 and out.splitlines() == want.splitlines() and out.endswith("\n")
+
+
+def test_classify_prints_an_abelian_fiber_without_decoding(F5, monkeypatch):
+    # z2 x z1: 125 classes printed from residue rows.  Nothing is decoded
+    # into field scalars, and the one cocycle whose constructor runs its
+    # checks is the zero cocycle that carries the actions
+    import bolext.extensions as extensions
+    import bolext.identities as identities
+    from bolext.bol import z1, z2
+    from bolext.nonabelian import NonAbelianCocycle
+
+    def no_scalars(*args):
+        raise AssertionError("a residue row was decoded")
+
+    built, post_init = [], NonAbelianCocycle.__post_init__
+    zero = NonAbelianCocycle.zero(z2(F5), z1(F5))
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(identities, "scalars", no_scalars)
+    monkeypatch.setattr(extensions, "scalars", no_scalars)
+    monkeypatch.setattr(NonAbelianCocycle, "__post_init__", spy)
+    code, out = run_cli("classify", "--base", C("z2_gf5.bol"), "--fiber", C("z1_gf5.bol"))
+    assert code == 0 and out.splitlines()[:2] == ["valid-cocycles: 125", "classes: 125"]
+    assert len(out.splitlines()) == 127 and built == [zero]
+
+
+def test_classify_with_no_valid_cocycle(F5, tmp_path):
+    # actions under which no (nu, omega) passes the suite: no class, not a
+    # refused shape
+    from bolext import documents as docs
+    from bolext.bol import s2, zero_algebra
+    from bolext.extensions import classify_corpus
+
+    from oracles import valid_cocycles_oracle
+
+    doc = json.loads((corpus_dir() / "r_s2_gf5.rep").read_text())
+    doc["theta"][0][1] = doc["D"][0][1] = [[1]]
+    doc["D"][1][0] = [[4]]
+    rep = tmp_path / "actions.rep"
+    rep.write_text(json.dumps(doc))
+    r = docs.parse_document(str(rep), "representation")
+    actions = (r.mu, r.theta, r.dd)
+    assert not list(valid_cocycles_oracle(s2(F5), zero_algebra(F5, 1), actions,
+                                          Variant.CORRECTED))
+    assert classify_corpus(s2(F5), zero_algebra(F5, 1), actions) == (0, [], 0)
+    code, out = run_cli("classify", "--base", C("s2_gf5.bol"), "--fiber", C("z1_gf5.bol"),
+                        "--actions", str(rep))
+    assert (code, out) == (0, "valid-cocycles: 0\nclasses: 0\n")
+
+
 def test_classify_count_only():
     code, out = run_cli("classify", "--base", C("z1_gf5.bol"),
                         "--fiber", C("z1_gf5.bol"), "--count-only")
@@ -394,7 +475,7 @@ def test_internal_consistency_error_exit_2(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalConsistencyError("class witness failed verification")
 
-    monkeypatch.setattr(cli, "classify_corpus", broken)
+    monkeypatch.setattr(cli, "classify_rows", broken)
     code, out = run_cli("classify", "--base", C("z1_gf5.bol"),
                         "--fiber", C("z1_gf5.bol"))
     err = capsys.readouterr().err
