@@ -6,21 +6,13 @@ automorphism scan, the census's action tuples, the maps phi over a
 non-abelian fiber, the cocycles of a classification) takes its candidates
 from one stream, `candidate_blocks`: the p^width digit strings of its
 parameters in lexicographic order (once per outer index), checked against
-the bound once and read in fixed-size chunks, by `identity_mask` where a
-table decides them.  `identity_mask` screens an identity whose residual
-over its survivors is larger than `_ENTRIES` one value of its first `where`
-axis at a time, each value only on the rows the values before it passed:
-a row fails when one entry of its residual is nonzero mod p, so a failure
-on one value's slice decides it, and the mask does not change.  An
-identity with a pair form (`_pair_form`) is decided on the pairs a < b of
-its first two `where` axes alone, when every tensor that carries them is
-alternating on the data handed in: its residual is then alternating in
-(i, j), so it vanishes everywhere exactly when it vanishes on a < b.  The
-factored scan of block-triangular automorphisms
-checks the bound on all its candidates too, but solves for the blocks C its
-morphism residual allows, from a linear system it probes where the system
-can be nonzero, tests only those, and streams what it finds slice by slice
-(`triangular_arrays`).  Only the flat scan is limited to dimension <= 3.
+the bound once and read in fixed-size chunks, by `identity_mask` (joins
+over the supports of each term's factors) where a table decides them.  The
+factored scan of block-triangular automorphisms checks the bound on all its
+candidates too, but solves for the blocks C its morphism residual allows,
+from a linear system it probes where the system can be nonzero, tests only
+those, and streams what it finds slice by slice (`triangular_arrays`).
+Only the flat scan is limited to dimension <= 3.
 
 Every mod-p elimination here (the batched inverses of `inverse_mod`, the
 factored scan's per-pair systems, the class keys and witnesses of
@@ -30,8 +22,8 @@ pivots as in `Matrix.rref`.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache, partial
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -41,7 +33,7 @@ from . import identities
 from .errors import InternalConsistencyError, UnsupportedEnumerationError
 
 _CHUNK = 1 << 16
-# residual entries per slice of an identity's survivors in `identity_mask`
+# residual or gathered entries per slice of an identity in `identity_mask`
 _ENTRIES = 1 << 19
 # the letter of the pair axis of a pair form; the tables use lower case only
 _PAIR = "P"
@@ -109,60 +101,42 @@ def skew_from_params(params: np.ndarray, n: int, shape: tuple, p: int) -> np.nda
 
 def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray:
     """Mask of the batch entries that satisfy every identity of a suite
-    without variant marks: an `identities` table (`BOL`, `REP`, `EQV`, ...),
-    the suite of one variant (`identities.select`), or a part of one
-    (`reading`).
+    without variant marks: an `identities` table, the suite of one variant
+    (`identities.select`), or a part of one (`reading`).
 
     `batch` maps tensor names to residue arrays with a leading batch axis,
-    `fixed` to residue arrays shared by the whole batch.  Entries false in
-    the starting mask `ok` (default all true) stay false and are never
-    evaluated.  Identities run cheapest first, each only on the survivors
-    of the ones before it, in slices of at most `_ENTRIES` residual entries,
-    so the memory an identity takes does not grow with the batch.  Only its
-    live terms (`identities.live`) are read: a term with a factor whose
-    largest entry is 0 contributes zero, and an identity with no live term
-    is not evaluated.  A term is bounded by `_term_bound` and contracted by
-    `_contract`; an identity's terms are summed unreduced and reduced once
-    by floor division, in a type that holds the sum of their bounds plus p
-    (a sum down to minus that total, less up to p - 1 for the floor).
+    `fixed` to residue arrays shared by the whole batch; entries false in
+    the starting mask `ok` stay false, unevaluated.  Each tensor read is
+    laid out once, batch axis last (`_layout`).  Identities run cheapest
+    first, each on the survivors of the ones before it, in slices whose
+    residual and largest gather hold at most `_ENTRIES` entries.  Only live
+    terms (`identities.live`) are read, each joined over the supports of
+    its factors (`_plan`), and summed unreduced in a type that holds their
+    bounds (`_term_bound`) plus p, then reduced once.
 
-    The pair rule: an identity with a pair form (`_pair_form`) is decided on
-    its pair axis, the pairs a < b of its first two `where` letters (i, j),
-    when every tensor its pair form gathers is alternating mod p on the data
-    handed in (`_alternating`, once per tensor and call); otherwise on every
-    (i, j).  The mask is the same: every term is then alternating in (i, j),
-    so the residual at (b, a) is minus the one at (a, b) and the one at
-    (a, a) is zero, and it vanishes everywhere exactly when it vanishes on
-    a < b.  Slices and the screen below are sized by the residual over every
-    (i, j), so a pair form's slice holds as many rows as the identity's.
+    The pair rule: an identity with a pair form (`_pair_form`) is decided
+    on the pairs a < b of its first two `where` letters (i, j) when every
+    tensor its pair form gathers is alternating mod p (`_alternating`):
+    every term is then alternating too, so the residual vanishes exactly
+    when it vanishes on a < b.  Slices and the screen are sized by the
+    residual over every (i, j).
 
     The screen: an identity whose residual over the survivors exceeds
     `_ENTRIES` entries is decided in each slice one value v of its first
-    `where` axis (the pair axis of a pair form) at a time, each value only
-    on the rows that passed the values before it (`_zero_rows` at (letter,
-    v)).  The mask is the same: a row passes when every entry of its
-    residual is zero mod p, so a row with a nonzero entry on one value's
-    slice fails, and a row passes every value's slice exactly when it
-    passes the whole residual.  Smaller identities make one contraction per
-    term and slice.
+    `where` axis at a time (`_zero_rows` at (letter, v)), each only on the
+    rows that passed the values before it: a row passes exactly when every
+    entry of its residual is zero mod p.
     """
     fixed = fixed or {}
-    shapes = {name: a.shape[1:] for name, a in batch.items()}
-    shapes.update((name, a.shape) for name, a in fixed.items())
     every = [idt for group in suite for idt in group.identities]
     read = set().union(*map(_reads, every))
-    peak = {name: int(a.max(initial=0)) for name, a in {**batch, **fixed}.items()
-            if name in read}
+    layout = {name: _layout(name, a, name in batch) for name, a in {**batch, **fixed}.items()
+              if name in read}
+    peak = {name: int(rows.max(initial=0)) for name, (rows, _) in layout.items()}
     zero = frozenset(name for name, top in peak.items() if not top)
+    shapes = {name: key[1] for name, (_, key) in layout.items()}
     checks = [(identities.axis_sizes(idt, shapes), identities.live(idt, zero)) for idt in every]
-    alternating = {}
-
-    def alternates(name):
-        if name not in alternating:
-            alternating[name] = _alternating(fixed[name] if name in fixed else batch[name], p,
-                                             name not in fixed, peak[name])
-        return alternating[name]
-
+    alternates = lru_cache(None)(lambda name: _alternating(*layout[name], p, peak[name]))
     rows = len(next(iter(batch.values())))
     ok = np.ones(rows, dtype=bool) if ok is None else ok.copy()
     for sizes, idt in sorted(checks, key=lambda c: _identity_cost(*c)):
@@ -172,19 +146,18 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
         if not idt.terms:
             continue
         bounds = [_term_bound(t, idt.axes, sizes, peak) for t in idt.terms]
-        what = f"the terms of {idt.tag} mod {p}"
-        dtype = _narrowest(sum(bounds) + p, what)
+        dtype = _narrowest(sum(bounds) + p, f"the terms of {idt.tag} mod {p}")
         entries = prod(sizes[ch] for ch in idt.axes)
-        step = max(1, _ENTRIES // max(entries, 1))
         form = _pair_form(idt)
         if form is not None and all(map(alternates, _paired(form))):
             d = sizes[idt.where[0]]
             sizes, idt = {**sizes, _PAIR: d * (d - 1) // 2}, form
+        key = idt, tuple(sizes.items()), tuple(layout[name][1] for name in sorted(_reads(idt)))
+        step = max(1, _ENTRIES // max(entries, _plan(*key, "", 0)[1]))
         lead = idt.where[:1] if survivors.size * entries > _ENTRIES else ""
         for idx in np.split(survivors, range(step, survivors.size, step)):
             for v in range(sizes[lead]) if lead else (0,):
-                passed = _zero_rows(idt, p, batch, fixed, idx, sizes, bounds, dtype, what,
-                                    lead, v)
+                passed = _zero_rows(key, p, layout, idx, bounds, dtype, lead, v)
                 ok[idx] = passed
                 idx = idx[passed]
                 if not idx.size:
@@ -192,17 +165,28 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     return ok
 
 
+def _support(flat: np.ndarray) -> np.ndarray:
+    """The columns of a tensor's rows `flat` nonzero in some row."""
+    return flat.any(axis=0)
+
+
+def _layout(name: str, a: np.ndarray, batched: bool) -> tuple:
+    """A tensor, batch axis last: the rows of its support (`_support`) and
+    a zero row; and its `_plan` key (name, shape, support mask bytes)."""
+    shape = a.shape[batched:]
+    flat = a.reshape(len(a) if batched else 1, prod(shape))
+    keep = _support(flat)
+    rows = np.vstack([flat[:, keep].T, np.zeros((1, len(flat)), a.dtype)])
+    return rows, (name, shape, keep.tobytes())
+
+
 @lru_cache(maxsize=None)
 def _pair_form(idt):
-    """The pair form of an identity, or None where it has none.
-
-    It has one when every term has exactly one factor that carries the
-    first two `where` letters (i, j): as its first two indices, in that
-    order, and nowhere else, while no other factor carries either.  The
-    pair form replaces (i, j) by the one axis `_PAIR` (`where` and those
-    factors' indices), read as the pairs a < b of (i, j) in
-    `np.triu_indices` order.  Derived once per identity, from the table
-    alone."""
+    """The pair form of an identity, or None: where every term has exactly
+    one factor that carries the first two `where` letters (i, j), as its
+    first two indices in that order and nowhere else, and no other factor
+    carries either, (i, j) become the one axis `_PAIR`, read as the pairs
+    a < b in `np.triu_indices` order."""
     if len(idt.where) < 2:
         return None
     i, j = idt.where[:2]
@@ -225,77 +209,131 @@ def _paired(form) -> set:
     return {name for t in form.terms for name, axes in t.factors if axes.startswith(_PAIR)}
 
 
-def _alternating(a: np.ndarray, p: int, batched: bool, peak: int) -> bool:
-    """Whether a residue tensor (after a batch axis if `batched`), whose
-    largest entry is `peak`, is alternating mod p in its first two axes:
-    t[a,b] + t[b,a] = 0 or p for a < b, and t[a,a] = 0.  Read in row slices
-    of at most `_ENTRIES` entries, one pair (a, b) at a time."""
-    if not batched:
-        a = a[None]
-    if a.ndim < 3 or a.shape[1] != a.shape[2]:
+def _alternating(rows: np.ndarray, key: tuple, p: int, peak: int) -> bool:
+    """Whether a tensor laid out by `_layout`, with largest entry `peak`,
+    is alternating mod p in its first two axes: t[a,a] = 0, t[a,b] +
+    t[b,a] = 0 or p.  One comparison of the diagonal's rows and, at the
+    pairs in the support, the (a, b) rows against the (b, a) rows."""
+    _, shape, bits = key
+    if len(shape) < 2 or shape[0] != shape[1]:
         return False
-    d, dtype = a.shape[1], np.result_type(a.dtype, _narrowest(2 * peak, "a pair sum"))
-    step = max(1, _ENTRIES // max(prod(a.shape[1:]), 1))
-    for start in range(0, len(a), step):
-        s = a[start:start + step]
-        for i in range(d):
-            if s[:, i, i].any():
-                return False
-            for j in range(i + 1, d):
-                pair = np.add(s[:, i, j], s[:, j, i], dtype=dtype)
-                if ((pair != 0) & (pair != p)).any():
-                    return False
-    return True
+    keep, zero = np.frombuffer(bits, dtype=bool), len(rows) - 1
+    at = np.where(keep, np.cumsum(keep) - 1, zero).reshape(shape[0], shape[0], prod(shape[2:]))
+    a, b = np.triu_indices(shape[0], 1)
+    up, low = at[a, b].ravel(), at[b, a].ravel()
+    some = np.minimum(up, low) < zero
+    pair = np.add(rows[up[some]], rows[low[some]],
+                  dtype=np.result_type(rows.dtype, _narrowest(2 * peak, "a pair sum")))
+    return not (rows[np.diagonal(at).ravel()].any() or ((pair != 0) & (pair != p)).any())
 
 
-@lru_cache(maxsize=None)
-def _pairs(d: int) -> tuple:
-    """(a, b) of the pairs a < b < d, in `np.triu_indices` order."""
-    return np.triu_indices(d, 1)
+@lru_cache(maxsize=1 << 10)
+def _plan(idt, sizes: tuple, supports: tuple, letter: str, v: int) -> tuple:
+    """How `_zero_rows` reads an identity on tensors with these supports
+    (`_layout`), at `letter` = v if given: (the residual entries some term
+    hits, the most rows a gather or slice holds, per term with a tuple its
+    (number, sign, joins, places in the hit)).  A term's factors, and ones
+    over each output letter none carries, are joined pairwise (`_join`),
+    greedily by support size as einsum's path."""
+    sizes, out, made = dict(sizes), idt.axes, []
+    masks = {name: np.frombuffer(bits, bool).reshape(shape) for name, shape, bits in supports}
+    for k, t in enumerate(idt.terms):
+        ops = [_entries(masks[name], name, axes, letter, v) for name, axes in t.factors]
+        for ch in sorted(set(out).difference(*(axes for _, axes in t.factors))):
+            span = [v] if ch == letter else range(sizes[ch])
+            ops.append((ch, np.array(span)[:, None], (None, np.zeros(len(span), int))))
+        joins = []
+        while len(ops) > 1 or not joins:
+            options = []
+            for pick in list(combinations(range(len(ops)), 2)) or [(0,)]:
+                rest = [o for z, o in enumerate(ops) if z not in pick]
+                join = _join([ops[z] for z in pick], set(out).union(*(o[0] for o in rest)), sizes)
+                options.append((len(join[1]) - sum(len(ops[z][1]) for z in pick),
+                                len(join[2][0][1]), rest, join))
+            *_, ops, (letters, vals, sources, starts) = min(options, key=lambda o: o[:2])
+            joins.append((sources, starts))
+            ops.append((letters, vals, (len(joins) - 1, np.arange(len(vals)))))
+        if len(vals):
+            made.append((k, t.sign, tuple(joins), _code(vals, letters, out, sizes)))
+    hit = np.flatnonzero(np.bincount(np.concatenate([m[-1] for m in made] + [np.zeros(0, int)])))
+    largest = max([len(at) for m in made for sources, _ in m[2] for _, at in sources]
+                  + [mask.sum() + 1 for mask in masks.values()])
+    return hit, largest, tuple(m[:-1] + (np.searchsorted(hit, m[-1]),) for m in made)
 
 
-def _zero_rows(idt, p: int, batch: dict, fixed: dict, idx: np.ndarray, sizes: dict,
-               bounds: list, dtype, what: str, letter: str = "", v: int = 0) -> np.ndarray:
-    """Which batch rows `idx` have an all-zero residual of `idt` mod p (the
-    terms bounded by `bounds`, summed in `dtype`); with a `letter`, only on
-    the where tuples whose `letter` axis is v: each factor is sliced at
-    v:v+1 on every axis that carries the letter, and its size is 1.  A
-    factor over the pair axis of a pair form is gathered from its tensor at
-    the pairs a < b (at pair v alone with the letter), on the rows idx."""
-    every = idx.size == len(next(iter(batch.values())))
-    rows = (slice(None),) if every else (idx[:, None],)
-    arrays = {}
+def _entries(mask: np.ndarray, name: str, axes: str, letter: str, v: int) -> tuple:
+    """A factor as a `_join` operand: its letters, each once, their values
+    at the support entries it reads, and (name, their layout rows).  A pair
+    axis reads a < b as the pair's index; a repeated letter, equal values."""
+    at, row = np.argwhere(mask), np.arange(mask.sum())
+    if axes[0] == _PAIR:
+        a, b, d = at[:, 0], at[:, 1], mask.shape[0]
+        at, row = np.column_stack([a * (2 * d - a - 3) // 2 + b - 1, at[:, 2:]])[a < b], row[a < b]
+    keep = (at == at[:, [axes.index(ch) for ch in axes]]).all(axis=1)
+    if letter and letter in axes:
+        keep &= at[:, axes.index(letter)] == v
+    letters = "".join(dict.fromkeys(axes))
+    return letters, at[keep][:, [axes.index(ch) for ch in letters]], (name, row[keep])
 
-    def operand(name, axes):
-        batched = name not in fixed
-        if axes.startswith(_PAIR):
-            a = fixed[name] if not batched else batch[name]
-            ia, ib = _pairs(a.shape[batched])
-            if letter:
-                ia, ib = ia[v:v + 1], ib[v:v + 1]
-            return a[rows * batched + (ia, ib)]
-        if name not in arrays:
-            arrays[name] = fixed[name] if not batched else batch[name] if every \
-                else batch[name][idx]
-        return _at(arrays[name], axes, letter, v, batched) if letter else arrays[name]
 
-    if letter:
-        sizes = {**sizes, letter: 1}
-    total = np.zeros((idx.size,) + tuple(sizes[ch] for ch in idt.axes), dtype=dtype)
-    for t, worst in zip(idt.terms, bounds):
-        value = identities.contract(t, idt.axes, {}, sizes, batch.keys(), "Z",
-                                    einsum=partial(_contract, worst, what),
-                                    operands=[operand(name, axes) for name, axes in t.factors])
-        (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
+def _join(ops: list, keep: set, sizes: dict) -> tuple:
+    """Join one or two operands (letters, values per entry, (source, row
+    per entry)) where they agree, grouped on the letters in `keep`: (kept
+    letters, values per group, (source, rows) per operand in group order,
+    reduceat offsets, or None if each group is one tuple)."""
+    (letters, vals, _), *other = ops
+    picks = [np.arange(len(vals))]
+    for ly, vy, _ in other:
+        shared = [ch for ch in letters if ch in ly]
+        picks = np.nonzero(_code(vals, letters, shared, sizes)[:, None]
+                           == _code(vy, ly, shared, sizes))
+        new = "".join(ch for ch in ly if ch not in letters)
+        vals = np.hstack([vals[picks[0]], vy[picks[1]][:, [ly.index(ch) for ch in new]]])
+        letters += new
+    kept = "".join(ch for ch in letters if ch in keep)
+    code = _code(vals, letters, kept, sizes)
+    order = np.argsort(code, kind="stable")
+    first = np.flatnonzero(np.diff(code[order], prepend=-1))
+    return (kept, vals[order[first]][:, [letters.index(ch) for ch in kept]],
+            tuple((src, rows[pick[order]]) for (*_, (src, rows)), pick in zip(ops, picks)),
+            None if len(first) == len(order) else first)
+
+
+def _code(vals: np.ndarray, letters: str, of: str, sizes: dict) -> np.ndarray:
+    """Each row of `vals` on the letters `of`, as one row-major integer."""
+    code = np.zeros(len(vals), dtype=np.int64)
+    for ch in of:
+        code = code * sizes[ch] + vals[:, letters.index(ch)]
+    return code
+
+
+def _zero_rows(key: tuple, p: int, layout: dict, idx: np.ndarray, bounds: list, dtype,
+               letter: str = "", v: int = 0) -> np.ndarray:
+    """Which rows `idx` have an all-zero residual mod p of the identity of a
+    `_plan` key, its terms bounded by `bounds`, summed in `dtype`."""
+    hit, _, terms = _plan(*key, letter, v)
+    cols = {None: np.ones((1, 1), np.int8)}
+    for name in _reads(key[0]):
+        rows = layout[name][0]
+        cols[name] = rows if rows.shape[1] in (1, idx.size) else rows[:, idx]
+    total = np.zeros((len(hit), idx.size), dtype)
+    for k, sign, joins, places in terms:
+        total[places] += sign * _term(joins, cols, _narrowest(bounds[k], key[0].tag))
     total -= total // p * p  # mod p, faster than np.remainder
-    return ~np.any(total, axis=tuple(range(1, total.ndim)))
+    return ~total.any(axis=0)
 
 
-def _at(a: np.ndarray, axes: str, letter: str, v: int, batched: bool) -> np.ndarray:
-    """The view of a factor with indices `axes` (after a batch axis if
-    `batched`) at v:v+1 on every axis that carries `letter`."""
-    return a[(slice(None),) * batched
-             + tuple(slice(v, v + 1) if ch == letter else slice(None) for ch in axes)]
+def _term(joins: tuple, cols: dict, dt) -> np.ndarray:
+    """A planned term's unreduced values, in `dt`: per join a gather, a
+    multiply and at most one `np.add.reduceat`.  Exact: residues are
+    nonnegative, so a partial sum is at most the term's bound unless a
+    factor not yet met is all zero, and then wrapping leaves the 0."""
+    got = []
+    for sources, starts in joins:
+        a = [(got[ref] if isinstance(ref, int) else cols[ref])[at] for ref, at in sources]
+        value = a[0].astype(dt, copy=False) if len(a) == 1 else np.multiply(*a, dtype=dt)
+        got.append(value if starts is None else np.add.reduceat(value, starts, dtype=dt))
+    return got[-1]
 
 
 def reading(suite, names) -> tuple:
@@ -319,30 +357,6 @@ def _term_bound(term, axes: str, sizes: dict, peak: dict) -> int:
     factor bounds it by 0)."""
     summed = set().union(*(idx for _, idx in term.factors)) - set(axes)
     return prod(sizes[ch] for ch in summed) * prod(peak[name] for name, _ in term.factors)
-
-
-def _contract(worst: int, what: str, spec: str, *ops) -> np.ndarray:
-    """Unreduced `np.einsum(spec, *ops)` of residue arrays in the narrowest
-    integer type that holds `worst`, its bound, contracted pairwise in the
-    order einsum's optimizer picks (batched matrix products where it can).
-
-    Exact in every order: residues are nonnegative, so every partial sum is
-    bounded by the contraction of the factors it has met, which is at most
-    `worst` unless a factor not yet met is all zero.  Then the result is 0,
-    and an intermediate that wrapped around does not change it: integer
-    arithmetic wraps modulo 2^bits, and the result fits."""
-    dt = _narrowest(worst, what)
-    path = _einsum_path(spec, tuple(op.shape for op in ops), dt)
-    return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops), optimize=path)
-
-
-@lru_cache(maxsize=256)
-def _einsum_path(spec: str, shapes: tuple, dtype) -> tuple:
-    """The path `np.einsum(..., optimize=True)` would search for operands of
-    these shapes and dtype, searched once per key: the greedy search reads
-    nothing else of the operands, so zero-stride stand-ins take their place."""
-    stand_ins = (np.broadcast_to(np.zeros((), dtype), shape) for shape in shapes)
-    return tuple(np.einsum_path(spec, *stand_ins, optimize="greedy")[0])
 
 
 def _identity_cost(sizes, idt) -> int:

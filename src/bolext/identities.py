@@ -38,16 +38,14 @@ Three readers use the tables, each on the suite of one variant (`select`):
 `report` evaluates one structure exactly, on object arrays of Python ints;
 `affine` reads the linear system in phi of an EQV, IND or Z1 suite over an
 abelian fiber; and `bruteforce.identity_mask` decides a batch of GF(p)
-structures on fixed-width residue arrays, as every brute-force search and
-the exactness verifier's `MOR` re-checks do.  All three drop the dead terms
-of an identity first (`live`): a term with a factor whose tensor is all
-zero on the data contributes exactly zero, so it is never contracted, and
-an identity with no live term is not evaluated.  Where every term of an
-identity has one factor that carries its first two `where` letters, first
-and in that order, and no other factor carries either, `identity_mask`
-reads a pair form off the table: on data alternating in those letters the
-residual is alternating too, so the pairs a < b decide it.  `report` and
-`affine` read every tuple.
+structures on residue arrays, for every brute-force search and the
+exactness verifier's `MOR` re-checks.  All three drop the dead terms of an
+identity (`live`): a term with a factor whose tensor is all zero on the
+data contributes zero, and an identity with no live term is not
+evaluated.  `identity_mask` also drops dead entries, joining a term's
+factors over their supports, and reads an identity with a pair form on
+the pairs a < b of its first two `where` letters where the data
+alternate in them.
 """
 from __future__ import annotations
 
@@ -73,16 +71,6 @@ class Term:
     sign: int
     factors: tuple
     variant: Optional[Variant] = None
-
-    def spec(self, out: str, batched=frozenset(), batch: str = "") -> str:
-        """The einsum spec onto those axes of `out` that some factor carries;
-        factors named in `batched` get the leading axis `batch`, and so does
-        the result if any factor has it."""
-        carried = set("".join(idx for _, idx in self.factors))
-        lead = batch if any(name in batched for name, _ in self.factors) else ""
-        inputs = ",".join((batch if name in batched else "") + idx
-                          for name, idx in self.factors)
-        return inputs + "->" + lead + "".join(ch for ch in out if ch in carried)
 
 
 @dataclass(frozen=True)
@@ -433,25 +421,16 @@ def live(identity: Identity, zero: frozenset) -> Identity:
 
 
 def contract(term: Term, out: str, arrays: dict, sizes: dict, batched=frozenset(),
-             batch: str = "", einsum=np.einsum, operands=None) -> np.ndarray:
-    """One term's contraction onto the axes `out`, after a leading batch axis
-    where a factor is batched, by `einsum(spec, *operands)`.  Axes that no
-    factor carries (the strict nu-omega-star term has two) are broadcast.
-    The operands are arrays[name] of each factor, unless `operands` gives
-    them in factor order (each factor cut to `sizes` on its own axes, as
-    `bruteforce.identity_mask` slices them)."""
-    spec = term.spec(out, batched, batch)
-    if operands is None:
-        operands = [arrays[name] for name, _ in term.factors]
-    value = einsum(spec, *operands)
-    carried = spec.split("->")[1]
-    kept = sum(ch in carried for ch in out)
-    if kept == len(out):
-        return value
-    lead = value.shape[:value.ndim - kept]
-    shape = tuple(sizes[ch] if ch in carried else 1 for ch in out)
-    full = tuple(sizes[ch] for ch in out)
-    return np.broadcast_to(value.reshape(lead + shape), lead + full)
+             batch: str = "") -> np.ndarray:
+    """One term's contraction onto the axes `out`, after a leading axis
+    `batch` where a factor named in `batched` has it; an axis no factor
+    carries (the strict nu-omega-star term has two) meets a factor of ones."""
+    ones = [ch for ch in out if all(ch not in idx for _, idx in term.factors)]
+    lead = batch if any(name in batched for name, _ in term.factors) else ""
+    spec = ",".join([(batch if name in batched else "") + idx for name, idx in term.factors]
+                    + ones)
+    return np.einsum(spec + "->" + lead + out, *(arrays[name] for name, _ in term.factors),
+                     *(np.ones(sizes[ch], int) for ch in ones))
 
 
 def axis_sizes(identity: Identity, shapes: dict) -> dict:

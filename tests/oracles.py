@@ -4,6 +4,7 @@ Kept deliberately simple and separate from the package's linear algebra so
 that dimension counts and verdicts are confirmed through a second route.
 """
 from contextlib import contextmanager
+from functools import lru_cache
 
 
 def elimination_rank(rows):
@@ -397,3 +398,107 @@ def dense_residuals(suite, field, variant=None, **tensors):
             total = total + value if t.sign > 0 else total - value
         out[idt.tag] = total
     return out
+
+
+def identity_mask_by_einsum(suite, p, batch, fixed=None, ok=None):
+    """`bruteforce.identity_mask` with each identity decided by
+    `zero_rows_by_einsum` on the arrays handed in: the same order, pair rule,
+    slices and screen, every term contracted densely."""
+    from unittest import mock
+
+    from bolext import bruteforce
+
+    def dense(key, p, layout, idx, bounds, dtype, letter="", v=0):
+        return zero_rows_by_einsum(key[0], p, batch, fixed or {}, idx, dict(key[1]), bounds,
+                                   dtype, key[0].tag, letter, v)
+
+    with mock.patch.object(bruteforce, "_zero_rows", dense):
+        return bruteforce.identity_mask(suite, p, batch, fixed, ok)
+
+def zero_rows_by_einsum(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, letter="", v=0):
+    """Which batch rows `idx` have an all-zero residual of `idt` mod p, as
+    `bruteforce._zero_rows` decided it before its support join: each term
+    contracted densely by `_contract` (the terms bounded by `bounds`,
+    summed in `dtype`); with a `letter`, only on the where tuples whose
+    `letter` axis is v: each factor is sliced at v:v+1 on every axis that
+    carries the letter, and its size is 1.  A factor over the pair axis of
+    a pair form is gathered from its tensor at the pairs a < b (at pair v
+    alone with the letter), on the rows idx.  Axes that no factor of a term
+    carries are broadcast, as `identities.contract` does."""
+    import numpy as np
+
+    from bolext.bruteforce import _PAIR
+
+    every = idx.size == len(next(iter(batch.values())))
+    rows = (slice(None),) if every else (idx[:, None],)
+    arrays = {}
+
+    def operand(name, axes):
+        batched = name not in fixed
+        if axes.startswith(_PAIR):
+            a = fixed[name] if not batched else batch[name]
+            ia, ib = np.triu_indices(a.shape[batched], 1)
+            if letter:
+                ia, ib = ia[v:v + 1], ib[v:v + 1]
+            return a[rows * batched + (ia, ib)]
+        if name not in arrays:
+            arrays[name] = fixed[name] if not batched else batch[name] if every \
+                else batch[name][idx]
+        return _at(arrays[name], axes, letter, v, batched) if letter else arrays[name]
+
+    if letter:
+        sizes = {**sizes, letter: 1}
+    full = tuple(sizes[ch] for ch in idt.axes)
+    total = np.zeros((idx.size,) + full, dtype=dtype)
+    for t, worst in zip(idt.terms, bounds):
+        carried = set("".join(axes for _, axes in t.factors))
+        spec = (",".join(("Z" if name in batch else "") + axes for name, axes in t.factors)
+                + "->" + ("Z" if any(name in batch for name, _ in t.factors) else "")
+                + "".join(ch for ch in idt.axes if ch in carried))
+        value = _contract(worst, what, spec, *[operand(name, axes) for name, axes in t.factors])
+        carried = spec.split("->")[1]
+        kept = sum(ch in carried for ch in idt.axes)
+        if kept < len(idt.axes):
+            lead = value.shape[:value.ndim - kept]
+            shape = tuple(sizes[ch] if ch in carried else 1 for ch in idt.axes)
+            value = np.broadcast_to(value.reshape(lead + shape), lead + full)
+        (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
+    total -= total // p * p
+    return ~np.any(total, axis=tuple(range(1, total.ndim)))
+
+
+def _at(a, axes, letter, v, batched):
+    """The view of a factor with indices `axes` (after a batch axis if
+    `batched`) at v:v+1 on every axis that carries `letter`."""
+    return a[(slice(None),) * batched
+             + tuple(slice(v, v + 1) if ch == letter else slice(None) for ch in axes)]
+
+
+def _contract(worst, what, spec, *ops):
+    """Unreduced `np.einsum(spec, *ops)` of residue arrays in the narrowest
+    integer type that holds `worst`, its bound, contracted pairwise in the
+    order einsum's optimizer picks (batched matrix products where it can).
+
+    Exact in every order: residues are nonnegative, so every partial sum is
+    bounded by the contraction of the factors it has met, which is at most
+    `worst` unless a factor not yet met is all zero.  Then the result is 0,
+    and an intermediate that wrapped around does not change it: integer
+    arithmetic wraps modulo 2^bits, and the result fits."""
+    import numpy as np
+
+    from bolext.bruteforce import _narrowest
+
+    dt = _narrowest(worst, what)
+    path = _einsum_path(spec, tuple(op.shape for op in ops), dt)
+    return np.einsum(spec, *(op.astype(dt, copy=False) for op in ops), optimize=path)
+
+
+@lru_cache(maxsize=256)
+def _einsum_path(spec, shapes, dtype):
+    """The path `np.einsum(..., optimize=True)` would search for operands of
+    these shapes and dtype, searched once per key: the greedy search reads
+    nothing else of the operands, so zero-stride stand-ins take their place."""
+    import numpy as np
+
+    stand_ins = (np.broadcast_to(np.zeros((), dtype), shape) for shape in shapes)
+    return tuple(np.einsum_path(spec, *stand_ins, optimize="greedy")[0])

@@ -1,3 +1,7 @@
+from functools import lru_cache
+from math import prod
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from bolext import identities
 from bolext.bol import is_morphism, s2, z1, z2
-from bolext.bruteforce import (_contract, _headroom_dtype, _morphism_fixed,
+from bolext.bruteforce import (_headroom_dtype, _morphism_fixed,
                                _narrowest, _term_bound, automorphism_arrays,
                                candidate_blocks, contract_mod, digit_block,
                                eliminate, identity_mask, inverse_mod,
@@ -654,9 +658,9 @@ def test_zero_rows_reduce_exactly_at_the_int16_edge(monkeypatch, top, dtype):
     c[1], c[3] = 1000, 0  # c reaches its bound; c - a b reaches -top^2
     real, types = bf._zero_rows, []
 
-    def spy(idt, *args):
-        types.append(args[6])
-        return real(idt, *args)
+    def spy(key, *args):
+        types.append(args[4])
+        return real(key, *args)
     monkeypatch.setattr(bf, "_zero_rows", spy)
     got = identity_mask((identities.Group(1, (edge,)),), p, {"a": a, "b": b, "c": c})
     want = ~((c - np.einsum("kir,kir->kir", a, b)) % p).any(axis=(1, 2))
@@ -680,22 +684,49 @@ def _tensor_shapes(n, m):
                 phi=(m, n), alpha=(n, n), beta=(m, m), f=(n, n))
 
 
+def _join_values(term, axes, sizes, arrays, batched, worst):
+    """One term evaluated alone by the support join (`_plan`, `_term`) on
+    tensors `arrays`, those named in `batched` with a batch axis: its
+    unreduced values over (batch, axes), and their type."""
+    import bolext.bruteforce as bf
+
+    layout = {name: bf._layout(name, a, name in batched) for name, a in arrays.items()}
+    one = identities.Identity("one", axes, "", (term,))
+    hit, _, terms = bf._plan(one, tuple(sizes.items()),
+                             tuple(layout[name][1] for name in sorted(arrays)), "", 0)
+    rows = max(rows.shape[1] for rows, _ in layout.values())
+    dense, types = np.zeros((prod(sizes[ch] for ch in axes), rows), dtype=np.int64), set()
+    cols = {name: rows for name, (rows, _) in layout.items()}
+    for _, _, joins, places in terms:
+        value = bf._term(joins, {None: np.ones((1, 1), np.int8), **cols}, _narrowest(worst, "one"))
+        types.add(value.dtype)
+        dense[hit[places]] = value
+    return np.moveaxis(dense.reshape(tuple(sizes[ch] for ch in axes) + (rows,)), -1, 0), types
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.data())
 def test_contract_is_exact_for_every_batched_term(data):
-    # every term of every table `identity_mask` reads, contracted pairwise in
-    # the narrow type its bound picks, against an unoptimised int64 einsum;
-    # "edge" takes the largest p whose all-(p-1) operands still fit int16
-    # (or the next p, the first to need int32), and "zero" makes the first
-    # factor all zero, so its bound is 0 while products of the other factors
-    # wrap int16, with the largest p <= 30011 whose all-(p-1) operands
-    # still fit the int64 reference
+    # every term of every table `identity_mask` reads, evaluated alone by
+    # the support join in the narrow type its bound picks, against an
+    # unoptimised int64 einsum; "edge" takes the largest p whose all-(p-1)
+    # operands still fit int16 (or the next p, the first to need int32),
+    # and "zero" makes the first factor's tensor all zero with every entry
+    # kept in its support (`_support` all true), so its bound is 0 while
+    # products of the other factors wrap int16, with the largest p <= 30011
+    # whose all-(p-1) operands still fit the int64 reference
+    from contextlib import nullcontext
+    from unittest import mock
+
+    import bolext.bruteforce as bf
+
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
     mode = data.draw(st.sampled_from(["random", "top", "edge", "zero"]))
     above = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     shapes = _tensor_shapes(n, m)
     rows = 3
+    every_entry = mock.patch.object(bf, "_support", lambda flat: np.ones(flat.shape[1], bool))
     for suite, batched in _BATCHED:
         for idt in (i for g in suite for i in g.identities):
             sizes = identities.axis_sizes(idt, shapes)
@@ -714,59 +745,77 @@ def test_contract_is_exact_for_every_batched_term(data):
                         p -= 1
                 else:
                     p = {"random": 7, "top": 5}[mode]
-                ops = []
+                arrays = {}
                 for k, (name, _) in enumerate(t.factors):
                     shape = ((rows,) if name in batched else ()) + shapes[name]
                     if mode == "random":
-                        ops.append(rng.integers(0, p, shape))
+                        arrays.setdefault(name, rng.integers(0, p, shape))
                     else:
-                        ops.append(np.full(shape, 0 if mode == "zero" and k == 0 else p - 1))
-                peak = {name: int(op.max()) for (name, _), op in zip(t.factors, ops)}
+                        arrays.setdefault(name, np.full(shape, 0 if mode == "zero" and k == 0
+                                                        else p - 1))
+                peak = {name: int(a.max()) for name, a in arrays.items()}
                 worst = _term_bound(t, idt.axes, sizes, peak)
-                spec = t.spec(idt.axes, batched, "Z")
-                got = _contract(worst, idt.tag, spec, *ops)
-                assert got.dtype == _narrowest(worst, idt.tag)
-                assert (got.astype(np.int64) == np.einsum(spec, *ops)).all(), (idt.tag, spec)
-                if mode == "edge" and worst:
-                    assert got.dtype == (np.int32 if above else np.int16), (idt.tag, spec)
+                with every_entry if mode == "zero" else nullcontext():
+                    got, types = _join_values(t, idt.axes, sizes, arrays, batched, worst)
+                want = identities.contract(t, idt.axes, arrays, sizes, batched & arrays.keys(), "Z")
+                assert (got == np.broadcast_to(want, got.shape)).all(), (idt.tag, t)
+                assert types <= {np.dtype(_narrowest(worst, idt.tag))}, (idt.tag, t)
+                if mode == "zero" or (mode == "edge" and worst):
+                    assert types == {np.dtype(np.int32 if above and mode == "edge"
+                                              else np.int16)}, (idt.tag, t)
 
 
-def test_contract_searches_each_einsum_path_once(monkeypatch):
-    # the greedy path is searched once per (spec, operand shapes, dtype):
-    # cold and warm calls give identical arrays, the arrays of an
-    # unoptimised einsum, and np.einsum_path runs once per key
+def test_plan_is_built_once_per_key(monkeypatch):
+    # a plan is built once per (identity, axis sizes, supports, screen
+    # letter and value): a second run on the same batch, or on one with the
+    # same supports and other values, builds none and gives the same mask;
+    # a batch with another support builds its own; screened, an identity
+    # builds one plan per value of its first where letter that it decides
+    # (its unscreened plan, which sizes the slices, is built already)
     import bolext.bruteforce as bf
+    from oracles import identity_mask_by_einsum
 
-    bf._einsum_path.cache_clear()
-    real, searched = np.einsum_path, []
+    real, built = bf._plan.__wrapped__, []
 
-    def spy(spec, *ops, **kwargs):
-        searched.append((spec, tuple(op.shape for op in ops), ops[0].dtype))
-        return real(spec, *ops, **kwargs)
-
-    monkeypatch.setattr(bf.np, "einsum_path", spy)
+    def build(*key):
+        built.append(key)
+        return real(*key)
+    monkeypatch.setattr(bf, "_plan", lru_cache(maxsize=None)(build))
     rng = np.random.default_rng(19)
-    spec = "zai,zbj,ijk->zabk"
 
-    def operands(batch):
-        return [rng.integers(0, 5, shape) for shape in ((batch, 3, 2), (batch, 3, 2),
-                                                        (2, 2, 2))]
-
-    ops, wide = operands(4), 10 ** 6
-    cold = _contract(4 * 4 ** 3, "t", spec, *ops)
-    warm = _contract(4 * 4 ** 3, "t", spec, *ops)
-    assert cold.dtype == warm.dtype == np.int16
-    assert cold.tolist() == warm.tolist() == np.einsum(spec, *ops).tolist()
-    assert len(searched) == 1
-    assert _contract(wide, "t", spec, *ops).tolist() == cold.tolist()
-    other = operands(7)
-    assert _contract(4 * 4 ** 3, "t", spec, *other).tolist() == np.einsum(spec, *other).tolist()
-    for _ in range(2):
-        _contract(wide, "t", spec, *ops)
-        _contract(4 * 4 ** 3, "t", spec, *other)
-    assert searched == [(spec, ((4, 3, 2), (4, 3, 2), (2, 2, 2)), np.int16),
-                        (spec, ((4, 3, 2), (4, 3, 2), (2, 2, 2)), np.int32),
-                        (spec, ((7, 3, 2), (7, 3, 2), (2, 2, 2)), np.int16)]
+    def batch(support):
+        # alternating tensors, tri zero on half the rows and bil on a
+        # quarter: every identity of BOL is reached
+        out = {}
+        for name, keep in support.items():
+            t = rng.integers(1, 5, (40,) + keep.shape) * keep
+            t[:10 if name == "bil" else 20] = 0
+            out[name] = (t - t.swapaxes(1, 2)) % 5
+        return out
+    support = {"bil": rng.random((3,) * 3) < 0.4, "tri": rng.random((3,) * 4) < 0.2}
+    first = batch(support)
+    masks = [identity_mask(identities.BOL, 5, first)]
+    cold = len(built)
+    assert {key[0].tag for key in built} == _tags(identities.BOL)
+    assert cold == len(set(built)) and {key[3:] for key in built} == {("", 0)}
+    masks.append(identity_mask(identities.BOL, 5, first))
+    second = batch(support)
+    masks.append(identity_mask(identities.BOL, 5, second))
+    assert len(built) == cold
+    assert masks[0].tolist() == masks[1].tolist() == identity_mask_by_einsum(
+        identities.BOL, 5, first).tolist()
+    assert masks[2].tolist() == identity_mask_by_einsum(identities.BOL, 5, second).tolist()
+    third = batch({"bil": support["bil"], "tri": ~support["tri"]})
+    assert identity_mask(identities.BOL, 5, third).tolist() == identity_mask_by_einsum(
+        identities.BOL, 5, third).tolist()
+    assert len(built) > cold and not set(built[:cold]) & set(built[cold:])
+    built.clear()
+    monkeypatch.setattr(bf, "_ENTRIES", 1)
+    runs = _spy_runs(monkeypatch)
+    assert identity_mask(identities.BOL, 5, first).tolist() == masks[0].tolist()
+    assert all(run.letter == run.idt.where[0] for run in runs)
+    assert len(built) == len(set(built)) == len({(run.idt, run.letter, run.v) for run in runs})
+    assert all(key[3] == key[0].where[0] for key in built)
 
 
 # two identities no table has: a term that does not carry the first where
@@ -810,9 +859,9 @@ def test_screen_changes_no_mask(monkeypatch, p, n, m):
 
     real, calls = bf._zero_rows, []
 
-    def spy(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, letter="", v=0):
-        passed = real(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, letter, v)
-        calls.append((idt, letter, v, idx.size, int(passed.sum())))
+    def spy(key, p, layout, idx, bounds, dtype, letter="", v=0):
+        passed = real(key, p, layout, idx, bounds, dtype, letter, v)
+        calls.append((key[0], letter, v, idx.size, int(passed.sum())))
         return passed
     monkeypatch.setattr(bf, "_zero_rows", spy)
     rng = np.random.default_rng(p * 100 + n)
@@ -919,9 +968,9 @@ def test_pair_form_changes_no_mask(monkeypatch, p, n, m, kind):
 
     real, calls, pair_form = bf._zero_rows, [], bf._pair_form
 
-    def spy(idt, *args):
-        calls.append(idt)
-        return real(idt, *args)
+    def spy(key, *args):
+        calls.append(key[0])
+        return real(key, *args)
     monkeypatch.setattr(bf, "_zero_rows", spy)
     rng = np.random.default_rng(p * 1000 + n * 10 + m)
     paired, passes, fails = set(), 0, 0
@@ -967,49 +1016,31 @@ def test_pair_form_changes_no_mask(monkeypatch, p, n, m, kind):
         assert broken is not None
 
 
-def _spy_contract(monkeypatch):
-    """Record (label, result) of every `_contract` call, after ("run", the
-    identity, the screen letter) of the `_zero_rows` call that makes it."""
+class _Run(NamedTuple):
+    idt: object
+    sizes: dict
+    letter: str
+    v: int
+    rows: int
+    passed: np.ndarray
+    plan: tuple
+
+
+def _spy_runs(monkeypatch) -> list:
+    """Record a `_Run` of every `_zero_rows` call: the identity, its axis
+    sizes, the screen letter and value, the rows it decides, which pass,
+    and the `_plan` it reads."""
     import bolext.bruteforce as bf
 
-    real, rows, calls = bf._contract, bf._zero_rows, []
+    real, runs = bf._zero_rows, []
 
-    def spy(worst, what, spec, *ops):
-        value = real(worst, what, spec, *ops)
-        calls.append((what, value))
-        return value
-
-    def run(idt, *args):
-        calls.append(("run", idt, args[-2]))
-        return rows(idt, *args)
-    monkeypatch.setattr(bf, "_contract", spy)
-    monkeypatch.setattr(bf, "_zero_rows", run)
-    return calls
-
-
-def _runs(calls, p):
-    """(identity, its contractions' results) of each `_zero_rows` call: one
-    contraction per term of the identity it was handed, its live terms."""
-    out = []
-    for k, call in enumerate(calls):
-        if call[0] == "run":
-            idt = call[1]
-            mine = calls[k + 1:k + 1 + len(idt.terms)]
-            assert [what for what, *_ in mine] == [f"the terms of {idt.tag} mod {p}"] * len(idt.terms)
-            out.append((idt, [value for _, value in mine]))
-    return out
-
-
-def _residuals(calls, tag, p):
-    """The pass mask of each run of the identity `tag` among the calls,
-    rebuilt from the results of its live terms (every term carries every
-    axis)."""
-    out = []
-    for idt, values in _runs(calls, p):
-        if idt.tag == tag:
-            total = sum(t.sign * v.astype(np.int64) for t, v in zip(idt.terms, values))
-            out.append((total.shape, ~np.any(total % p, axis=tuple(range(1, total.ndim)))))
-    return out
+    def spy(key, p, layout, idx, bounds, dtype, letter="", v=0):
+        passed = real(key, p, layout, idx, bounds, dtype, letter, v)
+        runs.append(_Run(key[0], dict(key[1]), letter, v, idx.size, passed,
+                         bf._plan(*key, letter, v)))
+        return passed
+    monkeypatch.setattr(bf, "_zero_rows", spy)
+    return runs
 
 
 def test_screen_prunes_the_census_glue(F5, monkeypatch):
@@ -1017,32 +1048,35 @@ def test_screen_prunes_the_census_glue(F5, monkeypatch):
     # star-skew survivors in its pair form (the glue is alternating), one
     # row slice of _ENTRIES // 3^5 glued pairs at a time, as without it;
     # within a slice, pair (0, 1) sees every row and pairs (0, 2) and (1, 2)
-    # see only the rows that passed the pairs before them
+    # see only the rows that passed the pairs before them, each from its
+    # own plan
     from bolext.bruteforce import _ENTRIES
     from bolext.representation import semidirect_iff_census
 
-    calls = _spy_contract(monkeypatch)
+    runs = _spy_runs(monkeypatch)
     census = semidirect_iff_census(F5, 2, 1)
     assert (census.algebras, census.candidates_per_algebra, census.valid_pairs,
             census.discrepancies) == (25, 78125, 1225, [])
     # the glue has 3 basis vectors, the 25 enumerated algebras 2
-    (shape, skew), = [r for r in _residuals(calls, "star-skew", 5) if r[0][-1] == 3]
-    assert shape == (5 ** 6, 3, 3, 3)
-    runs = [r for r in _residuals(calls, "mixed-product", 5) if r[0][-1] == 3]
+    skew, = [r for r in runs if r.idt.tag == "star-skew" and r.sizes["r"] == 3]
+    assert (skew.rows, skew.letter) == (5 ** 6, "")
+    glue = [r for r in runs if r.idt.tag == "mixed-product" and r.sizes["r"] == 3]
     step = _ENTRIES // 3 ** 5
-    starts, v, left = [], 0, 0
+    starts, left = [], 0
     seen, kept = [0, 0, 0], [0, 0, 0]
-    for shape, passed in runs:
-        assert shape[1:] == (1, 3, 3, 3)
-        if v:
-            assert shape[0] == left
+    for r in glue:
+        assert (r.idt.where, r.letter) == ("Pkl", "P")
+        if r.v:
+            assert r.rows == left
         else:
-            starts.append(shape[0])
-        left = int(passed.sum())
-        seen[v] += shape[0]
-        kept[v] += left
-        v = (v + 1) % 3 if left else 0
-    rows = int(skew.sum())
+            starts.append(r.rows)
+        left = int(r.passed.sum())
+        seen[r.v] += r.rows
+        kept[r.v] += left
+    assert glue[0].v == 0 and all(b.v == ((a.v + 1) % 3 if a.passed.any() else 0)
+                                  for a, b in zip(glue, glue[1:]))
+    assert len({id(r.plan) for r in glue}) == 3
+    rows = int(skew.passed.sum())
     assert starts == [step] * (rows // step) + [rows % step] * bool(rows % step)
     # 15,625 glued pairs reach pair (0, 1), 1,705 pass it, 1,305 pass (0, 2)
     # and 1,225 pass (1, 2): every valid pair of the census
@@ -1053,23 +1087,136 @@ def test_screen_prunes_the_census_glue(F5, monkeypatch):
 def test_small_batches_make_one_contraction_per_term(F5, monkeypatch, ext_h3_f5):
     # a classify-z2 chunk (125 rows) and the MOR re-checks of the exactness
     # verifier (480 rows and fewer) stay at or below _ENTRIES: every
-    # identity they reach makes one contraction per live term, unsliced.
-    # The classification's actions, fiber and base bracket are zero, so only
-    # the nu and omega terms of three NAB identities are live; e_h3's total
-    # has a zero bracket, so mor-bracket is decided with no contraction
+    # identity they reach is decided in one run on all its survivors, with
+    # one planned term per live term at most.  The classification's
+    # actions, fiber and base bracket are zero, so only the nu and omega
+    # terms of three NAB identities are live; e_h3's total has a zero
+    # bracket, so mor-bracket is decided with no run
     from bolext.extensions import classify_corpus
     from bolext.wells import verify_wells_exactness
 
-    calls = _spy_contract(monkeypatch)
+    runs = _spy_runs(monkeypatch)
     assert classify_corpus(z2(F5), z1(F5))[0] == 125
-    runs = _runs(calls, 5)
-    assert [(idt.tag, len(values)) for idt, values in runs] == \
-        [("nu-skew", 2), ("omega-skew", 2), ("omega-cyclic", 3)]
+    assert [(r.idt.tag, len(r.idt.terms), r.rows) for r in runs] == \
+        [("nu-skew", 2, 125), ("omega-skew", 2, 125), ("omega-cyclic", 3, 125)]
     assert verify_wells_exactness(ext_h3_f5).kernel_wells_equals_kappa_image
-    runs = _runs(calls, 5)
-    assert all(call[2] == "" for call in calls if call[0] == "run")
-    assert "mor-star" in {idt.tag for idt, _ in runs}
-    assert "mor-bracket" not in {idt.tag for idt, _ in runs}
-    made = [what for what, *_ in calls if what.startswith("the terms of ")]
-    assert not [what for what in made if "mor-bracket" in what]
-    assert len(made) == sum(len(values) for _, values in runs)
+    assert all(r.letter == "" for r in runs)
+    assert "mor-star" in {r.idt.tag for r in runs}
+    assert "mor-bracket" not in {r.idt.tag for r in runs}
+    for r in runs:
+        numbers = [k for k, *_ in r.plan[2]]
+        assert numbers == sorted(set(numbers)) and set(numbers) <= set(range(len(r.idt.terms)))
+
+
+def test_support_join_matches_the_einsum_oracle_on_real_batches(F5, monkeypatch, ext_h3_f5):
+    # every identity_mask call of census-21 (the enumeration, both tails,
+    # route 1's rest and the 15,625-row glue of route 2), of one chunk of a
+    # tri_zero=False class (with the tri_zero=False enumeration), of the
+    # z2 x z2 classification (its NAB block) and of e_h3's exactness (its
+    # MOR passes), decided again with every term contracted densely
+    import bolext.bruteforce as bf
+    from bolext.extensions import classify_corpus
+    from bolext.representation import _census_routes, semidirect_iff_census
+    from bolext.wells import verify_wells_exactness
+    from oracles import identity_mask_by_einsum
+
+    real, calls = bf.identity_mask, []
+
+    def spy(suite, p, batch, fixed=None, ok=None):
+        mask = real(suite, p, batch, fixed, ok)
+        calls.append(((suite, p, batch, fixed, ok), mask))
+        return mask
+    monkeypatch.setattr(bf, "identity_mask", spy)
+    assert semidirect_iff_census(F5, 2, 1).valid_pairs == 1225
+    bil, tri = next((b, t) for b, t in bf.enumerate_valid_tensors(2, 5, False, 10 ** 6)
+                    if t.any())
+    tails = bf.digit_block(0, 5 ** 5, 5, 5, np.int16)
+    assert sum(int(r1.sum()) for *_, r1, _ in _census_routes(bil[None], tri, 1, 5, tails))
+    assert classify_corpus(z2(F5), z2(F5))[0] == 15_625
+    assert verify_wells_exactness(ext_h3_f5).kernel_wells_equals_kappa_image
+    monkeypatch.setattr(bf, "identity_mask", real)
+    tags = [{i.tag for g in args[0] for i in g.identities} for args, _ in calls]
+    assert any("mixed-product" in t and len(args[2]["bil"]) == 5 ** 6
+               for t, (args, _) in zip(tags, calls))
+    assert any("nu-omega-star" in t for t in tags) and any("mor-star" in t for t in tags)
+    for args, mask in calls:
+        assert mask.tolist() == identity_mask_by_einsum(*args).tolist()
+
+
+_ROUTES = _BATCHED + [(_SYNTHETIC + _NO_PAIR_FORM, {"bil", "tri"})]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_support_join_matches_the_einsum_oracle_on_sparse_supports(data):
+    # random sparse supports, the same for every row of a batch of 0, 1 or
+    # 7 rows: each entry of each tensor in it with probability 0.1, 0.5 or
+    # 1 (or none), its values random residues; alternating or not, screened
+    # (_ENTRIES = 1) or not, from a random starting mask
+    from unittest import mock
+
+    import bolext.bruteforce as bf
+    from oracles import identity_mask_by_einsum
+
+    suite, batched = data.draw(st.sampled_from(_ROUTES))
+    p = data.draw(st.sampled_from([2, 5, 7]))
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    rows = data.draw(st.sampled_from([0, 1, 7]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = _tensor_shapes(n, m)
+    batch, fixed = {}, {}
+    for name in sorted({name for g in suite for i in g.identities for t in i.terms
+                        for name, _ in t.factors}):
+        keep = rng.random(shapes[name]) < data.draw(st.sampled_from([0, 0.1, 0.5, 1]))
+        if name in batched:
+            batch[name] = rng.integers(0, p, (rows,) + shapes[name]) * keep
+        else:
+            fixed[name] = rng.integers(0, p, shapes[name]) * keep
+    if data.draw(st.booleans()):
+        batch = {name: _alternate(p, t, True) for name, t in batch.items()}
+        fixed = {name: _alternate(p, t, False) for name, t in fixed.items()}
+    ok = rng.random(rows) < 0.8
+    with mock.patch.object(bf, "_ENTRIES", data.draw(st.sampled_from([1, 1 << 19]))):
+        got = identity_mask(suite, p, batch, fixed, ok)
+        assert got.tolist() == identity_mask_by_einsum(suite, p, batch, fixed, ok).tolist()
+    assert got.shape == (rows,)
+
+
+class _Counted(np.ndarray):
+    """Records the size of every array derived from it."""
+
+    sizes: list = []
+
+    def __array_finalize__(self, obj):
+        _Counted.sizes.append(self.size)
+
+
+def test_slices_bound_every_array_of_a_dense_join(monkeypatch):
+    # a dense d = 4 MOR batch: f, bil and tri have every entry in their
+    # support, so mor-bracket's pairwise joins gather 1,024 tuples per row
+    # against a residual of 4^4 = 256 entries.  Its slices are sized by the
+    # join: with _ENTRIES = 2^14, 16 rows, not 64; no array a slice forms
+    # from the layout (rows, gathers, products, sums), nor its residual,
+    # holds more than _ENTRIES entries
+    import bolext.bruteforce as bf
+    from oracles import identity_mask_by_einsum
+
+    monkeypatch.setattr(bf, "_ENTRIES", 1 << 14)
+    real, residuals = bf._term, []
+
+    def term(joins, cols, dt):
+        return real(joins, {name: c.view(_Counted) for name, c in cols.items()}, dt)
+    monkeypatch.setattr(bf, "_term", term)
+    runs = _spy_runs(monkeypatch)
+    rng = np.random.default_rng(4)
+    f = rng.integers(1, 5, (200, 4, 4))
+    fixed = {"bil": rng.integers(1, 5, (4,) * 3), "tri": rng.integers(1, 5, (4,) * 4)}
+    f[::3] = np.eye(4, dtype=int)  # the identity map passes both
+    _Counted.sizes.clear()
+    mask = identity_mask(identities.MOR, 5, {"f": f}, fixed)
+    assert mask.tolist() == identity_mask_by_einsum(identities.MOR, 5, {"f": f}, fixed).tolist()
+    assert mask[::3].all() and not mask.all()
+    bracket = [r for r in runs if r.idt.tag == "mor-bracket"]
+    assert bracket and max(r.rows for r in bracket) == (1 << 14) // 1024
+    assert max(_Counted.sizes) <= bf._ENTRIES
+    assert max(len(r.plan[0]) * r.rows for r in runs) <= bf._ENTRIES
