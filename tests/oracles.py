@@ -415,6 +415,7 @@ def identity_mask_by_einsum(suite, p, batch, fixed=None, ok=None):
     with mock.patch.object(bruteforce, "_zero_rows", dense):
         return bruteforce.identity_mask(suite, p, batch, fixed, ok)
 
+
 def zero_rows_by_einsum(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, letter="", v=0):
     """Which batch rows `idx` have an all-zero residual of `idt` mod p, as
     `bruteforce._zero_rows` decided it before its support join: each term
@@ -451,15 +452,12 @@ def zero_rows_by_einsum(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, l
     full = tuple(sizes[ch] for ch in idt.axes)
     total = np.zeros((idx.size,) + full, dtype=dtype)
     for t, worst in zip(idt.terms, bounds):
-        carried = set("".join(axes for _, axes in t.factors))
+        carried = "".join(ch for ch in idt.axes if any(ch in axes for _, axes in t.factors))
         spec = (",".join(("Z" if name in batch else "") + axes for name, axes in t.factors)
-                + "->" + ("Z" if any(name in batch for name, _ in t.factors) else "")
-                + "".join(ch for ch in idt.axes if ch in carried))
+                + "->" + ("Z" if any(name in batch for name, _ in t.factors) else "") + carried)
         value = _contract(worst, what, spec, *[operand(name, axes) for name, axes in t.factors])
-        carried = spec.split("->")[1]
-        kept = sum(ch in carried for ch in idt.axes)
-        if kept < len(idt.axes):
-            lead = value.shape[:value.ndim - kept]
+        if len(carried) < len(idt.axes):
+            lead = value.shape[:value.ndim - len(carried)]
             shape = tuple(sizes[ch] if ch in carried else 1 for ch in idt.axes)
             value = np.broadcast_to(value.reshape(lead + shape), lead + full)
         (np.add if t.sign > 0 else np.subtract)(total, value, out=total)
