@@ -99,20 +99,26 @@ def skew_from_params(params: np.ndarray, n: int, shape: tuple, p: int) -> np.nda
     return out
 
 
-def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray:
+def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None, index=None) -> np.ndarray:
     """Mask of the batch entries that satisfy every identity of a suite
     without variant marks: an `identities` table, the suite of one variant
     (`identities.select`), or a part of one (`reading`).
 
     `batch` maps tensor names to residue arrays with a leading batch axis,
     `fixed` to residue arrays shared by the whole batch; entries false in
-    the starting mask `ok` stay false, unevaluated.  Each tensor read is
-    laid out once, batch axis last (`_layout`).  Identities run cheapest
-    first, each on the survivors of the ones before it, in slices whose
-    residual and largest gather hold at most `_ENTRIES` entries.  Only live
-    terms (`identities.live`) are read, each joined over the supports of
-    its factors (`_plan`), and summed unreduced in a type that holds their
-    bounds (`_term_bound`) plus p, then reduced once.
+    the starting mask `ok` stay false, unevaluated.  `index` maps some
+    batch names to an integer array: batch entry k reads row index[name][k]
+    of batch[name], so a batch that is a product of factors is handed in as
+    its factors, each value once; a name not in `index` reads its own row.
+    Each tensor read is laid out once, its values batch axis last
+    (`_layout`), and each slice gathers its rows' values from there; a
+    support, largest entry or alternation taken over values no entry reads
+    still covers the ones it does.  Identities run cheapest first, each on
+    the survivors of the ones before it, in slices whose residual and
+    largest gather hold at most `_ENTRIES` entries.  Only live terms
+    (`identities.live`) are read, each joined over the supports of its
+    factors (`_plan`), and summed unreduced in a type that holds their
+    bounds (`_term_bound`) and p, then reduced once.
 
     The pair rule: an identity with a pair form (`_pair_form`) is decided
     on the pairs a < b of its first two `where` letters (i, j) when every
@@ -137,7 +143,9 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
     shapes = {name: key[1] for name, (_, key) in layout.items()}
     checks = [(identities.axis_sizes(idt, shapes), identities.live(idt, zero)) for idt in every]
     alternates = lru_cache(None)(lambda name: _alternating(*layout[name], p, peak[name]))
-    rows = len(next(iter(batch.values())))
+    index = index or {}
+    rows = len(next(iter(index.values()))) if index else len(next(iter(batch.values())))
+    index = {name: index.get(name, np.arange(rows)) for name in batch}
     ok = np.ones(rows, dtype=bool) if ok is None else ok.copy()
     for sizes, idt in sorted(checks, key=lambda c: _identity_cost(*c)):
         survivors = np.flatnonzero(ok)
@@ -146,7 +154,7 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
         if not idt.terms:
             continue
         bounds = [_term_bound(t, idt.axes, sizes, peak) for t in idt.terms]
-        dtype = _narrowest(sum(bounds) + p, f"the terms of {idt.tag} mod {p}")
+        dtype = _narrowest(max(sum(bounds), p), f"the terms of {idt.tag} mod {p}")
         entries = prod(sizes[ch] for ch in idt.axes)
         form = _pair_form(idt)
         if form is not None and all(map(alternates, _paired(form))):
@@ -157,7 +165,7 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None) -> np.ndarray
         lead = idt.where[:1] if survivors.size * entries > _ENTRIES else ""
         for idx in np.split(survivors, range(step, survivors.size, step)):
             for v in range(sizes[lead]) if lead else (0,):
-                passed = _zero_rows(key, p, layout, idx, bounds, dtype, lead, v)
+                passed = _zero_rows(key, p, layout, index, idx, bounds, dtype, lead, v)
                 ok[idx] = passed
                 idx = idx[passed]
                 if not idx.size:
@@ -212,19 +220,32 @@ def _paired(form) -> set:
 def _alternating(rows: np.ndarray, key: tuple, p: int, peak: int) -> bool:
     """Whether a tensor laid out by `_layout`, with largest entry `peak`,
     is alternating mod p in its first two axes: t[a,a] = 0, t[a,b] +
-    t[b,a] = 0 or p.  One comparison of the diagonal's rows and, at the
-    pairs in the support, the (a, b) rows against the (b, a) rows."""
+    t[b,a] = 0 or p.  One comparison of the rows `_mirrors` names."""
+    mirrors = _mirrors(key)
+    if mirrors is None:
+        return False
+    diagonal, up, low = mirrors
+    pair = np.add(rows[up], rows[low],
+                  dtype=np.result_type(rows.dtype, _narrowest(2 * peak, "a pair sum")))
+    return not (rows[diagonal].any() or ((pair != 0) & (pair != p)).any())
+
+
+@lru_cache(maxsize=1 << 10)
+def _mirrors(key: tuple):
+    """For a `_layout` key whose first two axes have one length: the layout
+    rows of the diagonal t[a,a], and of t[a,b] and t[b,a], a < b, where
+    either is in the support (the zero row stands for an entry outside
+    it); otherwise None."""
     _, shape, bits = key
     if len(shape) < 2 or shape[0] != shape[1]:
-        return False
-    keep, zero = np.frombuffer(bits, dtype=bool), len(rows) - 1
+        return None
+    keep = np.frombuffer(bits, dtype=bool)
+    zero = int(keep.sum())
     at = np.where(keep, np.cumsum(keep) - 1, zero).reshape(shape[0], shape[0], prod(shape[2:]))
     a, b = np.triu_indices(shape[0], 1)
     up, low = at[a, b].ravel(), at[b, a].ravel()
     some = np.minimum(up, low) < zero
-    pair = np.add(rows[up[some]], rows[low[some]],
-                  dtype=np.result_type(rows.dtype, _narrowest(2 * peak, "a pair sum")))
-    return not (rows[np.diagonal(at).ravel()].any() or ((pair != 0) & (pair != p)).any())
+    return np.diagonal(at).ravel(), up[some], low[some]
 
 
 @lru_cache(maxsize=1 << 10)
@@ -307,15 +328,16 @@ def _code(vals: np.ndarray, letters: str, of: str, sizes: dict) -> np.ndarray:
     return code
 
 
-def _zero_rows(key: tuple, p: int, layout: dict, idx: np.ndarray, bounds: list, dtype,
-               letter: str = "", v: int = 0) -> np.ndarray:
+def _zero_rows(key: tuple, p: int, layout: dict, index: dict, idx: np.ndarray, bounds: list,
+               dtype, letter: str = "", v: int = 0) -> np.ndarray:
     """Which rows `idx` have an all-zero residual mod p of the identity of a
-    `_plan` key, its terms bounded by `bounds`, summed in `dtype`."""
+    `_plan` key, its terms bounded by `bounds`, summed in `dtype`: each
+    batched tensor's values gathered at its `index` of those rows."""
     hit, _, terms = _plan(*key, letter, v)
     cols = {None: np.ones((1, 1), np.int8)}
     for name in _reads(key[0]):
         rows = layout[name][0]
-        cols[name] = rows if rows.shape[1] in (1, idx.size) else rows[:, idx]
+        cols[name] = rows[:, index[name][idx]] if name in index else rows
     total = np.zeros((len(hit), idx.size), dtype)
     for k, sign, joins, places in terms:
         total[places] += sign * _term(joins, cols, _narrowest(bounds[k], key[0].tag))
@@ -684,7 +706,8 @@ def validate_rep_mask(bil, tri, mu, theta, dd, p, ok=None) -> np.ndarray:
 def semidirect_arrays(bil, tri, mu, theta, dd, p):
     """Batched structure tensors of the semidirect sum for each action tuple:
     the glue of the zero cocycle over an abelian fiber, with the action
-    arrays (leading batch axis) laid out as the `identities` tensors."""
+    arrays (leading batch axes that broadcast; None for a zero action) laid
+    out as the `identities` tensors."""
     from .nonabelian import glue
     return glue(bil, tri, None, None, None, None, mu, theta, dd, p=p)
 

@@ -163,8 +163,11 @@ def is_pseudoderivation(f: Matrix, chi, a: BolAlgebra, r: Representation) -> boo
 # exhaustive two-route census (module identities vs. semidirect axioms)
 
 # (theta, D) tail strings per census chunk, and (algebra, candidate) pairs
-# per stacked slice: the action batches and glued tensors of one chunk or
-# slice set the census's peak memory
+# per stacked slice.  The census's peak memory is set by one chunk's tail
+# pass (its action batches and glued tri) or one slice: its masks, its
+# indices and the glued bil of each (algebra, mu string) it reaches, at
+# most one more than its pairs; `identity_mask` gathers at most
+# `bruteforce._ENTRIES` entries at a time
 _CENSUS_CHUNK = 1 << 14
 # each route's identities that read neither bil nor mu (the tail), and the
 # rest: the module identities of theta, D and the base tri; the Bol axioms
@@ -236,38 +239,37 @@ def _census_routes(bils, tri, m: int, p: int, tails):
     (algebra, candidate) pairs: algebra q, mu string i, tail row j.  Each
     route's tail is decided once on `tails`, from its own table; the slices
     run over the union of the two tails' survivors, and each route's rest
-    only on its own survivors there, bil batched per pair and the class's
-    tri fixed (route 2 glues only those pairs).  A candidate outside the
-    union fails both routes and is not yielded.  The routes share which
-    pairs are sliced, never a verdict."""
+    only on its own survivors there, the class's tri fixed.  The rests read
+    each pair through an index into its factors: route 1 the algebras'
+    bil, the mu strings' mu and the surviving tails' theta and D; route 2
+    the glued tri of the surviving tails, from the tail pass, and the glued
+    bil of each (algebra, mu string) the slice reaches, which reads no
+    tail.  A candidate outside the union fails both routes and is not
+    yielded.  The routes share which pairs are sliced, never a verdict."""
     n, lead = tri.shape[0], tri.shape[0] * m * m
     # the tail strings with zero mu digits: the glued tri reads no mu
-    mu, theta, dd = bruteforce.rep_param_batches(n, m, p, np.pad(tails, ((0, 0), (lead, 0))))
+    zero, theta, dd = bruteforce.rep_param_batches(n, m, p, np.pad(tails, ((0, 0), (lead, 0))))
     tail1 = bruteforce.identity_mask(_REP_TAIL, p, {"theta": theta, "dd": dd}, {"tri": tri})
-    _, tri_e = bruteforce.semidirect_arrays(bils[0], tri, mu, theta, dd, p)
+    _, tri_e = bruteforce.semidirect_arrays(bils[0], tri, zero, theta, dd, p)
     tail2 = bruteforce.identity_mask(_BOL_TAIL, p, {"tri": tri_e})
     rows = np.flatnonzero(tail1 | tail2)
+    tail1, tail2, theta, dd, tri_e = (a[rows] for a in (tail1, tail2, theta, dd, tri_e))
     mus = bruteforce.digit_block(0, p ** lead, p, lead, tails.dtype)
+    mus = bruteforce.rep_param_batches(n, m, p, np.pad(mus, ((0, 0), (0, tails.shape[1]))))[0]
     per_algebra = len(mus) * rows.size
     for start in range(0, len(bils) * per_algebra, _CENSUS_CHUNK):
         pair = np.arange(start, min(start + _CENSUS_CHUNK, len(bils) * per_algebra))
-        q, i, j = pair // per_algebra, pair // rows.size % len(mus), rows[pair % rows.size]
-        mu, theta, dd = bruteforce.rep_param_batches(n, m, p, np.hstack([mus[i], tails[j]]))
-        routes = []
-        for survived, decide in ((tail1[j], _rep_rest), (tail2[j], _bol_rest)):
-            own = np.flatnonzero(survived)
-            survived[own] = decide(bils[q[own]], tri, mu[own], theta[own], dd[own], p)
-            routes.append(survived)
-        yield q, i, j, *routes
-
-
-def _rep_rest(bil, tri, mu, theta, dd, p):
-    """Route 1 past its tail: the module identities that read bil or mu."""
-    return bruteforce.identity_mask(_REP_REST, p, {"bil": bil, "mu": mu, "theta": theta,
-                                                   "dd": dd}, {"tri": tri})
-
-
-def _bol_rest(bil, tri, mu, theta, dd, p):
-    """Route 2 past its tail: the Bol axioms of the glue that read its bil."""
-    bil_e, tri_e = bruteforce.semidirect_arrays(bil, tri, mu, theta, dd, p)
-    return bruteforce.identity_mask(_BOL_REST, p, {"bil": bil_e, "tri": tri_e})
+        # the (algebra, mu string) combinations c of the slice run first..last
+        c, j = pair // rows.size, pair % rows.size
+        q, i, first, last = c // len(mus), c % len(mus), c[0], c[-1]
+        reached = np.arange(first, min(last + 1, first + len(mus))) % len(mus)
+        route1 = bruteforce.identity_mask(
+            _REP_REST, p, {"bil": bils[q[0]:q[-1] + 1], "mu": mus[reached], "theta": theta,
+                           "dd": dd}, {"tri": tri}, tail1[j],
+            {"bil": q - q[0], "mu": (c - first) % len(mus), "theta": j, "dd": j})
+        combos = np.arange(first, last + 1)
+        bil_e, _ = bruteforce.semidirect_arrays(bils[combos // len(mus)], tri,
+                                                mus[combos % len(mus)], None, None, p)
+        route2 = bruteforce.identity_mask(_BOL_REST, p, {"bil": bil_e, "tri": tri_e}, None,
+                                          tail2[j], {"bil": c - first, "tri": j})
+        yield q, i, rows[j], route1, route2

@@ -400,20 +400,23 @@ def dense_residuals(suite, field, variant=None, **tensors):
     return out
 
 
-def identity_mask_by_einsum(suite, p, batch, fixed=None, ok=None):
+def identity_mask_by_einsum(suite, p, batch, fixed=None, ok=None, index=None):
     """`bruteforce.identity_mask` with each identity decided by
-    `zero_rows_by_einsum` on the arrays handed in: the same order, pair rule,
-    slices and screen, every term contracted densely."""
+    `zero_rows_by_einsum` on the arrays handed in, a batch read through
+    `index` gathered first, one array row per batch entry: the same order,
+    pair rule, slices and screen, every term contracted densely."""
     from unittest import mock
 
     from bolext import bruteforce
 
-    def dense(key, p, layout, idx, bounds, dtype, letter="", v=0):
-        return zero_rows_by_einsum(key[0], p, batch, fixed or {}, idx, dict(key[1]), bounds,
+    rows = {name: a[index[name]] if name in (index or {}) else a for name, a in batch.items()}
+
+    def dense(key, p, layout, index, idx, bounds, dtype, letter="", v=0):
+        return zero_rows_by_einsum(key[0], p, rows, fixed or {}, idx, dict(key[1]), bounds,
                                    dtype, key[0].tag, letter, v)
 
     with mock.patch.object(bruteforce, "_zero_rows", dense):
-        return bruteforce.identity_mask(suite, p, batch, fixed, ok)
+        return bruteforce.identity_mask(suite, p, batch, fixed, ok, index)
 
 
 def zero_rows_by_einsum(idt, p, batch, fixed, idx, sizes, bounds, dtype, what, letter="", v=0):

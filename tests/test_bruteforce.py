@@ -638,13 +638,14 @@ def test_identity_mask_bounds_only_the_tensors_its_suite_reads():
     assert got[0] and not got[2]
 
 
-@pytest.mark.parametrize("top, dtype", [(120, np.int16), (130, np.int32)])
+@pytest.mark.parametrize("top, dtype", [(120, np.int16), (130, np.int16)])
 def test_zero_rows_reduce_exactly_at_the_int16_edge(monkeypatch, top, dtype):
     # the residual c - a b mod p = 16,411, with a and b up to `top` and c
     # up to 1,000: the terms' bounds sum to 15,400 or 17,900, below 2^15
-    # either way, but a sum of -130^2 = -16,900 < -p floors to -2p, below
-    # int16's range.  The sum type holds the bounds' sum plus p (int16 only
-    # for top 120), and the mask is the einsum's mod p
+    # either way, so the sum type, which holds the bounds' sum and p, is
+    # int16.  A sum of -130^2 = -16,900 < -p floors to -2p, below int16's
+    # range: the product wraps, and so does the difference, back to the
+    # residue.  The mask is the einsum's mod p
     import bolext.bruteforce as bf
 
     p = 16411
@@ -659,7 +660,7 @@ def test_zero_rows_reduce_exactly_at_the_int16_edge(monkeypatch, top, dtype):
     real, types = bf._zero_rows, []
 
     def spy(key, *args):
-        types.append(args[4])
+        types.append(args[5])
         return real(key, *args)
     monkeypatch.setattr(bf, "_zero_rows", spy)
     got = identity_mask((identities.Group(1, (edge,)),), p, {"a": a, "b": b, "c": c})
@@ -859,8 +860,8 @@ def test_screen_changes_no_mask(monkeypatch, p, n, m):
 
     real, calls = bf._zero_rows, []
 
-    def spy(key, p, layout, idx, bounds, dtype, letter="", v=0):
-        passed = real(key, p, layout, idx, bounds, dtype, letter, v)
+    def spy(key, p, layout, index, idx, bounds, dtype, letter="", v=0):
+        passed = real(key, p, layout, index, idx, bounds, dtype, letter, v)
         calls.append((key[0], letter, v, idx.size, int(passed.sum())))
         return passed
     monkeypatch.setattr(bf, "_zero_rows", spy)
@@ -1034,8 +1035,8 @@ def _spy_runs(monkeypatch) -> list:
 
     real, runs = bf._zero_rows, []
 
-    def spy(key, p, layout, idx, bounds, dtype, letter="", v=0):
-        passed = real(key, p, layout, idx, bounds, dtype, letter, v)
+    def spy(key, p, layout, index, idx, bounds, dtype, letter="", v=0):
+        passed = real(key, p, layout, index, idx, bounds, dtype, letter, v)
         runs.append(_Run(key[0], dict(key[1]), letter, v, idx.size, passed,
                          bf._plan(*key, letter, v)))
         return passed
@@ -1122,9 +1123,12 @@ def test_support_join_matches_the_einsum_oracle_on_real_batches(F5, monkeypatch,
 
     real, calls = bf.identity_mask, []
 
-    def spy(suite, p, batch, fixed=None, ok=None):
-        mask = real(suite, p, batch, fixed, ok)
-        calls.append(((suite, p, batch, fixed, ok), mask))
+    def spy(suite, p, batch, fixed=None, ok=None, index=None):
+        mask = real(suite, p, batch, fixed, ok, index)
+        # a batch read through an index, gathered: one array row per entry
+        rows = {name: a[index[name]] if name in (index or {}) else a
+                for name, a in batch.items()}
+        calls.append(((suite, p, rows, fixed, ok), mask))
         return mask
     monkeypatch.setattr(bf, "identity_mask", spy)
     assert semidirect_iff_census(F5, 2, 1).valid_pairs == 1225
@@ -1180,6 +1184,90 @@ def test_support_join_matches_the_einsum_oracle_on_sparse_supports(data):
         got = identity_mask(suite, p, batch, fixed, ok)
         assert got.tolist() == identity_mask_by_einsum(suite, p, batch, fixed, ok).tolist()
     assert got.shape == (rows,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_an_indexed_batch_gives_the_mask_of_the_gathered_batch(data):
+    # each batched tensor of 0, 1, 7 or 12 entries is read through an index
+    # into 1 to 4 values (repeated, some unreached, each with its own
+    # random support) or not at all; the mask is the one of the batch
+    # gathered row by row, and the einsum oracle's on the same index:
+    # alternating or not, screened (_ENTRIES = 1) or not, with pair forms
+    # or none, from a random starting mask
+    from unittest import mock
+
+    import bolext.bruteforce as bf
+    from oracles import identity_mask_by_einsum
+
+    suite, batched = data.draw(st.sampled_from(_ROUTES))
+    p = data.draw(st.sampled_from([2, 5, 7]))
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    rows = data.draw(st.sampled_from([0, 1, 7, 12]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    alternating = data.draw(st.booleans())
+    shapes = _tensor_shapes(n, m)
+    batch, fixed, index = {}, {}, {}
+    for name in sorted({name for g in suite for i in g.identities for t in i.terms
+                        for name, _ in t.factors}):
+        density = data.draw(st.sampled_from([0, 0.1, 0.5, 1]))
+        indexed = name in batched and data.draw(st.booleans())
+        values = data.draw(st.integers(1, 4)) if indexed else rows
+        shape = ((values,) if name in batched else ()) + shapes[name]
+        t = rng.integers(0, p, shape) * (rng.random(shape) < density)
+        t = _alternate(p, t, name in batched) if alternating else t
+        if name not in batched:
+            fixed[name] = t
+            continue
+        batch[name] = t
+        if indexed:
+            index[name] = rng.integers(0, values, rows)
+    if not batch:
+        return
+    ok = rng.random(rows) < 0.8
+    gathered = {name: a[index[name]] if name in index else a for name, a in batch.items()}
+    form = data.draw(st.sampled_from([bf._pair_form, lambda idt: None]))
+    entries = data.draw(st.sampled_from([1, 1 << 19]))
+    with mock.patch.object(bf, "_ENTRIES", entries), mock.patch.object(bf, "_pair_form", form):
+        got = identity_mask(suite, p, batch, fixed, ok, index)
+        assert got.tolist() == identity_mask(suite, p, gathered, fixed, ok).tolist()
+        assert got.tolist() == identity_mask_by_einsum(suite, p, batch, fixed, ok,
+                                                       index).tolist()
+    assert got.shape == (rows,) and not (got & ~ok).any()
+
+
+def test_census_lays_out_and_glues_each_factor_once(F5, monkeypatch):
+    # census-21: 25 algebras (one tri class), 25 mu strings and 25 (theta,
+    # D) tail strings that pass a tail, 15,625 pairs in one slice.  Route 2
+    # glues the 3,125 tail strings once, and each (algebra, mu string) once:
+    # 625 bil; its rest reads them and the 25 surviving glued tri through an
+    # index.  Route 1's rest reads the 25 algebras' bil, the 25 mu tensors and
+    # the 25 surviving theta and D the same way
+    import bolext.bruteforce as bf
+    from bolext import nonabelian, representation
+
+    glued, calls = [], {}
+    real_glue, real_mask = nonabelian.glue, bf.identity_mask
+
+    def glue(*args, **kwargs):
+        bil_e, tri_e = real_glue(*args, **kwargs)
+        glued.append(prod(bil_e.shape[:-3]))
+        return bil_e, tri_e
+
+    def spy(suite, p, batch, fixed=None, ok=None, index=None):
+        for name in ("_REP_REST", "_BOL_REST"):
+            if suite is getattr(representation, name):
+                calls[name] = ({k: len(a) for k, a in batch.items()},
+                               {k: len(a) for k, a in (index or {}).items()})
+        return real_mask(suite, p, batch, fixed, ok, index)
+    monkeypatch.setattr(nonabelian, "glue", glue)
+    monkeypatch.setattr(bf, "identity_mask", spy)
+    census = representation.semidirect_iff_census(F5, 2, 1)
+    assert (census.valid_pairs, census.discrepancies) == (1225, [])
+    assert glued == [5 ** 5, 25 * 25]
+    assert calls["_REP_REST"] == ({"bil": 25, "mu": 25, "theta": 25, "dd": 25},
+                                  dict.fromkeys(("bil", "mu", "theta", "dd"), 5 ** 6))
+    assert calls["_BOL_REST"] == ({"bil": 625, "tri": 25}, {"bil": 5 ** 6, "tri": 5 ** 6})
 
 
 class _Counted(np.ndarray):

@@ -232,11 +232,11 @@ def test_census_decides_each_tail_string_once_per_tri_class(F5, census_sample, m
     rows = {"_REP_TAIL": 0, "_BOL_TAIL": 0}
     real = bruteforce.identity_mask
 
-    def spy(suite, p, batch, fixed=None, ok=None):
+    def spy(suite, p, batch, fixed=None, ok=None, index=None):
         for name in rows:
             if suite is getattr(representation, name):
                 rows[name] += len(next(iter(batch.values())))
-        return real(suite, p, batch, fixed, ok)
+        return real(suite, p, batch, fixed, ok, index)
     monkeypatch.setattr(bruteforce, "identity_mask", spy)
     monkeypatch.setattr(representation, "_CENSUS_CHUNK", chunk)
     census = semidirect_iff_census(F5, 2, 1)
@@ -294,10 +294,10 @@ def test_census_routes_stay_independent(census_sample, monkeypatch):
     calls = []
     real = bruteforce.identity_mask
 
-    def spy(suite, p, batch, fixed=None, ok=None):
+    def spy(suite, p, batch, fixed=None, ok=None, index=None):
         calls.append((_tags(suite), {name: a.shape[-1]
                                      for name, a in {**batch, **(fixed or {})}.items()}))
-        return real(suite, p, batch, fixed, ok)
+        return real(suite, p, batch, fixed, ok, index)
     monkeypatch.setattr(bruteforce, "identity_mask", spy)
     tails, _ = _census_candidates(0, 160)
     routes = _census_masks(census_sample, tails)
