@@ -411,7 +411,7 @@ def identity_mask_by_einsum(suite, p, batch, fixed=None, ok=None, index=None):
 
     rows = {name: a[index[name]] if name in (index or {}) else a for name, a in batch.items()}
 
-    def dense(key, p, layout, index, idx, bounds, dtype, letter="", v=0):
+    def dense(key, p, layout, _index, idx, bounds, dtype, letter="", v=0):
         return zero_rows_by_einsum(key[0], p, rows, fixed or {}, idx, dict(key[1]), bounds,
                                    dtype, key[0].tag, letter, v)
 
