@@ -46,9 +46,13 @@ def _headroom_dtype(terms: int, degree: int, p: int):
                       f"{terms} products of {degree} residues mod {p}")
 
 
+# the integer types of residue sums, narrowest first, with their maxima
+_WIDTHS = tuple((dt, int(np.iinfo(dt).max)) for dt in (np.int16, np.int32, np.int64))
+
+
 def _narrowest(worst: int, what: str):
-    for dt in (np.int16, np.int32, np.int64):
-        if worst <= np.iinfo(dt).max:
+    for dt, top in _WIDTHS:
+        if worst <= top:
             return dt
     raise UnsupportedEnumerationError(f"{what} overflow int64")
 

@@ -75,10 +75,6 @@ class Cochain2:
                     out = vec_add(out, vec_scale(ci * cj, self.grid[i][j]))
         return out
 
-    def is_skew(self) -> bool:
-        return all(vec_is_zero(vec_add(self.grid[i][j], self.grid[j][i]))
-                   for i in range(self.n) for j in range(i, self.n))
-
 
 @dataclass(frozen=True)
 class Cochain3:
@@ -131,11 +127,6 @@ class Cochain3:
                     if ck:
                         out = vec_add(out, vec_scale(c * ck, self.grid[i][j][k]))
         return out
-
-    def is_skew(self) -> bool:
-        return all(vec_is_zero(vec_add(self.grid[i][j][k], self.grid[j][i][k]))
-                   for i in range(self.n) for j in range(i, self.n)
-                   for k in range(self.n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ integers in [0, p)):
   cochain-pair   {"nu": n*n columns, "omega": n*n*n columns}
   nab-cocycle    {"base": algebra-or-path, "fiber": algebra-or-path,
                   "nu", "omega", "mu", "theta", "D"}
-  extension      {"fiber", "total", "base", "i": matrix, "p": matrix,
-                  "section": matrix (optional)}
+  extension      {"fiber", "total", "base", "i": matrix, "p": matrix}
   aut-pair       {"alpha": matrix, "beta": matrix}
 
-Shape and skewness invariants are validated at load; violations raise
-ParseError with the offending field path.  Serialization is canonical:
-parse . serialize is the identity on canonical files.
+Every tensor is a nested array of scalars, read by `_nested` and written by
+`_to_doc` whatever its rank.  Shape and skewness invariants are validated
+at load (`_skew` for bilinear, trilinear, nu, omega and D); a violation
+raises ParseError naming the failing array, scalar or pair, such as
+`nu[0][1]`.  Serialization is canonical: parse . serialize is the identity
+on canonical files.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .errors import ParseError, UsageError
 from .exactlin import Matrix, PrimeField, RATIONALS
 from .extensions import Extension
 from .nonabelian import NonAbelianCocycle
-from .representation import Representation
+from .representation import ActionOps, Representation
 from .wells import AutPair
 
 __all__ = [
@@ -49,10 +51,28 @@ def _fail(path, loc, msg):
     raise ParseError(path, loc, msg)
 
 
+def _require(doc, path, what, keys):
+    """Refuses doc unless it is an object holding every key."""
+    if not isinstance(doc, dict):
+        _fail(path, "$", f"{what} document must be an object")
+    for key in keys:
+        if key not in doc:
+            _fail(path, "$", f"missing key {key!r}")
+
+
+def _dimension(doc, key, path):
+    """doc[key] as a positive integer; JSON true and false are refused,
+    although bool is a subclass of int."""
+    n = doc[key]
+    if type(n) is not int or n < 1:
+        _fail(path, key, "dimension must be a positive integer")
+    return n
+
+
 def _field_from_doc(doc, path, loc):
     if doc == "Q":
         return RATIONALS
-    if isinstance(doc, dict) and set(doc) == {"p"} and isinstance(doc["p"], int):
+    if isinstance(doc, dict) and set(doc) == {"p"} and type(doc["p"]) is int:
         try:
             return PrimeField(doc["p"])
         except UsageError as exc:
@@ -64,9 +84,16 @@ def _field_to_doc(field):
     return "Q" if not field.is_prime_field else {"p": field.p}
 
 
-def _vector(field, doc, length, path, loc):
-    if not isinstance(doc, list) or len(doc) != length:
-        _fail(path, loc, f"expected an array of {length} scalars")
+def _nested(field, doc, shape, path, loc):
+    """The scalars of a nested array of the given shape as nested tuples.
+    Each level must be an array of its length; the location of a scalar is
+    built only when that scalar fails to parse."""
+    size, rest = shape[0], shape[1:]
+    if not isinstance(doc, list) or len(doc) != size:
+        _fail(path, loc, f"expected an array of {size} {'arrays' if rest else 'scalars'}")
+    if rest:
+        return tuple([_nested(field, sub, rest, path, f"{loc}[{k}]")
+                      for k, sub in enumerate(doc)])
     parse, out = field.parse_scalar, []
     for t in doc:
         try:
@@ -76,86 +103,58 @@ def _vector(field, doc, length, path, loc):
     return tuple(out)
 
 
+def _to_doc(field, t, rank):
+    """The nested array of a rank-`rank` tuple of scalars."""
+    if rank == 1:
+        return list(map(field.format_scalar, t))
+    return [_to_doc(field, s, rank - 1) for s in t]
+
+
+def _negatives(u, v) -> bool:
+    """u = -v for two nested tuples of one shape over one field, adding
+    only where one is nonzero."""
+    if isinstance(u[0], tuple):
+        return all(map(_negatives, u, v))
+    return all(not a + b for a, b in zip(u, v) if a or b)
+
+
+def _skew(t, path, key, msg):
+    """Refuses t unless t[i][j] = -t[j][i] for all i <= j; names the first
+    pair that fails."""
+    for i in range(len(t)):
+        for j in range(i, len(t)):
+            if not _negatives(t[i][j], t[j][i]):
+                _fail(path, f"{key}[{i}][{j}]", msg)
+
+
 def matrix_from_doc(field, doc, rows, cols, path, loc) -> Matrix:
-    if not isinstance(doc, list) or len(doc) != rows:
-        _fail(path, loc, f"expected a {rows}x{cols} matrix")
-    return Matrix(field, [
-        _vector(field, row, cols, path, f"{loc}[{r}]") for r, row in enumerate(doc)],
-        cols=cols)
+    return Matrix(field, _nested(field, doc, (rows, cols), path, loc), cols=cols)
 
 
 def matrix_to_doc(mat: Matrix):
-    f = mat.field.format_scalar
-    return [[f(c) for c in row] for row in mat.entries]
-
-
-def _vec_doc(field, vec):
-    return [field.format_scalar(c) for c in vec]
+    return _to_doc(mat.field, mat.entries, 2)
 
 
 # ---------------------------------------------------------------------------
 # algebra
 
-def _negatives(u, v) -> bool:
-    """u = -v for two vectors of one field, adding only where one is nonzero."""
-    return all(not a + b for a, b in zip(u, v) if a or b)
-
-
 def algebra_from_doc(doc, path) -> BolAlgebra:
-    if not isinstance(doc, dict):
-        _fail(path, "$", "algebra document must be an object")
-    for key in ("field", "dim", "bilinear", "trilinear"):
-        if key not in doc:
-            _fail(path, "$", f"missing key {key!r}")
+    _require(doc, path, "algebra", ("field", "dim", "bilinear", "trilinear"))
     field = _field_from_doc(doc["field"], path, "field")
-    n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
-        _fail(path, "dim", "dimension must be a positive integer")
-    bil_doc, tri_doc = doc["bilinear"], doc["trilinear"]
-    if not isinstance(bil_doc, list) or len(bil_doc) != n:
-        _fail(path, "bilinear", f"expected {n} planes")
-    bil = []
-    for i in range(n):
-        if not isinstance(bil_doc[i], list) or len(bil_doc[i]) != n:
-            _fail(path, f"bilinear[{i}]", f"expected {n} rows")
-        bil.append(tuple(_vector(field, bil_doc[i][j], n, path,
-                                 f"bilinear[{i}][{j}]") for j in range(n)))
-    bil = tuple(bil)
-    if not isinstance(tri_doc, list) or len(tri_doc) != n:
-        _fail(path, "trilinear", f"expected {n} blocks")
-    tri = []
-    for i in range(n):
-        if not isinstance(tri_doc[i], list) or len(tri_doc[i]) != n:
-            _fail(path, f"trilinear[{i}]", f"expected {n} planes")
-        plane = []
-        for j in range(n):
-            if not isinstance(tri_doc[i][j], list) or len(tri_doc[i][j]) != n:
-                _fail(path, f"trilinear[{i}][{j}]", f"expected {n} rows")
-            plane.append(tuple(
-                _vector(field, tri_doc[i][j][k], n, path, f"trilinear[{i}][{j}][{k}]")
-                for k in range(n)))
-        tri.append(tuple(plane))
-    a = BolAlgebra(field, n, bil, tuple(tri))
-    for i in range(n):
-        for j in range(i, n):
-            if not _negatives(a.bil[i][j], a.bil[j][i]):
-                _fail(path, f"bilinear[{i}][{j}]",
-                      "bilinear entries must be skew: b[i][j] = -b[j][i]")
-            for k in range(n):
-                if not _negatives(a.tri[i][j][k], a.tri[j][i][k]):
-                    _fail(path, f"trilinear[{i}][{j}][{k}]",
-                          "trilinear entries must be skew in the first two slots")
-    return a
+    n = _dimension(doc, "dim", path)
+    bil = _nested(field, doc["bilinear"], (n, n, n), path, "bilinear")
+    tri = _nested(field, doc["trilinear"], (n, n, n, n), path, "trilinear")
+    _skew(bil, path, "bilinear", "bilinear entries must be skew: b[i][j] = -b[j][i]")
+    _skew(tri, path, "trilinear", "trilinear entries must be skew in the first two slots")
+    return BolAlgebra(field, n, bil, tri)
 
 
 def algebra_to_doc(a: BolAlgebra):
     return {
         "field": _field_to_doc(a.field),
         "dim": a.dim,
-        "bilinear": [[_vec_doc(a.field, a.bil[i][j]) for j in range(a.dim)]
-                     for i in range(a.dim)],
-        "trilinear": [[[_vec_doc(a.field, a.tri[i][j][k]) for k in range(a.dim)]
-                       for j in range(a.dim)] for i in range(a.dim)],
+        "bilinear": _to_doc(a.field, a.bil, 3),
+        "trilinear": _to_doc(a.field, a.tri, 4),
     }
 
 
@@ -163,15 +162,11 @@ def algebra_to_doc(a: BolAlgebra):
 # representation
 
 def representation_from_doc(doc, path) -> Representation:
-    if not isinstance(doc, dict):
-        _fail(path, "$", "representation document must be an object")
-    for key in ("field", "algebra_dim", "module_dim", "mu", "theta", "D"):
-        if key not in doc:
-            _fail(path, "$", f"missing key {key!r}")
+    _require(doc, path, "representation",
+             ("field", "algebra_dim", "module_dim", "mu", "theta", "D"))
     field = _field_from_doc(doc["field"], path, "field")
-    n, m = doc["algebra_dim"], doc["module_dim"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
-        _fail(path, "algebra_dim", "dimensions must be positive integers")
+    n = _dimension(doc, "algebra_dim", path)
+    m = _dimension(doc, "module_dim", path)
     mu, theta, dd = _actions_from_doc(doc, field, n, m, path)
     return Representation(field, n, m, mu, theta, dd)
 
@@ -179,26 +174,25 @@ def representation_from_doc(doc, path) -> Representation:
 def _actions_from_doc(doc, field, n, m, path):
     """(mu, theta, D) of a representation or cocycle document; D must be
     alternating."""
-    if not isinstance(doc["mu"], list) or len(doc["mu"]) != n:
-        _fail(path, "mu", f"expected {n} matrices")
-    mu = tuple(matrix_from_doc(field, doc["mu"][i], m, m, path, f"mu[{i}]")
-               for i in range(n))
+    mu = _nested(field, doc["mu"], (n, m, m), path, "mu")
+    theta = _nested(field, doc["theta"], (n, n, m, m), path, "theta")
+    dd = _nested(field, doc["D"], (n, n, m, m), path, "D")
+    _skew(dd, path, "D", "D must be alternating")
 
-    def grid(key):
-        g = doc[key]
-        if not isinstance(g, list) or len(g) != n or any(
-                not isinstance(r, list) or len(r) != n for r in g):
-            _fail(path, key, f"expected an {n}x{n} grid of matrices")
-        return tuple(tuple(matrix_from_doc(field, g[i][j], m, m, path,
-                                           f"{key}[{i}][{j}]")
-                           for j in range(n)) for i in range(n))
+    def matrices(grid):
+        return tuple(tuple(Matrix(field, a, cols=m) for a in row) for row in grid)
 
-    theta, dd = grid("theta"), grid("D")
-    for i in range(n):
-        for j in range(i, n):
-            if not (dd[i][j] + dd[j][i]).is_zero():
-                _fail(path, f"D[{i}][{j}]", "D must be alternating")
-    return mu, theta, dd
+    return tuple(Matrix(field, a, cols=m) for a in mu), matrices(theta), matrices(dd)
+
+
+def _actions_to_doc(x: ActionOps):
+    """mu, theta and D of a representation or cocycle."""
+    entries = x.action_entries()
+    return {
+        "mu": _to_doc(x.field, entries["mu"], 3),
+        "theta": _to_doc(x.field, entries["theta"], 4),
+        "D": _to_doc(x.field, entries["dd"], 4),
+    }
 
 
 def representation_to_doc(r: Representation):
@@ -206,11 +200,7 @@ def representation_to_doc(r: Representation):
         "field": _field_to_doc(r.field),
         "algebra_dim": r.algebra_dim,
         "module_dim": r.module_dim,
-        "mu": [matrix_to_doc(mat) for mat in r.mu],
-        "theta": [[matrix_to_doc(r.theta[i][j]) for j in range(r.algebra_dim)]
-                  for i in range(r.algebra_dim)],
-        "D": [[matrix_to_doc(r.dd[i][j]) for j in range(r.algebra_dim)]
-              for i in range(r.algebra_dim)],
+        **_actions_to_doc(r),
     }
 
 
@@ -218,43 +208,18 @@ def representation_to_doc(r: Representation):
 # cochain pair (needs ambient dims)
 
 def cochain_pair_from_doc(doc, field, n, m, path):
-    if not isinstance(doc, dict) or "nu" not in doc or "omega" not in doc:
-        _fail(path, "$", 'cochain document needs "nu" and "omega"')
-    nu_doc, om_doc = doc["nu"], doc["omega"]
-    if not isinstance(nu_doc, list) or len(nu_doc) != n or any(
-            not isinstance(r, list) or len(r) != n for r in nu_doc):
-        _fail(path, "nu", f"expected an {n}x{n} grid of columns")
-    nu = Cochain2(n, m, field, tuple(
-        tuple(_vector(field, nu_doc[i][j], m, path, f"nu[{i}][{j}]")
-              for j in range(n)) for i in range(n)))
-    if not isinstance(om_doc, list) or len(om_doc) != n:
-        _fail(path, "omega", f"expected {n} planes")
-    planes = []
-    for i in range(n):
-        if not isinstance(om_doc[i], list) or len(om_doc[i]) != n:
-            _fail(path, f"omega[{i}]", f"expected {n} rows")
-        rows = []
-        for j in range(n):
-            if not isinstance(om_doc[i][j], list) or len(om_doc[i][j]) != n:
-                _fail(path, f"omega[{i}][{j}]", f"expected {n} columns")
-            rows.append(tuple(
-                _vector(field, om_doc[i][j][k], m, path, f"omega[{i}][{j}][{k}]")
-                for k in range(n)))
-        planes.append(tuple(rows))
-    om = Cochain3(n, m, field, tuple(planes))
-    if not nu.is_skew():
-        _fail(path, "nu", "nu must be skew: nu[i][j] = -nu[j][i]")
-    if not om.is_skew():
-        _fail(path, "omega", "omega must be skew in the first two slots")
-    return nu, om
+    _require(doc, path, "cochain", ("nu", "omega"))
+    nu = _nested(field, doc["nu"], (n, n, m), path, "nu")
+    om = _nested(field, doc["omega"], (n, n, n, m), path, "omega")
+    _skew(nu, path, "nu", "nu must be skew: nu[i][j] = -nu[j][i]")
+    _skew(om, path, "omega", "omega must be skew in the first two slots")
+    return Cochain2(n, m, field, nu), Cochain3(n, m, field, om)
 
 
 def cochain_pair_to_doc(nu: Cochain2, om: Cochain3):
-    f = nu.field
     return {
-        "nu": [[_vec_doc(f, nu.at(i, j)) for j in range(nu.n)] for i in range(nu.n)],
-        "omega": [[[_vec_doc(f, om.at(i, j, k)) for k in range(om.n)]
-                   for j in range(om.n)] for i in range(om.n)],
+        "nu": _to_doc(nu.field, nu.grid, 3),
+        "omega": _to_doc(om.field, om.grid, 4),
     }
 
 
@@ -264,51 +229,35 @@ def cochain_pair_to_doc(nu: Cochain2, om: Cochain3):
 def _embedded_algebra(doc, path, key, base_dir):
     sub = doc[key]
     if isinstance(sub, str):
-        ref = os.path.join(base_dir, sub)
-        return load_algebra(ref)
+        return parse_document(os.path.join(base_dir, sub), "algebra")
     return algebra_from_doc(sub, f"{path}#{key}")
 
 
 def nab_from_doc(doc, path, base_dir=".") -> NonAbelianCocycle:
-    if not isinstance(doc, dict):
-        _fail(path, "$", "cocycle document must be an object")
-    for key in ("base", "fiber", "nu", "omega", "mu", "theta", "D"):
-        if key not in doc:
-            _fail(path, "$", f"missing key {key!r}")
+    _require(doc, path, "cocycle", ("base", "fiber", "nu", "omega", "mu", "theta", "D"))
     base = _embedded_algebra(doc, path, "base", base_dir)
     fiber = _embedded_algebra(doc, path, "fiber", base_dir)
     if base.field != fiber.field:
         _fail(path, "fiber", "base and fiber must share a field")
-    n, m = base.dim, fiber.dim
-    field = base.field
-    nu, om = cochain_pair_from_doc({"nu": doc["nu"], "omega": doc["omega"]},
-                                   field, n, m, path)
-    mu, theta, dd = _actions_from_doc(doc, field, n, m, path)
+    nu, om = cochain_pair_from_doc(doc, base.field, base.dim, fiber.dim, path)
+    mu, theta, dd = _actions_from_doc(doc, base.field, base.dim, fiber.dim, path)
     return NonAbelianCocycle(base, fiber, nu, om, mu, theta, dd)
 
 
 def nab_to_doc(c: NonAbelianCocycle):
-    doc = {
+    return {
         "base": algebra_to_doc(c.base),
         "fiber": algebra_to_doc(c.fiber),
+        **cochain_pair_to_doc(c.nu, c.omega),
+        **_actions_to_doc(c),
     }
-    doc.update(cochain_pair_to_doc(c.nu, c.omega))
-    doc["mu"] = [matrix_to_doc(mat) for mat in c.mu]
-    doc["theta"] = [[matrix_to_doc(c.theta[i][j]) for j in range(c.n)]
-                    for i in range(c.n)]
-    doc["D"] = [[matrix_to_doc(c.dd[i][j]) for j in range(c.n)] for i in range(c.n)]
-    return doc
 
 
 # ---------------------------------------------------------------------------
 # extension
 
 def extension_from_doc(doc, path, base_dir=".") -> Extension:
-    if not isinstance(doc, dict):
-        _fail(path, "$", "extension document must be an object")
-    for key in ("fiber", "total", "base", "i", "p"):
-        if key not in doc:
-            _fail(path, "$", f"missing key {key!r}")
+    _require(doc, path, "extension", ("fiber", "total", "base", "i", "p"))
     fiber = _embedded_algebra(doc, path, "fiber", base_dir)
     total = _embedded_algebra(doc, path, "total", base_dir)
     base = _embedded_algebra(doc, path, "base", base_dir)
@@ -319,25 +268,21 @@ def extension_from_doc(doc, path, base_dir=".") -> Extension:
     return Extension(fiber, total, base, inj, proj)
 
 
-def extension_to_doc(e: Extension, section: Matrix = None):
-    doc = {
+def extension_to_doc(e: Extension):
+    return {
         "fiber": algebra_to_doc(e.fiber),
         "total": algebra_to_doc(e.total),
         "base": algebra_to_doc(e.base),
         "i": matrix_to_doc(e.inj),
         "p": matrix_to_doc(e.proj),
     }
-    if section is not None:
-        doc["section"] = matrix_to_doc(section)
-    return doc
 
 
 # ---------------------------------------------------------------------------
 # automorphism pair
 
 def aut_pair_from_doc(doc, field, n, m, path) -> AutPair:
-    if not isinstance(doc, dict) or "alpha" not in doc or "beta" not in doc:
-        _fail(path, "$", 'pair document needs "alpha" and "beta"')
+    _require(doc, path, "pair", ("alpha", "beta"))
     return AutPair(matrix_from_doc(field, doc["alpha"], n, n, path, "alpha"),
                    matrix_from_doc(field, doc["beta"], m, m, path, "beta"))
 
@@ -381,7 +326,3 @@ def parse_document(path: str, kind: str, **ctx):
     if kind == "aut-pair":
         return aut_pair_from_doc(doc, ctx["field"], ctx["n"], ctx["m"], path)
     raise UsageError(f"unknown document kind {kind!r}")
-
-
-def load_algebra(path) -> BolAlgebra:
-    return parse_document(path, "algebra")

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bolext import documents as docs
 from bolext.bol import validate_bol
@@ -217,3 +219,163 @@ def test_exponent_scalar_in_a_document_exits_2_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "bilinear[0][0][0]: exponent forms are not rational scalars" in err.getvalue()
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from bolext.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_nested_round_trip_over_random_shapes(data):
+    from bolext.exactlin import PrimeField, RATIONALS
+    field = data.draw(st.sampled_from([PrimeField(5), PrimeField(7), RATIONALS]))
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    size = 1
+    for s in shape:
+        size *= s
+    if field.is_prime_field:
+        scalars = st.integers(0, field.p - 1)
+    else:
+        scalars = st.fractions(max_denominator=12)
+    tokens = [field.format_scalar(field.scalar(v))
+              for v in data.draw(st.lists(scalars, min_size=size, max_size=size))]
+
+    def nest(flat, dims):
+        if len(dims) == 1:
+            return flat
+        step = len(flat) // dims[0]
+        return [nest(flat[k * step:(k + 1) * step], dims[1:]) for k in range(dims[0])]
+
+    doc = nest(tokens, shape)
+    t = docs._nested(field, doc, shape, "<mem>", "x")
+    assert docs._to_doc(field, t, len(shape)) == doc
+    level = t
+    for s in shape:
+        assert isinstance(level, tuple) and len(level) == s
+        level = level[0]
+
+
+def _s2_s2_cocycle_doc():
+    """The cocycle document of the corpus extension e_s2_s2 over GF(5)."""
+    from bolext.extensions import theta_map
+    e = docs.parse_document(str(corpus_dir() / "e_s2_s2.ext"), "extension")
+    return docs.nab_to_doc(theta_map(e))
+
+
+def _malformed_case(key):
+    """(kind, CLI argv before the path, a GF(5) document, the rank of the
+    nested array at `key`)."""
+    if key in ("bilinear", "trilinear"):
+        doc = json.loads((corpus_dir() / "h3_gf5.bol").read_text())
+        return "algebra", ["validate"], doc, 3 if key == "bilinear" else 4
+    if key in ("i", "p"):
+        doc = json.loads((corpus_dir() / "e_s2_s2.ext").read_text())
+        return "extension", ["extract-cocycle", "--extension"], doc, 2
+    rank = {"nu": 3, "mu": 3, "omega": 4, "theta": 4, "D": 4}[key]
+    return "nab-cocycle", ["nab-validate", "--cocycle"], _s2_s2_cocycle_doc(), rank
+
+
+@pytest.mark.parametrize("how", ["one too many", "not an array"])
+@pytest.mark.parametrize("key, depth", [
+    (key, depth) for key, rank in [("bilinear", 3), ("trilinear", 4), ("nu", 3),
+                                   ("omega", 4), ("mu", 3), ("theta", 4), ("D", 4),
+                                   ("i", 2), ("p", 2)]
+    for depth in range(rank)])
+def test_malformed_array_names_its_depth_and_exits_2(tmp_path, key, depth, how):
+    kind, argv, doc, rank = _malformed_case(key)
+    parent, slot = doc, key
+    for _ in range(depth):
+        parent, slot = parent[slot], 0
+    target = parent[slot]
+    parent[slot] = target + [target[0]] if how == "one too many" else 0
+    loc = key + "[0]" * depth
+    message = (f"expected an array of {len(target)} "
+               f"{'scalars' if depth == rank - 1 else 'arrays'}")
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        docs.parse_document(str(p), kind)
+    assert (info.value.location, info.value.message) == (loc, message)
+    assert _cli(argv + [str(p)]) == (2, "", f"error: {p}: {loc}: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["e_h3.ext", "e_s2_s2.ext"])
+def test_corpus_roundtrip_extracted_cocycles(tmp_path, name):
+    code, text, _ = _cli(["extract-cocycle", "--extension", str(corpus_dir() / name)])
+    assert code == 0
+    p = tmp_path / "c.nab"
+    p.write_text(text)
+    c = docs.parse_document(str(p), "nab-cocycle")
+    assert docs.canonical_json(docs.nab_to_doc(c)) == text
+
+
+def _skew_case(key):
+    """(kind, GF(5) document with the pair (0, 1) of `key` no longer skew,
+    the message ParseError gives)."""
+    if key in ("bilinear", "trilinear"):
+        doc = json.loads((corpus_dir() / "h3_gf5.bol").read_text())
+        kind = "algebra"
+    else:
+        doc = _s2_s2_cocycle_doc()
+        kind = "nab-cocycle"
+    entry = doc[key][0][1]
+    while isinstance(entry[0], list):
+        entry = entry[0]
+    entry[0] = (entry[0] + 1) % 5
+    return kind, doc, {
+        "bilinear": "bilinear entries must be skew: b[i][j] = -b[j][i]",
+        "trilinear": "trilinear entries must be skew in the first two slots",
+        "nu": "nu must be skew: nu[i][j] = -nu[j][i]",
+        "omega": "omega must be skew in the first two slots",
+        "D": "D must be alternating"}[key]
+
+
+@pytest.mark.parametrize("key", ["bilinear", "trilinear", "nu", "omega", "D"])
+def test_skew_violation_names_its_pair(tmp_path, key):
+    kind, doc, message = _skew_case(key)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        docs.parse_document(str(p), kind)
+    assert (info.value.location, info.value.message) == (f"{key}[0][1]", message)
+
+
+_ZERO_ALGEBRA = {"field": {"p": 5}, "dim": 1, "bilinear": [[[0]]], "trilinear": [[[[0]]]]}
+
+
+@pytest.mark.parametrize("change, loc, message", [
+    ({"dim": True}, "dim", "dimension must be a positive integer"),
+    ({"dim": False}, "dim", "dimension must be a positive integer"),
+    ({"dim": 1.0}, "dim", "dimension must be a positive integer"),
+    ({"field": {"p": True}}, "field", 'field must be "Q" or {"p": <prime>}')])
+def test_boolean_dimension_or_modulus_exits_2(tmp_path, change, loc, message):
+    p = tmp_path / "bad.bol"
+    p.write_text(json.dumps({**_ZERO_ALGEBRA, **change}))
+    with pytest.raises(ParseError) as info:
+        docs.parse_document(str(p), "algebra")
+    assert (info.value.location, info.value.message) == (loc, message)
+    assert _cli(["validate", str(p)]) == (2, "", f"error: {p}: {loc}: {message}\n")
+
+
+@pytest.mark.parametrize("key", ["algebra_dim", "module_dim"])
+@pytest.mark.parametrize("value", [True, 0, "1"])
+def test_bad_representation_dimension_names_its_key(tmp_path, key, value):
+    doc = json.loads((corpus_dir() / "t1_dim1_gf5.rep").read_text())
+    doc[key] = value
+    p = tmp_path / "bad.rep"
+    p.write_text(json.dumps(doc))
+    message = "dimension must be a positive integer"
+    with pytest.raises(ParseError) as info:
+        docs.parse_document(str(p), "representation")
+    assert (info.value.location, info.value.message) == (key, message)
+    argv = ["validate-rep", "--algebra", str(corpus_dir() / "z1_gf5.bol"), "--rep", str(p)]
+    assert _cli(argv) == (2, "", f"error: {p}: {key}: {message}\n")
