@@ -17,7 +17,8 @@ Only the flat scan is limited to dimension <= 3.
 Every mod-p elimination here (the batched inverses of `inverse_mod`, the
 factored scan's per-pair systems, the class keys and witnesses of
 `solve_rows`) runs through one stacked Gauss-Jordan loop, `eliminate`, with
-pivots as in `Matrix.rref`.
+pivots as in `Matrix.rref`, and every residue contraction given as an
+einsum spec (here, in `wells` and in `nonabelian`) through `contract_mod`.
 """
 from __future__ import annotations
 
@@ -508,8 +509,7 @@ def _triangular_slices(bil, tri, alphas, betas, p):
         if probes:
             const = const.astype(np.int64)
             lin = (res[:, 1:-1] - const[:, None]) % p  # (k, probes, rows)
-            predicted = (const + np.einsum("ku,kur->kr", guard[:, 0, :probes].astype(np.int64),
-                                           lin)) % p
+            predicted = (const + contract_mod("ku,kur->kr", p, guard[:, 0, :probes], lin)) % p
         else:  # no linear part: the guard C must leave the C = 0 residual as it is
             lin, predicted = res[:, 1:-1], const
         if not np.array_equal(predicted, res[:, -1]):
@@ -619,25 +619,51 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple:
 def _coset_members(pair: np.ndarray, x0: np.ndarray, free: np.ndarray, p: int):
     """(pair index, digit rows) of the members of each pair's solution coset
     x0[k] + span of free[k] (`_solve_stack`), pair by pair and each coset in
-    lexicographic order, in slices of at most `_CHUNK` rows."""
+    lexicographic order, in slices of at most `_CHUNK` rows.  A member's
+    free digits are its index in its coset in base p: the low ones are read
+    from a table of at most `_CHUNK` digit strings, the rest by division.
+    Each member is one contraction: its digits and a one, times the free
+    directions of its pair and x0[k]."""
     if not len(pair):
         return
     is_free = free.any(axis=2)
     counts = is_free.sum(axis=1)
     width = int(counts.max())
-    # slot the free directions of each pair last, in order of their unknowns,
-    # so that a member's index is its free digits in base p
-    slots = np.zeros((len(pair), width, free.shape[2]), dtype=np.int64)
+    require_int64_headroom(1, 1, len(pair) * p ** width)
+    # slot the free directions of each pair last before x0, in order of their
+    # unknowns, so that a member's index is its free digits in base p
+    slots = np.zeros((len(pair), width + 1, free.shape[2]), dtype=np.int64)
     kk, uu = np.nonzero(is_free)
     slots[kk, width - counts[kk] + np.cumsum(is_free, axis=1)[kk, uu] - 1] = free[kk, uu]
-    ends = np.cumsum(p ** counts)
-    require_int64_headroom(1, 1, max(int(ends[-1]), p ** max(width, 1)))
-    weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    slots[:, width] = x0
+    sizes = p ** counts
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    low = 0
+    while low < width and p ** (low + 1) <= _CHUNK:
+        low += 1
+    table = np.ones((p ** low, low + 1), dtype=np.int64)
+    table[:, :low] = digit_block(0, p ** low, p, low, np.int64)
+    high = p ** np.arange(width - low - 1, -1, -1, dtype=np.int64)
     for start in range(0, int(ends[-1]), _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, int(ends[-1])))
-        k = np.searchsorted(ends, idx, side="right")
-        digits = (idx - (ends[k] - p ** counts[k]))[:, None] // weights % p
-        yield pair[k], (x0[k] + np.einsum("js,jsu->ju", digits, slots[k])) % p
+        stop = min(start + _CHUNK, int(ends[-1]))
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        run = slice(first, last + 1)
+        k = np.repeat(np.arange(first, last + 1),
+                      np.minimum(ends[run], stop) - np.maximum(begins[run], start))
+        yield pair.take(k), contract_mod(
+            "js,jsu->ju", p, _digits(np.arange(start, stop) - begins.take(k), table, high, p),
+            slots.take(k, axis=0))
+
+
+def _digits(index: np.ndarray, table: np.ndarray, high: np.ndarray, p: int) -> np.ndarray:
+    """The rows of `table` (the p^low digit strings of width low, each
+    followed by a one) at index mod p^low, after the digits of index // p^low
+    at the weights `high`."""
+    if not len(high):
+        return table.take(index, axis=0)
+    top, index = np.divmod(index, len(table))
+    return np.concatenate([top[:, None] // high % p, table.take(index, axis=0)], axis=1)
 
 
 def _morphism_residual(t: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
@@ -727,14 +753,66 @@ def require_int64_headroom(terms: int, degree: int, p: int):
 
 
 def contract_mod(spec: str, p: int, *operands) -> np.ndarray:
-    """`np.einsum(spec, *operands) % p` on residue arrays (no ellipsis)."""
+    """`np.einsum(spec, *operands) % p` on residue arrays: the one residue
+    contraction of the engines.  The spec names every output letter (no
+    ellipsis) and no letter twice within one operand.
+
+    Runs as the chain of `np.matmul` calls of `_contraction_plan`, cached per
+    spec and shapes.  The products sum in int64 and are reduced mod p once,
+    at the end, after one headroom check: the product of every summed size,
+    times (p - 1) to the number of operands, must fit int64."""
+    ops = [np.asarray(op, dtype=np.int64) for op in operands]
+    summed, inside, steps, order = _contraction_plan(spec, tuple(op.shape for op in ops))
+    require_int64_headroom(summed, len(ops), p)
+    acc, *rest = [op.sum(axis=axes) if axes else op for op, axes in zip(ops, inside)]
+    for op, (perm, shape, perm_op, shape_op, out) in zip(rest, steps):
+        acc = np.matmul(acc.transpose(perm).reshape(shape),
+                        op.transpose(perm_op).reshape(shape_op)).reshape(out)
+    return (acc - acc // p * p).transpose(order)  # mod p, faster than np.remainder
+
+
+@lru_cache(maxsize=256)
+def _contraction_plan(spec: str, shapes: tuple) -> tuple:
+    """How `contract_mod` runs `spec` on operands of `shapes`: (the product
+    of every summed size, the axes each operand sums alone, the steps, the
+    final axis order).  The operands are folded left to right.  Each step
+    multiplies the running product, laid out as (batch, own, summed), by the
+    next operand, laid out as (batch, summed, own), as one batched matmul:
+    batch letters are in both and still needed, summed letters in both and
+    needed nowhere after.  A step is (its axis order and 3-d shape for the
+    running product, the same for the operand, the shape of the result)."""
     inputs, output = spec.split("->")
+    terms = inputs.split(",")
+    if len(terms) != len(shapes):
+        raise ValueError(f"{spec}: {len(terms)} terms for {len(shapes)} operands")
     sizes = {}
-    for term, op in zip(inputs.split(","), operands):
-        sizes.update(zip(term, op.shape))
-    summed = set(sizes) - set(output)
-    require_int64_headroom(prod(sizes[ch] for ch in summed), len(operands), p)
-    return np.einsum(spec, *(np.asarray(op, dtype=np.int64) for op in operands)) % p
+    for term, shape in zip(terms, shapes):
+        if len(term) != len(shape) or len(set(term)) != len(term):
+            raise ValueError(f"{spec}: term {term!r} does not fit shape {shape}")
+        for ch, size in zip(term, shape):
+            if sizes.setdefault(ch, size) != size:
+                raise ValueError(f"{spec}: letter {ch!r} has sizes {sizes[ch]} and {size}")
+    if len(set(output)) != len(output) or not set(output) <= set(sizes):
+        raise ValueError(f"{spec}: bad output letters")
+    inside, letters = [], []
+    for i, term in enumerate(terms):
+        elsewhere = set(output).union(*terms[:i], *terms[i + 1:])
+        inside.append(tuple(a for a, ch in enumerate(term) if ch not in elsewhere))
+        letters.append([ch for ch in term if ch in elsewhere])
+    acc, steps = letters[0], []
+    for i, op in enumerate(letters[1:], 2):
+        keep = set(output).union(*letters[i:])
+        batch = [ch for ch in acc if ch in op and ch in keep]
+        summed = [ch for ch in acc if ch in op and ch not in keep]
+        own, own_op = [ch for ch in acc if ch not in op], [ch for ch in op if ch not in acc]
+        steps.append((tuple(map(acc.index, batch + own + summed)),
+                      tuple(prod(sizes[ch] for ch in g) for g in (batch, own, summed)),
+                      tuple(map(op.index, batch + summed + own_op)),
+                      tuple(prod(sizes[ch] for ch in g) for g in (batch, summed, own_op)),
+                      tuple(sizes[ch] for ch in batch + own + own_op)))
+        acc = batch + own + own_op
+    return (prod(sizes[ch] for ch in sizes if ch not in output), tuple(inside),
+            tuple(steps), tuple(map(acc.index, output)))
 
 
 def eliminate(aug: np.ndarray, cols: int, p: int) -> tuple:

@@ -410,12 +410,10 @@ def _transport_grid(ainv, grid, p):
 
 def _conjugate(beta, mats, binv, p):
     """beta M beta^-1 for a stack of matrices M[k, ..., s, t] per pair: two
-    batched matrix products of residues, each reduced mod p."""
-    k, m = beta.shape[0], beta.shape[1]
-    bruteforce.require_int64_headroom(m, 2, p)
-    flat = np.asarray(mats, dtype=np.int64).reshape(k, -1, m, m)
-    beta, binv = (np.asarray(a, dtype=np.int64)[:, None] for a in (beta, binv))
-    return ((beta @ flat % p) @ binv % p).reshape(mats.shape)
+    contractions, each reduced mod p."""
+    f = bruteforce.contract_mod
+    flat = mats.reshape(beta.shape[:1] + (-1,) + mats.shape[-2:])
+    return f("kas,kjsb->kjab", p, beta, f("kjst,ktb->kjsb", p, flat, binv)).reshape(mats.shape)
 
 
 def _transported(c: _CocycleArrays, ainv, p) -> _CocycleArrays:
@@ -536,22 +534,25 @@ def _fiber_preserving_automorphisms(e: Extension, t: Matrix, adapted: BolAlgebra
     base and fiber groups `alphas` and `betas`, kept as its count, the pairs
     it hits, and its kernel members moved to the total, T G T^-1.  Every
     member is checked to keep the fiber in place, slice by slice, as (P T)
-    G (T^-1 I) = 0 for the projection P and the injection I.  Complete: in
+    G (T^-1 I) = 0 for the projection P and the injection I.  The basis is
+    checked once to have P T = [I | 0] and T^-1 I = [0; I], so that check
+    reads G[:, :n, n:] = 0 off each member, with no product.  Complete: in
     the basis T a map keeping the fiber is block triangular, and the
     diagonal blocks of an automorphism are those it induces on the quotient
     B and on the ideal V."""
     p, n = e.field.p, e.n
     f = bruteforce.contract_mod
     tt, tinv = residues(t.entries), residues(t.inverse().entries)
-    proj_t = f("qx,xy->qy", p, residues(e.proj.entries), tt)
-    tinv_inj = f("xy,ya->xa", p, tinv, residues(e.inj.entries))
     eye = np.eye(e.total.dim, dtype=np.int64)
+    if not (np.array_equal(f("qx,xy->qy", p, residues(e.proj.entries), tt), eye[:n])
+            and np.array_equal(f("xy,ya->xa", p, tinv, residues(e.inj.entries)), eye[:, n:])):
+        raise InternalConsistencyError("the adapted basis does not split off the fiber")
     diagonal = np.zeros(eye.shape, dtype=bool)
     diagonal[:n, :n] = diagonal[n:, n:] = True
     count, hits, kernel = 0, np.zeros(len(alphas) * len(betas), dtype=bool), [eye[None][:0]]
     for part in bruteforce.triangular_arrays(residues(adapted.bil), residues(adapted.tri),
                                              alphas, betas, p, bound):
-        if np.any(f("qx,kxa->kqa", p, proj_t, f("kxy,ya->kxa", p, part.blocks, tinv_inj))):
+        if part.blocks[:, :n, n:].any():
             raise InternalConsistencyError("factored scan returned a map moving the fiber")
         count += len(part.blocks)
         hits[part.pairs] = True

@@ -92,6 +92,77 @@ def test_int64_headroom_guard():
         contract_mod("ij,jk,kl->il", 2 ** 31 - 1, x, x.T, x)
 
 
+def _check_contraction(spec, sizes, p, rng):
+    """contract_mod against the einsum oracle on random residues of the
+    given letter sizes; where the headroom check refuses, both sides agree
+    that the sum may not fit."""
+    ops = [rng.integers(0, p, size=[sizes[ch] for ch in term])
+           for term in spec.split("->")[0].split(",")]
+    summed = prod(sizes[ch] for ch in set(sizes) - set(spec.split("->")[1]))
+    if summed * (p - 1) ** len(ops) >= 2 ** 63:
+        with pytest.raises(UnsupportedEnumerationError):
+            contract_mod(spec, p, *ops)
+        return
+    got = contract_mod(spec, p, *ops)
+    want = np.einsum(spec, *ops) % p
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want), spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_contract_mod_matches_einsum(data):
+    # random specs of one to three operands over letters of size 0 to 3
+    p = data.draw(st.sampled_from([5, 7, 1_000_003]))
+    letters = "abcdef"
+    terms = data.draw(st.lists(st.lists(st.sampled_from(letters), unique=True, max_size=4),
+                               min_size=1, max_size=3))
+    used = sorted(set().union(*terms))
+    out = data.draw(st.lists(st.sampled_from(used), unique=True)) if used else []
+    sizes = {ch: data.draw(st.integers(0, 3)) for ch in used}
+    spec = ",".join(map("".join, terms)) + "->" + "".join(out)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    _check_contraction(spec, sizes, p, rng)
+
+
+@pytest.mark.parametrize("p", [5, 7, 1_000_003])
+@pytest.mark.parametrize("spec", [
+    "ij,jkl->il",         # l summed inside the second operand alone
+    "kst,kxyt->kxys",     # the batched operand first
+    "xst,kty->kxys",      # the batched operand second
+    "xy,byz,zw->bxw",     # a chain of three
+    "ijk->",              # one operand summed to a scalar
+    "ab,cd->dcab",        # an outer product
+])
+def test_contract_mod_plans_per_spec_and_shapes(p, spec):
+    # each spec at small sizes (with a size-1 and a size-0 letter where it
+    # has four letters or more), one larger, then the first sizes again:
+    # every new shape takes its own cached plan, a repeated one reuses it
+    from bolext.bruteforce import _contraction_plan
+
+    rng = np.random.default_rng(len(spec) * p)
+    letters = sorted(set(spec) - set(",->"))
+    first = {ch: (2, 3, 1, 0)[i % 4] if len(letters) > 3 else 2 + i % 2
+             for i, ch in enumerate(letters)}
+    second = {ch: size + 1 for ch, size in first.items()}
+    _contraction_plan.cache_clear()
+    for sizes in (first, second, first):
+        _check_contraction(spec, sizes, p, rng)
+    info = _contraction_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+def test_contract_mod_refuses_a_spec_that_does_not_fit():
+    # mismatched sizes of one letter, an output letter no operand carries,
+    # too few operands, and a letter twice in one operand (einsum's
+    # diagonal, which no residue contraction uses)
+    x = np.zeros((2, 3), dtype=np.int64)
+    for spec, ops in [("ij,jk->ik", (x, x)), ("ij->k", (x,)), ("ij,jk->ik", (x,)),
+                      ("ii->i", (np.zeros((2, 2)),))]:
+        with pytest.raises(ValueError):
+            contract_mod(spec, 5, *ops)
+
+
 def test_headroom_dtype():
     # the four-factor contraction of the automorphism scan at n = 3
     assert _headroom_dtype(27, 4, 5) is np.int16      # 27 * 4^4 = 6912
@@ -507,6 +578,43 @@ def test_solution_cosets_are_every_solution_in_order(p, rows, width):
     assert got == [(k, every[x].tolist()) for k, x in zip(*np.nonzero(solves))]
     assert consistent.tolist() == solves.any(axis=1).tolist()
     assert 0 < consistent.sum() < 60
+
+
+def test_solution_cosets_wider_than_the_chunk(monkeypatch):
+    # 5^8 = 390,625 digit strings of width 8 exceed the chunk of 65,536: the
+    # zero system (every string solves it) and two rank-2 systems still
+    # give every solution in order, and every array the stream builds
+    # (the digit table, each contraction's operands, each slice) has at most
+    # `_CHUNK` rows
+    import bolext.bruteforce as bf
+
+    p, width = 5, 8
+    rng = np.random.default_rng(8)
+    a = np.stack([np.zeros((2, width), dtype=np.int64), rng.integers(0, p, (2, width)),
+                  np.eye(7, width, dtype=np.int64)[:2]])
+    b = np.array([[0, 0], [1, 2], [3, 4]])
+    consistent, x0, free = bf._solve_stack(a, b, p)
+    assert consistent.all() and (free.any(axis=2).sum(axis=1) == [8, 6, 6]).all()
+    rows = []
+    contract, table = bf.contract_mod, bf.digit_block
+
+    def spy(f):
+        def wrapped(*args):
+            out = f(*args)
+            rows.extend(len(x) for x in (*args, out) if isinstance(x, np.ndarray))
+            return out
+        return wrapped
+    monkeypatch.setattr(bf, "contract_mod", spy(contract))
+    monkeypatch.setattr(bf, "digit_block", spy(table))
+    slices = list(bf._coset_members(np.arange(3), x0, free, p))
+    assert max(rows) <= bf._CHUNK and max(len(k) for k, _ in slices) <= bf._CHUNK
+    owner = np.concatenate([k for k, _ in slices])
+    got = np.concatenate([c for _, c in slices])
+    every = digit_block(0, p ** width, p, width, np.int64)
+    for k in range(3):
+        solves = ~np.any((every @ a[k].T - b[k]) % p, axis=1)
+        assert np.array_equal(got[owner == k], every[solves])
+    assert owner.tolist() == sorted(owner.tolist())
 
 
 def _int_rows(m):

@@ -628,6 +628,42 @@ def test_exactness_e_h3_gf7_at_default_bound(F7):
     assert (rep.pairs_total, rep.aut_fiber, rep.incompatible_pairs) == (12096, 6, 0)
 
 
+def test_exactness_e_h3_gf11_closed_forms():
+    """e_h3 over GF(p), p = 11, against closed forms derived by hand.
+
+    The base z2 has the zero product, so every invertible matrix is an
+    automorphism: aut_base = |GL2(p)| = (p^2 - 1)(p^2 - p), the choices of a
+    first column that is nonzero and a second that is off its line.  The
+    fiber is one-dimensional with the zero product: aut_fiber = p - 1.  The
+    cocycle is nu(e1, e2) = e3 = -nu(e2, e1) and nothing else, and every
+    term of a degree-one cocycle phi: B -> V meets a zero product of B or V
+    or a zero action, so every one of the p^2 linear maps is one: z1 = p^2.
+    A pair (alpha, beta) moves nu to beta nu(alpha^-1 x, alpha^-1 y), that
+    is nu times beta / det(alpha); it is cohomologous to nu exactly when the
+    two are equal, since coboundaries of an abelian fiber over the zero
+    product of B vanish.  So for each alpha exactly one beta, det(alpha),
+    gives a zero class: kernel_wells = |GL2(p)|, and by exactness
+    image_kappa = |GL2(p)|.  Each such pair lifts to p^2 automorphisms of
+    the total (one per degree-one cocycle): aut_v_total = p^2 |GL2(p)|.
+
+    The factored scan has |GL2(p)| (p - 1) p^2 = 15,972,000 candidates,
+    above the default bound; the 132,000 pairs make 33 class-verdict chunks
+    of 4,096 pairs, the last one short."""
+    from bolext.exactlin import PrimeField
+    from bolext.extensions import e_h3
+
+    p = 11
+    gl2 = (p * p - 1) * (p * p - p)
+    rep = verify_wells_exactness(e_h3(PrimeField(p)), bound=20_000_000)
+    assert rep.all_verdicts
+    assert (gl2, gl2 * (p - 1) * p * p) == (13_200, 15_972_000)
+    assert rep.aut_base == rep.image_kappa == rep.kernel_wells == gl2
+    assert (rep.aut_fiber, rep.z1_count, rep.aut_fixing_both) == (p - 1, p * p, p * p)
+    assert rep.aut_v_total == p * p * gl2
+    assert (rep.pairs_total, rep.incompatible_pairs) == (gl2 * (p - 1), 0)
+    assert -(-rep.pairs_total // 4096) == 33 and rep.pairs_total % 4096
+
+
 # ---------------------------------------------------------------------------
 # the batched phi searches over a non-abelian fiber against the scalar oracle
 
@@ -783,6 +819,41 @@ def test_batched_s_map_images_match_scalar_s_map(F5, seed):
         _s_map_images(e, s, outside)
     with pytest.raises(UsageError, match="does not restrict to the identity pair"):
         s_map(e, s, int_matrix(F5, outside[0]))
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_the_fiber_check_refuses_a_map_moving_the_fiber(F5, monkeypatch, seed):
+    # each member of the scan is checked by its upper-right block once the
+    # adapted basis is checked to split off the fiber: a slice with a member
+    # whose upper-right block is nonzero is refused, and so is a basis T with
+    # P T != [I | 0] (its fiber column moved to the front)
+    import bolext.bruteforce
+    from bolext.bol import automorphism_int_arrays
+    from bolext.errors import InternalConsistencyError
+    from bolext.extensions import _adapted_total, _canonical_section
+    from bolext.wells import _fiber_preserving_automorphisms
+
+    e = _extension(F5, "e_h3")
+    if seed is not None:
+        e = _rebased(F5, e, seed)
+    t, adapted = _adapted_total(e, _canonical_section(e))
+    groups = automorphism_int_arrays(e.base), automorphism_int_arrays(e.fiber)
+    scan = bolext.bruteforce.triangular_arrays
+
+    def moved(*args):
+        for part in scan(*args):
+            blocks = part.blocks.copy()
+            blocks[-1:, 0, e.n] = 1
+            yield part._replace(blocks=blocks)
+    monkeypatch.setattr(bolext.bruteforce, "triangular_arrays", moved)
+    with pytest.raises(InternalConsistencyError, match="moving the fiber"):
+        _fiber_preserving_automorphisms(e, t, adapted, *groups, 10 ** 7)
+    monkeypatch.undo()
+    d = e.n + e.m
+    swapped = Matrix.from_cols(F5, [t.col(d - 1)] + [t.col(i) for i in range(d - 1)])
+    with pytest.raises(InternalConsistencyError, match="does not split off the fiber"):
+        _fiber_preserving_automorphisms(e, swapped, adapted, *groups, 10 ** 7)
+    assert _fiber_preserving_automorphisms(e, t, adapted, *groups, 10 ** 7).count == 12000
 
 
 @pytest.mark.parametrize("name,extra", [("e_h3", [[1, 1], [1, 1]]),
