@@ -19,8 +19,8 @@ from .errors import (BolextError, ContainmentError, InternalConsistencyError,
 from .exactlin import (Matrix, ModP, PrimeField, RATIONALS, Rationals, Subspace,
                        enumerate_vectors, kernel_basis, quotient_dim, rref,
                        solve_linear)
-from .extensions import (Extension, Section, as_extension, canonical_section,
-                         classify_corpus, classify_rows, e_h3,
+from .extensions import (Extension, Section, as_extension, candidate_rows,
+                         canonical_section, classify_corpus, classify_rows, e_h3,
                          extensions_equivalent, extract_cocycle, make_section,
                          semidirect_extension, theta_map, validate_extension)
 from .nonabelian import (NonAbelianCocycle, build_extension_algebra,

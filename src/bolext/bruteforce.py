@@ -15,8 +15,9 @@ those, and streams what it finds slice by slice (`triangular_arrays`).
 Only the flat scan is limited to dimension <= 3.
 
 Every mod-p elimination here (the batched inverses of `inverse_mod`, the
-factored scan's per-pair systems, the class keys and witnesses of
-`solve_rows`) runs through one stacked Gauss-Jordan loop, `eliminate`, with
+factored scan's per-pair systems, the class witnesses of `solve_rows`, and
+the class code of `extensions._class_code`) runs through one stacked
+Gauss-Jordan loop, `eliminate`, with
 pivots as in `Matrix.rref`, and every residue contraction given as an
 einsum spec (here, in `wells` and in `nonabelian`) through `contract_mod`.
 """
@@ -63,9 +64,14 @@ def digit_block(start: int, stop: int, p: int, width: int, dtype) -> np.ndarray:
     significant first; raises unless stop - 1 and p^width - 1 (and p
     itself) fit int64."""
     require_int64_headroom(1, 1, max(stop, p ** max(width, 1)))
-    idx = np.arange(start, stop, dtype=np.int64)
+    return digit_rows(np.arange(start, stop, dtype=np.int64), p, width, dtype)
+
+
+def digit_rows(index: np.ndarray, p: int, width: int, dtype) -> np.ndarray:
+    """The last `width` base-p digits of each int64 row index, most
+    significant first."""
     weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] // weights[None, :]) % p).astype(dtype)
+    return ((index[:, None] // weights[None, :]) % p).astype(dtype)
 
 
 def candidate_blocks(p: int, width: int, budget: int, what: str, chunk=_CHUNK,
@@ -150,7 +156,7 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None, index=None) -
     alternates = lru_cache(None)(lambda name: _alternating(*layout[name], p, peak[name]))
     index = index or {}
     rows = len(next(iter(index.values()))) if index else len(next(iter(batch.values())))
-    index = {name: index.get(name, np.arange(rows)) for name in batch}
+    index = {name: index.get(name, _SAME) for name in batch}
     ok = np.ones(rows, dtype=bool) if ok is None else ok.copy()
     for sizes, idt in sorted(checks, key=lambda c: _identity_cost(*c)):
         survivors = np.flatnonzero(ok)
@@ -176,6 +182,17 @@ def identity_mask(suite, p: int, batch: dict, fixed=None, ok=None, index=None) -
                 if not idx.size:
                     break
     return ok
+
+
+class _Same:
+    """The index of a batch name `identity_mask` is given none: entry k
+    reads row k, so a slice's rows are its own gather."""
+
+    def __getitem__(self, idx):
+        return idx
+
+
+_SAME = _Same()
 
 
 def _support(flat: np.ndarray) -> np.ndarray:
@@ -583,12 +600,12 @@ def _affine_rows(bil: np.ndarray, tri: np.ndarray, n: int) -> tuple:
 def _residual_rows(bil, tri, M, p, keep) -> np.ndarray:
     """The morphism residuals of matrices M against both products on the
     rows `keep` (`_affine_rows`), one row per matrix; an all-zero bracket
-    has no residual."""
-    rows = _morphism_residual(bil, M, p).reshape(len(M), -1)[:, keep[0].ravel()]
-    if not tri.any():
-        return rows
-    more = _morphism_residual(tri, M, p).reshape(len(M), -1)[:, keep[1].ravel()]
-    return np.concatenate([rows, more], axis=1)
+    has no residual.  The kept rows are taken where the residual lies,
+    batch axis last, so only they are copied; the result is their
+    transpose."""
+    kept = [np.moveaxis(_morphism_residual(t, M, p), 0, -1)[mask]
+            for t, mask in zip((bil, tri) if tri.any() else (bil,), keep)]
+    return (kept[0] if len(kept) == 1 else np.concatenate(kept)).T
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray, p: int) -> tuple:

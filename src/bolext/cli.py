@@ -13,6 +13,9 @@ import functools
 import json
 import os
 import sys
+from math import prod
+
+import numpy as np
 
 from . import documents as docs
 from .bol import enumerate_automorphisms, enumerate_bol_algebras, validate_bol
@@ -21,7 +24,7 @@ from .core import DEFAULT_ENUMERATION_BOUND, Decision, Status, Variant
 from .errors import (InternalConsistencyError, ParseError,
                      UnsupportedEnumerationError, UsageError)
 from .exactlin import Matrix, PrimeField, RATIONALS, enumerate_vectors
-from .extensions import (as_extension, canonical_section, classify_rows,
+from .extensions import (as_extension, candidate_rows, canonical_section, classify_rows,
                          extensions_equivalent, extract_cocycle, make_section,
                          validate_extension)
 from .nonabelian import (cocycles_equivalent_via, solve_equivalence,
@@ -225,14 +228,40 @@ def _cmd_classify(args):
         if r.algebra_dim != base.dim or r.module_dim != fiber.dim:
             raise UsageError("action document does not match base and fiber")
         actions = (r.mu, r.theta, r.dd)
-    _, (nu, om), valid = classify_rows(base, fiber, actions, args.bound, args.variant)
+    zero, index, valid = classify_rows(base, fiber, actions, args.bound, args.variant)
     print(f"valid-cocycles: {valid}")
-    print(f"classes: {len(nu)}")
+    print(f"classes: {len(index)}")
     if not args.count_only:
-        # over GF(p) a cochain document is the nested list of its residues
-        for k, (a, b) in enumerate(zip(nu.tolist(), om.tolist())):
-            print(f"representative {k}:", json.dumps({"nu": a, "omega": b}))
+        for at in range(0, len(index), _PRINTED_ROWS):
+            sys.stdout.write(_representative_lines(
+                at, *candidate_rows(zero, index[at:at + _PRINTED_ROWS])))
     return 0
+
+
+# representatives `classify` rebuilds and writes at a time
+_PRINTED_ROWS = 1 << 12
+
+
+def _representative_lines(start, nu, om) -> str:
+    """The lines `representative k: {"nu": nu[k - start], "omega": om[k -
+    start]}` of stacked residue rows, each dict as `json.dumps` writes it:
+    over GF(p) a cochain document is the nested list of its residues.  One
+    template per cochain shape (`_row_template`) takes every row's values."""
+    rows = len(nu)
+    values = np.column_stack([np.arange(start, start + rows),
+                              nu.reshape(rows, prod(nu.shape[1:])),
+                              om.reshape(rows, prod(om.shape[1:]))])
+    return _row_template(nu.shape[1:], om.shape[1:]) * rows % tuple(values.ravel().tolist())
+
+
+@functools.cache
+def _row_template(nu_shape: tuple, om_shape: tuple) -> str:
+    """One line of `_representative_lines` with a %d for k and each entry."""
+    # json.dumps writes only brackets, commas and spaces between the ints of
+    # a nested list, so with every entry 0 each 0 marks one entry
+    doc = json.dumps({"nu": np.zeros(nu_shape, int).tolist(),
+                      "omega": np.zeros(om_shape, int).tolist()})
+    return "representative %d: " + doc.replace("0", "%d") + "\n"
 
 
 def _cmd_inducible(args):

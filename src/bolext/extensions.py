@@ -9,6 +9,7 @@ exactness, dims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .representation import Representation
 __all__ = [
     "Extension", "Section", "validate_extension", "canonical_section",
     "make_section", "extract_cocycle", "as_extension", "semidirect_extension",
-    "extensions_equivalent", "theta_map", "classify_corpus", "classify_rows", "e_h3",
+    "extensions_equivalent", "theta_map", "classify_corpus", "classify_rows",
+    "candidate_rows", "e_h3",
 ]
 
 
@@ -269,8 +271,8 @@ def classify_corpus(base: BolAlgebra, fiber: BolAlgebra, actions=None,
                     variant: Variant = Variant.CORRECTED):
     """`classify_rows`, each representative decoded: (class count, list of
     one representative per class, valid count)."""
-    zero, (nu, om), valid_count = classify_rows(base, fiber, actions, bound, variant)
-    reps = _decoded(zero, nu, om)
+    zero, index, valid_count = classify_rows(base, fiber, actions, bound, variant)
+    reps = _decoded(zero, *candidate_rows(zero, index))
     return len(reps), reps, valid_count
 
 
@@ -280,14 +282,14 @@ def classify_rows(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     """Enumerate all valid cocycles with the given fixed action maps over a
     prime field and partition them into equivalence classes.
 
-    An abelian fiber is classed on residue arrays by coset key
+    An abelian fiber is classed on residue arrays by class code
     (`_coset_classes`), with nothing decoded; any other fiber by pairwise
-    search (`_pairwise_classes`), its representatives read back by
-    `residues`.  Either way the first valid cocycle of each class, in
-    candidate order, represents it.
+    search (`_pairwise_classes`).  Either way the first valid cocycle of
+    each class, in candidate order, represents it.
 
-    Returns (the zero cocycle with the actions, the representatives' residue
-    rows (nu[k], om[k]) stacked, valid count).
+    Returns (the zero cocycle with the actions, the representatives'
+    candidate indices, ascending, valid count); `candidate_rows` rebuilds
+    their residue rows.
     """
     field = base.field
     if not field.is_prime_field:
@@ -299,38 +301,59 @@ def classify_rows(base: BolAlgebra, fiber: BolAlgebra, actions=None,
                          + ", ".join(rep.tags()))
     if actions is not None:
         zero = NonAbelianCocycle(base, fiber, zero.nu, zero.omega, *actions)
+    coords = CochainCoords(base.dim, fiber.dim, field)
     valid = _valid_cocycles(zero, variant, bruteforce.candidate_blocks(
-        field.p, CochainCoords(base.dim, fiber.dim, field).total, bound, "cocycles"))
+        field.p, coords.total, bound, "cocycles"))
     if fiber.is_abelian():
-        (nu, om), valid_count = _coset_classes(zero, valid)
-    else:
-        reps, valid_count = _pairwise_classes(
-            (c for nu, om in valid for c in _decoded(zero, nu, om)), bound)
-        nu, om = (residues([getattr(c, name).grid for c in reps]) for name in ("nu", "omega"))
-    if not valid_count:  # no row: empty stacks of the cochain shapes
-        n, m = base.dim, fiber.dim
-        nu, om = np.zeros((0, n, n, m), int), np.zeros((0, n, n, n, m), int)
-    _check_shapes(zero, nu, om)
-    return zero, (nu, om), valid_count
+        return (zero, *_coset_classes(zero, valid))
+    reps, valid_count = _pairwise_classes(
+        (c for _, nu, om in valid for c in _decoded(zero, nu, om)), bound)
+    digits = residues([coords.encode(c.nu, c.omega) for c in reps]).reshape(
+        len(reps), coords.total)
+    return zero, digits @ field.p ** np.arange(coords.total - 1, -1, -1), valid_count
+
+
+def candidate_rows(zero: NonAbelianCocycle, index) -> tuple:
+    """The skew residue arrays nu[k, x, y, s] and om[k, x, y, z, s] of the
+    candidates `index` of the stream of `classify_rows` over the base and
+    fiber of `zero`: candidate k is the digit string of k over
+    `CochainCoords`."""
+    n, m, p = zero.n, zero.m, zero.field.p
+    width = CochainCoords(n, m, zero.field).total
+    return _cochains(bruteforce.digit_rows(np.asarray(index, dtype=np.int64), p, width,
+                                           np.int64), n, m, p)
+
+
+def _cochains(digits, n: int, m: int, p: int) -> tuple:
+    """(nu, om), skew, of (nu, omega) digit rows laid out as `CochainCoords`."""
+    split = n * (n - 1) // 2 * m
+    return (bruteforce.skew_from_params(digits[:, :split], n, (m,), p),
+            bruteforce.skew_from_params(digits[:, split:], n, (n, m), p))
+
+
+def _candidate_digits(nu, om) -> np.ndarray:
+    """The digit rows of stacked skew cochains, the inverse of `_cochains`:
+    their entries at the pairs i < j, laid out as `CochainCoords`."""
+    i, j = np.triu_indices(nu.shape[1], 1)
+    return np.concatenate([a[:, i, j].reshape(len(a), len(i) * prod(a.shape[3:]))
+                           for a in (nu, om)], axis=1)
 
 
 def _valid_cocycles(zero: NonAbelianCocycle, variant, blocks):
-    """Per block of (nu, omega) digit rows that `blocks` streams as
-    `candidate_blocks` does over `CochainCoords`, the skew residue arrays
-    nu[k, x, y, s] and om[k, x, y, z, s] of its rows that pass
-    `validate_nab_cocycle` with the actions of `zero`, if any: one
+    """Per block (start, (nu, omega) digit rows) that `blocks` streams as
+    `candidate_blocks` does over `CochainCoords`, the candidate indices and
+    the skew residue arrays nu[k, x, y, s] and om[k, x, y, z, s] of its rows
+    that pass `validate_nab_cocycle` with the actions of `zero`, if any: one
     `identity_mask` pass of the variant's `NAB` suite per block."""
     n, m, p = zero.n, zero.m, zero.field.p
     fixed = {name: residues(t) for name, t in zero.tensors().items()
              if name not in ("nu", "om")}
     suite = identities.select(identities.NAB, variant)
-    split = n * (n - 1) // 2 * m
-    for _, digits in blocks:
-        nu = bruteforce.skew_from_params(digits[:, :split], n, (m,), p)
-        om = bruteforce.skew_from_params(digits[:, split:], n, (n, m), p)
+    for start, digits in blocks:
+        nu, om = _cochains(digits, n, m, p)
         keep = bruteforce.identity_mask(suite, p, {"nu": nu, "om": om}, fixed)
         if keep.any():
-            yield nu[keep], om[keep]
+            yield start + np.flatnonzero(keep), nu[keep], om[keep]
 
 
 def _decoded(zero: NonAbelianCocycle, nu, om) -> list:
@@ -376,54 +399,83 @@ def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):
     return reps, count
 
 
-# cocycles keyed and witness-checked at a time by `_coset_classes`
+# cocycles coded or witness-checked at a time by `_coset_classes`
 _CLASS_ROWS = 1 << 12
 
 
 def _coset_classes(zero: NonAbelianCocycle, blocks):
-    """`_pairwise_classes` for the residue blocks of `_valid_cocycles` over a
-    prime field with an abelian fiber and the actions of the zero cocycle
-    `zero`, decided by class keys.
+    """`_pairwise_classes` for the blocks (candidate indices, nu, om) of
+    `_valid_cocycles` over a prime field with an abelian fiber and the
+    actions of the zero cocycle `zero`, decided by class codes.
 
     c1 ~ c2 iff c2 - c1 = L phi for some phi, where L is the omega/nu
     equivalence matrix (`_equivalence_matrix`); it depends only on the base
     and the actions.  With T L in reduced echelon form of rank r, that holds
-    iff (T c1)[r:] = (T c2)[r:], so this key names the class.  Each block
-    is cut into slices of at most `_CLASS_ROWS` cocycles, so that the
-    elimination and the witness arrays stay small whatever the block, and
-    each slice's keys come from one elimination of L beside its cocycles
-    (`bruteforce.solve_rows`).  Each member that joins an earlier class gets its canonical
-    witness phi, and every witness is checked against the member's
-    representative.  Returns ((nu, om) of the representatives, stacked,
-    valid count).
+    iff (T c1)[r:] = (T c2)[r:], so this key names the class, and one int64
+    code names the key (`_class_code`).  The store keeps, sorted by code,
+    one code and one candidate index per class: its representative's, the
+    first of the class in candidate order.  Each block's codes are
+    deduplicated by sorting (`np.unique`), looked up in the store
+    (`np.searchsorted`), and its new classes merged in once.  Each member
+    that joins a class gets its canonical witness phi, checked against its
+    representative's row, rebuilt from the stored index (`candidate_rows`),
+    at most `_CLASS_ROWS` members at a time.  Returns (the representatives'
+    candidate indices, ascending, valid count).
     """
     p = zero.field.p
     actions = _cocycle_arrays(zero)
     matrix = _equivalence_matrix(zero)
     bil, tri = residues(zero.base.bil), residues(zero.base.tri)
-    classes, count = {}, 0
-    rep_nu, rep_om = [], []
-    for block in blocks:
-        count += len(block[0])
-        for at in range(0, len(block[0]), _CLASS_ROWS):
-            nu, om = (a[at:at + _CLASS_ROWS] for a in block)
-            keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), p)[2]
-            joins, joined = [], []
-            for k, key in enumerate(keys):
-                cls = classes.setdefault(key.tobytes(), len(rep_nu))
-                if cls == len(rep_nu):
-                    rep_nu.append(nu[k])
-                    rep_om.append(om[k])
-                else:
-                    joins.append(k)
-                    joined.append(cls)
-            if joins:
-                members = _CocycleArrays(nu[joins], om[joins], *(
-                    np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
-                targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
-                                           om=np.array([rep_om[c] for c in joined]))
-                solvable, phi = _class_witnesses(members, targets, matrix, p)
-                if not (solvable.all()
-                        and _equivalent_via(members, targets, phi, bil, tri, p).all()):
-                    raise InternalConsistencyError("class witness failed verification")
-    return (np.array(rep_nu), np.array(rep_om)), count
+    code = _class_code(zero, matrix)
+    codes, firsts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    count = 0
+    for index, nu, om in blocks:
+        count += len(index)
+        keys, first, inverse = np.unique(np.concatenate([
+            code(nu[at:at + _CLASS_ROWS], om[at:at + _CLASS_ROWS])
+            for at in range(0, len(index), _CLASS_ROWS)]), return_index=True, return_inverse=True)
+        at = np.searchsorted(codes, keys)
+        known = np.zeros(len(keys), dtype=bool)
+        inside = at < len(codes)
+        known[inside] = codes[at[inside]] == keys[inside]
+        reps = index[first]
+        reps[known] = firsts[at[known]]
+        codes = np.insert(codes, at[~known], keys[~known])
+        firsts = np.insert(firsts, at[~known], reps[~known])
+        reps = reps[inverse]
+        joins = np.flatnonzero(reps != index)
+        for at in range(0, len(joins), _CLASS_ROWS):
+            k = joins[at:at + _CLASS_ROWS]
+            members = _CocycleArrays(nu[k], om[k], *(
+                np.broadcast_to(a, (len(k),) + a.shape) for a in actions[2:]))
+            rep_nu, rep_om = candidate_rows(zero, reps[k])
+            targets = actions._replace(nu=rep_nu, om=rep_om)
+            solvable, phi = _class_witnesses(members, targets, matrix, p)
+            if not (solvable.all()
+                    and _equivalent_via(members, targets, phi, bil, tri, p).all()):
+                raise InternalConsistencyError("class witness failed verification")
+    return np.sort(firsts), count
+
+
+def _class_code(zero: NonAbelianCocycle, matrix):
+    """The class code of `_coset_classes`: a function of stacked cocycles
+    (nu, om) over the base and fiber of `zero` to one int64 per cocycle,
+    equal exactly where their keys (T c)[r:] for L = `matrix` are.
+
+    A cocycle's right-hand side (`_stacked_rhs`) is D d for its candidate
+    digits d (`_candidate_digits`), so its key is (T D)[r:] d, whose entries
+    outnumber the digits and are dependent.  One elimination of [L | D]
+    leaves, in its rows past L's pivots, that map in reduced echelon form:
+    R, whose rows span the key map's, so R d = R d' exactly where the keys
+    agree.  The code is R d mod p read in base p: injective on the keys,
+    below p^rank(R) <= p^(digit count)."""
+    p, cols = zero.field.p, matrix.shape[1]
+    width = CochainCoords(zero.n, zero.m, zero.field).total
+    nu, om = _cochains(np.eye(width, dtype=np.int64), zero.n, zero.m, p)
+    aug, rank, pivot_row = bruteforce.eliminate(
+        np.concatenate([matrix, _stacked_rhs(om, nu).T], axis=1)[None], cols + width, p)
+    reduced = aug[0, np.count_nonzero(pivot_row[0, :cols] >= 0):rank[0], cols:]
+    bruteforce.require_int64_headroom(1, 1, p ** len(reduced))
+    weights = p ** np.arange(len(reduced) - 1, -1, -1, dtype=np.int64)
+    return lambda nu, om: bruteforce.contract_mod(
+        "kw,ew->ke", p, _candidate_digits(nu, om), reduced) @ weights

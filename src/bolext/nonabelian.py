@@ -36,6 +36,7 @@ parameters at zero; otherwise `_phi_solutions` decides every GF(p) map by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -379,8 +380,9 @@ def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
 def _stacked_rhs(om, nu):
     """(omega, nu) residues per leading index, in the row order of
     `_equivalence_matrix`; one row for arrays without the leading axis."""
-    lead = om.shape[:-4]
-    return np.concatenate([om.reshape(lead + (-1,)), nu.reshape(lead + (-1,))], axis=-1)
+    lead = om.shape[:-4]  # sizes spelled out: -1 does not reshape an empty stack
+    return np.concatenate([om.reshape(lead + (prod(om.shape[-4:]),)),
+                           nu.reshape(lead + (prod(nu.shape[-3:]),))], axis=-1)
 
 
 def _class_witnesses(members: _CocycleArrays, reps: _CocycleArrays, matrix, p):

@@ -253,6 +253,52 @@ def valid_cocycles_oracle(base, fiber, actions, variant, vectors=None):
             yield cand
 
 
+def coset_classes_oracle(zero, blocks, rows=1 << 12):
+    """`extensions._coset_classes` by a dict keyed by each cocycle's whole
+    key (T c)[r:] as bytes, solved by `bruteforce.solve_rows` `rows`
+    cocycles at a time, every representative kept as its residue rows and
+    every joined member's witness checked against them.  Returns ((nu, om)
+    of the representatives, stacked, in candidate order, valid count)."""
+    import numpy as np
+
+    from bolext import bruteforce
+    from bolext.errors import InternalConsistencyError
+    from bolext.identities import residues
+    from bolext.nonabelian import (_class_witnesses, _cocycle_arrays, _CocycleArrays,
+                                   _equivalence_matrix, _equivalent_via, _stacked_rhs)
+
+    p = zero.field.p
+    actions = _cocycle_arrays(zero)
+    matrix = _equivalence_matrix(zero)
+    bil, tri = residues(zero.base.bil), residues(zero.base.tri)
+    classes, count = {}, 0
+    rep_nu, rep_om = [], []
+    for _, block_nu, block_om in blocks:
+        count += len(block_nu)
+        for at in range(0, len(block_nu), rows):
+            nu, om = block_nu[at:at + rows], block_om[at:at + rows]
+            keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), p)[2]
+            joins, joined = [], []
+            for k, key in enumerate(keys):
+                cls = classes.setdefault(key.tobytes(), len(rep_nu))
+                if cls == len(rep_nu):
+                    rep_nu.append(nu[k])
+                    rep_om.append(om[k])
+                else:
+                    joins.append(k)
+                    joined.append(cls)
+            if joins:
+                members = _CocycleArrays(nu[joins], om[joins], *(
+                    np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
+                targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
+                                           om=np.array([rep_om[c] for c in joined]))
+                solvable, phi = _class_witnesses(members, targets, matrix, p)
+                if not (solvable.all()
+                        and _equivalent_via(members, targets, phi, bil, tri, p).all()):
+                    raise InternalConsistencyError("class witness failed verification")
+    return (np.array(rep_nu), np.array(rep_om)), count
+
+
 def classify_text(count, reps, valid, count_only=False):
     """The stdout of `bolext classify` built from `classify_corpus`'s result
     by the document encoder: each representative, a cocycle of field

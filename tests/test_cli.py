@@ -367,6 +367,57 @@ def test_classify_count_only():
     assert "classes: 1" in out
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_representative_template_prints_the_json_text(data):
+    # every shape with n, m in 1..3, stacks of 0 to 3 rows, entries up to
+    # 1,000,002 (the residues of the largest prime the tests use): the
+    # template writes exactly the lines json.dumps writes
+    import numpy as np
+
+    from bolext.cli import _representative_lines
+
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows, start = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 10 ** 7))
+    entries = st.integers(0, 1_000_002)
+    nu = np.array(data.draw(st.lists(entries, min_size=rows * n * n * m,
+                                     max_size=rows * n * n * m)), dtype=np.int64)
+    om = np.array(data.draw(st.lists(entries, min_size=rows * n ** 3 * m,
+                                     max_size=rows * n ** 3 * m)), dtype=np.int64)
+    nu, om = nu.reshape(rows, n, n, m), om.reshape(rows, n, n, n, m)
+    want = "".join(f"representative {start + k}: "
+                   + json.dumps({"nu": nu[k].tolist(), "omega": om[k].tolist()}) + "\n"
+                   for k in range(rows))
+    assert _representative_lines(start, nu, om) == want
+
+
+@pytest.mark.parametrize("base, joined", [("z2_gf5.bol", 0), ("s2_gf5.bol", 100)])
+def test_classify_count_only_builds_no_representative_row(monkeypatch, base, joined):
+    # the CLI rebuilds representative rows only to print them; the class
+    # store rebuilds those of the classes that members join, to check each
+    # witness: 125 valid cocycles in 125 classes over z2, in 25 over s2
+    import bolext.cli as cli
+    import bolext.extensions as extensions
+
+    printed, checked = [], []
+    rows = extensions.candidate_rows
+
+    def spy(seen):
+        def rebuilt(zero, index):
+            seen.append(len(index))
+            return rows(zero, index)
+        return rebuilt
+
+    monkeypatch.setattr(cli, "candidate_rows", spy(printed))
+    monkeypatch.setattr(extensions, "candidate_rows", spy(checked))
+    argv = ["classify", "--base", C(base), "--fiber", C("z1_gf5.bol")]
+    code, out = run_cli(*argv, "--count-only")
+    assert code == 0 and out.splitlines()[0] == "valid-cocycles: 125"
+    assert (printed, sum(checked)) == ([], joined)
+    code, out = run_cli(*argv)
+    assert code == 0 and sum(printed) == len(out.splitlines()) - 2 == 125 - joined
+
+
 def test_enumerate():
     code, out = run_cli("enumerate", "--kind", "vectors", "--field", "5",
                         "--dim", "1", "--count-only")

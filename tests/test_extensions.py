@@ -13,9 +13,9 @@ from bolext.core import Status, Variant
 from bolext.errors import (InternalConsistencyError, UnsupportedEnumerationError,
                            UsageError)
 from bolext.exactlin import RATIONALS, Matrix, PrimeField, enumerate_vectors
-from bolext.extensions import (Extension, _coset_classes, _decoded,
+from bolext.extensions import (Extension, _class_code, _coset_classes, _decoded,
                                _pairwise_classes, _valid_cocycles,
-                               as_extension, canonical_section,
+                               as_extension, candidate_rows, canonical_section,
                                classify_corpus, extensions_equivalent,
                                extract_cocycle, make_section,
                                semidirect_extension, theta_map,
@@ -25,7 +25,7 @@ from bolext.nonabelian import (NonAbelianCocycle, cocycles_equivalent_via,
 from bolext.representation import r_s2
 
 from conftest import corpus_dir
-from oracles import valid_cocycles_oracle
+from oracles import coset_classes_oracle, valid_cocycles_oracle
 from test_identities import _grid
 from test_nonabelian import _random_cocycle
 
@@ -189,8 +189,14 @@ def _zero_cocycle(base, fiber, actions):
 
 
 def _decode_all(zero, stream):
-    """Every cocycle of a `_valid_cocycles` stream, decoded."""
-    return [c for nu, om in stream for c in _decoded(zero, nu, om)]
+    """Every cocycle of a `_valid_cocycles` stream, decoded; each block's
+    candidate indices must rebuild its rows."""
+    out = []
+    for index, nu, om in stream:
+        rebuilt = candidate_rows(zero, index)
+        assert [a.tolist() for a in rebuilt] == [nu.tolist(), om.tolist()]
+        out += _decoded(zero, nu, om)
+    return out
 
 
 def _blocks(zero, **chunk):
@@ -235,37 +241,119 @@ def test_coset_classes_match_pairwise(base_name, actions_doc, variant, want):
     # candidate blocks of 7 rows: classes span blocks, and some blocks
     # hold no valid cocycle
     zero = _zero_cocycle(base, fiber, actions)
-    (nu, om), coset_valid = _coset_classes(
+    index, coset_valid = _coset_classes(
         zero, _valid_cocycles(zero, variant, _blocks(zero, chunk=7)))
-    coset_reps = _decoded(zero, nu, om)
+    coset_reps = _decoded(zero, *candidate_rows(zero, index))
     assert coset_valid == valid and _pairs(coset_reps) == _pairs(reps)
 
 
 @pytest.mark.parametrize("base_name, actions_doc, want", [
     ("s2", None, (25, 125)), ("s2", "r_s2_gf5.rep", (5, 25))])
 def test_coset_classes_cut_each_block_into_slices(monkeypatch, base_name, actions_doc, want):
-    # one candidate block of 125 rows, keyed and witness-checked 7 rows at a
+    # one candidate block of 125 rows, coded and witness-checked 7 rows at a
     # time (18 slices, with classes whose members lie in several): the
-    # representatives of the pairwise search
+    # representatives of the pairwise search, and every member that joins a
+    # class witness-checked, at most 7 at a time
     base, fiber, actions, cands = _classify_input(base_name, actions_doc, Variant.CORRECTED)
     zero = _zero_cocycle(base, fiber, actions)
     sizes = []
-    solve = bruteforce.solve_rows
+    witnesses = extensions._class_witnesses
 
-    def recorded(a, b, p):
-        sizes.append(len(b))
-        return solve(a, b, p)
+    def recorded(members, *args):
+        sizes.append(len(members.nu))
+        return witnesses(members, *args)
 
     monkeypatch.setattr(extensions, "_CLASS_ROWS", 7)
-    monkeypatch.setattr(bruteforce, "solve_rows", recorded)
+    monkeypatch.setattr(extensions, "_class_witnesses", recorded)
     blocks = list(_valid_cocycles(zero, Variant.CORRECTED, _blocks(zero)))
     assert len(blocks) == 1
-    (nu, om), valid = _coset_classes(zero, blocks)
-    assert (len(nu), valid) == want
-    # one key solve per slice, and one witness solve per slice with a join
-    assert max(sizes) == 7 and len(sizes) >= -(-valid // 7)
+    index, valid = _coset_classes(zero, blocks)
+    assert (len(index), valid) == want
+    assert max(sizes) == 7 and sum(sizes) == valid - len(index)
     oracle_reps, _ = _pairwise_classes(cands)
-    assert _pairs(_decoded(zero, nu, om)) == _pairs(oracle_reps)
+    assert _pairs(_decoded(zero, *candidate_rows(zero, index))) == _pairs(oracle_reps)
+
+
+@pytest.mark.parametrize("base_name, fiber_dim, actions_doc, variant, want", [
+    ("z1", 1, None, Variant.CORRECTED, (1, 1)),
+    ("s2", 1, None, Variant.CORRECTED, (25, 125)),
+    ("s2", 1, "r_s2_gf5.rep", Variant.CORRECTED, (5, 25)),
+    ("s2", 1, "r_s2_gf5.rep", Variant.STRICT, (5, 25)),
+    ("z2", 2, None, Variant.CORRECTED, (15625, 15625)),
+    ("s2", 2, None, Variant.CORRECTED, (625, 15625)),
+])
+def test_class_store_matches_the_dict_oracle(monkeypatch, base_name, fiber_dim, actions_doc,
+                                             variant, want):
+    # candidate blocks of 40 rows, coded 7 at a time: classes repeat across
+    # slices and blocks.  The sorted store of codes and candidate indices
+    # gives the classes, representatives and count of the dict keyed by the
+    # whole key, representatives kept as rows, and every member that joins
+    # a class is witness-checked against its representative's row.  The
+    # blocks streamed last first give the same classes, each represented by
+    # its first member in that stream: codes need not arrive in order
+    field = PrimeField(5)
+    base, fiber = _BASES[base_name](field), zero_algebra(field, fiber_dim)
+    actions = _zero_actions(field, base.dim, fiber_dim)
+    if actions_doc is not None:
+        r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
+        actions = (r.mu, r.theta, r.dd)
+    zero = _zero_cocycle(base, fiber, actions)
+    targets = []
+    witnesses = extensions._class_witnesses
+
+    def recorded(members, reps, *args):
+        targets.extend(zip(reps.nu.tolist(), reps.om.tolist()))
+        return witnesses(members, reps, *args)
+
+    monkeypatch.setattr(extensions, "_CLASS_ROWS", 7)
+    monkeypatch.setattr(extensions, "_class_witnesses", recorded)
+    blocks = list(_valid_cocycles(zero, variant, _blocks(zero, chunk=40)))
+    index, valid = _coset_classes(zero, blocks)
+    (nu, om), oracle_valid = coset_classes_oracle(zero, blocks, rows=7)
+    assert (len(index), valid) == (len(nu), oracle_valid) == want
+    assert (index[1:] > index[:-1]).all()
+    assert [a.tolist() for a in candidate_rows(zero, index)] == [nu.tolist(), om.tolist()]
+    assert len(targets) == valid - len(index)
+    assert set(map(str, targets)) <= set(map(str, zip(nu.tolist(), om.tolist())))
+    index, _ = _coset_classes(zero, blocks[::-1])
+    (nu, om), _ = coset_classes_oracle(zero, blocks[::-1], rows=7)
+    assert sorted(map(str, zip(*(a.tolist() for a in candidate_rows(zero, index))))) \
+        == sorted(map(str, zip(nu.tolist(), om.tolist())))
+
+
+@pytest.mark.parametrize("base_name, fiber_dim, actions_doc, rank", [
+    ("z1", 1, None, 0), ("s2", 1, None, 2), ("z2", 1, None, 3),
+    ("s2", 1, "r_s2_gf5.rep", 2), ("z2", 3, None, 9)])
+def test_class_code_is_injective_on_the_key(base_name, fiber_dim, actions_doc, rank):
+    # on candidates drawn from every digit string, valid or not, two codes
+    # are equal exactly where the whole keys of `solve_rows` are, and each
+    # code is below p^rank, the rank of the map from the digits to the key.
+    # Over z2 x z3 the key has 36 entries and that rank is 9, the digit count
+    import numpy as np
+
+    from bolext.nonabelian import _equivalence_matrix, _stacked_rhs
+
+    field = PrimeField(5)
+    base, fiber = _BASES[base_name](field), zero_algebra(field, fiber_dim)
+    actions = _zero_actions(field, base.dim, fiber_dim)
+    if actions_doc is not None:
+        r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
+        actions = (r.mu, r.theta, r.dd)
+    zero = _zero_cocycle(base, fiber, actions)
+    matrix = _equivalence_matrix(zero)
+    total = 5 ** CochainCoords(base.dim, fiber_dim, field).total
+    index = np.random.default_rng(rank).integers(0, total, size=min(total, 3000))
+    nu, om = candidate_rows(zero, index)
+    codes = _class_code(zero, matrix)(nu, om)
+    keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), 5)[2]
+    if fiber_dim == 3:
+        assert keys.shape[1] == 36
+    assert codes.dtype == np.int64 and codes.min() >= 0 and codes.max() < 5 ** rank
+    _, by_code = np.unique(codes, return_inverse=True)
+    _, by_key = np.unique(keys, axis=0, return_inverse=True)
+    pairs = set(zip(by_code.tolist(), by_key.ravel().tolist()))
+    assert len(pairs) == len(set(by_code.tolist())) == len(set(by_key.ravel().tolist()))
+    assert len(pairs) > 1 or rank == 0
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -317,6 +405,10 @@ def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):
     count, reps, valid = classify_corpus(z1(F5), s2(F5))
     assert (count, valid) == (1, 1)
     assert seen == [(reps, valid)]
+    # over z2 the representatives pass through their candidate indices
+    count, reps, valid = classify_corpus(z2(F5), s2(F5))
+    assert (count, valid) == (5, 5)
+    assert seen[-1] == (reps, valid)
 
 
 def test_abelian_fiber_decodes_only_the_representatives(F5, monkeypatch):
