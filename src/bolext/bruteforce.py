@@ -5,14 +5,14 @@ the exact scalar types.  Every enumeration (the Bol tensors, the flat
 automorphism scan, the census's action tuples, the maps phi over a
 non-abelian fiber, the cocycles of a classification) takes its candidates
 from one stream, `candidate_blocks`: the p^width digit strings of its
-parameters in lexicographic order (once per outer index), checked against
-the bound once and read in fixed-size chunks, by `identity_mask` (joins
-over the supports of each term's factors) where a table decides them.  The
-factored scan of block-triangular automorphisms checks the bound on all its
-candidates too, but solves for the blocks C its morphism residual allows,
-from a linear system it probes where the system can be nonzero, tests only
-those, and streams what it finds slice by slice (`triangular_arrays`).
-Only the flat scan is limited to dimension <= 3.
+parameters in lexicographic order, checked against the bound once and read
+in fixed-size chunks, by `identity_mask` (joins over the supports of each
+term's factors) where a table decides them.  The factored scan of
+block-triangular automorphisms checks the bound on all its candidates too,
+but solves for the blocks C its morphism residual allows, from a linear
+system it probes where the system can be nonzero, tests only those, and
+streams what it finds slice by slice (`triangular_arrays`).  Only the flat
+scan is limited to dimension <= 3.
 
 Every mod-p elimination here (the batched inverses of `inverse_mod`, the
 factored scan's per-pair systems, the class witnesses of `solve_rows`, and
@@ -74,14 +74,12 @@ def digit_rows(index: np.ndarray, p: int, width: int, dtype) -> np.ndarray:
     return ((index[:, None] // weights[None, :]) % p).astype(dtype)
 
 
-def candidate_blocks(p: int, width: int, budget: int, what: str, chunk=_CHUNK,
-                     outer: int = 1):
-    """The outer * p^width candidates as (start, digit rows) per chunk of
-    `chunk` rows, in lexicographic order: candidate k is the digit string of
-    k mod p^width, for the outer index k // p^width (by default every digit
-    string once).  The count is checked against `budget` here, before the
-    first block is asked for."""
-    total = outer * p ** width
+def candidate_blocks(p: int, width: int, budget: int, what: str, chunk=_CHUNK):
+    """The p^width candidates as (start, digit rows) per chunk of `chunk`
+    rows, in lexicographic order: candidate k is the digit string of k.
+    The count is checked against `budget` here, before the first block is
+    asked for."""
+    total = p ** width
     _check_bound(total, budget, what)
     dt = _headroom_dtype(1, 1, p)
     return ((start, digit_block(start, min(start + chunk, total), p, width, dt))
@@ -408,10 +406,9 @@ def _identity_cost(sizes, idt) -> int:
                for t in idt.terms)
 
 
-def validate_bol_mask(bil: np.ndarray, tri: np.ndarray, p: int, ok=None) -> np.ndarray:
-    """Boolean mask of batch entries whose tensors satisfy all five axioms;
-    entries false in the starting mask `ok` stay false unevaluated."""
-    return identity_mask(identities.BOL, p, {"bil": bil, "tri": tri}, ok=ok)
+def validate_bol_mask(bil: np.ndarray, tri: np.ndarray, p: int) -> np.ndarray:
+    """Boolean mask of batch entries whose tensors satisfy all five axioms."""
+    return identity_mask(identities.BOL, p, {"bil": bil, "tri": tri})
 
 
 def enumerate_valid_tensors(n: int, p: int, tri_zero: bool, budget: int):
@@ -743,11 +740,10 @@ def rep_param_batches(n: int, m: int, p: int, params: np.ndarray):
     return mu, theta, dd
 
 
-def validate_rep_mask(bil, tri, mu, theta, dd, p, ok=None) -> np.ndarray:
-    """Mask of (mu, theta, D) batches satisfying the six module identities;
-    entries false in the starting mask `ok` stay false unevaluated."""
+def validate_rep_mask(bil, tri, mu, theta, dd, p) -> np.ndarray:
+    """Mask of (mu, theta, D) batches satisfying the six module identities."""
     return identity_mask(identities.REP, p, {"mu": mu, "theta": theta, "dd": dd},
-                         {"bil": bil, "tri": tri}, ok)
+                         {"bil": bil, "tri": tri})
 
 
 def semidirect_arrays(bil, tri, mu, theta, dd, p):

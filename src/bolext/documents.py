@@ -7,11 +7,12 @@ integers in [0, p)):
                   "bilinear": n*n*n nested arrays, "trilinear": n*n*n*n}
   representation {"field", "algebra_dim", "module_dim",
                   "mu": [n matrices], "theta": n*n matrices, "D": n*n matrices}
-  cochain-pair   {"nu": n*n columns, "omega": n*n*n columns}
   nab-cocycle    {"base": algebra-or-path, "fiber": algebra-or-path,
                   "nu", "omega", "mu", "theta", "D"}
   extension      {"fiber", "total", "base", "i": matrix, "p": matrix}
-  aut-pair       {"alpha": matrix, "beta": matrix}
+
+A cocycle's {"nu": n*n columns, "omega": n*n*n columns} sits in a
+nab-cocycle, and `cohomology --representatives` and `classify` print it.
 
 Every tensor is a nested array of scalars, read by `_nested` and written by
 `_to_doc` whatever its rank.  Shape and skewness invariants are validated
@@ -28,18 +29,17 @@ import os
 from .bol import BolAlgebra
 from .cohomology import Cochain2, Cochain3
 from .errors import ParseError, UsageError
-from .exactlin import Matrix, PrimeField, RATIONALS
+from .exactlin import Matrix, PrimeField, RATIONALS, negatives
 from .extensions import Extension
 from .nonabelian import NonAbelianCocycle
 from .representation import ActionOps, Representation
-from .wells import AutPair
 
 __all__ = [
     "parse_document", "canonical_json",
     "algebra_from_doc", "algebra_to_doc", "representation_from_doc",
     "representation_to_doc", "cochain_pair_from_doc", "cochain_pair_to_doc",
     "nab_from_doc", "nab_to_doc", "extension_from_doc", "extension_to_doc",
-    "aut_pair_from_doc", "aut_pair_to_doc", "matrix_from_doc", "matrix_to_doc",
+    "matrix_from_doc", "matrix_to_doc",
 ]
 
 
@@ -110,20 +110,12 @@ def _to_doc(field, t, rank):
     return [_to_doc(field, s, rank - 1) for s in t]
 
 
-def _negatives(u, v) -> bool:
-    """u = -v for two nested tuples of one shape over one field, adding
-    only where one is nonzero."""
-    if isinstance(u[0], tuple):
-        return all(map(_negatives, u, v))
-    return all(not a + b for a, b in zip(u, v) if a or b)
-
-
 def _skew(t, path, key, msg):
     """Refuses t unless t[i][j] = -t[j][i] for all i <= j; names the first
     pair that fails."""
     for i in range(len(t)):
         for j in range(i, len(t)):
-            if not _negatives(t[i][j], t[j][i]):
+            if not negatives(t[i][j], t[j][i]):
                 _fail(path, f"{key}[{i}][{j}]", msg)
 
 
@@ -279,19 +271,6 @@ def extension_to_doc(e: Extension):
 
 
 # ---------------------------------------------------------------------------
-# automorphism pair
-
-def aut_pair_from_doc(doc, field, n, m, path) -> AutPair:
-    _require(doc, path, "pair", ("alpha", "beta"))
-    return AutPair(matrix_from_doc(field, doc["alpha"], n, n, path, "alpha"),
-                   matrix_from_doc(field, doc["beta"], m, m, path, "beta"))
-
-
-def aut_pair_to_doc(pair: AutPair):
-    return {"alpha": matrix_to_doc(pair.alpha), "beta": matrix_to_doc(pair.beta)}
-
-
-# ---------------------------------------------------------------------------
 # files
 
 def read_json(path: str):
@@ -309,7 +288,7 @@ def read_json(path: str):
         raise ParseError(path, "$", str(exc)) from exc
 
 
-def parse_document(path: str, kind: str, **ctx):
+def parse_document(path: str, kind: str):
     """Load and validate a document of the given kind from a JSON file."""
     doc = read_json(path)
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -317,12 +296,8 @@ def parse_document(path: str, kind: str, **ctx):
         return algebra_from_doc(doc, path)
     if kind == "representation":
         return representation_from_doc(doc, path)
-    if kind == "cochain-pair":
-        return cochain_pair_from_doc(doc, ctx["field"], ctx["n"], ctx["m"], path)
     if kind == "nab-cocycle":
         return nab_from_doc(doc, path, base_dir)
     if kind == "extension":
         return extension_from_doc(doc, path, base_dir)
-    if kind == "aut-pair":
-        return aut_pair_from_doc(doc, ctx["field"], ctx["n"], ctx["m"], path)
     raise UsageError(f"unknown document kind {kind!r}")

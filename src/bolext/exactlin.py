@@ -24,7 +24,7 @@ __all__ = [
     "Matrix", "Subspace",
     "rref", "kernel_basis", "solve_linear", "quotient_dim", "enumerate_vectors",
     "vec_add", "vec_sub", "vec_neg", "vec_scale", "vec_is_zero", "vec_support",
-    "vec_combine", "zero_vec", "basis_vec",
+    "vec_combine", "zero_vec", "basis_vec", "negatives",
 ]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -264,6 +264,14 @@ def vec_scale(c, u):
 
 def vec_is_zero(u) -> bool:
     return all(not a for a in u)
+
+
+def negatives(u, v) -> bool:
+    """u = -v for two nested tuples of one shape over one field, adding
+    only where one is nonzero."""
+    if u and isinstance(u[0], tuple):
+        return all(map(negatives, u, v))
+    return all(not a + b for a, b in zip(u, v) if a or b)
 
 
 def vec_support(u) -> tuple:

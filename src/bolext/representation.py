@@ -17,7 +17,7 @@ from . import bruteforce, identities
 from .bol import BolAlgebra
 from .core import DEFAULT_ENUMERATION_BOUND, ValidationReport
 from .errors import UnsupportedEnumerationError, UsageError
-from .exactlin import Matrix
+from .exactlin import Matrix, negatives
 
 __all__ = [
     "Representation", "validate_representation", "semidirect_product",
@@ -96,8 +96,8 @@ class Representation(ActionOps):
         n = self.algebra_dim
         self._check_actions(n, "algebra")
         for i in range(n):
-            for j in range(n):
-                if not (self.dd[i][j] + self.dd[j][i]).is_zero():
+            for j in range(i, n):
+                if not negatives(self.dd[i][j].entries, self.dd[j][i].entries):
                     raise UsageError("D must be alternating")
 
     @property

@@ -467,8 +467,7 @@ def _same_actions(acted: _CocycleArrays, c: _CocycleArrays) -> np.ndarray:
             & (acted.dd == c.dd).all(axis=(1, 2, 3, 4)))
 
 
-def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber,
-                            chunk: int = _VERDICT_CHUNK):
+def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber):
     """Class verdicts of every pair of base x fiber automorphisms (each an
     (automorphisms, inverses) pair from `_checked_automorphisms`),
     alpha-major, against a cocycle over a prime field with an abelian fiber.
@@ -477,7 +476,8 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber,
     equivalence system once per chunk: each pair only contributes a
     right-hand side.
     Yields (first pair index, status codes into `_VERDICT_STATUS`, witness
-    maps phi[k, t, q], zero unless the class vanishes) per chunk of pairs.
+    maps phi[k, t, q], zero unless the class vanishes) per chunk of
+    `_VERDICT_CHUNK` pairs.
     """
     p = c.field.p
     (alphas, alpha_invs), (betas, beta_invs) = base, fiber
@@ -486,8 +486,8 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber,
     matrix = _equivalence_matrix(c)
     nb = len(betas)
     total = len(alphas) * nb
-    for start in range(0, total, chunk):
-        ia, ib = np.divmod(np.arange(start, min(start + chunk, total)), nb)
+    for start in range(0, total, _VERDICT_CHUNK):
+        ia, ib = np.divmod(np.arange(start, min(start + _VERDICT_CHUNK, total)), nb)
         beta, binv = betas[ib], beta_invs[ib]
         span, which = _alpha_run(ia)
         acted = _act(arr, alpha_invs[span], beta, binv, p, which)

@@ -338,18 +338,20 @@ def triangular_arrays_oracle(bil, tri, alphas, betas, p, budget):
     """The output of `bruteforce.triangular_arrays` by its unpruned scan: the
     morphism test `morphism_mask_by_chain` on every one of the k l p^(nm)
     candidates [[alpha, 0], [C, beta]], read alpha-major, then beta, then
-    the digits of C from the one candidate stream."""
+    the digits of C (candidate k reads the digits of k mod p^(nm))."""
     import numpy as np
 
-    from bolext.bruteforce import _headroom_dtype, candidate_blocks
+    from bolext.bruteforce import _CHUNK, _check_bound, _headroom_dtype, digit_block
 
     n, m = alphas.shape[1], betas.shape[1]
     dt = _headroom_dtype(1, 1, p)
     bil, tri = bil.astype(dt), tri.astype(dt)
     width, nb = n * m, len(betas)
+    total = len(alphas) * nb * p ** width
+    _check_bound(total, budget, "matrices")
     found, pairs = [], []
-    for start, digits in candidate_blocks(p, width, budget, "matrices",
-                                          outer=len(alphas) * nb):
+    for start in range(0, total, _CHUNK):
+        digits = digit_block(start, min(start + _CHUNK, total), p, width, dt)
         pair = np.arange(start, start + len(digits)) // p ** width
         g = np.zeros((len(digits), n + m, n + m), dtype=dt)
         g[:, :n, :n] = alphas[pair // nb]

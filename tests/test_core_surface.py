@@ -1,0 +1,88 @@
+"""The surface of `src/bolext` holds only code that something outside the
+tests reaches.
+
+Every top-level function and class of the package must be read by other
+package code (a name in `__all__` is a string and does not count), be
+imported by `bolext/__init__.py`, be a perfbench tracer target (read from
+the text of `perfbench/tracer.py`), or be listed in `KEPT` with its reason.
+Code that only tests call belongs in `tests/oracles.py`.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bolext"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+_DEFS = (ast.FunctionDef, ast.ClassDef)
+
+KEPT = {
+    "documents:representation_to_doc":
+        "writes the canonical round trip of the .rep files the CLI reads",
+}
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(trees):
+    return {f"{mod}:{node.name}" for mod, tree in trees.items()
+            for node in tree.body if isinstance(node, _DEFS)}
+
+
+def _read_names(trees):
+    """Every name the package reads, as a variable or an attribute, outside
+    the definition of that same name (a recursive call is not a reader)."""
+    names = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = top.name if isinstance(top, _DEFS) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    names.add(name)
+    return names
+
+
+def _package_exports(trees):
+    return {f"{node.module}:{alias.name}" for node in trees["__init__"].body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _tracer_targets():
+    """module:name of each `TARGETS` entry; a method target names its class."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS":
+            return {f"{entry.elts[0].value}:{entry.elts[1].value.split('.')[0]}"
+                    for entry in node.value.elts}
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_every_definition_in_src_has_a_reader_outside_the_tests():
+    trees = _trees()
+    defined = _definitions(trees)
+    read = _read_names(trees)
+    reached = {d for d in defined if d.split(":")[1] in read}
+    reached |= _package_exports(trees) | _tracer_targets()
+    assert sorted(d for d in defined - reached if d not in KEPT) == []
+    # a KEPT entry names a definition that nothing else reaches
+    assert sorted(set(KEPT) - (defined - reached)) == []
+
+
+def test_documents_does_not_import_wells():
+    tree = _trees()["documents"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert sorted(m for m in imported if "wells" in m.split(".")) == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bolext import documents as docs
 from bolext.bol import validate_bol
-from bolext.errors import ParseError
+from bolext.errors import ParseError, UsageError
 from bolext.extensions import validate_extension
 from bolext.representation import validate_representation
 
@@ -119,13 +119,14 @@ def test_nab_doc_with_file_references(tmp_path, F5):
     assert c2 == c
 
 
-def test_aut_pair_doc(F5):
-    from bolext.exactlin import Matrix
-    from bolext.wells import AutPair
-    pair = AutPair(Matrix.identity(F5, 2), Matrix.from_int_rows(F5, [[2]]))
-    doc = docs.aut_pair_to_doc(pair)
-    back = docs.aut_pair_from_doc(doc, F5, 2, 1, "<mem>")
-    assert back.alpha == pair.alpha and back.beta == pair.beta
+def test_pair_document_kinds_are_unknown(tmp_path):
+    # no command reads an automorphism pair or a bare cochain pair
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"alpha": [["1"]], "beta": [["1"]],
+                                "nu": [[["0"]]], "omega": [[[["0"]]]]}))
+    for kind in ("aut-pair", "cochain-pair"):
+        with pytest.raises(UsageError, match=f"unknown document kind '{kind}'"):
+            docs.parse_document(str(path), kind)
 
 
 @pytest.mark.parametrize("kind", ["representation", "nab-cocycle"])

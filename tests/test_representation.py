@@ -31,8 +31,12 @@ def test_mu_e1_invalid(Q):
 def test_dd_alternating_enforced(Q):
     one = Matrix.identity(Q, 1)
     z = Matrix.zeros(Q, 1, 1)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="D must be alternating"):
         Representation(Q, 2, 1, (z, z), ((z, z), (z, z)), ((z, one), (one, z)))
+    # a nonzero D(x, x) is refused too; D(e1, e2) = -D(e2, e1) is kept
+    with pytest.raises(UsageError, match="D must be alternating"):
+        Representation(Q, 2, 1, (z, z), ((z, z), (z, z)), ((one, z), (z, z)))
+    Representation(Q, 2, 1, (z, z), ((z, z), (z, z)), ((z, one), (one.scale(-1), z)))
 
 
 def test_semidirect_examples(Q):
@@ -188,8 +192,9 @@ def _census_routes_against_per_algebra_masks(sample, start, stop, monkeypatch):
         passed += int(want1.sum())
         # a starting mask only removes rows
         ok = rng.random(len(params)) < 0.7
-        assert (bruteforce.validate_rep_mask(bil, tri, mu, theta, dd, p, ok=ok)
-                == ok & want1).all()
+        assert (bruteforce.identity_mask(identities.REP, p,
+                                         {"mu": mu, "theta": theta, "dd": dd},
+                                         {"bil": bil, "tri": tri}, ok) == ok & want1).all()
         assert (bruteforce.identity_mask(identities.BOL, p, {"bil": bil_e, "tri": tri_e},
                                          ok=ok) == ok & want2).all()
     return passed

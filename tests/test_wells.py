@@ -265,9 +265,10 @@ def _extension(F5, name):
 
 @pytest.mark.parametrize("name", ["e_h3", "z2_mu_first", "s2_r_s2",
                                   "z2_theta_omega", "bracket_base"])
-def test_batched_class_verdicts_match_per_pair(F5, name):
+def test_batched_class_verdicts_match_per_pair(F5, name, monkeypatch):
     # every pair of the exactness scan: the batched pass against the
     # per-pair route (status, and the witness map when the class vanishes)
+    from bolext import wells
     from bolext.bol import automorphism_int_arrays, int_matrix
     from bolext.core import DEFAULT_ENUMERATION_BOUND
     from bolext.wells import (_VERDICT_STATUS, _abelian_class_verdicts,
@@ -282,7 +283,8 @@ def test_batched_class_verdicts_match_per_pair(F5, name):
     fiber = _checked_automorphisms(fiber_auts, e.fiber, "second", "fiber")
     seen = 0
     # a chunk size that does not divide the pair count
-    for start, status, phi in _abelian_class_verdicts(c, base, fiber, chunk=700):
+    monkeypatch.setattr(wells, "_VERDICT_CHUNK", 700)
+    for start, status, phi in _abelian_class_verdicts(c, base, fiber):
         assert start == seen
         for k in range(len(status)):
             i = start + k
