@@ -2,9 +2,10 @@
 
 Everything here works on integer residue arrays; callers convert to and from
 the exact scalar types.  Every enumeration (the Bol tensors, the flat
-automorphism scan, the census's action tuples, the maps phi over a
-non-abelian fiber, the cocycles of a classification) takes its candidates
-from one stream, `candidate_blocks`: the p^width digit strings of its
+automorphism scan, the census's action tuples, the maps phi of a cocycle's
+orbit or over a non-abelian fiber, the cocycles of a classification) takes
+its candidates from one stream, `candidate_blocks`: the p^width digit
+strings of its
 parameters in lexicographic order, checked against the bound once and read
 in fixed-size chunks, by `identity_mask` (joins over the supports of each
 term's factors) where a table decides them.  The factored scan of
@@ -488,7 +489,7 @@ def triangular_arrays(bil: np.ndarray, tri: np.ndarray, alphas: np.ndarray,
     when some kept row is one `_reachable` marks, its values at the nm unit
     maps give each pair an affine system in the digits of C.  With no such
     row the part linear in C is zero and no unit map is evaluated.  One C
-    per pair, drawn from a fixed-seed generator and evaluated directly,
+    per pair, a fixed hash of the pair (`_guard`), evaluated directly,
     checks that system (the affinity guard), and so `_reachable` too.  Rows
     zero in every pair's [L | b] are dropped, and `_solve_stack` eliminates
     every pair's system at once; the members of each solution coset, in
@@ -508,12 +509,11 @@ def _triangular_slices(bil, tri, alphas, betas, p):
     reach = any(_reachable(t, n)[rows].any() for t, rows in zip((bil, tri), keep))
     probes = width if reach else 0
     units = np.eye(probes + 1, width, k=-1, dtype=dt)  # C = 0, then the unit maps
-    rng = np.random.default_rng(0)
     rows = d ** 3 + (d ** 4 if tri.any() else 0)
     step = max(1, _ENTRIES // ((width + 2) * rows))
     for start in range(0, total, step):
         pair = np.arange(start, min(start + step, total))
-        guard = rng.integers(0, p, size=(len(pair), 1, width)).astype(dt)
+        guard = _guard(pair, width, p).astype(dt)
         digits = np.concatenate([np.broadcast_to(units, (len(pair),) + units.shape),
                                  guard], axis=1)
         g = _triangular(alphas, betas, np.repeat(pair, probes + 2),
@@ -543,6 +543,17 @@ def _triangular_slices(bil, tri, alphas, betas, p):
         if scanned:
             yield ScanSlice(np.zeros((0, d, d), dtype=dt), np.zeros(0, dtype=np.int64),
                             scanned, evaluated, 0)
+
+
+def _guard(pair: np.ndarray, width: int, p: int) -> np.ndarray:
+    """The guard C of each pair, (len(pair), 1, width): digit u of pair k's
+    is splitmix64 of k * width + u, mod p.  A fixed integer hash, so the
+    scan draws from no generator."""
+    z = pair.astype(np.uint64)[:, None, None] * np.uint64(width) + np.arange(
+        width, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) % np.uint64(p)
 
 
 def _reachable(t, n) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The identity suites, written once as data, and the exact readers.
 
 Every suite the engine decides (the Bol axioms, the two morphism
-identities, the six module identities, the abelian (2,3)-cocycle identities,
+identities, of one structure to itself and of one into another, the six
+module identities, the abelian (2,3)-cocycle identities,
 the non-abelian cocycle identities in both variants, and the three decisions
 about a map phi: B -> V: cocycle equivalence, inducibility of an automorphism
 pair, and degree-one cocycles) is a table of identities.  An identity is a
@@ -16,7 +17,7 @@ tag, the basis axes it is checked on (`where`), the axes of its residual
                  dd[i,j,s,t] likewise
   vbil, vtri     the fiber's bil and tri
   f[l,q]         coordinate l of f(e_q), for a linear map f of an algebra
-                 to itself
+                 to itself, or into the algebra of bil2 and tri2
   phi[t,q]       coordinate t of phi(e_q), for the map phi: B -> V
   alpha[q,i]     coordinate q of alpha(e_i), for alpha in Aut(B); beta[s,t]
                  entry (s,t) of beta in Aut(V)
@@ -60,8 +61,8 @@ import numpy as np
 
 from .core import ValidationReport, Variant
 
-__all__ = ["Term", "Identity", "Group", "BOL", "MOR", "REP", "COCYCLE", "NAB",
-           "EQV", "IND", "Z1", "select", "live", "report", "affine", "residues"]
+__all__ = ["Term", "Identity", "Group", "BOL", "MOR", "HOM", "REP", "COCYCLE",
+           "NAB", "EQV", "IND", "Z1", "select", "live", "report", "affine", "residues"]
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,14 @@ MOR = _suite(
     _id("mor-star", "ij", "l", "+f(lq) bil(ijq) -f(ai) f(bj) bil(abl)"),
     # f([x1,x2,x3]) = [f(x1),f(x2),f(x3)]
     _id("mor-bracket", "ijk", "l", "+f(lq) tri(ijkq) -f(ai) f(bj) f(ck) tri(abcl)"),
+)
+
+# morphisms of the structure (bil, tri) into the structure (bil2, tri2)
+HOM = _suite(
+    # f(x1*x2) = f(x1)*f(x2)
+    _id("hom-star", "ij", "l", "+f(lq) bil(ijq) -f(ai) f(bj) bil2(abl)"),
+    # f([x1,x2,x3]) = [f(x1),f(x2),f(x3)]
+    _id("hom-bracket", "ijk", "l", "+f(lq) tri(ijkq) -f(ai) f(bj) f(ck) tri2(abcl)"),
 )
 
 # ---------------------------------------------------------------------------

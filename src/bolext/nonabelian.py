@@ -32,6 +32,9 @@ checks a given phi; over an abelian fiber `identities.affine` reads the
 linear system in phi off the table and `_solve_for_phi` solves it with free
 parameters at zero; otherwise `_phi_solutions` decides every GF(p) map by
 `bruteforce.identity_mask`.  `identities.report` checks each witness again.
+Many equivalence questions against one cocycle c, over any fiber, are
+pushed instead of pulled: `_orbit_lookup` makes T_phi(c) for every map once
+and looks each question up in that orbit.
 """
 from __future__ import annotations
 
@@ -350,16 +353,18 @@ def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
     abelian fiber (its product terms vanish); phi[k, t, q] is the t-th
     coordinate of phi(e_q).  c2.nu and c2.om may carry the leading axis too,
     one target per k."""
-    f = bruteforce.contract_mod
+    def f(spec, a, b):  # a product term: zero where a factor is all zero
+        return bruteforce.contract_mod(spec, p, a, b) if a.any() and b.any() else 0
+
     om = (c1.om - c2.om
-          - f("xzst,kty->kxyzs", p, c2.theta, phi)
-          + f("xyst,ktz->kxyzs", p, c2.dd, phi)
-          + f("yzst,ktx->kxyzs", p, c2.theta, phi)
-          - f("ksq,xyzq->kxyzs", p, phi, tri)) % p
+          - f("xzst,kty->kxyzs", c2.theta, phi)
+          + f("xyst,ktz->kxyzs", c2.dd, phi)
+          + f("yzst,ktx->kxyzs", c2.theta, phi)
+          - f("ksq,xyzq->kxyzs", phi, tri)) % p
     nu = (c1.nu - c2.nu
-          - f("ksq,xyq->kxys", p, phi, bil)
-          + f("xst,kty->kxys", p, c2.mu, phi)
-          - f("yst,ktx->kxys", p, c2.mu, phi)) % p
+          - f("ksq,xyq->kxys", phi, bil)
+          + f("xst,kty->kxys", c2.mu, phi)
+          - f("yst,ktx->kxys", c2.mu, phi)) % p
     residuals = (om, nu, c1.mu - c2.mu, c1.theta - c2.theta, c1.dd - c2.dd)
     ok = np.ones(phi.shape[0], dtype=bool)
     for r in residuals:
@@ -398,3 +403,85 @@ def _class_witnesses(members: _CocycleArrays, reps: _CocycleArrays, matrix, p):
     rhs = (_stacked_rhs(reps.om, reps.nu) - _stacked_rhs(members.om, members.nu)) % p
     solvable, x, _ = bruteforce.solve_rows(matrix, rhs, p)
     return solvable, x.reshape(k, n, m).transpose(0, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# equivalence by orbit, any fiber
+
+def _orbit(tensors: dict, p: int, bound: int) -> tuple:
+    """(phi, orbit) of a cocycle c over GF(p) given as the residue arrays
+    `tensors` of `c.tensors()`: every map phi[k, t, q]: B -> V, in
+    `candidate_blocks` order, and T_phi(c) per map as `_CocycleArrays` with
+    the leading axis k.
+
+    Each `EQV` identity reads c1 - T_phi(c) = 0 with T_phi(c) free of c1,
+    so the cocycles equivalent to c are exactly the orbit rows.  T_phi(c)
+    is the table evaluated with c1 = 0 (the c1 terms dead, as are those of
+    c's all-zero tensors: `identities.live`) and negated, laid out as the
+    c1 tensor; each term is one `bruteforce.contract_mod` with phi
+    batched."""
+    n, m = len(tensors["bil"]), len(tensors["vbil"])
+    blocks = bruteforce.candidate_blocks(p, n * m, bound, "maps")
+    phi = np.concatenate([d for _, d in blocks]).reshape(-1, n, m).transpose(0, 2, 1)
+    arrays = dict(tensors, phi=phi.astype(np.int64))
+    c1 = {name + "1" for name in _CocycleArrays._fields}
+    zero = frozenset(name for name, a in arrays.items() if not a.any()) | c1
+    parts = {}
+    for identity in (i for group in identities.EQV for i in group.identities):
+        (name, out), = [f for t in identity.terms for f in t.factors if f[0] in c1]
+        total = 0
+        for t in identities.live(identity, zero).terms:
+            lead = "K" if any(f == "phi" for f, _ in t.factors) else ""
+            spec = ",".join(("K" if f == "phi" else "") + idx for f, idx in t.factors)
+            total = total - t.sign * bruteforce.contract_mod(
+                f"{spec}->{lead}{out}", p, *(arrays[f] for f, _ in t.factors))
+        name = name[:-1]
+        parts[name] = np.broadcast_to(total % p, phi.shape[:1] + arrays[name].shape)
+    return arrays["phi"], _CocycleArrays(**parts)
+
+
+def _flat(c: _CocycleArrays) -> np.ndarray:
+    """Cocycles with a leading axis as one residue row each."""
+    return np.concatenate([a.reshape(len(a), -1) for a in c], axis=1)
+
+
+def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
+    """One sortable key per row of residues mod p, equal exactly where the
+    rows are: the residues packed into int64 words, (p - 1).bit_length()
+    bits each, by one product with their place values; one word is the
+    key, more are read as one void per row."""
+    bits = max(1, (p - 1).bit_length())
+    per = 63 // bits
+    width = rows.shape[1]
+    words = max(1, -(-width // per))
+    places = np.zeros((width, words), dtype=np.int64)
+    col = np.arange(width)
+    places[col, col // per] = 1 << (bits * (col % per))
+    packed = rows @ places
+    return packed[:, 0] if words == 1 else packed.view(np.dtype((np.void, 8 * words))).ravel()
+
+
+def _orbit_lookup(tensors: dict, p: int, bound: int) -> tuple:
+    """(phi, find) for the orbit of a cocycle c (`_orbit`, the same
+    arguments): find(rows) gives, per cocycle over c's base and fiber given
+    as its row of `_flat`, the index into phi of the first map with
+    T_phi(c) equal to it, or -1 where none is.  A row must hold the
+    orbit's value where every orbit row does; the entries that vary over
+    the orbit are keyed (`_row_keys`) and searched in its distinct rows,
+    each kept with its first map."""
+    phi, orbit = _orbit(tensors, p, bound)
+    rows = _flat(orbit)
+    vary = (rows != rows[0]).any(axis=0)
+    fixed = rows[0, ~vary]
+    keys = _row_keys(rows[:, vary], p)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    keys, order = keys[first], order[first]
+
+    def find(flat: np.ndarray) -> np.ndarray:
+        want = _row_keys(flat[:, vary], p)
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        found = (flat[:, ~vary] == fixed).all(axis=1) & (keys[at] == want)
+        return np.where(found, order[at], -1)
+    return phi, find

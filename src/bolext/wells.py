@@ -13,7 +13,14 @@ Inducibility identity tags: ind-omega, ind-nu, ind-theta, ind-d, ind-mu.
 Abelian-fiber gates reuse ind-theta / ind-d / ind-mu (they become free of the
 unknown map there).  The identities and the degree-one cocycle conditions
 are the tables `identities.IND` and `identities.Z1`, decided on the path of
-`nonabelian`."""
+`nonabelian`.
+
+The class map is decided pair by pair by `wells_map` (`_wells_verdict`), and
+for every pair at once, over any fiber, by `_class_verdicts`: the cocycles
+equivalent to c are its orbit {T_phi(c)} over the maps phi: B -> V, made
+once from `identities.EQV` (`nonabelian._orbit_lookup`), and a pair's class
+vanishes exactly when its acted cocycle lies in that orbit.  Its witness is
+re-checked off the table, by the shear of the glued totals."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
@@ -34,11 +41,11 @@ from .extensions import (Extension, Section, _adapted_total, _canonical_section,
                          _read_cocycle, extract_cocycle, theta_map,
                          validate_extension)
 from .identities import residues
-from .nonabelian import (NonAbelianCocycle, _class_witnesses, _CocycleArrays,
-                         _cocycle_arrays, _equivalence_matrix, _equivalent_via,
-                         _phi_solutions, _search_phi, _solve_for_phi,
-                         solve_equivalence, validate_nab_cocycle,
-                         validate_nab_full, validate_nab_parts)
+from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _equivalent_via,
+                         _flat, _orbit_lookup, _phi_solutions, _row_keys,
+                         _search_phi, _solve_for_phi, glue, solve_equivalence,
+                         validate_nab_cocycle, validate_nab_full,
+                         validate_nab_parts)
 from .representation import Representation
 
 __all__ = [
@@ -379,7 +386,7 @@ def compatible_pairs(b: BolAlgebra, r: Representation,
 # class verdicts of every pair at once
 
 _VERDICT_STATUS = ("incompatible", "nonzero", "zero", "undecided")
-_INCOMPATIBLE, _NONZERO, _ZERO, _UNDECIDED = range(4)
+_INCOMPATIBLE, _NONZERO, _ZERO = range(3)
 _VERDICT_CHUNK = 1 << 12
 
 
@@ -402,10 +409,27 @@ def _checked_automorphisms(auts: np.ndarray, a: BolAlgebra, component, role):
     return auts, invs
 
 
+# the contractions that move the base arguments of nu, omega, mu and of a
+# grid (theta, D) by one matrix ainv[k] per k, one argument at a time
+_NU = ("kqx,qrs->kxrs", "kry,kxrs->kxys")
+_OM = ("kqx,qrus->kxrus", "kry,kxrus->kxyus", "kuz,kxyus->kxyzs")
+_MU = ("kqx,qst->kxst",)
+_GRID = ("kqx,qrst->kxrst", "kry,kxrst->kxyst")
+
+
+def _moved(a, ainv, p, specs):
+    """a with its base arguments moved by each matrix ainv[k]: the
+    contractions `specs` in turn.  An all-zero a stays zero, unmoved."""
+    if not a.any():
+        return np.broadcast_to(a, ainv.shape[:1] + a.shape)
+    for spec in specs:
+        a = bruteforce.contract_mod(spec, p, ainv, a)
+    return a
+
+
 def _transport_grid(ainv, grid, p):
     """g'(x,y) = g(a^-1 x, a^-1 y) for a grid of matrices, per matrix of ainv."""
-    f = bruteforce.contract_mod
-    return f("kry,kxrst->kxyst", p, ainv, f("kqx,qrst->kxrst", p, ainv, grid))
+    return _moved(grid, ainv, p, _GRID)
 
 
 def _conjugate(beta, mats, binv, p):
@@ -419,39 +443,41 @@ def _conjugate(beta, mats, binv, p):
 def _transported(c: _CocycleArrays, ainv, p) -> _CocycleArrays:
     """c with its base arguments moved by alpha^-1 alone, once per matrix
     ainv[j]: nu(a^-1 x, a^-1 y), omega likewise, mu(a^-1 x), theta and D
-    (`_transport_grid`)."""
-    f = bruteforce.contract_mod
-    nu = f("kry,kxrs->kxys", p, ainv, f("kqx,qrs->kxrs", p, ainv, c.nu))
-    om = f("kqx,qrus->kxrus", p, ainv, c.om)
-    om = f("kuz,kxyus->kxyzs", p, ainv, f("kry,kxrus->kxyus", p, ainv, om))
-    return _CocycleArrays(nu, om, f("kqx,qst->kxst", p, ainv, c.mu),
-                          _transport_grid(ainv, c.theta, p), _transport_grid(ainv, c.dd, p))
+    (`_moved`)."""
+    return _CocycleArrays(*(_moved(a, ainv, p, specs)
+                            for a, specs in zip(c, (_NU, _OM, _MU, _GRID, _GRID))))
 
 
 def _act(c: _CocycleArrays, ainv, beta, binv, p, which) -> _CocycleArrays:
     """`act_on_cocycle` on residue arrays, one pair per leading index of
     beta.  The transport by alpha^-1 is made once per matrix of ainv, and
-    pair k reads ainv[which[k]]."""
+    pair k reads ainv[which[k]].  An all-zero action tensor of c is not
+    conjugated: beta 0 beta^-1 = 0."""
     moved = _transported(c, ainv, p).take(which)
     f = bruteforce.contract_mod
     return _CocycleArrays(
         f("kst,kxyt->kxys", p, beta, moved.nu),
         f("kst,kxyzt->kxyzs", p, beta, moved.om),
-        *(_conjugate(beta, a, binv, p) for a in moved[2:]))
+        *(_conjugate(beta, a, binv, p) if action.any() else a
+          for a, action in zip(moved[2:], c[2:])))
 
 
 def _intertwines(c: _CocycleArrays, alpha, beta, binv, p, which) -> np.ndarray:
     """`_pair_intertwines` per pair: beta mu(x) beta^-1 =
     mu(alpha x) and beta theta(x,y) beta^-1 = theta(alpha x, alpha y).  The
     actions are moved by alpha once per matrix of alpha, and pair k reads
-    alpha[which[k]]."""
+    alpha[which[k]].  An all-zero action is skipped: every pair
+    intertwines it."""
     k = beta.shape[0]
-    mu = _conjugate(beta, np.broadcast_to(c.mu, (k,) + c.mu.shape), binv, p)
-    theta = _conjugate(beta, np.broadcast_to(c.theta, (k,) + c.theta.shape),
-                       binv, p)
-    moved_mu = bruteforce.contract_mod("kqx,qst->kxst", p, alpha, c.mu)[which]
-    return ((mu == moved_mu).all(axis=(1, 2, 3))
-            & (theta == _transport_grid(alpha, c.theta, p)[which]).all(axis=(1, 2, 3, 4)))
+    ok = np.ones(k, dtype=bool)
+    if c.mu.any():
+        mu = _conjugate(beta, np.broadcast_to(c.mu, (k,) + c.mu.shape), binv, p)
+        moved_mu = bruteforce.contract_mod("kqx,qst->kxst", p, alpha, c.mu)[which]
+        ok &= (mu == moved_mu).all(axis=(1, 2, 3))
+    if c.theta.any():
+        theta = _conjugate(beta, np.broadcast_to(c.theta, (k,) + c.theta.shape), binv, p)
+        ok &= (theta == _transport_grid(alpha, c.theta, p)[which]).all(axis=(1, 2, 3, 4))
+    return ok
 
 
 def _alpha_run(ia):
@@ -460,30 +486,48 @@ def _alpha_run(ia):
     return slice(ia[0], ia[-1] + 1), ia - ia[0]
 
 
-def _same_actions(acted: _CocycleArrays, c: _CocycleArrays) -> np.ndarray:
-    """The phi-free gates eqv-mu, eqv-theta, eqv-d (abelian fiber)."""
-    return ((acted.mu == c.mu).all(axis=(1, 2, 3))
-            & (acted.theta == c.theta).all(axis=(1, 2, 3, 4))
-            & (acted.dd == c.dd).all(axis=(1, 2, 3, 4)))
+def _shears_hold(tensors: dict, source, members: _CocycleArrays, phi, p) -> bool:
+    """Whether every shear [[I, 0], [phi[k], I]] maps the glued total
+    `source` of a cocycle into the glued total of members[k] (`glue`, on the
+    base and fiber `tensors` of the cocycle), by the two-structure morphism
+    identities `identities.HOM`: a route to the equivalence of the two
+    cocycles via phi[k] that does not read `identities.EQV`."""
+    n = tensors["bil"].shape[0]
+    target = glue(tensors["bil"], tensors["tri"], tensors["vbil"], tensors["vtri"],
+                  *members, p=p)
+    shears = np.tile(np.eye(len(source[0]), dtype=np.int64), (len(phi), 1, 1))
+    shears[:, n:, :n] = phi
+    return bool(bruteforce.identity_mask(
+        identities.HOM, p, {"f": shears, "bil2": target[0], "tri2": target[1]},
+        {"bil": source[0], "tri": source[1]}).all())
 
 
-def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber):
+def _class_verdicts(c: NonAbelianCocycle, base, fiber, bound: int):
     """Class verdicts of every pair of base x fiber automorphisms (each an
     (automorphisms, inverses) pair from `_checked_automorphisms`),
-    alpha-major, against a cocycle over a prime field with an abelian fiber.
+    alpha-major, against a cocycle over a prime field, any fiber.
 
-    Decides what `_wells_verdict` decides pair by pair, but eliminates the
-    equivalence system once per chunk: each pair only contributes a
-    right-hand side.
+    Decides what `_wells_verdict` decides pair by pair, by orbit lookup:
+    the cocycles equivalent to c are its orbit {T_phi(c)} over the maps
+    phi: B -> V (`_orbit_lookup`), made once.  A pair's class vanishes
+    exactly when its acted cocycle (`_act`) lies in the orbit, and its
+    witness is the first map that reaches it.  Over an abelian fiber a pair
+    that does not intertwine the actions (`_intertwines`) is incompatible.
+    Every witness is checked again, once per distinct acted cocycle and
+    witness, by routes that do not read `identities.EQV`: the shear from
+    the glued total of c to that of the acted cocycle (`_shears_hold`), and
+    over an abelian fiber `_equivalent_via`.
     Yields (first pair index, status codes into `_VERDICT_STATUS`, witness
     maps phi[k, t, q], zero unless the class vanishes) per chunk of
     `_VERDICT_CHUNK` pairs.
     """
     p = c.field.p
     (alphas, alpha_invs), (betas, beta_invs) = base, fiber
-    arr = _cocycle_arrays(c)
-    bil, tri = residues(c.base.bil), residues(c.base.tri)
-    matrix = _equivalence_matrix(c)
+    tensors = {name: residues(t) for name, t in c.tensors().items()}
+    arr = _CocycleArrays(*(tensors[name] for name in _CocycleArrays._fields))
+    maps, find = _orbit_lookup(tensors, p, bound)
+    source = glue(**tensors, p=p)
+    abelian = c.fiber.is_abelian()
     nb = len(betas)
     total = len(alphas) * nb
     for start in range(0, total, _VERDICT_CHUNK):
@@ -491,29 +535,22 @@ def _abelian_class_verdicts(c: NonAbelianCocycle, base, fiber):
         beta, binv = betas[ib], beta_invs[ib]
         span, which = _alpha_run(ia)
         acted = _act(arr, alpha_invs[span], beta, binv, p, which)
-        solvable, phi = _class_witnesses(acted, arr, matrix, p)
-        compatible = _intertwines(arr, alphas[span], beta, binv, p, which)
-        status = np.where(~compatible, _INCOMPATIBLE,
-                          np.where(_same_actions(acted, arr) & solvable,
-                                   _ZERO, _NONZERO))
+        rows = _flat(acted)
+        hit = find(rows)
+        status = np.where(hit >= 0, _ZERO, _NONZERO)
+        if abelian:
+            status[~_intertwines(arr, alphas[span], beta, binv, p, which)] = _INCOMPATIBLE
         zero = status == _ZERO
-        phi = phi * zero[:, None, None]
-        if not _equivalent_via(acted.take(zero), arr, phi[zero], bil, tri, p).all():
+        phi = maps[hit] * zero[:, None, None]
+        # pairs with the same acted cocycle and witness share one check
+        keys = _row_keys(np.concatenate([rows, phi.reshape(len(phi), -1)], axis=1)[zero], p)
+        once = np.flatnonzero(zero)[np.unique(keys, return_index=True)[1]]
+        members = acted.take(once)
+        if not (_shears_hold(tensors, source, members, phi[once], p)
+                and (not abelian or _equivalent_via(members, arr, phi[once], tensors["bil"],
+                                                    tensors["tri"], p).all())):
             raise InternalConsistencyError("batched class witness failed verification")
         yield start, status, phi
-
-
-def _pairwise_class_verdicts(c: NonAbelianCocycle, base, fiber, bound):
-    """The same stream as `_abelian_class_verdicts` (witnesses omitted),
-    decided pair by pair; any fiber."""
-    field = c.field
-    (base_auts, _), (fiber_auts, _) = base, fiber
-    for ia, ga in enumerate(base_auts):
-        alpha = int_matrix(field, ga)
-        status = [_VERDICT_STATUS.index(
-            _wells_verdict(c, AutPair(alpha, int_matrix(field, gb)), bound).status)
-            for gb in fiber_auts]
-        yield ia * len(fiber_auts), np.array(status, dtype=np.int64), None
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +670,12 @@ def verify_wells_exactness(e: Extension,
     the factored scan of their |Aut B| |Aut V| p^(nm) block-triangular maps,
     streamed (`_fiber_preserving_automorphisms`): it is kept as its count,
     the pairs it hits, which are the image of the restriction map, and its
-    kernel members.  Checks: the kernel of the restriction map is
-    exactly the image of the degree-one cocycles, the kernel of the class
-    map is exactly the image of the restriction map over all pairs, and the
-    section-difference map is a bijection onto the degree-one cocycles.
+    kernel members.  The class map is decided on all pairs by one orbit
+    pass, whatever the fiber (`_class_verdicts`).  Checks: the kernel of
+    the restriction map is exactly the image of the degree-one cocycles,
+    the kernel of the class map is exactly the image of the restriction map
+    over all pairs, and the section-difference map is a bijection onto the
+    degree-one cocycles.
     """
     if not e.field.is_prime_field:
         raise UnsupportedEnumerationError("exactness verification needs a finite field")
@@ -679,13 +718,8 @@ def verify_wells_exactness(e: Extension,
     ker_eq_incl = bool(is_aut.all()) and np.array_equal(_rows(shears), _rows(ker_gammas))
 
     # kernel of the class map over all pairs, alpha-major
-    if c.fiber.is_abelian():
-        verdicts = _abelian_class_verdicts(c, base, fiber)
-    else:
-        verdicts = _pairwise_class_verdicts(c, base, fiber, bound)
+    verdicts = _class_verdicts(c, base, fiber, bound)
     status = np.concatenate([status for _, status, _ in verdicts])
-    if (status == _UNDECIDED).any():
-        raise UnsupportedEnumerationError("class verdict undecided at bound")
     zero_pairs = np.flatnonzero(status == _ZERO)
 
     # the sums of degree-one cocycles add no row to them

@@ -334,6 +334,91 @@ def checked_automorphisms_oracle(auts, a, component, role):
             np.array(invs, dtype=np.int64).reshape(np.shape(auts)))
 
 
+def same_actions(acted, c):
+    """The phi-free gates eqv-mu, eqv-theta, eqv-d (abelian fiber), per
+    acted cocycle."""
+    return ((acted.mu == c.mu).all(axis=(1, 2, 3))
+            & (acted.theta == c.theta).all(axis=(1, 2, 3, 4))
+            & (acted.dd == c.dd).all(axis=(1, 2, 3, 4)))
+
+
+def abelian_class_verdicts(c, base, fiber):
+    """Class verdicts of every pair of base x fiber automorphisms (each an
+    (automorphisms, inverses) pair from `wells._checked_automorphisms`),
+    alpha-major, against a cocycle over a prime field with an abelian fiber.
+
+    Decides what `wells._wells_verdict` decides pair by pair, but
+    eliminates the equivalence system once per chunk: each pair only
+    contributes a right-hand side.  Yields (first pair index, status codes
+    into `wells._VERDICT_STATUS`, witness maps phi[k, t, q], zero unless the
+    class vanishes) per chunk of `wells._VERDICT_CHUNK` pairs, as
+    `wells._class_verdicts` does; each witness is the canonical one of the
+    elimination (free unknowns at zero), checked by `_equivalent_via`."""
+    import numpy as np
+
+    from bolext import wells
+    from bolext.errors import InternalConsistencyError
+    from bolext.identities import residues
+    from bolext.nonabelian import (_class_witnesses, _cocycle_arrays,
+                                   _equivalence_matrix, _equivalent_via)
+
+    p = c.field.p
+    (alphas, alpha_invs), (betas, beta_invs) = base, fiber
+    arr = _cocycle_arrays(c)
+    bil, tri = residues(c.base.bil), residues(c.base.tri)
+    matrix = _equivalence_matrix(c)
+    nb = len(betas)
+    total = len(alphas) * nb
+    for start in range(0, total, wells._VERDICT_CHUNK):
+        ia, ib = np.divmod(np.arange(start, min(start + wells._VERDICT_CHUNK, total)), nb)
+        beta, binv = betas[ib], beta_invs[ib]
+        span, which = wells._alpha_run(ia)
+        acted = wells._act(arr, alpha_invs[span], beta, binv, p, which)
+        solvable, phi = _class_witnesses(acted, arr, matrix, p)
+        compatible = wells._intertwines(arr, alphas[span], beta, binv, p, which)
+        status = np.where(~compatible, wells._INCOMPATIBLE,
+                          np.where(same_actions(acted, arr) & solvable,
+                                   wells._ZERO, wells._NONZERO))
+        zero = status == wells._ZERO
+        phi = phi * zero[:, None, None]
+        if not _equivalent_via(acted.take(zero), arr, phi[zero], bil, tri, p).all():
+            raise InternalConsistencyError("batched class witness failed verification")
+        yield start, status, phi
+
+
+def pairwise_class_verdicts(c, base, fiber, bound, pairs=None):
+    """The stream of `abelian_class_verdicts`, decided by one scalar
+    `wells._wells_verdict` per pair, any fiber: its witness where the class
+    vanishes (over a non-abelian fiber the first map its search meets),
+    zero elsewhere.  One chunk per alpha; with `pairs`, a list of pair
+    indices (alpha-major), one chunk (pairs, status codes, witnesses)."""
+    import numpy as np
+
+    from bolext.bol import int_matrix
+    from bolext.identities import residues
+    from bolext.wells import _VERDICT_STATUS, AutPair, _wells_verdict
+
+    field = c.field
+    (base_auts, _), (fiber_auts, _) = base, fiber
+    nb = len(fiber_auts)
+
+    def chunk(ks):
+        verdicts = [_wells_verdict(c, AutPair(int_matrix(field, base_auts[k // nb]),
+                                              int_matrix(field, fiber_auts[k % nb])), bound)
+                    for k in ks]
+        phi = np.zeros((len(ks), c.m, c.n), dtype=np.int64)
+        for k, v in enumerate(verdicts):
+            if v.witness is not None:
+                phi[k] = residues(v.witness.entries)
+        return np.array([_VERDICT_STATUS.index(v.status) for v in verdicts],
+                        dtype=np.int64), phi
+    if pairs is not None:
+        yield (pairs, *chunk(pairs))
+        return
+    for ia in range(len(base_auts)):
+        yield (ia * nb, *chunk(range(ia * nb, (ia + 1) * nb)))
+
+
 def triangular_arrays_oracle(bil, tri, alphas, betas, p, budget):
     """The output of `bruteforce.triangular_arrays` by its unpruned scan: the
     morphism test `morphism_mask_by_chain` on every one of the k l p^(nm)

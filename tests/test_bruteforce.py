@@ -1022,16 +1022,19 @@ _NO_PAIR_FORM = (identities.Group(3, (identities.Identity("reversed", "ijk", "r"
 def test_pair_form_is_read_off_the_tables():
     from bolext.bruteforce import _pair_form, _paired
 
-    forms = {i.tag: _pair_form(i) for suite, _ in _BATCHED for g in suite for i in g.identities}
+    forms = {i.tag: _pair_form(i) for suite, _ in _BATCHED + [(identities.HOM, None)]
+             for g in suite for i in g.identities}
     assert forms["mixed-product"] is not None and forms["bracket-derivation"] is not None
-    for tag in ("star-skew", "bracket-skew", "bracket-cyclic", "mor-star", "mor-bracket"):
+    for tag in ("star-skew", "bracket-skew", "bracket-cyclic", "mor-star", "mor-bracket",
+                "hom-star", "hom-bracket"):
         assert forms[tag] is None, tag
     assert {tag for tag in _tags(identities.BOL) if forms[tag]} == {
         "mixed-product", "bracket-derivation"}
     assert {tag for tag in _tags(identities.REP) if forms[tag]} == {
         "rep-d-mu", "rep-d-d", "rep-d-theta-comm"}
-    assert not any(forms[tag] for suite in (identities.MOR, identities.EQV, identities.IND,
-                                            identities.Z1) for tag in _tags(suite))
+    assert not any(forms[tag] for suite in (identities.MOR, identities.HOM, identities.EQV,
+                                            identities.IND, identities.Z1)
+                   for tag in _tags(suite))
     assert not any(_pair_form(i) for g in _NO_PAIR_FORM for i in g.identities)
     # the strict nu-omega-star term bil(ijq) mu(qst) nu(ijt) has two factors
     # that carry i and j

@@ -36,7 +36,7 @@ def test_corpus_roundtrip_reps():
 
 
 def test_corpus_roundtrip_extensions():
-    for name in ("e_h3.ext", "e_h3_q.ext", "e_s2_s2.ext", "e_z2_z2.ext"):
+    for name in ("e_h3.ext", "e_h3_q.ext", "e_s2_s2.ext", "e_z2_z2.ext", "e_z2_s2.ext"):
         e = _roundtrip(corpus_dir() / name, "extension", docs.extension_to_doc)
         assert validate_extension(e).valid, name
 

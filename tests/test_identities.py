@@ -604,7 +604,7 @@ def test_affine_reader_agrees_with_report(data):
 
 _SHAPES = {"bil": "nnn", "tri": "nnnn", "nu": "nnm", "om": "nnnm", "mu": "nmm",
            "theta": "nnmm", "dd": "nnmm", "vbil": "mmm", "vtri": "mmmm", "f": "nn",
-           "alpha": "nn", "beta": "mm", "phi": "mn"}
+           "alpha": "nn", "beta": "mm", "phi": "mn", "bil2": "nnn", "tri2": "nnnn"}
 
 
 def _tensors(field, rng, names, zero, n, m):
@@ -631,9 +631,9 @@ def test_readers_agree_with_the_dense_reader(data):
 
     field = data.draw(st.sampled_from([F5, PrimeField(7), Q]))
     table, variant = data.draw(st.sampled_from(
-        [("BOL", None), ("MOR", None), ("REP", None), ("COCYCLE", Variant.CORRECTED),
-         ("COCYCLE", Variant.STRICT), ("NAB", Variant.CORRECTED), ("NAB", Variant.STRICT),
-         ("EQV", None), ("IND", None), ("Z1", None)]))
+        [("BOL", None), ("MOR", None), ("HOM", None), ("REP", None),
+         ("COCYCLE", Variant.CORRECTED), ("COCYCLE", Variant.STRICT),
+         ("NAB", Variant.CORRECTED), ("NAB", Variant.STRICT), ("EQV", None), ("IND", None), ("Z1", None)]))
     suite = getattr(identities, table)
     variant = variant or Variant.CORRECTED
     n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
