@@ -16,11 +16,11 @@ streams what it finds slice by slice (`triangular_arrays`).  Only the flat
 scan is limited to dimension <= 3.
 
 Every mod-p elimination here (the batched inverses of `inverse_mod`, the
-factored scan's per-pair systems, the class witnesses of `solve_rows`, and
-the class code of `extensions._class_code`) runs through one stacked
-Gauss-Jordan loop, `eliminate`, with
-pivots as in `Matrix.rref`, and every residue contraction given as an
-einsum spec (here, in `wells` and in `nonabelian`) through `contract_mod`.
+factored scan's per-pair systems, and the class codes and class witnesses
+of `extensions._class_code`, both from one elimination per classification)
+runs through one stacked Gauss-Jordan loop, `eliminate`, with pivots as in
+`Matrix.rref`, and every residue contraction given as an einsum spec (here,
+in `wells`, in `nonabelian` and in `extensions`) through `contract_mod`.
 """
 from __future__ import annotations
 
@@ -873,23 +873,6 @@ def eliminate(aug: np.ndarray, cols: int, p: int) -> tuple:
         pivot_row[has, c] = r
         rank[has] += 1
     return aug, rank, pivot_row
-
-
-def solve_rows(a: np.ndarray, b: np.ndarray, p: int) -> tuple:
-    """Solve a x = b[k] mod p for one residue matrix a (rows, cols) and
-    every row b[k] of b (K, rows), in one `eliminate` of [a | b^T].
-
-    Returns (consistent mask, x, key): x (K, cols) has the free unknowns at
-    zero, as `Matrix.solve` returns it, and is meaningful only where
-    consistent; key (K, rows - rank) is (T b[k])[rank:], zero exactly where
-    consistent.  The key is linear in b, so two right-hand sides have the
-    same key iff their difference is solvable."""
-    cols = a.shape[1]
-    aug, rank, pivot_row = eliminate(np.concatenate([a, b.T], axis=1)[None], cols, p)
-    tb, r = aug[0, :, cols:].T, int(rank[0])
-    x = np.zeros((len(tb), cols), dtype=np.int64)
-    x[:, pivot_row[0] >= 0] = tb[:, :r]
-    return ~np.any(tb[:, r:], axis=1), x, tb[:, r:]
 
 
 def inverse_mod(a: np.ndarray, p: int):

@@ -21,9 +21,9 @@ from .core import (DEFAULT_ENUMERATION_BOUND, Decision, Status,
 from .errors import (InternalConsistencyError, UnsupportedEnumerationError,
                      UsageError)
 from .exactlin import Matrix, Subspace, kernel_basis, vec_is_zero
-from .nonabelian import (NonAbelianCocycle, _blocks, _class_witnesses,
-                         _CocycleArrays, _cocycle_arrays, _equivalence_matrix,
-                         _equivalent_via, _stacked_rhs, build_extension_algebra,
+from .nonabelian import (NonAbelianCocycle, _blocks, _CocycleArrays,
+                         _cocycle_arrays, _equivalence_matrix, _equivalent_via,
+                         _flat, build_extension_algebra,
                          solve_equivalence, validate_nab_parts)
 from .identities import residues, scalars
 from .representation import Representation
@@ -417,16 +417,16 @@ def _coset_classes(zero: NonAbelianCocycle, blocks):
     first of the class in candidate order.  Each block's codes are
     deduplicated by sorting (`np.unique`), looked up in the store
     (`np.searchsorted`), and its new classes merged in once.  Each member
-    that joins a class gets its canonical witness phi, checked against its
-    representative's row, rebuilt from the stored index (`candidate_rows`),
-    at most `_CLASS_ROWS` members at a time.  Returns (the representatives'
-    candidate indices, ascending, valid count).
+    that joins a class gets its canonical witness phi from the elimination
+    of the code, checked against its representative's row, rebuilt from the
+    stored index (`candidate_rows`), at most `_CLASS_ROWS` members at a
+    time.  Returns (the representatives' candidate indices, ascending, valid
+    count).
     """
     p = zero.field.p
     actions = _cocycle_arrays(zero)
-    matrix = _equivalence_matrix(zero)
     bil, tri = residues(zero.base.bil), residues(zero.base.tri)
-    code = _class_code(zero, matrix)
+    code, witness = _class_code(zero)
     codes, firsts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     count = 0
     for index, nu, om in blocks:
@@ -450,32 +450,41 @@ def _coset_classes(zero: NonAbelianCocycle, blocks):
                 np.broadcast_to(a, (len(k),) + a.shape) for a in actions[2:]))
             rep_nu, rep_om = candidate_rows(zero, reps[k])
             targets = actions._replace(nu=rep_nu, om=rep_om)
-            solvable, phi = _class_witnesses(members, targets, matrix, p)
-            if not (solvable.all()
-                    and _equivalent_via(members, targets, phi, bil, tri, p).all()):
+            step = _candidate_digits(rep_nu - nu[k], rep_om - om[k]) % p
+            phi = bruteforce.contract_mod("kw,qtw->ktq", p, step, witness)
+            if not _equivalent_via(members, targets, phi, bil, tri, p).all():
                 raise InternalConsistencyError("class witness failed verification")
     return np.sort(firsts), count
 
 
-def _class_code(zero: NonAbelianCocycle, matrix):
-    """The class code of `_coset_classes`: a function of stacked cocycles
-    (nu, om) over the base and fiber of `zero` to one int64 per cocycle,
-    equal exactly where their keys (T c)[r:] for L = `matrix` are.
+def _class_code(zero: NonAbelianCocycle):
+    """(code, witness) of `_coset_classes`, from one elimination.
 
-    A cocycle's right-hand side (`_stacked_rhs`) is D d for its candidate
-    digits d (`_candidate_digits`), so its key is (T D)[r:] d, whose entries
-    outnumber the digits and are dependent.  One elimination of [L | D]
-    leaves, in its rows past L's pivots, that map in reduced echelon form:
-    R, whose rows span the key map's, so R d = R d' exactly where the keys
-    agree.  The code is R d mod p read in base p: injective on the keys,
-    below p^rank(R) <= p^(digit count)."""
-    p, cols = zero.field.p, matrix.shape[1]
-    width = CochainCoords(zero.n, zero.m, zero.field).total
-    nu, om = _cochains(np.eye(width, dtype=np.int64), zero.n, zero.m, p)
+    code maps stacked cocycles (nu, om) over the base and fiber of `zero` to
+    one int64 each, equal exactly where their keys (T c)[r:] for L =
+    `_equivalence_matrix(zero)` are.  A cocycle's nu and om rows of `_flat`
+    are D d for its candidate digits d (`_candidate_digits`), so its key is
+    (T D)[r:] d, whose entries outnumber the digits and are dependent.  One
+    elimination of [L | D] leaves, in its rows past L's pivots, that map in
+    reduced echelon form: R, whose rows span the key map's, so R d = R d'
+    exactly where the keys agree.  The code is R d mod p read in base p:
+    injective on the keys, below p^rank(R) <= p^(digit count).
+
+    witness[q, t, w] is W, the D part of L's pivot rows, laid out as maps:
+    the pivots depend on L's columns alone, so where c1 ~ c2, R (d2 - d1) =
+    0 and the canonical phi of c2 - c1 = L phi (free unknowns at zero, as
+    `Matrix.solve` returns it) is W (d2 - d1)."""
+    p, n, m = zero.field.p, zero.n, zero.m
+    cols, width = n * m, CochainCoords(n, m, zero.field).total
+    d = _flat(_cochains(np.eye(width, dtype=np.int64), n, m, p)).T
     aug, rank, pivot_row = bruteforce.eliminate(
-        np.concatenate([matrix, _stacked_rhs(om, nu).T], axis=1)[None], cols + width, p)
-    reduced = aug[0, np.count_nonzero(pivot_row[0, :cols] >= 0):rank[0], cols:]
+        np.concatenate([_equivalence_matrix(zero), d], axis=1)[None], cols + width, p)
+    pivots = pivot_row[0, :cols] >= 0
+    r = np.count_nonzero(pivots)
+    reduced = aug[0, r:rank[0], cols:]
+    witness = np.zeros((n, m, width), dtype=np.int64)
+    witness.reshape(cols, width)[pivots] = aug[0, :r, cols:]
     bruteforce.require_int64_headroom(1, 1, p ** len(reduced))
     weights = p ** np.arange(len(reduced) - 1, -1, -1, dtype=np.int64)
-    return lambda nu, om: bruteforce.contract_mod(
-        "kw,ew->ke", p, _candidate_digits(nu, om), reduced) @ weights
+    return (lambda nu, om: bruteforce.contract_mod(
+        "kw,ew->ke", p, _candidate_digits(nu, om), reduced) @ weights), witness

@@ -32,9 +32,14 @@ checks a given phi; over an abelian fiber `identities.affine` reads the
 linear system in phi off the table and `_solve_for_phi` solves it with free
 parameters at zero; otherwise `_phi_solutions` decides every GF(p) map by
 `bruteforce.identity_mask`.  `identities.report` checks each witness again.
-Many equivalence questions against one cocycle c, over any fiber, are
-pushed instead of pulled: `_orbit_lookup` makes T_phi(c) for every map once
-and looks each question up in that orbit.
+
+`_orbit` is the residue reader of `EQV`: T_phi(c), the cocycle that phi
+makes equivalent to c, for a stack of maps at once.  Many equivalence
+questions against one cocycle c, over any fiber, are pushed instead of
+pulled: `_orbit_lookup` makes T_phi(c) for every map once and looks each
+question up in that orbit.  Over an abelian fiber T_phi of the zero cocycle
+is linear in phi, so its values at the unit maps are the matrix of the
+equivalence system (`_equivalence_matrix`) that classification reduces.
 """
 from __future__ import annotations
 
@@ -277,8 +282,8 @@ def _phi_solutions(suite, field, n, m, bound: int, tensors: dict):
     fixed = {name: residues(t) for name, t in tensors.items()}
     return (_phi_from_params(field, n, m, tuple(map(field.scalar, row.tolist())))
             for _, digits in blocks
-            for row in digits[bruteforce.identity_mask(
-                suite, p, {"phi": digits.reshape(-1, n, m).transpose(0, 2, 1)}, fixed)])
+            for row in digits[bruteforce.identity_mask(suite, p, {"phi": _maps(digits, n, m)},
+                                                       fixed)])
 
 
 def _search_phi(suite, field, n, m, bound: int, tensors: dict) -> Decision:
@@ -372,60 +377,23 @@ def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
     return ok
 
 
-def _equivalence_matrix(c: NonAbelianCocycle) -> np.ndarray:
-    """Matrix of the omega/nu equivalence system of any cocycle against c:
-    rows eqv-omega then eqv-nu in `identities.affine` order, columns in
-    `_phi_from_params` order.  Only the right-hand side depends on the other
-    cocycle."""
-    system = identities.affine(identities.EQV, c.field, c.n, c.m,
-                               **_equivalence_tensors(c, c))
-    return residues(system["eqv-omega"][0] + system["eqv-nu"][0])
-
-
-def _stacked_rhs(om, nu):
-    """(omega, nu) residues per leading index, in the row order of
-    `_equivalence_matrix`; one row for arrays without the leading axis."""
-    lead = om.shape[:-4]  # sizes spelled out: -1 does not reshape an empty stack
-    return np.concatenate([om.reshape(lead + (prod(om.shape[-4:]),)),
-                           nu.reshape(lead + (prod(nu.shape[-3:]),))], axis=-1)
-
-
-def _class_witnesses(members: _CocycleArrays, reps: _CocycleArrays, matrix, p):
-    """(solvable mask, phi) for members[k] ~ reps[k] on the omega/nu system
-    of `matrix` = `_equivalence_matrix(c)`, every k in one
-    `bruteforce.solve_rows`: one mod-p elimination (`bruteforce.eliminate`,
-    pivots as in `Matrix.rref`) of the matrix beside every right-hand side.
-    phi[k, t, q] is the canonical witness (free unknowns at zero),
-    meaningful where solvable.  reps.nu and reps.om may lack the leading
-    axis (one target for every k).  The caller checks the witnesses with
-    `_equivalent_via`."""
-    k, n, _, m = members.nu.shape
-    rhs = (_stacked_rhs(reps.om, reps.nu) - _stacked_rhs(members.om, members.nu)) % p
-    solvable, x, _ = bruteforce.solve_rows(matrix, rhs, p)
-    return solvable, x.reshape(k, n, m).transpose(0, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # equivalence by orbit, any fiber
 
-def _orbit(tensors: dict, p: int, bound: int) -> tuple:
-    """(phi, orbit) of a cocycle c over GF(p) given as the residue arrays
-    `tensors` of `c.tensors()`: every map phi[k, t, q]: B -> V, in
-    `candidate_blocks` order, and T_phi(c) per map as `_CocycleArrays` with
-    the leading axis k.
+def _orbit(tensors: dict, phi: np.ndarray, p: int) -> _CocycleArrays:
+    """T_phi(c) of a cocycle c over GF(p) given as the residue arrays
+    `tensors` of `c.tensors()`, per map phi[k, t, q]: B -> V, as
+    `_CocycleArrays` with the leading axis k.
 
     Each `EQV` identity reads c1 - T_phi(c) = 0 with T_phi(c) free of c1,
-    so the cocycles equivalent to c are exactly the orbit rows.  T_phi(c)
-    is the table evaluated with c1 = 0 (the c1 terms dead, as are those of
-    c's all-zero tensors: `identities.live`) and negated, laid out as the
-    c1 tensor; each term is one `bruteforce.contract_mod` with phi
-    batched."""
-    n, m = len(tensors["bil"]), len(tensors["vbil"])
-    blocks = bruteforce.candidate_blocks(p, n * m, bound, "maps")
-    phi = np.concatenate([d for _, d in blocks]).reshape(-1, n, m).transpose(0, 2, 1)
-    arrays = dict(tensors, phi=phi.astype(np.int64))
-    c1 = {name + "1" for name in _CocycleArrays._fields}
-    zero = frozenset(name for name, a in arrays.items() if not a.any()) | c1
+    so the cocycles equivalent to c are exactly the orbit rows over every
+    map.  T_phi(c) is the table evaluated with c1 = 0 (the c1 terms dead,
+    as are those of c's all-zero tensors: `identities.live`) and negated,
+    laid out as the c1 tensor; each term is one `bruteforce.contract_mod`
+    with phi batched: the residue reader of `EQV`."""
+    c1 = {name + "1": np.zeros_like(tensors[name]) for name in _CocycleArrays._fields}
+    arrays = dict(tensors, phi=phi, **c1)
+    zero = frozenset(name for name, a in arrays.items() if not a.any())
     parts = {}
     for identity in (i for group in identities.EQV for i in group.identities):
         (name, out), = [f for t in identity.terms for f in t.factors if f[0] in c1]
@@ -437,12 +405,31 @@ def _orbit(tensors: dict, p: int, bound: int) -> tuple:
                 f"{spec}->{lead}{out}", p, *(arrays[f] for f, _ in t.factors))
         name = name[:-1]
         parts[name] = np.broadcast_to(total % p, phi.shape[:1] + arrays[name].shape)
-    return arrays["phi"], _CocycleArrays(**parts)
+    return _CocycleArrays(**parts)
 
 
-def _flat(c: _CocycleArrays) -> np.ndarray:
-    """Cocycles with a leading axis as one residue row each."""
-    return np.concatenate([a.reshape(len(a), -1) for a in c], axis=1)
+def _maps(digits: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The maps phi[k, t, q] = digits[k, q*m + t] (`_phi_from_params`)."""
+    return digits.reshape(-1, n, m).transpose(0, 2, 1)
+
+
+def _flat(c) -> np.ndarray:
+    """Stacked arrays (a `_CocycleArrays`, or its first fields) as one
+    residue row per leading index."""
+    return np.concatenate([a.reshape(len(a), prod(a.shape[1:])) for a in c], axis=1)
+
+
+def _equivalence_matrix(zero: NonAbelianCocycle) -> np.ndarray:
+    """The matrix L of the omega/nu equivalence system over an abelian
+    fiber: c1 ~ c2 via phi iff c2 - c1 = L phi on the nu and om rows of
+    `_flat`, with phi's parameters in `_phi_from_params` order.  It depends
+    only on the base and the actions, given as those of `zero`, a cocycle
+    whose nu and om are zero: its orbit is linear in phi, so L is minus
+    `_orbit` of `zero` at the n m unit maps."""
+    n, m, p = zero.n, zero.m, zero.field.p
+    unit = _maps(np.eye(n * m, dtype=np.int64), n, m)
+    orbit = _orbit({name: residues(t) for name, t in zero.tensors().items()}, unit, p)
+    return -_flat(orbit[:2]).T % p
 
 
 def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
@@ -462,15 +449,18 @@ def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _orbit_lookup(tensors: dict, p: int, bound: int) -> tuple:
-    """(phi, find) for the orbit of a cocycle c (`_orbit`, the same
-    arguments): find(rows) gives, per cocycle over c's base and fiber given
-    as its row of `_flat`, the index into phi of the first map with
-    T_phi(c) equal to it, or -1 where none is.  A row must hold the
-    orbit's value where every orbit row does; the entries that vary over
-    the orbit are keyed (`_row_keys`) and searched in its distinct rows,
-    each kept with its first map."""
-    phi, orbit = _orbit(tensors, p, bound)
-    rows = _flat(orbit)
+    """(phi, find) for the orbit of a cocycle c, given as the residue
+    arrays `tensors`, over every map phi in `candidate_blocks` order (the
+    bound checked): find(rows) gives, per cocycle over c's base and fiber
+    given as its row of `_flat`, the index into phi of the first map with
+    T_phi(c) equal to it (`_orbit`), or -1 where none is.  A row must hold
+    the orbit's value where every orbit row does; the entries that vary
+    over the orbit are keyed (`_row_keys`) and searched in its distinct
+    rows, each kept with its first map."""
+    n, m = len(tensors["bil"]), len(tensors["vbil"])
+    blocks = bruteforce.candidate_blocks(p, n * m, bound, "maps")
+    phi = _maps(np.concatenate([d for _, d in blocks]), n, m).astype(np.int64)
+    rows = _flat(_orbit(tensors, phi, p))
     vary = (rows != rows[0]).any(axis=0)
     fixed = rows[0, ~vary]
     keys = _row_keys(rows[:, vary], p)

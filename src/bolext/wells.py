@@ -385,7 +385,6 @@ def compatible_pairs(b: BolAlgebra, r: Representation,
 # ---------------------------------------------------------------------------
 # class verdicts of every pair at once
 
-_VERDICT_STATUS = ("incompatible", "nonzero", "zero", "undecided")
 _INCOMPATIBLE, _NONZERO, _ZERO = range(3)
 _VERDICT_CHUNK = 1 << 12
 
@@ -517,9 +516,10 @@ def _class_verdicts(c: NonAbelianCocycle, base, fiber, bound: int):
     witness, by routes that do not read `identities.EQV`: the shear from
     the glued total of c to that of the acted cocycle (`_shears_hold`), and
     over an abelian fiber `_equivalent_via`.
-    Yields (first pair index, status codes into `_VERDICT_STATUS`, witness
-    maps phi[k, t, q], zero unless the class vanishes) per chunk of
-    `_VERDICT_CHUNK` pairs.
+    Yields (first pair index, status codes, witness maps phi[k, t, q], zero
+    unless the class vanishes) per chunk of `_VERDICT_CHUNK` pairs.  The
+    codes are `_INCOMPATIBLE` (0), `_NONZERO` (1) and `_ZERO` (2): the pair
+    does not intertwine the actions, its class is nonzero, or it vanishes.
     """
     p = c.field.p
     (alphas, alpha_invs), (betas, beta_invs) = base, fiber

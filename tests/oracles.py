@@ -253,23 +253,74 @@ def valid_cocycles_oracle(base, fiber, actions, variant, vectors=None):
             yield cand
 
 
-def coset_classes_oracle(zero, blocks, rows=1 << 12):
-    """`extensions._coset_classes` by a dict keyed by each cocycle's whole
-    key (T c)[r:] as bytes, solved by `bruteforce.solve_rows` `rows`
-    cocycles at a time, every representative kept as its residue rows and
-    every joined member's witness checked against them.  Returns ((nu, om)
-    of the representatives, stacked, in candidate order, valid count)."""
+def solve_rows(a, b, p):
+    """Solve a x = b[k] mod p for one residue matrix a (rows, cols) and
+    every row b[k] of b (K, rows), in one `bruteforce.eliminate` of
+    [a | b^T].
+
+    Returns (consistent mask, x, key): x (K, cols) has the free unknowns at
+    zero, as `Matrix.solve` returns it, and is meaningful only where
+    consistent; key (K, rows - rank) is (T b[k])[rank:], zero exactly where
+    consistent.  The key is linear in b, so two right-hand sides have the
+    same key iff their difference is solvable."""
     import numpy as np
 
     from bolext import bruteforce
+
+    cols = a.shape[1]
+    aug, rank, pivot_row = bruteforce.eliminate(np.concatenate([a, b.T], axis=1)[None], cols, p)
+    tb, r = aug[0, :, cols:].T, int(rank[0])
+    x = np.zeros((len(tb), cols), dtype=np.int64)
+    x[:, pivot_row[0] >= 0] = tb[:, :r]
+    return ~np.any(tb[:, r:], axis=1), x, tb[:, r:]
+
+
+def equivalence_matrix(c):
+    """`nonabelian._equivalence_matrix` read off the `EQV` table by
+    `identities.affine` on field scalars, for any cocycle c over an abelian
+    fiber: the eqv-nu rows, then the eqv-omega rows (the nu and om rows of
+    `nonabelian._flat`), columns in `_phi_from_params` order."""
+    from bolext import identities
+    from bolext.identities import residues
+    from bolext.nonabelian import _equivalence_tensors
+
+    system = identities.affine(identities.EQV, c.field, c.n, c.m, **_equivalence_tensors(c, c))
+    return residues(system["eqv-nu"][0] + system["eqv-omega"][0])
+
+
+def class_witnesses(members, reps, matrix, p):
+    """(solvable mask, phi) for members[k] ~ reps[k] on the omega/nu system
+    of `matrix` = `equivalence_matrix(c)`, every k in one `solve_rows`.
+    phi[k, t, q] is the canonical witness (free unknowns at zero),
+    meaningful where solvable.  reps.nu and reps.om may lack the leading
+    axis (one target for every k)."""
+    from bolext.nonabelian import _flat, _maps
+
+    n, m = members.nu.shape[2:]
+    targets = [a if a.ndim == b.ndim else a[None]
+               for a, b in ((reps.nu, members.nu), (reps.om, members.om))]
+    rhs = (_flat(targets) - _flat((members.nu, members.om))) % p
+    solvable, x, _ = solve_rows(matrix, rhs, p)
+    return solvable, _maps(x, n, m)
+
+
+def coset_classes_oracle(zero, blocks, rows=1 << 12):
+    """`extensions._coset_classes` by a dict keyed by each cocycle's whole
+    key (T c)[r:] as bytes, solved by `solve_rows` `rows` cocycles at a
+    time on the `identities.affine` reading of the equivalence matrix
+    (`equivalence_matrix`), every representative kept as its residue rows
+    and every joined member's witness checked against them.  Returns ((nu,
+    om) of the representatives, stacked, in candidate order, valid
+    count)."""
+    import numpy as np
+
     from bolext.errors import InternalConsistencyError
     from bolext.identities import residues
-    from bolext.nonabelian import (_class_witnesses, _cocycle_arrays, _CocycleArrays,
-                                   _equivalence_matrix, _equivalent_via, _stacked_rhs)
+    from bolext.nonabelian import _cocycle_arrays, _CocycleArrays, _equivalent_via, _flat
 
     p = zero.field.p
     actions = _cocycle_arrays(zero)
-    matrix = _equivalence_matrix(zero)
+    matrix = equivalence_matrix(zero)
     bil, tri = residues(zero.base.bil), residues(zero.base.tri)
     classes, count = {}, 0
     rep_nu, rep_om = [], []
@@ -277,7 +328,7 @@ def coset_classes_oracle(zero, blocks, rows=1 << 12):
         count += len(block_nu)
         for at in range(0, len(block_nu), rows):
             nu, om = block_nu[at:at + rows], block_om[at:at + rows]
-            keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), p)[2]
+            keys = solve_rows(matrix, _flat((nu, om)), p)[2]
             joins, joined = [], []
             for k, key in enumerate(keys):
                 cls = classes.setdefault(key.tobytes(), len(rep_nu))
@@ -292,7 +343,7 @@ def coset_classes_oracle(zero, blocks, rows=1 << 12):
                     np.broadcast_to(a, (len(joins),) + a.shape) for a in actions[2:]))
                 targets = actions._replace(nu=np.array([rep_nu[c] for c in joined]),
                                            om=np.array([rep_om[c] for c in joined]))
-                solvable, phi = _class_witnesses(members, targets, matrix, p)
+                solvable, phi = class_witnesses(members, targets, matrix, p)
                 if not (solvable.all()
                         and _equivalent_via(members, targets, phi, bil, tri, p).all()):
                     raise InternalConsistencyError("class witness failed verification")
@@ -342,6 +393,11 @@ def same_actions(acted, c):
             & (acted.dd == c.dd).all(axis=(1, 2, 3, 4)))
 
 
+# the class verdicts by their codes in `wells._class_verdicts` (0, 1, 2);
+# a per-pair verdict can also be undecided
+VERDICT_STATUS = ("incompatible", "nonzero", "zero", "undecided")
+
+
 def abelian_class_verdicts(c, base, fiber):
     """Class verdicts of every pair of base x fiber automorphisms (each an
     (automorphisms, inverses) pair from `wells._checked_automorphisms`),
@@ -350,7 +406,7 @@ def abelian_class_verdicts(c, base, fiber):
     Decides what `wells._wells_verdict` decides pair by pair, but
     eliminates the equivalence system once per chunk: each pair only
     contributes a right-hand side.  Yields (first pair index, status codes
-    into `wells._VERDICT_STATUS`, witness maps phi[k, t, q], zero unless the
+    into `VERDICT_STATUS`, witness maps phi[k, t, q], zero unless the
     class vanishes) per chunk of `wells._VERDICT_CHUNK` pairs, as
     `wells._class_verdicts` does; each witness is the canonical one of the
     elimination (free unknowns at zero), checked by `_equivalent_via`."""
@@ -359,14 +415,13 @@ def abelian_class_verdicts(c, base, fiber):
     from bolext import wells
     from bolext.errors import InternalConsistencyError
     from bolext.identities import residues
-    from bolext.nonabelian import (_class_witnesses, _cocycle_arrays,
-                                   _equivalence_matrix, _equivalent_via)
+    from bolext.nonabelian import _cocycle_arrays, _equivalent_via
 
     p = c.field.p
     (alphas, alpha_invs), (betas, beta_invs) = base, fiber
     arr = _cocycle_arrays(c)
     bil, tri = residues(c.base.bil), residues(c.base.tri)
-    matrix = _equivalence_matrix(c)
+    matrix = equivalence_matrix(c)
     nb = len(betas)
     total = len(alphas) * nb
     for start in range(0, total, wells._VERDICT_CHUNK):
@@ -374,7 +429,7 @@ def abelian_class_verdicts(c, base, fiber):
         beta, binv = betas[ib], beta_invs[ib]
         span, which = wells._alpha_run(ia)
         acted = wells._act(arr, alpha_invs[span], beta, binv, p, which)
-        solvable, phi = _class_witnesses(acted, arr, matrix, p)
+        solvable, phi = class_witnesses(acted, arr, matrix, p)
         compatible = wells._intertwines(arr, alphas[span], beta, binv, p, which)
         status = np.where(~compatible, wells._INCOMPATIBLE,
                           np.where(same_actions(acted, arr) & solvable,
@@ -396,7 +451,7 @@ def pairwise_class_verdicts(c, base, fiber, bound, pairs=None):
 
     from bolext.bol import int_matrix
     from bolext.identities import residues
-    from bolext.wells import _VERDICT_STATUS, AutPair, _wells_verdict
+    from bolext.wells import AutPair, _wells_verdict
 
     field = c.field
     (base_auts, _), (fiber_auts, _) = base, fiber
@@ -410,7 +465,7 @@ def pairwise_class_verdicts(c, base, fiber, bound, pairs=None):
         for k, v in enumerate(verdicts):
             if v.witness is not None:
                 phi[k] = residues(v.witness.entries)
-        return np.array([_VERDICT_STATUS.index(v.status) for v in verdicts],
+        return np.array([VERDICT_STATUS.index(v.status) for v in verdicts],
                         dtype=np.int64), phi
     if pairs is not None:
         yield (pairs, *chunk(pairs))

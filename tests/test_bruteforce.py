@@ -14,10 +14,11 @@ from bolext.bruteforce import (_headroom_dtype, _morphism_fixed,
                                _narrowest, _term_bound, automorphism_arrays,
                                candidate_blocks, contract_mod, digit_block,
                                eliminate, identity_mask, inverse_mod,
-                               require_int64_headroom, solve_rows,
-                               triangular_arrays)
+                               require_int64_headroom, triangular_arrays)
 from bolext.errors import InternalConsistencyError, UnsupportedEnumerationError
 from bolext.exactlin import Matrix, PrimeField
+
+from oracles import solve_rows
 
 
 def _oracle(a, b, p):

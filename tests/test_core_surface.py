@@ -1,11 +1,12 @@
 """The surface of `src/bolext` holds only code that something outside the
 tests reaches.
 
-Every top-level function and class of the package must be read by other
-package code (a name in `__all__` is a string and does not count), be
-imported by `bolext/__init__.py`, be a perfbench tracer target (read from
-the text of `perfbench/tracer.py`), or be listed in `KEPT` with its reason.
-Code that only tests call belongs in `tests/oracles.py`.
+Every top-level function, class and module-level constant of the package
+must be read by other package code (a name in `__all__` is a string and
+does not count), be imported by `bolext/__init__.py`, be a perfbench tracer
+target (read from the text of `perfbench/tracer.py`), or be listed in
+`KEPT` with its reason.  Code and data that only tests read belong in
+`tests/oracles.py`.  Dunder names (`__all__`) are read by Python itself.
 """
 import ast
 from pathlib import Path
@@ -27,9 +28,20 @@ def _trees():
             for p in sorted(SRC.glob("*.py"))}
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a function or class, or the
+    plain names a module-level assignment binds."""
+    if isinstance(node, _DEFS):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def _definitions(trees):
-    return {f"{mod}:{node.name}" for mod, tree in trees.items()
-            for node in tree.body if isinstance(node, _DEFS)}
+    return {f"{mod}:{name}" for mod, tree in trees.items()
+            for node in tree.body for name in _defined_names(node)}
 
 
 def _read_names(trees):
@@ -38,7 +50,7 @@ def _read_names(trees):
     names = set()
     for tree in trees.values():
         for top in tree.body:
-            own = top.name if isinstance(top, _DEFS) else None
+            own = _defined_names(top)
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
@@ -46,7 +58,7 @@ def _read_names(trees):
                     name = node.attr
                 else:
                     continue
-                if name != own:
+                if name not in own:
                     names.add(name)
     return names
 

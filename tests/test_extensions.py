@@ -25,7 +25,8 @@ from bolext.nonabelian import (NonAbelianCocycle, cocycles_equivalent_via,
 from bolext.representation import r_s2
 
 from conftest import corpus_dir
-from oracles import coset_classes_oracle, valid_cocycles_oracle
+from oracles import (class_witnesses, coset_classes_oracle, equivalence_matrix, solve_rows,
+                     valid_cocycles_oracle)
 from test_identities import _grid
 from test_nonabelian import _random_cocycle
 
@@ -257,14 +258,14 @@ def test_coset_classes_cut_each_block_into_slices(monkeypatch, base_name, action
     base, fiber, actions, cands = _classify_input(base_name, actions_doc, Variant.CORRECTED)
     zero = _zero_cocycle(base, fiber, actions)
     sizes = []
-    witnesses = extensions._class_witnesses
+    check = extensions._equivalent_via
 
     def recorded(members, *args):
         sizes.append(len(members.nu))
-        return witnesses(members, *args)
+        return check(members, *args)
 
     monkeypatch.setattr(extensions, "_CLASS_ROWS", 7)
-    monkeypatch.setattr(extensions, "_class_witnesses", recorded)
+    monkeypatch.setattr(extensions, "_equivalent_via", recorded)
     blocks = list(_valid_cocycles(zero, Variant.CORRECTED, _blocks(zero)))
     assert len(blocks) == 1
     index, valid = _coset_classes(zero, blocks)
@@ -288,9 +289,11 @@ def test_class_store_matches_the_dict_oracle(monkeypatch, base_name, fiber_dim, 
     # slices and blocks.  The sorted store of codes and candidate indices
     # gives the classes, representatives and count of the dict keyed by the
     # whole key, representatives kept as rows, and every member that joins
-    # a class is witness-checked against its representative's row.  The
-    # blocks streamed last first give the same classes, each represented by
-    # its first member in that stream: codes need not arrive in order
+    # a class is witness-checked against its representative's row, with
+    # the witness that `solve_rows` gives on the `identities.affine`
+    # reading of the equivalence matrix.  The blocks streamed last first
+    # give the same classes, each represented by its first member in that
+    # stream: codes need not arrive in order
     field = PrimeField(5)
     base, fiber = _BASES[base_name](field), zero_algebra(field, fiber_dim)
     actions = _zero_actions(field, base.dim, fiber_dim)
@@ -298,15 +301,16 @@ def test_class_store_matches_the_dict_oracle(monkeypatch, base_name, fiber_dim, 
         r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
         actions = (r.mu, r.theta, r.dd)
     zero = _zero_cocycle(base, fiber, actions)
-    targets = []
-    witnesses = extensions._class_witnesses
+    targets, checked = [], []
+    check = extensions._equivalent_via
 
-    def recorded(members, reps, *args):
+    def recorded(members, reps, phi, *args):
         targets.extend(zip(reps.nu.tolist(), reps.om.tolist()))
-        return witnesses(members, reps, *args)
+        checked.append((members, reps, phi))
+        return check(members, reps, phi, *args)
 
     monkeypatch.setattr(extensions, "_CLASS_ROWS", 7)
-    monkeypatch.setattr(extensions, "_class_witnesses", recorded)
+    monkeypatch.setattr(extensions, "_equivalent_via", recorded)
     blocks = list(_valid_cocycles(zero, variant, _blocks(zero, chunk=40)))
     index, valid = _coset_classes(zero, blocks)
     (nu, om), oracle_valid = coset_classes_oracle(zero, blocks, rows=7)
@@ -319,6 +323,11 @@ def test_class_store_matches_the_dict_oracle(monkeypatch, base_name, fiber_dim, 
     (nu, om), _ = coset_classes_oracle(zero, blocks[::-1], rows=7)
     assert sorted(map(str, zip(*(a.tolist() for a in candidate_rows(zero, index))))) \
         == sorted(map(str, zip(nu.tolist(), om.tolist())))
+    matrix = equivalence_matrix(zero)
+    for members, reps, phi in checked:
+        solvable, want = class_witnesses(members, reps, matrix, 5)
+        assert solvable.all() and phi.tolist() == want.tolist()
+    assert sum(len(phi) for _, _, phi in checked) == 2 * (valid - len(index))
 
 
 @pytest.mark.parametrize("base_name, fiber_dim, actions_doc, rank", [
@@ -326,12 +335,13 @@ def test_class_store_matches_the_dict_oracle(monkeypatch, base_name, fiber_dim, 
     ("s2", 1, "r_s2_gf5.rep", 2), ("z2", 3, None, 9)])
 def test_class_code_is_injective_on_the_key(base_name, fiber_dim, actions_doc, rank):
     # on candidates drawn from every digit string, valid or not, two codes
-    # are equal exactly where the whole keys of `solve_rows` are, and each
+    # are equal exactly where the whole keys of `solve_rows` on the
+    # `identities.affine` reading of the equivalence matrix are, and each
     # code is below p^rank, the rank of the map from the digits to the key.
     # Over z2 x z3 the key has 36 entries and that rank is 9, the digit count
     import numpy as np
 
-    from bolext.nonabelian import _equivalence_matrix, _stacked_rhs
+    from bolext.nonabelian import _flat
 
     field = PrimeField(5)
     base, fiber = _BASES[base_name](field), zero_algebra(field, fiber_dim)
@@ -340,12 +350,11 @@ def test_class_code_is_injective_on_the_key(base_name, fiber_dim, actions_doc, r
         r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
         actions = (r.mu, r.theta, r.dd)
     zero = _zero_cocycle(base, fiber, actions)
-    matrix = _equivalence_matrix(zero)
     total = 5 ** CochainCoords(base.dim, fiber_dim, field).total
     index = np.random.default_rng(rank).integers(0, total, size=min(total, 3000))
     nu, om = candidate_rows(zero, index)
-    codes = _class_code(zero, matrix)(nu, om)
-    keys = bruteforce.solve_rows(matrix, _stacked_rhs(om, nu), 5)[2]
+    codes = _class_code(zero)[0](nu, om)
+    keys = solve_rows(equivalence_matrix(zero), _flat((nu, om)), 5)[2]
     if fiber_dim == 3:
         assert keys.shape[1] == 36
     assert codes.dtype == np.int64 and codes.min() >= 0 and codes.max() < 5 ** rank
@@ -476,13 +485,42 @@ def test_constructor_refuses_a_bad_action_matrix(F5):
 def test_corrupted_class_witness_raises(monkeypatch):
     base, fiber, actions, _ = _classify_input("s2", None, Variant.CORRECTED)
     zero = _zero_cocycle(base, fiber, actions)
-    solve = bruteforce.solve_rows
+    class_code = extensions._class_code
 
-    def corrupted(a, b, p):
-        # the keys stay right, so the classes do; the witnesses do not
-        consistent, x, key = solve(a, b, p)
-        return consistent, (x + 1) % p, key
+    def corrupted(zero):
+        # the codes stay right, so the classes do; the witness map W does not
+        code, witness = class_code(zero)
+        return code, (witness + 1) % zero.field.p
 
-    monkeypatch.setattr(bruteforce, "solve_rows", corrupted)
+    monkeypatch.setattr(extensions, "_class_code", corrupted)
     with pytest.raises(InternalConsistencyError, match="^class witness failed verification$"):
         _coset_classes(zero, _valid_cocycles(zero, Variant.CORRECTED, _blocks(zero)))
+
+
+@pytest.mark.parametrize("fiber_dim, actions_doc, want", [
+    (1, None, (25, 125)), (1, "r_s2_gf5.rep", (5, 25)), (2, None, (625, 15625))])
+def test_abelian_classification_eliminates_once(F5, monkeypatch, fiber_dim, actions_doc, want):
+    # the class codes and every joining member's witness come from one
+    # elimination of [L | D], and L is read off the orbit, not off
+    # `identities.affine`
+    from bolext import identities
+
+    calls = []
+    eliminate = bruteforce.eliminate
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return eliminate(*args)
+
+    def no_affine(*args, **kwargs):
+        raise AssertionError("identities.affine read during classification")
+
+    monkeypatch.setattr(bruteforce, "eliminate", counted)
+    monkeypatch.setattr(identities, "affine", no_affine)
+    actions = None
+    if actions_doc is not None:
+        r = docs.parse_document(str(corpus_dir() / actions_doc), "representation")
+        actions = (r.mu, r.theta, r.dd)
+    zero, index, valid = extensions.classify_rows(s2(F5), zero_algebra(F5, fiber_dim), actions)
+    assert (len(index), valid) == want
+    assert len(calls) == 1 and calls[0][0] == 1

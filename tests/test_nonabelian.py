@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from bolext.bol import h3, s2, validate_bol, z1, z2, z3, zero_algebra
+from bolext.bol import BolAlgebra, h3, s2, validate_bol, z1, z2, z3, zero_algebra
 from bolext.cohomology import Cochain2, Cochain3
 from bolext.core import Status, Variant
 from bolext.errors import UsageError
@@ -265,12 +268,59 @@ def test_equivalence_matrix_reads_phi_column_major(F5):
     phis = xs.reshape(-1, 2, 2).transpose(0, 2, 1)
     bil, tri = residues(c.base.bil), residues(c.base.tri)
     rng = np.random.default_rng(3)
-    split = arr.om.size
+    split = arr.nu.size  # the rows of `_flat`: nu, then om
     # b = -shift: a random right-hand side, and one that phi(x0) solves
     for shift in (rng.integers(0, 5, len(a)), a @ xs[rng.integers(len(xs))] % 5):
-        other = arr._replace(om=arr.om - shift[:split].reshape(arr.om.shape),
-                             nu=arr.nu - shift[split:].reshape(arr.nu.shape))
+        other = arr._replace(nu=arr.nu - shift[:split].reshape(arr.nu.shape),
+                             om=arr.om - shift[split:].reshape(arr.om.shape))
         many = _CocycleArrays(*(np.broadcast_to(x, (len(xs),) + x.shape) for x in other))
         want = _equivalent_via(many, arr, phis, bil, tri, 5)
         assert ((xs @ a.T - shift) % 5 == 0).all(axis=1).tolist() == want.tolist()
     assert 0 < want.sum() < len(xs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_orbit_read_equivalence_matrix_matches_the_affine_reading(data):
+    # L read on residues off the orbit of the zero cocycle at the unit maps
+    # equals the `identities.affine` reading on field scalars, row for row
+    # in `_flat` order (nu, then om): abelian fibers, random base products
+    # and actions, half their entries zero so that terms die
+    import numpy as np
+    from bolext.identities import scalars
+    from bolext.nonabelian import _equivalence_matrix
+    from oracles import equivalence_matrix
+
+    p = data.draw(st.sampled_from([5, 7]))
+    field = PrimeField(p)
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+
+    def draw(shape):
+        return data.draw(arrays(np.int64, shape, elements=st.one_of(st.just(0),
+                                                                      st.integers(0, p - 1))))
+
+    def mats(a):
+        return tuple(Matrix.from_int_rows(field, x.tolist()) if x.ndim == 2 else mats(x)
+                     for x in a)
+    base = BolAlgebra(field, n, scalars(field, draw((n,) * 3)), scalars(field, draw((n,) * 4)))
+    zero = NonAbelianCocycle.zero(base, zero_algebra(field, m))
+    c = NonAbelianCocycle(base, zero.fiber, zero.nu, zero.omega, mats(draw((n, m, m))),
+                          mats(draw((n, n, m, m))), mats(draw((n, n, m, m))))
+    got = _equivalence_matrix(c)
+    assert got.shape == (n * n * m + n ** 3 * m, n * m)
+    assert got.tolist() == equivalence_matrix(c).tolist()
+
+
+def test_flat_reads_an_empty_stack():
+    # the class code's digit matrix over a base of dimension one has no
+    # column: `_flat` of zero cocycles gives zero rows of the full width
+    import numpy as np
+    from bolext.nonabelian import _CocycleArrays, _flat
+
+    n, m = 2, 3
+    shapes = ((n, n, m), (n, n, n, m), (n, m, m), (n, n, m, m), (n, n, m, m))
+    empty = _CocycleArrays(*(np.zeros((0,) + s, dtype=np.int64) for s in shapes))
+    assert _flat(empty).shape == (0, 12 + 24 + 18 + 36 + 36)
+    assert _flat(empty[:2]).shape == (0, 36)
+    one = _CocycleArrays(*(np.arange(np.prod(s)).reshape((1,) + s) for s in shapes))
+    assert _flat(one).tolist() == [np.concatenate([a.ravel() for a in one]).tolist()]
