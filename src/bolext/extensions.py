@@ -282,10 +282,10 @@ def classify_rows(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     """Enumerate all valid cocycles with the given fixed action maps over a
     prime field and partition them into equivalence classes.
 
-    An abelian fiber is classed on residue arrays by class code
-    (`_coset_classes`), with nothing decoded; any other fiber by pairwise
-    search (`_pairwise_classes`).  Either way the first valid cocycle of
-    each class, in candidate order, represents it.
+    Every fiber is classed on residue arrays by class code
+    (`_coset_classes`), with nothing decoded: the classes are the cosets of
+    the image of the maps that keep the actions.  The first valid cocycle
+    of each class, in candidate order, represents it.
 
     Returns (the zero cocycle with the actions, the representatives'
     candidate indices, ascending, valid count); `candidate_rows` rebuilds
@@ -304,13 +304,7 @@ def classify_rows(base: BolAlgebra, fiber: BolAlgebra, actions=None,
     coords = CochainCoords(base.dim, fiber.dim, field)
     valid = _valid_cocycles(zero, variant, bruteforce.candidate_blocks(
         field.p, coords.total, bound, "cocycles"))
-    if fiber.is_abelian():
-        return (zero, *_coset_classes(zero, valid))
-    reps, valid_count = _pairwise_classes(
-        (c for _, nu, om in valid for c in _decoded(zero, nu, om)), bound)
-    digits = residues([coords.encode(c.nu, c.omega) for c in reps]).reshape(
-        len(reps), coords.total)
-    return zero, digits @ field.p ** np.arange(coords.total - 1, -1, -1), valid_count
+    return (zero, *_coset_classes(zero, valid))
 
 
 def candidate_rows(zero: NonAbelianCocycle, index) -> tuple:
@@ -381,36 +375,18 @@ def _unchecked(value, **changes):
     return new
 
 
-def _pairwise_classes(cocycles, bound: int = DEFAULT_ENUMERATION_BOUND):
-    """(representatives, count) of cocycles over one base, fiber and action
-    set: each is compared with every earlier representative."""
-    reps = []
-    count = 0
-    for cand in cocycles:
-        count += 1
-        for rep_c in reps:
-            dec = solve_equivalence(cand, rep_c, bound)
-            if dec.status is Status.UNDECIDED:
-                raise UnsupportedEnumerationError("equivalence undecided at bound")
-            if dec.found:
-                break
-        else:
-            reps.append(cand)
-    return reps, count
-
-
 # cocycles coded or witness-checked at a time by `_coset_classes`
 _CLASS_ROWS = 1 << 12
 
 
 def _coset_classes(zero: NonAbelianCocycle, blocks):
-    """`_pairwise_classes` for the blocks (candidate indices, nu, om) of
-    `_valid_cocycles` over a prime field with an abelian fiber and the
-    actions of the zero cocycle `zero`, decided by class codes.
+    """The classes of the blocks (candidate indices, nu, om) of
+    `_valid_cocycles` over a prime field, any fiber, with the actions of
+    the zero cocycle `zero`, decided by class codes.
 
-    c1 ~ c2 iff c2 - c1 = L phi for some phi, where L is the omega/nu
-    equivalence matrix (`_equivalence_matrix`); it depends only on the base
-    and the actions.  With T L in reduced echelon form of rank r, that holds
+    c1 ~ c2 iff c2 - c1 = L x for some x, where L is the omega/nu
+    equivalence matrix (`_equivalence_matrix`); it depends only on the base,
+    fiber and actions.  With T L in reduced echelon form of rank r, that holds
     iff (T c1)[r:] = (T c2)[r:], so this key names the class, and one int64
     code names the key (`_class_code`).  The store keeps, sorted by code,
     one code and one candidate index per class: its representative's, the
@@ -425,7 +401,7 @@ def _coset_classes(zero: NonAbelianCocycle, blocks):
     """
     p = zero.field.p
     actions = _cocycle_arrays(zero)
-    bil, tri = residues(zero.base.bil), residues(zero.base.tri)
+    algebras = {name: residues(t) for name, t in zero.tensors().items()}
     code, witness = _class_code(zero)
     codes, firsts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     count = 0
@@ -452,7 +428,7 @@ def _coset_classes(zero: NonAbelianCocycle, blocks):
             targets = actions._replace(nu=rep_nu, om=rep_om)
             step = _candidate_digits(rep_nu - nu[k], rep_om - om[k]) % p
             phi = bruteforce.contract_mod("kw,qtw->ktq", p, step, witness)
-            if not _equivalent_via(members, targets, phi, bil, tri, p).all():
+            if not _equivalent_via(members, targets, phi, algebras, p).all():
                 raise InternalConsistencyError("class witness failed verification")
     return np.sort(firsts), count
 
@@ -470,20 +446,20 @@ def _class_code(zero: NonAbelianCocycle):
     exactly where the keys agree.  The code is R d mod p read in base p:
     injective on the keys, below p^rank(R) <= p^(digit count).
 
-    witness[q, t, w] is W, the D part of L's pivot rows, laid out as maps:
-    the pivots depend on L's columns alone, so where c1 ~ c2, R (d2 - d1) =
-    0 and the canonical phi of c2 - c1 = L phi (free unknowns at zero, as
-    `Matrix.solve` returns it) is W (d2 - d1)."""
+    witness[q, t, w] is W, the D part of L's pivot rows, through the maps of
+    L's columns: the pivots depend on L's columns alone, so where c1 ~ c2,
+    R (d2 - d1) = 0 and the canonical phi of c2 - c1 = L x (free unknowns at
+    zero, as `Matrix.solve` returns x) is W (d2 - d1)."""
     p, n, m = zero.field.p, zero.n, zero.m
-    cols, width = n * m, CochainCoords(n, m, zero.field).total
+    matrix, maps = _equivalence_matrix(zero)
+    cols, width = matrix.shape[1], CochainCoords(n, m, zero.field).total
     d = _flat(_cochains(np.eye(width, dtype=np.int64), n, m, p)).T
     aug, rank, pivot_row = bruteforce.eliminate(
-        np.concatenate([_equivalence_matrix(zero), d], axis=1)[None], cols + width, p)
+        np.concatenate([matrix, d], axis=1)[None], cols + width, p)
     pivots = pivot_row[0, :cols] >= 0
     r = np.count_nonzero(pivots)
     reduced = aug[0, r:rank[0], cols:]
-    witness = np.zeros((n, m, width), dtype=np.int64)
-    witness.reshape(cols, width)[pivots] = aug[0, :r, cols:]
+    witness = bruteforce.contract_mod("ktq,kw->qtw", p, maps[pivots], aug[0, :r, cols:])
     bruteforce.require_int64_headroom(1, 1, p ** len(reduced))
     weights = p ** np.arange(len(reduced) - 1, -1, -1, dtype=np.int64)
     return (lambda nu, om: bruteforce.contract_mod(

@@ -39,13 +39,13 @@ Three readers use the tables, each on the suite of one variant (`select`):
 `report` evaluates one structure exactly, on object arrays of Python ints;
 `affine` reads the linear system in phi of an EQV, IND or Z1 suite over an
 abelian fiber; and `bruteforce.identity_mask` decides a batch of GF(p)
-structures on residue arrays, for every brute-force search and the
-exactness verifier's `MOR` re-checks.  `nonabelian._orbit` reads `EQV` on
-residues as the map phi -> T_phi(c) for a stack of maps phi: the class
-verdicts of the exactness verifier look pairs up in that orbit, and
-classification reads its equivalence matrix off the orbit at the unit
-maps.  All of them drop the dead terms of an identity (`live`): a term with
-a factor whose tensor is all zero on the data contributes zero, and an
+structures on residue arrays, for every brute-force search and the exactness
+verifier's `MOR` re-checks.  `nonabelian._orbit` reads `EQV` on residues as
+the map phi -> T_phi(c) for a stack of maps phi: the class verdicts of the
+exactness verifier look pairs up in that orbit, and classification reads its
+equivalence matrix off the orbit on a basis of the maps that keep the
+actions.  All of them drop the dead terms of an identity (`live`): a term
+with a factor whose tensor is all zero on the data contributes zero, and an
 identity with no live term is not evaluated.  `identity_mask` also drops
 dead entries, joining a term's factors over their supports, and reads an
 identity with a pair form on the pairs a < b of its first two `where`

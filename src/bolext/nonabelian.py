@@ -37,9 +37,9 @@ parameters at zero; otherwise `_phi_solutions` decides every GF(p) map by
 makes equivalent to c, for a stack of maps at once.  Many equivalence
 questions against one cocycle c, over any fiber, are pushed instead of
 pulled: `_orbit_lookup` makes T_phi(c) for every map once and looks each
-question up in that orbit.  Over an abelian fiber T_phi of the zero cocycle
-is linear in phi, so its values at the unit maps are the matrix of the
-equivalence system (`_equivalence_matrix`) that classification reduces.
+question up in that orbit.  The maps that keep the actions translate each
+cocycle, linearly, so T_phi of the zero cocycle on a basis of them is the
+matrix whose cosets classification reads, any fiber (`_equivalence_matrix`).
 """
 from __future__ import annotations
 
@@ -330,7 +330,7 @@ def solve_equivalence(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
 
 
 # ---------------------------------------------------------------------------
-# the abelian-fiber equivalence system on residue arrays
+# the equivalence system on residue arrays
 
 class _CocycleArrays(NamedTuple):
     """Cocycle data as residue arrays: nu[x,y,s], om[x,y,z,s] and the action
@@ -352,29 +352,30 @@ def _cocycle_arrays(c: NonAbelianCocycle) -> _CocycleArrays:
                           *map(residues, c.action_entries().values()))
 
 
-def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, bil, tri,
+def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, algebras: dict,
                     p) -> np.ndarray:
-    """`cocycles_equivalent_via(c1[k], c2, phi[k]).valid` per k, for an
-    abelian fiber (its product terms vanish); phi[k, t, q] is the t-th
-    coordinate of phi(e_q).  c2.nu and c2.om may carry the leading axis too,
-    one target per k."""
-    def f(spec, a, b):  # a product term: zero where a factor is all zero
-        return bruteforce.contract_mod(spec, p, a, b) if a.any() and b.any() else 0
+    """`cocycles_equivalent_via(c1[k], c2, phi[k]).valid` per k, any fiber:
+    phi[k, t, q] is phi(e_q)_t, `algebras` holds the residues bil, tri, vbil
+    and vtri, and c2.nu and c2.om may carry the leading axis (one per k)."""
+    def f(spec, *ops):  # a product term: zero where a factor is all zero
+        return bruteforce.contract_mod(spec, p, *ops) if all(a.any() for a in ops) else 0
 
+    bil, tri, vbil, vtri = (algebras[name] for name in ("bil", "tri", "vbil", "vtri"))
     om = (c1.om - c2.om
           - f("xzst,kty->kxyzs", c2.theta, phi)
           + f("xyst,ktz->kxyzs", c2.dd, phi)
           + f("yzst,ktx->kxyzs", c2.theta, phi)
+          + f("kax,kby,kcz,abcs->kxyzs", phi, phi, phi, vtri)
           - f("ksq,xyzq->kxyzs", phi, tri)) % p
     nu = (c1.nu - c2.nu
+          - f("kax,kby,abs->kxys", phi, phi, vbil)
           - f("ksq,xyq->kxys", phi, bil)
           + f("xst,kty->kxys", c2.mu, phi)
           - f("yst,ktx->kxys", c2.mu, phi)) % p
-    residuals = (om, nu, c1.mu - c2.mu, c1.theta - c2.theta, c1.dd - c2.dd)
-    ok = np.ones(phi.shape[0], dtype=bool)
-    for r in residuals:
-        ok &= ~np.any(r % p, axis=tuple(range(1, r.ndim)))
-    return ok
+    return np.all([~np.any(r % p, axis=tuple(range(1, r.ndim))) for r in (
+        om, nu, c1.mu - c2.mu - f("kbx,abs->kxsa", phi, vbil),
+        c1.theta - c2.theta - f("kbx,kcy,abcs->kxysa", phi, phi, vtri),
+        c1.dd - c2.dd - f("kbx,kcy,bcas->kxysa", phi, phi, vtri))], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +420,41 @@ def _flat(c) -> np.ndarray:
     return np.concatenate([a.reshape(len(a), prod(a.shape[1:])) for a in c], axis=1)
 
 
-def _equivalence_matrix(zero: NonAbelianCocycle) -> np.ndarray:
-    """The matrix L of the omega/nu equivalence system over an abelian
-    fiber: c1 ~ c2 via phi iff c2 - c1 = L phi on the nu and om rows of
-    `_flat`, with phi's parameters in `_phi_from_params` order.  It depends
-    only on the base and the actions, given as those of `zero`, a cocycle
-    whose nu and om are zero: its orbit is linear in phi, so L is minus
-    `_orbit` of `zero` at the n m unit maps."""
+def _equivalence_matrix(zero: NonAbelianCocycle) -> tuple:
+    """(L, maps): c1 ~ c2 iff c2 - c1 = L x on the nu and om rows of `_flat`,
+    and then sum_k x_k maps[k] is a comparison map; `zero` gives the base,
+    fiber and actions.  By `EQV`, T_phi(c) = c + G(phi), G free of nu and
+    om.  The maps keeping the actions form a group S (the shears [[I, 0],
+    [phi, I]] compose by adding phi), so G is linear on S and L = -G(S).
+    Over an abelian fiber S is every map; maps are the unit maps.  Otherwise
+    S is read off `_orbit` of `zero` a `candidate_blocks` chunk at a time and
+    reduced to a basis, checked on its rows: |S| = p^dim(S), and each G(phi)
+    is its coefficients times -L.  Maps are read only where n >= 2, where
+    p^(n m) <= p^(digit count), under the cochain bound; else maps is empty."""
     n, m, p = zero.n, zero.m, zero.field.p
-    unit = _maps(np.eye(n * m, dtype=np.int64), n, m)
-    orbit = _orbit({name: residues(t) for name, t in zero.tensors().items()}, unit, p)
-    return -_flat(orbit[:2]).T % p
+    tensors = {name: residues(t) for name, t in zero.tensors().items()}
+    kept = None
+    if zero.fiber.is_abelian():
+        maps = _maps(np.eye(n * m, dtype=np.int64), n, m)
+    elif n < 2:
+        maps = np.zeros((0, m, n), dtype=np.int64)
+    else:
+        actions = _flat([a[None] for a in _cocycle_arrays(zero)[2:]])
+        kept, rows = [], []
+        for _, digits in bruteforce.candidate_blocks(p, n * m, p ** (n * m), "maps"):
+            orbit = _orbit(tensors, _maps(digits, n, m).astype(np.int64), p)
+            keep = (_flat(orbit[2:]) == actions).all(axis=1)
+            kept.append(digits[keep].astype(np.int64))
+            rows.append(_flat(orbit[:2])[keep])
+        kept, rows = np.concatenate(kept), np.concatenate(rows)
+        aug, rank, pivot_row = bruteforce.eliminate(kept[None], n * m, p)
+        maps = _maps(aug[0, :rank[0]], n, m)
+    images = _flat(_orbit(tensors, maps, p)[:2])
+    if kept is not None and (len(kept) != p ** len(maps) or not np.array_equal(
+            rows, bruteforce.contract_mod("kb,be->ke", p, kept[:, pivot_row[0] >= 0], images))):
+        raise InternalConsistencyError(
+            "the maps that keep the actions do not act by translation")
+    return -images.T % p, maps
 
 
 def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:

@@ -20,7 +20,7 @@ for every pair at once, over any fiber, by `_class_verdicts`: the cocycles
 equivalent to c are its orbit {T_phi(c)} over the maps phi: B -> V, made
 once from `identities.EQV` (`nonabelian._orbit_lookup`), and a pair's class
 vanishes exactly when its acted cocycle lies in that orbit.  Its witness is
-re-checked off the table, by the shear of the glued totals."""
+re-checked off the table: by the glued shear and `_equivalent_via`."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
@@ -515,7 +515,7 @@ def _class_verdicts(c: NonAbelianCocycle, base, fiber, bound: int):
     Every witness is checked again, once per distinct acted cocycle and
     witness, by routes that do not read `identities.EQV`: the shear from
     the glued total of c to that of the acted cocycle (`_shears_hold`), and
-    over an abelian fiber `_equivalent_via`.
+    `_equivalent_via`.
     Yields (first pair index, status codes, witness maps phi[k, t, q], zero
     unless the class vanishes) per chunk of `_VERDICT_CHUNK` pairs.  The
     codes are `_INCOMPATIBLE` (0), `_NONZERO` (1) and `_ZERO` (2): the pair
@@ -527,7 +527,6 @@ def _class_verdicts(c: NonAbelianCocycle, base, fiber, bound: int):
     arr = _CocycleArrays(*(tensors[name] for name in _CocycleArrays._fields))
     maps, find = _orbit_lookup(tensors, p, bound)
     source = glue(**tensors, p=p)
-    abelian = c.fiber.is_abelian()
     nb = len(betas)
     total = len(alphas) * nb
     for start in range(0, total, _VERDICT_CHUNK):
@@ -538,7 +537,7 @@ def _class_verdicts(c: NonAbelianCocycle, base, fiber, bound: int):
         rows = _flat(acted)
         hit = find(rows)
         status = np.where(hit >= 0, _ZERO, _NONZERO)
-        if abelian:
+        if c.fiber.is_abelian():
             status[~_intertwines(arr, alphas[span], beta, binv, p, which)] = _INCOMPATIBLE
         zero = status == _ZERO
         phi = maps[hit] * zero[:, None, None]
@@ -547,8 +546,7 @@ def _class_verdicts(c: NonAbelianCocycle, base, fiber, bound: int):
         once = np.flatnonzero(zero)[np.unique(keys, return_index=True)[1]]
         members = acted.take(once)
         if not (_shears_hold(tensors, source, members, phi[once], p)
-                and (not abelian or _equivalent_via(members, arr, phi[once], tensors["bil"],
-                                                    tensors["tri"], p).all())):
+                and _equivalent_via(members, arr, phi[once], tensors, p).all()):
             raise InternalConsistencyError("batched class witness failed verification")
         yield start, status, phi
 

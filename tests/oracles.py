@@ -321,7 +321,7 @@ def coset_classes_oracle(zero, blocks, rows=1 << 12):
     p = zero.field.p
     actions = _cocycle_arrays(zero)
     matrix = equivalence_matrix(zero)
-    bil, tri = residues(zero.base.bil), residues(zero.base.tri)
+    algebras = {name: residues(t) for name, t in zero.tensors().items()}
     classes, count = {}, 0
     rep_nu, rep_om = [], []
     for _, block_nu, block_om in blocks:
@@ -345,9 +345,105 @@ def coset_classes_oracle(zero, blocks, rows=1 << 12):
                                            om=np.array([rep_om[c] for c in joined]))
                 solvable, phi = class_witnesses(members, targets, matrix, p)
                 if not (solvable.all()
-                        and _equivalent_via(members, targets, phi, bil, tri, p).all()):
+                        and _equivalent_via(members, targets, phi, algebras, p).all()):
                     raise InternalConsistencyError("class witness failed verification")
     return (np.array(rep_nu), np.array(rep_om)), count
+
+
+def pairwise_classes(cocycles):
+    """(representatives, count) of cocycles over one base, fiber and action
+    set, each compared by `solve_equivalence` with every earlier
+    representative: the classes `extensions.classify_rows` reads off
+    cosets, any fiber."""
+    from bolext.core import Status
+    from bolext.errors import UnsupportedEnumerationError
+    from bolext.nonabelian import solve_equivalence
+
+    reps = []
+    count = 0
+    for cand in cocycles:
+        count += 1
+        for rep_c in reps:
+            dec = solve_equivalence(cand, rep_c)
+            if dec.status is Status.UNDECIDED:
+                raise UnsupportedEnumerationError("equivalence undecided at bound")
+            if dec.found:
+                break
+        else:
+            reps.append(cand)
+    return reps, count
+
+
+def orbit_classes(zero, blocks):
+    """The representatives' candidate indices, ascending, of the blocks
+    (candidate indices, nu, om) of `extensions._valid_cocycles` with the
+    actions of `zero`, by orbit marking: in candidate order, a cocycle no
+    earlier representative reached becomes one, and T_phi of it
+    (`nonabelian._orbit`) over every map phi: B -> V marks the valid
+    cocycles it reaches with the same actions.  No linearity of T_phi and
+    no group structure of the maps is assumed: a cocycle joins the first
+    representative whose orbit holds it, as in `pairwise_classes`."""
+    import numpy as np
+
+    from bolext import bruteforce
+    from bolext.extensions import _candidate_digits, candidate_rows
+    from bolext.identities import residues
+    from bolext.nonabelian import _flat, _maps, _orbit
+
+    n, m, p = zero.n, zero.m, zero.field.p
+    blocks = list(blocks)
+    index = np.concatenate([k for k, _, _ in blocks])
+    nus, oms = (np.concatenate([b[at] for b in blocks]) for at in (1, 2))
+    tensors = {name: residues(t) for name, t in zero.tensors().items()}
+    actions = _flat([tensors[name][None] for name in ("mu", "theta", "dd")])
+    maps = _maps(np.concatenate([d for _, d in bruteforce.candidate_blocks(
+        p, n * m, p ** (n * m), "maps")]), n, m).astype(np.int64)
+    marked = np.zeros(len(index), dtype=bool)
+    reps = []
+    for at in range(len(index)):
+        if marked[at]:
+            continue
+        reps.append(index[at])
+        orbit = _orbit(dict(tensors, nu=nus[at], om=oms[at]), maps, p)
+        keep = (_flat(orbit[2:]) == actions).all(axis=1)
+        digits = _candidate_digits(orbit.nu[keep], orbit.om[keep])
+        reached = digits @ p ** np.arange(digits.shape[1] - 1, -1, -1)
+        # the orbit rows are skew: each is the cochain its digits rebuild
+        assert all(np.array_equal(a, b) for a, b in zip(
+            candidate_rows(zero, reached), (orbit.nu[keep], orbit.om[keep])))
+        where = np.searchsorted(index, reached)
+        hit = where < len(index)
+        hit[hit] = index[where[hit]] == reached[hit]
+        marked[where[hit]] = True
+    return np.array(reps, dtype=np.int64)
+
+
+def moved_actions(base, fiber):
+    """(mu, theta, dd) of T_psi(0), the zero cocycle moved by the first map
+    psi: B -> V in candidate order whose fiber products move the zero
+    actions (`nonabelian._orbit`): actions a map outside the stabiliser
+    of the zero actions reaches."""
+    import numpy as np
+
+    from bolext import bruteforce
+    from bolext.exactlin import Matrix
+    from bolext.identities import residues
+    from bolext.nonabelian import NonAbelianCocycle, _maps, _orbit
+
+    n, m, field = base.dim, fiber.dim, base.field
+    tensors = {k: residues(t) for k, t in NonAbelianCocycle.zero(base, fiber).tensors().items()}
+    for _, digits in bruteforce.candidate_blocks(field.p, n * m, field.p ** (n * m), "maps"):
+        orbit = _orbit(tensors, _maps(digits, n, m).astype(np.int64), field.p)
+        moved = np.flatnonzero(orbit.mu.any(axis=(1, 2, 3)) | orbit.theta.any(axis=(1, 2, 3, 4))
+                               | orbit.dd.any(axis=(1, 2, 3, 4)))
+        if moved.size:
+            k = moved[0]
+
+            def mats(a):
+                return tuple(Matrix.from_int_rows(field, x.tolist()) if x.ndim == 2 else mats(x)
+                             for x in a)
+            return tuple(mats(a[k]) for a in (orbit.mu, orbit.theta, orbit.dd))
+    raise ValueError("no map moves the zero actions")
 
 
 def classify_text(count, reps, valid, count_only=False):
@@ -420,7 +516,7 @@ def abelian_class_verdicts(c, base, fiber):
     p = c.field.p
     (alphas, alpha_invs), (betas, beta_invs) = base, fiber
     arr = _cocycle_arrays(c)
-    bil, tri = residues(c.base.bil), residues(c.base.tri)
+    algebras = {name: residues(t) for name, t in c.tensors().items()}
     matrix = equivalence_matrix(c)
     nb = len(betas)
     total = len(alphas) * nb
@@ -436,7 +532,7 @@ def abelian_class_verdicts(c, base, fiber):
                                    wells._ZERO, wells._NONZERO))
         zero = status == wells._ZERO
         phi = phi * zero[:, None, None]
-        if not _equivalent_via(acted.take(zero), arr, phi[zero], bil, tri, p).all():
+        if not _equivalent_via(acted.take(zero), arr, phi[zero], algebras, p).all():
             raise InternalConsistencyError("batched class witness failed verification")
         yield start, status, phi
 

@@ -281,6 +281,47 @@ def test_classify_golden_output(argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+def test_classify_maps_nothing_without_a_cochain_to_class(capsys):
+    # z1 x h3 has one candidate cocycle, and 5^3 maps B -> V lie above the
+    # bound 124: with no cochain to class no map is enumerated, so the run
+    # is not refused
+    code, out = run_cli("--bound", "124", "classify", "--base", C("z1_gf5.bol"),
+                        "--fiber", C("h3_gf5.bol"))
+    assert (code, out) == (0, 'valid-cocycles: 1\nclasses: 1\nrepresentative 0: '
+                              '{"nu": [[[0, 0, 0]]], "omega": [[[[0, 0, 0]]]]}\n')
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("base, classes", [("z2", 3125), ("s2", 625)])
+def test_classify_over_the_heisenberg_fiber(base, classes):
+    # 3,125 valid cocycles of a base of dimension 2 by the non-abelian h3,
+    # classed by cosets of the image of the maps that keep the actions:
+    # each its own class over z2, classes of 5 over s2 (the manifest rows).
+    # The --count-only run goes out of process, under 20 s; the printed
+    # z2 x h3 run is pinned by its digest, taken where the representatives
+    # matched orbit marking over every map
+    import os
+    import subprocess
+    import sys
+
+    row = json.loads((corpus_dir() / "manifest.json").read_text())[
+        "reference"]["classification"][f"{base}_gf5_by_h3_gf5"]
+    assert (row["valid_cocycles"], row["classes"]) == (3125, classes)
+    argv = ["classify", "--base", C(f"{base}_gf5.bol"), "--fiber", C("h3_gf5.bol")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(corpus_dir().parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    start = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "bolext.cli", *argv, "--count-only"],
+                         capture_output=True, text=True, env=env)
+    assert time.monotonic() - start < 20.0
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, f"valid-cocycles: 3125\nclasses: {classes}\n", "")
+    if base == "z2":
+        code, out = run_cli(*argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, "64797057663433fc9c275b7e15103afd464dc66be83ed9f8284c4eec7ec063b9")
+
+
 @pytest.mark.parametrize("base, fiber, variant, actions", [
     (f"{b}_gf5.bol", f"{f}_gf5.bol", v, None)
     for b in ("z1", "z2", "s2") for f in ("z1", "s2", "z2")

@@ -98,3 +98,17 @@ def test_documents_does_not_import_wells():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
     assert sorted(m for m in imported if "wells" in m.split(".")) == []
+
+
+def test_classification_has_one_path_and_no_pairwise_search():
+    # `classify_rows` classes every fiber by cosets: it reads neither the
+    # fiber's kind nor the pairwise search, and no pairwise classifier or
+    # verdict pass is defined in src (they are oracles in tests/oracles.py)
+    trees = _trees()
+    rows = next(node for node in trees["extensions"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "classify_rows")
+    read = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(rows) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert sorted(read & {"is_abelian", "solve_equivalence", "_pairwise_classes"}) == []
+    assert sorted(name for name in _definitions(trees)
+                  if name.split(":")[1].startswith("_pairwise")) == []

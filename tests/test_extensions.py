@@ -14,7 +14,7 @@ from bolext.errors import (InternalConsistencyError, UnsupportedEnumerationError
                            UsageError)
 from bolext.exactlin import RATIONALS, Matrix, PrimeField, enumerate_vectors
 from bolext.extensions import (Extension, _class_code, _coset_classes, _decoded,
-                               _pairwise_classes, _valid_cocycles,
+                               _valid_cocycles,
                                as_extension, candidate_rows, canonical_section,
                                classify_corpus, extensions_equivalent,
                                extract_cocycle, make_section,
@@ -25,8 +25,8 @@ from bolext.nonabelian import (NonAbelianCocycle, cocycles_equivalent_via,
 from bolext.representation import r_s2
 
 from conftest import corpus_dir
-from oracles import (class_witnesses, coset_classes_oracle, equivalence_matrix, solve_rows,
-                     valid_cocycles_oracle)
+from oracles import (class_witnesses, coset_classes_oracle, equivalence_matrix,
+                     orbit_classes, pairwise_classes, solve_rows, valid_cocycles_oracle)
 from test_identities import _grid
 from test_nonabelian import _random_cocycle
 
@@ -236,7 +236,7 @@ def test_coset_classes_match_pairwise(base_name, actions_doc, variant, want):
     base, fiber, actions, cands = _classify_input(base_name, actions_doc, variant)
     count, reps, valid = classify_corpus(base, fiber, actions, variant=variant)
     assert (count, valid) == want
-    oracle_reps, oracle_valid = _pairwise_classes(cands)
+    oracle_reps, oracle_valid = pairwise_classes(cands)
     assert (len(oracle_reps), oracle_valid) == want
     assert _pairs(reps) == _pairs(oracle_reps)
     # candidate blocks of 7 rows: classes span blocks, and some blocks
@@ -271,7 +271,7 @@ def test_coset_classes_cut_each_block_into_slices(monkeypatch, base_name, action
     index, valid = _coset_classes(zero, blocks)
     assert (len(index), valid) == want
     assert max(sizes) == 7 and sum(sizes) == valid - len(index)
-    oracle_reps, _ = _pairwise_classes(cands)
+    oracle_reps, _ = pairwise_classes(cands)
     assert _pairs(_decoded(zero, *candidate_rows(zero, index))) == _pairs(oracle_reps)
 
 
@@ -398,26 +398,50 @@ def test_classify_refuses_the_bound_before_any_mask(F5, monkeypatch):
         classify_corpus(z2(F5), s2(F5), bound=15624)
 
 
-def test_nonabelian_fiber_stays_pairwise(F5, monkeypatch):
-    seen = []
+def _actions_of(name):
+    c = theta_map(docs.parse_document(str(corpus_dir() / name), "extension"))
+    return c.base, c.fiber, (c.mu, c.theta, c.dd)
 
-    def no_cosets(zero, blocks):
-        raise AssertionError("coset route taken for a non-abelian fiber")
 
-    def spy(cocycles, bound):
-        out = _pairwise_classes(cocycles, bound)
-        seen.append(out)
-        return out
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("case", ["z1_x_s2", "z2_x_s2", "s2_x_s2", "e_s2_s2.ext", "e_z2_s2.ext"])
+def test_nonabelian_fiber_is_classed_by_cosets(F5, monkeypatch, case, variant):
+    # a non-abelian fiber takes the one coset path, with no pairwise
+    # search: the representatives of `pairwise_classes` over the decoded
+    # valid cocycles, and of orbit marking, with zero actions or those of a
+    # corpus extension
+    from bolext import nonabelian
 
-    monkeypatch.setattr(extensions, "_coset_classes", no_cosets)
-    monkeypatch.setattr(extensions, "_pairwise_classes", spy)
-    count, reps, valid = classify_corpus(z1(F5), s2(F5))
-    assert (count, valid) == (1, 1)
-    assert seen == [(reps, valid)]
-    # over z2 the representatives pass through their candidate indices
-    count, reps, valid = classify_corpus(z2(F5), s2(F5))
-    assert (count, valid) == (5, 5)
-    assert seen[-1] == (reps, valid)
+    if case.endswith(".ext"):
+        base, fiber, actions = _actions_of(case)
+    else:
+        base, fiber = ({"z1": z1, "z2": z2, "s2": s2}[name](F5) for name in case.split("_x_"))
+        actions = None
+    cosets = []
+    coset_classes = extensions._coset_classes
+
+    def spy(zero, blocks):
+        cosets.append(zero)
+        return coset_classes(zero, blocks)
+
+    def no_search(*args):
+        raise AssertionError("solve_equivalence called during classification")
+
+    monkeypatch.setattr(extensions, "_coset_classes", spy)
+    monkeypatch.setattr(extensions, "solve_equivalence", no_search)
+    monkeypatch.setattr(nonabelian, "solve_equivalence", no_search)
+    count, reps, valid = classify_corpus(base, fiber, actions, variant=variant)
+    monkeypatch.undo()
+    assert len(cosets) == 1 and not cosets[0].fiber.is_abelian()
+    zero = cosets[0]
+    cands = _decode_all(zero, _valid_cocycles(zero, variant, _blocks(zero)))
+    oracle_reps, oracle_valid = pairwise_classes(cands)
+    assert (count, valid) == (len(oracle_reps), oracle_valid)
+    assert _pairs(reps) == _pairs(oracle_reps)
+    assert count == (1 if base.dim == 1 else 5 if variant is Variant.CORRECTED else 25)
+    index = extensions.classify_rows(base, fiber, actions, variant=variant)[1]
+    assert orbit_classes(zero, _valid_cocycles(zero, variant, _blocks(zero))).tolist() \
+        == index.tolist()
 
 
 def test_abelian_fiber_decodes_only_the_representatives(F5, monkeypatch):
@@ -524,3 +548,77 @@ def test_abelian_classification_eliminates_once(F5, monkeypatch, fiber_dim, acti
     zero, index, valid = extensions.classify_rows(s2(F5), zero_algebra(F5, fiber_dim), actions)
     assert (len(index), valid) == want
     assert len(calls) == 1 and calls[0][0] == 1
+
+
+@lru_cache(maxsize=None)
+def _s2_h3(moved):
+    """(zero cocycle with the actions, every valid candidate index, the
+    representatives' indices) of s2 x h3 over GF(5), zero actions or those
+    a map outside their stabiliser moves them to."""
+    import numpy as np
+
+    from bolext.bol import h3
+    from oracles import moved_actions
+
+    field = PrimeField(5)
+    base, fiber = s2(field), h3(field)
+    zero, index, valid = extensions.classify_rows(
+        base, fiber, moved_actions(base, fiber) if moved else None)
+    every = np.concatenate([k for k, _, _ in _valid_cocycles(zero, Variant.CORRECTED,
+                                                             _blocks(zero))])
+    assert (len(index), valid, len(every)) == (625, 3125, 3125)
+    return zero, every, index
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["zero-actions", "moved-actions"])
+def test_s2_h3_classes_agree_with_solve_equivalence_on_sampled_pairs(moved):
+    # 3,125 valid cocycles in 625 classes of 5 over a non-abelian fiber.
+    # On a seeded sample of 240 valid pairs, half of them within one class
+    # and half drawn at random, the pairwise search finds a comparison map
+    # exactly where the class codes agree, and each class is represented by
+    # its first member in candidate order
+    import numpy as np
+
+    zero, every, index = _s2_h3(moved)
+    nu, om = candidate_rows(zero, every)
+    codes = _class_code(zero)[0](nu, om)
+    _, first = np.unique(codes, return_index=True)
+    assert sorted(every[first].tolist()) == index.tolist()
+    rng = np.random.default_rng(35)
+    left = rng.choice(len(every), 240)
+    right = rng.choice(len(every), 240)
+    for k in range(0, 240, 2):
+        right[k] = rng.choice(np.flatnonzero(codes == codes[left[k]]))
+    cocycles = _decoded(zero, *candidate_rows(zero, every[np.concatenate([left, right])]))
+    found = [solve_equivalence(a, b).found for a, b in zip(cocycles[:240], cocycles[240:])]
+    assert found == (codes[left] == codes[right]).tolist()
+    assert 120 <= sum(found) < 240
+
+
+def test_equivalence_matrix_guards_the_stabiliser_basis(F5, monkeypatch):
+    # over a non-abelian fiber the maps that keep the actions are read off
+    # the orbit and reduced to a basis; a basis that spans less than they
+    # do, or whose orbit rows are not the members', is refused
+    import numpy as np
+
+    from bolext import nonabelian
+    from bolext.bol import h3
+
+    zero = NonAbelianCocycle.zero(s2(F5), h3(F5))
+    matrix, maps = nonabelian._equivalence_matrix(zero)
+    assert len(maps) and matrix.shape[1] == len(maps)
+    eliminate = bruteforce.eliminate
+    for corrupt in ("drop", "scale"):
+        def corrupted(aug, cols, p):
+            out, rank, pivot_row = eliminate(aug, cols, p)
+            if corrupt == "drop":
+                return out, rank - 1, pivot_row
+            out = out.copy()
+            out[0, 0] = 2 * out[0, 0] % p
+            return out, rank, pivot_row
+
+        monkeypatch.setattr(bruteforce, "eliminate", corrupted)
+        with pytest.raises(InternalConsistencyError, match="^the maps that keep the actions"):
+            nonabelian._equivalence_matrix(zero)
+    monkeypatch.undo()
+    assert np.array_equal(nonabelian._equivalence_matrix(zero)[0], matrix)

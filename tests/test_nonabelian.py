@@ -263,10 +263,12 @@ def test_equivalence_matrix_reads_phi_column_major(F5):
                        ((z, mat([[1, 1], [0, 2]])), (mat([[4, 4], [0, 3]]), z)))
     c = NonAbelianCocycle.split(s2(F5), r)
     arr = _cocycle_arrays(c)
-    a = _equivalence_matrix(c)
+    a, maps = _equivalence_matrix(c)
     xs = np.array([[int(v.value) for v in vec] for vec in enumerate_vectors(F5, 4)])
     phis = xs.reshape(-1, 2, 2).transpose(0, 2, 1)
-    bil, tri = residues(c.base.bil), residues(c.base.tri)
+    # over an abelian fiber the maps of L's columns are the unit maps
+    assert maps.tolist() == np.eye(4, dtype=int).reshape(-1, 2, 2).transpose(0, 2, 1).tolist()
+    algebras = {name: residues(t) for name, t in c.tensors().items()}
     rng = np.random.default_rng(3)
     split = arr.nu.size  # the rows of `_flat`: nu, then om
     # b = -shift: a random right-hand side, and one that phi(x0) solves
@@ -274,7 +276,7 @@ def test_equivalence_matrix_reads_phi_column_major(F5):
         other = arr._replace(nu=arr.nu - shift[:split].reshape(arr.nu.shape),
                              om=arr.om - shift[split:].reshape(arr.om.shape))
         many = _CocycleArrays(*(np.broadcast_to(x, (len(xs),) + x.shape) for x in other))
-        want = _equivalent_via(many, arr, phis, bil, tri, 5)
+        want = _equivalent_via(many, arr, phis, algebras, 5)
         assert ((xs @ a.T - shift) % 5 == 0).all(axis=1).tolist() == want.tolist()
     assert 0 < want.sum() < len(xs)
 
@@ -306,9 +308,61 @@ def test_orbit_read_equivalence_matrix_matches_the_affine_reading(data):
     zero = NonAbelianCocycle.zero(base, zero_algebra(field, m))
     c = NonAbelianCocycle(base, zero.fiber, zero.nu, zero.omega, mats(draw((n, m, m))),
                           mats(draw((n, n, m, m))), mats(draw((n, n, m, m))))
-    got = _equivalence_matrix(c)
+    got, maps = _equivalence_matrix(c)
+    assert len(maps) == n * m
     assert got.shape == (n * n * m + n ** 3 * m, n * m)
     assert got.tolist() == equivalence_matrix(c).tolist()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_residue_equivalence_check_matches_the_scalar_one_over_nonabelian_fibers(data):
+    # `_equivalent_via` against `cocycles_equivalent_via` over non-abelian
+    # fibers (s2, h3, or random products and brackets, Bol or not), per map:
+    # random cocycle data c and maps phi, each compared
+    # with T_phi(c) (`_orbit`), with T_phi(c) changed at one entry of one of
+    # its five tensors, or with random data, so that every identity, the
+    # fiber-product terms included, decides some comparisons alone
+    import numpy as np
+    from bolext.identities import scalars
+    from bolext.nonabelian import (_CocycleArrays, _cocycle_arrays, _equivalent_via,
+                                   _orbit)
+
+    field = PrimeField(5)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    base = data.draw(st.sampled_from([z1, z2, s2, h3]))(field)
+    fiber = data.draw(st.sampled_from([s2, h3, lambda F: BolAlgebra(
+        F, 2, _grid(F, rng, (2,) * 3), _grid(F, rng, (2,) * 4))]))(field)
+    n, m = base.dim, fiber.dim
+    c = _random_cocycle(field, rng, base, fiber)
+    tensors = {name: residues(t) for name, t in c.tensors().items()}
+    phi = np.array([[[rng.randrange(5) for _ in range(n)] for _ in range(m)]
+                    for _ in range(6)], dtype=np.int64)
+    orbit = _orbit(tensors, phi, 5)
+    members = [np.array(a) for a in orbit]
+    for k in range(6):
+        kind = data.draw(st.sampled_from(["orbit", "changed", "random"]))
+        if kind == "changed":
+            a = members[data.draw(st.integers(0, 4))][k]
+            a.flat[data.draw(st.integers(0, a.size - 1))] += data.draw(st.integers(1, 4))
+        elif kind == "random":
+            for a, b in zip(members, _cocycle_arrays(_random_cocycle(field, rng, base, fiber))):
+                a[k] = b
+    members = _CocycleArrays(*(a % 5 for a in members))
+    got = _equivalent_via(members, _cocycle_arrays(c), phi, tensors, 5)
+
+    def mats(a):
+        return tuple(Matrix.from_int_rows(field, x.tolist()) if x.ndim == 2 else mats(x)
+                     for x in a)
+    want = []
+    for k in range(6):
+        c1 = NonAbelianCocycle(
+            base, fiber, Cochain2(n, m, field, scalars(field, members.nu[k])),
+            Cochain3(n, m, field, scalars(field, members.om[k])),
+            *(mats(a[k]) for a in members[2:]))
+        want.append(cocycles_equivalent_via(
+            c1, c, Matrix.from_int_rows(field, phi[k].tolist())).valid)
+    assert got.tolist() == want
 
 
 def test_flat_reads_an_empty_stack():

@@ -309,7 +309,8 @@ def _first_witnesses(c, acted, zero):
                      for v in enumerate_vectors(c.field, n * m)], dtype=np.int64)
     members = acted.take(np.repeat(np.flatnonzero(zero), len(maps)))
     ok = _equivalent_via(members, _cocycle_arrays(c), np.tile(maps, (int(zero.sum()), 1, 1)),
-                         residues(c.base.bil), residues(c.base.tri), p).reshape(-1, len(maps))
+                         {name: residues(t) for name, t in c.tensors().items()},
+                         p).reshape(-1, len(maps))
     assert ok.any(axis=1).all()
     return maps[ok.argmax(axis=1)]
 
@@ -504,7 +505,7 @@ def test_corrupted_elimination_fails_witness_verification(F5, monkeypatch):
 
 @pytest.mark.parametrize("name,route", [
     ("e_h3", "_equivalent_via"), ("e_h3", "_shears_hold"), ("s2_r_s2_sheared", "_shears_hold"),
-    ("e_s2_s2", "_shears_hold")])
+    ("e_s2_s2", "_shears_hold"), ("e_s2_s2", "_equivalent_via")])
 def test_corrupted_orbit_fails_witness_verification(F5, monkeypatch, name, route):
     # every witness of the orbit pass is checked off the EQV table, by each
     # route alone.  The lookup is corrupted to find every acted cocycle in
@@ -569,7 +570,7 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
     e = _extension(F5, name)
     c = theta_map(e)
     arr = _cocycle_arrays(c)
-    bil, tri = residues(c.base.bil), residues(c.base.tri)
+    algebras = {name: residues(t) for name, t in c.tensors().items()}
     maps = [Matrix(F5, [[v[q * c.m + t] for q in range(c.n)] for t in range(c.m)])
             for v in enumerate_vectors(F5, c.n * c.m)]
     phis = np.array([[[int(x.value) for x in row] for row in f.entries]
@@ -597,7 +598,7 @@ def test_residue_pair_steps_match_scalar_route(F5, name):
         gated = solve_equivalence(acted, c).reason in ("eqv-mu", "eqv-theta", "eqv-d")
         assert same_actions(got, arr)[0] == (not gated)
         many = got.take(np.zeros(len(maps), dtype=np.int64))
-        assert _equivalent_via(many, arr, phis, bil, tri, 5).tolist() == \
+        assert _equivalent_via(many, arr, phis, algebras, 5).tolist() == \
             [cocycles_equivalent_via(acted, c, f).valid for f in maps]
 
 
