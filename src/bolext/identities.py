@@ -38,12 +38,13 @@ only, since its identities are symmetric there.
 Three readers use the tables, each on the suite of one variant (`select`):
 `report` evaluates one structure exactly, on object arrays of Python ints;
 `affine` reads the linear system in phi of an EQV, IND or Z1 suite over an
-abelian fiber; and `bruteforce.identity_mask` decides a batch of GF(p)
-structures on residue arrays, for every brute-force search and the exactness
-verifier's `MOR` re-checks.  `nonabelian._orbit` reads `EQV` on residues as
-the map phi -> T_phi(c) for a stack of maps phi: the class verdicts of the
-exactness verifier look pairs up in that orbit, and classification reads its
-equivalence matrix off the orbit on a basis of the maps that keep the
+abelian fiber, and of Z1 over any fiber; `bruteforce.identity_mask` decides
+a batch of GF(p) structures on residue arrays, for the exactness verifier's
+`MOR` re-checks and every brute-force search but those for a map phi.
+`nonabelian._orbit` reads `EQV` on residues as the map phi -> T_phi(c) for a
+stack of maps phi: over a non-abelian fiber equivalence and inducibility
+scan that orbit, the class verdicts look pairs up in it, and classification
+reads its equivalence matrix off it on a basis of the maps that keep the
 actions.  All of them drop the dead terms of an identity (`live`): a term
 with a factor whose tensor is all zero on the data contributes zero, and an
 identity with no live term is not evaluated.  `identity_mask` also drops

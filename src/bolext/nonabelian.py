@@ -26,20 +26,20 @@ The identities of both variants are the rows of `identities.NAB`, which
 fiber couplings are marked there.
 
 Decisions about an unknown map phi: B -> V (equivalence here; inducibility
-and degree-one cocycles in `wells`) share one path.  Each is a table with
-phi as a named tensor (`identities.EQV`, `IND`, `Z1`): `identities.report`
-checks a given phi; over an abelian fiber `identities.affine` reads the
+and degree-one cocycles in `wells`) are tables with phi as a named tensor
+(`identities.EQV`, `IND`, `Z1`); `identities.report` checks a given phi and
+each witness again.  Over an abelian fiber `identities.affine` reads the
 linear system in phi off the table and `_solve_for_phi` solves it with free
-parameters at zero; otherwise `_phi_solutions` decides every GF(p) map by
-`bruteforce.identity_mask`.  `identities.report` checks each witness again.
+parameters at zero, over any field; `Z1` is such a kernel over every fiber.
 
 `_orbit` is the residue reader of `EQV`: T_phi(c), the cocycle that phi
-makes equivalent to c, for a stack of maps at once.  Many equivalence
-questions against one cocycle c, over any fiber, are pushed instead of
-pulled: `_orbit_lookup` makes T_phi(c) for every map once and looks each
-question up in that orbit.  The maps that keep the actions translate each
-cocycle, linearly, so T_phi of the zero cocycle on a basis of them is the
-matrix whose cosets classification reads, any fiber (`_equivalence_matrix`).
+makes equivalent to c, for a stack of maps at once.  Over a non-abelian
+fiber `_orbit_scan` pulls one question: the first map with T_phi(c2) = c1.
+Many questions against one cocycle c, over any fiber, are pushed:
+`_orbit_lookup` makes T_phi(c) for every map once and looks each question
+up in that orbit.  The maps that keep the actions translate each cocycle,
+linearly, so T_phi of the zero cocycle on a basis of them is the matrix
+whose cosets classification reads, any fiber (`_equivalence_matrix`).
 """
 from __future__ import annotations
 
@@ -270,41 +270,13 @@ def _solve_for_phi(field, n, m, blocks):
     return None if x is None else _phi_from_params(field, n, m, x)
 
 
-def _phi_solutions(suite, field, n, m, bound: int, tensors: dict):
-    """The GF(p) maps phi that satisfy `suite` given the other tensors, in
-    `enumerate_vectors` order, one `identity_mask` pass per chunk as they are
-    read.  Raises UnsupportedEnumerationError at once over an infinite field
-    or past the bound."""
-    if not field.is_prime_field:
-        raise UnsupportedEnumerationError("non-abelian fiber over an infinite field")
-    p = field.p
-    blocks = bruteforce.candidate_blocks(p, n * m, bound, "maps")
-    fixed = {name: residues(t) for name, t in tensors.items()}
-    return (_phi_from_params(field, n, m, tuple(map(field.scalar, row.tolist())))
-            for _, digits in blocks
-            for row in digits[bruteforce.identity_mask(suite, p, {"phi": _maps(digits, n, m)},
-                                                       fixed)])
-
-
-def _search_phi(suite, field, n, m, bound: int, tensors: dict) -> Decision:
-    """The first map of `_phi_solutions`, none, or undecided with the
-    reason it was not searched."""
-    try:
-        phi = next(_phi_solutions(suite, field, n, m, bound, tensors), None)
-    except UnsupportedEnumerationError as exc:
-        return Decision(Status.UNDECIDED, reason=str(exc))
-    if phi is None:
-        return Decision(Status.NONE, reason="exhausted")
-    return Decision(Status.FOUND, witness=phi)
-
-
 def solve_equivalence(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
                       bound: int = DEFAULT_ENUMERATION_BOUND) -> Decision:
     """Find a comparison map or decide none exists.
 
     Abelian fiber: past the phi-free gates, the identities are affine in
-    phi, solved exactly over any field.  Otherwise exhaustive over GF(p)
-    maps when p^(n*m) fits the bound.
+    phi, solved exactly over any field.  Otherwise the first GF(p) map in
+    candidate order, when p^(n*m) fits the bound (`_orbit_scan`).
     """
     if not c1.same_shape(c2):
         raise UsageError("cocycles live over different shapes")
@@ -314,7 +286,7 @@ def solve_equivalence(c1: NonAbelianCocycle, c2: NonAbelianCocycle,
         (tag, a[x][y], b[x][y]) for x in range(n) for y in range(n)
         for tag, a, b in (("eqv-theta", c1.theta, c2.theta), ("eqv-d", c1.dd, c2.dd))]
     if not c1.fiber.is_abelian():
-        dec = _search_phi(identities.EQV, field, n, m, bound, _equivalence_tensors(c1, c2))
+        dec = _orbit_scan(c1, c2, bound)
     elif gate := next((tag for tag, a, b in gates if a != b), None):
         return Decision(Status.NONE, reason=gate)
     else:
@@ -381,10 +353,10 @@ def _equivalent_via(c1: _CocycleArrays, c2: _CocycleArrays, phi, algebras: dict,
 # ---------------------------------------------------------------------------
 # equivalence by orbit, any fiber
 
-def _orbit(tensors: dict, phi: np.ndarray, p: int) -> _CocycleArrays:
+def _orbit(tensors: dict, phi: np.ndarray, p: int, part: str = None):
     """T_phi(c) of a cocycle c over GF(p) given as the residue arrays
     `tensors` of `c.tensors()`, per map phi[k, t, q]: B -> V, as
-    `_CocycleArrays` with the leading axis k.
+    `_CocycleArrays` with the leading axis k, or its field `part` alone.
 
     Each `EQV` identity reads c1 - T_phi(c) = 0 with T_phi(c) free of c1,
     so the cocycles equivalent to c are exactly the orbit rows over every
@@ -398,15 +370,47 @@ def _orbit(tensors: dict, phi: np.ndarray, p: int) -> _CocycleArrays:
     parts = {}
     for identity in (i for group in identities.EQV for i in group.identities):
         (name, out), = [f for t in identity.terms for f in t.factors if f[0] in c1]
+        name = name[:-1]
+        if part not in (None, name):
+            continue
         total = 0
         for t in identities.live(identity, zero).terms:
             lead = "K" if any(f == "phi" for f, _ in t.factors) else ""
             spec = ",".join(("K" if f == "phi" else "") + idx for f, idx in t.factors)
             total = total - t.sign * bruteforce.contract_mod(
                 f"{spec}->{lead}{out}", p, *(arrays[f] for f, _ in t.factors))
-        name = name[:-1]
         parts[name] = np.broadcast_to(total % p, phi.shape[:1] + arrays[name].shape)
-    return _CocycleArrays(**parts)
+    return parts[part] if part else _CocycleArrays(**parts)
+
+
+def _orbit_scan(c1: NonAbelianCocycle, c2: NonAbelianCocycle, bound: int,
+                right: Matrix = None) -> Decision:
+    """The first map phi: B -> V in `candidate_blocks` order with
+    T_psi(c2) = c1 (`_orbit`) for psi = phi, or phi right: found, none, or
+    undecided over an infinite field or past the bound.  By `EQV`, with
+    psi = phi, the first map that makes c1 equivalent to c2.  The maps are
+    read 4,096 at a time, their parts compared in turn, the cheapest first,
+    each on the maps the ones before it kept, up to the first hit."""
+    field = c1.field
+    if not field.is_prime_field:
+        return Decision(Status.UNDECIDED, reason="non-abelian fiber over an infinite field")
+    n, m, p = c1.n, c1.m, field.p
+    try:
+        blocks = bruteforce.candidate_blocks(p, n * m, bound, "maps", 1 << 12)
+    except UnsupportedEnumerationError as exc:
+        return Decision(Status.UNDECIDED, reason=str(exc))
+    tensors = {name: residues(t) for name, t in c2.tensors().items()}
+    target = _cocycle_arrays(c1)
+    for _, digits in blocks:
+        phi = _maps(digits, n, m).astype(np.int64)
+        psi = phi if right is None else bruteforce.contract_mod(
+            "ktq,qx->ktx", p, phi, residues(right.entries))
+        for name in ("mu", "theta", "dd", "nu", "om"):
+            same = _orbit(tensors, psi, p, name) == getattr(target, name)
+            phi, psi = (a[same.all(axis=tuple(range(1, same.ndim)))] for a in (phi, psi))
+        if len(phi):
+            return Decision(Status.FOUND, witness=Matrix.from_int_rows(field, phi[0].tolist()))
+    return Decision(Status.NONE, reason="exhausted")
 
 
 def _maps(digits: np.ndarray, n: int, m: int) -> np.ndarray:

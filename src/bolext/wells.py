@@ -12,8 +12,9 @@ acted cocycle minus the original.
 Inducibility identity tags: ind-omega, ind-nu, ind-theta, ind-d, ind-mu.
 Abelian-fiber gates reuse ind-theta / ind-d / ind-mu (they become free of the
 unknown map there).  The identities and the degree-one cocycle conditions
-are the tables `identities.IND` and `identities.Z1`, decided on the path of
-`nonabelian`.
+are the tables `identities.IND` and `identities.Z1`, decided on the paths of
+`nonabelian`: `IND` by the `EQV` orbit over a non-abelian fiber, `Z1` as one
+kernel over every fiber.
 
 The class map is decided pair by pair by `wells_map` (`_wells_verdict`), and
 for every pair at once, over any fiber, by `_class_verdicts`: the cocycles
@@ -42,8 +43,8 @@ from .extensions import (Extension, Section, _adapted_total, _canonical_section,
                          validate_extension)
 from .identities import residues
 from .nonabelian import (NonAbelianCocycle, _CocycleArrays, _equivalent_via,
-                         _flat, _orbit_lookup, _phi_solutions, _row_keys,
-                         _search_phi, _solve_for_phi, glue, solve_equivalence,
+                         _flat, _orbit_lookup, _orbit_scan, _row_keys,
+                         _solve_for_phi, glue, solve_equivalence,
                          validate_nab_cocycle, validate_nab_full,
                          validate_nab_parts)
 from .representation import Representation
@@ -125,38 +126,34 @@ def inducible_via(e: Extension, s: Section, pair: AutPair,
     return _inducibility_report(c, pair, phi)
 
 
-def _solve_inducibility_from_cocycle(c: NonAbelianCocycle, pair: AutPair,
-                                     bound: int) -> Decision:
-    n, m = c.n, c.m
-    field = c.field
-    if not c.fiber.is_abelian():
-        return _search_phi(identities.IND, field, n, m, bound,
-                           _inducibility_tensors(c, pair))
-    system = identities.affine(identities.IND, field, n, m,
-                               **_inducibility_tensors(c, pair))
-    gates = [tag for tag in ("ind-theta", "ind-d", "ind-mu") if any(system[tag][1])]
-    if gates:
-        return Decision(Status.NONE, reason=min(gates))
-    # past the gates their rows are 0 = 0
-    phi = _solve_for_phi(field, n, m, system.values())
-    if phi is not None:
-        return Decision(Status.FOUND, witness=phi)
-    tags = [tag for tag in ("ind-nu", "ind-omega")
-            if _solve_for_phi(field, n, m, [system[tag]]) is None]
-    return Decision(Status.NONE, reason="+".join(tags) or "ind-omega+ind-nu")
-
-
 def solve_inducibility(e: Extension, pair: AutPair,
                        bound: int = DEFAULT_ENUMERATION_BOUND) -> Decision:
     """Decide whether the pair lifts to a fiber-preserving automorphism.
 
     Abelian fiber: the unknown-map-free identities act as gates, the rest is
-    an affine system solved exactly over any field.  Otherwise exhaustive
-    over GF(p) maps within the bound, else undecided.
+    an affine system solved exactly over any field.  Otherwise a lift
+    through phi is the transport by (alpha, beta), then the shear by
+    -phi alpha^-1: the first GF(p) map phi with T_{phi alpha^-1}(c) the
+    acted cocycle within the bound (`nonabelian._orbit_scan`).
     """
     c = theta_map(e)
     validate_aut_pair(c.base, c.fiber, pair)
-    dec = _solve_inducibility_from_cocycle(c, pair, bound)
+    n, m, field = c.n, c.m, c.field
+    if not c.fiber.is_abelian():
+        dec = _orbit_scan(act_on_cocycle(c, pair), c, bound, pair.alpha.inverse())
+    else:
+        system = identities.affine(identities.IND, field, n, m,
+                                   **_inducibility_tensors(c, pair))
+        gates = [tag for tag in ("ind-theta", "ind-d", "ind-mu") if any(system[tag][1])]
+        if gates:
+            return Decision(Status.NONE, reason=min(gates))
+        # past the gates their rows are 0 = 0
+        phi = _solve_for_phi(field, n, m, system.values())
+        if phi is None:
+            tags = [tag for tag in ("ind-nu", "ind-omega")
+                    if _solve_for_phi(field, n, m, [system[tag]]) is None]
+            return Decision(Status.NONE, reason="+".join(tags) or "ind-omega+ind-nu")
+        dec = Decision(Status.FOUND, witness=phi)
     if dec.found and not _inducibility_report(c, pair, dec.witness).valid:
         raise InternalConsistencyError("inducibility witness failed verification")
     return dec
@@ -274,18 +271,16 @@ def _require_fiber_preserving(e: Extension, gamma: Matrix):
 
 @dataclass
 class Z1Result:
-    """Maps base -> fiber cut out by the annihilation, product and bracket
-    conditions; a subspace when they are linear, an explicit list when
-    enumerated, undecided otherwise."""
+    """The subspace of maps base -> fiber cut out by the annihilation,
+    product and bracket conditions; its maps, or why they are not listed."""
 
-    kind: str
-    subspace: Optional[Subspace] = None
+    subspace: Subspace
     maps: Optional[list] = None
     reason: str = ""
 
     @property
-    def dim(self) -> Optional[int]:
-        return self.subspace.dim if self.subspace is not None else None
+    def dim(self) -> int:
+        return self.subspace.dim
 
 
 def z1_nab(c: NonAbelianCocycle, bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
@@ -304,33 +299,32 @@ def _checked_z1(c: NonAbelianCocycle, rep: ValidationReport, bound: int) -> Z1Re
 
 def _z1_cocycles(c: NonAbelianCocycle,
                  bound: int = DEFAULT_ENUMERATION_BOUND) -> Z1Result:
-    """The kernel of the `Z1` system over an abelian fiber, its maps listed
-    over GF(p) within the bound; otherwise the GF(p) maps that pass `Z1`,
-    each checked again, or undecided.  Checks no axiom of c."""
-    n, m = c.n, c.m
-    field = c.field
-    if c.fiber.is_abelian():
-        system = identities.affine(identities.Z1, field, n, m, **c.tensors())
-        space = Matrix(field, [row for a, _ in system.values() for row in a]).kernel()
-        if not field.is_prime_field:
-            return Z1Result("subspace", subspace=space)
-        p, basis = field.p, residues(space.basis.entries).reshape(space.dim, n * m)
-        try:
-            vecs = [bruteforce.contract_mod("kd,dx->kx", p, digits, basis)
-                    for _, digits in bruteforce.candidate_blocks(p, space.dim, bound, "maps")]
-        except UnsupportedEnumerationError as exc:
-            return Z1Result("subspace", subspace=space, reason=str(exc))
-        return Z1Result("subspace", subspace=space, maps=[
-            _phi_from_params(field, n, m, tuple(map(field.scalar, v)))
-            for v in sorted(map(tuple, np.concatenate(vecs).tolist()))])
-    try:
-        maps = list(_phi_solutions(identities.Z1, field, n, m, bound, c.tensors()))
-    except UnsupportedEnumerationError as exc:
-        return Z1Result("undecided", reason=str(exc))
-    if not all(identities.report(identities.Z1, field, phi=f.entries, **c.tensors()).valid
-               for f in maps):
+    """The kernel of the `Z1` system over any fiber and field, its maps
+    listed over GF(p) within the bound.  Where the annihilation rows (the
+    first two groups) hold, phi(x)*phi(y) and [phi(x), phi(y), phi(z)]
+    vanish, so the rest is read with the fiber's product and bracket zero;
+    a non-abelian fiber's basis is checked again.  Checks no axiom of c."""
+    n, m, field = c.n, c.m, c.field
+    tensors, module = c.tensors(), zero_algebra(field, m)
+    reads = ((identities.Z1[:2], tensors),
+             (identities.Z1[2:], dict(tensors, vbil=module.bil, vtri=module.tri)))
+    space = Matrix(field, [row for part, t in reads for a, _ in identities.affine(
+        part, field, n, m, **t).values() for row in a], cols=n * m).kernel()
+    if not (c.fiber.is_abelian() or all(
+            identities.report(identities.Z1, field, phi=phi.entries, **tensors).valid
+            for phi in (_phi_from_params(field, n, m, v) for v in space.basis.entries))):
         raise InternalConsistencyError("degree-one cocycle failed verification")
-    return Z1Result("list", maps=maps)
+    if not field.is_prime_field:
+        return Z1Result(space)
+    p, basis = field.p, residues(space.basis.entries).reshape(space.dim, n * m)
+    try:
+        vecs = [bruteforce.contract_mod("kd,dx->kx", p, digits, basis)
+                for _, digits in bruteforce.candidate_blocks(p, space.dim, bound, "maps")]
+    except UnsupportedEnumerationError as exc:
+        return Z1Result(space, reason=str(exc))
+    return Z1Result(space, maps=[
+        _phi_from_params(field, n, m, tuple(map(field.scalar, v)))
+        for v in sorted(map(tuple, np.concatenate(vecs).tolist()))])
 
 
 def s_map(e: Extension, s: Section, gamma: Matrix) -> Matrix:

@@ -211,7 +211,7 @@ def lift_search_image(extension, budget=10_000_000):
 def phi_search_oracle(field, n, m, bound, accepts):
     """(every map phi: B -> V that `accepts`, in `enumerate_vectors` order,
     "") by one scalar check per map, or (None, the reason no map is
-    checked): the search that `nonabelian._phi_solutions` batches."""
+    checked): the search that `phi_solutions` batches."""
     from bolext.cohomology import _phi_from_params
     from bolext.exactlin import enumerate_vectors
 
@@ -226,13 +226,58 @@ def phi_search_oracle(field, n, m, bound, accepts):
 
 def decision_oracle(field, n, m, bound, accepts):
     """(status, reason, witness) of the first accepted map, as
-    `nonabelian._search_phi` decides them."""
+    `nonabelian.solve_equivalence` and `wells.solve_inducibility` decide
+    them over a non-abelian fiber."""
     maps, reason = phi_search_oracle(field, n, m, bound, accepts)
     if maps is None:
         return "undecided", reason, None
     if not maps:
         return "none", "exhausted", None
     return "found", "", maps[0]
+
+
+def phi_solutions(suite, field, n, m, bound, tensors):
+    """The GF(p) maps phi that satisfy `suite` given the other tensors, in
+    `enumerate_vectors` order, one `bruteforce.identity_mask` pass per chunk
+    of `candidate_blocks` as they are read.  Raises
+    UnsupportedEnumerationError at once over an infinite field or past the
+    bound."""
+    from bolext import bruteforce
+    from bolext.cohomology import _phi_from_params
+    from bolext.errors import UnsupportedEnumerationError
+    from bolext.identities import residues
+    from bolext.nonabelian import _maps
+
+    if not field.is_prime_field:
+        raise UnsupportedEnumerationError("non-abelian fiber over an infinite field")
+    p = field.p
+    blocks = bruteforce.candidate_blocks(p, n * m, bound, "maps")
+    fixed = {name: residues(t) for name, t in tensors.items()}
+    return (_phi_from_params(field, n, m, tuple(map(field.scalar, row.tolist())))
+            for _, digits in blocks
+            for row in digits[bruteforce.identity_mask(suite, p, {"phi": _maps(digits, n, m)},
+                                                       fixed)])
+
+
+def equivalence_by_search(c1, c2, bound):
+    """`solve_equivalence(c1, c2, bound)` over an abelian fiber; over a
+    non-abelian one the first map of `phi_solutions` over `EQV`, by a route
+    that reads no orbit: found, none (exhausted) or undecided."""
+    from bolext.core import Decision, Status
+    from bolext.errors import UnsupportedEnumerationError
+    from bolext.identities import EQV
+    from bolext.nonabelian import _equivalence_tensors, solve_equivalence
+
+    if c1.fiber.is_abelian():
+        return solve_equivalence(c1, c2, bound)
+    try:
+        phi = next(phi_solutions(EQV, c1.field, c1.n, c1.m, bound,
+                                 _equivalence_tensors(c1, c2)), None)
+    except UnsupportedEnumerationError as exc:
+        return Decision(Status.UNDECIDED, reason=str(exc))
+    if phi is None:
+        return Decision(Status.NONE, reason="exhausted")
+    return Decision(Status.FOUND, witness=phi)
 
 
 def valid_cocycles_oracle(base, fiber, actions, variant, vectors=None):
@@ -352,19 +397,18 @@ def coset_classes_oracle(zero, blocks, rows=1 << 12):
 
 def pairwise_classes(cocycles):
     """(representatives, count) of cocycles over one base, fiber and action
-    set, each compared by `solve_equivalence` with every earlier
+    set, each compared by `equivalence_by_search` with every earlier
     representative: the classes `extensions.classify_rows` reads off
     cosets, any fiber."""
-    from bolext.core import Status
+    from bolext.core import DEFAULT_ENUMERATION_BOUND, Status
     from bolext.errors import UnsupportedEnumerationError
-    from bolext.nonabelian import solve_equivalence
 
     reps = []
     count = 0
     for cand in cocycles:
         count += 1
         for rep_c in reps:
-            dec = solve_equivalence(cand, rep_c)
+            dec = equivalence_by_search(cand, rep_c, DEFAULT_ENUMERATION_BOUND)
             if dec.status is Status.UNDECIDED:
                 raise UnsupportedEnumerationError("equivalence undecided at bound")
             if dec.found:
@@ -538,30 +582,40 @@ def abelian_class_verdicts(c, base, fiber):
 
 
 def pairwise_class_verdicts(c, base, fiber, bound, pairs=None):
-    """The stream of `abelian_class_verdicts`, decided by one scalar
-    `wells._wells_verdict` per pair, any fiber: its witness where the class
-    vanishes (over a non-abelian fiber the first map its search meets),
-    zero elsewhere.  One chunk per alpha; with `pairs`, a list of pair
-    indices (alpha-major), one chunk (pairs, status codes, witnesses)."""
+    """The stream of `abelian_class_verdicts`, decided pair by pair, any
+    fiber: over an abelian fiber by one scalar `wells._wells_verdict`, over
+    a non-abelian one by `equivalence_by_search` of the acted cocycle and c.
+    Its witness where the class vanishes (over a non-abelian fiber the
+    first map the search meets), zero elsewhere.  One chunk per alpha; with
+    `pairs`, a list of pair indices (alpha-major), one chunk (pairs, status
+    codes, witnesses)."""
     import numpy as np
 
     from bolext.bol import int_matrix
     from bolext.identities import residues
-    from bolext.wells import AutPair, _wells_verdict
+    from bolext.wells import AutPair, _wells_verdict, act_on_cocycle
 
     field = c.field
     (base_auts, _), (fiber_auts, _) = base, fiber
     nb = len(fiber_auts)
+    by_status = {"found": "zero", "none": "nonzero", "undecided": "undecided"}
+
+    def verdict(pair):
+        if c.fiber.is_abelian():
+            v = _wells_verdict(c, pair, bound)
+            return v.status, v.witness
+        dec = equivalence_by_search(act_on_cocycle(c, pair), c, bound)
+        return by_status[dec.status.value], dec.witness
 
     def chunk(ks):
-        verdicts = [_wells_verdict(c, AutPair(int_matrix(field, base_auts[k // nb]),
-                                              int_matrix(field, fiber_auts[k % nb])), bound)
+        verdicts = [verdict(AutPair(int_matrix(field, base_auts[k // nb]),
+                                    int_matrix(field, fiber_auts[k % nb])))
                     for k in ks]
         phi = np.zeros((len(ks), c.m, c.n), dtype=np.int64)
-        for k, v in enumerate(verdicts):
-            if v.witness is not None:
-                phi[k] = residues(v.witness.entries)
-        return np.array([VERDICT_STATUS.index(v.status) for v in verdicts],
+        for k, (_, witness) in enumerate(verdicts):
+            if witness is not None:
+                phi[k] = residues(witness.entries)
+        return np.array([VERDICT_STATUS.index(status) for status, _ in verdicts],
                         dtype=np.int64), phi
     if pairs is not None:
         yield (pairs, *chunk(pairs))

@@ -112,3 +112,46 @@ def test_classification_has_one_path_and_no_pairwise_search():
     assert sorted(read & {"is_abelian", "solve_equivalence", "_pairwise_classes"}) == []
     assert sorted(name for name in _definitions(trees)
                   if name.split(":")[1].startswith("_pairwise")) == []
+
+
+def _calls(tree):
+    """(enclosing top-level function, callee name, call node) per call in
+    a module."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                        func, "id", None)
+                    yield top, name, node
+
+
+def test_no_map_decision_reaches_identity_mask():
+    # the decisions about a map phi (`EQV`, `IND`, `Z1`) read the orbit or a
+    # kernel: no function in src hands one of their tables to
+    # `identity_mask`, directly or through a parameter of its own, and the
+    # per-map searches are oracles in tests/oracles.py
+    trees = _trees()
+    # callee name -> the argument positions that reach identity_mask's suite
+    sinks = {"identity_mask": {0}}
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+    grown = True
+    while grown:
+        grown = False
+        for top, name, node in calls:
+            params = [a.arg for a in top.args.args]
+            for at in tuple(sinks.get(name, ())):
+                arg = node.args[at] if at < len(node.args) else None
+                if isinstance(arg, ast.Name) and arg.id in params:
+                    known = sinks.setdefault(top.name, set())
+                    grown |= params.index(arg.id) not in known
+                    known.add(params.index(arg.id))
+    handed = [(top.name, name) for top, name, node in calls for at in sinks.get(name, ())
+              if at < len(node.args) and {n.attr if isinstance(n, ast.Attribute) else n.id
+                                          for n in ast.walk(node.args[at])
+                                          if isinstance(n, (ast.Attribute, ast.Name))}
+              & {"EQV", "IND", "Z1"}]
+    assert handed == []
+    assert sorted(name for name in _definitions(trees)
+                  if name.split(":")[1] in ("_phi_solutions", "_search_phi")) == []

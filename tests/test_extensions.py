@@ -25,8 +25,9 @@ from bolext.nonabelian import (NonAbelianCocycle, cocycles_equivalent_via,
 from bolext.representation import r_s2
 
 from conftest import corpus_dir
-from oracles import (class_witnesses, coset_classes_oracle, equivalence_matrix,
-                     orbit_classes, pairwise_classes, solve_rows, valid_cocycles_oracle)
+from oracles import (class_witnesses, coset_classes_oracle, equivalence_by_search,
+                     equivalence_matrix, orbit_classes, pairwise_classes, solve_rows,
+                     valid_cocycles_oracle)
 from test_identities import _grid
 from test_nonabelian import _random_cocycle
 
@@ -576,8 +577,11 @@ def test_s2_h3_classes_agree_with_solve_equivalence_on_sampled_pairs(moved):
     # On a seeded sample of 240 valid pairs, half of them within one class
     # and half drawn at random, the pairwise search finds a comparison map
     # exactly where the class codes agree, and each class is represented by
-    # its first member in candidate order
+    # its first member in candidate order.  The search is the `EQV` mask
+    # over every map (`oracles.equivalence_by_search`), which reads no orbit
     import numpy as np
+
+    from bolext.core import DEFAULT_ENUMERATION_BOUND
 
     zero, every, index = _s2_h3(moved)
     nu, om = candidate_rows(zero, every)
@@ -590,7 +594,8 @@ def test_s2_h3_classes_agree_with_solve_equivalence_on_sampled_pairs(moved):
     for k in range(0, 240, 2):
         right[k] = rng.choice(np.flatnonzero(codes == codes[left[k]]))
     cocycles = _decoded(zero, *candidate_rows(zero, every[np.concatenate([left, right])]))
-    found = [solve_equivalence(a, b).found for a, b in zip(cocycles[:240], cocycles[240:])]
+    found = [equivalence_by_search(a, b, DEFAULT_ENUMERATION_BOUND).found
+             for a, b in zip(cocycles[:240], cocycles[240:])]
     assert found == (codes[left] == codes[right]).tolist()
     assert 120 <= sum(found) < 240
 

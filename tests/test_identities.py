@@ -285,9 +285,8 @@ def _unit_algebra(field, dim, entries):
 def _z1_lines(c, z1=z1_nab):
     z = z1(c)
     fmt = c.field.format_scalar
-    lines = [f"{z.kind} dim={z.dim} reason={z.reason}"]
-    if z.subspace is not None:
-        lines += [repr([str(fmt(x)) for x in row]) for row in z.subspace.basis.entries]
+    lines = [f"dim={z.dim} reason={z.reason}"]
+    lines += [repr([str(fmt(x)) for x in row]) for row in z.subspace.basis.entries]
     return lines + [repr([[str(fmt(x)) for x in row] for row in f.entries])
                     for f in z.maps or ()]
 
@@ -421,12 +420,12 @@ GOLDEN = {  # name: (report lines, line count, sha256 of the joined lines)
         "0b4d7c65381b5786233ba565ea7161a74fb030822faac251b37b7dad8c480dec"),
     "decisions-q": (lambda: _decisions(Q, 37), 19,
         "586489e7bc79ba106591d10402e9e0d20a5e0354cd09df6f20fb5e480190e71c"),
-    "z1-nonabelian-gf5": (lambda: _z1_nonabelian(41), 10,
-        "216e913a613ee63571c1db1ff0cdfb20d0e625ef59b09a53742ffeb03b519aaf"),
+    "z1-nonabelian-gf5": (lambda: _z1_nonabelian(41), 11,
+        "848421b39c22fd90098bf4772e55ec869a555c39364fee04c79767b32e4c2af1"),
     "z1-abelian-gf5": (lambda: _z1_abelian(F5), 166,
-        "ed6e39d1802064cbb93dbf3ab95c9b3a3e4fc879888eda5d0be361f30f8dfb22"),
+        "fbc98453ecb4b8ecbf825489ed37f8c9608ff5d16a409eff3874ec9a609a2015"),
     "z1-abelian-q": (lambda: _z1_abelian(Q), 10,
-        "5f409b6406940ee4ef00714571b7cb019dc8721c2414a2f84b39c0104cc6eed5"),
+        "816954fb392da306c0b74669fd34a52e17bb512d75ce2e0400d4f508c7a738f6"),
 }
 
 

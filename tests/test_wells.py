@@ -919,9 +919,12 @@ def test_batched_phi_searches_match_scalar_oracle(F5):
     e = as_extension(sheared)
     cocycle = theta_map(e)
     swap = [[0, 1], [1, 0]]
+    # alpha = [[0, 1], [1, 1]] is not its own inverse: a scan that reads
+    # phi alpha for phi alpha^-1 gives another witness there
     for alpha, beta, bound in (([[1, 0], [0, 1]], [[1, 0], [0, 1]], 10 ** 7),
                                (swap, [[1, 0], [0, 1]], 10 ** 7),
                                (swap, [[4, 0], [0, 1]], 10 ** 7),
+                               ([[0, 1], [1, 1]], [[4, 0], [0, 1]], 10 ** 7),
                                (swap, [[4, 0], [0, 1]], 624)):
         pair = _pair(F5, alpha, beta)
         want = decision_oracle(F5, 2, 2, bound,
@@ -933,18 +936,75 @@ def test_batched_phi_searches_match_scalar_oracle(F5):
             ("undecided", "625 candidate maps exceed the bound 624")} <= statuses
     found = [w for status, _, w in seen if status == "found"]
     assert any(not w.is_zero() for w in found) and any(w.is_zero() for w in found)
+    assert seen[7][2] == Matrix.from_int_rows(F5, [[3, 0], [3, 0]])
 
+    # degree-one cocycles: the maps the scalar search accepts; the bound
+    # counts the listed maps, 5 over h3, not the 125 maps searched
     h3_zero = NonAbelianCocycle.zero(z1(F5), h3(F5))
     lists = []
-    for cz, bound in ((sheared, 10 ** 7), (h3_zero, 10 ** 7), (h3_zero, 124)):
+    for cz in (sheared, h3_zero):
         maps, reason = phi_search_oracle(
-            F5, cz.n, cz.m, bound,
+            F5, cz.n, cz.m, 10 ** 7,
             lambda phi: report(Z1, F5, phi=phi.entries, **cz.tensors()).valid)
-        z = z1_nab(cz, bound)
-        assert (z.kind, z.maps, z.reason) == ("list" if maps is not None else "undecided",
-                                              maps, reason)
+        z = z1_nab(cz, 10 ** 7)
+        assert (z.maps, z.reason) == (maps, reason)
         lists.append(maps)
-    assert [len(maps) for maps in lists[:2]] == [1, 5] and lists[2] is None
+    assert [len(maps) for maps in lists] == [1, 5]
+    z = z1_nab(h3_zero, 4)
+    assert (z.dim, z.maps, z.reason) == (1, None, "5 candidate maps exceed the bound 4")
+
+
+@pytest.mark.parametrize("base, dim", [(z1, 1), (z2, 2), (s2, 1)])
+def test_z1_over_q_on_a_non_abelian_fiber_matches_gf5(F5, base, dim):
+    # the degree-one cocycles of the zero cocycle over the fiber h3 over Q
+    # are a subspace, found with no enumeration; its basis is integral, and
+    # read mod 5 it spans exactly the maps a search over GF(5) accepts on the
+    # same integer data: over z1 one scalar report per map
+    # (`phi_search_oracle`), over z2 and s2, whose 15,625 maps take 7.6 s
+    # each that way on a 2-core VM, the `identity_mask` search
+    # (`phi_solutions`)
+    from itertools import product
+
+    from bolext.bol import h3
+    from bolext.exactlin import RATIONALS
+    from bolext.identities import Z1, report
+    from oracles import phi_search_oracle, phi_solutions
+
+    z = z1_nab(NonAbelianCocycle.zero(base(RATIONALS), h3(RATIONALS)))
+    assert (z.dim, z.maps, z.reason) == (dim, None, "")
+    basis = [[int(x) for x in row] for row in z.subspace.basis.entries]
+    assert basis == [list(row) for row in z.subspace.basis.entries]
+    c = NonAbelianCocycle.zero(base(F5), h3(F5))
+    if base is z1:
+        maps, _ = phi_search_oracle(
+            F5, c.n, c.m, 10 ** 7,
+            lambda phi: report(Z1, F5, phi=phi.entries, **c.tensors()).valid)
+    else:
+        maps = list(phi_solutions(Z1, F5, c.n, c.m, 10 ** 7, c.tensors()))
+    span = {tuple(sum(k * x for k, x in zip(ks, col)) % 5 for col in zip(*basis))
+            for ks in product(range(5), repeat=dim)}
+    # x[q*m + t] = phi(e_q)_t
+    assert len(maps) == 5 ** dim and {
+        tuple(phi.entries[t][q].value for q in range(c.n) for t in range(c.m))
+        for phi in maps} == span
+
+
+def test_z1_rechecks_its_basis_over_a_non_abelian_fiber(F5, monkeypatch):
+    # a read of Z1 that loses its annihilation rows spans maps into h3 that
+    # its product and bracket do not annihilate: the basis re-check refuses
+    from bolext import identities
+    from bolext.bol import h3
+    from bolext.errors import InternalConsistencyError
+    from bolext.wells import _z1_cocycles
+
+    c = NonAbelianCocycle.zero(z1(F5), h3(F5))
+    assert _z1_cocycles(c).dim == 1
+    affine = identities.affine
+    monkeypatch.setattr(identities, "affine", lambda suite, *args, **tensors: (
+        {} if suite == identities.Z1[:2] else affine(suite, *args, **tensors)))
+    with pytest.raises(InternalConsistencyError,
+                       match="^degree-one cocycle failed verification$"):
+        _z1_cocycles(c)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1161,7 @@ def test_exactness_sees_a_z1_map_that_is_not_a_cocycle(F5, monkeypatch):
                if not report(Z1, F5, phi=f.entries, **c.tensors()).valid)
 
     def one_wrong(cocycle, bound):
-        return Z1Result(real.kind, real.subspace, real.maps[:-1] + [bad])
+        return Z1Result(real.subspace, real.maps[:-1] + [bad])
     assert verify_wells_exactness(e).kernel_kappa_equals_inclusion_image
     monkeypatch.setattr(bolext.wells, "_z1_cocycles", one_wrong)
     rep = verify_wells_exactness(e)
